@@ -16,8 +16,8 @@ from .characters import (DirichletCharacter, UnitGroupStructure,
 from .padic import (BudgetExceeded, PadicNumber, ProfiniteDomain,
                     ball_representatives, padic_from_rational,
                     padic_valuation, q_admissible)
-from .qmeasure import (BOSONIC, FERMIONIC, IntegrationResult, MeasureSpec,
-                       NonConvergence, QDescriptor, ball_measure,
+from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, IntegrationResult,
+                       MeasureSpec, NonConvergence, QDescriptor, ball_measure,
                        bosonic_power_moment, bracket_power,
                        character_twisted_power, constant_one,
                        fermionic_finite_rhs, fermionic_power_moment,

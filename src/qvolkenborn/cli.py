@@ -5,7 +5,11 @@ values as coefficient lists, p-adic values as valuation/unit/precision); no
 floating point appears anywhere.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
-error, 3 non-convergence of a p-adic integral.
+error (including an exhausted ball budget, a pole of the formula at the
+given q, and a p-adic value without the digits a check needs), 3
+non-convergence of a p-adic integral.  Past argument parsing, every
+error is one ``error:`` line on stderr, except that ``integrate`` reports
+non-convergence as a JSON object there.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ import os
 import sys
 from fractions import Fraction
 
-from .algebra import CyclotomicElement, RationalFunction
+from .algebra import CyclotomicElement, PoleError, RationalFunction
 from .characters import (character_value, conductor, enumerate_characters,
                          parse_character_id)
-from .padic import DEFAULT_BALL_CAP, DEFAULT_PRECISION, PadicNumber, ProfiniteDomain, \
-    padic_from_rational
+from .padic import (DEFAULT_BALL_CAP, DEFAULT_PRECISION, BudgetExceeded,
+                    PadicNumber, PrecisionExhausted, ProfiniteDomain,
+                    padic_from_rational)
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, NonConvergence,
                        QDescriptor, integrate, parse_integrand)
 from .qnumbers import beta_polynomial, beta_number, k_chi, k_number, k_polynomial
@@ -60,6 +65,35 @@ def parse_q_spec(text: str, default_precision: int = DEFAULT_PRECISION) -> QDesc
         return QDescriptor.rational(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad q spec {text!r}: {exc}") from exc
+
+
+def _ball_cap_from_env() -> int:
+    """The ball budget: QVOLK_BALL_CAP when set, else the default."""
+    text = os.environ.get("QVOLK_BALL_CAP")
+    if text is None:
+        return DEFAULT_BALL_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"QVOLK_BALL_CAP must be a positive integer, got {text!r}")
+    return cap
+
+
+def _evaluate_at(q: QDescriptor, label: str, compute):
+    """compute(), reporting a vanishing denominator at rational q as a pole.
+
+    The rational reading evaluates a formula term by term, so a denominator
+    that vanishes at q (such as 1 + q at q = -1) leaves the formula
+    undefined there, even where the reduced rational function is finite.
+    """
+    try:
+        return compute()
+    except ZeroDivisionError as exc:
+        if q.mode != "rational":
+            raise
+        raise PoleError(f"q = {q.q_rational} is a pole of the formula for {label}") from exc
 
 
 def parse_index_range(text: str) -> list[int]:
@@ -141,14 +175,15 @@ def cmd_numbers(args) -> int:
     rows = []
     for n in parse_index_range(args.n):
         if args.kind == "K":
-            value = k_number(n, q)
+            value = _evaluate_at(q, f"K_{n}", lambda: k_number(n, q))
         elif args.kind == "beta":
-            value = beta_number(n, q)
+            value = _evaluate_at(q, f"beta_{n}", lambda: beta_number(n, q))
         else:
             if not args.chi:
                 raise UsageError("--chi is required for kind K_chi")
             chi = parse_character_id(args.chi)
-            value = k_chi(n, chi, q, method=args.method)
+            value = _evaluate_at(q, f"K_chi_{n}",
+                                 lambda: k_chi(n, chi, q, method=args.method))
         rows.append({"kind": args.kind, "n": n, "x": "", "m": "",
                      "chi": args.chi or "", "q_spec": args.q, "value": value})
     _emit({"command": "numbers", "kind": args.kind, "q_spec": args.q}, rows, args)
@@ -161,12 +196,11 @@ def cmd_polynomials(args) -> int:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad x {args.x!r}: {exc}") from exc
+    polynomial = k_polynomial if args.kind == "K_poly" else beta_polynomial
     rows = []
     for n in parse_index_range(args.n):
-        if args.kind == "K_poly":
-            value = k_polynomial(n, x, q, form=args.form)
-        else:
-            value = beta_polynomial(n, x, q, form=args.form)
+        value = _evaluate_at(q, f"{args.kind}_{n}({x})",
+                             lambda: polynomial(n, x, q, form=args.form))
         rows.append({"kind": args.kind, "n": n, "x": str(x), "m": "",
                      "chi": "", "q_spec": args.q, "value": value})
     _emit({"command": "polynomials", "kind": args.kind, "x": str(x),
@@ -186,7 +220,7 @@ def cmd_integrate(args) -> int:
         integrand = parse_integrand(args.f, q)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    cap = int(os.environ.get("QVOLK_BALL_CAP", DEFAULT_BALL_CAP))
+    cap = _ball_cap_from_env()
     try:
         result = integrate(spec, integrand, args.stability, args.n_max, cap)
     except NonConvergence as exc:
@@ -240,7 +274,7 @@ def cmd_series(args) -> int:
     elif args.gf == "Fq":
         q = parse_q_spec(args.q)
         try:
-            gf = f_q_series(q, args.T)
+            gf = _evaluate_at(q, "F_q", lambda: f_q_series(q, args.T))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         for n in range(args.T + 1):
@@ -361,12 +395,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, ZeroDivisionError, BudgetExceeded,
+            PrecisionExhausted, PoleError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except NonConvergence as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        return EXIT_NO_CONVERGENCE
 
 
 def entry_point() -> None:

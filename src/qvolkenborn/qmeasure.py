@@ -281,8 +281,11 @@ def riemann_sum(spec: MeasureSpec, f: Integrand, n: int,
     """The level-n Riemann sum: sum over ball representatives j of
     f(j) * (+-q)^j, normalized by [d p^n] of the (signed) base.
 
-    Exact arithmetic makes the reduction associative, so any partition of
-    the index range yields the identical result.
+    ``f`` is any callable; a :class:`BracketPower` (what the built-in
+    integrand families return) takes the residue loop of
+    :func:`_sum_range` in p-adic mode.  Either way the sum is exact to the
+    digits it claims, so any partition of the index range yields the
+    identical result.
     """
     reps = ball_representatives(spec.domain, n, cap)
     total = _sum_range(spec, f, reps)
@@ -290,7 +293,15 @@ def riemann_sum(spec: MeasureSpec, f: Integrand, n: int,
 
 
 def _sum_range(spec: MeasureSpec, f: Integrand, reps: range):
-    """Unnormalized sum of f(j) * (+-q)^j over a subrange of representatives."""
+    """Unnormalized sum of f(j) * (+-q)^j over a subrange of representatives.
+
+    In p-adic mode a :class:`BracketPower` is summed by
+    :func:`_residue_sum`; every other case calls f once per term.
+    """
+    if spec.q.mode == "padic" and isinstance(f, BracketPower):
+        total = _residue_sum(spec, f, reps)
+        if total is not None:
+            return total
     q1 = spec.q.qpow(1)
     fermionic = spec.kind == FERMIONIC
     power = spec.q.qpow(reps.start) if reps.start else spec.q.one()
@@ -305,6 +316,62 @@ def _sum_range(spec: MeasureSpec, f: Integrand, reps: range):
                 total = total + term
         power = power * q1
     return total
+
+
+def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
+    """The p-adic sum of chi(j) [x+j]^n (+-q)^j in plain ints, or None
+    where it could not claim the same digits as the per-term loop.
+
+    All terms are p-adic integers.  With Q the unit of q, A its precision
+    and m the digits claimed, the loop keeps (+-Q^b)^j, Q^(b'(x+j)) and
+    [x+j] as residues mod p^m (b, b' the base powers of the measure and of
+    f) and advances the bracket by [x+j+1] = [x+j] + Q^(b'(x+j)), so each
+    term costs one modular power and no division.  The per-term loop
+    divides by 1 - Q^b' for n >= 1, which leaves A - v_p(1 - Q^b')
+    absolute digits on every term whose x + j is a p-adic unit; the sum
+    claims exactly that (A digits for n = 0).  Where x is not p-integral
+    or no term with a unit x + j contributes, the claim would differ and
+    the caller falls back.
+    """
+    q = spec.q.q_padic
+    if f.q.mode != "padic" or f.q.q_padic != q:
+        return None
+    p, shift, n = q.p, f.shift, f.n
+    if shift.denominator % p == 0:
+        return None
+    signs = (1,) if f.chi is None else tuple(int(s) for s in f.chi)
+    size = len(signs)
+    if not any(signs[j % size] and (n == 0 or (shift + j).numerator % p)
+               for j in reps):
+        return None
+    mod_a = p ** q.prec
+    if n == 0:
+        digits, mod = q.prec, mod_a
+        bracket, q_x, step = 1, 0, 1
+    else:
+        # 1/(1 - Q^b') = p^-t * unit, the unit known mod p^(A - t)
+        t = -f._inv_1mq.v
+        digits = q.prec - t
+        mod = p ** digits
+        step = pow(q.unit, f.q.base_power, mod)
+        q_x = pow(q.unit, int(f.q.base_power * (shift + reps.start)), mod_a)
+        # p^t divides 1 - Q^(b'(x+j)) because x + j is p-integral
+        bracket = (1 - q_x) % mod_a // p ** t * f._inv_1mq.unit % mod
+        q_x %= mod
+    ratio = pow(q.unit, spec.q.base_power, mod)
+    if spec.kind == FERMIONIC:
+        ratio = mod - ratio
+    weight = pow(ratio, reps.start, mod)
+    total = 0
+    for j in reps:
+        s = signs[j % size]
+        if s:
+            term = pow(bracket, n, mod) * weight
+            total = total + term if s > 0 else total - term
+        bracket = (bracket + q_x) % mod
+        q_x = q_x * step % mod
+        weight = weight * ratio % mod
+    return PadicNumber._from_scaled(p, 0, total, digits)
 
 
 def integrate(spec: MeasureSpec, f: Integrand, target_stability: int,
@@ -418,63 +485,70 @@ def fermionic_finite_rhs(n: int, x: Fraction | int, level: int,
 # built-in integrand families
 # ---------------------------------------------------------------------------
 
-def constant_one(q: QDescriptor) -> Integrand:
-    one = q.one()
-    return lambda j: one
+class BracketPower:
+    """The integrand j -> chi(j) * [shift + j]^n against the base of q.
+
+    ``chi`` is a table of character values indexed by j modulo its length,
+    or None for the untwisted power; in p-adic mode its values must be 0
+    or +-1.  Instances are immutable, and a call evaluates its term
+    directly, so calls may come in any order.  In p-adic mode
+    :func:`_sum_range` recognises the type and sums it in residues
+    instead of calling it once per term.
+    """
+
+    __slots__ = ("q", "n", "shift", "chi", "_one", "_inv_1mq")
+
+    def __init__(self, q: QDescriptor, n: int, shift: Fraction | int = 0,
+                 chi: tuple | None = None):
+        if n < 0:
+            raise ValueError("exponent must be nonnegative")
+        if q.mode == "padic" and chi is not None and any(v not in (0, 1, -1) for v in chi):
+            raise ValueError(
+                "p-adic character twists need character values in {0, +-1}; "
+                "higher-order characters live on the symbolic path only")
+        shift, one, inv_1mq = Fraction(shift), q.one(), None
+        if n:
+            q.qpow(shift)  # raises unless q^shift lives in q's field
+            inv_1mq = one / (one - q.qpow(1))
+        for name, value in zip(self.__slots__, (q, n, shift, chi, one, inv_1mq)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __call__(self, j: int):
+        chi_j = 1 if self.chi is None else self.chi[j % len(self.chi)]
+        if isinstance(chi_j, (int, Fraction)) and chi_j == 0:
+            return 0
+        if self.n:
+            value = ((self._one - self.q.qpow(self.shift + j)) * self._inv_1mq) ** self.n
+        else:
+            value = self._one
+        return value if chi_j == 1 else chi_j * value
 
 
-def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> Integrand:
+def constant_one(q: QDescriptor) -> BracketPower:
+    """j -> 1."""
+    return BracketPower(q, 0)
+
+
+def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> BracketPower:
     """j -> [shift + j]^n against the descriptor's base.
 
-    Consecutive calls share an incrementally maintained power of q, which is
-    what makes the p-adic Riemann sums linear-time; out-of-order calls fall
-    back to an explicit power and stay correct.
+    The result is a :class:`BracketPower`: each call evaluates its term
+    directly, and p-adic Riemann sums run it through the residue loop,
+    which advances [shift + j] by adding q^(shift + j) and so stays
+    linear-time without any state in the integrand.
     """
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    shift = Fraction(shift)
-    one = q.one()
-    if n == 0:
-        return lambda j: one
-    q1 = q.qpow(1)
-    inv_1mq = one / (one - q1)
-    state = [0, q.qpow(shift)]  # q^(shift + j) for j = state[0]
-
-    def f(j: int):
-        last_j, last_pow = state
-        if j == last_j:
-            value = last_pow
-        elif j == last_j + 1:
-            value = last_pow * q1
-            state[0], state[1] = j, value
-        else:
-            value = q.qpow(shift + j)
-            state[0], state[1] = j, value
-        return ((one - value) * inv_1mq) ** n
-
-    return f
+    return BracketPower(q, n, shift)
 
 
-def character_twisted_power(q: QDescriptor, n: int, chi) -> Integrand:
+def character_twisted_power(q: QDescriptor, n: int, chi) -> BracketPower:
     """j -> chi(j) * [j]^n; zero off the units of the character modulus."""
     from .characters import character_value
 
-    base = bracket_power(q, n)
-    one = q.one()
-    table = [character_value(chi, a) for a in range(chi.modulus)]
-    if q.mode == "padic" and any(not isinstance(v, (int, Fraction)) for v in table):
-        raise ValueError(
-            "p-adic character twists need character values in {0, +-1}; "
-            "higher-order characters live on the symbolic path only")
-
-    def f(j: int):
-        chi_j = table[j % chi.modulus]
-        if isinstance(chi_j, (int, Fraction)) and chi_j == 0:
-            return 0
-        value = base(j) if n else one
-        return value if chi_j == 1 else chi_j * value
-
-    return f
+    table = tuple(character_value(chi, a) for a in range(chi.modulus))
+    return BracketPower(q, n, chi=table)
 
 
 def parse_integrand(text: str, q: QDescriptor) -> Integrand:

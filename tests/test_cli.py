@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from qvolkenborn.algebra import PoleError
 from qvolkenborn.cli import main, parse_index_range, parse_q_spec, value_from_json
+from qvolkenborn.padic import PrecisionExhausted
 from qvolkenborn.qmeasure import QDescriptor
 from qvolkenborn.qnumbers import beta_number, k_number, k_polynomial
 from qvolkenborn.series import f_q_coefficient_partial
@@ -80,6 +82,12 @@ def test_numbers_missing_chi_is_usage_error(capsys):
     assert code == 2 and "chi" in err
 
 
+def test_numbers_at_q_minus_one_reports_a_pole(capsys):
+    code, out, err = run(capsys, "numbers", "--kind", "K", "--n", "3", "--q", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: q = -1 is a pole") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -129,12 +137,34 @@ def test_integrate_inadmissible_q_exits_2(capsys):
     assert code == 2 and "inadmissible" in err
 
 
+def test_integrate_ball_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("QVOLK_BALL_CAP", "10")
+    code, out, err = run(capsys, "integrate", "--p", "5", "--q", "6")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap of 10" in err and err.count("\n") == 1
+
+
+def test_integrate_bad_ball_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QVOLK_BALL_CAP", "lots")
+    code, _, err = run(capsys, "integrate", "--p", "5", "--q", "6")
+    assert code == 2
+    assert err.startswith("error: QVOLK_BALL_CAP") and err.count("\n") == 1
+
+
 def test_integrate_non_convergence_exits_3(capsys):
     code, _, err = run(capsys, "integrate", "--kind", "fermionic",
                        "--f", "bracket_pow:3", "--p", "5", "--q", "6",
                        "--stability", "30", "--N-max", "3")
     assert code == 3
     assert "non-convergence" in err
+
+
+def test_integral_form_non_convergence_exits_3(capsys):
+    # two digits of q cannot reach the default stability of the integral form
+    code, out, err = run(capsys, "polynomials", "--kind", "K_poly", "--n", "1",
+                         "--x", "1", "--q", "padic:3:4:2", "--form", "integral")
+    assert code == 3 and out == ""
+    assert err.startswith("error: stability") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +211,19 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "limits")
     assert code == 1
     assert json.loads(out)["all_passed"] is False
+
+
+@pytest.mark.parametrize("error", [PoleError, PrecisionExhausted])
+def test_arithmetic_failures_exit_2(capsys, monkeypatch, error):
+    from qvolkenborn import verify as verify_mod
+
+    def failing(**_):
+        raise error("no value here")
+
+    monkeypatch.setitem(verify_mod.SUITES, "limits", failing)
+    code, out, err = run(capsys, "verify", "--suite", "limits")
+    assert code == 2 and out == ""
+    assert err == "error: no value here\n"
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qvolkenborn.algebra import Polynomial, RationalFunction, RootOrderMismatch
+from qvolkenborn.characters import make_character
 from qvolkenborn.padic import ProfiniteDomain, padic_from_rational
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec,
                                   NonConvergence, QDescriptor, ball_measure,
                                   ball_measure_sum, bosonic_power_moment,
-                                  bracket_power, constant_one,
+                                  bracket_power, character_twisted_power,
+                                  constant_one,
                                   fermionic_finite_rhs,
                                   fermionic_power_moment, integrate,
                                   parse_integrand, q_bracket, riemann_sum)
@@ -191,13 +195,110 @@ def test_riemann_sum_partition_invariance():
     # summing disjoint index blocks reproduces the full sum exactly
     from qvolkenborn.qmeasure import _sum_range
 
-    qd = sym()
-    spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
+    for qd in (sym(), padic_q(4, 3)):
+        spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
+        f = bracket_power(qd, 2, 1)
+        whole = _sum_range(spec, f, range(0, 27))
+        a, b, c = (_sum_range(spec, f, range(lo, lo + 9)) for lo in (0, 9, 18))
+        assert whole == a + b + c
+
+
+@pytest.mark.parametrize("qd", [sym(), padic_q(4, 3)], ids=["symbolic", "padic"])
+def test_bracket_power_is_stateless(qd):
     f = bracket_power(qd, 2, 1)
-    whole = _sum_range(spec, f, range(0, 27))
-    pieces = sum((_sum_range(spec, f, range(lo, lo + 9)) for lo in (0, 9, 18)),
-                 start=RationalFunction.constant(0))
-    assert whole == pieces
+    in_order = [bracket_power(qd, 2, 1)(j) for j in range(6)]
+    assert [f(j) for j in (5, 2, 5, 0)] == [in_order[j] for j in (5, 2, 5, 0)]
+    with pytest.raises(AttributeError):
+        f.shift = 0
+
+
+# ---------------------------------------------------------------------------
+# the p-adic residue loop against the per-term loop
+# ---------------------------------------------------------------------------
+
+def _as_tuple(x):
+    return (x.p, x.v, x.unit, x.prec)
+
+
+def _assert_kernel_matches_generic(spec, f, level):
+    """riemann_sum through the residue loop equals the same sum through
+    the per-term loop (an opaque callable), digit for digit; so does the
+    unnormalized sum, which also covers precisions too low to divide by
+    the level normalizer."""
+    from qvolkenborn.qmeasure import _residue_sum, _sum_range
+
+    reps = range(spec.domain.level_size(level))
+    fast = _residue_sum(spec, f, reps)
+    assert fast is not None
+    assert _as_tuple(fast) == _as_tuple(_sum_range(spec, lambda j: f(j), reps))
+    if not spec.level_norm(level).is_zero_at_precision:
+        assert (_as_tuple(riemann_sum(spec, f, level))
+                == _as_tuple(riemann_sum(spec, lambda j: f(j), level)))
+
+
+@pytest.mark.parametrize("kind", [BOSONIC, FERMIONIC])
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("prec", [8, 32])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_residue_loop_matches_per_term_loop(kind, p, prec, depth):
+    qd = padic_q(1 + 2 * p ** depth, p, prec)   # v_p(q - 1) = depth
+    spec = MeasureSpec(kind, qd, ProfiniteDomain(p))
+    for level in (1, 2, 3):
+        _assert_kernel_matches_generic(spec, constant_one(qd), level)
+        for n in range(4):
+            for shift in (-1, 0, 1, 2):
+                _assert_kernel_matches_generic(spec, bracket_power(qd, n, shift), level)
+
+
+@pytest.mark.parametrize("kind", [BOSONIC, FERMIONIC])
+def test_residue_loop_matches_per_term_loop_at_base_power(kind):
+    # against base q^3 (with the measure on base q^2), shifts a/3 stay integral powers
+    qd = padic_q(6, 5, 16)
+    spec = MeasureSpec(kind, qd.with_base_power(2), ProfiniteDomain(5))
+    base = qd.with_base_power(3)
+    for level in (1, 2):
+        for n in range(4):
+            for shift in (F(-1, 3), F(1, 3), F(2, 3), 1):
+                _assert_kernel_matches_generic(spec, bracket_power(base, n, shift), level)
+
+
+@pytest.mark.parametrize("prec", [8, 32])
+def test_residue_loop_matches_per_term_loop_with_character(prec):
+    chi = make_character(3, (1,))   # the quadratic character mod 3
+    qd = padic_q(6, 5, prec)
+    spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5, 3))
+    for level in (1, 2):
+        for n in range(4):
+            _assert_kernel_matches_generic(spec, character_twisted_power(qd, n, chi), level)
+
+
+def test_residue_loop_matches_per_term_loop_on_edge_cases():
+    # a block whose only term has x + j divisible by p carries more digits
+    # than A - v_p(q - 1), against base q^3 at p = 3 the bracket [1/3] is
+    # not integral, and an integrand may take its bracket at another q
+    from qvolkenborn.qmeasure import _sum_range
+
+    qd = padic_q(4, 3, 16)
+    spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
+    for n in range(4):
+        cases = [(bracket_power(qd, n, 1), reps) for reps in
+                 (range(2, 3), range(8, 9), range(0, 1), range(1, 3), range(7, 9))]
+        cases.append((bracket_power(qd.with_base_power(3), n, F(1, 3)), range(0, 9)))
+        cases.append((bracket_power(padic_q(7, 3, 16), n), range(0, 9)))
+        for f, reps in cases:
+            assert (_as_tuple(_sum_range(spec, f, reps))
+                    == _as_tuple(_sum_range(spec, lambda j: f(j), reps)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), r=st.integers(-40, 40).filter(bool),
+       prec=st.integers(2, 40), n=st.integers(0, 4), shift=st.integers(-3, 3),
+       kind=st.sampled_from([BOSONIC, FERMIONIC]), level=st.integers(1, 2))
+def test_residue_loop_matches_per_term_loop_random_q(p, r, prec, n, shift, kind, level):
+    qd = padic_q(1 + p * r, p, prec)
+    assume(not (qd.one() - qd.element()).is_zero_at_precision)  # else no [x] exists
+    f = bracket_power(qd, n, shift)
+    _assert_kernel_matches_generic(MeasureSpec(kind, qd, ProfiniteDomain(p)), f, level)
 
 
 # ---------------------------------------------------------------------------
