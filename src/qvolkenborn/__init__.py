@@ -8,20 +8,20 @@ p-adic Riemann-sum limits — and cross-checks every route against the others.
 
 from .algebra import (CyclotomicElement, PoleError, Polynomial,
                       RationalFunction, RootOrderMismatch,
-                      cyclotomic_polynomial, poly_gcd, reduce_fraction)
+                      cyclotomic_polynomial, poly_gcd)
 from .characters import (DirichletCharacter, UnitGroupStructure,
                          character_value, conductor, enumerate_characters,
                          make_character, parse_character_id,
                          unit_group_structure)
 from .padic import (BudgetExceeded, PadicNumber, ProfiniteDomain,
                     ball_representatives, padic_from_rational,
-                    padic_valuation, q_admissible)
+                    q_admissible)
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, IntegrationResult,
                        MeasureSpec, NonConvergence, QDescriptor, ball_measure,
                        bosonic_power_moment, bracket_power,
                        character_twisted_power, constant_one,
                        fermionic_finite_rhs, fermionic_power_moment,
-                       integrate, parse_integrand, q_bracket, riemann_sum)
+                       integrate, parse_integrand, riemann_sum)
 from .qnumbers import (beta_number, beta_polynomial, classical_bernoulli,
                        classical_euler, k_chi, k_distribution_rhs, k_number,
                        k_polynomial)

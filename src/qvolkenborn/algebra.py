@@ -329,20 +329,14 @@ class Polynomial:
         return " ".join(parts)
 
 
-_ONE_POLY_CACHE: Polynomial | None = None
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor over Q."""
-    global _ONE_POLY_CACHE
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
     if a.degree == 0 or b.degree == 0:
-        if _ONE_POLY_CACHE is None:
-            _ONE_POLY_CACHE = Polynomial((1,))
-        return _ONE_POLY_CACHE
+        return Polynomial((1,))
     ia, _ = a._int_form()
     ib, _ = b._int_form()
     g = _gcd_int(_primitive(ia), _primitive(ib))
@@ -468,12 +462,16 @@ def _cyclotomic_int(order: int) -> tuple[tuple[int, ...], int]:
 
 
 def reduce_cyclotomic_fraction(num: Polynomial, den_map: dict[int, int],
-                               root_order: int = 1, sign: int = 1) -> RationalFunction:
-    """Reduced fraction sign * num / prod Phi_d^e for a known cyclotomic
-    denominator map, cancelling each candidate factor by exact division.
+                               root_order: int = 1, sign: int = 1,
+                               w_power: int = 0) -> RationalFunction:
+    """Reduced fraction sign * num / (w^w_power prod Phi_d^e) for a known
+    cyclotomic denominator map, cancelling each candidate factor by exact
+    division.
 
-    An integer evaluation of the running numerator screens the candidates,
-    so a non-dividing factor is rejected in O(1) big-integer operations.
+    The powers of w cancel against the numerator's low-order zeros.  An
+    integer evaluation of the running numerator screens the cyclotomic
+    candidates, so a non-dividing factor is rejected in O(1) big-integer
+    operations.
     """
     if num.is_zero:
         return RationalFunction(num, Polynomial((1,)), root_order)
@@ -481,16 +479,20 @@ def reduce_cyclotomic_fraction(num: Polynomial, den_map: dict[int, int],
     content = _content(ints)
     prim = [x // content for x in ints]
     scale = Fraction(sign * content, int_den)
+    low = 0
+    while low < w_power and prim[low] == 0:
+        low += 1
+    prim, w_power = prim[low:], w_power - low
     value = 0
     for c in reversed(prim):
         value = value * _EVAL_POINT + c
     remaining: dict[int, int] = {}
     if value == 0:
         # the screening point is accidentally a root; fall back to plain gcd
-        den = Polynomial((1,))
+        den = Polynomial.monomial(w_power)
         for d, e in den_map.items():
             den = den * cyclotomic_polynomial(d) ** e
-        return RationalFunction(num if sign == 1 else -num, den, root_order)
+        return RationalFunction(Polynomial(prim) * scale, den, root_order)
     for d in sorted(den_map):
         e = den_map[d]
         phi_coeffs, phi_value = _cyclotomic_int(d)
@@ -510,7 +512,7 @@ def reduce_cyclotomic_fraction(num: Polynomial, den_map: dict[int, int],
             den_ints = _mul_int(den_ints, list(phi_coeffs))
     return RationalFunction._reduced(
         Polynomial([c * scale for c in prim]),
-        Polynomial(den_ints),
+        Polynomial([0] * w_power + den_ints),
         root_order)
 
 
@@ -739,11 +741,6 @@ class RationalFunction:
         if self.den.is_one:
             return num
         return f"({num})/({self.den.render(var)})"
-
-
-def reduce_fraction(num: Polynomial, den: Polynomial, root_order: int = 1) -> RationalFunction:
-    """Reduced representative (coprime, monic denominator) of num/den."""
-    return RationalFunction(num, den, root_order)
 
 
 # ---------------------------------------------------------------------------

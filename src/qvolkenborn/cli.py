@@ -144,6 +144,15 @@ def _value_text(value) -> str:
     return str(value)
 
 
+def _write(text: str, output: str | None) -> None:
+    """Write text to the --output file, or to stdout without one."""
+    if output:
+        with open(output, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(report: dict, rows: list[dict], args) -> None:
     if args.format == "csv":
         buf = io.StringIO()
@@ -159,11 +168,7 @@ def _emit(report: dict, rows: list[dict], args) -> None:
             for row in rows
         ]
         text = json.dumps(payload, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +236,7 @@ def cmd_integrate(args) -> int:
     report = {"command": "integrate", "kind": args.kind, "integrand": args.f,
               "p": args.p, "d": args.d, "q": str(q_value), "A": args.A}
     report.update(result.to_json())
-    text = json.dumps(report, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -254,12 +254,7 @@ def cmd_verify(args) -> int:
     all_passed = all(r.passed for r in results)
     report = {"command": "verify", "all_passed": all_passed,
               "suites": [r.to_json() for r in results]}
-    text = json.dumps(report, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, indent=2) + "\n", args.output)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 

@@ -269,11 +269,6 @@ def padic_from_rational(r: Fraction | int, p: int, prec: int = DEFAULT_PRECISION
     return PadicNumber.from_rational(r, p, prec)
 
 
-def padic_valuation(x: PadicNumber) -> int:
-    """v with |x|_p = p**(-v); for zero-at-precision the certified lower bound."""
-    return x.valuation
-
-
 def q_admissible(q: PadicNumber) -> bool:
     """Whether q - 1 is small enough for q**x to make p-adic sense, i.e.
     v_p(q - 1) >= 1 (equivalent to the strict fractional bound for odd p)."""

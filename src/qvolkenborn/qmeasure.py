@@ -13,6 +13,10 @@ exact rational, and truncated p-adic.  A descriptor may also represent a
 power ``q^s`` of the base parameter; fractional arguments such as ``a/f``
 against base ``q^f`` then reduce to integer powers of ``q``, which is what
 keeps the p-adic path inside Q_p.
+
+Every closed form of the package (the number and polynomial families, the
+twisted sums, the level-N fermionic sums and the ball measures) is one call
+of :func:`binomial_fraction_sum`, in all three readings of q.
 """
 
 from __future__ import annotations
@@ -22,7 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import RationalFunction, RootOrderMismatch
+from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
+                      binomial_poly, complementary_products,
+                      cyclotomic_denominator, reduce_cyclotomic_fraction)
+from .characters import character_value, parse_character_id
 from .padic import (DEFAULT_BALL_CAP, PadicNumber, ProfiniteDomain,
                     ball_representatives, q_admissible)
 
@@ -156,7 +163,13 @@ class QDescriptor:
         return self.q_padic ** int(e)
 
     def bracket(self, x: Fraction | int):
-        """The q-analogue [x] = (1 - q^x)/(1 - q) against the current base."""
+        """The q-analogue [x] = (1 - q^x)/(1 - q) against the current base.
+
+        >>> print(QDescriptor.symbolic().bracket(3))
+        1 + q + q^2
+        >>> print(QDescriptor.symbolic(2).bracket(Fraction(1, 2)))
+        (1)/(1 + w)
+        """
         one = self.one()
         return (one - self.qpow(x)) / (one - self.qpow(1))
 
@@ -178,15 +191,65 @@ class QDescriptor:
         return f"QDescriptor({core}{sfx})"
 
 
-def q_bracket(x: Fraction | int, q: QDescriptor):
-    """[x]_q = (1 - q^x)/(1 - q) in whichever field q selects.
+def _one_plus(q: QDescriptor, one, sign: int, exponent: Fraction | int):
+    """1 + sign * q^exponent in q's numeric field."""
+    return one + q.qpow(exponent) if sign > 0 else one - q.qpow(exponent)
 
-    >>> print(q_bracket(3, QDescriptor.symbolic()))
-    1 + q + q^2
-    >>> print(q_bracket(Fraction(1, 2), QDescriptor.symbolic(2)))
-    (1)/(1 + w)
+
+def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
+                          step: int, prefactor=()):
+    """prod (1 + s q^e)^pw * sum_k numerators[k] / (1 + sign q^(step (k+1))).
+
+    ``numerators[k]`` maps q-exponents to rational coefficients, and
+    ``prefactor`` lists the (s, e, pw) factors; all powers are taken against
+    the base of q.  Every closed form of the package has this shape, and its
+    denominators are products of cyclotomic polynomials in w.
+
+    Symbolic q: one integer numerator over the known cyclotomic denominator
+    (times w^r when exponents go down to -r), reduced once by
+    :func:`reduce_cyclotomic_fraction`.  Rational and p-adic q: the sum of
+    fractions over the prefix/suffix products with a single division, then
+    the prefactor; a vanishing denominator raises ZeroDivisionError.
     """
-    return q.bracket(x)
+    if q.mode != "symbolic":
+        one = q.one()
+        nums = [sum(q.from_rational(c) * q.qpow(e) for e, c in num.items() if c)
+                for num in numerators]
+        dens = [_one_plus(q, one, sign, step * (k + 1)) for k in range(len(nums))]
+        prefixes = [1]
+        for d in dens:
+            prefixes.append(prefixes[-1] * d)
+        total = 0
+        suffix = 1
+        for k in range(len(nums) - 1, -1, -1):
+            total = total + nums[k] * prefixes[k] * suffix
+            suffix = suffix * dens[k]
+        value = total / prefixes[-1]
+        for s, e, power in prefactor:
+            if power:
+                value = value * _one_plus(q, one, s, e) ** power
+        return value
+    exps = [q.w_exponent(step * (k + 1)) for k in range(len(numerators))]
+    others = [[int(c) for c in o.coeffs] for o in
+              complementary_products([binomial_poly(sign, e) for e in exps])]
+    terms = [(k, q.w_exponent(e), Fraction(c))
+             for k, num in enumerate(numerators) for e, c in num.items() if c]
+    shift = max([0] + [-we for _, we, _ in terms])
+    scale = math.lcm(*(c.denominator for _, _, c in terms))
+    acc = [0] * max((we + shift + len(others[k]) for k, we, _ in terms), default=0)
+    for k, we, c in terms:
+        weight = int(c * scale)
+        for i, o in enumerate(others[k], we + shift):
+            acc[i] += weight * o
+    num = Polynomial(acc) * Fraction(1, scale)
+    den_factors = [(sign, e, 1) for e in exps]
+    for s, e, power in prefactor:
+        if power > 0:
+            num = num * binomial_poly(s, q.w_exponent(e)) ** power
+        elif power < 0:
+            den_factors.append((s, q.w_exponent(e), -power))
+    den_map, den_sign = cyclotomic_denominator(den_factors)
+    return reduce_cyclotomic_fraction(num, den_map, q.root_order, den_sign, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -221,59 +284,23 @@ class MeasureSpec:
 
 def ball_measure(spec: MeasureSpec, a: int, n: int):
     """Measure of the ball a + d p^n Z_p."""
-    size = spec.domain.level_size(n)
-    if not 0 <= a < size:
-        raise ValueError(f"representative {a} out of range [0, {size})")
-    if spec.q.mode == "symbolic":
-        return _ball_sum_symbolic(spec, (a,), n)
-    value = spec.q.qpow(a) / spec.level_norm(n)
-    if spec.kind == FERMIONIC and a % 2 == 1:
-        return -value
-    return value
+    return ball_measure_sum(spec, (a,), n)
 
 
 def ball_measure_sum(spec: MeasureSpec, reps, n: int):
-    """Sum of ball measures over the given level-n representatives, taken
-    over the common level normalizer (one division instead of one per ball,
-    which keeps the exact distribution/total-mass checks cheap)."""
-    size = spec.domain.level_size(n)
-    reps = list(reps)
-    for a in reps:
-        if not 0 <= a < size:
-            raise ValueError(f"representative {a} out of range [0, {size})")
-    if spec.q.mode == "symbolic":
-        return _ball_sum_symbolic(spec, reps, n)
-    total = 0
-    for a in reps:
-        term = spec.q.qpow(a)
-        if spec.kind == FERMIONIC and a % 2 == 1:
-            total = total - term
-        else:
-            total = total + term
-    return total / spec.level_norm(n)
-
-
-def _ball_sum_symbolic(spec: MeasureSpec, reps, n: int):
-    """Signed power sum over the level normalizer, reduced through the
-    cyclotomic kernel: the normalizer is (1 -+ q) / (1 -+ q^(d p^n))."""
-    from .algebra import (Polynomial, binomial_poly,
-                          cyclotomic_denominator, reduce_cyclotomic_fraction)
-
-    q = spec.q
-    e1 = q.w_exponent(1)
+    """Sum of ball measures over the given level-n representatives: the
+    signed power sum over the level normalizer (1 -+ q^(d p^n)) / (1 -+ q),
+    with one division instead of one per ball, which keeps the exact
+    distribution/total-mass checks cheap."""
     size = spec.domain.level_size(n)
     fermionic = spec.kind == FERMIONIC
     coeffs: dict[int, int] = {}
     for a in reps:
-        e = q.w_exponent(a)
-        coeffs[e] = coeffs.get(e, 0) + (-1 if fermionic and a % 2 else 1)
-    dense = [0] * (max(coeffs) + 1 if coeffs else 1)
-    for e, c in coeffs.items():
-        dense[e] = c
+        if not 0 <= a < size:
+            raise ValueError(f"representative {a} out of range [0, {size})")
+        coeffs[a] = coeffs.get(a, 0) + (-1 if fermionic and a % 2 else 1)
     sign = 1 if fermionic else -1
-    num = Polynomial(dense) * binomial_poly(sign, e1)
-    den, den_sign = cyclotomic_denominator([(sign, e1 * size, 1)])
-    return reduce_cyclotomic_fraction(num, den, q.root_order, den_sign)
+    return binomial_fraction_sum(spec.q, [coeffs], sign, size, [(sign, 1, 1)])
 
 
 def riemann_sum(spec: MeasureSpec, f: Integrand, n: int,
@@ -447,38 +474,11 @@ def fermionic_finite_rhs(n: int, x: Fraction | int, level: int,
         raise ValueError("exponent must be nonnegative")
     x = Fraction(x)
     pn = p ** level
-    if q.mode == "symbolic" and x >= 0:
-        from .algebra import (Polynomial, binomial_poly, complementary_products,
-                              cyclotomic_denominator, reduce_cyclotomic_fraction)
-        e1 = q.w_exponent(1)
-        exps = [q.w_exponent(k + 1) for k in range(n + 1)]
-        others = complementary_products([binomial_poly(1, e) for e in exps])
-        acc = Polynomial()
-        for k in range(n + 1):
-            weight = Fraction((-1) ** k * math.comb(n, k))
-            term = (others[k] * Polynomial.monomial(q.w_exponent(x * k), weight)
-                    * binomial_poly(1, q.w_exponent(pn * (k + 1))))
-            acc = acc + term
-        num = acc * binomial_poly(1, e1)
-        den, sign = cyclotomic_denominator(
-            [(-1, e1, n), (1, q.w_exponent(pn), 1)] + [(1, e, 1) for e in exps])
-        return reduce_cyclotomic_fraction(num, den, q.root_order, sign)
-    one = q.one()
-    two = one + q.qpow(1)
-    inv_1mq = one / (one - q.qpow(1)) if n else one
-    nums = [q.from_rational(Fraction((-1) ** k * math.comb(n, k)))
-            * q.qpow(x * k) * (one + q.qpow(pn * (k + 1)))
-            for k in range(n + 1)]
-    dens = [one + q.qpow(k + 1) for k in range(n + 1)]
-    prefixes = [1]
-    for d in dens:
-        prefixes.append(prefixes[-1] * d)
-    acc = 0
-    suffix = 1
-    for k in range(n, -1, -1):
-        acc = acc + nums[k] * prefixes[k] * suffix
-        suffix = suffix * dens[k]
-    return two * inv_1mq ** n * acc / prefixes[-1] / (one + q.qpow(pn))
+    numerators = [{x * k: (-1) ** k * math.comb(n, k),
+                   x * k + pn * (k + 1): (-1) ** k * math.comb(n, k)}
+                  for k in range(n + 1)]
+    return binomial_fraction_sum(q, numerators, 1, 1,
+                                 [(1, 1, 1), (-1, 1, -n), (1, pn, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +545,6 @@ def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> BracketP
 
 def character_twisted_power(q: QDescriptor, n: int, chi) -> BracketPower:
     """j -> chi(j) * [j]^n; zero off the units of the character modulus."""
-    from .characters import character_value
-
     table = tuple(character_value(chi, a) for a in range(chi.modulus))
     return BracketPower(q, n, chi=table)
 
@@ -564,7 +562,6 @@ def parse_integrand(text: str, q: QDescriptor) -> Integrand:
         if name == "shifted_bracket_pow" and len(parts) == 3:
             return bracket_power(q, int(parts[1]), Fraction(parts[2]))
         if name == "char_twisted" and len(parts) >= 3:
-            from .characters import parse_character_id
             chi = parse_character_id(":".join(parts[2:]))
             return character_twisted_power(q, int(parts[1]), chi)
     except (ValueError, ZeroDivisionError) as exc:

@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import (Polynomial, binomial_poly, complementary_products,
-                      cyclotomic_denominator, reduce_cyclotomic_fraction)
 from .characters import DirichletCharacter, character_value
 from .padic import DEFAULT_BALL_CAP, ProfiniteDomain
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
-                       bracket_power, character_twisted_power, integrate)
+                       binomial_fraction_sum, bracket_power,
+                       character_twisted_power, integrate)
 
 FORMS = ("closed", "expansion", "integral")
 
@@ -33,131 +32,43 @@ def _check_form(form: str) -> None:
         raise ValueError(f"unknown form {form!r}; expected one of {FORMS}")
 
 
-def _sum_of_fractions(numerators: list, denominators: list):
-    """sum numerators[k]/denominators[k] over the common denominator, with a
-    single division at the end (one reduction instead of one per addition)."""
-    prefixes = [1]
-    for d in denominators:
-        prefixes.append(prefixes[-1] * d)
-    total = 0
-    suffix = 1
-    for i in range(len(numerators) - 1, -1, -1):
-        total = total + numerators[i] * prefixes[i] * suffix
-        suffix = suffix * denominators[i]
-    return total / prefixes[-1]
-
-
-# ---------------------------------------------------------------------------
-# symbolic fast paths
-#
-# In the rational-function field the closed forms are assembled as one
-# polynomial numerator over the known product of 1 +- w^j factors and
-# reduced once through the cyclotomic cancellation kernel; the generic
-# field-agnostic loops below remain the implementation for rational and
-# p-adic q.  The fast paths require x >= 0 (all w-exponents nonnegative),
-# which covers every argument the identity suites use.
-# ---------------------------------------------------------------------------
-
-def _k_closed_symbolic(n: int, x: Fraction, q: QDescriptor):
-    e1 = q.w_exponent(1)
-    exps = [q.w_exponent(k + 1) for k in range(n + 1)]
-    others = complementary_products([binomial_poly(1, e) for e in exps])
-    acc = Polynomial()
-    for k in range(n + 1):
-        weight = Fraction((-1) ** k * math.comb(n, k))
-        acc = acc + others[k] * Polynomial.monomial(q.w_exponent(x * k), weight)
-    num = acc * binomial_poly(1, e1)
-    den, sign = cyclotomic_denominator(
-        [(-1, e1, n)] + [(1, e, 1) for e in exps])
-    return reduce_cyclotomic_fraction(num, den, q.root_order, sign)
-
-
-def _beta_closed_symbolic(n: int, x: Fraction, q: QDescriptor):
-    e1 = q.w_exponent(1)
-    exps = [q.w_exponent(i + 1) for i in range(n + 1)]
-    others = complementary_products([binomial_poly(-1, e) for e in exps])
-    acc = Polynomial()
-    for i in range(n + 1):
-        weight = Fraction((-1) ** i * math.comb(n, i) * (i + 1))
-        acc = acc + others[i] * Polynomial.monomial(q.w_exponent(x * i), weight)
-    if n == 0:
-        acc = acc * binomial_poly(-1, e1)
-    den, sign = cyclotomic_denominator(
-        [(-1, e1, max(n - 1, 0))] + [(-1, e, 1) for e in exps])
-    return reduce_cyclotomic_fraction(acc, den, q.root_order, sign)
-
-
-def _twisted_sum_symbolic(n: int, x: Fraction, m: int, q: QDescriptor, weights):
+def _twisted_sum(n: int, x: Fraction, m: int, q: QDescriptor, weights):
     """([m]^n/[m]_-) sum_a weights[a] (-1)^a q^a K(base q^m, (a+x)/m), with the
     base-change prefactors cancelled analytically against the inner closed
-    forms, leaving (1+q) * numerator over (1-q)^n prod_k (1 + q^(m(k+1)))."""
-    base = q.with_base_power(m)
-    e1 = q.w_exponent(1)
-    exps = [base.w_exponent(k + 1) for k in range(n + 1)]
-    others = complementary_products([binomial_poly(1, e) for e in exps])
-    acc = Polynomial()
-    for a in range(m):
-        if weights[a] == 0:
-            continue
-        for k in range(n + 1):
-            weight = Fraction((-1) ** (a + k) * math.comb(n, k)) * weights[a]
-            mono = base.w_exponent(Fraction(a + x, m) * k) + q.w_exponent(a)
-            acc = acc + others[k] * Polynomial.monomial(mono, weight)
-    num = acc * binomial_poly(1, e1)
-    den, sign = cyclotomic_denominator(
-        [(-1, e1, n)] + [(1, e, 1) for e in exps])
-    return reduce_cyclotomic_fraction(num, den, q.root_order, sign)
+    forms, leaving (1+q)(1-q)^-n sum_k (...)/(1 + q^(m(k+1)))."""
+    numerators = [{a + (a + x) * k: weights[a] * (-1) ** (a + k) * math.comb(n, k)
+                   for a in range(m) if weights[a]} for k in range(n + 1)]
+    return binomial_fraction_sum(q, numerators, 1, m, [(1, 1, 1), (-1, 1, -n)])
 
 
 def beta_number(m: int, q: QDescriptor):
-    """The m-th q-Bernoulli number: the bosonic moment of [t]^m, as the
-    alternating closed form over the power moments (i+1)/[i+1].
-
-    Written with (i+1)/[i+1] = (i+1)(1-q)/(1-q^(i+1)), one power of (1-q)
-    cancels against the prefactor.
+    """The m-th q-Bernoulli number: the bosonic moment of [t]^m, the x = 0
+    case of :func:`beta_polynomial`.
 
     >>> print(beta_number(1, QDescriptor.symbolic()))
     (-1)/(1 + q)
     """
-    if m < 0:
-        raise ValueError("index must be nonnegative")
-    if q.mode == "symbolic":
-        return _beta_closed_symbolic(m, Fraction(0), q)
-    one = q.one()
-    nums = [q.from_rational(Fraction((-1) ** i * math.comb(m, i) * (i + 1)))
-            for i in range(m + 1)]
-    dens = [one - q.qpow(i + 1) for i in range(m + 1)]
-    acc = _sum_of_fractions(nums, dens)
-    if m == 1:
-        return acc
-    inv = one / (one - q.qpow(1))
-    return inv ** (m - 1) * acc
+    return beta_polynomial(m, 0, q)
 
 
 def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed",
                     stability: int = 5, n_max: int = 8, cap: int = DEFAULT_BALL_CAP):
     """The q-Bernoulli polynomial at x, by the selected route.
 
-    "closed": alternating sum with q^(x i) weights; "expansion": binomial
-    expansion over beta numbers and [x] powers; "integral": the bosonic
-    p-adic integral of [x+t]^n (padic q only).
+    "closed": alternating sum with q^(x i) weights over the power moments
+    (i+1)/[i+1] = (i+1)(1-q)/(1-q^(i+1)), one power of (1-q) cancelled
+    against the prefactor; "expansion": binomial expansion over beta numbers
+    and [x] powers; "integral": the bosonic p-adic integral of [x+t]^n
+    (padic q only).
     """
     _check_form(form)
     if n < 0:
         raise ValueError("index must be nonnegative")
     x = Fraction(x)
-    one = q.one()
     if form == "closed":
-        if q.mode == "symbolic" and x >= 0:
-            return _beta_closed_symbolic(n, x, q)
-        nums = [q.from_rational(Fraction((-1) ** i * math.comb(n, i) * (i + 1)))
-                * q.qpow(x * i) for i in range(n + 1)]
-        dens = [one - q.qpow(i + 1) for i in range(n + 1)]
-        acc = _sum_of_fractions(nums, dens)
-        if n == 1:
-            return acc
-        inv = one / (one - q.qpow(1))
-        return inv ** (n - 1) * acc
+        numerators = [{x * i: (-1) ** i * math.comb(n, i) * (i + 1)}
+                      for i in range(n + 1)]
+        return binomial_fraction_sum(q, numerators, -1, 1, [(-1, 1, 1 - n)])
     if form == "expansion":
         bx = q.bracket(x)
         acc = 0
@@ -172,26 +83,15 @@ def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "clos
 
 def k_number(k: int, q: QDescriptor):
     """The k-th fermionic q-Euler number: [2] (1/(1-q))^k times the
-    alternating binomial sum of 1/(1+q^(l+1)).
+    alternating binomial sum of 1/(1+q^(l+1)), the x = 0 case of
+    :func:`k_polynomial`.
 
     >>> print(k_number(1, QDescriptor.symbolic()))
     (-q)/(1 + q^2)
     >>> k_number(1, QDescriptor.symbolic()).limit_at_one()
     Fraction(-1, 2)
     """
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    if q.mode == "symbolic":
-        return _k_closed_symbolic(k, Fraction(0), q)
-    one = q.one()
-    two = one + q.qpow(1)
-    nums = [q.from_rational(Fraction((-1) ** l * math.comb(k, l))) for l in range(k + 1)]
-    dens = [one + q.qpow(l + 1) for l in range(k + 1)]
-    acc = _sum_of_fractions(nums, dens)
-    if k == 0:
-        return two * acc
-    inv = one / (one - q.qpow(1))
-    return two * inv ** k * acc
+    return k_polynomial(k, 0, q)
 
 
 def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed",
@@ -205,19 +105,9 @@ def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"
     if n < 0:
         raise ValueError("index must be nonnegative")
     x = Fraction(x)
-    one = q.one()
     if form == "closed":
-        if q.mode == "symbolic" and x >= 0:
-            return _k_closed_symbolic(n, x, q)
-        two = one + q.qpow(1)
-        nums = [q.from_rational(Fraction((-1) ** k * math.comb(n, k))) * q.qpow(x * k)
-                for k in range(n + 1)]
-        dens = [one + q.qpow(k + 1) for k in range(n + 1)]
-        acc = _sum_of_fractions(nums, dens)
-        if n == 0:
-            return two * acc
-        inv = one / (one - q.qpow(1))
-        return two * inv ** n * acc
+        numerators = [{x * k: (-1) ** k * math.comb(n, k)} for k in range(n + 1)]
+        return binomial_fraction_sum(q, numerators, 1, 1, [(1, 1, 1), (-1, 1, -n)])
     if form == "expansion":
         bx = q.bracket(x)
         acc = 0
@@ -240,9 +130,11 @@ def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
     """
     if m < 1 or m % 2 == 0:
         raise ValueError(f"the distribution relation needs odd m, got {m}")
+    if n < 0:
+        raise ValueError("index must be nonnegative")
     x = Fraction(x)
-    if q.mode == "symbolic" and x >= 0:
-        return _twisted_sum_symbolic(n, x, m, q, [Fraction(1)] * m)
+    if q.mode == "symbolic":
+        return _twisted_sum(n, x, m, q, [1] * m)
     base = q.with_base_power(m)
     acc = 0
     for a in range(m):
@@ -273,7 +165,7 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
                 "p-adic twisted numbers need character values in {0, +-1}")
         if q.mode == "symbolic" and chi.value_order <= 2:
             values = [character_value(chi, a) for a in range(f)]
-            return _twisted_sum_symbolic(n, Fraction(0), f, q, values)
+            return _twisted_sum(n, Fraction(0), f, q, values)
         base = q.with_base_power(f)
         acc = 0
         for a in range(f):

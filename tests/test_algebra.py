@@ -12,8 +12,7 @@ import pytest
 from qvolkenborn.algebra import (CyclotomicElement, PoleError, Polynomial,
                                  RationalFunction, RootOrderMismatch,
                                  binomial_factor_cyclotomics,
-                                 cyclotomic_polynomial, poly_gcd,
-                                 reduce_fraction)
+                                 cyclotomic_polynomial, poly_gcd)
 
 F = Fraction
 
@@ -27,18 +26,18 @@ def R(num, den=(1,), D=1):
 
 
 # ---------------------------------------------------------------------------
-# reduce_fraction
+# reduction to canonical form
 # ---------------------------------------------------------------------------
 
 def test_reduce_cancels_linear_factor():
     # (1 - w^2)/(1 - w) -> 1 + w
-    got = reduce_fraction(P(1, 0, -1), P(1, -1))
+    got = RationalFunction(P(1, 0, -1), P(1, -1))
     assert got.num == P(1, 1)
     assert got.den == P(1)
 
 
 def test_reduce_zero_numerator():
-    got = reduce_fraction(P(), P(7, 1))
+    got = RationalFunction(P(), P(7, 1))
     assert got.num.is_zero
     assert got.den == P(1)
 
@@ -47,19 +46,19 @@ def test_reduce_shared_square_factor():
     # w(w-1)^2 / ((1-w)^2 (1+w)(1+w+w^2)) -> w / ((1+w)(1+w+w^2))
     num = P(0, 1) * P(-1, 1) * P(-1, 1)
     den = P(1, -1) * P(1, -1) * P(1, 1) * P(1, 1, 1)
-    got = reduce_fraction(num, den)
+    got = RationalFunction(num, den)
     assert got.num == P(0, 1)
     assert got.den == P(1, 2, 2, 1)  # (1+w)(1+w+w^2)
 
 
 def test_reduce_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        reduce_fraction(P(1), P())
+        RationalFunction(P(1), P())
 
 
 def test_reduction_idempotent():
-    f = reduce_fraction(P(0, 1, 2, 3), P(2, 0, 4))
-    again = reduce_fraction(f.num, f.den, f.root_order)
+    f = RationalFunction(P(0, 1, 2, 3), P(2, 0, 4))
+    again = RationalFunction(f.num, f.den, f.root_order)
     assert again.num == f.num and again.den == f.den
 
 
@@ -237,7 +236,7 @@ def test_factored_reduction_matches_generic_gcd():
     from qvolkenborn.algebra import cyclotomic_denominator, reduce_cyclotomic_fraction
 
     rng = random.Random(59)
-    for _ in range(20):
+    for _ in range(40):
         factors = [(rng.choice((1, -1)), rng.randrange(1, 7), rng.randrange(0, 3))
                    for _ in range(3)]
         den_map, sign = cyclotomic_denominator(factors)
@@ -250,8 +249,11 @@ def test_factored_reduction_matches_generic_gcd():
         # seed a shared factor so cancellation actually happens
         s, j, _ = factors[0]
         num = num * Polynomial((1,) + (0,) * (j - 1) + (s,))
-        fast = reduce_cyclotomic_fraction(num, den_map, 1, sign)
-        slow = RationalFunction(num, den, 1)
+        # a w^r denominator factor, partly cancelled by powers of w in num
+        r = rng.randrange(0, 4)
+        num = num * Polynomial.monomial(rng.randrange(0, 3))
+        fast = reduce_cyclotomic_fraction(num, den_map, 1, sign, r)
+        slow = RationalFunction(num, den * Polynomial.monomial(r), 1)
         assert fast == slow
         assert fast.num == slow.num and fast.den == slow.den
 

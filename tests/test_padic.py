@@ -7,7 +7,7 @@ import pytest
 
 from qvolkenborn.padic import (BudgetExceeded, PadicNumber, ProfiniteDomain,
                                ball_representatives, padic_from_rational,
-                               padic_valuation, q_admissible)
+                               q_admissible)
 
 F = Fraction
 
@@ -34,7 +34,7 @@ def test_from_rational_negative_valuation():
 def test_from_rational_zero_is_zero_at_precision():
     x = padic_from_rational(0, 5, 8)
     assert x.is_zero_at_precision
-    assert padic_valuation(x) >= 8
+    assert x.valuation >= 8
 
 
 def test_rejects_even_or_composite_prime():

@@ -13,17 +13,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qvolkenborn.algebra import Polynomial, RationalFunction, RootOrderMismatch
-from qvolkenborn.characters import make_character
+from qvolkenborn.characters import character_value, make_character
 from qvolkenborn.padic import ProfiniteDomain, padic_from_rational
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec,
                                   NonConvergence, QDescriptor, ball_measure,
-                                  ball_measure_sum, bosonic_power_moment,
-                                  bracket_power, character_twisted_power,
-                                  constant_one,
+                                  ball_measure_sum, binomial_fraction_sum,
+                                  bosonic_power_moment, bracket_power,
+                                  character_twisted_power, constant_one,
                                   fermionic_finite_rhs,
                                   fermionic_power_moment, integrate,
-                                  parse_integrand, q_bracket, riemann_sum)
-from qvolkenborn.qnumbers import beta_number, k_number, k_polynomial
+                                  parse_integrand, riemann_sum)
+from qvolkenborn.qnumbers import (_twisted_sum, beta_number, beta_polynomial,
+                                  k_distribution_rhs, k_number, k_polynomial)
 
 F = Fraction
 
@@ -45,25 +46,25 @@ def R(num, den=(1,), D=1):
 # ---------------------------------------------------------------------------
 
 def test_bracket_zero():
-    assert q_bracket(0, sym()).is_zero
+    assert sym().bracket(0).is_zero
 
 
 def test_bracket_three_is_geometric_sum():
-    assert q_bracket(3, sym()) == R((1, 1, 1))
+    assert sym().bracket(3) == R((1, 1, 1))
 
 
 def test_bracket_half_at_root_order_two():
-    assert q_bracket(F(1, 2), sym(2)) == R((1,), (1, 1), D=2)
+    assert sym(2).bracket(F(1, 2)) == R((1,), (1, 1), D=2)
 
 
 def test_bracket_needs_compatible_root_order():
     with pytest.raises(RootOrderMismatch):
-        q_bracket(F(1, 2), sym(1))
+        sym(1).bracket(F(1, 2))
 
 
 def test_bracket_fractional_rejected_numerically():
     with pytest.raises(ValueError):
-        q_bracket(F(1, 2), QDescriptor.rational(F(1, 3)))
+        QDescriptor.rational(F(1, 3)).bracket(F(1, 2))
 
 
 def test_base_power_folds_fractions_to_integers():
@@ -138,6 +139,80 @@ def test_fermionic_ball_limit_padic():
         if previous is not None:
             assert gap >= previous
         previous = gap
+
+
+# ---------------------------------------------------------------------------
+# the closed-form kernel: symbolic half against the rational half
+#
+# With w^D = q, the symbolic value at w = t must equal the value computed in
+# rational mode against the base t^D, where q^(a/D) is the integer power t^a.
+# ---------------------------------------------------------------------------
+
+KERNEL_XS = (F(-1), F(-1, 2), F(0), F(1, 3), F(2))
+KERNEL_TS = (F(2, 5), F(-3, 7))
+
+
+def rational_base(t, d):
+    return QDescriptor.rational(t).with_base_power(d)
+
+
+@pytest.mark.parametrize("x", KERNEL_XS)
+def test_kernel_halves_agree_on_polynomials(x):
+    d = x.denominator
+    for t in KERNEL_TS:
+        for n in range(9):
+            for family in (k_polynomial, beta_polynomial):
+                assert family(n, x, sym(d)).evaluate(t) == family(n, x, rational_base(t, d))
+
+
+@pytest.mark.parametrize("x", KERNEL_XS)
+def test_kernel_halves_agree_on_twisted_sums(x):
+    d = x.denominator
+    chi = make_character(5, (2,))  # the quadratic character mod 5
+    cases = [(m, [1] * m) for m in (1, 3, 5)]
+    cases.append((5, [character_value(chi, a) for a in range(5)]))
+    for t in KERNEL_TS:
+        for n in range(9):
+            for m, weights in cases:
+                want = _twisted_sum(n, x, m, sym(d), weights).evaluate(t)
+                assert _twisted_sum(n, x, m, rational_base(t, d), weights) == want
+                if weights == [1] * m:
+                    assert k_distribution_rhs(n, x, m, rational_base(t, d)) == want
+
+
+@pytest.mark.parametrize("x", KERNEL_XS)
+def test_kernel_halves_agree_on_finite_rhs(x):
+    d = x.denominator
+    for t in KERNEL_TS:
+        for level in (1, 2):
+            for n in range(9):
+                want = fermionic_finite_rhs(n, x, level, sym(d), 3).evaluate(t)
+                assert fermionic_finite_rhs(n, x, level, rational_base(t, d), 3) == want
+
+
+def test_kernel_halves_agree_on_ball_sums():
+    rng = random.Random(11)
+    for kind in (BOSONIC, FERMIONIC):
+        for p, d in ((3, 1), (5, 3)):
+            for level in (1, 2):
+                size = d * p ** level
+                reps = rng.sample(range(size), rng.randrange(1, min(size, 12) + 1))
+                for t in KERNEL_TS:
+                    domain = ProfiniteDomain(p, d)
+                    want = ball_measure_sum(MeasureSpec(kind, sym(), domain), reps, level)
+                    got = ball_measure_sum(
+                        MeasureSpec(kind, QDescriptor.rational(t), domain), reps, level)
+                    assert got == want.evaluate(t)
+
+
+def test_kernel_halves_agree_on_rational_coefficients():
+    # coefficients with denominators, a squared prefactor and negative exponents
+    numerators = [{F(1, 2): F(1, 3), F(-3, 2): F(-5, 7)}, {}, {F(2): F(4, 9)}]
+    prefactor = [(1, 1, 2), (-1, 3, -1), (1, 2, 0)]
+    for t in KERNEL_TS:
+        want = binomial_fraction_sum(sym(2), numerators, -1, 2, prefactor).evaluate(t)
+        got = binomial_fraction_sum(rational_base(t, 2), numerators, -1, 2, prefactor)
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_beta_polynomial_half_frozen():
 
 
 def test_beta_forms_agree():
-    for x in (F(0), F(1), F(1, 2)):
+    for x in (F(0), F(1), F(1, 2), F(-1), F(-1, 2)):
         qd = sym(x.denominator)
         for n in range(7):
             assert (beta_polynomial(n, x, qd, "closed")
@@ -132,7 +132,7 @@ def test_k_polynomial_one_frozen():
 
 
 def test_k_polynomial_forms_agree():
-    for x in (F(0), F(1), F(2), F(1, 2), F(1, 3)):
+    for x in (F(0), F(1), F(2), F(1, 2), F(1, 3), F(-1), F(-1, 2)):
         qd = sym(x.denominator)
         for n in range(9):
             assert (k_polynomial(n, x, qd, "closed")
