@@ -343,27 +343,16 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(g).monic()
 
 
-@functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(order: int) -> Polynomial:
-    """The cyclotomic polynomial whose roots are the primitive order-th
-    roots of unity; computed by dividing x^order - 1 by the lower ones."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    poly = Polynomial((-1,) + (0,) * (order - 1) + (1,))
-    for d in range(1, order):
-        if order % d == 0:
-            poly = poly.exact_div(cyclotomic_polynomial(d))
-    return poly
-
-
 # ---------------------------------------------------------------------------
 # factored reduction for binomial-product denominators
 #
-# Every denominator produced by the closed-form builders is a product of
-# 1 +- w^j factors, i.e. a product of cyclotomic polynomials.  Cancelling
-# those known irreducible factors directly (screened by an integer
-# evaluation so failed trial divisions cost almost nothing) is far cheaper
-# than a generic gcd at the degrees the identity suites reach.
+# Every denominator the closed-form kernel builds is w^r times a product of
+# 1 +- w^j factors, i.e. of cyclotomic polynomials.  Those are kept once, as
+# an integer table, and cancelled directly: an integer evaluation screens
+# each candidate so a failed trial division costs almost nothing, and where
+# that value is 0 every candidate passes the screen and the exact trial
+# division alone decides.  This is far cheaper than a generic gcd at the
+# degrees the identity suites reach.
 # ---------------------------------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
@@ -408,28 +397,6 @@ def cyclotomic_denominator(factors: Iterable[tuple[int, int, int]]) -> tuple[dic
     return out, -1 if parity else 1
 
 
-def binomial_poly(sign: int, exponent: int) -> Polynomial:
-    """The polynomial 1 + sign*w^exponent."""
-    if exponent < 1 or sign not in (1, -1):
-        raise ValueError("factor must be 1 +- w^j with j >= 1")
-    return Polynomial((1,) + (0,) * (exponent - 1) + (sign,))
-
-
-def complementary_products(factors: list[Polynomial]) -> list[Polynomial]:
-    """For each k, the product of all factors except the k-th (the numerator
-    weights when a sum of fractions is put over the common denominator)."""
-    n = len(factors)
-    prefixes = [Polynomial((1,))]
-    for f in factors:
-        prefixes.append(prefixes[-1] * f)
-    out = [Polynomial((1,))] * n
-    suffix = Polynomial((1,))
-    for k in range(n - 1, -1, -1):
-        out[k] = prefixes[k] * suffix
-        suffix = suffix * factors[k]
-    return out
-
-
 def _divmod_int_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Integer quotient/remainder of a by monic b."""
     db = len(b) - 1
@@ -453,12 +420,39 @@ _EVAL_POINT = 1 << 20
 
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_int(order: int) -> tuple[tuple[int, ...], int]:
-    """(integer coefficients, value at the screening point) of a cyclotomic."""
-    coeffs = tuple(int(c) for c in cyclotomic_polynomial(order).coeffs)
+    """(integer coefficients, value at the screening point) of a cyclotomic.
+
+    Phi_n is the power series prod_{d | n} (1 - x^d)^mu(n/d) (negated for
+    n = 1) truncated at its degree phi(n): each factor is an O(phi(n))
+    shift-add, multiplying by 1 - x^d or dividing by it.
+    """
+    if order < 1:
+        raise ValueError("order must be positive")
+    primes = [p for p in _divisors(order)[1:] if len(_divisors(p)) == 2]
+    degree = order // math.prod(primes) * math.prod(p - 1 for p in primes)
+    coeffs = [1] + [0] * degree
+    for d in _divisors(order):
+        m = order // d
+        if any(m % (p * p) == 0 for p in primes):
+            continue
+        if sum(m % p == 0 for p in primes) % 2 == 0:
+            for i in range(degree, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+        else:
+            for i in range(d, degree + 1):
+                coeffs[i] += coeffs[i - d]
+    if order == 1:
+        coeffs = [-c for c in coeffs]
     value = 0
     for c in reversed(coeffs):
         value = value * _EVAL_POINT + c
-    return coeffs, value
+    return tuple(coeffs), value
+
+
+def cyclotomic_polynomial(order: int) -> Polynomial:
+    """The cyclotomic polynomial whose roots are the primitive order-th
+    roots of unity, read from the integer table :func:`_cyclotomic_int`."""
+    return Polynomial(_cyclotomic_int(order)[0])
 
 
 def reduce_cyclotomic_fraction(num: Polynomial, den_map: dict[int, int],
@@ -487,12 +481,6 @@ def reduce_cyclotomic_fraction(num: Polynomial, den_map: dict[int, int],
     for c in reversed(prim):
         value = value * _EVAL_POINT + c
     remaining: dict[int, int] = {}
-    if value == 0:
-        # the screening point is accidentally a root; fall back to plain gcd
-        den = Polynomial.monomial(w_power)
-        for d, e in den_map.items():
-            den = den * cyclotomic_polynomial(d) ** e
-        return RationalFunction(Polynomial(prim) * scale, den, root_order)
     for d in sorted(den_map):
         e = den_map[d]
         phi_coeffs, phi_value = _cyclotomic_int(d)
@@ -760,7 +748,7 @@ class CyclotomicElement:
     def __init__(self, order: int, coeffs: Sequence[RationalFunction | Fraction | int]):
         if order < 1:
             raise ValueError("root-of-unity order must be >= 1")
-        phi_deg = cyclotomic_polynomial(order).degree
+        phi_deg = len(_cyclotomic_int(order)[0]) - 1
         cs = [c if isinstance(c, RationalFunction) else RationalFunction.constant(c)
               for c in coeffs]
         if len(cs) > phi_deg:
@@ -863,8 +851,8 @@ class CyclotomicElement:
 
 
 def _reduce_mod_cyclotomic(coeffs: list[RationalFunction], order: int) -> list[RationalFunction]:
-    phi = cyclotomic_polynomial(order)
-    deg = phi.degree
+    phi = _cyclotomic_int(order)[0]
+    deg = len(phi) - 1
     out = list(coeffs)
     for i in range(len(out) - 1, deg - 1, -1):
         c = out[i]
@@ -872,7 +860,7 @@ def _reduce_mod_cyclotomic(coeffs: list[RationalFunction], order: int) -> list[R
             continue
         # z^i = z^(i-deg) * (z^deg - phi(z)); phi monic
         for j in range(deg):
-            out[i - deg + j] = out[i - deg + j] - c * phi.coeffs[j]
+            out[i - deg + j] = out[i - deg + j] - c * phi[j]
         out[i] = RationalFunction.constant(0)
     while out and out[-1].is_zero:
         out.pop()

@@ -259,6 +259,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_series(args) -> int:
+    for flag, value in (("--T", args.T), ("--k-max", args.k_max), ("--n-terms", args.n_terms)):
+        if value < 0:
+            raise UsageError(f"{flag} must be nonnegative, got {value}")
     rows = []
     if args.gf == "euler":
         gf = euler_gf(args.T)

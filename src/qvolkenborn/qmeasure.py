@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
-                      binomial_poly, complementary_products,
                       cyclotomic_denominator, reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
 from .padic import (DEFAULT_BALL_CAP, PadicNumber, ProfiniteDomain,
@@ -191,11 +190,6 @@ class QDescriptor:
         return f"QDescriptor({core}{sfx})"
 
 
-def _one_plus(q: QDescriptor, one, sign: int, exponent: Fraction | int):
-    """1 + sign * q^exponent in q's numeric field."""
-    return one + q.qpow(exponent) if sign > 0 else one - q.qpow(exponent)
-
-
 def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
                           step: int, prefactor=()):
     """prod (1 + s q^e)^pw * sum_k numerators[k] / (1 + sign q^(step (k+1))).
@@ -205,51 +199,42 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     the base of q.  Every closed form of the package has this shape, and its
     denominators are products of cyclotomic polynomials in w.
 
-    Symbolic q: one integer numerator over the known cyclotomic denominator
-    (times w^r when exponents go down to -r), reduced once by
-    :func:`reduce_cyclotomic_fraction`.  Rational and p-adic q: the sum of
-    fractions over the prefix/suffix products with a single division, then
-    the prefactor; a vanishing denominator raises ZeroDivisionError.
+    One Horner loop serves every reading of q: with d_k = 1 + sign
+    q^(step (k+1)), total <- total d_k + c_k den and den <- den d_k; then
+    positive prefactor powers multiply total and negative ones den.  Two
+    steps depend on the reading: the elements, dense polynomials in w for
+    symbolic q (numerators shifted by w^r when exponents go down to -r) and
+    field elements otherwise; and the final division, total / den for
+    rational and p-adic q (a vanishing denominator raises
+    ZeroDivisionError), and for symbolic q one
+    :func:`reduce_cyclotomic_fraction` over w^r and the cyclotomic map of den.
     """
-    if q.mode != "symbolic":
-        one = q.one()
-        nums = [sum(q.from_rational(c) * q.qpow(e) for e, c in num.items() if c)
-                for num in numerators]
-        dens = [_one_plus(q, one, sign, step * (k + 1)) for k in range(len(nums))]
-        prefixes = [1]
-        for d in dens:
-            prefixes.append(prefixes[-1] * d)
-        total = 0
-        suffix = 1
-        for k in range(len(nums) - 1, -1, -1):
-            total = total + nums[k] * prefixes[k] * suffix
-            suffix = suffix * dens[k]
-        value = total / prefixes[-1]
-        for s, e, power in prefactor:
-            if power:
-                value = value * _one_plus(q, one, s, e) ** power
-        return value
-    exps = [q.w_exponent(step * (k + 1)) for k in range(len(numerators))]
-    others = [[int(c) for c in o.coeffs] for o in
-              complementary_products([binomial_poly(sign, e) for e in exps])]
-    terms = [(k, q.w_exponent(e), Fraction(c))
-             for k, num in enumerate(numerators) for e, c in num.items() if c]
-    shift = max([0] + [-we for _, we, _ in terms])
-    scale = math.lcm(*(c.denominator for _, _, c in terms))
-    acc = [0] * max((we + shift + len(others[k]) for k, we, _ in terms), default=0)
-    for k, we, c in terms:
-        weight = int(c * scale)
-        for i, o in enumerate(others[k], we + shift):
-            acc[i] += weight * o
-    num = Polynomial(acc) * Fraction(1, scale)
-    den_factors = [(sign, e, 1) for e in exps]
+    symbolic = q.mode == "symbolic"
+    shift = max([0] + [-e for num in numerators for e, c in num.items() if c]) if symbolic else 0
+
+    def element(terms: dict):
+        if not symbolic:
+            return sum(q.from_rational(c) * q.qpow(e) for e, c in terms.items() if c)
+        coeffs = {q.w_exponent(e): c for e, c in terms.items() if c}
+        return Polynomial([coeffs.get(i, 0) for i in range(max(coeffs, default=-1) + 1)])
+
+    total, den = 0, 1
+    for k, num in enumerate(numerators):
+        d = element({0: 1, step * (k + 1): sign})
+        total = total * d + element({e + shift: c for e, c in num.items()}) * den
+        den = den * d
     for s, e, power in prefactor:
         if power > 0:
-            num = num * binomial_poly(s, q.w_exponent(e)) ** power
+            total = total * element({0: 1, e: s}) ** power
         elif power < 0:
-            den_factors.append((s, q.w_exponent(e), -power))
-    den_map, den_sign = cyclotomic_denominator(den_factors)
-    return reduce_cyclotomic_fraction(num, den_map, q.root_order, den_sign, shift)
+            den = den * element({0: 1, e: s}) ** -power
+    if not symbolic:
+        return total / den
+    den_map, den_sign = cyclotomic_denominator(
+        [(sign, q.w_exponent(step * (k + 1)), 1) for k in range(len(numerators))]
+        + [(s, q.w_exponent(e), -power) for s, e, power in prefactor if power < 0])
+    return reduce_cyclotomic_fraction(total, den_map, q.root_order, den_sign,
+                                      q.w_exponent(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +258,9 @@ class MeasureSpec:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if self.kind == FERMIONIC and self.domain.d % 2 == 0:
             raise ValueError("the fermionic measure needs an odd d")
+        if self.q.mode == "padic" and self.q.prime != self.domain.p:
+            raise ValueError(f"a {self.q.prime}-adic q cannot measure a "
+                             f"domain over p = {self.domain.p}")
 
     def level_norm(self, n: int):
         """[d p^n] against the (signed) base: the normalizer of level n."""

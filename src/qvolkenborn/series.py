@@ -129,7 +129,8 @@ def euler_gf(order: int) -> TruncatedSeries:
     """2/(e^t + 1) truncated: n! times its n-th coefficient is the classical
     Euler number E_n."""
     half_shifted = TruncatedSeries(
-        [Fraction(1)] + [Fraction(1, 2 * math.factorial(n)) for n in range(1, order + 1)])
+        [Fraction(1)] + [Fraction(1, 2 * math.factorial(n)) for n in range(1, order + 1)],
+        order)
     return series_inverse(half_shifted)
 
 

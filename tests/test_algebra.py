@@ -4,6 +4,7 @@ Expected reduced forms were computed independently (hand expansion checked
 against a computer-algebra system) and frozen as coefficient lists.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -209,6 +210,15 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(3) == P(1, 1, 1)
     assert cyclotomic_polynomial(4) == P(1, 0, 1)
     assert cyclotomic_polynomial(6) == P(1, -1, 1)
+    # the measure suite reaches orders 1875 and 3750
+    for n in list(range(1, 201)) + [1875, 3750]:
+        product = Polynomial((1,))
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = product * cyclotomic_polynomial(d)
+        assert product == Polynomial((-1,) + (0,) * (n - 1) + (1,))
+        totient = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        assert cyclotomic_polynomial(n).degree == totient
 
 
 def test_binomial_factorizations_multiply_back():
@@ -252,10 +262,13 @@ def test_factored_reduction_matches_generic_gcd():
         # a w^r denominator factor, partly cancelled by powers of w in num
         r = rng.randrange(0, 4)
         num = num * Polynomial.monomial(rng.randrange(0, 3))
-        fast = reduce_cyclotomic_fraction(num, den_map, 1, sign, r)
-        slow = RationalFunction(num, den * Polynomial.monomial(r), 1)
-        assert fast == slow
-        assert fast.num == slow.num and fast.den == slow.den
+        # a root at the screening point w = 2^20 makes its value 0, so the
+        # screen passes every candidate and trial division alone decides
+        for num in (num, num * Polynomial((-(1 << 20), 1))):
+            fast = reduce_cyclotomic_fraction(num, den_map, 1, sign, r)
+            slow = RationalFunction(num, den * Polynomial.monomial(r), 1)
+            assert fast == slow
+            assert fast.num == slow.num and fast.den == slow.den
 
 
 # ---------------------------------------------------------------------------

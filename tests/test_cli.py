@@ -248,6 +248,18 @@ def test_series_fq_at_q_one_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--gf", "euler", "--T", "-1"),
+    ("--gf", "Fq", "--T", "-1"),
+    ("--gf", "Kpartial", "--q", "1/2", "--k-max", "-1"),
+    ("--gf", "Kpartial", "--q", "1/2", "--n-terms", "-1"),
+])
+def test_series_negative_order_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "series", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_series_partial_sums(capsys):
     data = run_json(capsys, "series", "--gf", "Kpartial", "--q", "1/2",
                     "--k-max", "2", "--n-terms", "50")

@@ -5,6 +5,7 @@ p-adic expectations come from evaluating the symbolic closed forms at the
 same q.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -117,6 +118,12 @@ def test_fermionic_needs_odd_d():
         MeasureSpec(FERMIONIC, sym(), ProfiniteDomain(3, 2))
 
 
+def test_padic_q_needs_the_domain_prime():
+    for kind in (BOSONIC, FERMIONIC):
+        with pytest.raises(ValueError):
+            MeasureSpec(kind, padic_q(6, 5), ProfiniteDomain(3))
+
+
 def test_ball_measure_range_check():
     spec = MeasureSpec(BOSONIC, sym(), ProfiniteDomain(3))
     with pytest.raises(ValueError):
@@ -142,10 +149,13 @@ def test_fermionic_ball_limit_padic():
 
 
 # ---------------------------------------------------------------------------
-# the closed-form kernel: symbolic half against the rational half
+# the closed-form kernel: symbolic reading against rational reading
 #
 # With w^D = q, the symbolic value at w = t must equal the value computed in
 # rational mode against the base t^D, where q^(a/D) is the integer power t^a.
+# Both readings run the same kernel loop, so K_n(x), beta_n(x) and the level-N
+# fermionic sums are also checked against textbook formulas evaluated term by
+# term in Fractions, which share no code with the kernel.
 # ---------------------------------------------------------------------------
 
 KERNEL_XS = (F(-1), F(-1, 2), F(0), F(1, 3), F(2))
@@ -156,13 +166,40 @@ def rational_base(t, d):
     return QDescriptor.rational(t).with_base_power(d)
 
 
+def textbook_k(n, x, t, d):
+    """[2] (1-q)^-n sum_k C(n,k) (-1)^k q^(xk) / (1 + q^(k+1)) at q = t^d."""
+    q = t ** d
+    return (1 + q) / (1 - q) ** n * sum(
+        math.comb(n, k) * (-1) ** k * t ** int(d * x * k) / (1 + q ** (k + 1))
+        for k in range(n + 1))
+
+
+def textbook_beta(n, x, t, d):
+    """(1-q)^-n sum_i C(n,i) (-1)^i q^(xi) (i+1)/[i+1] at q = t^d."""
+    q = t ** d
+    return sum(
+        math.comb(n, i) * (-1) ** i * t ** int(d * x * i) * (i + 1) * (1 - q) / (1 - q ** (i + 1))
+        for i in range(n + 1)) / (1 - q) ** n
+
+
+def textbook_finite_rhs(n, x, level, t, d, p):
+    """The level-N fermionic Riemann sum of [x+y]^n over Z_p by its
+    definition: sum_j [x+j]^n (-q)^j / [p^N]_(-q) at q = t^d."""
+    q = t ** d
+    size = p ** level
+    total = sum((-q) ** j * ((1 - t ** int(d * (x + j))) / (1 - q)) ** n for j in range(size))
+    return total * (1 + q) / (1 + q ** size)
+
+
 @pytest.mark.parametrize("x", KERNEL_XS)
 def test_kernel_halves_agree_on_polynomials(x):
     d = x.denominator
     for t in KERNEL_TS:
-        for n in range(9):
-            for family in (k_polynomial, beta_polynomial):
-                assert family(n, x, sym(d)).evaluate(t) == family(n, x, rational_base(t, d))
+        for n in range(11):
+            for family, textbook in ((k_polynomial, textbook_k), (beta_polynomial, textbook_beta)):
+                want = textbook(n, x, t, d)
+                assert family(n, x, rational_base(t, d)) == want
+                assert family(n, x, sym(d)).evaluate(t) == want
 
 
 @pytest.mark.parametrize("x", KERNEL_XS)
@@ -185,9 +222,10 @@ def test_kernel_halves_agree_on_finite_rhs(x):
     d = x.denominator
     for t in KERNEL_TS:
         for level in (1, 2):
-            for n in range(9):
-                want = fermionic_finite_rhs(n, x, level, sym(d), 3).evaluate(t)
+            for n in range(11):
+                want = textbook_finite_rhs(n, x, level, t, d, 3)
                 assert fermionic_finite_rhs(n, x, level, rational_base(t, d), 3) == want
+                assert fermionic_finite_rhs(n, x, level, sym(d), 3).evaluate(t) == want
 
 
 def test_kernel_halves_agree_on_ball_sums():
@@ -221,7 +259,7 @@ def test_kernel_halves_agree_on_rational_coefficients():
 
 def test_riemann_sum_of_one_is_exactly_one():
     for kind in (BOSONIC, FERMIONIC):
-        for qd in (sym(), padic_q()):
+        for qd in (sym(), padic_q(4, 3)):
             spec = MeasureSpec(kind, qd, ProfiniteDomain(3))
             for level in (1, 2, 3):
                 total = riemann_sum(spec, constant_one(qd), level)

@@ -98,6 +98,8 @@ def test_euler_gf_low_coefficients():
     assert scaled_coefficient(gf, 2) == 0
     assert scaled_coefficient(gf, 3) == F(1, 4)
     assert scaled_coefficient(gf, 4) == 0
+    with pytest.raises(ValueError):
+        euler_gf(-1)
 
 
 # ---------------------------------------------------------------------------
