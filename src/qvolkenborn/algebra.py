@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -144,23 +145,38 @@ def _gcd_int(a: list[int], b: list[int]) -> list[int]:
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients are stored by ascending degree; the zero polynomial is the
-    empty tuple and has degree -1.  The leading coefficient of a nonzero
-    polynomial is always nonzero.
+    The coefficients are integers over one common denominator: ``ints``
+    holds them by ascending degree and ``scale > 0`` divides them all, in
+    lowest terms (no trailing zero, content of ``ints`` coprime to
+    ``scale``), so equal polynomials have equal fields.  The zero
+    polynomial is ``ints == ()`` and has degree -1.  ``coeffs`` reads the
+    same coefficients as fractions.
+
+    >>> p = Polynomial([Fraction(1, 2), 0, Fraction(-3, 4)])
+    >>> p.ints, p.scale
+    ((2, 0, -3), 4)
+    >>> p.coeffs
+    (Fraction(1, 2), Fraction(0, 1), Fraction(-3, 4))
+    >>> (p * 4).ints, (p * 4).scale
+    ((2, 0, -3), 1)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "scale")
 
-    def __init__(self, coeffs: Sequence[Fraction | int] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+    def __init__(self, coeffs: Sequence[numbers.Rational] = ()):
+        for c in coeffs:
+            if not isinstance(c, numbers.Rational):
+                raise TypeError(f"polynomial coefficients must be rational, "
+                                f"got {type(c).__name__}")
+        scale = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+        self.ints, self.scale = _lowest_terms(ints, scale)
 
     @classmethod
-    def _raw(cls, cs: list[Fraction]) -> Polynomial:
+    def _make(cls, ints: list[int] | tuple[int, ...], scale: int) -> Polynomial:
+        """ints/scale brought to lowest terms (scale > 0)."""
         p = object.__new__(cls)
-        p.coeffs = tuple(cs)
+        p.ints, p.scale = _lowest_terms(ints, scale)
         return p
 
     @classmethod
@@ -174,73 +190,67 @@ class Polynomial:
         return cls((0,) * degree + (c,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.scale) for c in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.scale)
 
     @property
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 1
+        return self.ints == (1,) and self.scale == 1
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Polynomial((other,)).coeffs
+            other = Polynomial((other,))
+        if isinstance(other, Polynomial):
+            return self.ints == other.ints and self.scale == other.scale
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.scale))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __add__(self, other: Polynomial) -> Polynomial:
-        a, b = self.coeffs, other.coeffs
+        a, b, scale = self.ints, other.ints, self.scale
+        if scale != other.scale:
+            g = math.gcd(scale, other.scale)
+            a = [x * (other.scale // g) for x in a]
+            b = [y * (scale // g) for y in b]
+            scale = scale // g * other.scale
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        for i, y in enumerate(b):
+            out[i] += y
+        return Polynomial._make(out, scale)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        out = list(self.coeffs) + [Fraction(0)] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return Polynomial(out)
+        return self + (-other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._raw([-c for c in self.coeffs])
-
-    def _int_form(self) -> tuple[list[int], int]:
-        """(integer coefficient list, common denominator) with self = list/den."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+        return Polynomial._make([-c for c in self.ints], self.scale)
 
     def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial()
-            return Polynomial._raw([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        a, da = self._int_form()
-        b, db = other._int_form()
-        prod = _mul_int(a, b)
-        scale = Fraction(1, da * db)
-        return Polynomial._raw([c * scale for c in prod])
+            n = other.numerator
+            return Polynomial._make([c * n for c in self.ints], self.scale * other.denominator)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return Polynomial._make(_mul_int(self.ints, other.ints), self.scale * other.scale)
 
     __rmul__ = __mul__
 
@@ -256,40 +266,37 @@ class Polynomial:
             n >>= 1
         return result
 
-    def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
+    def exact_div(self, other: Polynomial) -> Polynomial:
+        """self / other, which must leave no remainder (ValueError if not).
+
+        The division runs over Z: by Gauss's lemma a primitive divisor
+        leaves an integral quotient, so other = content * primitive part is
+        divided out as the primitive part first and the content and the
+        scales are fixed afterwards."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Polynomial(), self
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * (self.degree - other.degree + 1)
-        dlead = other.leading
-        dcs = other.coeffs
-        for i in range(len(quo) - 1, -1, -1):
-            c = rem[i + other.degree] / dlead
-            if c:
-                quo[i] = c
-                for j, d in enumerate(dcs):
-                    rem[i + j] -= c * d
-        return Polynomial(quo), Polynomial(rem)
-
-    def exact_div(self, other: Polynomial) -> Polynomial:
-        quo, rem = divmod(self, other)
-        if not rem.is_zero:
+        if self.is_zero:
+            return self
+        content = _content(other.ints)
+        quo = _exact_quotient_int(self.ints, [c // content for c in other.ints])
+        if quo is None:
             raise ValueError("polynomial division is not exact")
-        return quo
+        return Polynomial._make([c * other.scale for c in quo], self.scale * content)
 
     def monic(self) -> Polynomial:
-        if self.is_zero or self.leading == 1:
+        if self.is_zero:
             return self
-        inv = 1 / self.leading
-        return Polynomial._raw([c * inv for c in self.coeffs])
+        lead = self.ints[-1]
+        return Polynomial._make(self.ints if lead > 0 else [-c for c in self.ints], abs(lead))
 
     def evaluate(self, point: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        """Value at point = a/b, by an integer Horner loop in (a, b)."""
+        a, b = point.numerator, point.denominator
+        acc, bpow = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * a + c * bpow
+            bpow *= b
+        return Fraction(acc * b, bpow * self.scale)
 
     def substitute_power(self, k: int) -> Polynomial:
         """Substitute w -> w**k (k >= 1)."""
@@ -297,10 +304,9 @@ class Polynomial:
             raise ValueError("substitution power must be >= 1")
         if k == 1 or self.is_zero:
             return self
-        out = [Fraction(0)] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return Polynomial._raw(out)
+        out = [0] * (self.degree * k + 1)
+        out[::k] = self.ints
+        return Polynomial._make(out, self.scale)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render('w')})"
@@ -329,6 +335,21 @@ class Polynomial:
         return " ".join(parts)
 
 
+def _lowest_terms(ints: list[int] | tuple[int, ...], scale: int) -> tuple[tuple[int, ...], int]:
+    """(ints, scale) with trailing zeros dropped and the common factor of
+    the coefficients and the scale (scale > 0) divided out."""
+    n = len(ints)
+    while n and ints[n - 1] == 0:
+        n -= 1
+    if not n:
+        return (), 1
+    if scale != 1:
+        g = math.gcd(scale, *ints[:n])
+        if g != 1:
+            return tuple(c // g for c in ints[:n]), scale // g
+    return tuple(ints[:n]), scale
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor over Q."""
     if a.is_zero:
@@ -337,10 +358,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.monic()
     if a.degree == 0 or b.degree == 0:
         return Polynomial((1,))
-    ia, _ = a._int_form()
-    ib, _ = b._int_form()
-    g = _gcd_int(_primitive(ia), _primitive(ib))
-    return Polynomial(g).monic()
+    g = _gcd_int(_primitive(list(a.ints)), _primitive(list(b.ints)))
+    return Polynomial._make(g, g[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -397,23 +416,29 @@ def cyclotomic_denominator(factors: Iterable[tuple[int, int, int]]) -> tuple[dic
     return out, -1 if parity else 1
 
 
-def _divmod_int_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Integer quotient/remainder of a by monic b."""
+def _exact_quotient_int(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """Quotient of nonzero integer polynomials a / b when b divides a in
+    Z[x], else None (a quotient coefficient that is not an integer, or a
+    nonzero remainder)."""
     db = len(b) - 1
     if len(a) - 1 < db:
-        return [], list(a)
+        return None
+    lead = b[-1]
+    nz_b = [(j, y) for j, y in enumerate(b[:db]) if y]
     rem = list(a)
     quo = [0] * (len(a) - db)
     for i in range(len(quo) - 1, -1, -1):
         c = rem[i + db]
         if c:
+            if lead != 1:
+                c, r = divmod(c, lead)
+                if r:
+                    return None
             quo[i] = c
-            for j in range(db):
-                rem[i + j] -= c * b[j]
-            rem[i + db] = 0
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
+            for j, y in nz_b:
+                rem[i + j] -= c * y
+    return None if any(rem[:db]) else quo
+
 
 _EVAL_POINT = 1 << 20
 
@@ -469,10 +494,9 @@ def reduce_cyclotomic_fraction(num: Polynomial, den_map: dict[int, int],
     """
     if num.is_zero:
         return RationalFunction(num, Polynomial((1,)), root_order)
-    ints, int_den = num._int_form()
-    content = _content(ints)
-    prim = [x // content for x in ints]
-    scale = Fraction(sign * content, int_den)
+    content = _content(num.ints)
+    prim = [x // content for x in num.ints]
+    content *= sign
     low = 0
     while low < w_power and prim[low] == 0:
         low += 1
@@ -485,8 +509,8 @@ def reduce_cyclotomic_fraction(num: Polynomial, den_map: dict[int, int],
         e = den_map[d]
         phi_coeffs, phi_value = _cyclotomic_int(d)
         while e > 0 and value % phi_value == 0:
-            quo, rem = _divmod_int_monic(prim, list(phi_coeffs))
-            if rem:
+            quo = _exact_quotient_int(prim, phi_coeffs)
+            if quo is None:
                 break
             prim = quo
             value //= phi_value
@@ -497,10 +521,10 @@ def reduce_cyclotomic_fraction(num: Polynomial, den_map: dict[int, int],
     for d, e in sorted(remaining.items()):
         phi_coeffs, _ = _cyclotomic_int(d)
         for _ in range(e):
-            den_ints = _mul_int(den_ints, list(phi_coeffs))
+            den_ints = _mul_int(den_ints, phi_coeffs)
     return RationalFunction._reduced(
-        Polynomial([c * scale for c in prim]),
-        Polynomial([0] * w_power + den_ints),
+        Polynomial._make([c * content for c in prim], num.scale),
+        Polynomial._make([0] * w_power + den_ints, 1),
         root_order)
 
 

@@ -237,12 +237,24 @@ def conductor(chi: DirichletCharacter) -> tuple[int, bool]:
 
 
 def parse_character_id(text: str) -> DirichletCharacter:
-    """Parse the "f:e1,e2,..." identifier used by the CLI and reports."""
+    """Parse the "f:e1,e2,..." identifier used by the CLI and reports.
+
+    >>> parse_character_id("5:1").exponents
+    (1,)
+    >>> parse_character_id("garbage")
+    Traceback (most recent call last):
+    ...
+    ValueError: bad character id 'garbage': expected "f:e1,e2,..." with integers f, e1, e2, ...
+    """
     head, _, tail = text.partition(":")
-    modulus = int(head)
+    try:
+        modulus = int(head)
+        exponents = tuple(int(t) for t in tail.split(",") if t != "")
+    except ValueError:
+        raise ValueError(f'bad character id {text!r}: expected "f:e1,e2,..." '
+                         'with integers f, e1, e2, ...') from None
     if modulus < 1:
         raise ValueError(f"bad character modulus in {text!r}")
-    exponents = tuple(int(t) for t in tail.split(",") if t != "")
     structure = unit_group_structure(modulus)
     if len(exponents) != len(structure.factors):
         raise ValueError(

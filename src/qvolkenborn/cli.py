@@ -97,7 +97,11 @@ def _evaluate_at(q: QDescriptor, label: str, compute):
 
 
 def parse_index_range(text: str) -> list[int]:
-    """"3" or "0..8" (inclusive)."""
+    """"3" or "0..8" (inclusive).
+
+    >>> parse_index_range("0..3")
+    [0, 1, 2, 3]
+    """
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
@@ -245,6 +249,8 @@ def cmd_verify(args) -> int:
     if args.m is not None:
         overrides["ms"] = (args.m,)
     if args.n_max is not None:
+        if args.n_max < 0:
+            raise UsageError(f"--n-max must be nonnegative, got {args.n_max}")
         overrides["n_max"] = args.n_max
     names = args.suite or None
     try:

@@ -266,6 +266,11 @@ class PadicNumber:
 
 
 def padic_from_rational(r: Fraction | int, p: int, prec: int = DEFAULT_PRECISION) -> PadicNumber:
+    """:meth:`PadicNumber.from_rational`: r with prec significant digits.
+
+    >>> padic_from_rational(Fraction(1, 3), 5, 6)
+    10417 + O(5^6)
+    """
     return PadicNumber.from_rational(r, p, prec)
 
 

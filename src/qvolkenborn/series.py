@@ -127,7 +127,12 @@ def scaled_coefficient(s: TruncatedSeries, n: int):
 
 def euler_gf(order: int) -> TruncatedSeries:
     """2/(e^t + 1) truncated: n! times its n-th coefficient is the classical
-    Euler number E_n."""
+    Euler number E_n.
+
+    >>> gf = euler_gf(3)
+    >>> [str(scaled_coefficient(gf, n)) for n in range(4)]
+    ['1', '-1/2', '0', '1/4']
+    """
     half_shifted = TruncatedSeries(
         [Fraction(1)] + [Fraction(1, 2 * math.factorial(n)) for n in range(1, order + 1)],
         order)

@@ -45,7 +45,12 @@ class SuiteResult:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
+        """True when the suite checked at least one case and all passed.
+
+        >>> SuiteResult("empty").passed
+        False
+        """
+        return bool(self.cases) and all(c.passed for c in self.cases)
 
     def add(self, params: dict, passed: bool, detail: str = "") -> None:
         self.cases.append(CaseResult(params, bool(passed), detail))

@@ -9,9 +9,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qvolkenborn.algebra import (CyclotomicElement, PoleError, Polynomial,
-                                 RationalFunction, RootOrderMismatch,
+from qvolkenborn.algebra import (_KRONECKER_CUTOFF, CyclotomicElement, PoleError,
+                                 Polynomial, RationalFunction, RootOrderMismatch,
+                                 _mul_int, _mul_int_schoolbook,
                                  binomial_factor_cyclotomics,
                                  cyclotomic_polynomial, poly_gcd)
 
@@ -233,8 +236,6 @@ def test_binomial_factorizations_multiply_back():
 
 def test_large_products_match_schoolbook():
     # the packed-integer multiplication path starts above the cutoff
-    from qvolkenborn.algebra import _mul_int, _mul_int_schoolbook
-
     rng = random.Random(31)
     for _ in range(10):
         a = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(rng.randrange(45, 90))]
@@ -269,6 +270,130 @@ def test_factored_reduction_matches_generic_gcd():
             slow = RationalFunction(num, den * Polynomial.monomial(r), 1)
             assert fast == slow
             assert fast.num == slow.num and fast.den == slow.den
+
+
+# ---------------------------------------------------------------------------
+# integer-backed polynomials against a Fraction-list reference
+# ---------------------------------------------------------------------------
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    rem, quo = list(a), [F(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        quo[i] = c
+        for j, d in enumerate(b):
+            rem[i + j] -= c * d
+    return _trim(quo), _trim(rem)
+
+
+def _ref_monic(a):
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return _ref_monic(a)
+
+
+def _canonical(p):
+    assert all(type(c) is int for c in p.ints)
+    assert p.scale > 0 and math.gcd(p.scale, *p.ints) == 1
+    assert not p.ints or p.ints[-1] != 0
+    return p.coeffs
+
+
+_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+_coeff_lists = st.lists(_rationals, max_size=7).map(_trim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_coeff_lists, b=_coeff_lists, c=_rationals, n=st.integers(0, 3))
+def test_ring_operations_match_fraction_reference(a, b, c, n):
+    pa, pb = Polynomial(a), Polynomial(b)
+    assert _canonical(pa) == a and _canonical(pb) == b
+    longer, shorter = (a, b) if len(a) >= len(b) else (b, a)
+    padded = [x + (shorter[i] if i < len(shorter) else 0) for i, x in enumerate(longer)]
+    assert _canonical(pa + pb) == _trim(padded)
+    assert _canonical(pa - pb) == _trim(
+        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+         for i in range(max(len(a), len(b)))])
+    assert _canonical(-pa) == tuple(-x for x in a)
+    assert _canonical(pa * pb) == _ref_mul(a, b)
+    assert _canonical(pa * c) == _canonical(c * pa) == _trim(x * c for x in a)
+    expected = (F(1),)
+    for _ in range(n):
+        expected = _ref_mul(expected, a)
+    assert _canonical(pa ** n) == expected
+    assert (pa == pb) == (a == b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_coeff_lists, b=_coeff_lists.filter(bool))
+def test_exact_div_matches_fraction_reference(a, b):
+    pa, pb = Polynomial(a), Polynomial(b)
+    assert _canonical((pa * pb).exact_div(pb)) == a
+    quo, rem = _ref_divmod(a, b)
+    if rem:
+        with pytest.raises(ValueError):
+            pa.exact_div(pb)
+    else:
+        assert _canonical(pa.exact_div(pb)) == quo
+    with pytest.raises(ZeroDivisionError):
+        pa.exact_div(Polynomial())
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_coeff_lists, point=_rationals, k=st.integers(1, 4))
+def test_monic_evaluate_substitute_match_fraction_reference(a, point, k):
+    pa = Polynomial(a)
+    assert _canonical(pa.monic()) == _ref_monic(a)
+    value = F(0)
+    for c in reversed(a):
+        value = value * point + c
+    assert pa.evaluate(point) == value and type(pa.evaluate(point)) is F
+    spread = [F(0)] * (k * (len(a) - 1) + 1) if a else []
+    for i, c in enumerate(a):
+        spread[i * k] = c
+    assert _canonical(pa.substitute_power(k)) == tuple(spread)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_coeff_lists, b=_coeff_lists, common=_coeff_lists)
+def test_poly_gcd_matches_euclid_over_fractions(a, b, common):
+    a, b = _ref_mul(a, common), _ref_mul(b, common)
+    assert _canonical(poly_gcd(Polynomial(a), Polynomial(b))) == _ref_gcd(a, b)
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2", None])
+def test_polynomial_rejects_non_rational_coefficients(bad):
+    with pytest.raises(TypeError):
+        Polynomial([bad, 1])
+
+
+_int_lists = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=_KRONECKER_CUTOFF - 3,
+                      max_size=_KRONECKER_CUTOFF + 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_int_lists, b=_int_lists)
+def test_kronecker_matches_schoolbook_across_cutoff(a, b):
+    assert _mul_int(a, b) == _mul_int_schoolbook(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -190,3 +190,10 @@ def test_id_round_trip():
 def test_parse_rejects_wrong_arity():
     with pytest.raises(ValueError):
         parse_character_id("15:1")
+
+
+@pytest.mark.parametrize("text", ["garbage", "5:x", ":1", "5:1,,y"])
+def test_parse_names_the_id_and_format(text):
+    with pytest.raises(ValueError) as err:
+        parse_character_id(text)
+    assert repr(text) in str(err.value) and '"f:e1,e2,..."' in str(err.value)

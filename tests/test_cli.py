@@ -184,6 +184,19 @@ def test_verify_even_m_is_usage_error(capsys):
     assert code == 2 and "odd" in err
 
 
+def test_verify_negative_n_max_is_usage_error(capsys):
+    # a negative bound would run no case at all, so it is refused up front
+    code, out, err = run(capsys, "verify", "--suite", "kpoly-forms", "--n-max", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --n-max must be nonnegative, got -1\n"
+
+
+def test_unreadable_character_id_is_usage_error(capsys):
+    code, out, err = run(capsys, "numbers", "--kind", "K_chi", "--chi", "garbage", "--n", "1")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert "'garbage'" in err and "f:e1,e2,..." in err
+
+
 def test_verify_unknown_suite_rejected(capsys):
     # argparse rejects the flag value itself, exiting with the usage code
     with pytest.raises(SystemExit) as err:

@@ -1,17 +1,16 @@
 """Run the usage doctests embedded in the library docstrings."""
 
 import doctest
+import importlib
 
-import qvolkenborn.qmeasure
-import qvolkenborn.qnumbers
+import pytest
 
-
-def test_qnumbers_doctests():
-    failures, tried = doctest.testmod(qvolkenborn.qnumbers,
-                                      extraglobs={}, verbose=False)
-    assert tried > 0 and failures == 0
+MODULES = ("algebra", "characters", "cli", "padic", "qmeasure", "qnumbers",
+           "series", "verify")
 
 
-def test_qmeasure_doctests():
-    failures, tried = doctest.testmod(qvolkenborn.qmeasure, verbose=False)
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    module = importlib.import_module(f"qvolkenborn.{name}")
+    failures, tried = doctest.testmod(module, verbose=False)
     assert tried > 0 and failures == 0
