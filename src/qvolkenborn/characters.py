@@ -3,8 +3,8 @@
 A character mod f is stored as an exponent vector against a fixed cyclic
 decomposition of (Z/f)^x.  Values of order <= 2 are plain rationals 0, +-1;
 higher-order values are returned as roots of unity in the cyclotomic
-extension (symbolic use only: embedding them into Q_p would need field
-extensions, which the p-adic side deliberately avoids).
+extension (symbolic and rational q only: embedding them into Q_p would need
+field extensions, which the p-adic side deliberately avoids).
 
 Moduli in scope are tiny, so discrete logarithms and conductor search are
 brute force by design.

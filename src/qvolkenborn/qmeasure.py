@@ -11,12 +11,11 @@ The deformation parameter ``q`` is carried by a :class:`QDescriptor`, which
 supports three readings: symbolic (a rational function of a D-th root of q),
 exact rational, and truncated p-adic.  A descriptor may also represent a
 power ``q^s`` of the base parameter; fractional arguments such as ``a/f``
-against base ``q^f`` then reduce to integer powers of ``q``, which is what
-keeps the p-adic path inside Q_p.
+against base ``q^f`` then reduce to integer powers of ``q``.
 
 Every closed form of the package (the number and polynomial families, the
-twisted sums, the level-N fermionic sums and the ball measures) is one call
-of :func:`binomial_fraction_sum`, in all three readings of q.
+twisted sums, the level-N fermionic sums and the ball measures) is built
+from calls of :func:`binomial_fraction_sum`, in all three readings of q.
 """
 
 from __future__ import annotations
@@ -52,7 +51,8 @@ class QDescriptor:
 
     mode "symbolic": value lives in the rational-function field with root
     order D (w**D = q).  mode "rational": an exact rational q != 1.  mode
-    "padic": a truncated p-adic q with v_p(q - 1) >= 1.
+    "padic": a truncated p-adic q with v_p(q - 1) >= 1 and q != 1 at its
+    precision.
 
     ``base_power`` marks that the descriptor stands for q**base_power; all
     brackets and powers are taken against that base.
@@ -79,6 +79,9 @@ class QDescriptor:
             if not q_admissible(q_padic):
                 raise ValueError(
                     f"inadmissible p-adic q: v_{q_padic.p}(q - 1) must be >= 1")
+            if (q_padic - 1).is_zero_at_precision:
+                raise ValueError("p-adic q must differ from 1 at its precision, "
+                                 f"got q - 1 = {q_padic - 1!r}")
         self.mode = mode
         self.root_order = root_order
         self.q_rational = q_rational
@@ -493,7 +496,8 @@ class BracketPower:
         if q.mode == "padic" and chi is not None and any(v not in (0, 1, -1) for v in chi):
             raise ValueError(
                 "p-adic character twists need character values in {0, +-1}; "
-                "higher-order characters live on the symbolic path only")
+                "higher-order characters are computed by the closed form of "
+                "k_chi at symbolic or rational q")
         shift, one, inv_1mq = Fraction(shift), q.one(), None
         if n:
             q.qpow(shift)  # raises unless q^shift lives in q's field

@@ -7,10 +7,10 @@ Dirichlet-character twists.  Each family has a closed form and at least one
 independent route (moment expansion or p-adic integral), and the routes are
 cross-checked by the verification suites.
 
-Fractional arguments appear only in the combination (base q^m, argument
-(a+x)/m), where the combined exponents are integral once the root order
-clears the denominator of x; the p-adic route never needs fractional powers
-at all.
+The distribution relation and the twists sum base-q^m polynomials at the
+arguments (a+x)/m; their closed forms merge into the q-exponents a + (a+x)k,
+so each is one closed-form kernel call (phi(L) calls for a character of
+order L > 2) in every reading of q, with integer exponents for integer x.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .characters import DirichletCharacter, character_value
+from .algebra import CyclotomicElement
+from .characters import DirichletCharacter, character_value, euler_phi
 from .padic import DEFAULT_BALL_CAP, ProfiniteDomain
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
                        binomial_fraction_sum, bracket_power,
@@ -123,7 +124,8 @@ def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"
 def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
     """Right side of the odd-m distribution relation for the q-Euler
     polynomials: ([m]^n / [m]_-) times the alternating q^a-weighted sum of
-    the base-q^m polynomials at the shifted arguments (a+x)/m.
+    the base-q^m polynomials at the shifted arguments (a+x)/m, computed as
+    one :func:`_twisted_sum` with unit weights.
 
     Symbolically this is identical to k_polynomial(n, x, q); verifying that
     identity is the point of computing both sides independently.
@@ -132,15 +134,7 @@ def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
         raise ValueError(f"the distribution relation needs odd m, got {m}")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    x = Fraction(x)
-    if q.mode == "symbolic":
-        return _twisted_sum(n, x, m, q, [1] * m)
-    base = q.with_base_power(m)
-    acc = 0
-    for a in range(m):
-        term = q.qpow(a) * k_polynomial(n, (a + x) / m, base, form="closed")
-        acc = acc - term if a % 2 else acc + term
-    return q.bracket(m) ** n / q.minus_bracket(m) * acc
+    return _twisted_sum(n, Fraction(x), m, q, [1] * m)
 
 
 def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed",
@@ -148,33 +142,33 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
     """Character-twisted q-Euler number attached to chi.
 
     "closed": the finite sum over residues a of chi(a) (-1)^a q^a times the
-    base-q^f polynomial at a/f, prefixed by [f]^n/[f]_-.  "integral": the
-    fermionic integral of chi(y)[y]^n over the conductor-indexed profinite
-    domain (padic q, quadratic or trivial chi only).
+    base-q^f polynomial at a/f, prefixed by [f]^n/[f]_-.  With
+    chi(a) = sum_i c_i(a) zeta^i (integer c_i, zeta a primitive L-th root of
+    unity, i < phi(L)) it is sum_i zeta^i :func:`_twisted_sum` with weights
+    c_i: a field element for L <= 2, else a :class:`CyclotomicElement`.
+    "integral": the fermionic integral of chi(y)[y]^n over the
+    conductor-indexed profinite domain (padic q, quadratic or trivial chi only).
     """
     if method not in ("closed", "integral"):
         raise ValueError(f"unknown method {method!r}")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    f = chi.modulus
+    f, order = chi.modulus, chi.value_order
     if f % 2 == 0:
         raise ValueError("the twisted numbers need an odd conductor")
     if method == "closed":
-        if q.mode == "padic" and chi.value_order > 2:
+        if q.mode == "padic" and order > 2:
             raise ValueError(
                 "p-adic twisted numbers need character values in {0, +-1}")
-        if q.mode == "symbolic" and chi.value_order <= 2:
-            values = [character_value(chi, a) for a in range(f)]
+        values = [character_value(chi, a) for a in range(f)]
+        if order <= 2:
             return _twisted_sum(n, Fraction(0), f, q, values)
-        base = q.with_base_power(f)
-        acc = 0
-        for a in range(f):
-            chi_a = character_value(chi, a)
-            if isinstance(chi_a, Fraction) and chi_a == 0:
-                continue
-            term = chi_a * q.qpow(a) * k_polynomial(n, Fraction(a, f), base, form="closed")
-            acc = acc - term if a % 2 else acc + term
-        return q.bracket(f) ** n / q.minus_bracket(f) * acc
+        weights = [[0] * f for _ in range(euler_phi(order))]
+        for a, value in enumerate(values):
+            for i, c in enumerate(value.coeffs if value else ()):  # 0 off the units
+                weights[i][a] = int(c.evaluate(0))
+        return CyclotomicElement(order, [_twisted_sum(n, Fraction(0), f, q, w)
+                                         for w in weights])
     spec = MeasureSpec(FERMIONIC, q, ProfiniteDomain(q.prime, f))
     integrand = character_twisted_power(q, n, chi)
     return integrate(spec, integrand, stability, n_max, cap).value

@@ -88,6 +88,14 @@ def test_numbers_at_q_minus_one_reports_a_pole(capsys):
     assert err.startswith("error: q = -1 is a pole") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", ["padic:5:1:32", "padic:5:3126:5"])
+def test_padic_q_equal_to_one_at_its_precision_is_usage_error(capsys, spec):
+    code, out, err = run(capsys, "numbers", "--kind", "K", "--n", "0..2", "--q", spec)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad q spec {spec!r}: p-adic q must differ from 1")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qvolkenborn.algebra import Polynomial, RationalFunction, RootOrderMismatch
-from qvolkenborn.characters import character_value, make_character
-from qvolkenborn.padic import ProfiniteDomain, padic_from_rational
+from qvolkenborn.algebra import (CyclotomicElement, Polynomial, RationalFunction,
+                                 RootOrderMismatch, cyclotomic_polynomial)
+from qvolkenborn.characters import character_value, make_character, parse_character_id
+from qvolkenborn.padic import ProfiniteDomain, padic_from_rational, q_admissible
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec,
                                   NonConvergence, QDescriptor, ball_measure,
                                   ball_measure_sum, binomial_fraction_sum,
@@ -24,7 +25,7 @@ from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec,
                                   fermionic_finite_rhs,
                                   fermionic_power_moment, integrate,
                                   parse_integrand, riemann_sum)
-from qvolkenborn.qnumbers import (_twisted_sum, beta_number, beta_polynomial,
+from qvolkenborn.qnumbers import (_twisted_sum, beta_number, beta_polynomial, k_chi,
                                   k_distribution_rhs, k_number, k_polynomial)
 
 F = Fraction
@@ -116,6 +117,15 @@ def test_ball_measure_additivity_random():
 def test_fermionic_needs_odd_d():
     with pytest.raises(ValueError):
         MeasureSpec(FERMIONIC, sym(), ProfiniteDomain(3, 2))
+
+
+@pytest.mark.parametrize("q, p, prec", [(1, 5, 32), (1 + 5 ** 5, 5, 5), (1 + 3 ** 7, 3, 4)])
+def test_padic_q_equal_to_one_at_its_precision_is_rejected(q, p, prec):
+    qd = padic_from_rational(q, p, prec)
+    assert q_admissible(qd)
+    with pytest.raises(ValueError, match="must differ from 1 at its precision"):
+        QDescriptor.padic(qd)
+    QDescriptor.padic(padic_from_rational(q + p ** prec, p, prec + 1))  # one more digit: fine
 
 
 def test_padic_q_needs_the_domain_prime():
@@ -215,6 +225,47 @@ def test_kernel_halves_agree_on_twisted_sums(x):
                 assert _twisted_sum(n, x, m, rational_base(t, d), weights) == want
                 if weights == [1] * m:
                     assert k_distribution_rhs(n, x, m, rational_base(t, d)) == want
+
+
+def textbook_twist(n, f, t, weights):
+    """[f]^n/[f]_- sum_a weights[a] (-1)^a q^a K_n(q^f; a/f) at q = t."""
+    prefactor = ((1 - t ** f) / (1 - t)) ** n * (1 + t) / (1 + t ** f)
+    return prefactor * sum(c * (-t) ** a * textbook_k(n, F(a, f), t, f)
+                           for a, c in enumerate(weights) if c)
+
+
+def zeta_rows(chi):
+    """Integer rows c_i, i < phi(L), with chi(a) = sum_i c_i(a) zeta^i."""
+    order = chi.value_order
+    rows = [[0] * chi.modulus for _ in range(cyclotomic_polynomial(order).degree)]
+    for a in range(chi.modulus):
+        value = character_value(chi, a)
+        if order <= 2:
+            rows[0][a] = int(value)
+        elif value:
+            for i, c in enumerate(value.coeffs):
+                rows[i][a] = int(c.evaluate(0))
+    for a in range(chi.modulus):  # the rows rebuild every value
+        column = [row[a] for row in rows]
+        assert (column[0] if order <= 2 else CyclotomicElement(order, column)) == character_value(chi, a)
+    return rows
+
+
+@pytest.mark.parametrize("chi_id", ["1:", "3:1", "7:2", "5:1", "7:1", "9:1", "13:1", "15:1,1"])
+def test_twists_of_every_order_match_the_textbook_sum(chi_id):
+    chi = parse_character_id(chi_id)
+    order, rows = chi.value_order, zeta_rows(chi)
+    for t in KERNEL_TS:
+        for n in range(8):
+            want = [textbook_twist(n, chi.modulus, t, row) for row in rows]
+            symbolic = k_chi(n, chi, sym())
+            rational = k_chi(n, chi, QDescriptor.rational(t))
+            if order <= 2:
+                assert symbolic.evaluate(t) == rational == want[0]
+                continue
+            got = [c.evaluate(t) for c in symbolic.coeffs]
+            assert got + [0] * (len(want) - len(got)) == want
+            assert rational == CyclotomicElement(order, want)
 
 
 @pytest.mark.parametrize("x", KERNEL_XS)
@@ -408,8 +459,8 @@ def test_residue_loop_matches_per_term_loop_on_edge_cases():
        prec=st.integers(2, 40), n=st.integers(0, 4), shift=st.integers(-3, 3),
        kind=st.sampled_from([BOSONIC, FERMIONIC]), level=st.integers(1, 2))
 def test_residue_loop_matches_per_term_loop_random_q(p, r, prec, n, shift, kind, level):
+    assume(r % p ** (prec - 1))  # else q = 1 at its precision, which QDescriptor rejects
     qd = padic_q(1 + p * r, p, prec)
-    assume(not (qd.one() - qd.element()).is_zero_at_precision)  # else no [x] exists
     f = bracket_power(qd, n, shift)
     _assert_kernel_matches_generic(MeasureSpec(kind, qd, ProfiniteDomain(p)), f, level)
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qvolkenborn.algebra import CyclotomicElement, Polynomial, RationalFunction
-from qvolkenborn.characters import make_character
+from qvolkenborn.characters import character_value, make_character, parse_character_id
 from qvolkenborn.padic import padic_from_rational
 from qvolkenborn.qmeasure import QDescriptor
 from qvolkenborn.qnumbers import (beta_number, beta_polynomial,
@@ -227,6 +227,49 @@ def test_k_chi_higher_order_is_cyclotomic_valued():
     qd = QDescriptor.padic(padic_from_rational(6, 5, 16))
     with pytest.raises(ValueError):
         k_chi(0, chi, qd, method="integral")
+
+
+def base_change_twist(n, x, m, q, weights):
+    """Reference: [m]^n/[m]_- sum_a weights[a] (-1)^a q^a K_n(q^m; (a+x)/m),
+    each term a closed polynomial against the base-q^m descriptor."""
+    base = q.with_base_power(m)
+    acc = 0
+    for a in range(m):
+        if weights[a]:
+            term = weights[a] * q.qpow(a) * k_polynomial(n, (a + x) / m, base)
+            acc = acc - term if a % 2 else acc + term
+    return q.bracket(m) ** n / q.minus_bracket(m) * acc
+
+
+def assert_sound_and_not_fewer_digits(got, reference, exact):
+    assert got.absolute_precision >= reference.absolute_precision
+    assert got.agrees_with(reference, reference.absolute_precision)
+    image = padic_from_rational(exact, got.p, got.absolute_precision + 60)
+    assert got.agrees_with(image, got.absolute_precision)
+
+
+# p-adic q as (rational q, p, digits); the twists' conductors and the
+# distribution's m include multiples of p
+PADIC_QS = [(4, 3, 20), (10, 3, 12), (6, 5, 32), (26, 5, 12), (F(6, 11), 5, 16), (8, 7, 16)]
+
+
+@pytest.mark.parametrize("q_value, p, digits", PADIC_QS)
+def test_padic_twists_claim_sound_digits_and_no_fewer(q_value, p, digits):
+    qd = QDescriptor.padic(padic_from_rational(q_value, p, digits))
+    exact_q = QDescriptor.rational(q_value)
+    for chi_id in ("1:", "3:1", "5:2", "7:3", "9:3", "15:1,2", "21:0,3"):
+        chi = parse_character_id(chi_id)
+        weights = [character_value(chi, a) for a in range(chi.modulus)]
+        for n in range(6):
+            assert_sound_and_not_fewer_digits(
+                k_chi(n, chi, qd), base_change_twist(n, F(0), chi.modulus, qd, weights),
+                k_chi(n, chi, exact_q))
+    for m in (1, 3, 5, 7, 9, 15):
+        for x in (F(0), F(1), F(-1), F(2)):
+            for n in range(6):
+                assert_sound_and_not_fewer_digits(
+                    k_distribution_rhs(n, x, m, qd), base_change_twist(n, x, m, qd, [1] * m),
+                    k_distribution_rhs(n, x, m, exact_q))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
