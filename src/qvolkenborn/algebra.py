@@ -759,12 +759,34 @@ class RationalFunction:
 # cyclotomic extension elements
 # ---------------------------------------------------------------------------
 
-class CyclotomicElement:
-    """Polynomial in a primitive L-th root of unity ``z``, reduced modulo the
-    L-th cyclotomic polynomial, with RationalFunction coefficients.
+@functools.lru_cache(maxsize=None)
+def root_of_unity_rows(order: int) -> tuple[tuple[int, ...], ...]:
+    """Row k < order holds the phi(order) integer coefficients of x^k mod
+    the order-th cyclotomic polynomial: zeta^k in the basis 1, zeta, ...,
+    zeta^(phi - 1) for a primitive order-th root of unity zeta.
 
-    Used for Dirichlet-character values of order > 2 and for the symbolic
-    character-twisted sums built from them.
+    Each row is the previous one times x, with the overflowing top
+    coefficient folded back through the monic integer table
+    :func:`_cyclotomic_int`.
+    """
+    phi = _cyclotomic_int(order)[0]
+    row = [1] + [0] * (len(phi) - 2)
+    rows = []
+    for _ in range(order):
+        rows.append(tuple(row))
+        top, row = row[-1], [0] + row[:-1]
+        row = [r - top * c for r, c in zip(row, phi)]
+    return tuple(rows)
+
+
+class CyclotomicElement:
+    """An element sum_i c_i zeta^i of the cyclotomic extension, zeta a
+    primitive L-th root of unity, given by its RationalFunction coordinates
+    c_i in the basis 1, zeta, ..., zeta^(phi(L) - 1).
+
+    It holds the Dirichlet-character values of order > 2 and the twisted
+    numbers built from their integer rows; it compares and prints them, and
+    does no field arithmetic.
     """
 
     __slots__ = ("order", "coeffs")
@@ -773,10 +795,11 @@ class CyclotomicElement:
         if order < 1:
             raise ValueError("root-of-unity order must be >= 1")
         phi_deg = len(_cyclotomic_int(order)[0]) - 1
+        if len(coeffs) > phi_deg:
+            raise ValueError(f"an element of the order-{order} cyclotomic extension has "
+                             f"at most {phi_deg} coordinates, got {len(coeffs)}")
         cs = [c if isinstance(c, RationalFunction) else RationalFunction.constant(c)
               for c in coeffs]
-        if len(cs) > phi_deg:
-            cs = _reduce_mod_cyclotomic(cs, order)
         while cs and cs[-1].is_zero:
             cs.pop()
         self.order = order
@@ -784,81 +807,16 @@ class CyclotomicElement:
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> CyclotomicElement:
-        power %= order
-        return cls(order, [Fraction(0)] * power + [Fraction(1)])
-
-    @classmethod
-    def from_scalar(cls, value, order: int) -> CyclotomicElement:
-        return cls(order, [value])
+        return cls(order, root_of_unity_rows(order)[power % order])
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def _check(self, other: CyclotomicElement) -> None:
-        if self.order != other.order:
-            raise ValueError(f"mismatched root-of-unity orders {self.order} and {other.order}")
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return CyclotomicElement.from_scalar(other, self.order)
-        if isinstance(other, CyclotomicElement):
-            self._check(other)
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = RationalFunction.constant(0)
-        out = [(self.coeffs[i] if i < len(self.coeffs) else zero)
-               + (other.coeffs[i] if i < len(other.coeffs) else zero)
-               for i in range(n)]
-        return CyclotomicElement(self.order, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicElement(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return CyclotomicElement(self.order, [c * other for c in self.coeffs])
+    def __eq__(self, other) -> bool:
         if not isinstance(other, CyclotomicElement):
             return NotImplemented
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return CyclotomicElement(self.order, [])
-        zero = RationalFunction.constant(0)
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return CyclotomicElement(self.order, _reduce_mod_cyclotomic(out, self.order))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.order == other.order and self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -872,20 +830,3 @@ class CyclotomicElement:
             zpow = "" if i == 0 else ("z" if i == 1 else f"z^{i}")
             terms.append(f"({c}){'' if not zpow else '*' + zpow}" if i else f"({c})")
         return f"CyclotomicElement(L={self.order}, {' + '.join(terms)})"
-
-
-def _reduce_mod_cyclotomic(coeffs: list[RationalFunction], order: int) -> list[RationalFunction]:
-    phi = _cyclotomic_int(order)[0]
-    deg = len(phi) - 1
-    out = list(coeffs)
-    for i in range(len(out) - 1, deg - 1, -1):
-        c = out[i]
-        if c.is_zero:
-            continue
-        # z^i = z^(i-deg) * (z^deg - phi(z)); phi monic
-        for j in range(deg):
-            out[i - deg + j] = out[i - deg + j] - c * phi[j]
-        out[i] = RationalFunction.constant(0)
-    while out and out[-1].is_zero:
-        out.pop()
-    return out

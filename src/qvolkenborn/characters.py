@@ -1,17 +1,20 @@
 """Dirichlet characters: unit-group structure, enumeration, values, conductor.
 
 A character mod f is stored as an exponent vector against a fixed cyclic
-decomposition of (Z/f)^x.  Values of order <= 2 are plain rationals 0, +-1;
-higher-order values are returned as roots of unity in the cyclotomic
-extension (symbolic and rational q only: embedding them into Q_p would need
-field extensions, which the p-adic side deliberately avoids).
+decomposition of (Z/f)^x, and its values as an integer exponent table:
+chi(a) = zeta^k_a for a primitive L-th root of unity zeta, L the value
+order.  Values of order <= 2 are plain rationals 0, +-1; higher-order values
+are returned as roots of unity in the cyclotomic extension.  Those serve
+symbolic and rational q.  p-adic twists reject order > 2 for now, although
+Z_p holds the L-th roots of unity whenever L divides p - 1.
 
-Moduli in scope are tiny, so discrete logarithms and conductor search are
-brute force by design.
+Moduli in scope are tiny, so the table is one walk over the whole unit
+group and the conductor search is brute force by design.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,33 +124,6 @@ def unit_group_structure(modulus: int) -> UnitGroupStructure:
     return UnitGroupStructure(modulus, tuple(factors))
 
 
-def _component_logs(structure: UnitGroupStructure, a: int) -> tuple[int, ...]:
-    """Exponents (t_1, ..., t_k) with a = prod generator_i^t_i mod f.
-
-    Brute force per prime-power component; the 2-power component may carry
-    two factors, which are solved jointly.
-    """
-    by_component: dict[int, list[int]] = {}
-    for idx, fac in enumerate(structure.factors):
-        by_component.setdefault(fac.component, []).append(idx)
-    logs = [0] * len(structure.factors)
-    for component, idxs in by_component.items():
-        target = a % component
-        gens = [structure.factors[i].generator % component for i in idxs]
-        orders = [structure.factors[i].order for i in idxs]
-        for combo in product(*(range(o) for o in orders)):
-            value = 1
-            for g, t in zip(gens, combo):
-                value = value * pow(g, t, component) % component
-            if value == target:
-                for i, t in zip(idxs, combo):
-                    logs[i] = t
-                break
-        else:
-            raise ValueError(f"{a} is not a unit mod {component}")
-    return tuple(logs)
-
-
 @dataclass(frozen=True)
 class DirichletCharacter:
     """A character of (Z/f)^x, identified by its exponent vector."""
@@ -165,11 +141,8 @@ class DirichletCharacter:
 
     @property
     def value_order(self) -> int:
-        out = 1
-        for e, fac in zip(self.exponents, self.structure.factors):
-            o = fac.order // math.gcd(e, fac.order)
-            out = out * o // math.gcd(out, o)
-        return out
+        return math.lcm(*(fac.order // math.gcd(e, fac.order)
+                          for e, fac in zip(self.exponents, self.structure.factors)))
 
     @property
     def is_trivial(self) -> bool:
@@ -178,6 +151,23 @@ class DirichletCharacter:
     @property
     def id_string(self) -> str:
         return f"{self.modulus}:{','.join(str(e) for e in self.exponents)}"
+
+    @functools.cached_property
+    def exponent_table(self) -> tuple[int | None, ...]:
+        """k_a with chi(a) = zeta^k_a (k_a mod the value order L) for each
+        residue a mod f, None off the units.
+
+        One walk over the product of the cyclic factors: a = prod g_i^t_i
+        gets k_a = sum t_i e_i L / o_i, o_i the order of g_i.
+        """
+        f, order = self.modulus, self.value_order
+        walk = [(1 % f, 0)]
+        for e, fac in zip(self.exponents, self.structure.factors):
+            step = e * order // fac.order
+            walk = [(a * pow(fac.generator, t, f) % f, (k + t * step) % order)
+                    for a, k in walk for t in range(fac.order)]
+        exponents = dict(walk)
+        return tuple(exponents.get(a) for a in range(f))
 
     def __call__(self, a: int):
         return character_value(self, a)
@@ -198,40 +188,23 @@ def enumerate_characters(modulus: int) -> list[DirichletCharacter]:
 def character_value(chi: DirichletCharacter, a: int):
     """chi(a): 0 off the units, a rational +-1 for value order <= 2, and a
     root of unity in the cyclotomic extension otherwise."""
-    a %= chi.modulus
-    if math.gcd(a, chi.modulus) != 1:
+    k = chi.exponent_table[a % chi.modulus]
+    if k is None:
         return Fraction(0)
-    logs = _component_logs(chi.structure, a)
-    group_exponent = 1
-    for fac in chi.structure.factors:
-        group_exponent = group_exponent * fac.order // math.gcd(group_exponent, fac.order)
-    total = 0
-    for e, t, fac in zip(chi.exponents, logs, chi.structure.factors):
-        total = (total + e * t * (group_exponent // fac.order)) % group_exponent
-    order = chi.value_order
-    # the value is an order-th root of unity; rescale the exponent
-    scaled = total * order
-    if scaled % group_exponent != 0:
-        raise AssertionError("character value fell outside its own value group")
-    k = scaled // group_exponent % order
-    if order == 1:
-        return Fraction(1)
-    if order == 2:
-        return Fraction(1) if k == 0 else Fraction(-1)
-    return CyclotomicElement.root_of_unity(order, k)
+    if chi.value_order <= 2:
+        return Fraction((-1) ** k)
+    return CyclotomicElement.root_of_unity(chi.value_order, k)
 
 
 def conductor(chi: DirichletCharacter) -> tuple[int, bool]:
     """(smallest induced modulus, whether chi is primitive).
 
     chi factors through f0 | f exactly when it is trivial on every unit
-    congruent to 1 mod f0.
+    congruent to 1 mod f0, i.e. when k_a is 0 there.
     """
-    f = chi.modulus
+    f, table = chi.modulus, chi.exponent_table
     for f0 in sorted(d for d in range(1, f + 1) if f % d == 0):
-        if all(character_value(chi, a) == 1
-               for a in range(1, f + 1)
-               if a % f0 == 1 % f0 and math.gcd(a, f) == 1):
+        if all(table[a] in (None, 0) for a in range(1 % f0, f, f0)):
             return f0, f0 == f
     raise AssertionError("a character always factors through its own modulus")
 

@@ -397,12 +397,24 @@ def integrate(spec: MeasureSpec, f: Integrand, target_stability: int,
     """p-adic limit of the Riemann sums, certified by the Cauchy criterion.
 
     Stops at the smallest N <= n_max with v_p(S_N - S_{N-1}) >= the target
-    and returns that sum together with the certified stability and the full
-    difference-valuation trace.  Raises :class:`NonConvergence` (with the
-    trace as diagnostic) when the target is not met by n_max.
+    and returns that sum, truncated to the certified stability, together
+    with the stability and the full difference-valuation trace.  Raises
+    :class:`NonConvergence` (with the trace as diagnostic) when the target
+    is not met by n_max.
+
+    A character-twisted :class:`BracketPower` must be a function on the
+    domain: the p-free part of its table's modulus must divide d.
     """
     if spec.q.mode != "padic":
         raise ValueError("integration is a p-adic limit; q must be padic")
+    p, d = spec.domain.p, spec.domain.d
+    if isinstance(f, BracketPower) and f.chi is not None:
+        modulus = len(f.chi)
+        while modulus % p == 0:
+            modulus //= p
+        if d % modulus:
+            raise ValueError(f"a character mod {len(f.chi)} is not a function on the "
+                             f"domain: its {p}-free part {modulus} does not divide d = {d}")
     trace: list[tuple[int, int]] = []
     previous = None
     for n in range(1, n_max + 1):
@@ -411,7 +423,8 @@ def integrate(spec: MeasureSpec, f: Integrand, target_stability: int,
             stability = (current - previous).valuation
             trace.append((n, stability))
             if stability >= target_stability:
-                return IntegrationResult(current, n, stability, tuple(trace))
+                value = current + PadicNumber.zero_at_precision(p, stability)
+                return IntegrationResult(value, n, stability, tuple(trace))
         previous = current
     raise NonConvergence(
         f"stability {target_stability} not reached by N = {n_max}", tuple(trace))
@@ -419,9 +432,10 @@ def integrate(spec: MeasureSpec, f: Integrand, target_stability: int,
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """A certified integral value: the last Riemann sum, the level it was
-    taken at, and v_p of the last difference (a lower bound on how many
-    digits the final two sums share)."""
+    """A certified integral value: the last Riemann sum truncated to the
+    stability (its absolute precision is at most the stability), the level
+    it was taken at, and the stability, v_p of the last difference (a lower
+    bound on how many digits the final two sums share)."""
 
     value: object
     n_used: int
@@ -480,11 +494,12 @@ class BracketPower:
     """The integrand j -> chi(j) * [shift + j]^n against the base of q.
 
     ``chi`` is a table of character values indexed by j modulo its length,
-    or None for the untwisted power; in p-adic mode its values must be 0
-    or +-1.  Instances are immutable, and a call evaluates its term
-    directly, so calls may come in any order.  In p-adic mode
-    :func:`_sum_range` recognises the type and sums it in residues
-    instead of calling it once per term.
+    or None for the untwisted power; its values must be 0 or +-1 in every
+    mode (higher-order twists go through the closed form of ``k_chi``).
+    Instances are immutable, and a call evaluates its term directly, so
+    calls may come in any order.  In p-adic mode :func:`_sum_range`
+    recognises the type and sums it in residues instead of calling it once
+    per term.
     """
 
     __slots__ = ("q", "n", "shift", "chi", "_one", "_inv_1mq")
@@ -493,10 +508,10 @@ class BracketPower:
                  chi: tuple | None = None):
         if n < 0:
             raise ValueError("exponent must be nonnegative")
-        if q.mode == "padic" and chi is not None and any(v not in (0, 1, -1) for v in chi):
+        if chi is not None and any(v not in (0, 1, -1) for v in chi):
             raise ValueError(
-                "p-adic character twists need character values in {0, +-1}; "
-                "higher-order characters are computed by the closed form of "
+                "twisted integrands need character values in {0, +-1}; "
+                "higher-order twists are computed by the closed form of "
                 "k_chi at symbolic or rational q")
         shift, one, inv_1mq = Fraction(shift), q.one(), None
         if n:
@@ -510,13 +525,13 @@ class BracketPower:
 
     def __call__(self, j: int):
         chi_j = 1 if self.chi is None else self.chi[j % len(self.chi)]
-        if isinstance(chi_j, (int, Fraction)) and chi_j == 0:
+        if chi_j == 0:
             return 0
         if self.n:
             value = ((self._one - self.q.qpow(self.shift + j)) * self._inv_1mq) ** self.n
         else:
             value = self._one
-        return value if chi_j == 1 else chi_j * value
+        return value if chi_j == 1 else -value
 
 
 def constant_one(q: QDescriptor) -> BracketPower:

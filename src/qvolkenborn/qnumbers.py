@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import CyclotomicElement
-from .characters import DirichletCharacter, character_value, euler_phi
+from .algebra import CyclotomicElement, root_of_unity_rows
+from .characters import DirichletCharacter
 from .padic import DEFAULT_BALL_CAP, ProfiniteDomain
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
                        binomial_fraction_sum, bracket_power,
@@ -143,9 +143,10 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
 
     "closed": the finite sum over residues a of chi(a) (-1)^a q^a times the
     base-q^f polynomial at a/f, prefixed by [f]^n/[f]_-.  With
-    chi(a) = sum_i c_i(a) zeta^i (integer c_i, zeta a primitive L-th root of
-    unity, i < phi(L)) it is sum_i zeta^i :func:`_twisted_sum` with weights
-    c_i: a field element for L <= 2, else a :class:`CyclotomicElement`.
+    chi(a) = zeta^k_a = sum_i r_i(k_a) zeta^i (zeta a primitive L-th root of
+    unity, r(k) the integer row of x^k mod Phi_L, i < phi(L)) it is
+    sum_i zeta^i :func:`_twisted_sum` with weights r_i(k_a): a field element
+    for L <= 2, else a :class:`CyclotomicElement`.
     "integral": the fermionic integral of chi(y)[y]^n over the
     conductor-indexed profinite domain (padic q, quadratic or trivial chi only).
     """
@@ -160,15 +161,11 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
         if q.mode == "padic" and order > 2:
             raise ValueError(
                 "p-adic twisted numbers need character values in {0, +-1}")
-        values = [character_value(chi, a) for a in range(f)]
-        if order <= 2:
-            return _twisted_sum(n, Fraction(0), f, q, values)
-        weights = [[0] * f for _ in range(euler_phi(order))]
-        for a, value in enumerate(values):
-            for i, c in enumerate(value.coeffs if value else ()):  # 0 off the units
-                weights[i][a] = int(c.evaluate(0))
-        return CyclotomicElement(order, [_twisted_sum(n, Fraction(0), f, q, w)
-                                         for w in weights])
+        rows = root_of_unity_rows(order)
+        sums = [_twisted_sum(n, Fraction(0), f, q,
+                             [0 if k is None else rows[k][i] for k in chi.exponent_table])
+                for i in range(len(rows[0]))]
+        return sums[0] if order <= 2 else CyclotomicElement(order, sums)
     spec = MeasureSpec(FERMIONIC, q, ProfiniteDomain(q.prime, f))
     integrand = character_twisted_power(q, n, chi)
     return integrate(spec, integrand, stability, n_max, cap).value

@@ -16,7 +16,8 @@ from qvolkenborn.algebra import (_KRONECKER_CUTOFF, CyclotomicElement, PoleError
                                  Polynomial, RationalFunction, RootOrderMismatch,
                                  _mul_int, _mul_int_schoolbook,
                                  binomial_factor_cyclotomics,
-                                 cyclotomic_polynomial, poly_gcd)
+                                 cyclotomic_polynomial, poly_gcd,
+                                 root_of_unity_rows)
 
 F = Fraction
 
@@ -400,35 +401,43 @@ def test_kronecker_matches_schoolbook_across_cutoff(a, b):
 # cyclotomic extension elements
 # ---------------------------------------------------------------------------
 
-def test_fourth_root_squares_to_minus_one():
-    z = CyclotomicElement.root_of_unity(4)
-    assert z * z == -1
+def monic_remainder(a, b):
+    """a mod b for integer coefficient lists (ascending degree), b monic."""
+    a = list(a)
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        top = a[i]
+        for j, c in enumerate(b):
+            a[i - len(b) + 1 + j] -= top * c
+    return a[:len(b) - 1]
 
 
-def test_cyclotomic_addition():
-    z = CyclotomicElement.root_of_unity(4)
-    one = CyclotomicElement.from_scalar(1, 4)
-    assert (one + z) + (one - z) == 2
+def test_root_of_unity_rows_reduce_x_to_the_k():
+    for order in range(1, 31):
+        phi = list(cyclotomic_polynomial(order).ints)
+        rows = root_of_unity_rows(order)
+        assert len(rows) == order
+        for k, row in enumerate(rows):
+            # deg r_k < phi(L), and Phi_L divides x^k - r_k
+            assert len(row) == len(phi) - 1
+            difference = [-c for c in row] + [0] * max(0, k + 1 - len(row))
+            difference[k] += 1
+            assert not any(monic_remainder(difference, phi))
 
 
-def test_root_of_unity_order():
-    z = CyclotomicElement.root_of_unity(4)
-    assert z * z * z * z == 1
-    assert z * z * z != 1
+def test_root_of_unity_is_its_integer_row():
+    assert CyclotomicElement.root_of_unity(4, 2) == CyclotomicElement(4, [-1])
+    assert CyclotomicElement.root_of_unity(3, 2) == CyclotomicElement(3, [-1, -1])
+    assert CyclotomicElement.root_of_unity(6, 7) == CyclotomicElement(6, [0, 1])
+    assert CyclotomicElement(4, [0, 0]).is_zero
+    assert CyclotomicElement(4, [1]) != CyclotomicElement(3, [1])
 
 
-def test_cyclotomic_order_mismatch():
+def test_cyclotomic_element_takes_at_most_phi_coordinates():
     with pytest.raises(ValueError):
-        CyclotomicElement.root_of_unity(4) + CyclotomicElement.root_of_unity(3)
-
-
-def test_cyclotomic_with_ratfunc_coefficients():
+        CyclotomicElement(4, [0, 0, 1])
     w = RationalFunction.w_power(1, 1)
-    z = CyclotomicElement.root_of_unity(3)
-    elem = z * w + z * z
-    assert elem * CyclotomicElement.from_scalar(1, 3) == elem
-    # z^3 = 1, so multiplying by z three times is the identity
-    assert elem * z * z * z == elem
+    elem = CyclotomicElement(5, [w, 0, 0, 1])
+    assert elem.coeffs == (w, R((0,)), R((0,)), R((1,)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Dirichlet-character tests: structure, values, conductor, enumeration.
 
-Brute-force oracles (multiplicative orders, exhaustive multiplicativity,
-pairwise-congruence factorization) are computed inside the tests themselves,
-independently of the implementation's discrete-log route.
+Brute-force oracles (multiplicative orders, a per-residue discrete-log
+search, exhaustive multiplicativity, pairwise-congruence factorization) are
+computed inside the tests themselves, independently of the implementation's
+walk over the unit group.
 """
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from qvolkenborn.algebra import CyclotomicElement
+from qvolkenborn.algebra import CyclotomicElement, root_of_unity_rows
 from qvolkenborn.characters import (character_value, conductor,
                                     enumerate_characters, euler_phi,
                                     make_character, parse_character_id,
@@ -101,28 +103,67 @@ def test_quadratic_mod_three_table():
 def test_chi_of_one_is_one():
     for modulus in (1, 3, 5, 8, 12, 15):
         for chi in enumerate_characters(modulus):
-            assert character_value(chi, 1) == 1
+            assert chi.exponent_table[1 % modulus] == 0
+            one = 1 if chi.value_order <= 2 else CyclotomicElement(chi.value_order, [1])
+            assert character_value(chi, 1) == one
 
 
 def test_order_four_character_mod_five():
-    chi = next(c for c in enumerate_characters(5) if c.value_order == 4)
-    z = character_value(chi, 2)
-    assert isinstance(z, CyclotomicElement)
-    assert z * z == character_value(chi, 4)
-    assert character_value(chi, 4) == -1
+    chi = make_character(5, (1,))  # 2 generates (Z/5)^x
+    assert chi.value_order == 4
+    assert chi.exponent_table == (None, 0, 1, 3, 2)
+    assert character_value(chi, 2) == CyclotomicElement.root_of_unity(4)
+    assert character_value(chi, 4) == CyclotomicElement(4, [-1])
+    assert character_value(chi, 5) == 0
+
+
+def discrete_log_exponent(chi, a):
+    """Reference k_a: solve a = prod g_i^t_i by search per prime-power
+    component, combine the logs over the group exponent, and rescale to the
+    value order."""
+    structure = chi.structure
+    by_component = {}
+    for idx, fac in enumerate(structure.factors):
+        by_component.setdefault(fac.component, []).append(idx)
+    logs = [0] * len(structure.factors)
+    for component, idxs in by_component.items():
+        gens = [structure.factors[i].generator % component for i in idxs]
+        orders = [structure.factors[i].order for i in idxs]
+        for combo in product(*(range(o) for o in orders)):
+            value = 1
+            for g, t in zip(gens, combo):
+                value = value * pow(g, t, component) % component
+            if value == a % component:
+                for i, t in zip(idxs, combo):
+                    logs[i] = t
+                break
+    group_exponent = math.lcm(*(fac.order for fac in structure.factors))
+    total = sum(e * t * (group_exponent // fac.order)
+                for e, t, fac in zip(chi.exponents, logs, structure.factors))
+    scaled = total % group_exponent * chi.value_order
+    assert scaled % group_exponent == 0
+    return scaled // group_exponent % chi.value_order
+
+
+def test_exponent_table_matches_discrete_log_search():
+    for modulus in range(1, 41):
+        for chi in enumerate_characters(modulus):
+            want = tuple(discrete_log_exponent(chi, a) if math.gcd(a, modulus) == 1 else None
+                         for a in range(modulus))
+            assert chi.exponent_table == want, chi.id_string
 
 
 @pytest.mark.parametrize("modulus", range(1, 16))
 def test_multiplicativity_exhaustive(modulus):
     for chi in enumerate_characters(modulus):
-        values = [character_value(chi, a) for a in range(modulus)]
+        table, order = chi.exponent_table, chi.value_order
         for a in range(modulus):
             if math.gcd(a, modulus) != 1:
-                assert values[a] == 0
+                assert table[a] is None and character_value(chi, a) == 0
                 continue
             for b in range(modulus):
                 if math.gcd(b, modulus) == 1:
-                    assert values[a * b % modulus] == values[a] * values[b]
+                    assert table[a * b % modulus] == (table[a] + table[b]) % order
 
 
 @pytest.mark.parametrize("modulus", range(2, 16))
@@ -130,10 +171,9 @@ def test_orthogonality_of_nontrivial_characters(modulus):
     for chi in enumerate_characters(modulus):
         if chi.is_trivial:
             continue
-        total = 0
-        for a in range(modulus):
-            total = total + character_value(chi, a)
-        assert total == 0
+        rows = root_of_unity_rows(chi.value_order)
+        units = [rows[k] for k in chi.exponent_table if k is not None]
+        assert [sum(column) for column in zip(*units)] == [0] * len(rows[0])
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,23 @@ def test_integrate_cube_matches_symbolic(capsys):
                     "--stability", "6")
     value = value_from_json(data["value"])
     target = k_number(3, QDescriptor.symbolic()).evaluate(6)
-    assert value.agrees_with(target, 6)
+    # the value claims exactly the certified digits, and each of them is right
+    assert value.absolute_precision == data["stability"] >= 6
+    assert value.agrees_with(target, value.absolute_precision)
     trace = [v for _, v in data["trace"]]
     assert trace == sorted(trace)
+
+
+@pytest.mark.parametrize("n", ["0", "1", "2"])
+def test_integrate_twist_off_the_domain_exits_2(capsys, n):
+    argv = ("integrate", "--kind", "fermionic", "--p", "5", "--q", "6",
+            "--f", f"char_twisted:{n}:3:1", "--stability", "2")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "does not divide d = 1" in err
+    assert err.count("\n") == 1
+    data = run_json(capsys, *argv, "--d", "3")
+    assert data["d"] == 3 and data["stability"] >= 2
 
 
 def test_integrate_inadmissible_q_exits_2(capsys):

@@ -1,0 +1,57 @@
+"""Golden-digest replay of CLI commands.
+
+`golden/cli_digests.json` maps each command to the sha256 of its exit code,
+stdout and stderr.  Every command is replayed through `cli.main` in process,
+and a command whose digest moved is named.
+
+The file is rewritten by running this module as a script::
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Do that only when an output change is intended, and list the change.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from qvolkenborn.cli import main
+
+DIGESTS = Path(__file__).with_name("golden") / "cli_digests.json"
+
+CHARACTER_IDS = ("5:1", "5:2", "7:1", "7:2", "9:1", "13:1", "15:1,1", "21:1,1")
+Q_SPECS = ("sym", "2/5", "padic:5:6:32")
+
+
+def commands() -> list[str]:
+    out = [f"characters --f {f}" for f in range(1, 31)]
+    out += [f"numbers --kind K_chi --n 0..5 --chi {chi} --q {q}"
+            for chi in CHARACTER_IDS for q in Q_SPECS]
+    return out
+
+
+def digest(command: str) -> str:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+    payload = json.dumps([code, stdout.getvalue(), stderr.getvalue()])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_cli_digests_match_the_recording():
+    recorded = json.loads(DIGESTS.read_text())
+    assert sorted(recorded) == sorted(commands())
+    moved = [c for c in commands() if digest(c) != recorded[c]]
+    assert not moved, f"output changed for: {moved}"
+
+
+if __name__ == "__main__":
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps({c: digest(c) for c in commands()}, indent=1) + "\n")
+    sys.stdout.write(f"wrote {len(commands())} digests to {DIGESTS}\n")

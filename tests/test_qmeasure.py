@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qvolkenborn.algebra import (CyclotomicElement, Polynomial, RationalFunction,
-                                 RootOrderMismatch, cyclotomic_polynomial)
+                                 RootOrderMismatch, cyclotomic_polynomial,
+                                 root_of_unity_rows)
 from qvolkenborn.characters import character_value, make_character, parse_character_id
 from qvolkenborn.padic import ProfiniteDomain, padic_from_rational, q_admissible
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec,
@@ -235,19 +236,19 @@ def textbook_twist(n, f, t, weights):
 
 
 def zeta_rows(chi):
-    """Integer rows c_i, i < phi(L), with chi(a) = sum_i c_i(a) zeta^i."""
+    """Integer rows c_i, i < phi(L), with chi(a) = sum_i c_i(a) zeta^i: the
+    integer row of zeta^k_a, and 0 off the units."""
     order = chi.value_order
+    powers = root_of_unity_rows(order)
     rows = [[0] * chi.modulus for _ in range(cyclotomic_polynomial(order).degree)]
-    for a in range(chi.modulus):
-        value = character_value(chi, a)
-        if order <= 2:
-            rows[0][a] = int(value)
-        elif value:
-            for i, c in enumerate(value.coeffs):
-                rows[i][a] = int(c.evaluate(0))
+    for a, k in enumerate(chi.exponent_table):
+        if k is not None:
+            for i, c in enumerate(powers[k]):
+                rows[i][a] = c
     for a in range(chi.modulus):  # the rows rebuild every value
         column = [row[a] for row in rows]
-        assert (column[0] if order <= 2 else CyclotomicElement(order, column)) == character_value(chi, a)
+        value = column[0] if order <= 2 or not any(column) else CyclotomicElement(order, column)
+        assert value == character_value(chi, a)
     return rows
 
 
@@ -494,6 +495,35 @@ def test_integrate_bosonic_bracket_matches_beta():
     assert (result.value - target).valuation >= 5
 
 
+@pytest.mark.parametrize("kind", [BOSONIC, FERMIONIC])
+@pytest.mark.parametrize("p, q_value", [(3, 4), (5, 6)])
+def test_integrate_claims_only_certified_digits(kind, p, q_value):
+    qd = padic_q(q_value, p, 32)
+    closed = beta_polynomial if kind == BOSONIC else k_polynomial
+    spec = MeasureSpec(kind, qd, ProfiniteDomain(p))
+    for n in range(4):
+        for x in (0, 1):
+            result = integrate(spec, bracket_power(qd, n, x), 6, 9)
+            assert result.value.absolute_precision == result.stability
+            exact = closed(n, x, QDescriptor.rational(q_value))
+            image = padic_from_rational(exact, p, result.stability + 40)
+            assert result.value.agrees_with(image, result.stability), (n, x)
+
+
+def test_integrate_rejects_twists_that_are_not_functions_on_the_domain():
+    qd = padic_q()
+    mod3 = character_twisted_power(qd, 2, make_character(3, (1,)))
+    with pytest.raises(ValueError, match="5-free part 3 does not divide d = 1"):
+        integrate(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5)), mod3, 2, 8)
+    with pytest.raises(ValueError, match="5-free part 3 does not divide d = 1"):
+        integrate(MeasureSpec(BOSONIC, qd, ProfiniteDomain(5)),
+                  character_twisted_power(qd, 1, parse_character_id("15:1,2")), 2, 8)
+    # the p-free part of the modulus divides d: a function on the domain
+    for d, chi_id in ((3, "3:1"), (1, "5:2"), (3, "15:1,2"), (7, "1:")):
+        f = character_twisted_power(qd, 1, parse_character_id(chi_id))
+        assert integrate(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5, d)), f, 2, 8).stability >= 2
+
+
 def test_integrate_requires_padic_mode():
     spec = MeasureSpec(BOSONIC, sym(), ProfiniteDomain(5))
     with pytest.raises(ValueError):
@@ -568,3 +598,11 @@ def test_parse_integrand_families():
 def test_parse_integrand_rejects_unknown():
     with pytest.raises(ValueError):
         parse_integrand("mystery:3", sym())
+
+
+@pytest.mark.parametrize("qd", [sym(), QDescriptor.rational(F(2, 5)), padic_q()],
+                         ids=["symbolic", "rational", "padic"])
+def test_twisted_integrands_need_values_in_zero_and_plus_minus_one(qd):
+    with pytest.raises(ValueError, match=r"character values in \{0, \+-1\}"):
+        parse_integrand("char_twisted:2:5:1", qd)  # order 4
+    assert parse_integrand("char_twisted:0:5:2", qd)(4) == qd.one()  # quadratic
