@@ -47,47 +47,34 @@ def _mul_int_schoolbook(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _pack(xs: list[int], stride: int) -> int:
-    acc = 0
-    for x in reversed(xs):
-        acc = (acc << stride) | x
-    return acc
-
-
-def _unpack(n: int, stride: int, count: int) -> list[int]:
-    mask = (1 << stride) - 1
-    out = []
-    for _ in range(count):
-        out.append(n & mask)
-        n >>= stride
-    return out
-
-
 def _mul_int(a: list[int], b: list[int]) -> list[int]:
     """Product of integer coefficient lists (dense, ascending degree).
 
-    Large products are routed through Kronecker substitution: pack each
-    factor into one big integer, multiply natively, read the digits back.
-    The factors are split into positive/negative parts so every packed digit
-    is nonnegative and the readback is exact.
+    Large products are routed through Kronecker substitution: each factor
+    becomes one signed big integer in base X = 256^w, the two are multiplied
+    natively, and the product's digits are read back.  Every product
+    coefficient c satisfies |c| <= max|a| max|b| min(len) < 2^(8w-1), so
+    adding 2^(8w-1) to each digit makes them all fit in [0, X) and one
+    ``to_bytes`` reads them out.
     """
     if not a or not b:
         return []
     if min(len(a), len(b)) < _KRONECKER_CUTOFF:
         return _mul_int_schoolbook(a, b)
-    ma = max(abs(x) for x in a)
-    mb = max(abs(y) for y in b)
-    stride = (ma * mb * min(len(a), len(b)) * 2).bit_length() + 1
-    ap = [x if x > 0 else 0 for x in a]
-    am = [-x if x < 0 else 0 for x in a]
-    bp = [y if y > 0 else 0 for y in b]
-    bm = [-y if y < 0 else 0 for y in b]
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
     count = len(a) + len(b) - 1
-    pos = _pack(ap, stride) * _pack(bp, stride) + _pack(am, stride) * _pack(bm, stride)
-    neg = _pack(ap, stride) * _pack(bm, stride) + _pack(am, stride) * _pack(bp, stride)
-    dp = _unpack(pos, stride, count)
-    dn = _unpack(neg, stride, count)
-    return [x - y for x, y in zip(dp, dn)]
+
+    def packed(xs: list[int]) -> int:
+        pos = b"".join(max(x, 0).to_bytes(width, "little") for x in xs)
+        neg = b"".join(max(-x, 0).to_bytes(width, "little") for x in xs)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    digits = (packed(a) * packed(b) + offset).to_bytes(width * count, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(digits[i:i + width], "little") - half
+            for i in range(0, width * count, width)]
 
 
 def _content(xs: Iterable[int]) -> int:

@@ -30,7 +30,7 @@ from .padic import (DEFAULT_BALL_CAP, DEFAULT_PRECISION, BudgetExceeded,
                     padic_from_rational)
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, NonConvergence,
                        QDescriptor, integrate, parse_integrand)
-from .qnumbers import beta_polynomial, beta_number, k_chi, k_number, k_polynomial
+from .qnumbers import beta_polynomial, k_chi, k_polynomial
 from .series import (euler_gf, f_q_coefficient_partial, f_q_series,
                      scaled_coefficient)
 from .verify import SUITES, run_suites
@@ -181,18 +181,19 @@ def _emit(report: dict, rows: list[dict], args) -> None:
 
 def cmd_numbers(args) -> int:
     q = parse_q_spec(args.q)
+    cap = _ball_cap_from_env() if args.method == "integral" else DEFAULT_BALL_CAP
     rows = []
     for n in parse_index_range(args.n):
-        if args.kind == "K":
-            value = _evaluate_at(q, f"K_{n}", lambda: k_number(n, q))
-        elif args.kind == "beta":
-            value = _evaluate_at(q, f"beta_{n}", lambda: beta_number(n, q))
+        if args.kind in ("K", "beta"):
+            family = k_polynomial if args.kind == "K" else beta_polynomial
+            value = _evaluate_at(q, f"{args.kind}_{n}",
+                                 lambda: family(n, 0, q, form=args.method, cap=cap))
         else:
             if not args.chi:
                 raise UsageError("--chi is required for kind K_chi")
             chi = parse_character_id(args.chi)
             value = _evaluate_at(q, f"K_chi_{n}",
-                                 lambda: k_chi(n, chi, q, method=args.method))
+                                 lambda: k_chi(n, chi, q, method=args.method, cap=cap))
         rows.append({"kind": args.kind, "n": n, "x": "", "m": "",
                      "chi": args.chi or "", "q_spec": args.q, "value": value})
     _emit({"command": "numbers", "kind": args.kind, "q_spec": args.q}, rows, args)
@@ -206,10 +207,11 @@ def cmd_polynomials(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad x {args.x!r}: {exc}") from exc
     polynomial = k_polynomial if args.kind == "K_poly" else beta_polynomial
+    cap = _ball_cap_from_env() if args.form == "integral" else DEFAULT_BALL_CAP
     rows = []
     for n in parse_index_range(args.n):
         value = _evaluate_at(q, f"{args.kind}_{n}({x})",
-                             lambda: polynomial(n, x, q, form=args.form))
+                             lambda: polynomial(n, x, q, form=args.form, cap=cap))
         rows.append({"kind": args.kind, "n": n, "x": str(x), "m": "",
                      "chi": "", "q_spec": args.q, "value": value})
     _emit({"command": "polynomials", "kind": args.kind, "x": str(x),

@@ -9,9 +9,7 @@ v_p(S_N - S_{N-1}).
 
 The deformation parameter ``q`` is carried by a :class:`QDescriptor`, which
 supports three readings: symbolic (a rational function of a D-th root of q),
-exact rational, and truncated p-adic.  A descriptor may also represent a
-power ``q^s`` of the base parameter; fractional arguments such as ``a/f``
-against base ``q^f`` then reduce to integer powers of ``q``.
+exact rational, and truncated p-adic.
 
 Every closed form of the package (the number and polynomial families, the
 twisted sums, the level-N fermionic sums and the ball measures) is built
@@ -53,21 +51,15 @@ class QDescriptor:
     order D (w**D = q).  mode "rational": an exact rational q != 1.  mode
     "padic": a truncated p-adic q with v_p(q - 1) >= 1 and q != 1 at its
     precision.
-
-    ``base_power`` marks that the descriptor stands for q**base_power; all
-    brackets and powers are taken against that base.
     """
 
-    __slots__ = ("mode", "root_order", "q_rational", "q_padic", "base_power")
+    __slots__ = ("mode", "root_order", "q_rational", "q_padic")
 
     def __init__(self, mode: str, *, root_order: int = 1,
                  q_rational: Fraction | None = None,
-                 q_padic: PadicNumber | None = None,
-                 base_power: int = 1):
+                 q_padic: PadicNumber | None = None):
         if mode not in ("symbolic", "rational", "padic"):
             raise ValueError(f"unknown q mode {mode!r}")
-        if base_power < 1:
-            raise ValueError("base power must be >= 1")
         if mode == "symbolic" and root_order < 1:
             raise ValueError("root order must be >= 1")
         if mode == "rational":
@@ -86,7 +78,6 @@ class QDescriptor:
         self.root_order = root_order
         self.q_rational = q_rational
         self.q_padic = q_padic
-        self.base_power = base_power
 
     @classmethod
     def symbolic(cls, root_order: int = 1) -> QDescriptor:
@@ -106,18 +97,6 @@ class QDescriptor:
             raise ValueError("only padic descriptors carry a prime")
         return self.q_padic.p
 
-    def with_base_power(self, m: int) -> QDescriptor:
-        """Descriptor for (current base)**m."""
-        if m < 1:
-            raise ValueError("base power must be >= 1")
-        out = object.__new__(QDescriptor)
-        out.mode = self.mode
-        out.root_order = self.root_order
-        out.q_rational = self.q_rational
-        out.q_padic = self.q_padic
-        out.base_power = self.base_power * m
-        return out
-
     # -- field plumbing -------------------------------------------------------
 
     def one(self):
@@ -134,13 +113,9 @@ class QDescriptor:
             return Fraction(r)
         return PadicNumber.from_rational(Fraction(r), self.q_padic.p, self.q_padic.prec)
 
-    def element(self):
-        """The base parameter itself (q**base_power) as a field element."""
-        return self.qpow(1)
-
     def w_exponent(self, exponent: Fraction | int) -> int:
-        """The power of w realizing (q**base_power)**exponent (symbolic mode)."""
-        e = Fraction(exponent) * self.base_power
+        """The power of w realizing q**exponent (symbolic mode)."""
+        e = Fraction(exponent)
         we = e * self.root_order
         if we.denominator != 1:
             raise RootOrderMismatch(
@@ -149,15 +124,15 @@ class QDescriptor:
         return int(we)
 
     def qpow(self, exponent: Fraction | int):
-        """(q**base_power) ** exponent.
+        """q ** exponent.
 
-        Symbolically this is a power of w and only needs the combined
-        exponent to clear the root order; numerically the combined exponent
-        must be an integer (fractional q-powers do not live in Q or Q_p).
+        Symbolically this is a power of w and only needs the exponent to
+        clear the root order; numerically the exponent must be an integer
+        (fractional q-powers do not live in Q or Q_p).
         """
         if self.mode == "symbolic":
             return RationalFunction.w_power(self.w_exponent(exponent), self.root_order)
-        e = Fraction(exponent) * self.base_power
+        e = Fraction(exponent)
         if e.denominator != 1:
             raise ValueError(f"fractional power q^{e} is not available in {self.mode} mode")
         if self.mode == "rational":
@@ -165,7 +140,7 @@ class QDescriptor:
         return self.q_padic ** int(e)
 
     def bracket(self, x: Fraction | int):
-        """The q-analogue [x] = (1 - q^x)/(1 - q) against the current base.
+        """The q-analogue [x] = (1 - q^x)/(1 - q).
 
         >>> print(QDescriptor.symbolic().bracket(3))
         1 + q + q^2
@@ -176,7 +151,7 @@ class QDescriptor:
         return (one - self.qpow(x)) / (one - self.qpow(1))
 
     def minus_bracket(self, m: int):
-        """[m] against the negated base, for odd m: (1 + q^m)/(1 + q)."""
+        """[m] at -q, for odd m: (1 + q^m)/(1 + q)."""
         if m < 1 or m % 2 == 0:
             raise ValueError(f"the negated-base bracket needs odd m, got {m}")
         one = self.one()
@@ -189,8 +164,7 @@ class QDescriptor:
             core = f"q={self.q_rational}"
         else:
             core = f"padic {self.q_padic!r}"
-        sfx = "" if self.base_power == 1 else f" base^={self.base_power}"
-        return f"QDescriptor({core}{sfx})"
+        return f"QDescriptor({core})"
 
 
 def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
@@ -198,9 +172,9 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     """prod (1 + s q^e)^pw * sum_k numerators[k] / (1 + sign q^(step (k+1))).
 
     ``numerators[k]`` maps q-exponents to rational coefficients, and
-    ``prefactor`` lists the (s, e, pw) factors; all powers are taken against
-    the base of q.  Every closed form of the package has this shape, and its
-    denominators are products of cyclotomic polynomials in w.
+    ``prefactor`` lists the (s, e, pw) factors.  Every closed form of the
+    package has this shape, and its denominators are products of cyclotomic
+    polynomials in w.
 
     One Horner loop serves every reading of q: with d_k = 1 + sign
     q^(step (k+1)), total <- total d_k + c_k den and den <- den d_k; then
@@ -266,7 +240,7 @@ class MeasureSpec:
                              f"domain over p = {self.domain.p}")
 
     def level_norm(self, n: int):
-        """[d p^n] against the (signed) base: the normalizer of level n."""
+        """[d p^n] at q (bosonic) or -q (fermionic): the normalizer of level n."""
         size = self.domain.level_size(n)
         if self.kind == BOSONIC:
             return self.q.bracket(size)
@@ -297,7 +271,7 @@ def ball_measure_sum(spec: MeasureSpec, reps, n: int):
 def riemann_sum(spec: MeasureSpec, f: Integrand, n: int,
                 cap: int = DEFAULT_BALL_CAP):
     """The level-n Riemann sum: sum over ball representatives j of
-    f(j) * (+-q)^j, normalized by [d p^n] of the (signed) base.
+    f(j) * (+-q)^j, normalized by [d p^n] at +-q.
 
     ``f`` is any callable; a :class:`BracketPower` (what the built-in
     integrand families return) takes the residue loop of
@@ -341,22 +315,20 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     where it could not claim the same digits as the per-term loop.
 
     All terms are p-adic integers.  With Q the unit of q, A its precision
-    and m the digits claimed, the loop keeps (+-Q^b)^j, Q^(b'(x+j)) and
-    [x+j] as residues mod p^m (b, b' the base powers of the measure and of
-    f) and advances the bracket by [x+j+1] = [x+j] + Q^(b'(x+j)), so each
-    term costs one modular power and no division.  The per-term loop
-    divides by 1 - Q^b' for n >= 1, which leaves A - v_p(1 - Q^b')
-    absolute digits on every term whose x + j is a p-adic unit; the sum
-    claims exactly that (A digits for n = 0).  Where x is not p-integral
-    or no term with a unit x + j contributes, the claim would differ and
-    the caller falls back.
+    and m the digits claimed, the loop keeps (+-Q)^j, Q^(x+j) and [x+j] as
+    residues mod p^m and advances the bracket by [x+j+1] = [x+j] + Q^(x+j),
+    so the weight and the bracket step by the same factor Q and each term
+    costs one modular power and no division.  The per-term loop divides by
+    1 - Q for n >= 1, which leaves A - v_p(1 - Q) absolute digits on every
+    term whose x + j is a p-adic unit; the sum claims exactly that (A
+    digits for n = 0).  Where f takes its bracket at another q or no term
+    with a unit x + j contributes, the claim would differ and the caller
+    falls back.
     """
     q = spec.q.q_padic
     if f.q.mode != "padic" or f.q.q_padic != q:
         return None
     p, shift, n = q.p, f.shift, f.n
-    if shift.denominator % p == 0:
-        return None
     signs = (1,) if f.chi is None else tuple(int(s) for s in f.chi)
     size = len(signs)
     if not any(signs[j % size] and (n == 0 or (shift + j).numerator % p)
@@ -365,20 +337,18 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     mod_a = p ** q.prec
     if n == 0:
         digits, mod = q.prec, mod_a
-        bracket, q_x, step = 1, 0, 1
+        bracket, q_x = 1, 0
     else:
-        # 1/(1 - Q^b') = p^-t * unit, the unit known mod p^(A - t)
+        # 1/(1 - Q) = p^-t * unit, the unit known mod p^(A - t)
         t = -f._inv_1mq.v
         digits = q.prec - t
         mod = p ** digits
-        step = pow(q.unit, f.q.base_power, mod)
-        q_x = pow(q.unit, int(f.q.base_power * (shift + reps.start)), mod_a)
-        # p^t divides 1 - Q^(b'(x+j)) because x + j is p-integral
+        q_x = pow(q.unit, int(shift) + reps.start, mod_a)
+        # p^t divides 1 - Q^(x+j) because x + j is an integer
         bracket = (1 - q_x) % mod_a // p ** t * f._inv_1mq.unit % mod
         q_x %= mod
-    ratio = pow(q.unit, spec.q.base_power, mod)
-    if spec.kind == FERMIONIC:
-        ratio = mod - ratio
+    step = q.unit % mod
+    ratio = mod - step if spec.kind == FERMIONIC else step
     weight = pow(ratio, reps.start, mod)
     total = 0
     for j in reps:
@@ -491,7 +461,7 @@ def fermionic_finite_rhs(n: int, x: Fraction | int, level: int,
 # ---------------------------------------------------------------------------
 
 class BracketPower:
-    """The integrand j -> chi(j) * [shift + j]^n against the base of q.
+    """The integrand j -> chi(j) * [shift + j]^n.
 
     ``chi`` is a table of character values indexed by j modulo its length,
     or None for the untwisted power; its values must be 0 or +-1 in every
@@ -540,7 +510,7 @@ def constant_one(q: QDescriptor) -> BracketPower:
 
 
 def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> BracketPower:
-    """j -> [shift + j]^n against the descriptor's base.
+    """j -> [shift + j]^n.
 
     The result is a :class:`BracketPower`: each call evaluates its term
     directly, and p-adic Riemann sums run it through the residue loop,

@@ -192,7 +192,7 @@ def suite_beta_forms(n_max: int = 6, **_) -> SuiteResult:
             out.add({"n": n, "x": x}, same)
     sym = _sym()
     one = sym.one()
-    q = sym.element()
+    q = sym.qpow(1)
     out.add({"check": "beta_1"}, beta_number(1, sym) == -one / (one + q))
     out.add({"check": "beta_2"},
             beta_number(2, sym) == q / ((one + q) * (one + q + q * q)))

@@ -236,11 +236,28 @@ def test_binomial_factorizations_multiply_back():
 
 
 def test_large_products_match_schoolbook():
-    # the packed-integer multiplication path starts above the cutoff
+    # the packed-integer multiplication path starts above the cutoff; the
+    # extremal inputs put product coefficients at the +-bound edge, with
+    # alternating signs, with M = 2^k - 1 and 2^k around byte boundaries
+    # (k = 1 mod 4 also gives the bounds 40 M^2 and 57 M^2 a bit length
+    # divisible by 8, where the sign needs one more byte),
+    # and with one nonzero coefficient at either end of a factor
     rng = random.Random(31)
+    cases = []
     for _ in range(10):
         a = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(rng.randrange(45, 90))]
         b = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(rng.randrange(45, 90))]
+        cases.append((a, b))
+    for m in (2 ** k + e for k in (5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65) for e in (-1, 0)):
+        for la, lb in ((40, 40), (40, 90), (64, 64), (90, 57)):
+            cases.append(([m] * la, [-m] * lb))
+            alternating = [m * (-1) ** i for i in range(lb)]
+            cases.append(([-m * (-1) ** i for i in range(la)], alternating))
+            for end in (0, la - 1):
+                single = [0] * la
+                single[end] = -m
+                cases.append((single, alternating))
+    for a, b in cases:
         assert _mul_int(a, b) == _mul_int_schoolbook(a, b)
 
 

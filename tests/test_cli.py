@@ -9,8 +9,9 @@ import pytest
 
 from qvolkenborn.algebra import PoleError
 from qvolkenborn.cli import main, parse_index_range, parse_q_spec, value_from_json
-from qvolkenborn.padic import PrecisionExhausted
-from qvolkenborn.qmeasure import QDescriptor
+from qvolkenborn.padic import PrecisionExhausted, ProfiniteDomain
+from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
+                                  bracket_power, integrate)
 from qvolkenborn.qnumbers import beta_number, k_number, k_polynomial
 from qvolkenborn.series import f_q_coefficient_partial
 
@@ -179,6 +180,40 @@ def test_integrate_non_convergence_exits_3(capsys):
                        "--stability", "30", "--N-max", "3")
     assert code == 3
     assert "non-convergence" in err
+
+
+@pytest.mark.parametrize("kind, measure", [("K", FERMIONIC), ("beta", BOSONIC)])
+def test_numbers_integral_method_claims_its_stability(capsys, kind, measure):
+    argv = ("numbers", "--kind", kind, "--n", "1..4", "--q", "padic:5:6:32")
+    closed = run_json(capsys, *argv)["rows"]
+    integral = run_json(capsys, *argv, "--method", "integral")["rows"]
+    qd = parse_q_spec("padic:5:6:32")
+    spec = MeasureSpec(measure, qd, ProfiniteDomain(5))
+    for c, i in zip(closed, integral):
+        stability = integrate(spec, bracket_power(qd, i["n"]), 5, 8).stability
+        got, want = value_from_json(i["value"]), value_from_json(c["value"])
+        assert got.absolute_precision == stability >= 5
+        assert got.agrees_with(want, stability)
+    code, out, err = run(capsys, *argv[:-1], "sym", "--method", "integral")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("numbers", "--kind", "K", "--n", "1", "--method", "integral"),
+    ("numbers", "--kind", "K_chi", "--chi", "3:1", "--n", "1", "--method", "integral"),
+    ("polynomials", "--kind", "beta_poly", "--n", "1", "--form", "integral"),
+], ids=["K", "K_chi", "beta_poly"])
+def test_integral_routes_honour_the_ball_cap(capsys, monkeypatch, argv):
+    argv += ("--q", "padic:5:6:32")
+    monkeypatch.setenv("QVOLK_BALL_CAP", "10")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap of 10" in err and err.count("\n") == 1
+    monkeypatch.setenv("QVOLK_BALL_CAP", "lots")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: QVOLK_BALL_CAP") and err.count("\n") == 1
 
 
 def test_integral_form_non_convergence_exits_3(capsys):

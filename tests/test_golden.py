@@ -30,6 +30,13 @@ def commands() -> list[str]:
     out = [f"characters --f {f}" for f in range(1, 31)]
     out += [f"numbers --kind K_chi --n 0..5 --chi {chi} --q {q}"
             for chi in CHARACTER_IDS for q in Q_SPECS]
+    out += [f"numbers --kind {kind} --n 0..32 --q sym" for kind in ("K", "beta")]
+    out += ["polynomials --kind K_poly --n 0..12 --x 1/2 --q sym:2 --form expansion",
+            "polynomials --kind beta_poly --n 0..12 --x 1/3 --q sym:3",
+            "series --gf Fq --q sym --T 10",
+            "integrate --p 5 --q 6 --f bracket_pow:3 --stability 6",
+            "integrate --kind bosonic --p 3 --q 4 --f shifted_bracket_pow:2:1 --stability 4",
+            "numbers --kind K_chi --n 0..3 --chi 3:1 --q padic:5:6:32 --method integral"]
     return out
 
 

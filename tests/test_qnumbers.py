@@ -5,6 +5,7 @@ were expanded independently with a computer-algebra system before being
 asserted here.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from qvolkenborn.algebra import CyclotomicElement, Polynomial, RationalFunction
 from qvolkenborn.characters import character_value, make_character, parse_character_id
 from qvolkenborn.padic import padic_from_rational
-from qvolkenborn.qmeasure import QDescriptor
+from qvolkenborn.qmeasure import QDescriptor, binomial_fraction_sum
 from qvolkenborn.qnumbers import (beta_number, beta_polynomial,
                                   classical_bernoulli, classical_euler, k_chi,
                                   k_distribution_rhs, k_number, k_polynomial)
@@ -231,12 +232,14 @@ def test_k_chi_higher_order_is_cyclotomic_valued():
 
 def base_change_twist(n, x, m, q, weights):
     """Reference: [m]^n/[m]_- sum_a weights[a] (-1)^a q^a K_n(q^m; (a+x)/m),
-    each term a closed polynomial against the base-q^m descriptor."""
-    base = q.with_base_power(m)
+    each term the closed polynomial at q^m, whose exponents (a+x)k/m against
+    q^m are the integer exponents (a+x)k against q."""
     acc = 0
     for a in range(m):
         if weights[a]:
-            term = weights[a] * q.qpow(a) * k_polynomial(n, (a + x) / m, base)
+            numerators = [{(a + x) * k: (-1) ** k * math.comb(n, k)} for k in range(n + 1)]
+            inner = binomial_fraction_sum(q, numerators, 1, m, [(1, m, 1), (-1, m, -n)])
+            term = weights[a] * q.qpow(a) * inner
             acc = acc - term if a % 2 else acc + term
     return q.bracket(m) ** n / q.minus_bracket(m) * acc
 
@@ -276,7 +279,9 @@ def test_padic_twists_claim_sound_digits_and_no_fewer(q_value, p, digits):
 def test_k_chi_finite_level_factorization(n):
     """The conductor-f Riemann sum at a finite level already factors through
     the f residue classes: it equals the twisted combination of base-q^f
-    Riemann sums at shifted arguments, exactly in the symbolic field.
+    Riemann sums at shifted arguments, exactly in the symbolic field.  The
+    inner sums are taken at root order 3, where w^3 stands for q^3 and the
+    shifts a/3 are integer powers of w, and then read with w as q.
 
     f = 3 with p = 5, since the profinite domain needs gcd(f, p) = 1."""
     from qvolkenborn.padic import ProfiniteDomain
@@ -287,14 +292,15 @@ def test_k_chi_finite_level_factorization(n):
     qd = sym()
     lhs = riemann_sum(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5, 3)),
                       character_twisted_power(qd, n, chi), 1)
-    base = qd.with_base_power(3)
+    base = sym(3)
     inner_spec = MeasureSpec(FERMIONIC, base, ProfiniteDomain(5))
     acc = 0
     for a in range(3):
         chi_a = chi(a)
         if chi_a == 0:
             continue
-        inner = riemann_sum(inner_spec, bracket_power(base, n, F(a, 3)), 1)
+        v = riemann_sum(inner_spec, bracket_power(base, n, F(a, 3)), 1)
+        inner = RationalFunction(v.num, v.den, 1)
         term = chi_a * qd.qpow(a) * inner
         acc = acc - term if a % 2 else acc + term
     assert lhs == qd.bracket(3) ** n / qd.minus_bracket(3) * acc
