@@ -99,30 +99,45 @@ def _primitive(xs: list[int]) -> list[int]:
     return xs
 
 
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b over Z (b nonzero, deg a >= deg b)."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        c = r[-1]
-        r = [lb * x for x in r[:-1]]
-        off = len(r) - db
-        for i in range(db):
-            r[off + i] -= c * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+def _gcd_heu_step(a: list[int], b: list[int], xi: int) -> list[int] | None:
+    """One GCDHEU evaluation: the gcd of a and b read off gcd(a(xi), b(xi)),
+    or None when the candidate does not divide both inputs."""
+    va = vb = 0
+    for c in reversed(a):
+        va = va * xi + c
+    for c in reversed(b):
+        vb = vb * xi + c
+    if not (va and vb):
+        return None
+    v, half, digits = math.gcd(va, vb), xi // 2, []
+    while v:
+        v, d = divmod(v, xi)
+        if d > half:
+            d -= xi
+            v += 1
+        digits.append(d)
+    h = _primitive(digits)
+    if len(h) == 1 or (_exact_quotient_int(a, h) is not None
+                       and _exact_quotient_int(b, h) is not None):
+        return h
+    return None
 
 
 def _gcd_int(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of primitive integer polynomials (primitive PRS)."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b)
-        a, b = b, _primitive(r)
-    return a
+    """Primitive gcd of primitive, nonconstant integer polynomials.
+
+    GCDHEU (Char, Geddes and Gonnet, 1989): both inputs are evaluated at an
+    integer xi >= 2 min(|a|, |b|) + 29 (max norms), and the integer gcd of
+    the two values is read back as balanced base-xi digits.  From that bound
+    on, a primitive candidate that divides both inputs is their gcd.  A
+    rejected candidate grows xi by the step of sympy's ``dup_zz_heu_gcd``.
+    The loop ends: with a = G a' and b = G b', the value gcd is r |G(xi)|
+    with r dividing Res(a', b'), so once xi > 2 r |G| the candidate is G.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    while (h := _gcd_heu_step(a, b, xi)) is None:
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +353,11 @@ def _lowest_terms(ints: list[int] | tuple[int, ...], scale: int) -> tuple[tuple[
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over Q."""
+    """Monic greatest common divisor over Q.
+
+    The primitive parts are handed to ``_gcd_int`` (heuristic integer gcd,
+    GCDHEU); the gcd is unique up to a unit, so the result is made monic.
+    """
     if a.is_zero:
         return b.monic()
     if b.is_zero:

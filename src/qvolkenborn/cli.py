@@ -396,9 +396,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join a long option and a following value that starts with a minus
+    sign and a digit (``--q -3/7`` becomes ``--q=-3/7``): argparse would
+    read such a value as an option name.  No option name starts with a
+    digit, so the token can only be a value."""
+    out: list[str] = []
+    for token in argv:
+        if (out and token[:1] == "-" and token[1:2].isdigit()
+                and out[-1].startswith("--") and out[-1] != "--" and "=" not in out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (UsageError, ValueError, ZeroDivisionError, BudgetExceeded,

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvolkenborn import algebra
 from qvolkenborn.algebra import (_KRONECKER_CUTOFF, CyclotomicElement, PoleError,
                                  Polynomial, RationalFunction, RootOrderMismatch,
-                                 _mul_int, _mul_int_schoolbook,
+                                 _gcd_int, _mul_int, _mul_int_schoolbook, _primitive,
                                  binomial_factor_cyclotomics,
                                  cyclotomic_polynomial, poly_gcd,
                                  root_of_unity_rows)
@@ -391,11 +392,40 @@ def test_monic_evaluate_substitute_match_fraction_reference(a, point, k):
     assert _canonical(pa.substitute_power(k)) == tuple(spread)
 
 
-@settings(max_examples=100, deadline=None)
-@given(a=_coeff_lists, b=_coeff_lists, common=_coeff_lists)
+# Wide integer coefficients put the GCDHEU evaluation points far apart.
+_gcd_inputs = _coeff_lists | st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8).map(_trim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_gcd_inputs, b=_gcd_inputs, common=_gcd_inputs)
 def test_poly_gcd_matches_euclid_over_fractions(a, b, common):
     a, b = _ref_mul(a, common), _ref_mul(b, common)
     assert _canonical(poly_gcd(Polynomial(a), Polynomial(b))) == _ref_gcd(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(low=st.lists(st.integers(-50, 50), min_size=2, max_size=7),
+       c=st.integers(-9, 9).filter(bool))
+def test_heuristic_gcd_retries_past_a_defeated_first_point(low, c):
+    # a is monic of degree >= 2 and b = a + c (x - xi0), so |b| > |a|, xi0 is
+    # the first point and a(xi0) = b(xi0): the first candidate is a itself,
+    # which does not divide b.
+    a = low + [1]
+    xi0 = 2 * max(map(abs, a)) + 29
+    b = [a[0] - c * xi0, a[1] + c] + a[2:]
+    assert _primitive(list(b)) == b
+    step, points = algebra._gcd_heu_step, []
+
+    def spy(a, b, xi):
+        points.append(xi)
+        return step(a, b, xi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_gcd_heu_step", spy)
+        got = _gcd_int(a, b)
+    assert points[0] == xi0 and step(a, b, xi0) is None and len(points) > 1
+    assert points == sorted(set(points))
+    assert tuple(got) == _ref_gcd(tuple(map(F, a)), tuple(map(F, b))) == (1,)
 
 
 @pytest.mark.parametrize("bad", [0.1, "1/2", None])

@@ -340,6 +340,23 @@ def test_series_partial_sums(capsys):
 
 
 # ---------------------------------------------------------------------------
+# negative rationals as separate arguments
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, option", [
+    (("numbers", "--kind", "K", "--n", "1", "--q", "-3/7"), "--q"),
+    (("polynomials", "--kind", "K_poly", "--n", "1", "--x", "-1/2", "--q", "sym:2"), "--x"),
+    (("series", "--gf", "Kpartial", "--q", "-1/2", "--k-max", "1", "--n-terms", "20"), "--q"),
+])
+def test_negative_rational_value_reads_as_attached(capsys, argv, option):
+    i = argv.index(option)
+    attached = argv[:i] + (f"{option}={argv[i + 1]}",) + argv[i + 2:]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert run(capsys, *attached) == (0, out, "")
+
+
+# ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
 

@@ -124,6 +124,13 @@ def test_f_q_series_matches_numbers_up_to_ten():
         assert scaled_coefficient(gf, n) == k_number(n, sym)
 
 
+def test_f_q_series_at_order_twenty():
+    # The series multiplies and adds reduced rational functions outside the
+    # closed-form kernel, so every coefficient is reduced by the generic gcd.
+    sym = QDescriptor.symbolic()
+    assert scaled_coefficient(f_q_series(sym, 20), 20) == k_number(20, sym)
+
+
 def test_f_q_series_rational_mode():
     qd = QDescriptor.rational(F(1, 3))
     gf = f_q_series(qd, 6)
