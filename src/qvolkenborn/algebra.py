@@ -392,36 +392,6 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def binomial_factor_cyclotomics(sign: int, exponent: int) -> tuple[int, ...]:
-    """Cyclotomic indices of 1 + sign*w^exponent (sign is +1 or -1)."""
-    if exponent < 1 or sign not in (1, -1):
-        raise ValueError("factor must be 1 +- w^j with j >= 1")
-    if sign == -1:
-        return tuple(_divisors(exponent))
-    return tuple(d for d in _divisors(2 * exponent) if exponent % d != 0)
-
-
-def cyclotomic_denominator(factors: Iterable[tuple[int, int, int]]) -> tuple[dict[int, int], int]:
-    """(multiplicity map {cyclotomic index: power}, sign) of a product of
-    factors (sign, exponent, multiplicity), each meaning (1 + sign*w^exponent).
-
-    The sign accounts for 1 - w^j being *minus* the product of its
-    cyclotomics (that product is w^j - 1), so that the original product
-    equals sign * prod Phi_d^e with the right-hand side monic."""
-    out: dict[int, int] = {}
-    parity = 0
-    for sign, exponent, multiplicity in factors:
-        if multiplicity < 0:
-            raise ValueError("factor multiplicities must be nonnegative")
-        if multiplicity == 0:
-            continue
-        if sign == -1:
-            parity ^= multiplicity & 1
-        for d in binomial_factor_cyclotomics(sign, exponent):
-            out[d] = out.get(d, 0) + multiplicity
-    return out, -1 if parity else 1
-
-
 def _exact_quotient_int(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
     """Quotient of nonzero integer polynomials a / b when b divides a in
     Z[x], else None (a quotient coefficient that is not an integer, or a
@@ -486,18 +456,26 @@ def cyclotomic_polynomial(order: int) -> Polynomial:
     return Polynomial(_cyclotomic_int(order)[0])
 
 
-def reduce_cyclotomic_fraction(num: Polynomial, den_map: dict[int, int],
-                               root_order: int = 1, sign: int = 1,
-                               w_power: int = 0) -> RationalFunction:
-    """Reduced fraction sign * num / (w^w_power prod Phi_d^e) for a known
-    cyclotomic denominator map, cancelling each candidate factor by exact
-    division.
+def reduce_cyclotomic_fraction(num: Polynomial, factors: Iterable[tuple[int, int, int]],
+                               root_order: int = 1, w_power: int = 0) -> RationalFunction:
+    """Reduced fraction num / (w^w_power prod (1 + s w^j)^m) over the factors
+    (s, j, m), cancelling each candidate cyclotomic factor by exact division.
 
+    1 - w^j = -prod_{d | j} Phi_d and 1 + w^j = prod_{d | 2j, d not | j} Phi_d.
     The powers of w cancel against the numerator's low-order zeros.  An
     integer evaluation of the running numerator screens the cyclotomic
     candidates, so a non-dividing factor is rejected in O(1) big-integer
     operations.
     """
+    sign, den_map = 1, {}
+    for s, j, m in factors:
+        if j < 1 or s not in (1, -1) or m < 0:
+            raise ValueError(f"factor (1 + {s} w^{j})^{m} needs s = +-1, j >= 1, m >= 0")
+        if s == -1 and m & 1:
+            sign = -sign
+        for d in _divisors(j if s == -1 else 2 * j):
+            if s == -1 or j % d:
+                den_map[d] = den_map.get(d, 0) + m
     if num.is_zero:
         return RationalFunction(num, Polynomial((1,)), root_order)
     content = _content(num.ints)
@@ -541,9 +519,11 @@ def reduce_cyclotomic_fraction(num: Polynomial, den_map: dict[int, int],
 class RationalFunction:
     """Reduced fraction of polynomials in ``w`` with ``w**root_order == q``.
 
-    Canonical form: gcd(num, den) = 1 and den monic.  Binary operations on
-    elements with different root orders rebase both to the least common
-    multiple, so mixing (say) D = 1 and D = 2 values is transparent.
+    Canonical form: gcd(num, den) = 1 and den monic, made by the constructor
+    (a GCDHEU gcd), which every product and quotient goes through.  Binary
+    operations on elements with different root orders rebase both to the
+    least common multiple, so mixing (say) D = 1 and D = 2 values is
+    transparent.
     """
 
     __slots__ = ("num", "den", "root_order")
@@ -661,19 +641,7 @@ class RationalFunction:
         a, b = pair
         if a.is_zero or b.is_zero:
             return RationalFunction._reduced(Polynomial(), Polynomial((1,)), a.root_order)
-        g1 = poly_gcd(a.num, b.den)
-        g2 = poly_gcd(b.num, a.den)
-        n1 = a.num.exact_div(g1) if g1.degree > 0 else a.num
-        d2 = b.den.exact_div(g1) if g1.degree > 0 else b.den
-        n2 = b.num.exact_div(g2) if g2.degree > 0 else b.num
-        d1 = a.den.exact_div(g2) if g2.degree > 0 else a.den
-        num = n1 * n2
-        den = d1 * d2
-        lead = den.leading
-        if lead != 1:
-            inv = 1 / lead
-            num, den = num * inv, den * inv
-        return RationalFunction._reduced(num, den, a.root_order)
+        return RationalFunction(a.num * b.num, a.den * b.den, a.root_order)
 
     __rmul__ = __mul__
 

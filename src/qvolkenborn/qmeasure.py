@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
-                      cyclotomic_denominator, reduce_cyclotomic_fraction)
+                      reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
 from .padic import (DEFAULT_BALL_CAP, PadicNumber, ProfiniteDomain,
                     ball_representatives, q_admissible)
@@ -184,7 +184,8 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     field elements otherwise; and the final division, total / den for
     rational and p-adic q (a vanishing denominator raises
     ZeroDivisionError), and for symbolic q one
-    :func:`reduce_cyclotomic_fraction` over w^r and the cyclotomic map of den.
+    :func:`reduce_cyclotomic_fraction` over w^r and the (s, e, power) list of
+    the factors multiplied into den.
     """
     symbolic = q.mode == "symbolic"
     shift = max([0] + [-e for num in numerators for e, c in num.items() if c]) if symbolic else 0
@@ -195,23 +196,22 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
         coeffs = {q.w_exponent(e): c for e, c in terms.items() if c}
         return Polynomial([coeffs.get(i, 0) for i in range(max(coeffs, default=-1) + 1)])
 
-    total, den = 0, 1
+    total, den, factors = 0, 1, []
     for k, num in enumerate(numerators):
         d = element({0: 1, step * (k + 1): sign})
         total = total * d + element({e + shift: c for e, c in num.items()}) * den
         den = den * d
+        factors.append((sign, step * (k + 1), 1))
     for s, e, power in prefactor:
         if power > 0:
             total = total * element({0: 1, e: s}) ** power
         elif power < 0:
             den = den * element({0: 1, e: s}) ** -power
+            factors.append((s, e, -power))
     if not symbolic:
         return total / den
-    den_map, den_sign = cyclotomic_denominator(
-        [(sign, q.w_exponent(step * (k + 1)), 1) for k in range(len(numerators))]
-        + [(s, q.w_exponent(e), -power) for s, e, power in prefactor if power < 0])
-    return reduce_cyclotomic_fraction(total, den_map, q.root_order, den_sign,
-                                      q.w_exponent(shift))
+    return reduce_cyclotomic_fraction(total, [(s, q.w_exponent(e), m) for s, e, m in factors],
+                                      q.root_order, q.w_exponent(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +370,15 @@ def integrate(spec: MeasureSpec, f: Integrand, target_stability: int,
     and returns that sum, truncated to the certified stability, together
     with the stability and the full difference-valuation trace.  Raises
     :class:`NonConvergence` (with the trace as diagnostic) when the target
-    is not met by n_max.
+    is not met by n_max, and ValueError when n_max < 2 (no difference).
 
     A character-twisted :class:`BracketPower` must be a function on the
     domain: the p-free part of its table's modulus must divide d.
     """
     if spec.q.mode != "padic":
         raise ValueError("integration is a p-adic limit; q must be padic")
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2 to compare two levels, got {n_max}")
     p, d = spec.domain.p, spec.domain.d
     if isinstance(f, BracketPower) and f.chi is not None:
         modulus = len(f.chi)

@@ -107,8 +107,7 @@ def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"
         raise ValueError("index must be nonnegative")
     x = Fraction(x)
     if form == "closed":
-        numerators = [{x * k: (-1) ** k * math.comb(n, k)} for k in range(n + 1)]
-        return binomial_fraction_sum(q, numerators, 1, 1, [(1, 1, 1), (-1, 1, -n)])
+        return _twisted_sum(n, x, 1, q, [1])
     if form == "expansion":
         bx = q.bracket(x)
         acc = 0

@@ -16,9 +16,8 @@ from qvolkenborn import algebra
 from qvolkenborn.algebra import (_KRONECKER_CUTOFF, CyclotomicElement, PoleError,
                                  Polynomial, RationalFunction, RootOrderMismatch,
                                  _gcd_int, _mul_int, _mul_int_schoolbook, _primitive,
-                                 binomial_factor_cyclotomics,
                                  cyclotomic_polynomial, poly_gcd,
-                                 root_of_unity_rows)
+                                 reduce_cyclotomic_fraction, root_of_unity_rows)
 
 F = Fraction
 
@@ -226,16 +225,6 @@ def test_cyclotomic_polynomials():
         assert cyclotomic_polynomial(n).degree == totient
 
 
-def test_binomial_factorizations_multiply_back():
-    for sign, j in [(-1, 6), (1, 6), (-1, 15), (1, 9)]:
-        product = Polynomial((1,))
-        for d in binomial_factor_cyclotomics(sign, j):
-            product = product * cyclotomic_polynomial(d)
-        expected = Polynomial((1,) + (0,) * (j - 1) + (sign,))
-        # 1 - w^j equals minus its cyclotomic product (which is w^j - 1)
-        assert product == (expected if sign == 1 else -expected)
-
-
 def test_large_products_match_schoolbook():
     # the packed-integer multiplication path starts above the cutoff; the
     # extremal inputs put product coefficients at the +-bound edge, with
@@ -262,33 +251,40 @@ def test_large_products_match_schoolbook():
         assert _mul_int(a, b) == _mul_int_schoolbook(a, b)
 
 
-def test_factored_reduction_matches_generic_gcd():
-    from qvolkenborn.algebra import cyclotomic_denominator, reduce_cyclotomic_fraction
+def _binomial(s, j):
+    return Polynomial((1,) + (0,) * (j - 1) + (s,))
 
-    rng = random.Random(59)
-    for _ in range(40):
-        factors = [(rng.choice((1, -1)), rng.randrange(1, 7), rng.randrange(0, 3))
-                   for _ in range(3)]
-        den_map, sign = cyclotomic_denominator(factors)
-        den = Polynomial((1,))
-        for s, j, mult in factors:
-            den = den * Polynomial((1,) + (0,) * (j - 1) + (s,)) ** mult
-        if den.degree == 0:
-            continue
-        num = Polynomial([F(rng.randrange(-6, 7)) for _ in range(rng.randrange(1, 12))])
-        # seed a shared factor so cancellation actually happens
-        s, j, _ = factors[0]
-        num = num * Polynomial((1,) + (0,) * (j - 1) + (s,))
-        # a w^r denominator factor, partly cancelled by powers of w in num
-        r = rng.randrange(0, 4)
-        num = num * Polynomial.monomial(rng.randrange(0, 3))
-        # a root at the screening point w = 2^20 makes its value 0, so the
-        # screen passes every candidate and trial division alone decides
-        for num in (num, num * Polynomial((-(1 << 20), 1))):
-            fast = reduce_cyclotomic_fraction(num, den_map, 1, sign, r)
-            slow = RationalFunction(num, den * Polynomial.monomial(r), 1)
-            assert fast == slow
-            assert fast.num == slow.num and fast.den == slow.den
+
+_binomial_factors = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(1, 8),
+                                       st.integers(0, 2)), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors=_binomial_factors, body=st.lists(st.integers(-6, 6), min_size=1, max_size=10),
+       pick=st.integers(0, 3), planted=st.integers(1, 2), low=st.integers(0, 3),
+       r=st.integers(0, 3), screened=st.booleans())
+def test_factored_reduction_matches_generic_gcd(factors, body, pick, planted, low, r,
+                                                screened):
+    # num / (w^r prod (1 + s w^j)^m), with a factor (1 + s w^j)^planted from
+    # the list and w^low planted in num so cancellation actually happens; a
+    # root at the screening point w = 2^20 makes num's value there 0, so the
+    # screen passes every candidate and trial division alone decides
+    den = Polynomial.monomial(r)
+    for s, j, m in factors:
+        den = den * _binomial(s, j) ** m
+    s, j, _ = factors[pick % len(factors)]
+    num = Polynomial(body) * _binomial(s, j) ** planted * Polynomial.monomial(low)
+    if screened:
+        num = num * Polynomial((-(1 << 20), 1))
+    fast = reduce_cyclotomic_fraction(num, factors, 1, r)
+    slow = RationalFunction(num, den, 1)
+    assert fast.num == slow.num and fast.den == slow.den
+
+
+@pytest.mark.parametrize("factor", [(0, 1, 1), (1, 0, 1), (-1, 2, -1)])
+def test_factored_reduction_rejects_bad_factors(factor):
+    with pytest.raises(ValueError):
+        reduce_cyclotomic_fraction(Polynomial((1,)), [factor])
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +386,35 @@ def test_monic_evaluate_substitute_match_fraction_reference(a, point, k):
     for i, c in enumerate(a):
         spread[i * k] = c
     assert _canonical(pa.substitute_power(k)) == tuple(spread)
+
+
+def _ref_reduced(num, den):
+    g = _ref_gcd(num, den)
+    num, den = _ref_divmod(num, g)[0], _ref_divmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+_planted = st.lists(st.integers(-9, 9), min_size=2, max_size=4).map(
+    lambda xs: _trim(map(F, xs))).filter(lambda xs: len(xs) > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(an=_coeff_lists, ad=_coeff_lists.filter(bool), bn=_coeff_lists,
+       bd=_coeff_lists.filter(bool), g1=_planted, g2=_planted, c=_rationals)
+def test_products_are_canonical_against_euclid_reference(an, ad, bn, bd, g1, g2, c):
+    # the nonconstant g1 is planted in a.num and b.den, g2 in b.num and
+    # a.den, so a product must cancel across the two operands
+    a_num, a_den = _ref_mul(an, g1), _ref_mul(ad, g2)
+    b_num, b_den = _ref_mul(bn, g2), _ref_mul(bd, g1)
+    a = RationalFunction(Polynomial(a_num), Polynomial(a_den))
+    b = RationalFunction(Polynomial(b_num), Polynomial(b_den))
+    scaled = _trim(x * c for x in a_num)
+    cases = [(a * b, _ref_mul(a_num, b_num), _ref_mul(a_den, b_den)),
+             (a * c, scaled, a_den), (c * a, scaled, a_den)]
+    if b_num:
+        cases.append((a / b, _ref_mul(a_num, b_den), _ref_mul(a_den, b_num)))
+    for got, num, den in cases:
+        assert (_canonical(got.num), _canonical(got.den)) == _ref_reduced(num, den)
 
 
 # Wide integer coefficients put the GCDHEU evaluation points far apart.

@@ -182,6 +182,13 @@ def test_integrate_non_convergence_exits_3(capsys):
     assert "non-convergence" in err
 
 
+def test_integrate_single_level_is_usage_error(capsys):
+    # one level gives no difference, so no stability can be certified
+    code, out, err = run(capsys, "integrate", "--p", "5", "--q", "6", "--N-max", "1")
+    assert code == 2 and out == ""
+    assert err == "error: n_max must be at least 2 to compare two levels, got 1\n"
+
+
 @pytest.mark.parametrize("kind, measure", [("K", FERMIONIC), ("beta", BOSONIC)])
 def test_numbers_integral_method_claims_its_stability(capsys, kind, measure):
     argv = ("numbers", "--kind", kind, "--n", "1..4", "--q", "padic:5:6:32")

@@ -516,6 +516,15 @@ def test_integrate_requires_padic_mode():
         integrate(spec, constant_one(sym()), 4, 6)
 
 
+@pytest.mark.parametrize("n_max", [-1, 0, 1])
+def test_integrate_needs_two_levels_to_compare(n_max):
+    qd = padic_q()
+    spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
+    with pytest.raises(ValueError, match=f"at least 2 to compare two levels, got {n_max}"):
+        integrate(spec, constant_one(qd), 1, n_max)
+    assert integrate(spec, constant_one(qd), 1, 2).n_used == 2
+
+
 def test_non_convergence_carries_trace():
     qd = padic_q()
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
