@@ -19,6 +19,8 @@ import functools
 import math
 import numbers
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -75,6 +77,33 @@ def _mul_int(a: list[int], b: list[int]) -> list[int]:
     half = 1 << (8 * width - 1)
     return [int.from_bytes(digits[i:i + width], "little") - half
             for i in range(0, width * count, width)]
+
+
+def _times_binomial(a: list[int], s: int, j: int) -> list[int]:
+    """a * (1 + s w^j) for s = +-1 and j >= 1: one shift-add."""
+    out = a + [0] * j
+    out[j:] = map(add if s > 0 else sub, out[j:], a)
+    return out
+
+
+def _binomial_quotient(a: list[int], j: int) -> list[int] | None:
+    """a / (1 - w^j) for a nonzero a and j >= 1, or None when the binomial
+    does not divide a.
+
+    The quotient q satisfies q_i = a_i + q_(i-j): a running sum of a along
+    each residue class mod j.  The division is exact exactly when the top j
+    entries of that running sum are 0.
+    """
+    n = len(a)
+    if n <= j:
+        return None
+    quo = [0] * n
+    for r in range(j):
+        quo[r::j] = accumulate(a[r::j])
+    if any(quo[n - j:]):
+        return None
+    del quo[n - j:]
+    return quo
 
 
 def _content(xs: Iterable[int]) -> int:
@@ -372,12 +401,14 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 # factored reduction for binomial-product denominators
 #
 # Every denominator the closed-form kernel builds is w^r times a product of
-# 1 +- w^j factors, i.e. of cyclotomic polynomials.  Those are kept once, as
-# an integer table, and cancelled directly: an integer evaluation screens
-# each candidate so a failed trial division costs almost nothing, and where
-# that value is 0 every candidate passes the screen and the exact trial
-# division alone decides.  This is far cheaper than a generic gcd at the
-# degrees the identity suites reach.
+# 1 +- w^j factors, i.e. of cyclotomic polynomials.  Those are cancelled
+# directly, each Phi_d through its Mobius binomials: a division by Phi_d is
+# a few shift-adds by 1 - w^e and a few strided running sums dividing by
+# 1 - w^e, all run by C-level slice and accumulate loops.  An integer
+# evaluation screens each candidate so a non-dividing one costs almost
+# nothing, and where that value is 0 every candidate passes the screen and
+# the exact division alone decides.  This is far cheaper than a generic gcd
+# at the degrees the identity suites reach.
 # ---------------------------------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
@@ -420,30 +451,67 @@ _EVAL_POINT = 1 << 20
 
 
 @functools.lru_cache(maxsize=None)
-def _cyclotomic_int(order: int) -> tuple[tuple[int, ...], int]:
-    """(integer coefficients, value at the screening point) of a cyclotomic.
-
-    Phi_n is the power series prod_{d | n} (1 - x^d)^mu(n/d) (negated for
-    n = 1) truncated at its degree phi(n): each factor is an O(phi(n))
-    shift-add, multiplying by 1 - x^d or dividing by it.
-    """
+def _mobius_binomials(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The divisors e of order with mu(order/e) = +1 and those with -1:
+    Phi_order = prod_e (1 - w^e)^mu(order/e) for order > 1, and Phi_1 =
+    -(1 - w)."""
     if order < 1:
         raise ValueError("order must be positive")
     primes = [p for p in _divisors(order)[1:] if len(_divisors(p)) == 2]
-    degree = order // math.prod(primes) * math.prod(p - 1 for p in primes)
-    coeffs = [1] + [0] * degree
-    for d in _divisors(order):
-        m = order // d
-        if any(m % (p * p) == 0 for p in primes):
-            continue
-        if sum(m % p == 0 for p in primes) % 2 == 0:
-            for i in range(degree, d - 1, -1):
-                coeffs[i] -= coeffs[i - d]
-        else:
-            for i in range(d, degree + 1):
-                coeffs[i] += coeffs[i - d]
-    if order == 1:
-        coeffs = [-c for c in coeffs]
+    plus, minus = [], []
+    for e in _divisors(order):
+        m = order // e
+        if all(m % (p * p) for p in primes):
+            (minus if sum(m % p == 0 for p in primes) % 2 else plus).append(e)
+    return tuple(plus), tuple(minus)
+
+
+def _cyclotomic_quotient(a: list[int], order: int) -> list[int] | None:
+    """a / Phi_order for a nonzero a, or None when Phi_order does not divide a.
+
+    a is multiplied by the binomials 1 - w^e of Mobius exponent -1 and then
+    divided by those of exponent +1.  When Phi_order divides a, every
+    intermediate quotient is a polynomial; when it does not, the product of
+    the divisors does not divide, so one of the divisions fails.  So the
+    result is None exactly where ``_exact_quotient_int(a, Phi_order)`` is.
+    """
+    plus, minus = _mobius_binomials(order)
+    for e in minus:
+        a = _times_binomial(a, -1, e)
+    for e in plus:
+        a = _binomial_quotient(a, e)
+        if a is None:
+            return None
+    return a if order > 1 else [-c for c in a]
+
+
+def _cyclotomic_product(powers: dict[int, int]) -> list[int]:
+    """Integer coefficients of prod Phi_d^e over powers {d: e}.
+
+    Each Phi_d is written through its Mobius binomials, and each binomial
+    1 - w^b taken once at its net exponent: the positive ones multiplied in
+    by shift-adds, then the negative ones divided out by strided running
+    sums (every such division is exact), then the sign made monic.
+    """
+    net: dict[int, int] = {}
+    for d, e in powers.items():
+        plus, minus = _mobius_binomials(d)
+        for b in plus:
+            net[b] = net.get(b, 0) + e
+        for b in minus:
+            net[b] = net.get(b, 0) - e
+    out = [1]
+    for b, m in sorted(net.items(), key=lambda bm: -bm[1]):
+        for _ in range(abs(m)):
+            out = _times_binomial(out, -1, b) if m > 0 else _binomial_quotient(out, b)
+    return out if out[-1] > 0 else [-c for c in out]
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_int(order: int) -> tuple[tuple[int, ...], int]:
+    """(integer coefficients, value at the screening point) of a cyclotomic,
+    built by :func:`_cyclotomic_product`."""
+    coeffs = _cyclotomic_product({order: 1})
     value = 0
     for c in reversed(coeffs):
         value = value * _EVAL_POINT + c
@@ -459,7 +527,8 @@ def cyclotomic_polynomial(order: int) -> Polynomial:
 def reduce_cyclotomic_fraction(num: Polynomial, factors: Iterable[tuple[int, int, int]],
                                root_order: int = 1, w_power: int = 0) -> RationalFunction:
     """Reduced fraction num / (w^w_power prod (1 + s w^j)^m) over the factors
-    (s, j, m), cancelling each candidate cyclotomic factor by exact division.
+    (s, j, m), cancelling each candidate cyclotomic factor by exact division
+    (:func:`_cyclotomic_quotient`).
 
     1 - w^j = -prod_{d | j} Phi_d and 1 + w^j = prod_{d | 2j, d not | j} Phi_d.
     The powers of w cancel against the numerator's low-order zeros.  An
@@ -491,9 +560,9 @@ def reduce_cyclotomic_fraction(num: Polynomial, factors: Iterable[tuple[int, int
     remaining: dict[int, int] = {}
     for d in sorted(den_map):
         e = den_map[d]
-        phi_coeffs, phi_value = _cyclotomic_int(d)
+        phi_value = _cyclotomic_int(d)[1]
         while e > 0 and value % phi_value == 0:
-            quo = _exact_quotient_int(prim, phi_coeffs)
+            quo = _cyclotomic_quotient(prim, d)
             if quo is None:
                 break
             prim = quo
@@ -501,14 +570,9 @@ def reduce_cyclotomic_fraction(num: Polynomial, factors: Iterable[tuple[int, int
             e -= 1
         if e > 0:
             remaining[d] = e
-    den_ints = [1]
-    for d, e in sorted(remaining.items()):
-        phi_coeffs, _ = _cyclotomic_int(d)
-        for _ in range(e):
-            den_ints = _mul_int(den_ints, phi_coeffs)
     return RationalFunction._reduced(
         Polynomial._make([c * content for c in prim], num.scale),
-        Polynomial._make([0] * w_power + den_ints, 1),
+        Polynomial._make([0] * w_power + _cyclotomic_product(remaining), 1),
         root_order)
 
 

@@ -21,10 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from typing import Callable
 
 from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
-                      reduce_cyclotomic_fraction)
+                      _times_binomial, reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
 from .padic import (DEFAULT_BALL_CAP, PadicNumber, ProfiniteDomain,
                     ball_representatives, q_admissible)
@@ -178,40 +180,101 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
 
     One Horner loop serves every reading of q: with d_k = 1 + sign
     q^(step (k+1)), total <- total d_k + c_k den and den <- den d_k; then
-    positive prefactor powers multiply total and negative ones den.  Two
-    steps depend on the reading: the elements, dense polynomials in w for
-    symbolic q (numerators shifted by w^r when exponents go down to -r) and
-    field elements otherwise; and the final division, total / den for
-    rational and p-adic q (a vanishing denominator raises
-    ZeroDivisionError), and for symbolic q one
-    :func:`reduce_cyclotomic_fraction` over w^r and the (s, e, power) list of
-    the factors multiplied into den.
+    positive prefactor powers multiply total, and negative ones join the
+    final division.  Only the reading's primitives differ (see
+    :class:`_FieldReading` and :class:`_SymbolicReading`): the binomial d,
+    "times a binomial" (of total, and of den), "add c q^e den" and the final
+    division.
     """
-    symbolic = q.mode == "symbolic"
-    shift = max([0] + [-e for num in numerators for e, c in num.items() if c]) if symbolic else 0
-
-    def element(terms: dict):
-        if not symbolic:
-            return sum(q.from_rational(c) * q.qpow(e) for e, c in terms.items() if c)
-        coeffs = {q.w_exponent(e): c for e, c in terms.items() if c}
-        return Polynomial([coeffs.get(i, 0) for i in range(max(coeffs, default=-1) + 1)])
-
-    total, den, factors = 0, 1, []
+    reading = (_SymbolicReading(q, numerators) if q.mode == "symbolic"
+               else _FieldReading(q))
+    total, den = reading.zero, reading.one
     for k, num in enumerate(numerators):
-        d = element({0: 1, step * (k + 1): sign})
-        total = total * d + element({e + shift: c for e, c in num.items()}) * den
-        den = den * d
-        factors.append((sign, step * (k + 1), 1))
+        d = reading.binomial(sign, step * (k + 1))
+        total = reading.add_terms(reading.times(total, d), num, den)
+        den = reading.den_times(den, d)
+    divisors = []
     for s, e, power in prefactor:
         if power > 0:
-            total = total * element({0: 1, e: s}) ** power
+            total = reading.times(total, reading.binomial(s, e), power)
         elif power < 0:
-            den = den * element({0: 1, e: s}) ** -power
-            factors.append((s, e, -power))
-    if not symbolic:
+            divisors.append((reading.binomial(s, e), -power))
+    return reading.divide(total, den, divisors)
+
+
+class _FieldReading:
+    """The kernel's primitives at rational or p-adic q: field elements, and
+    one field division total / (den prod b^m) over the prefactor divisors
+    (ZeroDivisionError where that denominator vanishes)."""
+
+    zero, one = 0, 1
+
+    def __init__(self, q: QDescriptor):
+        self.q = q
+
+    def element(self, terms: dict):
+        q = self.q
+        return sum(q.from_rational(c) * q.qpow(e) for e, c in terms.items() if c)
+
+    def binomial(self, s: int, e):
+        return self.element({0: 1, e: s})
+
+    def times(self, x, b, power: int = 1):
+        return x * (b if power == 1 else b ** power)
+
+    den_times = times
+
+    def add_terms(self, total, num: dict, den):
+        return total + self.element(num) * den
+
+    def divide(self, total, den, divisors):
+        for b, m in divisors:
+            den = den * b ** m
         return total / den
-    return reduce_cyclotomic_fraction(total, [(s, q.w_exponent(e), m) for s, e, m in factors],
-                                      q.root_order, q.w_exponent(shift))
+
+
+class _SymbolicReading:
+    """The kernel's primitives at symbolic q: integer coefficient lists in w
+    over one common scale (the lcm of the numerators' denominators), the
+    numerators shifted by w^r when their exponents go down to -r.  A binomial
+    is its (s, j) with j the w-exponent, and "times a binomial" is one
+    shift-add.  Every binomial multiplied into den is recorded, and the
+    final division is one :func:`reduce_cyclotomic_fraction` over w^r, those
+    binomials and the prefactor divisors."""
+
+    def __init__(self, q: QDescriptor, numerators: list[dict]):
+        terms = [(e, c) for num in numerators for e, c in num.items() if c]
+        self.q, self.zero, self.one, self.factors = q, [], [1], []
+        self.shift = max([0] + [-e for e, _ in terms])
+        self.scale = math.lcm(*(c.denominator for _, c in terms))
+
+    def binomial(self, s: int, e) -> tuple[int, int]:
+        return s, self.q.w_exponent(e)
+
+    def times(self, x: list[int], b: tuple[int, int], power: int = 1) -> list[int]:
+        for _ in range(power):
+            x = _times_binomial(x, *b)
+        return x
+
+    def den_times(self, den: list[int], b: tuple[int, int]) -> list[int]:
+        self.factors.append((*b, 1))
+        return _times_binomial(den, *b)
+
+    def add_terms(self, total: list[int], num: dict, den: list[int]) -> list[int]:
+        # total is the fresh list ``times`` returned, so it is updated in place
+        for e, c in num.items():
+            if c:
+                i = self.q.w_exponent(e + self.shift)
+                end = i + len(den)
+                total += [0] * (end - len(total))
+                c = c.numerator * (self.scale // c.denominator)
+                total[i:end] = map(add, total[i:end], map(mul, den, repeat(c)))
+        return total
+
+    def divide(self, total: list[int], den, divisors) -> RationalFunction:
+        factors = self.factors + [(s, j, m) for (s, j), m in divisors]
+        return reduce_cyclotomic_fraction(Polynomial._make(total, self.scale), factors,
+                                          self.q.root_order, self.q.w_exponent(self.shift))
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qvolkenborn import algebra
 from qvolkenborn.algebra import (_KRONECKER_CUTOFF, CyclotomicElement, PoleError,
                                  Polynomial, RationalFunction, RootOrderMismatch,
-                                 _gcd_int, _mul_int, _mul_int_schoolbook, _primitive,
-                                 cyclotomic_polynomial, poly_gcd,
+                                 _binomial_quotient, _cyclotomic_int, _cyclotomic_quotient,
+                                 _exact_quotient_int, _gcd_int, _mul_int, _mul_int_schoolbook,
+                                 _primitive, _times_binomial, cyclotomic_polynomial, poly_gcd,
                                  reduce_cyclotomic_fraction, root_of_unity_rows)
 
 F = Fraction
@@ -225,6 +226,15 @@ def test_cyclotomic_polynomials():
         assert cyclotomic_polynomial(n).degree == totient
 
 
+def _mul_reference(a, b):
+    """Nested-loop product of integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def test_large_products_match_schoolbook():
     # the packed-integer multiplication path starts above the cutoff; the
     # extremal inputs put product coefficients at the +-bound edge, with
@@ -248,14 +258,36 @@ def test_large_products_match_schoolbook():
                 single[end] = -m
                 cases.append((single, alternating))
     for a, b in cases:
-        assert _mul_int(a, b) == _mul_int_schoolbook(a, b)
+        want = _mul_reference(a, b)
+        assert _mul_int(a, b) == want
+        assert _mul_int_schoolbook(a, b) == want
+
+
+def test_sparse_times_dense_matches_reference():
+    # a binomial 1 + s w^j (two nonzeros and a run of zeros) against dense
+    # factors of at least the Kronecker cutoff: the schoolbook path for
+    # j + 1 < cutoff, the packed path from there on, and the shift-add of
+    # _times_binomial
+    rng = random.Random(5)
+    for j in (1, 2, 7, 39, 40, 41, 64, 90):
+        for n in (40, 41, 150, 900):
+            dense = [rng.randrange(-10 ** 9, 10 ** 9) for _ in range(n)]
+            for s in (1, -1):
+                binomial = [1] + [0] * (j - 1) + [s]
+                want = _mul_reference(binomial, dense)
+                assert _mul_int(binomial, dense) == want
+                assert _mul_int(dense, binomial) == want
+                assert _times_binomial(dense, s, j) == want
+                scaled = [3] + [0] * (j - 1) + [-7 * s]
+                assert _mul_int(dense, scaled) == _mul_reference(dense, scaled)
 
 
 def _binomial(s, j):
     return Polynomial((1,) + (0,) * (j - 1) + (s,))
 
 
-_binomial_factors = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(1, 8),
+_binomial_factors = st.lists(st.tuples(st.sampled_from((1, -1)),
+                                       st.integers(1, 8) | st.integers(9, 45),
                                        st.integers(0, 2)), min_size=1, max_size=4)
 
 
@@ -263,12 +295,17 @@ _binomial_factors = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(1, 
 @given(factors=_binomial_factors, body=st.lists(st.integers(-6, 6), min_size=1, max_size=10),
        pick=st.integers(0, 3), planted=st.integers(1, 2), low=st.integers(0, 3),
        r=st.integers(0, 3), screened=st.booleans())
+@example(factors=[(1, 45, 2), (-1, 42, 1)], body=[1, -2, 3], pick=0, planted=2, low=1,
+         r=3, screened=True)
+@example(factors=[(-1, 44, 1), (1, 30, 2)], body=[5, 0, 1], pick=1, planted=1, low=0,
+         r=2, screened=False)
 def test_factored_reduction_matches_generic_gcd(factors, body, pick, planted, low, r,
                                                 screened):
     # num / (w^r prod (1 + s w^j)^m), with a factor (1 + s w^j)^planted from
     # the list and w^low planted in num so cancellation actually happens; a
     # root at the screening point w = 2^20 makes num's value there 0, so the
-    # screen passes every candidate and trial division alone decides
+    # screen passes every candidate and the exact division alone decides.
+    # Exponents j reach past the Kronecker cutoff.
     den = Polynomial.monomial(r)
     for s, j, m in factors:
         den = den * _binomial(s, j) ** m
@@ -279,6 +316,62 @@ def test_factored_reduction_matches_generic_gcd(factors, body, pick, planted, lo
     fast = reduce_cyclotomic_fraction(num, factors, 1, r)
     slow = RationalFunction(num, den, 1)
     assert fast.num == slow.num and fast.den == slow.den
+
+
+# d = 30, 42, ... have three distinct primes: eight Mobius binomials each
+_phi_orders = st.sampled_from((1, 2, 3, 4, 6, 9, 12, 25, 30, 42, 60, 66, 70, 78, 84))
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=_phi_orders, power=st.integers(0, 3),
+       cofactor=st.lists(st.integers(-9, 9), min_size=1, max_size=12).filter(any),
+       at=st.integers(0, 400), bump=st.integers(-2, 2))
+def test_cyclotomic_quotient_matches_exact_quotient(order, power, cofactor, at, bump):
+    # a = cofactor * Phi_d^power, perhaps with one coefficient bumped off
+    # divisibility: divide by Phi_d until it stops dividing, each step
+    # against the generic long division
+    phi = list(_cyclotomic_int(order)[0])
+    a = list(_trim(cofactor))
+    for _ in range(power):
+        a = _mul_reference(a, phi)
+    a[at % len(a)] += bump
+    a = list(_trim(a))
+    assume(a)
+    steps = 0
+    while a is not None:
+        want = _exact_quotient_int(a, phi)
+        assert _cyclotomic_quotient(a, order) == want
+        a, steps = want, steps + 1
+    assert steps > power or bump
+
+
+@settings(max_examples=200, deadline=None)
+@given(j=st.integers(1, 45), power=st.integers(0, 2),
+       cofactor=st.lists(st.integers(-9, 9), min_size=1, max_size=60).filter(any),
+       at=st.integers(0, 400), bump=st.integers(-2, 2))
+def test_binomial_quotient_matches_exact_quotient(j, power, cofactor, at, bump):
+    # a = cofactor * (1 - w^j)^power, perhaps bumped; j below and above the
+    # square root of the length, so both running-sum orders run
+    a = list(_trim(cofactor))
+    for _ in range(power):
+        a = _times_binomial(a, -1, j)
+    a[at % len(a)] += bump
+    a = list(_trim(a))
+    assume(a)
+    assert _binomial_quotient(a, j) == _exact_quotient_int(a, [1] + [0] * (j - 1) + [-1])
+
+
+def test_cyclotomic_quotient_fails_after_early_binomial_divisions():
+    # Phi_30 = (1-w^2)(1-w^3)(1-w^5)(1-w^30) / ((1-w)(1-w^6)(1-w^10)(1-w^15)):
+    # after the multiplications by the denominator binomials, 1 - w^2 and
+    # 1 - w^3 divide every input, so a non-divisible one fails only later
+    a = [1, 2, 3]
+    for e in (1, 6, 10, 15):
+        a = _times_binomial(a, -1, e)
+    early = _binomial_quotient(a, 2)
+    assert early is not None and _binomial_quotient(early, 3) is not None
+    assert _cyclotomic_quotient([1, 2, 3], 30) is None
+    assert _exact_quotient_int([1, 2, 3], _cyclotomic_int(30)[0]) is None
 
 
 @pytest.mark.parametrize("factor", [(0, 1, 1), (1, 0, 1), (-1, 2, -1)])
@@ -466,7 +559,9 @@ _int_lists = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=_KRONECKER_CUTOFF
 @settings(max_examples=40, deadline=None)
 @given(a=_int_lists, b=_int_lists)
 def test_kronecker_matches_schoolbook_across_cutoff(a, b):
-    assert _mul_int(a, b) == _mul_int_schoolbook(a, b)
+    want = _mul_reference(a, b)
+    assert _mul_int(a, b) == want
+    assert _mul_int_schoolbook(a, b) == want
 
 
 # ---------------------------------------------------------------------------

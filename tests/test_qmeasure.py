@@ -303,6 +303,37 @@ def test_kernel_halves_agree_on_rational_coefficients():
         assert got == want
 
 
+def _exponents(root):
+    return st.integers(-6, 9).map(lambda k: F(k, root))
+
+
+@settings(max_examples=120, deadline=None)
+@given(root=st.sampled_from((1, 2, 3)), sign=st.sampled_from((1, -1)),
+       r=st.sampled_from((F(2), F(-2), F(3), F(1, 2), F(-1, 3), F(5, 7), F(-4, 3))),
+       data=st.data())
+def test_kernel_symbolic_at_w_matches_rational_reading(root, sign, r, data):
+    # random numerators with exponents in (1/D) Z, negative ones included
+    # (the symbolic reading shifts them by w^r): the symbolic value at w = r
+    # equals the rational reading at q = r^D, taken at q = r with every
+    # exponent scaled by D, and directly when every exponent is an integer
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    numerators = data.draw(st.lists(st.dictionaries(_exponents(root), coeffs, max_size=3),
+                                    min_size=1, max_size=5))
+    step = F(data.draw(st.integers(1, 4)), root)
+    prefactor = data.draw(st.lists(st.tuples(st.sampled_from((1, -1)),
+                                             st.integers(1, 4).map(lambda e: F(e, root)),
+                                             st.integers(-2, 2)), max_size=3))
+    want = binomial_fraction_sum(sym(root), numerators, sign, step, prefactor).evaluate(r)
+    scaled = [{root * e: c for e, c in num.items()} for num in numerators]
+    scaled_prefactor = [(s, root * e, power) for s, e, power in prefactor]
+    assert binomial_fraction_sum(QDescriptor.rational(r), scaled, sign, root * step,
+                                 scaled_prefactor) == want
+    exponents = [e for num in numerators for e in num] + [step] + [e for _, e, _ in prefactor]
+    if all(e.denominator == 1 for e in exponents):
+        assert binomial_fraction_sum(QDescriptor.rational(r ** root), numerators, sign, step,
+                                     prefactor) == want
+
+
 # ---------------------------------------------------------------------------
 # Riemann sums
 # ---------------------------------------------------------------------------

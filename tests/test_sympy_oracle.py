@@ -6,7 +6,11 @@ polynomials, and the symbolic numbers on the closed forms
     K_n    = (1+q)(1-q)^-n     sum_k (-1)^k C(n,k) / (1 + q^(k+1)),
     beta_n = (1-q)^(1-n)       sum_i (-1)^i C(n,i) (i+1) / (1 - q^(i+1)),
 
-written out in sympy and reduced by ``sympy.cancel``.
+written out as sympy integer polynomials (numerator and denominator of the
+sum over the product of its denominators) and reduced by ``Poly.cancel``,
+the polynomial kernel of ``sympy.cancel`` (an expression-level
+``sympy.cancel`` is orders of magnitude slower at n = 20 and 40).  Their
+q -> 1 limits are compared with sympy's Euler and Bernoulli polynomials at 0.
 """
 
 import math
@@ -30,11 +34,18 @@ def _ascending(poly):
     return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(poly, q).all_coeffs()))
 
 
-def _sympy_reduced(expr):
-    """(numerator, denominator) of cancel(expr), denominator made monic."""
-    num, den = sympy.fraction(sympy.cancel(expr))
-    lead = sympy.Poly(den, q).LC()
-    return _ascending(sympy.expand(num / lead)), _ascending(sympy.expand(den / lead))
+def _sympy_reduced(prefactor_num, prefactor_den, terms):
+    """(numerator, denominator) of prefactor_num/prefactor_den * sum c/d over
+    the (c, d) terms, reduced by Poly.cancel over ZZ, denominator made
+    monic."""
+    num, den = sympy.Poly(0, q, domain="ZZ"), sympy.Poly(1, q, domain="ZZ")
+    for c, d in terms:
+        d = sympy.Poly(d, q, domain="ZZ")
+        num, den = num * d + den * c, den * d
+    num, den = (num * sympy.Poly(prefactor_num, q)).cancel(den * sympy.Poly(prefactor_den, q),
+                                                          include=True)
+    lead = den.LC()
+    return _ascending(num.to_field().quo_ground(lead)), _ascending(den.to_field().quo_ground(lead))
 
 
 _int_polys = st.lists(st.integers(-40, 40), max_size=7)
@@ -54,18 +65,28 @@ def test_poly_gcd_matches_sympy_gcd(a, b, common):
         assert got.coeffs == _ascending(sympy.Poly(expected, q).monic())
 
 
-@pytest.mark.parametrize("n", range(9))
+_SIZES = list(range(9)) + [20, 40]
+
+
+@pytest.mark.parametrize("n", _SIZES)
 def test_k_number_matches_sympy_cancel(n):
-    closed = (1 + q) * (1 - q) ** -n * sum(
-        (-1) ** k * math.comb(n, k) / (1 + q ** (k + 1)) for k in range(n + 1))
     value = k_number(n, QDescriptor.symbolic())
-    assert (value.num.coeffs, value.den.coeffs) == _sympy_reduced(closed)
+    terms = [((-1) ** k * math.comb(n, k), 1 + q ** (k + 1)) for k in range(n + 1)]
+    want = _sympy_reduced(1 + q, (1 - q) ** n, terms)
+    assert (value.num.coeffs, value.den.coeffs) == want
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", _SIZES)
 def test_beta_number_matches_sympy_cancel(n):
-    closed = (1 - q) ** (1 - n) * sum(
-        (-1) ** i * math.comb(n, i) * (i + 1) / (1 - q ** (i + 1))
-        for i in range(n + 1))
     value = beta_number(n, QDescriptor.symbolic())
-    assert (value.num.coeffs, value.den.coeffs) == _sympy_reduced(closed)
+    terms = [((-1) ** i * math.comb(n, i) * (i + 1), 1 - q ** (i + 1)) for i in range(n + 1)]
+    want = _sympy_reduced((1 - q) ** max(1 - n, 0), (1 - q) ** max(n - 1, 0), terms)
+    assert (value.num.coeffs, value.den.coeffs) == want
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_limits_match_sympy_euler_and_bernoulli(n):
+    # K_n -> E_n(0) and beta_n -> B_n(0) as q -> 1 (so both first moments are -1/2)
+    sym = QDescriptor.symbolic()
+    assert k_number(n, sym).limit_at_one() == Fraction(str(sympy.euler(n, 0)))
+    assert beta_number(n, sym).limit_at_one() == Fraction(str(sympy.bernoulli(n, 0)))
