@@ -336,11 +336,12 @@ def riemann_sum(spec: MeasureSpec, f: Integrand, n: int,
     """The level-n Riemann sum: sum over ball representatives j of
     f(j) * (+-q)^j, normalized by [d p^n] at +-q.
 
-    ``f`` is any callable; a :class:`BracketPower` (what the built-in
-    integrand families return) takes the residue loop of
-    :func:`_sum_range` in p-adic mode.  Either way the sum is exact to the
-    digits it claims, so any partition of the index range yields the
-    identical result.
+    ``f`` is any callable, called once per representative; in p-adic mode
+    a :class:`BracketPower` (what the built-in integrand families return)
+    is instead summed in O(n^2 log(d p^n)) operations by
+    :func:`_residue_sum`.  Either way the sum is exact to the digits it
+    claims, so any partition of the index range yields the identical
+    result.
     """
     reps = ball_representatives(spec.domain, n, cap)
     total = _sum_range(spec, f, reps)
@@ -378,15 +379,22 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     where it could not claim the same digits as the per-term loop.
 
     All terms are p-adic integers.  With Q the unit of q, A its precision
-    and m the digits claimed, the loop keeps (+-Q)^j, Q^(x+j) and [x+j] as
-    residues mod p^m and advances the bracket by [x+j+1] = [x+j] + Q^(x+j),
-    so the weight and the bracket step by the same factor Q and each term
-    costs one modular power and no division.  The per-term loop divides by
-    1 - Q for n >= 1, which leaves A - v_p(1 - Q) absolute digits on every
-    term whose x + j is a p-adic unit; the sum claims exactly that (A
-    digits for n = 0).  Where f takes its bracket at another q or no term
-    with a unit x + j contributes, the claim would differ and the caller
-    falls back.
+    and m the digits claimed, every quantity is a residue mod p^m and no
+    division is made.  The per-term loop divides by 1 - Q for n >= 1,
+    which leaves A - v_p(1 - Q) absolute digits on every term whose x + j
+    is a p-adic unit; the sum claims exactly that (A digits for n = 0).
+    Where f takes its bracket at another q or no term with a unit x + j
+    contributes, the claim would differ and the caller falls back.  That
+    test depends on j only modulo len(chi) and p, so it reads at most
+    len(chi) p representatives.
+
+    The sum is geometric.  The state u_j[k] = r^j [x+j]^k (k <= n, r =
+    +-Q) moves by u_{j+m} = T^m u_j, because [x+j+m] = [m] + Q^m [x+j], and
+    T^m has the closed form of :func:`_transfer`.  With l = len(chi) and
+    len(reps) = M l + e, the sum is component n of G_M V + T^(lM) E, where
+    G_M = sum_{i<M} T^(li), V is the signed sum of the states of the first
+    l representatives and E that of the first e.  Binary doubling over the
+    bits of M takes O(n^2 log M) operations.
     """
     q = spec.q.q_padic
     if f.q.mode != "padic" or f.q.q_padic != q:
@@ -395,34 +403,67 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     signs = (1,) if f.chi is None else tuple(int(s) for s in f.chi)
     size = len(signs)
     if not any(signs[j % size] and (n == 0 or (shift + j).numerator % p)
-               for j in reps):
+               for j in reps[:size * p]):
         return None
     mod_a = p ** q.prec
     if n == 0:
-        digits, mod = q.prec, mod_a
-        bracket, q_x = 1, 0
+        digits, mod, bracket = q.prec, mod_a, 1
     else:
         # 1/(1 - Q) = p^-t * unit, the unit known mod p^(A - t)
         t = -f._inv_1mq.v
         digits = q.prec - t
         mod = p ** digits
-        q_x = pow(q.unit, int(shift) + reps.start, mod_a)
         # p^t divides 1 - Q^(x+j) because x + j is an integer
-        bracket = (1 - q_x) % mod_a // p ** t * f._inv_1mq.unit % mod
-        q_x %= mod
+        bracket = ((1 - pow(q.unit, int(shift) + reps.start, mod_a)) % mod_a
+                   // p ** t * f._inv_1mq.unit % mod)
     step = q.unit % mod
     ratio = mod - step if spec.kind == FERMIONIC else step
     weight = pow(ratio, reps.start, mod)
-    total = 0
-    for j in reps:
-        s = signs[j % size]
+    count, extra = divmod(len(reps), size)
+    v_all, v_extra = [0] * (n + 1), [0] * (n + 1)
+    for c in range(min(size, len(reps))):
+        s = signs[(reps.start + c) % size]
         if s:
-            term = pow(bracket, n, mod) * weight
-            total = total + term if s > 0 else total - term
-        bracket = (bracket + q_x) % mod
-        q_x = q_x * step % mod
+            term = weight * s
+            for k in range(n + 1):
+                v_all[k] += term
+                if c < extra:
+                    v_extra[k] += term
+                term = term * bracket % mod
+        bracket = (1 + step * bracket) % mod
         weight = weight * ratio % mod
-    return PadicNumber._from_scaled(p, 0, total, digits)
+    # at bit b of M: power is T^(l 2^b), v_all is G_(2^b) V, total is G_M' V
+    # and v_extra is T^(l M') E, for M' the bits of M below b
+    power = (pow(ratio, size, mod), pow(step, size, mod),
+             sum(pow(step, i, mod) for i in range(size)) % mod)
+    rows = [[math.comb(k, i) for i in range(k + 1)] for k in range(n + 1)]
+    total = [0] * (n + 1)
+    while count:
+        if count & 1:
+            total = list(map(add, v_all, _transfer(total, power, rows, mod)))
+            v_extra = _transfer(v_extra, power, rows, mod)
+        count >>= 1
+        if count:
+            v_all = list(map(add, v_all, _transfer(v_all, power, rows, mod)))
+            r_m, q_m, bracket_m = power   # [2m] = [m] (1 + Q^m)
+            power = (r_m * r_m % mod, q_m * q_m % mod, bracket_m * (1 + q_m) % mod)
+    return PadicNumber._from_scaled(p, 0, (total[n] + v_extra[n]) % mod, digits)
+
+
+def _transfer(v: list[int], power: tuple[int, int, int], rows: list[list[int]],
+              mod: int) -> list[int]:
+    """T^m v mod ``mod``, from power = (r^m, Q^m, [m]):
+    (T^m v)[k] = r^m sum_{i<=k} C(k,i) [m]^(k-i) Q^(mi) v[i]."""
+    r_m, q_m, bracket_m = power
+    scaled, q_i = [], 1
+    for x in v:
+        scaled.append(x * q_i % mod)
+        q_i = q_i * q_m % mod
+    b_pows = [1]
+    for _ in v[1:]:
+        b_pows.append(b_pows[-1] * bracket_m % mod)
+    return [r_m * sum(c * b_pows[k - i] * scaled[i] for i, c in enumerate(row)) % mod
+            for k, row in enumerate(rows)]
 
 
 def integrate(spec: MeasureSpec, f: Integrand, target_stability: int,
@@ -533,8 +574,8 @@ class BracketPower:
     mode (higher-order twists go through the closed form of ``k_chi``).
     Instances are immutable, and a call evaluates its term directly, so
     calls may come in any order.  In p-adic mode :func:`_sum_range`
-    recognises the type and sums it in residues instead of calling it once
-    per term.
+    recognises the type and sums it as one geometric sum instead of calling
+    it once per term.
     """
 
     __slots__ = ("q", "n", "shift", "chi", "_one", "_inv_1mq")
@@ -578,9 +619,8 @@ def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> BracketP
     """j -> [shift + j]^n.
 
     The result is a :class:`BracketPower`: each call evaluates its term
-    directly, and p-adic Riemann sums run it through the residue loop,
-    which advances [shift + j] by adding q^(shift + j) and so stays
-    linear-time without any state in the integrand.
+    directly, and p-adic Riemann sums take it as one geometric sum, in
+    time logarithmic in the number of representatives.
     """
     return BracketPower(q, n, shift)
 

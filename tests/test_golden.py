@@ -36,7 +36,9 @@ def commands() -> list[str]:
             "series --gf Fq --q sym --T 10",
             "integrate --p 5 --q 6 --f bracket_pow:3 --stability 6",
             "integrate --kind bosonic --p 3 --q 4 --f shifted_bracket_pow:2:1 --stability 4",
-            "numbers --kind K_chi --n 0..3 --chi 3:1 --q padic:5:6:32 --method integral"]
+            "numbers --kind K_chi --n 0..3 --chi 3:1 --q padic:5:6:32 --method integral",
+            "integrate --p 5 --q 6 --f bracket_pow:3 --stability 9 --N-max 10",
+            "integrate --p 5 --q 6 --d 3 --f char_twisted:3:3:1 --stability 8 --N-max 9"]
     return out
 
 

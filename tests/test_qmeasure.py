@@ -17,8 +17,8 @@ from qvolkenborn.algebra import (CyclotomicElement, Polynomial, RationalFunction
                                  RootOrderMismatch, cyclotomic_polynomial,
                                  root_of_unity_rows)
 from qvolkenborn.characters import character_value, make_character, parse_character_id
-from qvolkenborn.padic import ProfiniteDomain, padic_from_rational, q_admissible
-from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec,
+from qvolkenborn.padic import PadicNumber, ProfiniteDomain, padic_from_rational, q_admissible
+from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec,
                                   NonConvergence, QDescriptor, ball_measure,
                                   ball_measure_sum, binomial_fraction_sum,
                                   bosonic_power_moment, bracket_power,
@@ -481,6 +481,105 @@ def test_residue_loop_matches_per_term_loop_random_q(p, r, prec, n, shift, kind,
     qd = padic_q(1 + p * r, p, prec)
     f = bracket_power(qd, n, shift)
     _assert_kernel_matches_generic(MeasureSpec(kind, qd, ProfiniteDomain(p)), f, level)
+
+
+def _linear_residue_sum(spec, f, reps):
+    """Reference: the residue sum as one loop over reps in plain ints (one
+    modular power per term), with the same digit claim and fallbacks as
+    the geometric sum of _residue_sum."""
+    q = spec.q.q_padic
+    if f.q.mode != "padic" or f.q.q_padic != q:
+        return None
+    p, shift, n = q.p, f.shift, f.n
+    signs = (1,) if f.chi is None else tuple(int(s) for s in f.chi)
+    size = len(signs)
+    if not any(signs[j % size] and (n == 0 or (shift + j).numerator % p)
+               for j in reps):
+        return None
+    mod_a = p ** q.prec
+    if n == 0:
+        digits, mod = q.prec, mod_a
+        bracket, q_x = 1, 0
+    else:
+        t = -f._inv_1mq.v
+        digits = q.prec - t
+        mod = p ** digits
+        q_x = pow(q.unit, int(shift) + reps.start, mod_a)
+        bracket = (1 - q_x) % mod_a // p ** t * f._inv_1mq.unit % mod
+        q_x %= mod
+    step = q.unit % mod
+    ratio = mod - step if spec.kind == FERMIONIC else step
+    weight = pow(ratio, reps.start, mod)
+    total = 0
+    for j in reps:
+        s = signs[j % size]
+        if s:
+            term = pow(bracket, n, mod) * weight
+            total = total + term if s > 0 else total - term
+        bracket = (bracket + q_x) % mod
+        q_x = q_x * step % mod
+        weight = weight * ratio % mod
+    return PadicNumber._from_scaled(p, 0, total, digits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_geometric_residue_sum_matches_the_linear_loop(data):
+    from qvolkenborn.qmeasure import _residue_sum
+
+    p = data.draw(st.sampled_from([3, 5, 7, 11]), label="p")
+    depth = data.draw(st.sampled_from([1, 2]), label="v_p(q - 1)")
+    prec = data.draw(st.integers(depth + 1, 128), label="A")
+    unit = data.draw(st.integers(-10 ** 6, 10 ** 6).filter(lambda r: r % p), label="r")
+    qd = padic_q(1 + p ** depth * unit, p, prec)
+    d = data.draw(st.sampled_from([d for d in (1, 3, 5, 7, 15) if d % p]), label="d")
+    kind = data.draw(st.sampled_from([BOSONIC, FERMIONIC]), label="kind")
+    n = data.draw(st.integers(0, 7), label="n")
+    chi = data.draw(st.none() | st.lists(st.sampled_from([0, 1, -1]), min_size=3,
+                                         max_size=12).map(tuple), label="chi")
+    shift = data.draw(st.integers(-3, 4), label="shift")
+    start = data.draw(st.integers(0, 3000), label="start")
+    length = data.draw(st.integers(0, 15) | st.integers(0, 3000), label="length")
+    spec = MeasureSpec(kind, qd, ProfiniteDomain(p, d))
+    f = BracketPower(qd, n, shift, chi)
+    reps = range(start, start + length)
+    fast, slow = _residue_sum(spec, f, reps), _linear_residue_sum(spec, f, reps)
+    assert (fast is None) == (slow is None)
+    if fast is not None:
+        assert _as_tuple(fast) == _as_tuple(slow)
+
+
+def test_contributor_scan_is_bounded():
+    # chi vanishes wherever j is prime to 3, so every contributing term has
+    # j divisible by p: the sum falls back without reading all the range
+    from qvolkenborn.qmeasure import _residue_sum, _sum_range
+
+    qd = padic_q(4, 3, 16)
+    spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
+    for n in range(1, 4):
+        f = BracketPower(qd, n, chi=(1, 0, 0, -1, 0, 0))
+        assert _residue_sum(spec, f, range(10 ** 15)) is None
+        for reps in (range(0, 243), range(5, 200)):
+            assert _linear_residue_sum(spec, f, reps) is None
+            assert (_as_tuple(_sum_range(spec, f, reps))
+                    == _as_tuple(_sum_range(spec, lambda j: f(j), reps)))
+        # one unit term in the table, and the same long range sums at once
+        g = BracketPower(qd, n, chi=(1, 0, 0, -1, 1, 0))
+        assert _residue_sum(spec, g, range(10 ** 15)) is not None
+        assert (_as_tuple(_residue_sum(spec, g, range(5, 200)))
+                == _as_tuple(_linear_residue_sum(spec, g, range(5, 200))))
+
+
+@pytest.mark.parametrize("p, q_value, n_max", [(5, 6, 10), (5, 11, 10), (3, 4, 14), (3, 7, 14)])
+def test_deep_fermionic_sums_are_within_p_to_the_level(p, q_value, n_max):
+    # v_p(S_N - K_n(x)) >= N for the level-N fermionic Riemann sum of [x+y]^n
+    qd = padic_q(q_value, p, 32)
+    spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(p))
+    for n, x in ((1, 0), (3, 0), (4, 1), (6, 1)):
+        target = k_polynomial(n, x, qd)
+        for level in range(1, n_max + 1):
+            gap = (riemann_sum(spec, bracket_power(qd, n, x), level) - target).valuation
+            assert gap >= level, (n, x, level, gap)
 
 
 # ---------------------------------------------------------------------------
