@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -84,9 +85,12 @@ def _ball_cap_from_env() -> int:
 def _evaluate_at(q: QDescriptor, label: str, compute):
     """compute(), reporting a vanishing denominator at rational q as a pole.
 
-    The rational reading evaluates a formula term by term, so a denominator
-    that vanishes at q (such as 1 + q at q = -1) leaves the formula
-    undefined there, even where the reduced rational function is finite.
+    The rational reading evaluates a closed form over its unreduced
+    denominators (the kernel's binomials 1 +- q^e and prefactor divisors)
+    and makes no cancellation, so a denominator that vanishes at q (such as
+    1 + q at q = -1) leaves the formula undefined there, even where the
+    reduced rational function is finite; so does q = 0 where the formula
+    takes a negative power of q.
     """
     try:
         return compute()
@@ -325,7 +329,10 @@ def cmd_characters(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it
+    (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="qvolk",
         description="Exact q-deformed number families, p-adic integrals and "

@@ -28,8 +28,8 @@ from typing import Callable
 from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
                       _times_binomial, reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
-from .padic import (DEFAULT_BALL_CAP, PadicNumber, ProfiniteDomain,
-                    ball_representatives, q_admissible)
+from .padic import (DEFAULT_BALL_CAP, BudgetExceeded, PadicNumber,
+                    ProfiniteDomain, ball_representatives, q_admissible)
 
 Integrand = Callable[[int], object]
 
@@ -117,6 +117,8 @@ class QDescriptor:
 
     def w_exponent(self, exponent: Fraction | int) -> int:
         """The power of w realizing q**exponent (symbolic mode)."""
+        if isinstance(exponent, int):
+            return exponent * self.root_order
         e = Fraction(exponent)
         we = e * self.root_order
         if we.denominator != 1:
@@ -125,21 +127,27 @@ class QDescriptor:
                 f"have {self.root_order}")
         return int(we)
 
+    def int_exponent(self, exponent: Fraction | int) -> int:
+        """The integer exponent of q**exponent at rational or p-adic q
+        (fractional q-powers do not live in Q or Q_p)."""
+        if isinstance(exponent, int):
+            return exponent
+        e = Fraction(exponent)
+        if e.denominator != 1:
+            raise ValueError(f"fractional power q^{e} is not available in {self.mode} mode")
+        return int(e)
+
     def qpow(self, exponent: Fraction | int):
         """q ** exponent.
 
         Symbolically this is a power of w and only needs the exponent to
-        clear the root order; numerically the exponent must be an integer
-        (fractional q-powers do not live in Q or Q_p).
+        clear the root order; numerically the exponent must be an integer.
         """
         if self.mode == "symbolic":
             return RationalFunction.w_power(self.w_exponent(exponent), self.root_order)
-        e = Fraction(exponent)
-        if e.denominator != 1:
-            raise ValueError(f"fractional power q^{e} is not available in {self.mode} mode")
         if self.mode == "rational":
-            return self.q_rational ** int(e)
-        return self.q_padic ** int(e)
+            return self.q_rational ** self.int_exponent(exponent)
+        return self.q_padic ** self.int_exponent(exponent)
 
     def bracket(self, x: Fraction | int):
         """The q-analogue [x] = (1 - q^x)/(1 - q).
@@ -182,16 +190,20 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     q^(step (k+1)), total <- total d_k + c_k den and den <- den d_k; then
     positive prefactor powers multiply total, and negative ones join the
     final division.  Only the reading's primitives differ (see
-    :class:`_FieldReading` and :class:`_SymbolicReading`): the binomial d,
-    "times a binomial" (of total, and of den), "add c q^e den" and the final
-    division.
+    :class:`_SymbolicReading`, :class:`_RationalReading` and
+    :class:`_PadicReading`): the binomial d, "times a binomial" (of total,
+    and of den), "add c q^e den" (which is told the binomial just
+    multiplied in) and the final division.  Symbolic and rational q run on
+    plain ints and make one reduced value at the end; p-adic q runs on
+    field elements.  A numeric q raises ZeroDivisionError where a binomial
+    d_k or a prefactor divisor vanishes at q, and at q = 0 with a negative
+    exponent.
     """
-    reading = (_SymbolicReading(q, numerators) if q.mode == "symbolic"
-               else _FieldReading(q))
+    reading = _READINGS[q.mode](q, numerators)
     total, den = reading.zero, reading.one
     for k, num in enumerate(numerators):
         d = reading.binomial(sign, step * (k + 1))
-        total = reading.add_terms(reading.times(total, d), num, den)
+        total = reading.add_terms(reading.times(total, d), num, den, d)
         den = reading.den_times(den, d)
     divisors = []
     for s, e, power in prefactor:
@@ -202,14 +214,15 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     return reading.divide(total, den, divisors)
 
 
-class _FieldReading:
-    """The kernel's primitives at rational or p-adic q: field elements, and
-    one field division total / (den prod b^m) over the prefactor divisors
-    (ZeroDivisionError where that denominator vanishes)."""
+class _PadicReading:
+    """The kernel's primitives at p-adic q: field elements, and one field
+    division total / (den prod b^m) over the prefactor divisors.  The
+    digits a value claims follow from its chain of operations, so the
+    reading keeps the field's operations."""
 
     zero, one = 0, 1
 
-    def __init__(self, q: QDescriptor):
+    def __init__(self, q: QDescriptor, numerators: list[dict]):
         self.q = q
 
     def element(self, terms: dict):
@@ -224,13 +237,100 @@ class _FieldReading:
 
     den_times = times
 
-    def add_terms(self, total, num: dict, den):
+    def add_terms(self, total, num: dict, den, d):
         return total + self.element(num) * den
 
     def divide(self, total, den, divisors):
         for b, m in divisors:
             den = den * b ** m
         return total / den
+
+
+class _RationalReading:
+    """The kernel's primitives at rational q = a/b (lowest terms, b > 0):
+    plain ints, and one Fraction at the end.
+
+    A binomial 1 + s q^e is (b^e + s a^e) / b^e, or (a^-e + s b^-e) / a^-e
+    for e < 0; it is kept as its integer numerator and its exponent, and
+    "times a binomial" multiplies by the numerator alone.  total and den
+    take the same binomials in the loop, so the dropped denominators g
+    cancel in their ratio, provided each added term c q^e den is scaled by
+    the g of the binomial just multiplied in, and by one common S = L
+    a^low b^top (L the lcm of the coefficients' denominators, top the
+    largest exponent and low the largest negated one, both at least 0),
+    which makes c q^e S the integer c L a^(e+low) b^(top-e).  The dropped
+    g of the prefactors are counted as net powers of b (and of a), and go
+    into the final Fraction with S.
+    """
+
+    zero, one = 0, 1
+
+    def __init__(self, q: QDescriptor, numerators: list[dict]):
+        self.q, self.a, self.b = q, q.q_rational.numerator, q.q_rational.denominator
+        exponents = [self._exponent(e) for num in numerators for e, c in num.items() if c]
+        self.top = max([0] + exponents)
+        self.low = max([0] + [-e for e in exponents])
+        self.scale = math.lcm(*(c.denominator for num in numerators
+                                for c in num.values() if c))
+        self.net_a = self.net_b = 0   # the dropped g, as powers of a and b
+
+    def _exponent(self, e) -> int:
+        """e as an int, with qpow's ValueError for a fractional e, and
+        ZeroDivisionError for q = 0 to a negative power."""
+        e = self.q.int_exponent(e)
+        if e < 0 and not self.a:
+            raise ZeroDivisionError(f"q = 0 to the power {e}")
+        return e
+
+    def binomial(self, s: int, e) -> tuple[int, int]:
+        e = self._exponent(e)
+        if e >= 0:
+            return self.b ** e + s * self.a ** e, e
+        return self.a ** -e + s * self.b ** -e, e
+
+    def _drop(self, e: int, power: int) -> None:
+        if e >= 0:
+            self.net_b += e * power
+        else:
+            self.net_a -= e * power
+
+    def times(self, x: int, b: tuple[int, int], power: int = 1) -> int:
+        self._drop(b[1], power)
+        return x * b[0] ** power
+
+    def den_times(self, den: int, b: tuple[int, int]) -> int:
+        self._drop(b[1], -1)
+        return den * b[0]
+
+    def add_terms(self, total: int, num: dict, den: int, d: tuple[int, int]) -> int:
+        """total + c q^e S g den, the sum over the terms c q^e S in one
+        homogeneous Horner sum from the highest exponent down."""
+        terms = sorted(((int(e), c) for e, c in num.items() if c), reverse=True)
+        if not terms:
+            return total
+        a, b = self.a, self.b
+        first = last = terms[0][0]
+        acc, b_pow = 0, 1   # b_pow = b^(first - e)
+        for e, c in terms:
+            gap = last - e
+            b_pow *= b ** gap
+            acc = acc * a ** gap + c.numerator * (self.scale // c.denominator) * b_pow
+            last = e
+        e = d[1]
+        g = b ** e if e >= 0 else a ** -e
+        return total + acc * a ** (last + self.low) * b ** (self.top - first) * g * den
+
+    def divide(self, total: int, den: int, divisors) -> Fraction:
+        for (b, e), m in divisors:
+            self._drop(e, -m)
+            den *= b ** m
+        den *= self.scale
+        for base, k in ((self.a, self.low + self.net_a), (self.b, self.top + self.net_b)):
+            if k >= 0:
+                den *= base ** k
+            else:
+                total *= base ** -k
+        return Fraction(total, den)
 
 
 class _SymbolicReading:
@@ -260,7 +360,7 @@ class _SymbolicReading:
         self.factors.append((*b, 1))
         return _times_binomial(den, *b)
 
-    def add_terms(self, total: list[int], num: dict, den: list[int]) -> list[int]:
+    def add_terms(self, total: list[int], num: dict, den: list[int], d) -> list[int]:
         # total is the fresh list ``times`` returned, so it is updated in place
         for e, c in num.items():
             if c:
@@ -275,6 +375,10 @@ class _SymbolicReading:
         factors = self.factors + [(s, j, m) for (s, j), m in divisors]
         return reduce_cyclotomic_fraction(Polynomial._make(total, self.scale), factors,
                                           self.q.root_order, self.q.w_exponent(self.shift))
+
+
+_READINGS = {"symbolic": _SymbolicReading, "rational": _RationalReading,
+             "padic": _PadicReading}
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +578,10 @@ def integrate(spec: MeasureSpec, f: Integrand, target_stability: int,
     and returns that sum, truncated to the certified stability, together
     with the stability and the full difference-valuation trace.  Raises
     :class:`NonConvergence` (with the trace as diagnostic) when the target
-    is not met by n_max, and ValueError when n_max < 2 (no difference).
+    is not met by n_max, BudgetExceeded (naming the level and the
+    difference valuations reached before it) when a level has more
+    representatives than ``cap``, and ValueError when n_max < 2 (no
+    difference).
 
     A character-twisted :class:`BracketPower` must be a function on the
     domain: the p-free part of its table's modulus must divide d.
@@ -494,7 +601,11 @@ def integrate(spec: MeasureSpec, f: Integrand, target_stability: int,
     trace: list[tuple[int, int]] = []
     previous = None
     for n in range(1, n_max + 1):
-        current = riemann_sum(spec, f, n, cap)
+        try:
+            current = riemann_sum(spec, f, n, cap)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"{exc} at level {n}; difference valuations "
+                                 f"{[v for _, v in trace]}") from exc
         if previous is not None:
             stability = (current - previous).valuation
             trace.append((n, stability))

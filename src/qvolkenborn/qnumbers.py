@@ -33,10 +33,16 @@ def _check_form(form: str) -> None:
         raise ValueError(f"unknown form {form!r}; expected one of {FORMS}")
 
 
+def _int_if_integral(x: Fraction) -> Fraction | int:
+    return x.numerator if x.denominator == 1 else x
+
+
 def _twisted_sum(n: int, x: Fraction, m: int, q: QDescriptor, weights):
     """([m]^n/[m]_-) sum_a weights[a] (-1)^a q^a K(base q^m, (a+x)/m), with the
     base-change prefactors cancelled analytically against the inner closed
-    forms, leaving (1+q)(1-q)^-n sum_k (...)/(1 + q^(m(k+1)))."""
+    forms, leaving (1+q)(1-q)^-n sum_k (...)/(1 + q^(m(k+1))).  The
+    q-exponents are ints when x is an integer."""
+    x = _int_if_integral(x)
     numerators = [{a + (a + x) * k: weights[a] * (-1) ** (a + k) * math.comb(n, k)
                    for a in range(m) if weights[a]} for k in range(n + 1)]
     return binomial_fraction_sum(q, numerators, 1, m, [(1, 1, 1), (-1, 1, -n)])
@@ -67,6 +73,7 @@ def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "clos
         raise ValueError("index must be nonnegative")
     x = Fraction(x)
     if form == "closed":
+        x = _int_if_integral(x)
         numerators = [{x * i: (-1) ** i * math.comb(n, i) * (i + 1)}
                       for i in range(n + 1)]
         return binomial_fraction_sum(q, numerators, -1, 1, [(-1, 1, 1 - n)])

@@ -176,6 +176,13 @@ def f_q_coefficient_partial(k: int, q: Fraction, n_terms: int) -> PartialSum:
     """Partial sum of [2]_q * sum (-1)^n q^n [n]_q^k, the k-th scaled series
     coefficient as an absolutely convergent number series for |q| < 1.
 
+    The sum runs in plain ints over the integer brackets: with q = a/b in
+    lowest terms, B_n = [n]_q b^(n-1) is an integer (B_{n+1} = b B_n +
+    a^n), so the n-th term is (-a)^n B_n^k / b^(n + k(n-1)).  The exponent
+    of b grows by k + 1 per term, so one Horner sum over b^(k+1) collects
+    the terms over their common denominator, and one Fraction is made at
+    the end.
+
     The tail is bounded by [2]_q (1/(1-|q|))^k |q|^n_terms / (1-|q|), since
     every |[n]_q| is at most 1/(1-|q|); the bound is reported with the value.
     """
@@ -184,18 +191,22 @@ def f_q_coefficient_partial(k: int, q: Fraction, n_terms: int) -> PartialSum:
         raise ValueError("the series needs 0 < |q| < 1")
     if k < 0 or n_terms < 0:
         raise ValueError("k and n_terms must be nonnegative")
-    two = 1 + q
-    total = Fraction(0)
-    bracket = Fraction(0)   # [n]_q, incremented geometrically
-    power = Fraction(1)     # q^n
+    a, b = q.numerator, q.denominator
+    step = b ** (k + 1)
+    total = 0
+    bracket = 0   # B_n
+    power = 1     # a^n
     for n in range(n_terms):
         term = power * bracket ** k
-        total += -term if n % 2 else term
-        bracket += power
-        power *= q
+        total = total * step + (-term if n % 2 else term)
+        bracket = b * bracket + power
+        power *= a
+    # the last term's denominator is b^((k+1)(n_terms-1) - k); where that
+    # exponent is negative, the sum is 0
+    value = Fraction((a + b) * total, b ** max(0, (k + 1) * (n_terms - 1) - k + 1))
     aq = abs(q)
-    tail = abs(two) * (1 / (1 - aq)) ** k * aq ** n_terms / (1 - aq)
-    return PartialSum(two * total, tail, n_terms)
+    tail = abs(1 + q) * (1 / (1 - aq)) ** k * aq ** n_terms / (1 - aq)
+    return PartialSum(value, tail, n_terms)
 
 
 def limit_consistency(n_max: int) -> list[dict]:

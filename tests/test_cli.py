@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from qvolkenborn.algebra import PoleError
-from qvolkenborn.cli import main, parse_index_range, parse_q_spec, value_from_json
+from qvolkenborn.cli import (build_parser, main, parse_index_range, parse_q_spec,
+                             value_from_json)
 from qvolkenborn.padic import PrecisionExhausted, ProfiniteDomain
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
                                   bracket_power, integrate)
@@ -28,6 +29,22 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def test_main_calls_share_one_parser_without_interacting(capsys):
+    # the first call sets --format csv; the others rely on the json default
+    commands = [("numbers", "--kind", "K", "--n", "0..2", "--q", "2/5", "--format", "csv"),
+                ("series", "--gf", "Kpartial", "--q", "1/2", "--k-max", "2", "--n-terms", "5"),
+                ("polynomials", "--kind", "beta_poly", "--n", "1", "--x", "-2", "--q", "sym")]
+    alone = {}
+    for argv in commands:
+        build_parser.cache_clear()
+        alone[argv] = run(capsys, *argv)
+        assert alone[argv][0] == 0
+    build_parser.cache_clear()
+    for argv in commands + commands[::-1]:
+        assert run(capsys, *argv) == alone[argv]
+    assert build_parser.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +182,21 @@ def test_integrate_ball_budget_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "integrate", "--p", "5", "--q", "6")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "cap of 10" in err and err.count("\n") == 1
+
+
+def test_ball_budget_error_keeps_the_difference_valuations(capsys, monkeypatch):
+    # levels 1..5 fit the cap of 5^5 and level 6 does not: the one error
+    # line names the level and the valuations the --N-max 5 run reports
+    argv = ("integrate", "--p", "5", "--q", "6", "--f", "bracket_pow:3", "--stability", "30")
+    code, _, err = run(capsys, *argv, "--N-max", "5")
+    assert code == 3
+    valuations = [v for _, v in json.loads(err)["trace"]]
+    assert len(valuations) == 4
+    monkeypatch.setenv("QVOLK_BALL_CAP", "3125")
+    code, out, err = run(capsys, *argv, "--N-max", "8")
+    assert code == 2 and out == ""
+    assert err == ("error: 15625 ball representatives exceed the cap of 3125 at level 6; "
+                   f"difference valuations {valuations}\n")
 
 
 def test_integrate_bad_ball_cap_is_usage_error(capsys, monkeypatch):

@@ -39,6 +39,15 @@ def commands() -> list[str]:
             "numbers --kind K_chi --n 0..3 --chi 3:1 --q padic:5:6:32 --method integral",
             "integrate --p 5 --q 6 --f bracket_pow:3 --stability 9 --N-max 10",
             "integrate --p 5 --q 6 --d 3 --f char_twisted:3:3:1 --stability 8 --N-max 9"]
+    out += [f"numbers --kind {kind} --n 0..20 --q {q}"
+            for kind in ("K", "beta") for q in ("2/5", "-3/7", "7/2")]
+    out += [f"polynomials --kind K_poly --n 0..8 --x -2 --q 2/5 --form {form}"
+            for form in ("closed", "expansion")]
+    out += ["polynomials --kind beta_poly --n 0..8 --x 3 --q -3/7",
+            "numbers --kind K --n 0..3 --q -1",
+            "polynomials --kind K_poly --n 0..3 --x -2 --q 0",
+            "series --gf Kpartial --q 1/2 --k-max 6 --n-terms 200",
+            "series --gf Kpartial --q -2/3 --k-max 4 --n-terms 120"]
     return out
 
 

@@ -1,0 +1,163 @@
+"""The integer rational reading against Fraction-arithmetic references.
+
+`_FieldReading` and `_fraction_partial` are the field-arithmetic versions of
+the closed-form kernel's primitives and of the alternating partial sums:
+every term a Fraction.  The integer routes must give the same Fraction, and
+raise ZeroDivisionError exactly where these do.
+"""
+
+import cProfile
+import pstats
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qvolkenborn.qmeasure import QDescriptor, binomial_fraction_sum
+from qvolkenborn.qnumbers import _twisted_sum
+from qvolkenborn.series import f_q_coefficient_partial
+
+F = Fraction
+
+
+class _FieldReading:
+    """The kernel's primitives as field elements, one field division at the end."""
+
+    zero, one = 0, 1
+
+    def __init__(self, q):
+        self.q = q
+
+    def element(self, terms):
+        q = self.q
+        return sum(q.from_rational(c) * q.qpow(e) for e, c in terms.items() if c)
+
+    def binomial(self, s, e):
+        return self.element({0: 1, e: s})
+
+    def times(self, x, b, power=1):
+        return x * (b if power == 1 else b ** power)
+
+    def add_terms(self, total, num, den):
+        return total + self.element(num) * den
+
+    def divide(self, total, den, divisors):
+        for b, m in divisors:
+            den = den * b ** m
+        return total / den
+
+
+def _field_sum(q, numerators, sign, step, prefactor=()):
+    """binomial_fraction_sum's Horner loop over :class:`_FieldReading`."""
+    reading = _FieldReading(q)
+    total, den = reading.zero, reading.one
+    for k, num in enumerate(numerators):
+        d = reading.binomial(sign, step * (k + 1))
+        total = reading.add_terms(reading.times(total, d), num, den)
+        den = reading.times(den, d)
+    divisors = []
+    for s, e, power in prefactor:
+        if power > 0:
+            total = reading.times(total, reading.binomial(s, e), power)
+        elif power < 0:
+            divisors.append((reading.binomial(s, e), -power))
+    return reading.divide(total, den, divisors)
+
+
+def _fraction_partial(k, q, n_terms):
+    """[2]_q sum_{n < n_terms} (-1)^n q^n [n]_q^k, three Fraction operations a term."""
+    total, bracket, power = F(0), F(0), F(1)
+    for n in range(n_terms):
+        term = power * bracket ** k
+        total += -term if n % 2 else term
+        bracket += power
+        power *= q
+    return (1 + q) * total
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+_QS = st.builds(F, st.integers(-12, 12), st.integers(1, 12)).filter(lambda q: q != 1)
+_COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+_NUMERATORS = st.lists(st.dictionaries(st.integers(-4, 30), _COEFFS, max_size=4),
+                       min_size=1, max_size=6)
+# no prefactor exponent 0: the field route builds 1 + s q^e as the dict
+# {0: 1, e: s}, which collapses to s there, and no closed form has it
+_PREFACTOR = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(-3, 8).filter(bool),
+                                st.integers(-3, 3)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=_QS, numerators=_NUMERATORS, sign=st.sampled_from((1, -1)),
+       step=st.integers(1, 4), prefactor=_PREFACTOR)
+@example(q=F(0), numerators=[{0: F(1)}, {-1: F(2)}], sign=1, step=1, prefactor=[])
+@example(q=F(0), numerators=[{3: F(1)}], sign=-1, step=2, prefactor=[(1, -2, -1)])
+@example(q=F(0), numerators=[{0: F(1), 2: F(-1, 3)}], sign=1, step=1,
+         prefactor=[(-1, 3, 1), (1, 1, -2)])
+@example(q=F(-1), numerators=[{0: F(1)}, {1: F(-1)}], sign=1, step=1, prefactor=[])
+@example(q=F(-1), numerators=[{2: F(1)}], sign=-1, step=2, prefactor=[(1, 1, -1)])
+@example(q=F(-1), numerators=[{-3: F(5, 2)}], sign=-1, step=1, prefactor=[(1, 2, 2)])
+def test_kernel_matches_the_field_route(q, numerators, sign, step, prefactor):
+    qd = QDescriptor.rational(q)
+    want = _outcome(lambda: _field_sum(qd, numerators, sign, step, prefactor))
+    got = _outcome(lambda: binomial_fraction_sum(qd, numerators, sign, step, prefactor))
+    assert got == want
+    assert type(got) is type(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(0, 8), n_terms=st.integers(0, 300),
+       q=st.builds(F, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+       .filter(lambda q: abs(q) != 1))
+@example(k=0, n_terms=1, q=F(1, 2))
+@example(k=3, n_terms=1, q=F(-1, 2))
+@example(k=8, n_terms=0, q=F(2, 3))
+def test_partial_sums_match_the_fraction_route(k, n_terms, q):
+    if abs(q) >= 1:
+        q = 1 / q
+    assert f_q_coefficient_partial(k, q, n_terms).value == _fraction_partial(k, q, n_terms)
+
+
+@pytest.mark.parametrize("e", [F(1, 2), F(-7, 3)])
+def test_fractional_exponent_raises_as_qpow_does(e):
+    qd = QDescriptor.rational(F(2, 5))
+    with pytest.raises(ValueError) as from_qpow:
+        qd.qpow(e)
+    with pytest.raises(ValueError) as from_kernel:
+        binomial_fraction_sum(qd, [{0: 1}, {e: 3}], 1, 1)
+    assert str(from_kernel.value) == str(from_qpow.value)
+
+
+def _fraction_constructions(compute) -> int:
+    profiler = cProfile.Profile()
+    profiler.runcall(compute)
+    return sum(calls for (path, _, name), (_, calls, *_) in
+               pstats.Stats(profiler).stats.items()
+               if path.endswith("fractions.py") and name in ("__new__", "_from_coprime_ints"))
+
+
+_SCALED = [{i - 4: F(i, 7)} for i in range(21)]
+
+
+@pytest.mark.parametrize("q", [F(2, 5), F(-3, 7), F(7, 2)])
+@pytest.mark.parametrize("call", [
+    lambda qd: _twisted_sum(20, 0, 1, qd, [1]),
+    lambda qd: _twisted_sum(12, -2, 5, qd, [1] * 5),
+    lambda qd: binomial_fraction_sum(qd, _SCALED, -1, 1, [(-1, 1, -20)]),
+], ids=["K_20", "distribution", "negative_exponents"])
+def test_a_kernel_call_makes_one_fraction(call, q):
+    qd = QDescriptor.rational(q)
+    assert _fraction_constructions(lambda: call(qd)) == 1
+
+
+def test_partial_sums_make_no_fraction_per_term():
+    # Fractions come from reading q, the value and the tail bound alone
+    counts = {n_terms: _fraction_constructions(
+        lambda: f_q_coefficient_partial(4, F(-2, 3), n_terms)) for n_terms in (10, 300)}
+    assert counts[10] == counts[300]
