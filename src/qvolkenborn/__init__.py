@@ -19,9 +19,9 @@ from .padic import (BudgetExceeded, PadicNumber, ProfiniteDomain,
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, IntegrationResult,
                        MeasureSpec, NonConvergence, QDescriptor, ball_measure,
                        bosonic_power_moment, bracket_power,
-                       character_twisted_power, constant_one,
-                       fermionic_finite_rhs, fermionic_power_moment,
-                       integrate, parse_integrand, riemann_sum)
+                       character_twisted_power, fermionic_finite_rhs,
+                       fermionic_power_moment, integrate, parse_integrand,
+                       riemann_sum)
 from .qnumbers import (beta_number, beta_polynomial, classical_bernoulli,
                        classical_euler, k_chi, k_distribution_rhs, k_number,
                        k_polynomial)

@@ -233,12 +233,6 @@ class Polynomial:
         return not self.ints
 
     @property
-    def leading(self) -> Fraction:
-        if not self.ints:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.ints[-1], self.scale)
-
-    @property
     def is_one(self) -> bool:
         return self.ints == (1,) and self.scale == 1
 
@@ -580,6 +574,16 @@ def reduce_cyclotomic_fraction(num: Polynomial, factors: Iterable[tuple[int, int
 # rational functions in w with w**D = q
 # ---------------------------------------------------------------------------
 
+def _over_monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """num and den both divided by den's leading coefficient, rescaled on
+    their integer lists."""
+    lead, scale = den.ints[-1], den.scale
+    if lead == scale:
+        return num, den
+    factor = scale if lead > 0 else -scale
+    return Polynomial._make([c * factor for c in num.ints], num.scale * abs(lead)), den.monic()
+
+
 class RationalFunction:
     """Reduced fraction of polynomials in ``w`` with ``w**root_order == q``.
 
@@ -604,11 +608,7 @@ class RationalFunction:
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            lead = den.leading
-            if lead != 1:
-                inv = 1 / lead
-                num = num * inv
-                den = den * inv
+            num, den = _over_monic(num, den)
         self.num = num
         self.den = den
         self.root_order = root_order
@@ -712,12 +712,7 @@ class RationalFunction:
     def reciprocal(self) -> RationalFunction:
         if self.is_zero:
             raise ZeroDivisionError("reciprocal of zero")
-        num, den = self.den, self.num
-        lead = den.leading
-        if lead != 1:
-            inv = 1 / lead
-            num, den = num * inv, den * inv
-        return RationalFunction._reduced(num, den, self.root_order)
+        return RationalFunction._reduced(*_over_monic(self.den, self.num), self.root_order)
 
     def __truediv__(self, other):
         pair = self._coerce(other)

@@ -23,15 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
-from typing import Callable
 
 from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
                       _times_binomial, reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
 from .padic import (DEFAULT_BALL_CAP, BudgetExceeded, PadicNumber,
                     ProfiniteDomain, ball_representatives, q_admissible)
-
-Integrand = Callable[[int], object]
 
 
 class NonConvergence(RuntimeError):
@@ -230,7 +227,7 @@ class _PadicReading:
         return sum(q.from_rational(c) * q.qpow(e) for e, c in terms.items() if c)
 
     def binomial(self, s: int, e):
-        return self.element({0: 1, e: s})
+        return self.element({0: 1 + s} if e == 0 else {0: 1, e: s})
 
     def times(self, x, b, power: int = 1):
         return x * (b if power == 1 else b ** power)
@@ -435,33 +432,39 @@ def ball_measure_sum(spec: MeasureSpec, reps, n: int):
     return binomial_fraction_sum(spec.q, [coeffs], sign, size, [(sign, 1, 1)])
 
 
-def riemann_sum(spec: MeasureSpec, f: Integrand, n: int,
+def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int,
                 cap: int = DEFAULT_BALL_CAP):
     """The level-n Riemann sum: sum over ball representatives j of
     f(j) * (+-q)^j, normalized by [d p^n] at +-q.
 
-    ``f`` is any callable, called once per representative; in p-adic mode
-    a :class:`BracketPower` (what the built-in integrand families return)
-    is instead summed in O(n^2 log(d p^n)) operations by
-    :func:`_residue_sum`.  Either way the sum is exact to the digits it
-    claims, so any partition of the index range yields the identical
-    result.
+    ``f`` must be a :class:`BracketPower`, which is what the built-in
+    integrand families return; anything else, or one taken at another
+    p-adic q, raises ValueError.  The sum is exact to the digits it claims,
+    so any partition of the index range yields the identical result.
     """
+    _check_integrand(f)
     reps = ball_representatives(spec.domain, n, cap)
-    total = _sum_range(spec, f, reps)
-    return total / spec.level_norm(n)
+    return _sum_range(spec, f, reps) / spec.level_norm(n)
 
 
-def _sum_range(spec: MeasureSpec, f: Integrand, reps: range):
-    """Unnormalized sum of f(j) * (+-q)^j over a subrange of representatives.
+def _check_integrand(f) -> None:
+    if not isinstance(f, BracketPower):
+        raise ValueError(f"the integrand must be a BracketPower, got {type(f).__name__}")
 
-    In p-adic mode a :class:`BracketPower` is summed by
-    :func:`_residue_sum`; every other case calls f once per term.
-    """
-    if spec.q.mode == "padic" and isinstance(f, BracketPower):
-        total = _residue_sum(spec, f, reps)
-        if total is not None:
-            return total
+
+def _sum_range(spec: MeasureSpec, f: BracketPower, reps: range):
+    """Unnormalized sum of f(j) * (+-q)^j over a subrange of representatives:
+    one geometric sum at p-adic q (:func:`_residue_sum`), term by term at
+    symbolic or rational q (:func:`_term_sum`)."""
+    if spec.q.mode == "padic":
+        return _residue_sum(spec, f, reps)
+    return _term_sum(spec, f, reps)
+
+
+def _term_sum(spec: MeasureSpec, f: BracketPower, reps: range):
+    """The sum of :func:`_sum_range`, calling f once per term.  It is the
+    route at symbolic and rational q, and at p-adic q the independent
+    reference the geometric sum is tested against."""
     q1 = spec.q.qpow(1)
     fermionic = spec.kind == FERMIONIC
     power = spec.q.qpow(reps.start) if reps.start else spec.q.one()
@@ -479,18 +482,14 @@ def _sum_range(spec: MeasureSpec, f: Integrand, reps: range):
 
 
 def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
-    """The p-adic sum of chi(j) [x+j]^n (+-q)^j in plain ints, or None
-    where it could not claim the same digits as the per-term loop.
+    """The p-adic sum of chi(j) [x+j]^n (+-q)^j in plain ints.
 
     All terms are p-adic integers.  With Q the unit of q, A its precision
     and m the digits claimed, every quantity is a residue mod p^m and no
-    division is made.  The per-term loop divides by 1 - Q for n >= 1,
-    which leaves A - v_p(1 - Q) absolute digits on every term whose x + j
-    is a p-adic unit; the sum claims exactly that (A digits for n = 0).
-    Where f takes its bracket at another q or no term with a unit x + j
-    contributes, the claim would differ and the caller falls back.  That
-    test depends on j only modulo len(chi) and p, so it reads at most
-    len(chi) p representatives.
+    division is made.  For n >= 1 the bracket [x+j] = (1 - Q^(x+j)) / (1 -
+    Q) is known to A - v_p(1 - Q) digits, and the sum claims exactly those;
+    for n = 0 it claims A.  f must take its bracket at the spec's q, else
+    ValueError.
 
     The sum is geometric.  The state u_j[k] = r^j [x+j]^k (k <= n, r =
     +-Q) moves by u_{j+m} = T^m u_j, because [x+j+m] = [m] + Q^m [x+j], and
@@ -502,13 +501,10 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     """
     q = spec.q.q_padic
     if f.q.mode != "padic" or f.q.q_padic != q:
-        return None
+        raise ValueError(f"the integrand is taken at {f.q!r}, the measure at {spec.q!r}")
     p, shift, n = q.p, f.shift, f.n
     signs = (1,) if f.chi is None else tuple(int(s) for s in f.chi)
     size = len(signs)
-    if not any(signs[j % size] and (n == 0 or (shift + j).numerator % p)
-               for j in reps[:size * p]):
-        return None
     mod_a = p ** q.prec
     if n == 0:
         digits, mod, bracket = q.prec, mod_a, 1
@@ -570,7 +566,7 @@ def _transfer(v: list[int], power: tuple[int, int, int], rows: list[list[int]],
             for k, row in enumerate(rows)]
 
 
-def integrate(spec: MeasureSpec, f: Integrand, target_stability: int,
+def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
               n_max: int, cap: int = DEFAULT_BALL_CAP) -> IntegrationResult:
     """p-adic limit of the Riemann sums, certified by the Cauchy criterion.
 
@@ -583,15 +579,17 @@ def integrate(spec: MeasureSpec, f: Integrand, target_stability: int,
     representatives than ``cap``, and ValueError when n_max < 2 (no
     difference).
 
-    A character-twisted :class:`BracketPower` must be a function on the
-    domain: the p-free part of its table's modulus must divide d.
+    ``f`` must be a :class:`BracketPower` taken at the spec's q, and a
+    character-twisted one must be a function on the domain: the p-free part
+    of its table's modulus must divide d.  Otherwise ValueError.
     """
+    _check_integrand(f)
     if spec.q.mode != "padic":
         raise ValueError("integration is a p-adic limit; q must be padic")
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2 to compare two levels, got {n_max}")
     p, d = spec.domain.p, spec.domain.d
-    if isinstance(f, BracketPower) and f.chi is not None:
+    if f.chi is not None:
         modulus = len(f.chi)
         while modulus % p == 0:
             modulus //= p
@@ -684,9 +682,10 @@ class BracketPower:
     or None for the untwisted power; its values must be 0 or +-1 in every
     mode (higher-order twists go through the closed form of ``k_chi``).
     Instances are immutable, and a call evaluates its term directly, so
-    calls may come in any order.  In p-adic mode :func:`_sum_range`
-    recognises the type and sums it as one geometric sum instead of calling
-    it once per term.
+    calls may come in any order.  It is the one integrand type of
+    :func:`riemann_sum` and :func:`integrate`: p-adic Riemann sums take it
+    as one geometric sum, and symbolic and rational ones call it once per
+    term.
     """
 
     __slots__ = ("q", "n", "shift", "chi", "_one", "_inv_1mq")
@@ -721,11 +720,6 @@ class BracketPower:
         return value if chi_j == 1 else -value
 
 
-def constant_one(q: QDescriptor) -> BracketPower:
-    """j -> 1."""
-    return BracketPower(q, 0)
-
-
 def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> BracketPower:
     """j -> [shift + j]^n.
 
@@ -742,14 +736,14 @@ def character_twisted_power(q: QDescriptor, n: int, chi) -> BracketPower:
     return BracketPower(q, n, chi=table)
 
 
-def parse_integrand(text: str, q: QDescriptor) -> Integrand:
+def parse_integrand(text: str, q: QDescriptor) -> BracketPower:
     """Integrand selection by name: "one", "bracket_pow:n",
     "shifted_bracket_pow:n:x", "char_twisted:n:chi_id"."""
     parts = text.split(":")
     name = parts[0]
     try:
         if name == "one" and len(parts) == 1:
-            return constant_one(q)
+            return bracket_power(q, 0)
         if name == "bracket_pow" and len(parts) == 2:
             return bracket_power(q, int(parts[1]))
         if name == "shifted_bracket_pow" and len(parts) == 3:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .algebra import CyclotomicElement, root_of_unity_rows
 from .characters import DirichletCharacter
 from .padic import DEFAULT_BALL_CAP, ProfiniteDomain
-from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
+from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec, QDescriptor,
                        binomial_fraction_sum, bracket_power,
                        character_twisted_power, integrate)
 
@@ -46,6 +46,25 @@ def _twisted_sum(n: int, x: Fraction, m: int, q: QDescriptor, weights):
     numerators = [{a + (a + x) * k: weights[a] * (-1) ** (a + k) * math.comb(n, k)
                    for a in range(m) if weights[a]} for k in range(n + 1)]
     return binomial_fraction_sum(q, numerators, 1, m, [(1, 1, 1), (-1, 1, -n)])
+
+
+def _expansion(n: int, x: Fraction, q: QDescriptor, number):
+    """sum_i C(n,i) q^(ix) number(i, q) [x]^(n-i): a polynomial family at x
+    from its numbers."""
+    bx = q.bracket(x)
+    acc = 0
+    for i in range(n + 1):
+        acc = acc + (q.from_rational(math.comb(n, i)) * q.qpow(i * x)
+                     * number(i, q) * bx ** (n - i))
+    return acc
+
+
+def _integral(kind: str, q: QDescriptor, f: BracketPower, d: int, stability: int,
+              n_max: int, cap: int):
+    """The certified p-adic integral of f under the measure of that kind at
+    q, over the inverse limit of Z/(d p^N)."""
+    spec = MeasureSpec(kind, q, ProfiniteDomain(q.prime, d))
+    return integrate(spec, f, stability, n_max, cap).value
 
 
 def beta_number(m: int, q: QDescriptor):
@@ -78,15 +97,8 @@ def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "clos
                       for i in range(n + 1)]
         return binomial_fraction_sum(q, numerators, -1, 1, [(-1, 1, 1 - n)])
     if form == "expansion":
-        bx = q.bracket(x)
-        acc = 0
-        for i in range(n + 1):
-            term = (q.from_rational(math.comb(n, i)) * q.qpow(i * x)
-                    * beta_number(i, q) * bx ** (n - i))
-            acc = acc + term
-        return acc
-    spec = MeasureSpec(BOSONIC, q, ProfiniteDomain(q.prime))
-    return integrate(spec, bracket_power(q, n, x), stability, n_max, cap).value
+        return _expansion(n, x, q, beta_number)
+    return _integral(BOSONIC, q, bracket_power(q, n, x), 1, stability, n_max, cap)
 
 
 def k_number(k: int, q: QDescriptor):
@@ -116,15 +128,8 @@ def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"
     if form == "closed":
         return _twisted_sum(n, x, 1, q, [1])
     if form == "expansion":
-        bx = q.bracket(x)
-        acc = 0
-        for m in range(n + 1):
-            term = (q.from_rational(math.comb(n, m)) * bx ** (n - m)
-                    * q.qpow(m * x) * k_number(m, q))
-            acc = acc + term
-        return acc
-    spec = MeasureSpec(FERMIONIC, q, ProfiniteDomain(q.prime))
-    return integrate(spec, bracket_power(q, n, x), stability, n_max, cap).value
+        return _expansion(n, x, q, k_number)
+    return _integral(FERMIONIC, q, bracket_power(q, n, x), 1, stability, n_max, cap)
 
 
 def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
@@ -172,9 +177,8 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
                              [0 if k is None else rows[k][i] for k in chi.exponent_table])
                 for i in range(len(rows[0]))]
         return sums[0] if order <= 2 else CyclotomicElement(order, sums)
-    spec = MeasureSpec(FERMIONIC, q, ProfiniteDomain(q.prime, f))
-    integrand = character_twisted_power(q, n, chi)
-    return integrate(spec, integrand, stability, n_max, cap).value
+    return _integral(FERMIONIC, q, character_twisted_power(q, n, chi), f,
+                     stability, n_max, cap)
 
 
 def classical_euler(n_max: int) -> list[Fraction]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import RationalFunction
-from .qmeasure import QDescriptor
+from .qmeasure import QDescriptor, fermionic_power_moment
 
 
 def _is_zero(c) -> bool:
@@ -142,7 +142,8 @@ def euler_gf(order: int) -> TruncatedSeries:
 def f_q_series(q: QDescriptor, order: int) -> TruncatedSeries:
     """The q-deformed exponential generating function whose n-th scaled
     coefficient is the fermionic q-Euler number: the product of e^(t/(1-q))
-    with the alternating series of (1+q)/(1+q^(j+1)) weights.
+    with the alternating series of the fermionic moments (1+q)/(1+q^(j+1))
+    of q^(jy).
 
     The j-sum is truncated at j = order, which is exact for all retained
     coefficients because the j-th term only feeds orders >= j.
@@ -152,12 +153,11 @@ def f_q_series(q: QDescriptor, order: int) -> TruncatedSeries:
     one = q.one()
     zero = one * 0
     inv_1mq = one / (one - q.qpow(1))
-    two = one + q.qpow(1)
     exp_part = series_exp(TruncatedSeries([zero, inv_1mq], order))
     terms = []
     power = one
     for j in range(order + 1):
-        c = two / (one + q.qpow(j + 1)) * power * Fraction((-1) ** j, math.factorial(j))
+        c = fermionic_power_moment(j, q) * power * Fraction((-1) ** j, math.factorial(j))
         terms.append(c)
         power = power * inv_1mq
     return exp_part * TruncatedSeries(terms)

@@ -62,6 +62,18 @@ def test_reduce_rejects_zero_denominator():
         RationalFunction(P(1), P())
 
 
+def test_negative_fractional_lead_is_divided_out():
+    # (1/5 + 2w)/(1 - 3/2 w): the constructor, and reciprocal of the
+    # inverse fraction, divide both parts by -3/2
+    want_num, want_den = P(F(-2, 15), F(-4, 3)), P(F(-2, 3), 1)
+    f = RationalFunction(P(F(1, 5), 2), P(1, F(-3, 2)))
+    assert (f.num, f.den) == (want_num, want_den)
+    inverse = RationalFunction(P(1, F(-3, 2)), P(F(1, 5), 2))
+    assert (inverse.num, inverse.den) == (P(F(1, 2), F(-3, 4)), P(F(1, 10), 1))
+    back = inverse.reciprocal()
+    assert (back.num, back.den) == (want_num, want_den)
+
+
 def test_reduction_idempotent():
     f = RationalFunction(P(0, 1, 2, 3), P(2, 0, 4))
     again = RationalFunction(f.num, f.den, f.root_order)

@@ -48,6 +48,16 @@ def commands() -> list[str]:
             "polynomials --kind K_poly --n 0..3 --x -2 --q 0",
             "series --gf Kpartial --q 1/2 --k-max 6 --n-terms 200",
             "series --gf Kpartial --q -2/3 --k-max 4 --n-terms 120"]
+    out += ["numbers --kind K --n 0..4 --q padic:5:6:32 --method integral",
+            "numbers --kind beta --n 0..3 --q padic:5:6:32 --method integral",
+            "polynomials --kind K_poly --n 0..3 --x 1 --q padic:3:4:32 --form integral",
+            "polynomials --kind beta_poly --n 0..3 --x 2 --q padic:5:6:32 --form integral",
+            "polynomials --kind K_poly --n 0..6 --x 1 --q padic:5:6:32 --form expansion",
+            "polynomials --kind beta_poly --n 0..6 --x 2 --q padic:5:6:32 --form expansion",
+            "polynomials --kind K_poly --n 0..6 --x 2/3 --q 2/5 --form expansion",
+            "series --gf Fq --q 2/5 --T 8",
+            "integrate --kind bosonic --p 5 --q 6 --d 3 --f char_twisted:2:3:1 --stability 5",
+            "integrate --p 3 --q 4 --f one --stability 6"]
     return out
 
 

@@ -22,8 +22,7 @@ from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec,
                                   NonConvergence, QDescriptor, ball_measure,
                                   ball_measure_sum, binomial_fraction_sum,
                                   bosonic_power_moment, bracket_power,
-                                  character_twisted_power, constant_one,
-                                  fermionic_finite_rhs,
+                                  character_twisted_power, fermionic_finite_rhs,
                                   fermionic_power_moment, integrate,
                                   parse_integrand, riemann_sum)
 from qvolkenborn.qnumbers import (_twisted_sum, beta_number, beta_polynomial, k_chi,
@@ -343,7 +342,7 @@ def test_riemann_sum_of_one_is_exactly_one():
         for qd in (sym(), padic_q(4, 3)):
             spec = MeasureSpec(kind, qd, ProfiniteDomain(3))
             for level in (1, 2, 3):
-                total = riemann_sum(spec, constant_one(qd), level)
+                total = riemann_sum(spec, bracket_power(qd, 0), level)
                 if qd.mode == "symbolic":
                     assert total == 1
                 else:
@@ -415,19 +414,17 @@ def _as_tuple(x):
 
 
 def _assert_kernel_matches_generic(spec, f, level):
-    """riemann_sum through the residue loop equals the same sum through
-    the per-term loop (an opaque callable), digit for digit; so does the
-    unnormalized sum, which also covers precisions too low to divide by
-    the level normalizer."""
-    from qvolkenborn.qmeasure import _residue_sum, _sum_range
+    """The unnormalized residue sum of a full level equals the per-term
+    loop digit for digit, which also covers precisions too low to divide by
+    the level normalizer; so does riemann_sum, where that division works."""
+    from qvolkenborn.qmeasure import _residue_sum, _term_sum
 
     reps = range(spec.domain.level_size(level))
-    fast = _residue_sum(spec, f, reps)
-    assert fast is not None
-    assert _as_tuple(fast) == _as_tuple(_sum_range(spec, lambda j: f(j), reps))
-    if not spec.level_norm(level).is_zero_at_precision:
-        assert (_as_tuple(riemann_sum(spec, f, level))
-                == _as_tuple(riemann_sum(spec, lambda j: f(j), level)))
+    slow = _term_sum(spec, f, reps)
+    assert _as_tuple(_residue_sum(spec, f, reps)) == _as_tuple(slow)
+    norm = spec.level_norm(level)
+    if not norm.is_zero_at_precision:
+        assert _as_tuple(riemann_sum(spec, f, level)) == _as_tuple(slow / norm)
 
 
 @pytest.mark.parametrize("kind", [BOSONIC, FERMIONIC])
@@ -438,7 +435,7 @@ def test_residue_loop_matches_per_term_loop(kind, p, prec, depth):
     qd = padic_q(1 + 2 * p ** depth, p, prec)   # v_p(q - 1) = depth
     spec = MeasureSpec(kind, qd, ProfiniteDomain(p))
     for level in (1, 2, 3):
-        _assert_kernel_matches_generic(spec, constant_one(qd), level)
+        _assert_kernel_matches_generic(spec, bracket_power(qd, 0), level)
         for n in range(4):
             for shift in (-1, 0, 1, 2):
                 _assert_kernel_matches_generic(spec, bracket_power(qd, n, shift), level)
@@ -455,21 +452,35 @@ def test_residue_loop_matches_per_term_loop_with_character(prec):
 
 
 def test_residue_loop_matches_per_term_loop_on_edge_cases():
-    # a block whose only term has x + j divisible by p carries more digits
-    # than A - v_p(q - 1), an integrand may take its bracket at another q,
-    # and at n = 0 a shift whose denominator is p is never read
-    from qvolkenborn.qmeasure import _sum_range
+    # blocks whose every term has x + j divisible by p, where the per-term
+    # loop carries more digits than the A - v_p(1 - q) the sum claims, and
+    # at n = 0 a shift whose denominator is p, which is never read; an
+    # integrand that takes its bracket at another q is refused
+    from qvolkenborn.qmeasure import _sum_range, _term_sum
 
-    qd = padic_q(4, 3, 16)
+    qd = padic_q(4, 3, 16)   # A = 16, v_3(1 - q) = 1
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
     for n in range(4):
         cases = [(bracket_power(qd, n, 1), reps) for reps in
                  (range(2, 3), range(8, 9), range(0, 1), range(1, 3), range(7, 9))]
-        cases.append((bracket_power(padic_q(7, 3, 16), n), range(0, 9)))
         cases.append((bracket_power(qd, 0, F(1, 3 ** (n + 1))), range(0, 9)))
         for f, reps in cases:
-            assert (_as_tuple(_sum_range(spec, f, reps))
-                    == _as_tuple(_sum_range(spec, lambda j: f(j), reps)))
+            digits = 16 if f.n == 0 else 15
+            fast = _sum_range(spec, f, reps)
+            assert fast.absolute_precision == digits
+            assert fast.agrees_with(_term_sum(spec, f, reps), digits)
+        with pytest.raises(ValueError, match="integrand is taken at"):
+            _sum_range(spec, bracket_power(padic_q(7, 3, 16), n), range(0, 9))
+
+
+def test_integrals_take_only_a_bracket_power_at_their_own_q():
+    qd = padic_q()
+    spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
+    for call in (lambda f: riemann_sum(spec, f, 2), lambda f: integrate(spec, f, 2, 4)):
+        with pytest.raises(ValueError, match="must be a BracketPower, got builtin"):
+            call(abs)
+        with pytest.raises(ValueError, match="integrand is taken at"):
+            call(bracket_power(padic_q(11), 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -485,17 +496,12 @@ def test_residue_loop_matches_per_term_loop_random_q(p, r, prec, n, shift, kind,
 
 def _linear_residue_sum(spec, f, reps):
     """Reference: the residue sum as one loop over reps in plain ints (one
-    modular power per term), with the same digit claim and fallbacks as
-    the geometric sum of _residue_sum."""
+    modular power per term), with the same digit claim as the geometric
+    sum of _residue_sum."""
     q = spec.q.q_padic
-    if f.q.mode != "padic" or f.q.q_padic != q:
-        return None
     p, shift, n = q.p, f.shift, f.n
     signs = (1,) if f.chi is None else tuple(int(s) for s in f.chi)
     size = len(signs)
-    if not any(signs[j % size] and (n == 0 or (shift + j).numerator % p)
-               for j in reps):
-        return None
     mod_a = p ** q.prec
     if n == 0:
         digits, mod = q.prec, mod_a
@@ -543,31 +549,24 @@ def test_geometric_residue_sum_matches_the_linear_loop(data):
     spec = MeasureSpec(kind, qd, ProfiniteDomain(p, d))
     f = BracketPower(qd, n, shift, chi)
     reps = range(start, start + length)
-    fast, slow = _residue_sum(spec, f, reps), _linear_residue_sum(spec, f, reps)
-    assert (fast is None) == (slow is None)
-    if fast is not None:
-        assert _as_tuple(fast) == _as_tuple(slow)
+    assert _as_tuple(_residue_sum(spec, f, reps)) == _as_tuple(_linear_residue_sum(spec, f, reps))
 
 
-def test_contributor_scan_is_bounded():
-    # chi vanishes wherever j is prime to 3, so every contributing term has
-    # j divisible by p: the sum falls back without reading all the range
-    from qvolkenborn.qmeasure import _residue_sum, _sum_range
+def test_long_ranges_sum_at_once():
+    # the first table vanishes wherever j is prime to 3, so every term it
+    # keeps has j divisible by p; the second has one unit term.  Both sum
+    # 10^15 representatives at once, claim A - v_p(1 - q) digits, and match
+    # the linear reference on a shorter range
+    from qvolkenborn.qmeasure import _residue_sum
 
     qd = padic_q(4, 3, 16)
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
     for n in range(1, 4):
-        f = BracketPower(qd, n, chi=(1, 0, 0, -1, 0, 0))
-        assert _residue_sum(spec, f, range(10 ** 15)) is None
-        for reps in (range(0, 243), range(5, 200)):
-            assert _linear_residue_sum(spec, f, reps) is None
-            assert (_as_tuple(_sum_range(spec, f, reps))
-                    == _as_tuple(_sum_range(spec, lambda j: f(j), reps)))
-        # one unit term in the table, and the same long range sums at once
-        g = BracketPower(qd, n, chi=(1, 0, 0, -1, 1, 0))
-        assert _residue_sum(spec, g, range(10 ** 15)) is not None
-        assert (_as_tuple(_residue_sum(spec, g, range(5, 200)))
-                == _as_tuple(_linear_residue_sum(spec, g, range(5, 200))))
+        for chi in ((1, 0, 0, -1, 0, 0), (1, 0, 0, -1, 1, 0)):
+            f = BracketPower(qd, n, chi=chi)
+            assert _residue_sum(spec, f, range(10 ** 15)).absolute_precision == 15
+            assert (_as_tuple(_residue_sum(spec, f, range(5, 200)))
+                    == _as_tuple(_linear_residue_sum(spec, f, range(5, 200))))
 
 
 @pytest.mark.parametrize("p, q_value, n_max", [(5, 6, 10), (5, 11, 10), (3, 4, 14), (3, 7, 14)])
@@ -589,7 +588,7 @@ def test_deep_fermionic_sums_are_within_p_to_the_level(p, q_value, n_max):
 def test_integrate_constant_converges_immediately():
     qd = padic_q()
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
-    result = integrate(spec, constant_one(qd), 6, 8)
+    result = integrate(spec, bracket_power(qd, 0), 6, 8)
     assert result.n_used == 2
     assert (result.value - 1).valuation >= 25
 
@@ -643,7 +642,7 @@ def test_integrate_rejects_twists_that_are_not_functions_on_the_domain():
 def test_integrate_requires_padic_mode():
     spec = MeasureSpec(BOSONIC, sym(), ProfiniteDomain(5))
     with pytest.raises(ValueError):
-        integrate(spec, constant_one(sym()), 4, 6)
+        integrate(spec, bracket_power(sym(), 0), 4, 6)
 
 
 @pytest.mark.parametrize("n_max", [-1, 0, 1])
@@ -651,8 +650,8 @@ def test_integrate_needs_two_levels_to_compare(n_max):
     qd = padic_q()
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
     with pytest.raises(ValueError, match=f"at least 2 to compare two levels, got {n_max}"):
-        integrate(spec, constant_one(qd), 1, n_max)
-    assert integrate(spec, constant_one(qd), 1, 2).n_used == 2
+        integrate(spec, bracket_power(qd, 0), 1, n_max)
+    assert integrate(spec, bracket_power(qd, 0), 1, 2).n_used == 2
 
 
 def test_non_convergence_carries_trace():
@@ -697,13 +696,16 @@ def test_fermionic_moment_values():
 
 @pytest.mark.parametrize("i", [0, 1, 2, 3])
 def test_moments_match_integrals(i):
+    # q^(iy) = (1 + (q - 1)[y])^i, so its integral is the sum over l of
+    # C(i, l) (q - 1)^l times the integral of [y]^l
     qd = padic_q()
     for kind, closed in ((BOSONIC, bosonic_power_moment),
                          (FERMIONIC, fermionic_power_moment)):
         spec = MeasureSpec(kind, qd, ProfiniteDomain(5))
-        f = lambda j, qi=qd.qpow(i), one=qd.one(): one if i == 0 else qd.qpow(j * i)
-        result = integrate(spec, f, 4, 8)
-        assert (result.value - closed(i, qd)).valuation >= 4
+        value = sum(math.comb(i, l) * (qd.qpow(1) - 1) ** l
+                    * integrate(spec, bracket_power(qd, l), 4, 8).value
+                    for l in range(i + 1))
+        assert (value - closed(i, qd)).valuation >= 4
 
 
 # ---------------------------------------------------------------------------

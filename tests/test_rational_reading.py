@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qvolkenborn.padic import padic_from_rational
 from qvolkenborn.qmeasure import QDescriptor, binomial_fraction_sum
 from qvolkenborn.qnumbers import _twisted_sum
 from qvolkenborn.series import f_q_coefficient_partial
@@ -34,7 +35,7 @@ class _FieldReading:
         return sum(q.from_rational(c) * q.qpow(e) for e, c in terms.items() if c)
 
     def binomial(self, s, e):
-        return self.element({0: 1, e: s})
+        return self.element({0: 1 + s} if e == 0 else {0: 1, e: s})
 
     def times(self, x, b, power=1):
         return x * (b if power == 1 else b ** power)
@@ -87,9 +88,7 @@ _QS = st.builds(F, st.integers(-12, 12), st.integers(1, 12)).filter(lambda q: q 
 _COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 _NUMERATORS = st.lists(st.dictionaries(st.integers(-4, 30), _COEFFS, max_size=4),
                        min_size=1, max_size=6)
-# no prefactor exponent 0: the field route builds 1 + s q^e as the dict
-# {0: 1, e: s}, which collapses to s there, and no closed form has it
-_PREFACTOR = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(-3, 8).filter(bool),
+_PREFACTOR = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(-3, 8),
                                 st.integers(-3, 3)), max_size=3)
 
 
@@ -122,6 +121,19 @@ def test_partial_sums_match_the_fraction_route(k, n_terms, q):
     if abs(q) >= 1:
         q = 1 / q
     assert f_q_coefficient_partial(k, q, n_terms).value == _fraction_partial(k, q, n_terms)
+
+
+@pytest.mark.parametrize("prefactor", [[(-1, 0, 1)], [(1, 0, 1)], [(1, 0, 2), (1, 1, -1)],
+                                       [(-1, 0, 1), (1, 1, -1)]])
+def test_the_three_readings_agree_at_exponent_zero(prefactor):
+    # the binomial 1 + s q^0 is the constant 1 + s in every reading of q
+    numerators = [{0: F(1)}, {2: F(1, 3)}]
+    want = binomial_fraction_sum(QDescriptor.rational(6), numerators, 1, 1, prefactor)
+    symbolic = binomial_fraction_sum(QDescriptor.symbolic(), numerators, 1, 1, prefactor)
+    assert symbolic.evaluate(6) == want
+    padic = binomial_fraction_sum(QDescriptor.padic(padic_from_rational(6, 5, 10)),
+                                  numerators, 1, 1, prefactor)
+    assert padic.agrees_with(want, 9)
 
 
 @pytest.mark.parametrize("e", [F(1, 2), F(-7, 3)])
