@@ -91,19 +91,39 @@ def _binomial_quotient(a: list[int], j: int) -> list[int] | None:
     does not divide a.
 
     The quotient q satisfies q_i = a_i + q_(i-j): a running sum of a along
-    each residue class mod j.  The division is exact exactly when the top j
-    entries of that running sum are 0.
+    each residue class mod j, taken as one ``accumulate`` per class when
+    j^2 < len(a) and as one block-wise ``map(add)`` per j entries otherwise.
+    The division is exact exactly when the top j entries of that running sum
+    are 0.
     """
     n = len(a)
     if n <= j:
         return None
-    quo = [0] * n
-    for r in range(j):
-        quo[r::j] = accumulate(a[r::j])
+    if j * j < n:
+        quo = [0] * n
+        for r in range(j):
+            quo[r::j] = accumulate(a[r::j])
+    else:
+        quo = a[:j]
+        for i in range(j, n, j):
+            quo += map(add, a[i:i + j], quo[i - j:i])
     if any(quo[n - j:]):
         return None
     del quo[n - j:]
     return quo
+
+
+def _int_value(xs: Sequence[int], x: int) -> int:
+    """Value of the integer polynomial xs (ascending degree) at the integer
+    x: Horner up to 32 coefficients, else the value of the low half plus x^h
+    times that of the high half, so the big products stay balanced."""
+    if len(xs) <= 32:
+        value = 0
+        for c in reversed(xs):
+            value = value * x + c
+        return value
+    h = len(xs) // 2
+    return _int_value(xs[:h], x) + _int_value(xs[h:], x) * x ** h
 
 
 def _content(xs: Iterable[int]) -> int:
@@ -131,11 +151,7 @@ def _primitive(xs: list[int]) -> list[int]:
 def _gcd_heu_step(a: list[int], b: list[int], xi: int) -> list[int] | None:
     """One GCDHEU evaluation: the gcd of a and b read off gcd(a(xi), b(xi)),
     or None when the candidate does not divide both inputs."""
-    va = vb = 0
-    for c in reversed(a):
-        va = va * xi + c
-    for c in reversed(b):
-        vb = vb * xi + c
+    va, vb = _int_value(a, xi), _int_value(b, xi)
     if not (va and vb):
         return None
     v, half, digits = math.gcd(va, vb), xi // 2, []
@@ -396,13 +412,15 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 #
 # Every denominator the closed-form kernel builds is w^r times a product of
 # 1 +- w^j factors, i.e. of cyclotomic polynomials.  Those are cancelled
-# directly, each Phi_d through its Mobius binomials: a division by Phi_d is
-# a few shift-adds by 1 - w^e and a few strided running sums dividing by
-# 1 - w^e, all run by C-level slice and accumulate loops.  An integer
-# evaluation screens each candidate so a non-dividing one costs almost
-# nothing, and where that value is 0 every candidate passes the screen and
-# the exact division alone decides.  This is far cheaper than a generic gcd
-# at the degrees the identity suites reach.
+# directly: screen once, divide once.  One integer value of the numerator
+# is divided by each Phi_d's value in turn, which bounds how often each
+# Phi_d can divide; the product of those powers, written as net exponents
+# of Mobius binomials 1 - w^b, is then cancelled in one pass per binomial,
+# by shift-adds for the binomials it multiplies by and strided running
+# sums for those it divides by, all run by C-level slice and accumulate
+# loops.  Only a screen that passes a non-divisor (a value of 0, say) sends
+# the reduction back to one Phi_d at a time.  This is far cheaper than a
+# generic gcd at the degrees the identity suites reach.
 # ---------------------------------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
@@ -460,32 +478,15 @@ def _mobius_binomials(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(plus), tuple(minus)
 
 
-def _cyclotomic_quotient(a: list[int], order: int) -> list[int] | None:
-    """a / Phi_order for a nonzero a, or None when Phi_order does not divide a.
+def _cyclotomic_ratio(a: list[int], powers: dict[int, int]) -> list[int] | None:
+    """a * prod Phi_d^e over powers {d: e}, exponents of either sign, for a
+    nonzero a; None when the negative powers do not divide a.
 
-    a is multiplied by the binomials 1 - w^e of Mobius exponent -1 and then
-    divided by those of exponent +1.  When Phi_order divides a, every
-    intermediate quotient is a polynomial; when it does not, the product of
-    the divisors does not divide, so one of the divisions fails.  So the
-    result is None exactly where ``_exact_quotient_int(a, Phi_order)`` is.
-    """
-    plus, minus = _mobius_binomials(order)
-    for e in minus:
-        a = _times_binomial(a, -1, e)
-    for e in plus:
-        a = _binomial_quotient(a, e)
-        if a is None:
-            return None
-    return a if order > 1 else [-c for c in a]
-
-
-def _cyclotomic_product(powers: dict[int, int]) -> list[int]:
-    """Integer coefficients of prod Phi_d^e over powers {d: e}.
-
-    Each Phi_d is written through its Mobius binomials, and each binomial
-    1 - w^b taken once at its net exponent: the positive ones multiplied in
-    by shift-adds, then the negative ones divided out by strided running
-    sums (every such division is exact), then the sign made monic.
+    The product is (-1)^e_1 prod_b (1 - w^b)^n_b, each Mobius binomial taken
+    once at its net exponent n_b.  a is multiplied by the binomials with n_b
+    > 0 (shift-adds), then divided by the rest (strided running sums).  When
+    the result is a polynomial every intermediate quotient is one; when it
+    is not, one of the divisions fails.
     """
     net: dict[int, int] = {}
     for d, e in powers.items():
@@ -494,22 +495,23 @@ def _cyclotomic_product(powers: dict[int, int]) -> list[int]:
             net[b] = net.get(b, 0) + e
         for b in minus:
             net[b] = net.get(b, 0) - e
-    out = [1]
-    for b, m in sorted(net.items(), key=lambda bm: -bm[1]):
-        for _ in range(abs(m)):
-            out = _times_binomial(out, -1, b) if m > 0 else _binomial_quotient(out, b)
-    return out if out[-1] > 0 else [-c for c in out]
+    for b, m in net.items():
+        for _ in range(m):
+            a = _times_binomial(a, -1, b)
+    for b, m in net.items():
+        for _ in range(-m):
+            a = _binomial_quotient(a, b)
+            if a is None:
+                return None
+    return [-c for c in a] if powers.get(1, 0) & 1 else a
 
 
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_int(order: int) -> tuple[tuple[int, ...], int]:
     """(integer coefficients, value at the screening point) of a cyclotomic,
-    built by :func:`_cyclotomic_product`."""
-    coeffs = _cyclotomic_product({order: 1})
-    value = 0
-    for c in reversed(coeffs):
-        value = value * _EVAL_POINT + c
-    return tuple(coeffs), value
+    built by :func:`_cyclotomic_ratio`."""
+    coeffs = _cyclotomic_ratio([1], {order: 1})
+    return tuple(coeffs), _int_value(coeffs, _EVAL_POINT)
 
 
 def cyclotomic_polynomial(order: int) -> Polynomial:
@@ -518,17 +520,48 @@ def cyclotomic_polynomial(order: int) -> Polynomial:
     return Polynomial(_cyclotomic_int(order)[0])
 
 
+def _cancel_cyclotomics(prim: list[int], den_map: dict[int, int],
+                        one_by_one: bool) -> tuple[list[int] | None, dict[int, int]]:
+    """(prim / prod Phi_d^k_d, {d: k_d}) with k_d <= den_map[d] read off the
+    value of prim at the screening point, Phi_d by ascending d.
+
+    Grouped (one_by_one False), the screen only bounds each k_d and one
+    :func:`_cyclotomic_ratio` divides by the whole product, giving None when
+    the screen passed a non-divisor.  One by one, each screened Phi_d is
+    divided out on its own and a failed division ends that d.
+    """
+    value, powers = _int_value(prim, _EVAL_POINT), {}
+    for d in sorted(den_map):
+        phi_value, k = _cyclotomic_int(d)[1], 0
+        while k < den_map[d] and value % phi_value == 0:
+            if one_by_one:
+                quo = _cyclotomic_ratio(prim, {d: -1})
+                if quo is None:
+                    break
+                prim = quo
+            value //= phi_value
+            k += 1
+        powers[d] = k
+    if one_by_one:
+        return prim, powers
+    return _cyclotomic_ratio(prim, {d: -k for d, k in powers.items()}), powers
+
+
 def reduce_cyclotomic_fraction(num: Polynomial, factors: Iterable[tuple[int, int, int]],
                                root_order: int = 1, w_power: int = 0) -> RationalFunction:
     """Reduced fraction num / (w^w_power prod (1 + s w^j)^m) over the factors
-    (s, j, m), cancelling each candidate cyclotomic factor by exact division
-    (:func:`_cyclotomic_quotient`).
+    (s, j, m): screen once, divide once (:func:`_cancel_cyclotomics`).
 
     1 - w^j = -prod_{d | j} Phi_d and 1 + w^j = prod_{d | 2j, d not | j} Phi_d.
-    The powers of w cancel against the numerator's low-order zeros.  An
-    integer evaluation of the running numerator screens the cyclotomic
-    candidates, so a non-dividing factor is rejected in O(1) big-integer
-    operations.
+    The powers of w cancel against the numerator's low-order zeros.  The
+    numerator's integer value at 2^20 is divided by each Phi_d(2^20) as
+    often as it goes (at most the denominator's power), by ascending d, and
+    the numerator is divided by the product of those powers in one exact
+    division.  The result is reduced: a Phi_d left in the denominator was
+    ruled out on a value that the quotient's value divides.  When the
+    grouped division fails, the screen passed a non-divisor (Phi_d(2^20)
+    divides the value but Phi_d does not divide the numerator), and the
+    cancellation is redone one Phi_d at a time.
     """
     sign, den_map = 1, {}
     for s, j, m in factors:
@@ -548,25 +581,13 @@ def reduce_cyclotomic_fraction(num: Polynomial, factors: Iterable[tuple[int, int
     while low < w_power and prim[low] == 0:
         low += 1
     prim, w_power = prim[low:], w_power - low
-    value = 0
-    for c in reversed(prim):
-        value = value * _EVAL_POINT + c
-    remaining: dict[int, int] = {}
-    for d in sorted(den_map):
-        e = den_map[d]
-        phi_value = _cyclotomic_int(d)[1]
-        while e > 0 and value % phi_value == 0:
-            quo = _cyclotomic_quotient(prim, d)
-            if quo is None:
-                break
-            prim = quo
-            value //= phi_value
-            e -= 1
-        if e > 0:
-            remaining[d] = e
+    quo, powers = _cancel_cyclotomics(prim, den_map, False)
+    if quo is None:
+        quo, powers = _cancel_cyclotomics(prim, den_map, True)
+    remaining = {d: e - powers[d] for d, e in den_map.items()}
     return RationalFunction._reduced(
-        Polynomial._make([c * content for c in prim], num.scale),
-        Polynomial._make([0] * w_power + _cyclotomic_product(remaining), 1),
+        Polynomial._make([c * content for c in quo], num.scale),
+        Polynomial._make([0] * w_power + _cyclotomic_ratio([1], remaining), 1),
         root_order)
 
 

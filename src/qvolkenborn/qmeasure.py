@@ -438,18 +438,22 @@ def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int,
     f(j) * (+-q)^j, normalized by [d p^n] at +-q.
 
     ``f`` must be a :class:`BracketPower`, which is what the built-in
-    integrand families return; anything else, or one taken at another
-    p-adic q, raises ValueError.  The sum is exact to the digits it claims,
-    so any partition of the index range yields the identical result.
+    integrand families return, taken at the spec's q (a symbolic q at any
+    root order); anything else raises ValueError.  The sum is exact to the
+    digits it claims, so any partition of the index range yields the
+    identical result.
     """
-    _check_integrand(f)
+    _check_integrand(spec, f)
     reps = ball_representatives(spec.domain, n, cap)
     return _sum_range(spec, f, reps) / spec.level_norm(n)
 
 
-def _check_integrand(f) -> None:
+def _check_integrand(spec: MeasureSpec, f) -> None:
     if not isinstance(f, BracketPower):
         raise ValueError(f"the integrand must be a BracketPower, got {type(f).__name__}")
+    a, b = f.q, spec.q
+    if a.mode != b.mode or (a.q_rational, a.q_padic) != (b.q_rational, b.q_padic):
+        raise ValueError(f"the integrand is taken at {a!r}, the measure at {b!r}")
 
 
 def _sum_range(spec: MeasureSpec, f: BracketPower, reps: range):
@@ -488,8 +492,8 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     and m the digits claimed, every quantity is a residue mod p^m and no
     division is made.  For n >= 1 the bracket [x+j] = (1 - Q^(x+j)) / (1 -
     Q) is known to A - v_p(1 - Q) digits, and the sum claims exactly those;
-    for n = 0 it claims A.  f must take its bracket at the spec's q, else
-    ValueError.
+    for n = 0 it claims A.  f must take its bracket at the spec's q
+    (:func:`riemann_sum` checks it).
 
     The sum is geometric.  The state u_j[k] = r^j [x+j]^k (k <= n, r =
     +-Q) moves by u_{j+m} = T^m u_j, because [x+j+m] = [m] + Q^m [x+j], and
@@ -500,8 +504,6 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     bits of M takes O(n^2 log M) operations.
     """
     q = spec.q.q_padic
-    if f.q.mode != "padic" or f.q.q_padic != q:
-        raise ValueError(f"the integrand is taken at {f.q!r}, the measure at {spec.q!r}")
     p, shift, n = q.p, f.shift, f.n
     signs = (1,) if f.chi is None else tuple(int(s) for s in f.chi)
     size = len(signs)
@@ -583,7 +585,7 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     character-twisted one must be a function on the domain: the p-free part
     of its table's modulus must divide d.  Otherwise ValueError.
     """
-    _check_integrand(f)
+    _check_integrand(spec, f)
     if spec.q.mode != "padic":
         raise ValueError("integration is a p-adic limit; q must be padic")
     if n_max < 2:

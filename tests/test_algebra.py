@@ -4,6 +4,7 @@ Expected reduced forms were computed independently (hand expansion checked
 against a computer-algebra system) and frozen as coefficient lists.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 from qvolkenborn import algebra
 from qvolkenborn.algebra import (_KRONECKER_CUTOFF, CyclotomicElement, PoleError,
                                  Polynomial, RationalFunction, RootOrderMismatch,
-                                 _binomial_quotient, _cyclotomic_int, _cyclotomic_quotient,
-                                 _exact_quotient_int, _gcd_int, _mul_int, _mul_int_schoolbook,
+                                 _binomial_quotient, _cyclotomic_int, _cyclotomic_ratio,
+                                 _exact_quotient_int, _gcd_int, _int_value, _mul_int,
+                                 _mul_int_schoolbook,
                                  _primitive, _times_binomial, cyclotomic_polynomial, poly_gcd,
                                  reduce_cyclotomic_fraction, root_of_unity_rows)
 
@@ -340,8 +342,8 @@ _phi_orders = st.sampled_from((1, 2, 3, 4, 6, 9, 12, 25, 30, 42, 60, 66, 70, 78,
        at=st.integers(0, 400), bump=st.integers(-2, 2))
 def test_cyclotomic_quotient_matches_exact_quotient(order, power, cofactor, at, bump):
     # a = cofactor * Phi_d^power, perhaps with one coefficient bumped off
-    # divisibility: divide by Phi_d until it stops dividing, each step
-    # against the generic long division
+    # divisibility: divide by Phi_d (a one-element group) until it stops
+    # dividing, each step against the generic long division
     phi = list(_cyclotomic_int(order)[0])
     a = list(_trim(cofactor))
     for _ in range(power):
@@ -352,7 +354,7 @@ def test_cyclotomic_quotient_matches_exact_quotient(order, power, cofactor, at, 
     steps = 0
     while a is not None:
         want = _exact_quotient_int(a, phi)
-        assert _cyclotomic_quotient(a, order) == want
+        assert _cyclotomic_ratio(a, {order: -1}) == want
         a, steps = want, steps + 1
     assert steps > power or bump
 
@@ -361,6 +363,8 @@ def test_cyclotomic_quotient_matches_exact_quotient(order, power, cofactor, at, 
 @given(j=st.integers(1, 45), power=st.integers(0, 2),
        cofactor=st.lists(st.integers(-9, 9), min_size=1, max_size=60).filter(any),
        at=st.integers(0, 400), bump=st.integers(-2, 2))
+@example(j=5, power=1, cofactor=[1] * 20, at=0, bump=0)   # n = 25 = j^2: block-wise
+@example(j=5, power=1, cofactor=[1] * 21, at=0, bump=0)   # n = 26 > j^2: per class
 def test_binomial_quotient_matches_exact_quotient(j, power, cofactor, at, bump):
     # a = cofactor * (1 - w^j)^power, perhaps bumped; j below and above the
     # square root of the length, so both running-sum orders run
@@ -382,8 +386,88 @@ def test_cyclotomic_quotient_fails_after_early_binomial_divisions():
         a = _times_binomial(a, -1, e)
     early = _binomial_quotient(a, 2)
     assert early is not None and _binomial_quotient(early, 3) is not None
-    assert _cyclotomic_quotient([1, 2, 3], 30) is None
+    assert _cyclotomic_ratio([1, 2, 3], {30: -1}) is None
     assert _exact_quotient_int([1, 2, 3], _cyclotomic_int(30)[0]) is None
+
+
+_groups = st.dictionaries(_phi_orders, st.integers(0, 3), min_size=1, max_size=4)
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_reference(d):
+    # w^d - 1 divided by Phi_e for every proper divisor e of d, by long division
+    phi = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            phi = _exact_quotient_int(phi, _phi_reference(e))
+    return tuple(phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(group=_groups | st.integers(1, 40).map(lambda j: {d: 1 for d in algebra._divisors(j)}),
+       cofactor=st.lists(st.integers(-9, 9), min_size=1, max_size=12).filter(any),
+       short=st.none() | st.integers(0, 3), at=st.integers(0, 400), bump=st.integers(-1, 1))
+@example(group={1: 3, 2: 1}, cofactor=[2, -1], short=None, at=0, bump=0)
+@example(group={1: 1, 2: 1, 3: 1, 6: 1}, cofactor=[1], short=None, at=0, bump=0)
+@example(group={1: 1, 5: 2, 30: 1}, cofactor=[3, 0, 1], short=1, at=0, bump=0)
+def test_grouped_cyclotomic_quotient_matches_repeated_exact_division(group, cofactor, short,
+                                                                     at, bump):
+    # a = cofactor * prod Phi_d^k_d, perhaps one power short or bumped; the
+    # group divides by the whole product at once, against one long division
+    # per Phi_d, each Phi_d built by long division too.  The divisors of j
+    # make 1 - w^j up to sign: every net exponent but one cancels, and Phi_1
+    # appears once.
+    a = list(cofactor)
+    orders = sorted(group)
+    for d in orders:
+        missing = short is not None and d == orders[short % len(orders)] and group[d] > 0
+        for _ in range(group[d] - missing):
+            a = _mul_reference(a, list(_phi_reference(d)))
+    a[at % len(a)] += bump
+    a = list(_trim(a))
+    assume(a)
+    want = a
+    for d in orders:
+        for _ in range(group[d]):
+            if want is not None:
+                want = _exact_quotient_int(want, _phi_reference(d))
+    assert _cyclotomic_ratio(a, {d: -k for d, k in group.items()}) == want
+
+
+def test_screen_false_positive_takes_the_one_by_one_fallback(monkeypatch):
+    # (w - 2^20)(1 + w) over 1 - w^2: the value at 2^20 is 0, so the screen
+    # passes both Phi_1 and Phi_2, the grouped division by 1 - w^2 fails,
+    # and the fallback divides by Phi_2 alone
+    for d in (1, 2):
+        _cyclotomic_int(d)
+    calls, ratio = [], algebra._cyclotomic_ratio
+    monkeypatch.setattr(algebra, "_cyclotomic_ratio",
+                        lambda a, powers: calls.append(dict(powers)) or ratio(a, powers))
+    num = P(-(1 << 20), 1) * P(1, 1)
+    got = reduce_cyclotomic_fraction(num, [(-1, 2, 1)])
+    assert calls[:3] == [{1: -1, 2: -1}, {1: -1}, {2: -1}]
+    want = RationalFunction(num, P(1, 0, -1))
+    assert (got.num, got.den) == (want.num, want.den) == (P(1 << 20, -1), P(-1, 1))
+    # a nonzero value that Phi_1(2^20) = 2^20 - 1 divides, though w - 1 does
+    # not divide the numerator; and the constant 2^20 - 1, made primitive
+    # before the screen, which the screen rejects at once
+    for num in (P(-(1 << 20) - 1, 2), P((1 << 20) - 1)):
+        calls.clear()
+        got = reduce_cyclotomic_fraction(num, [(-1, 1, 1)])
+        want = RationalFunction(num, P(1, -1))
+        assert (got.num, got.den) == (want.num, want.den)
+        assert len(calls) == (3 if num.degree else 2)
+
+
+@pytest.mark.parametrize("length", [0, 1, 32, 33, 1000])
+@pytest.mark.parametrize("x", [2, -3, 1 << 20, 10 ** 40 + 7])
+def test_int_value_matches_horner(length, x):
+    rng = random.Random(length)
+    xs = [rng.choice((-1, 1)) * rng.randrange(10 ** 30) for _ in range(length)]
+    want = 0
+    for c in reversed(xs):
+        want = want * x + c
+    assert _int_value(xs, x) == want
 
 
 @pytest.mark.parametrize("factor", [(0, 1, 1), (1, 0, 1), (-1, 2, -1)])

@@ -470,7 +470,7 @@ def test_residue_loop_matches_per_term_loop_on_edge_cases():
             assert fast.absolute_precision == digits
             assert fast.agrees_with(_term_sum(spec, f, reps), digits)
         with pytest.raises(ValueError, match="integrand is taken at"):
-            _sum_range(spec, bracket_power(padic_q(7, 3, 16), n), range(0, 9))
+            riemann_sum(spec, bracket_power(padic_q(7, 3, 16), n), 2)
 
 
 def test_integrals_take_only_a_bracket_power_at_their_own_q():
@@ -481,6 +481,27 @@ def test_integrals_take_only_a_bracket_power_at_their_own_q():
             call(abs)
         with pytest.raises(ValueError, match="integrand is taken at"):
             call(bracket_power(padic_q(11), 2))
+
+
+def test_riemann_sums_refuse_an_integrand_at_another_q_in_every_mode():
+    # same mode and the same rational or p-adic q, or a symbolic q at any
+    # root order; otherwise the sum would mix two q's
+    domain = ProfiniteDomain(3)
+    sym, sym2 = QDescriptor.symbolic(), QDescriptor.symbolic(2)
+    two_fifths, three_sevenths = QDescriptor.rational(F(2, 5)), QDescriptor.rational(F(3, 7))
+    refused = [(two_fifths, three_sevenths), (two_fifths, sym), (sym, three_sevenths),
+               (sym, padic_q(4, 3, 16)), (padic_q(4, 3, 16), padic_q(7, 3, 16)),
+               (padic_q(4, 3, 16), padic_q(4, 3, 12)), (padic_q(4, 3, 16), two_fifths)]
+    for measure_q, integrand_q in refused:
+        spec = MeasureSpec(FERMIONIC, measure_q, domain)
+        with pytest.raises(ValueError, match="integrand is taken at"):
+            riemann_sum(spec, bracket_power(integrand_q, 2), 1)
+    spec = MeasureSpec(FERMIONIC, sym, domain)
+    assert (riemann_sum(spec, bracket_power(sym2, 2), 1)
+            == riemann_sum(spec, bracket_power(sym, 2), 1))
+    spec = MeasureSpec(FERMIONIC, two_fifths, domain)
+    assert (riemann_sum(spec, bracket_power(QDescriptor.rational(F(2, 5)), 2), 1)
+            == riemann_sum(spec, bracket_power(two_fifths, 2), 1))
 
 
 @settings(max_examples=60, deadline=None)
