@@ -6,9 +6,9 @@ exact rational-function field, truncated formal power series, and certified
 p-adic Riemann-sum limits — and cross-checks every route against the others.
 """
 
-from .algebra import (CyclotomicElement, PoleError, Polynomial,
-                      RationalFunction, RootOrderMismatch,
-                      cyclotomic_polynomial, poly_gcd)
+from .algebra import (CyclotomicElement, NonCyclotomicDenominator, PoleError,
+                      Polynomial, RationalFunction, RootOrderMismatch,
+                      cyclotomic_polynomial)
 from .characters import (DirichletCharacter, UnitGroupStructure,
                          character_value, conductor, enumerate_characters,
                          make_character, parse_character_id,

@@ -7,10 +7,17 @@ indeterminate ``w`` together with a declared *root order* ``D``: the symbol
 ``q`` (``q**(a/D)``) inside a plain univariate field: they are just integer
 powers of ``w``.
 
-Every value is canonical: numerator and denominator are coprime and the
-denominator is monic, which makes equality a structural comparison.  All
-values are immutable and every operation is a pure function, so elements can
-be shared freely across threads or parallel reductions.
+Every denominator the package builds is w^a times a product of cyclotomic
+polynomials Phi_d, since the closed forms divide by binomials 1 +- w^j, so
+the elements live in the ring of fractions with such denominators.  A
+:class:`RationalFunction` stores its denominator in that factored form, and
+sums, products, powers, rebasing and reciprocals act on the factorization;
+cancelling is a screen of the numerator against the Phi_d that can divide
+it, so no polynomial gcd is needed.  Every value is canonical: numerator
+and denominator are coprime and the denominator is monic, which makes
+equality a structural comparison.  All values are immutable and every
+operation is a pure function, so elements can be shared freely across
+threads or parallel reductions.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import functools
 import math
 import numbers
 from fractions import Fraction
-from itertools import accumulate
+from collections import Counter
+from itertools import accumulate, count
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -30,6 +38,15 @@ class PoleError(ArithmeticError):
 
 class RootOrderMismatch(ValueError):
     """Incompatible root orders that cannot be reconciled by rebasing."""
+
+
+class NonCyclotomicDenominator(ValueError):
+    """A denominator that is not c w^a prod Phi_d^e (Phi_d cyclotomic): the
+    fraction lies outside the ring that :class:`RationalFunction` holds."""
+
+    def __init__(self, den: Polynomial):
+        super().__init__(f"denominator {den.render('w')} is not c w^a prod Phi_d^e "
+                         "(cyclotomic Phi_d)")
 
 
 # ---------------------------------------------------------------------------
@@ -135,56 +152,6 @@ def _content(xs: Iterable[int]) -> int:
     return g
 
 
-def _primitive(xs: list[int]) -> list[int]:
-    while xs and xs[-1] == 0:
-        xs.pop()
-    if not xs:
-        return xs
-    g = _content(xs)
-    if xs[-1] < 0:
-        g = -g
-    if g != 1:
-        xs = [x // g for x in xs]
-    return xs
-
-
-def _gcd_heu_step(a: list[int], b: list[int], xi: int) -> list[int] | None:
-    """One GCDHEU evaluation: the gcd of a and b read off gcd(a(xi), b(xi)),
-    or None when the candidate does not divide both inputs."""
-    va, vb = _int_value(a, xi), _int_value(b, xi)
-    if not (va and vb):
-        return None
-    v, half, digits = math.gcd(va, vb), xi // 2, []
-    while v:
-        v, d = divmod(v, xi)
-        if d > half:
-            d -= xi
-            v += 1
-        digits.append(d)
-    h = _primitive(digits)
-    if len(h) == 1 or (_exact_quotient_int(a, h) is not None
-                       and _exact_quotient_int(b, h) is not None):
-        return h
-    return None
-
-
-def _gcd_int(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of primitive, nonconstant integer polynomials.
-
-    GCDHEU (Char, Geddes and Gonnet, 1989): both inputs are evaluated at an
-    integer xi >= 2 min(|a|, |b|) + 29 (max norms), and the integer gcd of
-    the two values is read back as balanced base-xi digits.  From that bound
-    on, a primitive candidate that divides both inputs is their gcd.  A
-    rejected candidate grows xi by the step of sympy's ``dup_zz_heu_gcd``.
-    The loop ends: with a = G a' and b = G b', the value gcd is r |G(xi)|
-    with r dividing Res(a', b'), so once xi > 2 r |G| the candidate is G.
-    """
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
-    while (h := _gcd_heu_step(a, b, xi)) is None:
-        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
-    return h
-
-
 # ---------------------------------------------------------------------------
 # polynomials over Q
 # ---------------------------------------------------------------------------
@@ -248,10 +215,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.ints
 
-    @property
-    def is_one(self) -> bool:
-        return self.ints == (1,) and self.scale == 1
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
@@ -298,37 +261,12 @@ class Polynomial:
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial((1,))
-        base = self
+        result, base = Polynomial((1,)), self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+            base, n = base * base if n > 1 else base, n >> 1
         return result
-
-    def exact_div(self, other: Polynomial) -> Polynomial:
-        """self / other, which must leave no remainder (ValueError if not).
-
-        The division runs over Z: by Gauss's lemma a primitive divisor
-        leaves an integral quotient, so other = content * primitive part is
-        divided out as the primitive part first and the content and the
-        scales are fixed afterwards."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return self
-        content = _content(other.ints)
-        quo = _exact_quotient_int(self.ints, [c // content for c in other.ints])
-        if quo is None:
-            raise ValueError("polynomial division is not exact")
-        return Polynomial._make([c * other.scale for c in quo], self.scale * content)
-
-    def monic(self) -> Polynomial:
-        if self.is_zero:
-            return self
-        lead = self.ints[-1]
-        return Polynomial._make(self.ints if lead > 0 else [-c for c in self.ints], abs(lead))
 
     def evaluate(self, point: Fraction | int) -> Fraction:
         """Value at point = a/b, by an integer Horner loop in (a, b)."""
@@ -391,36 +329,13 @@ def _lowest_terms(ints: list[int] | tuple[int, ...], scale: int) -> tuple[tuple[
     return tuple(ints[:n]), scale
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over Q.
-
-    The primitive parts are handed to ``_gcd_int`` (heuristic integer gcd,
-    GCDHEU); the gcd is unique up to a unit, so the result is made monic.
-    """
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    if a.degree == 0 or b.degree == 0:
-        return Polynomial((1,))
-    g = _gcd_int(_primitive(list(a.ints)), _primitive(list(b.ints)))
-    return Polynomial._make(g, g[-1])
-
-
 # ---------------------------------------------------------------------------
-# factored reduction for binomial-product denominators
+# denominators w^a prod Phi_d^e, stored as a and the Phi-map {d: e}
 #
-# Every denominator the closed-form kernel builds is w^r times a product of
-# 1 +- w^j factors, i.e. of cyclotomic polynomials.  Those are cancelled
-# directly: screen once, divide once.  One integer value of the numerator
-# is divided by each Phi_d's value in turn, which bounds how often each
-# Phi_d can divide; the product of those powers, written as net exponents
-# of Mobius binomials 1 - w^b, is then cancelled in one pass per binomial,
-# by shift-adds for the binomials it multiplies by and strided running
-# sums for those it divides by, all run by C-level slice and accumulate
-# loops.  Only a screen that passes a non-divisor (a value of 0, say) sends
-# the reduction back to one Phi_d at a time.  This is far cheaper than a
-# generic gcd at the degrees the identity suites reach.
+# A Phi_d cancels against a numerator after a screen on one integer value
+# (the numerator's value at 2^20 divided by Phi_d(2^20) as often as it
+# goes), in one pass per Mobius binomial 1 - w^b of the screened product:
+# shift-adds to multiply by a binomial, strided running sums to divide.
 # ---------------------------------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
@@ -435,28 +350,15 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _exact_quotient_int(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
-    """Quotient of nonzero integer polynomials a / b when b divides a in
-    Z[x], else None (a quotient coefficient that is not an integer, or a
-    nonzero remainder)."""
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return None
-    lead = b[-1]
-    nz_b = [(j, y) for j, y in enumerate(b[:db]) if y]
-    rem = list(a)
-    quo = [0] * (len(a) - db)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + db]
-        if c:
-            if lead != 1:
-                c, r = divmod(c, lead)
-                if r:
-                    return None
-            quo[i] = c
-            for j, y in nz_b:
-                rem[i + j] -= c * y
-    return None if any(rem[:db]) else quo
+def _prime_factors(n: int) -> list[int]:
+    """The primes of n >= 1, with multiplicity, in ascending order."""
+    out, p = [], 2
+    while n > 1:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return out
 
 
 _EVAL_POINT = 1 << 20
@@ -469,7 +371,7 @@ def _mobius_binomials(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     -(1 - w)."""
     if order < 1:
         raise ValueError("order must be positive")
-    primes = [p for p in _divisors(order)[1:] if len(_divisors(p)) == 2]
+    primes = set(_prime_factors(order))
     plus, minus = [], []
     for e in _divisors(order):
         m = order // e
@@ -520,6 +422,73 @@ def cyclotomic_polynomial(order: int) -> Polynomial:
     return Polynomial(_cyclotomic_int(order)[0])
 
 
+def _order_bound(r: int) -> int:
+    """B with phi(d) > r for every d > B: B = r R_k, R_k = prod p/(p - 1)
+    over the first k primes and k the least with phi(P_(k+1)) > r, P_j the
+    product of the first j primes.  A d with j primes has phi(d) >= d/R_j
+    >= phi(P_j), so phi(d) > r for d > B when j <= k, and always when j > k.
+    """
+    bound, phi = Fraction(r), 1
+    for p in filter(lambda p: _prime_factors(p) == [p], count(2)):
+        phi *= p - 1
+        if phi > r:
+            return math.floor(bound)
+        bound *= Fraction(p, p - 1)
+
+
+def _cyclotomic_factors(ints: Sequence[int]) -> tuple[int, int, dict[int, int]] | None:
+    """(c, a, {d: e}) with the nonzero integer polynomial ints = c w^a prod
+    Phi_d^e, or None when it has no such form.
+
+    p = ints / (c w^a) must be integral with p(0) = +-1.  p(0) p is read as
+    the power series prod_b (1 - w^b)^n_b, up to the order bound B at r =
+    deg p: n_b is minus the coefficient of w^b once the binomials below b
+    are divided out.  By Mobius inversion e_d = sum of n_b over the
+    multiples b of d.  When every e_d >= 0 and the degree sum b n_b is r,
+    the product equals p, as both have degree r and agree to degree B.  A
+    product has every |n_b| <= r, which ends the search early otherwise.
+    """
+    a, c = next(i for i, x in enumerate(ints) if x), ints[-1]
+    if any(x % c for x in ints[a:]):
+        return None
+    p = [x // c for x in ints[a:]]
+    r, sign = len(p) - 1, p[0]
+    if sign not in (1, -1):
+        return None
+    top = _order_bound(r)
+    series, net = [x * sign for x in p] + [0] * (top - r), {}
+    for b in range(1, top + 1):
+        n = -series[b]
+        if not n:
+            continue
+        if abs(n) > r:
+            return None
+        for _ in range(n):
+            for i in range(b):
+                series[i::b] = accumulate(series[i::b])
+        for _ in range(-n):
+            series[b:] = map(sub, series[b:], series[:-b])
+        net[b] = n
+    powers: Counter[int] = Counter()
+    for b, n in net.items():
+        for d in _divisors(b):
+            powers[d] += n
+    if sum(b * n for b, n in net.items()) != r or min(powers.values(), default=0) < 0:
+        return None
+    return c, a, +powers
+
+
+def _phi_map(powers: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((d, e) for d, e in powers.items() if e))
+
+
+@functools.lru_cache(maxsize=256)
+def _phi_product(phis: tuple[tuple[int, int], ...]) -> Polynomial:
+    """prod Phi_d^e over a Phi-map: a denominator without its power of w,
+    built once per map while the map is among the 256 last used."""
+    return Polynomial._make(_cyclotomic_ratio([1], dict(phis)), 1)
+
+
 def _cancel_cyclotomics(prim: list[int], den_map: dict[int, int],
                         one_by_one: bool) -> tuple[list[int] | None, dict[int, int]]:
     """(prim / prod Phi_d^k_d, {d: k_d}) with k_d <= den_map[d] read off the
@@ -547,111 +516,105 @@ def _cancel_cyclotomics(prim: list[int], den_map: dict[int, int],
     return _cyclotomic_ratio(prim, {d: -k for d, k in powers.items()}), powers
 
 
-def reduce_cyclotomic_fraction(num: Polynomial, factors: Iterable[tuple[int, int, int]],
-                               root_order: int = 1, w_power: int = 0) -> RationalFunction:
-    """Reduced fraction num / (w^w_power prod (1 + s w^j)^m) over the factors
-    (s, j, m): screen once, divide once (:func:`_cancel_cyclotomics`).
-
-    1 - w^j = -prod_{d | j} Phi_d and 1 + w^j = prod_{d | 2j, d not | j} Phi_d.
-    The powers of w cancel against the numerator's low-order zeros.  The
-    numerator's integer value at 2^20 is divided by each Phi_d(2^20) as
-    often as it goes (at most the denominator's power), by ascending d, and
-    the numerator is divided by the product of those powers in one exact
-    division.  The result is reduced: a Phi_d left in the denominator was
-    ruled out on a value that the quotient's value divides.  When the
-    grouped division fails, the screen passed a non-divisor (Phi_d(2^20)
-    divides the value but Phi_d does not divide the numerator), and the
-    cancellation is redone one Phi_d at a time.
+def _cancel(num: Polynomial, w_exp: int, phis: dict[int, int], screen: dict[int, int],
+            w_screen: int) -> tuple[Polynomial, int, tuple[tuple[int, int], ...]]:
+    """(num, w_exp, Phi-map) of num / (w^w_exp prod Phi_d^e over phis) with
+    w cancelled up to w^w_screen and each Phi_d of screen up to its power
+    there: the numerator is made primitive, its low zeros cancel w, and one
+    grouped :func:`_cancel_cyclotomics` cancels the Phi_d.  A Phi_d left in
+    the screen was ruled out on a value that the quotient's value divides.
+    When the grouped division fails, the screen passed a non-divisor, and
+    the cancellation is redone one Phi_d at a time.
     """
-    sign, den_map = 1, {}
-    for s, j, m in factors:
-        if j < 1 or s not in (1, -1) or m < 0:
-            raise ValueError(f"factor (1 + {s} w^{j})^{m} needs s = +-1, j >= 1, m >= 0")
-        if s == -1 and m & 1:
-            sign = -sign
-        for d in _divisors(j if s == -1 else 2 * j):
-            if s == -1 or j % d:
-                den_map[d] = den_map.get(d, 0) + m
     if num.is_zero:
-        return RationalFunction(num, Polynomial((1,)), root_order)
-    content = _content(num.ints)
-    prim = [x // content for x in num.ints]
-    content *= sign
-    low = 0
-    while low < w_power and prim[low] == 0:
-        low += 1
-    prim, w_power = prim[low:], w_power - low
-    quo, powers = _cancel_cyclotomics(prim, den_map, False)
-    if quo is None:
-        quo, powers = _cancel_cyclotomics(prim, den_map, True)
-    remaining = {d: e - powers[d] for d, e in den_map.items()}
-    return RationalFunction._reduced(
-        Polynomial._make([c * content for c in quo], num.scale),
-        Polynomial._make([0] * w_power + _cyclotomic_ratio([1], remaining), 1),
-        root_order)
+        return num, 0, ()
+    if screen or w_screen:
+        content = _content(num.ints)
+        prim = [x // content for x in num.ints]
+        low = 0
+        while low < w_screen and prim[low] == 0:
+            low += 1
+        prim, w_exp = prim[low:], w_exp - low
+        if screen:
+            quo, powers = _cancel_cyclotomics(prim, screen, False)
+            if quo is None:
+                quo, powers = _cancel_cyclotomics(prim, screen, True)
+            prim = quo
+            phis = Counter(phis) - Counter(powers)
+        num = Polynomial._make([x * content for x in prim], num.scale)
+    return num, w_exp, _phi_map(phis)
+
+
+def reduce_cyclotomic_fraction(num: Polynomial, phis: dict[int, int], root_order: int = 1,
+                               w_power: int = 0) -> RationalFunction:
+    """The reduced fraction num / (w^w_power prod Phi_d^e) over the Phi-map
+    phis = {d: e}, every Phi_d and power of w screened (:func:`_cancel`)."""
+    if any(d < 1 or e < 0 for d, e in phis.items()):
+        raise ValueError(f"a Phi-map needs orders d >= 1 and powers e >= 0, got {phis}")
+    return RationalFunction._make(*_cancel(num, w_power, phis, phis, w_power), root_order)
 
 
 # ---------------------------------------------------------------------------
 # rational functions in w with w**D = q
 # ---------------------------------------------------------------------------
 
-def _over_monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """num and den both divided by den's leading coefficient, rescaled on
-    their integer lists."""
-    lead, scale = den.ints[-1], den.scale
-    if lead == scale:
-        return num, den
-    factor = scale if lead > 0 else -scale
-    return Polynomial._make([c * factor for c in num.ints], num.scale * abs(lead)), den.monic()
-
-
 class RationalFunction:
-    """Reduced fraction of polynomials in ``w`` with ``w**root_order == q``.
+    """Reduced fraction num/den in ``w`` with ``w**root_order == q``.
 
-    Canonical form: gcd(num, den) = 1 and den monic, made by the constructor
-    (a GCDHEU gcd), which every product and quotient goes through.  Binary
-    operations on elements with different root orders rebase both to the
-    least common multiple, so mixing (say) D = 1 and D = 2 values is
-    transparent.
+    den = w^w_exp prod Phi_d^e is stored as w_exp and the Phi-map ``phis``,
+    the pairs (d, e > 0) by ascending d; the ``den`` polynomial is built
+    when read, once per map while a bounded cache holds it.  Canonical
+    form: neither w nor a Phi_d of the map divides num.  A sum takes the
+    lcm of the maps and screens only the Phi_d with equal powers on both
+    sides, a product adds them, a power scales them, and rebasing maps
+    Phi_d to Phi_d(w^p) one prime p at a time.  Binary operations on
+    elements with different root orders rebase both to the least common
+    multiple.  A denominator, or a reciprocal's numerator, that is not c
+    w^a prod Phi_d^e raises :class:`NonCyclotomicDenominator`.
+
+    >>> f = RationalFunction(Polynomial([1]), Polynomial([1, 0, -1]))
+    >>> f.phis
+    ((1, 1), (2, 1))
+    >>> print(f)
+    (-1)/(-1 + q^2)
     """
 
-    __slots__ = ("num", "den", "root_order")
+    __slots__ = ("num", "w_exp", "phis", "root_order")
 
     def __init__(self, num: Polynomial, den: Polynomial, root_order: int = 1):
         if root_order < 1:
             raise ValueError("root order must be >= 1")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in rational function")
-        if num.is_zero:
-            num, den = Polynomial(), Polynomial((1,))
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            num, den = _over_monic(num, den)
-        self.num = num
-        self.den = den
+        factored = _cyclotomic_factors(den.ints) if num else (1, 0, {})
+        if factored is None:
+            raise NonCyclotomicDenominator(den)
+        c, a, phis = factored
+        self.num, self.w_exp, self.phis = _cancel(num * Fraction(den.scale, c), a, phis, phis, a)
         self.root_order = root_order
 
     @classmethod
-    def _reduced(cls, num: Polynomial, den: Polynomial, root_order: int) -> RationalFunction:
+    def _make(cls, num: Polynomial, w_exp: int, phis: tuple[tuple[int, int], ...],
+              root_order: int) -> RationalFunction:
         f = object.__new__(cls)
-        f.num = num
-        f.den = den
-        f.root_order = root_order
+        f.num, f.w_exp, f.phis, f.root_order = num, w_exp, phis, root_order
         return f
 
     @classmethod
     def constant(cls, c: Fraction | int, root_order: int = 1) -> RationalFunction:
-        return cls._reduced(Polynomial((c,)), Polynomial((1,)), root_order)
+        return cls._make(Polynomial((c,)), 0, (), root_order)
 
     @classmethod
     def w_power(cls, k: int, root_order: int = 1) -> RationalFunction:
         """w**k as an element (negative k gives 1/w**(-k))."""
         if k >= 0:
-            return cls._reduced(Polynomial.monomial(k), Polynomial((1,)), root_order)
-        return cls._reduced(Polynomial((1,)), Polynomial.monomial(-k), root_order)
+            return cls._make(Polynomial.monomial(k), 0, (), root_order)
+        return cls._make(Polynomial((1,)), -k, (), root_order)
+
+    @property
+    def den(self) -> Polynomial:
+        den = _phi_product(self.phis)
+        return Polynomial._make((0,) * self.w_exp + den.ints, 1) if self.w_exp else den
 
     @property
     def is_zero(self) -> bool:
@@ -661,17 +624,24 @@ class RationalFunction:
 
     def rebase_root_order(self, new_order: int) -> RationalFunction:
         """Reinterpret the element at a finer root order (a multiple of the
-        current one): substitutes w -> w**(new/old).  Coprimality and the
-        monic denominator survive the substitution, so no re-reduction is
-        needed."""
+        current one): substitutes w -> w**(new/old).  Phi_d(w^p) is Phi_pd
+        when the prime p divides d and Phi_pd Phi_d otherwise.  Coprimality
+        survives the substitution, so no re-reduction is needed."""
         if new_order % self.root_order != 0:
             raise RootOrderMismatch(
                 f"cannot rebase root order {self.root_order} to {new_order}")
         k = new_order // self.root_order
         if k == 1:
             return self
-        return RationalFunction._reduced(
-            self.num.substitute_power(k), self.den.substitute_power(k), new_order)
+        phis = dict(self.phis)
+        for p in _prime_factors(k):
+            rebased: Counter[int] = Counter()
+            for d, e in phis.items():
+                rebased[p * d] += e
+                rebased[d] += e if d % p else 0
+            phis = rebased
+        return RationalFunction._make(self.num.substitute_power(k), self.w_exp * k,
+                                      _phi_map(phis), new_order)
 
     def _coerce(self, other) -> tuple[RationalFunction, RationalFunction] | None:
         if isinstance(other, (int, Fraction)):
@@ -685,6 +655,11 @@ class RationalFunction:
 
     # -- field operations ---------------------------------------------------
 
+    def _num_over(self, w_exp: int, phis: Counter[int]) -> Polynomial:
+        """The numerator over the multiple w^w_exp prod Phi_d^e of den."""
+        ints = _cyclotomic_ratio(list(self.num.ints), phis - Counter(dict(self.phis)))
+        return Polynomial._make([0] * (w_exp - self.w_exp) + ints, self.num.scale)
+
     def __add__(self, other):
         pair = self._coerce(other)
         if pair is None:
@@ -694,20 +669,18 @@ class RationalFunction:
             return b
         if b.is_zero:
             return a
-        if a.den == b.den:
-            return RationalFunction(a.num + b.num, a.den, a.root_order)
-        g = poly_gcd(a.den, b.den)
-        if g.degree == 0:
-            return RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den, a.root_order)
-        da = a.den.exact_div(g)
-        db = b.den.exact_div(g)
-        num = a.num * db + b.num * da
-        return RationalFunction(num, da * b.den, a.root_order)
+        pa, pb = Counter(dict(a.phis)), Counter(dict(b.phis))
+        lcm, w_exp = pa | pb, max(a.w_exp, b.w_exp)
+        num = a._num_over(w_exp, lcm) + b._num_over(w_exp, lcm)
+        screen = {d: e for d, e in pa.items() if pb[d] == e}
+        return RationalFunction._make(
+            *_cancel(num, w_exp, lcm, screen, w_exp if a.w_exp == b.w_exp else 0),
+            a.root_order)
 
     __radd__ = __add__
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction._reduced(-self.num, self.den, self.root_order)
+        return RationalFunction._make(-self.num, self.w_exp, self.phis, self.root_order)
 
     def __sub__(self, other):
         pair = self._coerce(other)
@@ -725,15 +698,27 @@ class RationalFunction:
             return NotImplemented
         a, b = pair
         if a.is_zero or b.is_zero:
-            return RationalFunction._reduced(Polynomial(), Polynomial((1,)), a.root_order)
-        return RationalFunction(a.num * b.num, a.den * b.den, a.root_order)
+            return RationalFunction.constant(0, a.root_order)
+        # a Phi_d or w of one side can only cancel against the other's numerator
+        pa, pb = Counter(dict(a.phis)), Counter(dict(b.phis))
+        screen = {d: e for d, e in pa.items() if d not in pb and b.num.degree > 0}
+        screen.update((d, e) for d, e in pb.items() if d not in pa and a.num.degree > 0)
+        w_exp = a.w_exp + b.w_exp
+        w_screen = 0 if a.w_exp and b.w_exp else w_exp
+        return RationalFunction._make(*_cancel(a.num * b.num, w_exp, pa + pb, screen, w_screen),
+                                      a.root_order)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> RationalFunction:
         if self.is_zero:
             raise ZeroDivisionError("reciprocal of zero")
-        return RationalFunction._reduced(*_over_monic(self.den, self.num), self.root_order)
+        factored = _cyclotomic_factors(self.num.ints)
+        if factored is None:
+            raise NonCyclotomicDenominator(self.num)
+        c, a, phis = factored
+        return RationalFunction._make(self.den * Fraction(self.num.scale, c), a,
+                                      _phi_map(phis), self.root_order)
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -748,17 +733,17 @@ class RationalFunction:
     def __pow__(self, n: int) -> RationalFunction:
         if n == 0:
             return RationalFunction.constant(1, self.root_order)
-        base = self if n > 0 else self.reciprocal()
+        base, n = (self, n) if n > 0 else (self.reciprocal(), -n)
         # powers of a reduced fraction stay reduced
-        return RationalFunction._reduced(
-            base.num ** abs(n), base.den ** abs(n), self.root_order)
+        return RationalFunction._make(base.num ** n, base.w_exp * n,
+                                      tuple((d, e * n) for d, e in base.phis), self.root_order)
 
     def __eq__(self, other) -> bool:
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a.num == b.num and a.den == b.den
+        return a.num == b.num and a.w_exp == b.w_exp and a.phis == b.phis
 
     __hash__ = None  # canonical form depends on root order; not hashable
 
@@ -804,7 +789,7 @@ class RationalFunction:
     def __str__(self) -> str:
         var = "q" if self.root_order == 1 else "w"
         num = self.num.render(var)
-        if self.den.is_one:
+        if not (self.w_exp or self.phis):
             return num
         return f"({num})/({self.den.render(var)})"
 

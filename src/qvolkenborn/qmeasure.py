@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import add, mul
 
 from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
-                      _times_binomial, reduce_cyclotomic_fraction)
+                      _divisors, _times_binomial, reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
 from .padic import (DEFAULT_BALL_CAP, BudgetExceeded, PadicNumber,
                     ProfiniteDomain, ball_representatives, q_admissible)
@@ -335,15 +335,23 @@ class _SymbolicReading:
     over one common scale (the lcm of the numerators' denominators), the
     numerators shifted by w^r when their exponents go down to -r.  A binomial
     is its (s, j) with j the w-exponent, and "times a binomial" is one
-    shift-add.  Every binomial multiplied into den is recorded, and the
-    final division is one :func:`reduce_cyclotomic_fraction` over w^r, those
-    binomials and the prefactor divisors."""
+    shift-add.  Every binomial multiplied into den, and every prefactor
+    divisor, is recorded as its Phi_d in one Phi-map (and a sign), and the
+    final division is one :func:`reduce_cyclotomic_fraction` over w^r and it."""
 
     def __init__(self, q: QDescriptor, numerators: list[dict]):
         terms = [(e, c) for num in numerators for e, c in num.items() if c]
-        self.q, self.zero, self.one, self.factors = q, [], [1], []
+        self.q, self.zero, self.one, self.phis, self.sign = q, [], [1], {}, 1
         self.shift = max([0] + [-e for e, _ in terms])
         self.scale = math.lcm(*(c.denominator for _, c in terms))
+
+    def _record(self, b: tuple[int, int], power: int) -> None:
+        # 1 - w^j = -prod_{d | j} Phi_d and 1 + w^j = prod_{d | 2j, d not | j} Phi_d
+        s, j = b
+        self.sign *= s ** power
+        for d in _divisors(j if s == -1 else 2 * j):
+            if s == -1 or j % d:
+                self.phis[d] = self.phis.get(d, 0) + power
 
     def binomial(self, s: int, e) -> tuple[int, int]:
         return s, self.q.w_exponent(e)
@@ -354,7 +362,7 @@ class _SymbolicReading:
         return x
 
     def den_times(self, den: list[int], b: tuple[int, int]) -> list[int]:
-        self.factors.append((*b, 1))
+        self._record(b, 1)
         return _times_binomial(den, *b)
 
     def add_terms(self, total: list[int], num: dict, den: list[int], d) -> list[int]:
@@ -369,9 +377,11 @@ class _SymbolicReading:
         return total
 
     def divide(self, total: list[int], den, divisors) -> RationalFunction:
-        factors = self.factors + [(s, j, m) for (s, j), m in divisors]
-        return reduce_cyclotomic_fraction(Polynomial._make(total, self.scale), factors,
-                                          self.q.root_order, self.q.w_exponent(self.shift))
+        for b, m in divisors:
+            self._record(b, m)
+        return reduce_cyclotomic_fraction(Polynomial._make(total, self.scale) * self.sign,
+                                          self.phis, self.q.root_order,
+                                          self.q.w_exponent(self.shift))
 
 
 _READINGS = {"symbolic": _SymbolicReading, "rational": _RationalReading,

@@ -18,6 +18,7 @@ import json
 import sys
 from pathlib import Path
 
+from qvolkenborn import algebra, verify
 from qvolkenborn.cli import main
 
 DIGESTS = Path(__file__).with_name("golden") / "cli_digests.json"
@@ -77,6 +78,19 @@ def test_cli_digests_match_the_recording():
     assert sorted(recorded) == sorted(commands())
     moved = [c for c in commands() if digest(c) != recorded[c]]
     assert not moved, f"output changed for: {moved}"
+
+
+def test_commands_and_suites_meet_only_cyclotomic_denominators(monkeypatch):
+    # every denominator (and every numerator taken a reciprocal of) that the
+    # recorded commands and the ten verify suites meet is c w^a prod Phi_d^e,
+    # so NonCyclotomicDenominator is never raised on them
+    seen, factors = [], algebra._cyclotomic_factors
+    monkeypatch.setattr(algebra, "_cyclotomic_factors",
+                        lambda ints: seen.append(factors(ints)) or seen[-1])
+    for command in commands():
+        digest(command)
+    assert all(result.passed for result in verify.run_suites())
+    assert seen and None not in seen
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Differential tests against sympy, an independent computer-algebra system.
 
-Skipped when sympy is not installed.  The gcd is compared on random integer
-polynomials, and the symbolic numbers on the closed forms
+Skipped when sympy is not installed.  The field operations are compared on
+random fractions with denominators c w^a prod Phi_d^e, and the symbolic
+numbers on the closed forms
 
     K_n    = (1+q)(1-q)^-n     sum_k (-1)^k C(n,k) / (1 + q^(k+1)),
     beta_n = (1-q)^(1-n)       sum_i (-1)^i C(n,i) (i+1) / (1 - q^(i+1)),
@@ -18,11 +19,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qvolkenborn.algebra import Polynomial, poly_gcd
+from qvolkenborn.algebra import Polynomial, RationalFunction
+
 from qvolkenborn.qmeasure import QDescriptor
 from qvolkenborn.qnumbers import beta_number, k_number
+from test_algebra import _coeff_lists, _cyclotomic_polys
 
 sympy = pytest.importorskip("sympy")
 
@@ -48,21 +50,30 @@ def _sympy_reduced(prefactor_num, prefactor_den, terms):
     return _ascending(num.to_field().quo_ground(lead)), _ascending(den.to_field().quo_ground(lead))
 
 
-_int_polys = st.lists(st.integers(-40, 40), max_size=7)
+def _sympy_poly(coeffs):
+    return sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
+                                     for c in coeffs])) or [0], q, domain="QQ")
+
+
+def _cancelled(num, den):
+    """num/den reduced by Poly.cancel over QQ, denominator made monic."""
+    num, den = num.cancel(den, include=True)
+    lead = den.LC()
+    return tuple(Polynomial(_ascending(p.quo_ground(lead))) for p in (num, den))
 
 
 @settings(max_examples=60, deadline=None)
-@given(a=_int_polys, b=_int_polys, common=_int_polys)
-def test_poly_gcd_matches_sympy_gcd(a, b, common):
-    pa = Polynomial(a) * Polynomial(common)
-    pb = Polynomial(b) * Polynomial(common)
-    expected = sympy.gcd(sum(c * q ** i for i, c in enumerate(pa.coeffs)),
-                         sum(c * q ** i for i, c in enumerate(pb.coeffs)))
-    got = poly_gcd(pa, pb)
-    if expected == 0:
-        assert got.is_zero
-    else:
-        assert got.coeffs == _ascending(sympy.Poly(expected, q).monic())
+@given(an=_coeff_lists, ad=_cyclotomic_polys, bn=_cyclotomic_polys, bd=_cyclotomic_polys)
+def test_field_operations_match_sympy_cancel(an, ad, bn, bd):
+    # a = an/ad and the invertible b = bn/bd, denominators c w^a prod Phi_d^e:
+    # +, -, * and / against the cross-multiplied fraction cancelled by sympy
+    a = RationalFunction(Polynomial(an), ad)
+    b = RationalFunction(bn, bd)
+    san, sad, sbn, sbd = (_sympy_poly(p) for p in (an, ad.coeffs, bn.coeffs, bd.coeffs))
+    cases = [(a + b, san * sbd + sbn * sad, sad * sbd), (a - b, san * sbd - sbn * sad, sad * sbd),
+             (a * b, san * sbn, sad * sbd), (a / b, san * sbd, sad * sbn)]
+    for got, num, den in cases:
+        assert (got.num, got.den) == _cancelled(num, den)
 
 
 _SIZES = list(range(9)) + [20, 40]
