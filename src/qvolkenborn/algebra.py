@@ -496,20 +496,26 @@ def _cancel_cyclotomics(prim: list[int], den_map: dict[int, int],
 
     Grouped (one_by_one False), the screen only bounds each k_d and one
     :func:`_cyclotomic_ratio` divides by the whole product, giving None when
-    the screen passed a non-divisor.  One by one, each screened Phi_d is
-    divided out on its own and a failed division ends that d.
+    the screen passed a non-divisor; each k_d is read off the one residue
+    value mod Phi_d^e_d, and the value divided once by Phi_d^k_d.  One by
+    one, each screened Phi_d is divided out on its own and a failed
+    division ends that d.
     """
     value, powers = _int_value(prim, _EVAL_POINT), {}
     for d in sorted(den_map):
-        phi_value, k = _cyclotomic_int(d)[1], 0
-        while k < den_map[d] and value % phi_value == 0:
-            if one_by_one:
+        phi_value, e, k = _cyclotomic_int(d)[1], den_map[d], 0
+        if one_by_one:
+            while k < e and value % phi_value == 0:
                 quo = _cyclotomic_ratio(prim, {d: -1})
                 if quo is None:
                     break
-                prim = quo
-            value //= phi_value
-            k += 1
+                prim, value, k = quo, value // phi_value, k + 1
+        else:
+            residue = value % phi_value ** e
+            while k < e and residue % phi_value == 0:
+                residue //= phi_value
+                k += 1
+            value //= phi_value ** k
         powers[d] = k
     if one_by_one:
         return prim, powers
@@ -557,6 +563,15 @@ def reduce_cyclotomic_fraction(num: Polynomial, phis: dict[int, int], root_order
 # ---------------------------------------------------------------------------
 # rational functions in w with w**D = q
 # ---------------------------------------------------------------------------
+
+def _fraction_strings(p: Polynomial) -> list[str]:
+    """str(Fraction(c, p.scale)) for each c of p.ints, with one gcd each."""
+    out = []
+    for c in p.ints:
+        g = math.gcd(c, p.scale)
+        out.append(str(c // g) if g == p.scale else f"{c // g}/{p.scale // g}")
+    return out
+
 
 class RationalFunction:
     """Reduced fraction num/den in ``w`` with ``w**root_order == q``.
@@ -771,11 +786,8 @@ class RationalFunction:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "D": self.root_order,
-            "num": [str(c) for c in self.num.coeffs],
-            "den": [str(c) for c in self.den.coeffs],
-        }
+        return {"D": self.root_order, "num": _fraction_strings(self.num),
+                "den": _fraction_strings(self.den)}
 
     @classmethod
     def from_json(cls, data: dict) -> RationalFunction:

@@ -50,9 +50,18 @@ class QDescriptor:
     order D (w**D = q).  mode "rational": an exact rational q != 1.  mode
     "padic": a truncated p-adic q with v_p(q - 1) >= 1 and q != 1 at its
     precision.
+
+    Descriptors compare and hash by value: the mode, the root order, the
+    rational q and the p-adic q's (p, v, unit, prec), so equal readings
+    built separately share the closed-form caches of :mod:`qnumbers`.
+
+    >>> QDescriptor.rational(Fraction(2, 5)) == QDescriptor.rational(Fraction(4, 10))
+    True
+    >>> QDescriptor.symbolic(1) == QDescriptor.symbolic(2)
+    False
     """
 
-    __slots__ = ("mode", "root_order", "q_rational", "q_padic")
+    __slots__ = ("mode", "root_order", "q_rational", "q_padic", "_key")
 
     def __init__(self, mode: str, *, root_order: int = 1,
                  q_rational: Fraction | None = None,
@@ -77,6 +86,16 @@ class QDescriptor:
         self.root_order = root_order
         self.q_rational = q_rational
         self.q_padic = q_padic
+        self._key = (mode, root_order, q_rational, None if q_padic is None else
+                     (q_padic.p, q_padic.v, q_padic.unit, q_padic.prec))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QDescriptor):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @classmethod
     def symbolic(cls, root_order: int = 1) -> QDescriptor:

@@ -11,10 +11,18 @@ The distribution relation and the twists sum base-q^m polynomials at the
 arguments (a+x)/m; their closed forms merge into the q-exponents a + (a+x)k,
 so each is one closed-form kernel call (phi(L) calls for a character of
 order L > 2) in every reading of q, with integer exponents for integer x.
+
+The closed values are memoized per (family, n, x, m, weights, q) in a
+256-entry LRU cache for each of the two closed-form bodies, K's
+:func:`_twisted_sum` and beta's :func:`_bernoulli_sum`: the expansion
+routes read every number K_0 .. K_n, so a loop over n would otherwise
+derive each number O(n) times.  Values are immutable, so sharing them is
+safe; the expansion and integral forms are not cached themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -33,11 +41,19 @@ def _check_form(form: str) -> None:
         raise ValueError(f"unknown form {form!r}; expected one of {FORMS}")
 
 
-def _int_if_integral(x: Fraction) -> Fraction | int:
+def _int_if_integral(x: Fraction | int) -> Fraction | int:
+    """x as an int when it is integral, with no Fraction made for an int or
+    a Fraction x."""
+    if isinstance(x, int):
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
-def _twisted_sum(n: int, x: Fraction, m: int, q: QDescriptor, weights):
+@functools.lru_cache(maxsize=256)
+def _twisted_sum(n: int, x: Fraction | int, m: int, q: QDescriptor,
+                 weights: tuple[int, ...]):
     """([m]^n/[m]_-) sum_a weights[a] (-1)^a q^a K(base q^m, (a+x)/m), with the
     base-change prefactors cancelled analytically against the inner closed
     forms, leaving (1+q)(1-q)^-n sum_k (...)/(1 + q^(m(k+1))).  The
@@ -57,6 +73,15 @@ def _expansion(n: int, x: Fraction, q: QDescriptor, number):
         acc = acc + (q.from_rational(math.comb(n, i)) * q.qpow(i * x)
                      * number(i, q) * bx ** (n - i))
     return acc
+
+
+@functools.lru_cache(maxsize=256)
+def _bernoulli_sum(n: int, x: Fraction | int, q: QDescriptor):
+    """The closed beta_n(x): the alternating sum with q^(x i) weights over
+    the power moments (i+1)/[i+1] = (i+1)(1-q)/(1-q^(i+1)), one power of
+    (1-q) cancelled against the prefactor."""
+    numerators = [{x * i: (-1) ** i * math.comb(n, i) * (i + 1)} for i in range(n + 1)]
+    return binomial_fraction_sum(q, numerators, -1, 1, [(-1, 1, 1 - n)])
 
 
 def _integral(kind: str, q: QDescriptor, f: BracketPower, d: int, stability: int,
@@ -81,21 +106,16 @@ def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "clos
                     stability: int = 5, n_max: int = 8, cap: int = DEFAULT_BALL_CAP):
     """The q-Bernoulli polynomial at x, by the selected route.
 
-    "closed": alternating sum with q^(x i) weights over the power moments
-    (i+1)/[i+1] = (i+1)(1-q)/(1-q^(i+1)), one power of (1-q) cancelled
-    against the prefactor; "expansion": binomial expansion over beta numbers
-    and [x] powers; "integral": the bosonic p-adic integral of [x+t]^n
-    (padic q only).
+    "closed": :func:`_bernoulli_sum`; "expansion": binomial expansion over
+    beta numbers and [x] powers; "integral": the bosonic p-adic integral of
+    [x+t]^n (padic q only).
     """
     _check_form(form)
     if n < 0:
         raise ValueError("index must be nonnegative")
-    x = Fraction(x)
     if form == "closed":
-        x = _int_if_integral(x)
-        numerators = [{x * i: (-1) ** i * math.comb(n, i) * (i + 1)}
-                      for i in range(n + 1)]
-        return binomial_fraction_sum(q, numerators, -1, 1, [(-1, 1, 1 - n)])
+        return _bernoulli_sum(n, _int_if_integral(x), q)
+    x = Fraction(x)
     if form == "expansion":
         return _expansion(n, x, q, beta_number)
     return _integral(BOSONIC, q, bracket_power(q, n, x), 1, stability, n_max, cap)
@@ -124,9 +144,9 @@ def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"
     _check_form(form)
     if n < 0:
         raise ValueError("index must be nonnegative")
-    x = Fraction(x)
     if form == "closed":
-        return _twisted_sum(n, x, 1, q, [1])
+        return _twisted_sum(n, _int_if_integral(x), 1, q, (1,))
+    x = Fraction(x)
     if form == "expansion":
         return _expansion(n, x, q, k_number)
     return _integral(FERMIONIC, q, bracket_power(q, n, x), 1, stability, n_max, cap)
@@ -145,7 +165,7 @@ def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
         raise ValueError(f"the distribution relation needs odd m, got {m}")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _twisted_sum(n, Fraction(x), m, q, [1] * m)
+    return _twisted_sum(n, _int_if_integral(x), m, q, (1,) * m)
 
 
 def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed",
@@ -173,8 +193,8 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
             raise ValueError(
                 "p-adic twisted numbers need character values in {0, +-1}")
         rows = root_of_unity_rows(order)
-        sums = [_twisted_sum(n, Fraction(0), f, q,
-                             [0 if k is None else rows[k][i] for k in chi.exponent_table])
+        sums = [_twisted_sum(n, 0, f, q,
+                             tuple(0 if k is None else rows[k][i] for k in chi.exponent_table))
                 for i in range(len(rows[0]))]
         return sums[0] if order <= 2 else CyclotomicElement(order, sums)
     return _integral(FERMIONIC, q, character_twisted_power(q, n, chi), f,

@@ -802,3 +802,13 @@ def test_json_strings_are_exact():
     data = f.to_json()
     assert data["num"][1] == str(10 ** 40)
     assert RationalFunction.from_json(data) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_ratfuncs)
+@example(f=R((F(-7, 2), 0, F(5, 6), 3), (F(1, 4), 0, F(1, 4))))
+def test_json_strings_are_the_fraction_strings(f):
+    # one gcd per coefficient writes what str(Fraction) writes
+    data = f.to_json()
+    assert data["num"] == [str(c) for c in f.num.coeffs]
+    assert data["den"] == [str(c) for c in f.den.coeffs]

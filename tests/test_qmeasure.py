@@ -207,8 +207,8 @@ def test_kernel_halves_agree_on_polynomials(x):
 def test_kernel_halves_agree_on_twisted_sums(x):
     d = x.denominator
     chi = make_character(5, (2,))  # the quadratic character mod 5
-    cases = [(m, [1] * m) for m in (1, 3, 5)]
-    cases.append((5, [character_value(chi, a) for a in range(5)]))
+    cases = [(m, (1,) * m) for m in (1, 3, 5)]
+    cases.append((5, tuple(character_value(chi, a) for a in range(5))))
     for t in KERNEL_TS:
         for n in range(9):
             for m, weights in cases:
@@ -216,7 +216,7 @@ def test_kernel_halves_agree_on_twisted_sums(x):
                 if d == 1:
                     rational = QDescriptor.rational(t)
                     assert _twisted_sum(n, x, m, rational, weights) == want
-                    if weights == [1] * m:
+                    if weights == (1,) * m:
                         assert k_distribution_rhs(n, x, m, rational) == want
 
 

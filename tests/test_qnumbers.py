@@ -9,7 +9,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qvolkenborn import qnumbers
 from qvolkenborn.algebra import CyclotomicElement, Polynomial, RationalFunction
 from qvolkenborn.characters import character_value, make_character, parse_character_id
 from qvolkenborn.padic import padic_from_rational
@@ -329,3 +332,73 @@ def test_classical_bernoulli_table():
 def test_beta_limits_match_bernoulli():
     for n in range(11):
         assert beta_number(n, sym()).limit_at_one() == BERNOULLI[n]
+
+
+# ---------------------------------------------------------------------------
+# the closed-form value caches
+# ---------------------------------------------------------------------------
+
+_CACHES = (qnumbers._twisted_sum, qnumbers._bernoulli_sum)
+
+
+def _padic(q_value, prec):
+    return QDescriptor.padic(padic_from_rational(q_value, 5, prec))
+
+
+def test_closed_form_caches_are_bounded():
+    for cache in _CACHES:
+        assert cache.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("make", [lambda: sym(2), lambda: QDescriptor.rational(F(2, 5)),
+                                  lambda: _padic(6, 32)], ids=["symbolic", "rational", "padic"])
+def test_equal_descriptors_share_a_cache_entry(make):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    for cache in _CACHES:
+        cache.cache_clear()
+    first = k_polynomial(4, 1, a), beta_polynomial(4, 1, a)
+    hits = [cache.cache_info().hits for cache in _CACHES]
+    again = k_polynomial(4, 1, b), beta_polynomial(4, 1, b)
+    assert [cache.cache_info().hits for cache in _CACHES] == [h + 1 for h in hits]
+    assert all(x is y for x, y in zip(first, again))
+
+
+@pytest.mark.parametrize("a, b", [
+    (_padic(6, 32), _padic(6, 128)),
+    (sym(1), sym(2)),
+    (QDescriptor.rational(F(2, 5)), QDescriptor.rational(F(3, 5))),
+], ids=["padic-precision", "root-order", "rational-q"])
+def test_distinct_descriptors_never_share_a_cache_entry(a, b):
+    assert a != b
+    for cache in _CACHES:
+        cache.cache_clear()
+    k_polynomial(3, 2, a), beta_polynomial(3, 2, a)
+    k_polynomial(3, 2, b), beta_polynomial(3, 2, b)
+    assert [cache.cache_info().hits for cache in _CACHES] == [0, 0]
+    assert [cache.cache_info().currsize for cache in _CACHES] == [2, 2]
+
+
+# two readings per mode, so a key that confused them would show
+_QS = [sym(1), sym(3), QDescriptor.rational(F(-3, 7)), QDescriptor.rational(F(2, 5)),
+       _padic(6, 20), _padic(6, 32)]
+_CHARS = [make_character(1, ()), make_character(3, (1,)), make_character(5, (2,)),
+          make_character(5, (1,)), make_character(7, (1,))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from(_QS), n=st.integers(0, 7), thirds=st.integers(-9, 9),
+       m=st.sampled_from([1, 3, 5]), chi=st.sampled_from(_CHARS))
+def test_cached_values_equal_cold_values(q, n, thirds, m, chi):
+    # K_n(x), beta_n(x), the distribution right side and the k_chi rows, read
+    # warm, equal the values computed again after the caches are cleared
+    x = F(thirds, q.root_order if q.mode == "symbolic" else 1)
+    if q.mode == "padic" and chi.value_order > 2:
+        chi = _CHARS[1]
+    calls = [lambda: k_polynomial(n, x, q), lambda: beta_polynomial(n, x, q),
+             lambda: k_distribution_rhs(n, x, m, q), lambda: k_chi(n, chi, q)]
+    warm = [call() for call in calls]
+    assert [call() for call in calls] == warm
+    for cache in _CACHES:
+        cache.cache_clear()
+    assert [call() for call in calls] == warm
