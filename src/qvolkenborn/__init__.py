@@ -13,9 +13,8 @@ from .characters import (DirichletCharacter, UnitGroupStructure,
                          character_value, conductor, enumerate_characters,
                          make_character, parse_character_id,
                          unit_group_structure)
-from .padic import (BudgetExceeded, PadicNumber, ProfiniteDomain,
-                    ball_representatives, padic_from_rational,
-                    q_admissible)
+from .padic import (PadicNumber, ProfiniteDomain, ball_representatives,
+                    padic_from_rational, q_admissible)
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, IntegrationResult,
                        MeasureSpec, NonConvergence, QDescriptor, ball_measure,
                        bosonic_power_moment, bracket_power,

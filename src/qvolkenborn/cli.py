@@ -5,10 +5,11 @@ values as coefficient lists, p-adic values as valuation/unit/precision); no
 floating point appears anywhere.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
-error (including an exhausted ball budget, a pole of the formula at the
-given q, and a p-adic value without the digits a check needs), 3
-non-convergence of a p-adic integral.  Past argument parsing, every
-error is one ``error:`` line on stderr, except that ``integrate`` reports
+error (including a pole of the formula at the given q, and a p-adic value
+without the digits a check needs), 3 non-convergence of a p-adic
+integral (no level up to min(--N-max, A) certifies the target, or a level
+claims fewer digits than it).  Past argument parsing, every error is one
+``error:`` line on stderr, except that ``integrate`` reports
 non-convergence as a JSON object there.
 """
 
@@ -19,16 +20,14 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .algebra import CyclotomicElement, PoleError, RationalFunction
 from .characters import (character_value, conductor, enumerate_characters,
                          parse_character_id)
-from .padic import (DEFAULT_BALL_CAP, DEFAULT_PRECISION, BudgetExceeded,
-                    PadicNumber, PrecisionExhausted, ProfiniteDomain,
-                    padic_from_rational)
+from .padic import (DEFAULT_PRECISION, PadicNumber, PrecisionExhausted,
+                    ProfiniteDomain, padic_from_rational)
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, NonConvergence,
                        QDescriptor, integrate, parse_integrand)
 from .qnumbers import beta_polynomial, k_chi, k_polynomial
@@ -66,20 +65,6 @@ def parse_q_spec(text: str, default_precision: int = DEFAULT_PRECISION) -> QDesc
         return QDescriptor.rational(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad q spec {text!r}: {exc}") from exc
-
-
-def _ball_cap_from_env() -> int:
-    """The ball budget: QVOLK_BALL_CAP when set, else the default."""
-    text = os.environ.get("QVOLK_BALL_CAP")
-    if text is None:
-        return DEFAULT_BALL_CAP
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise UsageError(f"QVOLK_BALL_CAP must be a positive integer, got {text!r}")
-    return cap
 
 
 def _evaluate_at(q: QDescriptor, label: str, compute):
@@ -185,19 +170,18 @@ def _emit(report: dict, rows: list[dict], args) -> None:
 
 def cmd_numbers(args) -> int:
     q = parse_q_spec(args.q)
-    cap = _ball_cap_from_env() if args.method == "integral" else DEFAULT_BALL_CAP
     rows = []
     for n in parse_index_range(args.n):
         if args.kind in ("K", "beta"):
             family = k_polynomial if args.kind == "K" else beta_polynomial
             value = _evaluate_at(q, f"{args.kind}_{n}",
-                                 lambda: family(n, 0, q, form=args.method, cap=cap))
+                                 lambda: family(n, 0, q, form=args.method))
         else:
             if not args.chi:
                 raise UsageError("--chi is required for kind K_chi")
             chi = parse_character_id(args.chi)
             value = _evaluate_at(q, f"K_chi_{n}",
-                                 lambda: k_chi(n, chi, q, method=args.method, cap=cap))
+                                 lambda: k_chi(n, chi, q, method=args.method))
         rows.append({"kind": args.kind, "n": n, "x": "", "m": "",
                      "chi": args.chi or "", "q_spec": args.q, "value": value})
     _emit({"command": "numbers", "kind": args.kind, "q_spec": args.q}, rows, args)
@@ -211,11 +195,10 @@ def cmd_polynomials(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad x {args.x!r}: {exc}") from exc
     polynomial = k_polynomial if args.kind == "K_poly" else beta_polynomial
-    cap = _ball_cap_from_env() if args.form == "integral" else DEFAULT_BALL_CAP
     rows = []
     for n in parse_index_range(args.n):
         value = _evaluate_at(q, f"{args.kind}_{n}({x})",
-                             lambda: polynomial(n, x, q, form=args.form, cap=cap))
+                             lambda: polynomial(n, x, q, form=args.form))
         rows.append({"kind": args.kind, "n": n, "x": str(x), "m": "",
                      "chi": "", "q_spec": args.q, "value": value})
     _emit({"command": "polynomials", "kind": args.kind, "x": str(x),
@@ -235,9 +218,8 @@ def cmd_integrate(args) -> int:
         integrand = parse_integrand(args.f, q)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    cap = _ball_cap_from_env()
     try:
-        result = integrate(spec, integrand, args.stability, args.n_max, cap)
+        result = integrate(spec, integrand, args.stability, args.n_max)
     except NonConvergence as exc:
         report = {"command": "integrate", "error": "non-convergence",
                   "detail": str(exc), "trace": [list(t) for t in exc.trace]}
@@ -423,8 +405,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (UsageError, ValueError, ZeroDivisionError, BudgetExceeded,
-            PrecisionExhausted, PoleError) as exc:
+    except (UsageError, ValueError, ZeroDivisionError, PrecisionExhausted,
+            PoleError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NonConvergence as exc:

@@ -284,13 +284,6 @@ def q_admissible(q: PadicNumber) -> bool:
 # profinite domains
 # ---------------------------------------------------------------------------
 
-DEFAULT_BALL_CAP = 10 ** 7
-
-
-class BudgetExceeded(RuntimeError):
-    """A ball enumeration would exceed the configured index budget."""
-
-
 @dataclass(frozen=True)
 class ProfiniteDomain:
     """Inverse limit of Z/(d p^N): the integration domain.  d = 1 is Z_p."""
@@ -310,12 +303,8 @@ class ProfiniteDomain:
         return self.d * self.p ** n
 
 
-def ball_representatives(domain: ProfiniteDomain, n: int,
-                         cap: int = DEFAULT_BALL_CAP) -> range:
+def ball_representatives(domain: ProfiniteDomain, n: int) -> range:
     """Representatives 0 .. d*p^n - 1 of the level-n balls a + d p^n Z_p."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    size = domain.level_size(n)
-    if size > cap:
-        raise BudgetExceeded(f"{size} ball representatives exceed the cap of {cap}")
-    return range(size)
+    return range(domain.level_size(n))

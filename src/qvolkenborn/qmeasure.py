@@ -27,8 +27,8 @@ from operator import add, mul
 from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
                       _divisors, _times_binomial, reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
-from .padic import (DEFAULT_BALL_CAP, BudgetExceeded, PadicNumber,
-                    ProfiniteDomain, ball_representatives, q_admissible)
+from .padic import (PadicNumber, ProfiniteDomain, ball_representatives,
+                    q_admissible)
 
 
 class NonConvergence(RuntimeError):
@@ -461,8 +461,7 @@ def ball_measure_sum(spec: MeasureSpec, reps, n: int):
     return binomial_fraction_sum(spec.q, [coeffs], sign, size, [(sign, 1, 1)])
 
 
-def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int,
-                cap: int = DEFAULT_BALL_CAP):
+def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int):
     """The level-n Riemann sum: sum over ball representatives j of
     f(j) * (+-q)^j, normalized by [d p^n] at +-q.
 
@@ -473,7 +472,7 @@ def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int,
     identical result.
     """
     _check_integrand(spec, f)
-    reps = ball_representatives(spec.domain, n, cap)
+    reps = ball_representatives(spec.domain, n)
     return _sum_range(spec, f, reps) / spec.level_norm(n)
 
 
@@ -522,7 +521,7 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     division is made.  For n >= 1 the bracket [x+j] = (1 - Q^(x+j)) / (1 -
     Q) is known to A - v_p(1 - Q) digits, and the sum claims exactly those;
     for n = 0 it claims A.  f must take its bracket at the spec's q
-    (:func:`riemann_sum` checks it).
+    (:func:`riemann_sum` and :func:`integrate` check it).
 
     The sum is geometric.  The state u_j[k] = r^j [x+j]^k (k <= n, r =
     +-Q) moves by u_{j+m} = T^m u_j, because [x+j+m] = [m] + Q^m [x+j], and
@@ -550,9 +549,11 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     step = q.unit % mod
     ratio = mod - step if spec.kind == FERMIONIC else step
     weight = pow(ratio, reps.start, mod)
-    count, extra = divmod(len(reps), size)
+    # a level can hold more than sys.maxsize representatives, past len()
+    length = reps.stop - reps.start
+    count, extra = divmod(length, size)
     v_all, v_extra = [0] * (n + 1), [0] * (n + 1)
-    for c in range(min(size, len(reps))):
+    for c in range(min(size, length)):
         s = signs[(reps.start + c) % size]
         if s:
             term = weight * s
@@ -598,16 +599,24 @@ def _transfer(v: list[int], power: tuple[int, int, int], rows: list[list[int]],
 
 
 def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
-              n_max: int, cap: int = DEFAULT_BALL_CAP) -> IntegrationResult:
+              n_max: int) -> IntegrationResult:
     """p-adic limit of the Riemann sums, certified by the Cauchy criterion.
 
-    Stops at the smallest N <= n_max with v_p(S_N - S_{N-1}) >= the target
-    and returns that sum, truncated to the certified stability, together
-    with the stability and the full difference-valuation trace.  Raises
-    :class:`NonConvergence` (with the trace as diagnostic) when the target
-    is not met by n_max, BudgetExceeded (naming the level and the
-    difference valuations reached before it) when a level has more
-    representatives than ``cap``, and ValueError when n_max < 2 (no
+    Stops at the smallest level N with v_p(S_N - S_{N-1}) >= the target and
+    returns that sum, truncated to the certified stability, together with
+    the stability and the full difference-valuation trace.  Two rules, both
+    worked out from q's precision A, bound the walk:
+
+    - it runs N = 1 .. min(n_max, A).  A fermionic sum is within p^N of the
+      limit and claims A - v_p(1 - q) digits, so it is saturated by level
+      A - v_p(1 - q) + 1 <= A; a bosonic one claims one digit fewer per level;
+    - it stops at the first level whose sum claims fewer absolute digits
+      than the target, and a level whose normalizer [d p^N] vanishes at q's
+      precision claims none.  A difference has no more valuation than its
+      operands' absolute precision, and no later level claims more.
+
+    Raises :class:`NonConvergence` (with the trace as diagnostic) when the
+    walk ends short of the target, and ValueError when n_max < 2 (no
     difference).
 
     ``f`` must be a :class:`BracketPower` taken at the spec's q, and a
@@ -629,12 +638,15 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
                              f"domain: its {p}-free part {modulus} does not divide d = {d}")
     trace: list[tuple[int, int]] = []
     previous = None
-    for n in range(1, n_max + 1):
-        try:
-            current = riemann_sum(spec, f, n, cap)
-        except BudgetExceeded as exc:
-            raise BudgetExceeded(f"{exc} at level {n}; difference valuations "
-                                 f"{[v for _, v in trace]}") from exc
+    last = min(n_max, spec.q.q_padic.prec)
+    for n in range(1, last + 1):
+        norm, digits = spec.level_norm(n), 0
+        if not norm.is_zero_at_precision:   # the riemann_sum of level n
+            current = _sum_range(spec, f, ball_representatives(spec.domain, n)) / norm
+            digits = current.absolute_precision
+        if digits < target_stability:
+            raise NonConvergence(f"stability {target_stability} not reached: level {n} "
+                                 f"claims {digits} digits", tuple(trace))
         if previous is not None:
             stability = (current - previous).valuation
             trace.append((n, stability))
@@ -643,7 +655,7 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
                 return IntegrationResult(value, n, stability, tuple(trace))
         previous = current
     raise NonConvergence(
-        f"stability {target_stability} not reached by N = {n_max}", tuple(trace))
+        f"stability {target_stability} not reached by N = {last}", tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -653,15 +665,14 @@ class IntegrationResult:
     it was taken at, and the stability, v_p of the last difference (a lower
     bound on how many digits the final two sums share)."""
 
-    value: object
+    value: PadicNumber
     n_used: int
     stability: int
     trace: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def to_json(self) -> dict:
-        value = self.value.to_json() if hasattr(self.value, "to_json") else str(self.value)
-        return {"value": value, "N_used": self.n_used, "stability": self.stability,
-                "trace": [list(t) for t in self.trace]}
+        return {"value": self.value.to_json(), "N_used": self.n_used,
+                "stability": self.stability, "trace": [list(t) for t in self.trace]}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .algebra import CyclotomicElement, root_of_unity_rows
 from .characters import DirichletCharacter
-from .padic import DEFAULT_BALL_CAP, ProfiniteDomain
+from .padic import ProfiniteDomain
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec, QDescriptor,
                        binomial_fraction_sum, bracket_power,
                        character_twisted_power, integrate)
@@ -85,11 +85,11 @@ def _bernoulli_sum(n: int, x: Fraction | int, q: QDescriptor):
 
 
 def _integral(kind: str, q: QDescriptor, f: BracketPower, d: int, stability: int,
-              n_max: int, cap: int):
+              n_max: int):
     """The certified p-adic integral of f under the measure of that kind at
     q, over the inverse limit of Z/(d p^N)."""
     spec = MeasureSpec(kind, q, ProfiniteDomain(q.prime, d))
-    return integrate(spec, f, stability, n_max, cap).value
+    return integrate(spec, f, stability, n_max).value
 
 
 def beta_number(m: int, q: QDescriptor):
@@ -103,7 +103,7 @@ def beta_number(m: int, q: QDescriptor):
 
 
 def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed",
-                    stability: int = 5, n_max: int = 8, cap: int = DEFAULT_BALL_CAP):
+                    stability: int = 5, n_max: int = 8):
     """The q-Bernoulli polynomial at x, by the selected route.
 
     "closed": :func:`_bernoulli_sum`; "expansion": binomial expansion over
@@ -118,7 +118,7 @@ def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "clos
     x = Fraction(x)
     if form == "expansion":
         return _expansion(n, x, q, beta_number)
-    return _integral(BOSONIC, q, bracket_power(q, n, x), 1, stability, n_max, cap)
+    return _integral(BOSONIC, q, bracket_power(q, n, x), 1, stability, n_max)
 
 
 def k_number(k: int, q: QDescriptor):
@@ -135,7 +135,7 @@ def k_number(k: int, q: QDescriptor):
 
 
 def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed",
-                 stability: int = 5, n_max: int = 8, cap: int = DEFAULT_BALL_CAP):
+                 stability: int = 5, n_max: int = 8):
     """The fermionic q-Euler polynomial at x, by the selected route.
 
     "closed" and "expansion" agree identically as reduced elements;
@@ -149,7 +149,7 @@ def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"
     x = Fraction(x)
     if form == "expansion":
         return _expansion(n, x, q, k_number)
-    return _integral(FERMIONIC, q, bracket_power(q, n, x), 1, stability, n_max, cap)
+    return _integral(FERMIONIC, q, bracket_power(q, n, x), 1, stability, n_max)
 
 
 def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
@@ -169,7 +169,7 @@ def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
 
 
 def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed",
-          stability: int = 5, n_max: int = 8, cap: int = DEFAULT_BALL_CAP):
+          stability: int = 5, n_max: int = 8):
     """Character-twisted q-Euler number attached to chi.
 
     "closed": the finite sum over residues a of chi(a) (-1)^a q^a times the
@@ -198,7 +198,7 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
                 for i in range(len(rows[0]))]
         return sums[0] if order <= 2 else CyclotomicElement(order, sums)
     return _integral(FERMIONIC, q, character_twisted_power(q, n, chi), f,
-                     stability, n_max, cap)
+                     stability, n_max)
 
 
 def classical_euler(n_max: int) -> list[Fraction]:

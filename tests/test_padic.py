@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qvolkenborn.padic import (BudgetExceeded, PadicNumber, ProfiniteDomain,
-                               ball_representatives, padic_from_rational,
-                               q_admissible)
+from qvolkenborn.padic import (PadicNumber, ProfiniteDomain, ball_representatives,
+                               padic_from_rational, q_admissible)
 
 F = Fraction
 
@@ -167,11 +166,6 @@ def test_ball_representatives_small():
     assert list(ball_representatives(ProfiniteDomain(3), 1)) == [0, 1, 2]
     assert list(ball_representatives(ProfiniteDomain(3, 2), 1)) == list(range(6))
     assert len(ball_representatives(ProfiniteDomain(5), 2)) == 25
-
-
-def test_ball_budget_enforced():
-    with pytest.raises(BudgetExceeded):
-        ball_representatives(ProfiniteDomain(5), 4, cap=100)
 
 
 def test_domain_requires_coprime_d():

@@ -590,16 +590,31 @@ def test_long_ranges_sum_at_once():
                     == _as_tuple(_linear_residue_sum(spec, f, range(5, 200))))
 
 
-@pytest.mark.parametrize("p, q_value, n_max", [(5, 6, 10), (5, 11, 10), (3, 4, 14), (3, 7, 14)])
-def test_deep_fermionic_sums_are_within_p_to_the_level(p, q_value, n_max):
-    # v_p(S_N - K_n(x)) >= N for the level-N fermionic Riemann sum of [x+y]^n
+@pytest.mark.parametrize("p, q_value", [(5, 6), (5, 11), (3, 4), (3, 7)])
+def test_deep_fermionic_sums_are_within_p_to_the_level(p, q_value):
+    # v_p(S_N - K_n(x)) >= N for the level-N fermionic Riemann sum of
+    # [x+y]^n, up to the digits both sides claim, at every level up to A:
+    # the bound by which integrate stops at level A
     qd = padic_q(q_value, p, 32)
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(p))
     for n, x in ((1, 0), (3, 0), (4, 1), (6, 1)):
         target = k_polynomial(n, x, qd)
-        for level in range(1, n_max + 1):
-            gap = (riemann_sum(spec, bracket_power(qd, n, x), level) - target).valuation
-            assert gap >= level, (n, x, level, gap)
+        for level in range(1, 33):
+            s_n = riemann_sum(spec, bracket_power(qd, n, x), level)
+            gap = (s_n - target).valuation
+            claimed = min(s_n.absolute_precision, target.absolute_precision)
+            assert gap >= min(level, claimed), (n, x, level, gap)
+
+
+@pytest.mark.parametrize("level", [28, 30, 45])
+def test_levels_past_sys_maxsize_representatives(level):
+    # 5^28 representatives no longer fit len(); the level is still one sum
+    qd = padic_q(6, 5, 40)
+    s_n = riemann_sum(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5)),
+                      bracket_power(qd, 3, 1), level)
+    closed = fermionic_finite_rhs(3, 1, level, qd, 5)
+    claimed = min(s_n.absolute_precision, closed.absolute_precision)
+    assert (s_n - closed).valuation >= claimed >= 37
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +694,33 @@ def test_non_convergence_carries_trace():
     qd = padic_q()
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
     with pytest.raises(NonConvergence) as err:
-        integrate(spec, bracket_power(qd, 3), 40, 3)
+        integrate(spec, bracket_power(qd, 3), 30, 3)
     assert len(err.value.trace) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from((3, 5, 7)), q_form=st.sampled_from(((1, 1), (1, 2), (2, 1))),
+       prec=st.integers(2, 24), kind=st.sampled_from((BOSONIC, FERMIONIC)),
+       n=st.integers(0, 4), x=st.sampled_from((0, 1)), data=st.data())
+def test_integrate_certifies_or_reports_non_convergence(p, q_form, prec, kind, n, x, data):
+    # q = 1 + c p^e.  The walk ends by level A and before any level short of
+    # the target, so the only failure is NonConvergence, never a division by
+    # a normalizer that vanished at q's precision
+    e, c = q_form
+    assume(prec > e)   # q must differ from 1 at its precision
+    q_value = 1 + c * p ** e
+    target = data.draw(st.integers(1, prec + 2), label="target")
+    n_max = data.draw(st.integers(2, prec + 5), label="n_max")
+    qd = padic_q(q_value, p, prec)
+    try:
+        result = integrate(MeasureSpec(kind, qd, ProfiniteDomain(p)),
+                           bracket_power(qd, n, x), target, n_max)
+    except NonConvergence:
+        return
+    assert result.stability >= target and result.n_used <= min(n_max, prec)
+    closed = beta_polynomial if kind == BOSONIC else k_polynomial
+    exact = padic_from_rational(closed(n, x, QDescriptor.rational(q_value)), p, prec + 40)
+    assert result.value.agrees_with(exact, min(result.stability, result.n_used))
 
 
 def test_convergence_trace_nondecreasing():
