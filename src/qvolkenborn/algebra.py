@@ -13,9 +13,12 @@ the elements live in the ring of fractions with such denominators.  A
 :class:`RationalFunction` stores its denominator in that factored form, and
 sums, products, powers, rebasing and reciprocals act on the factorization;
 cancelling is a screen of the numerator against the Phi_d that can divide
-it, so no polynomial gcd is needed.  Every value is canonical: numerator
-and denominator are coprime and the denominator is monic, which makes
-equality a structural comparison.  All values are immutable and every
+it, so no polynomial gcd is needed.  The Phi-maps {d: e} of the
+factorization are stored as sorted (d, e) pairs and merged as plain dicts:
+the max of the powers for an lcm, their sum for a product, the difference
+for a lift or a cancellation.  Every value is canonical: numerator and
+denominator are coprime and the denominator is monic, which makes equality
+a structural comparison.  All values are immutable and every
 operation is a pure function, so elements can be shared freely across
 threads or parallel reductions.
 """
@@ -26,8 +29,7 @@ import functools
 import math
 import numbers
 from fractions import Fraction
-from collections import Counter
-from itertools import accumulate, count
+from itertools import accumulate
 from operator import add, sub
 from typing import Iterable, Sequence
 
@@ -179,7 +181,7 @@ class Polynomial:
 
     def __init__(self, coeffs: Sequence[numbers.Rational] = ()):
         for c in coeffs:
-            if not isinstance(c, numbers.Rational):
+            if type(c) not in (int, Fraction) and not isinstance(c, numbers.Rational):
                 raise TypeError(f"polynomial coefficients must be rational, "
                                 f"got {type(c).__name__}")
         scale = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
@@ -189,8 +191,13 @@ class Polynomial:
     @classmethod
     def _make(cls, ints: list[int] | tuple[int, ...], scale: int) -> Polynomial:
         """ints/scale brought to lowest terms (scale > 0)."""
+        return cls._reduced(*_lowest_terms(ints, scale))
+
+    @classmethod
+    def _reduced(cls, ints: tuple[int, ...], scale: int) -> Polynomial:
+        """ints/scale already in lowest terms, stored as given."""
         p = object.__new__(cls)
-        p.ints, p.scale = _lowest_terms(ints, scale)
+        p.ints, p.scale = ints, scale
         return p
 
     @classmethod
@@ -246,15 +253,15 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._make([-c for c in self.ints], self.scale)
+        return Polynomial._reduced(tuple(-c for c in self.ints), self.scale)
 
     def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
+        if isinstance(other, Polynomial):
+            return Polynomial._make(_mul_int(self.ints, other.ints), self.scale * other.scale)
         if isinstance(other, (int, Fraction)):
             n = other.numerator
             return Polynomial._make([c * n for c in self.ints], self.scale * other.denominator)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return Polynomial._make(_mul_int(self.ints, other.ints), self.scale * other.scale)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -285,7 +292,7 @@ class Polynomial:
             return self
         out = [0] * (self.degree * k + 1)
         out[::k] = self.ints
-        return Polynomial._make(out, self.scale)
+        return Polynomial._reduced(tuple(out), self.scale)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render('w')})"
@@ -294,24 +301,23 @@ class Polynomial:
         if self.is_zero:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for i, c in enumerate(self.ints):
+            if not c:
                 continue
-            if i == 0:
-                term = str(c)
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                pow_ = var if i == 1 else f"{var}^{i}"
-                term = f"{mag}{pow_}"
-                if c < 0:
-                    term = "-" + term
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(f"+ {term}")
+            term = _fraction_string(c, self.scale)
+            if i:
+                mag = "" if abs(c) == self.scale else term.lstrip("-") + "*"
+                term = f"{'-' if c < 0 else ''}{mag}{var if i == 1 else f'{var}^{i}'}"
+            if parts:
+                term = f"- {term[1:]}" if c < 0 else f"+ {term}"
+            parts.append(term)
         return " ".join(parts)
+
+
+def _fraction_string(c: int, scale: int) -> str:
+    """str(Fraction(c, scale)) for scale > 0, with one gcd."""
+    g = math.gcd(c, scale)
+    return str(c // g) if g == scale else f"{c // g}/{scale // g}"
 
 
 def _lowest_terms(ints: list[int] | tuple[int, ...], scale: int) -> tuple[tuple[int, ...], int]:
@@ -422,18 +428,23 @@ def cyclotomic_polynomial(order: int) -> Polynomial:
     return Polynomial(_cyclotomic_int(order)[0])
 
 
+# phi of the product of these primes is about 4.4 * 10^18, past any degree
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
 def _order_bound(r: int) -> int:
     """B with phi(d) > r for every d > B: B = r R_k, R_k = prod p/(p - 1)
     over the first k primes and k the least with phi(P_(k+1)) > r, P_j the
     product of the first j primes.  A d with j primes has phi(d) >= d/R_j
     >= phi(P_j), so phi(d) > r for d > B when j <= k, and always when j > k.
+    r R_k is kept as the integer fraction P_k r / phi(P_k).
     """
-    bound, phi = Fraction(r), 1
-    for p in filter(lambda p: _prime_factors(p) == [p], count(2)):
-        phi *= p - 1
-        if phi > r:
-            return math.floor(bound)
-        bound *= Fraction(p, p - 1)
+    bound, phi = r, 1
+    for p in _SMALL_PRIMES:
+        if phi * (p - 1) > r:
+            return bound // phi
+        bound, phi = bound * p, phi * (p - 1)
+    raise ValueError(f"degree {r} is past the order bound's prime table")
 
 
 def _cyclotomic_factors(ints: Sequence[int]) -> tuple[int, int, dict[int, int]] | None:
@@ -469,13 +480,13 @@ def _cyclotomic_factors(ints: Sequence[int]) -> tuple[int, int, dict[int, int]] 
         for _ in range(-n):
             series[b:] = map(sub, series[b:], series[:-b])
         net[b] = n
-    powers: Counter[int] = Counter()
+    powers: dict[int, int] = {}
     for b, n in net.items():
         for d in _divisors(b):
-            powers[d] += n
+            powers[d] = powers.get(d, 0) + n
     if sum(b * n for b, n in net.items()) != r or min(powers.values(), default=0) < 0:
         return None
-    return c, a, +powers
+    return c, a, {d: e for d, e in powers.items() if e}
 
 
 def _phi_map(powers: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -519,7 +530,7 @@ def _cancel_cyclotomics(prim: list[int], den_map: dict[int, int],
         powers[d] = k
     if one_by_one:
         return prim, powers
-    return _cyclotomic_ratio(prim, {d: -k for d, k in powers.items()}), powers
+    return _cyclotomic_ratio(prim, {d: -k for d, k in powers.items() if k}), powers
 
 
 def _cancel(num: Polynomial, w_exp: int, phis: dict[int, int], screen: dict[int, int],
@@ -537,7 +548,7 @@ def _cancel(num: Polynomial, w_exp: int, phis: dict[int, int], screen: dict[int,
     if screen or w_screen:
         content = _content(num.ints)
         prim = [x // content for x in num.ints]
-        low = 0
+        low, powers = 0, {}
         while low < w_screen and prim[low] == 0:
             low += 1
         prim, w_exp = prim[low:], w_exp - low
@@ -546,8 +557,11 @@ def _cancel(num: Polynomial, w_exp: int, phis: dict[int, int], screen: dict[int,
             if quo is None:
                 quo, powers = _cancel_cyclotomics(prim, screen, True)
             prim = quo
-            phis = Counter(phis) - Counter(powers)
-        num = Polynomial._make([x * content for x in prim], num.scale)
+            phis = {d: e - powers.get(d, 0) for d, e in phis.items()}
+        if low or any(powers.values()):
+            # a primitive polynomial over w^low or a monic Phi_d stays
+            # primitive, so the numerator stays in lowest terms
+            num = Polynomial._reduced(tuple(x * content for x in prim), num.scale)
     return num, w_exp, _phi_map(phis)
 
 
@@ -565,12 +579,7 @@ def reduce_cyclotomic_fraction(num: Polynomial, phis: dict[int, int], root_order
 # ---------------------------------------------------------------------------
 
 def _fraction_strings(p: Polynomial) -> list[str]:
-    """str(Fraction(c, p.scale)) for each c of p.ints, with one gcd each."""
-    out = []
-    for c in p.ints:
-        g = math.gcd(c, p.scale)
-        out.append(str(c // g) if g == p.scale else f"{c // g}/{p.scale // g}")
-    return out
+    return [_fraction_string(c, p.scale) for c in p.ints]
 
 
 class RationalFunction:
@@ -650,19 +659,20 @@ class RationalFunction:
             return self
         phis = dict(self.phis)
         for p in _prime_factors(k):
-            rebased: Counter[int] = Counter()
+            rebased: dict[int, int] = {}
             for d, e in phis.items():
-                rebased[p * d] += e
-                rebased[d] += e if d % p else 0
+                rebased[p * d] = rebased.get(p * d, 0) + e
+                if d % p:
+                    rebased[d] = rebased.get(d, 0) + e
             phis = rebased
         return RationalFunction._make(self.num.substitute_power(k), self.w_exp * k,
                                       _phi_map(phis), new_order)
 
     def _coerce(self, other) -> tuple[RationalFunction, RationalFunction] | None:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalFunction):
+            if not isinstance(other, (int, Fraction)):
+                return None
             other = RationalFunction.constant(other, self.root_order)
-        elif not isinstance(other, RationalFunction):
-            return None
         if self.root_order == other.root_order:
             return self, other
         lcm = self.root_order * other.root_order // math.gcd(self.root_order, other.root_order)
@@ -670,9 +680,13 @@ class RationalFunction:
 
     # -- field operations ---------------------------------------------------
 
-    def _num_over(self, w_exp: int, phis: Counter[int]) -> Polynomial:
+    def _num_over(self, w_exp: int, phis: dict[int, int]) -> Polynomial:
         """The numerator over the multiple w^w_exp prod Phi_d^e of den."""
-        ints = _cyclotomic_ratio(list(self.num.ints), phis - Counter(dict(self.phis)))
+        own = dict(self.phis)
+        lift = {d: e - own.get(d, 0) for d, e in phis.items() if e != own.get(d, 0)}
+        if not lift and w_exp == self.w_exp:
+            return self.num
+        ints = _cyclotomic_ratio(list(self.num.ints), lift)
         return Polynomial._make([0] * (w_exp - self.w_exp) + ints, self.num.scale)
 
     def __add__(self, other):
@@ -684,10 +698,13 @@ class RationalFunction:
             return b
         if b.is_zero:
             return a
-        pa, pb = Counter(dict(a.phis)), Counter(dict(b.phis))
-        lcm, w_exp = pa | pb, max(a.w_exp, b.w_exp)
+        pb = dict(b.phis)
+        lcm, w_exp = dict(a.phis), max(a.w_exp, b.w_exp)
+        for d, e in b.phis:
+            if e > lcm.get(d, 0):
+                lcm[d] = e
         num = a._num_over(w_exp, lcm) + b._num_over(w_exp, lcm)
-        screen = {d: e for d, e in pa.items() if pb[d] == e}
+        screen = {d: e for d, e in a.phis if pb.get(d) == e}
         return RationalFunction._make(
             *_cancel(num, w_exp, lcm, screen, w_exp if a.w_exp == b.w_exp else 0),
             a.root_order)
@@ -715,12 +732,15 @@ class RationalFunction:
         if a.is_zero or b.is_zero:
             return RationalFunction.constant(0, a.root_order)
         # a Phi_d or w of one side can only cancel against the other's numerator
-        pa, pb = Counter(dict(a.phis)), Counter(dict(b.phis))
-        screen = {d: e for d, e in pa.items() if d not in pb and b.num.degree > 0}
-        screen.update((d, e) for d, e in pb.items() if d not in pa and a.num.degree > 0)
+        pa, pb = dict(a.phis), dict(b.phis)
+        screen = {d: e for d, e in a.phis if d not in pb} if b.num.degree > 0 else {}
+        if a.num.degree > 0:
+            screen.update((d, e) for d, e in b.phis if d not in pa)
+        for d, e in b.phis:
+            pa[d] = pa.get(d, 0) + e
         w_exp = a.w_exp + b.w_exp
         w_screen = 0 if a.w_exp and b.w_exp else w_exp
-        return RationalFunction._make(*_cancel(a.num * b.num, w_exp, pa + pb, screen, w_screen),
+        return RationalFunction._make(*_cancel(a.num * b.num, w_exp, pa, screen, w_screen),
                                       a.root_order)
 
     __rmul__ = __mul__

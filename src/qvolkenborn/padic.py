@@ -49,7 +49,15 @@ def _int_valuation(n: int, p: int) -> int:
 
 
 class PadicNumber:
-    """A truncated element of Q_p (odd p) with tracked precision."""
+    """A truncated element of Q_p (odd p) with tracked precision.
+
+    The public constructor checks its arguments: p must be an odd prime, a
+    nonzero value needs prec >= 1, and the unit is reduced modulo p**prec and
+    must be prime to p.  Arithmetic results (+, -, *, /, ** and
+    :meth:`reciprocal`) are already normalised, 0 < unit < p**prec with p
+    not dividing the unit, and are built by the unchecked internal
+    constructor :meth:`_normalised`, which stores the fields as given.
+    """
 
     __slots__ = ("p", "v", "unit", "prec")
 
@@ -68,6 +76,14 @@ class PadicNumber:
         self.prec = prec
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _normalised(cls, p: int, v: int, unit: int, prec: int) -> PadicNumber:
+        """p**v * unit without checks: p an odd prime, prec >= 1 and
+        0 < unit < p**prec prime to p are the caller's to guarantee."""
+        x = object.__new__(cls)
+        x.p, x.v, x.unit, x.prec = p, v, unit, prec
+        return x
 
     @classmethod
     def zero_at_precision(cls, p: int, valuation_bound: int) -> PadicNumber:
@@ -92,7 +108,7 @@ class PadicNumber:
         num_u = r.numerator // p ** vn
         den_u = r.denominator // p ** vd
         unit = num_u * pow(den_u, -1, mod) % mod
-        return cls(p, vn - vd, unit, prec)
+        return cls._normalised(p, vn - vd, unit, prec)
 
     # -- structure ------------------------------------------------------------
 
@@ -141,7 +157,7 @@ class PadicNumber:
         if raw == 0:
             return cls.zero_at_precision(p, abs_prec)
         dv = _int_valuation(raw, p)
-        return cls(p, scale_v + dv, raw // p ** dv, rel_mod - dv)
+        return cls._normalised(p, scale_v + dv, raw // p ** dv, rel_mod - dv)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -165,7 +181,7 @@ class PadicNumber:
     def __neg__(self) -> PadicNumber:
         if self.is_zero_at_precision:
             return self
-        return PadicNumber(self.p, self.v, self.p ** self.prec - self.unit, self.prec)
+        return PadicNumber._normalised(self.p, self.v, self.p ** self.prec - self.unit, self.prec)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -184,7 +200,7 @@ class PadicNumber:
         if a.is_zero_at_precision or b.is_zero_at_precision:
             return PadicNumber.zero_at_precision(a.p, a.v + b.v)
         prec = min(a.prec, b.prec)
-        return PadicNumber(a.p, a.v + b.v, a.unit * b.unit % a.p ** prec, prec)
+        return PadicNumber._normalised(a.p, a.v + b.v, a.unit * b.unit % a.p ** prec, prec)
 
     __rmul__ = __mul__
 
@@ -192,7 +208,7 @@ class PadicNumber:
         if self.is_zero_at_precision:
             raise ZeroDivisionError("division by zero-at-precision")
         mod = self.p ** self.prec
-        return PadicNumber(self.p, -self.v, pow(self.unit, -1, mod), self.prec)
+        return PadicNumber._normalised(self.p, -self.v, pow(self.unit, -1, mod), self.prec)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -205,20 +221,20 @@ class PadicNumber:
         prec = min(self.prec, other.prec)
         mod = self.p ** prec
         unit = self.unit * pow(other.unit, -1, mod) % mod
-        return PadicNumber(self.p, self.v - other.v, unit, prec)
+        return PadicNumber._normalised(self.p, self.v - other.v, unit, prec)
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
     def __pow__(self, n: int) -> PadicNumber:
         if n == 0:
-            return PadicNumber(self.p, 0, 1, max(self.prec, 1))
+            return PadicNumber._normalised(self.p, 0, 1, max(self.prec, 1))
         base = self if n > 0 else self.reciprocal()
         if base.is_zero_at_precision:
             return PadicNumber.zero_at_precision(self.p, base.v * abs(n))
         mod = base.p ** base.prec
-        return PadicNumber(base.p, base.v * abs(n),
-                           pow(base.unit, abs(n), mod), base.prec)
+        return PadicNumber._normalised(base.p, base.v * abs(n), pow(base.unit, abs(n), mod),
+                                       base.prec)
 
     # -- comparisons ----------------------------------------------------------
 

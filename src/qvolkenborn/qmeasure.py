@@ -135,13 +135,12 @@ class QDescriptor:
         """The power of w realizing q**exponent (symbolic mode)."""
         if isinstance(exponent, int):
             return exponent * self.root_order
-        e = Fraction(exponent)
-        we = e * self.root_order
-        if we.denominator != 1:
+        den = exponent.denominator
+        if self.root_order % den:
             raise RootOrderMismatch(
-                f"power q^{e} needs root order divisible by {e.denominator}, "
+                f"power q^{exponent} needs root order divisible by {den}, "
                 f"have {self.root_order}")
-        return int(we)
+        return exponent.numerator * (self.root_order // den)
 
     def int_exponent(self, exponent: Fraction | int) -> int:
         """The integer exponent of q**exponent at rational or p-adic q

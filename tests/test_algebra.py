@@ -564,6 +564,20 @@ def test_cyclotomic_factors_read_back_the_phi_map(phis, a, c, at, bump):
         assert rebuilt == poly
 
 
+def test_order_bound_covers_every_order_of_small_totient():
+    # phi(d) >= sqrt(d/2), so every d with phi(d) <= r is at most 2r^2 + 2:
+    # a sieve over those d finds each one that _cyclotomic_factors must reach
+    top = 2 * 60 ** 2 + 2
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for m in range(p, top + 1, p):
+                phi[m] -= phi[m] // p
+    for r in range(61):
+        bound = algebra._order_bound(r)
+        assert all(d <= bound for d in range(1, 2 * r * r + 3) if phi[d] <= r), r
+
+
 @pytest.mark.parametrize("make", [
     lambda: RationalFunction(P(1), P(1, F(-3, 2))),
     lambda: RationalFunction.from_json({"D": 1, "num": ["1"], "den": ["3", "0", "1"]}),

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qvolkenborn.padic import (PadicNumber, ProfiniteDomain, ball_representatives,
                                padic_from_rational, q_admissible)
@@ -137,6 +139,49 @@ def test_precision_soundness_across_working_precision():
 
     low, high = pipeline(8), pipeline(20)
     assert low.agrees_with(high, low.absolute_precision)
+
+
+def _valuation(r, p):
+    v, num, den = 0, r.numerator, r.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+_PRIMES = st.sampled_from([3, 5, 7])
+# a / b times a power of 3, 5 or 7, so the valuations are often nonzero
+_padic_rationals = st.builds(lambda a, b, k: F(a, b) * k,
+                             st.integers(-500, 500), st.integers(1, 500),
+                             st.sampled_from([1, F(1, 3), 3, 25, F(1, 125), F(1, 49), 21]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_PRIMES, r=_padic_rationals, s=_padic_rationals, pr=st.integers(1, 12),
+       ps=st.integers(1, 12), n=st.integers(-4, 5))
+@example(p=5, r=F(1, 7), s=F(3, 11), pr=6, ps=6, n=2)
+def test_arithmetic_claims_only_the_digits_it_proves(p, r, s, pr, ps, n):
+    # each result agrees with the exact rational result to its claimed
+    # absolute precision, claims no digit beyond what its operands justify,
+    # and is normalised (0 < unit < p^prec, p not dividing the unit)
+    x, y = padic_from_rational(r, p, pr), padic_from_rational(s, p, ps)
+    results = [(x + y, r + s, min(x.absolute_precision, y.absolute_precision)),
+               (x - y, r - s, min(x.absolute_precision, y.absolute_precision)),
+               (x * y, r * s, min(x.absolute_precision + y.v, y.absolute_precision + x.v))]
+    if s:
+        results.append((x / y, r / s, min(x.absolute_precision, x.v + y.prec) - y.v))
+    if r or n >= 0:
+        results.append((x ** n, r ** n, n * x.v + x.prec if n else None))
+    for z, exact, justified in results:
+        assert z.p == p
+        if z.is_zero_at_precision:
+            assert (z.unit, z.prec) == (None, 0)
+            assert exact == 0 or _valuation(exact, p) >= z.v
+        else:
+            assert 0 < z.unit < p ** z.prec and z.unit % p
+            assert z == padic_from_rational(exact, p, z.prec)
+        assert justified is None or z.absolute_precision <= justified
 
 
 # ---------------------------------------------------------------------------
