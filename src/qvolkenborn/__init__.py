@@ -16,7 +16,7 @@ from .characters import (DirichletCharacter, UnitGroupStructure,
 from .padic import (PadicNumber, ProfiniteDomain, ball_representatives,
                     padic_from_rational, q_admissible)
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, IntegrationResult,
-                       MeasureSpec, NonConvergence, QDescriptor, ball_measure,
+                       MeasureSpec, QDescriptor, ball_measure,
                        bosonic_power_moment, bracket_power,
                        character_twisted_power, fermionic_finite_rhs,
                        fermionic_power_moment, integrate, parse_integrand,

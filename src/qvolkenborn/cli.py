@@ -5,12 +5,11 @@ values as coefficient lists, p-adic values as valuation/unit/precision); no
 floating point appears anywhere.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
-error (including a pole of the formula at the given q, and a p-adic value
-without the digits a check needs), 3 non-convergence of a p-adic
-integral (no level up to min(--N-max, A) certifies the target, or a level
-claims fewer digits than it).  Past argument parsing, every error is one
-``error:`` line on stderr, except that ``integrate`` reports
-non-convergence as a JSON object there.
+error (including a pole of the formula at the given q, a p-adic value
+without the digits a check needs, and a p-adic integral whose stability
+target needs a level past --N-max or digits that q's precision cannot
+give).  Past argument parsing, every error is one ``error:`` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from .characters import (character_value, conductor, enumerate_characters,
                          parse_character_id)
 from .padic import (DEFAULT_PRECISION, PadicNumber, PrecisionExhausted,
                     ProfiniteDomain, padic_from_rational)
-from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, NonConvergence,
-                       QDescriptor, integrate, parse_integrand)
+from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
+                       integrate, parse_integrand)
 from .qnumbers import beta_polynomial, k_chi, k_polynomial
 from .series import (euler_gf, f_q_coefficient_partial, f_q_series,
                      scaled_coefficient)
@@ -40,7 +39,6 @@ CSV_COLUMNS = ["kind", "n", "x", "m", "chi", "q_spec", "value"]
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-EXIT_NO_CONVERGENCE = 3
 
 
 class UsageError(Exception):
@@ -218,13 +216,7 @@ def cmd_integrate(args) -> int:
         integrand = parse_integrand(args.f, q)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    try:
-        result = integrate(spec, integrand, args.stability, args.n_max)
-    except NonConvergence as exc:
-        report = {"command": "integrate", "error": "non-convergence",
-                  "detail": str(exc), "trace": [list(t) for t in exc.trace]}
-        sys.stderr.write(json.dumps(report, indent=2) + "\n")
-        return EXIT_NO_CONVERGENCE
+    result = integrate(spec, integrand, args.stability, args.n_max)
     report = {"command": "integrate", "kind": args.kind, "integrand": args.f,
               "p": args.p, "d": args.d, "q": str(q_value), "A": args.A}
     report.update(result.to_json())
@@ -409,9 +401,6 @@ def main(argv: list[str] | None = None) -> int:
             PoleError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except NonConvergence as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_CONVERGENCE
 
 
 def entry_point() -> None:

@@ -4,8 +4,8 @@ Two measures are implemented: the *bosonic* one with ball weights
 ``q^a / [d p^N]_q`` (its moments are the q-Bernoulli numbers) and the
 *fermionic* one with weights ``(-q)^a / [d p^N]_{-q}`` (its moments are the
 q-Euler-type numbers).  The integral is the p-adic limit of the associated
-Riemann sums; the engine certifies convergence with the Cauchy criterion
-v_p(S_N - S_{N-1}).
+Riemann sums; :func:`integrate` sums the one level at which a proven bound
+on the distance to the limit reaches the target, and claims those digits.
 
 The deformation parameter ``q`` is carried by a :class:`QDescriptor`, which
 supports three readings: symbolic (a rational function of a D-th root of q),
@@ -19,7 +19,7 @@ from calls of :func:`binomial_fraction_sum`, in all three readings of q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
@@ -29,14 +29,6 @@ from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
 from .characters import character_value, parse_character_id
 from .padic import (PadicNumber, ProfiniteDomain, ball_representatives,
                     q_admissible)
-
-
-class NonConvergence(RuntimeError):
-    """The Riemann sums did not reach the requested stability."""
-
-    def __init__(self, message: str, trace: tuple):
-        super().__init__(f"{message}; difference valuations {list(trace)}")
-        self.trace = trace
 
 
 # ---------------------------------------------------------------------------
@@ -599,79 +591,88 @@ def _transfer(v: list[int], power: tuple[int, int, int], rows: list[list[int]],
 
 def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
               n_max: int) -> IntegrationResult:
-    """p-adic limit of the Riemann sums, certified by the Cauchy criterion.
+    """p-adic limit of the Riemann sums: one level, and the digits a bound
+    proves.
 
-    Stops at the smallest level N with v_p(S_N - S_{N-1}) >= the target and
-    returns that sum, truncated to the certified stability, together with
-    the stability and the full difference-valuation trace.  Two rules, both
-    worked out from q's precision A, bound the walk:
+    With N0 = max(1, v_p(m)), m the modulus of f's character (1 without
+    one), the level-N sum S_N (N >= N0) agrees with the limit to bound(N)
+    digits: N for the fermionic measure, N - N0 for the bosonic one.  A
+    target t is met at level N = max(N0, t) (fermionic) or t + N0
+    (bosonic), and the result is S_N truncated to its stability,
+    min(bound(N), digits S_N claims).  ValueError when N > n_max, when t
+    exceeds q's precision A (no sum claims more), when a bosonic normalizer
+    [d p^N]_q vanishes at A, and when S_N claims fewer than t digits.
 
-    - it runs N = 1 .. min(n_max, A).  A fermionic sum is within p^N of the
-      limit and claims A - v_p(1 - q) digits, so it is saturated by level
-      A - v_p(1 - q) + 1 <= A; a bosonic one claims one digit fewer per level;
-    - it stops at the first level whose sum claims fewer absolute digits
-      than the target, and a level whose normalizer [d p^N] vanishes at q's
-      precision claims none.  A difference has no more valuation than its
-      operands' absolute precision, and no later level claims more.
+    Proofs.  p is odd and q = 1 mod p, so v_p([u]_q) = v_p(u).  Take
+    N >= N0, M = d p^N and Q = q^M, so chi is periodic mod M.  The balls
+    a + Mj (j < p) refine the ball a and mu_N(a) = sum_j mu_{N+1}(a + Mj),
+    so S_{N+1} - S_N = sum_{a,j} (g(a + Mj) - g(a)) mu_{N+1}(a + Mj).
 
-    Raises :class:`NonConvergence` (with the trace as diagnostic) when the
-    walk ends short of the target, and ValueError when n_max < 2 (no
-    difference).
+    Fermionic: the weights (-q)^b / [p M]_{-q} are units, and
+    v_p([u]_q - [w]_q) = v_p(u - w) >= N, so every term, and so S_N - lim,
+    has valuation >= N.
+
+    Bosonic: the weights have valuation -(N + 1).  Telescope over the class
+    g = chi(y) q^(ky) [x+y]^n (k, n >= 0) with [x+a+Mj] = [x+a] +
+    q^(x+a) [M]_q [j]_Q, Q^(kj) - 1 = -(1 - q) [M]_q [kj]_Q and
+    1/[p M]_q = 1/([M]_q [p]_Q).  By the binomial theorem each term is a
+    p-integral factor times [M]_q S_N(g') for some g' in the class:
+    sum_{j<p} Q^((k+1)j) [j]_Q and sum_j Q^j [kj]_Q are = 0 mod p and
+    v_p([p]_Q) = 1, and in the higher terms the powers [M]_q^i pay for
+    that 1/p.  One division by [d p^N0]_q gives v_p(S_N0(g)) >= -N0 on the
+    class, induction keeps it at every N, and so v_p(S_{N+1} - S_N) >=
+    N - N0.  The bound N fails here: the sums of [y]^5 at p = 3, q = 4 are
+    exactly N - 1 from their limit.
 
     ``f`` must be a :class:`BracketPower` taken at the spec's q, and a
-    character-twisted one must be a function on the domain: the p-free part
-    of its table's modulus must divide d.  Otherwise ValueError.
+    twisted one a function on the domain (the p-free part of its table's
+    modulus divides d).  Otherwise ValueError.
     """
     _check_integrand(spec, f)
     if spec.q.mode != "padic":
         raise ValueError("integration is a p-adic limit; q must be padic")
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2 to compare two levels, got {n_max}")
     p, d = spec.domain.p, spec.domain.d
-    if f.chi is not None:
-        modulus = len(f.chi)
-        while modulus % p == 0:
-            modulus //= p
-        if d % modulus:
-            raise ValueError(f"a character mod {len(f.chi)} is not a function on the "
-                             f"domain: its {p}-free part {modulus} does not divide d = {d}")
-    trace: list[tuple[int, int]] = []
-    previous = None
-    last = min(n_max, spec.q.q_padic.prec)
-    for n in range(1, last + 1):
-        norm, digits = spec.level_norm(n), 0
-        if not norm.is_zero_at_precision:   # the riemann_sum of level n
-            current = _sum_range(spec, f, ball_representatives(spec.domain, n)) / norm
-            digits = current.absolute_precision
-        if digits < target_stability:
-            raise NonConvergence(f"stability {target_stability} not reached: level {n} "
-                                 f"claims {digits} digits", tuple(trace))
-        if previous is not None:
-            stability = (current - previous).valuation
-            trace.append((n, stability))
-            if stability >= target_stability:
-                value = current + PadicNumber.zero_at_precision(p, stability)
-                return IntegrationResult(value, n, stability, tuple(trace))
-        previous = current
-    raise NonConvergence(
-        f"stability {target_stability} not reached by N = {last}", tuple(trace))
+    modulus, n0 = 1 if f.chi is None else len(f.chi), 0
+    while modulus % p == 0:
+        modulus, n0 = modulus // p, n0 + 1
+    if d % modulus:
+        raise ValueError(f"a character mod {len(f.chi)} is not a function on the "
+                         f"domain: its {p}-free part {modulus} does not divide d = {d}")
+    n0, target = max(1, n0), max(0, target_stability)
+    bosonic = spec.kind == BOSONIC
+    n = target + n0 if bosonic else max(n0, target)
+    if n > n_max:
+        raise ValueError(f"stability {target_stability} needs level {n}, "
+                         f"past n_max = {n_max}")
+    precision, norm = spec.q.q_padic.prec, spec.level_norm(n)
+    if target > precision:
+        raise ValueError(f"stability {target_stability} needs more digits than "
+                         f"q's precision A = {precision}")
+    if norm.is_zero_at_precision:
+        raise ValueError(f"stability {target_stability} not reached: the level-{n} "
+                         f"normalizer vanishes at q's precision A = {precision}")
+    # the riemann_sum of level n
+    value = _sum_range(spec, f, ball_representatives(spec.domain, n)) / norm
+    digits = min(n - n0 if bosonic else n, value.absolute_precision)
+    if digits < target:
+        raise ValueError(f"stability {target_stability} not reached: level {n} "
+                         f"claims {digits} digits")
+    return IntegrationResult(value + PadicNumber.zero_at_precision(p, digits), n, digits)
 
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """A certified integral value: the last Riemann sum truncated to the
-    stability (its absolute precision is at most the stability), the level
-    it was taken at, and the stability, v_p of the last difference (a lower
-    bound on how many digits the final two sums share)."""
+    """A certified integral value: the level-n_used Riemann sum truncated to
+    the stability, the digits proven to agree with the limit (see
+    :func:`integrate`)."""
 
     value: PadicNumber
     n_used: int
     stability: int
-    trace: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def to_json(self) -> dict:
         return {"value": self.value.to_json(), "N_used": self.n_used,
-                "stability": self.stability, "trace": [list(t) for t in self.trace]}
+                "stability": self.stability}
 
 
 # ---------------------------------------------------------------------------

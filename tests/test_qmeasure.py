@@ -13,13 +13,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qvolkenborn import qmeasure
 from qvolkenborn.algebra import (CyclotomicElement, Polynomial, RationalFunction,
                                  RootOrderMismatch, cyclotomic_polynomial,
                                  root_of_unity_rows)
-from qvolkenborn.characters import character_value, make_character, parse_character_id
+from qvolkenborn.characters import (character_value, enumerate_characters, make_character,
+                                    parse_character_id)
 from qvolkenborn.padic import PadicNumber, ProfiniteDomain, padic_from_rational, q_admissible
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec,
-                                  NonConvergence, QDescriptor, ball_measure,
+                                  QDescriptor, ball_measure,
                                   ball_measure_sum, binomial_fraction_sum,
                                   bosonic_power_moment, bracket_power,
                                   character_twisted_power, fermionic_finite_rhs,
@@ -622,11 +624,12 @@ def test_levels_past_sys_maxsize_representatives(level):
 # ---------------------------------------------------------------------------
 
 def test_integrate_constant_converges_immediately():
+    # every level sums to 1 exactly, and the result claims the proven digits
     qd = padic_q()
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
     result = integrate(spec, bracket_power(qd, 0), 6, 8)
-    assert result.n_used == 2
-    assert (result.value - 1).valuation >= 25
+    assert (result.n_used, result.stability) == (6, 6)
+    assert result.value.agrees_with(1, 6)
 
 
 def test_integrate_fermionic_cube_matches_symbolic():
@@ -683,44 +686,81 @@ def test_integrate_requires_padic_mode():
 
 @pytest.mark.parametrize("n_max", [-1, 0, 1])
 def test_integrate_needs_two_levels_to_compare(n_max):
+    # two digits of the fermionic integral are proven at level 2, not before
     qd = padic_q()
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
-    with pytest.raises(ValueError, match=f"at least 2 to compare two levels, got {n_max}"):
-        integrate(spec, bracket_power(qd, 0), 1, n_max)
-    assert integrate(spec, bracket_power(qd, 0), 1, 2).n_used == 2
+    with pytest.raises(ValueError, match=f"^stability 2 needs level 2, past n_max = {n_max}$"):
+        integrate(spec, bracket_power(qd, 0), 2, n_max)
+    assert integrate(spec, bracket_power(qd, 0), 2, 2).n_used == 2
 
 
-def test_non_convergence_carries_trace():
+def test_integrate_sums_exactly_one_level(monkeypatch):
+    sizes = []
+
+    def spy(spec, f, reps):
+        sizes.append(len(reps))
+        return sum_range(spec, f, reps)
+
+    sum_range = qmeasure._sum_range
+    monkeypatch.setattr(qmeasure, "_sum_range", spy)
     qd = padic_q()
-    spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
-    with pytest.raises(NonConvergence) as err:
-        integrate(spec, bracket_power(qd, 3), 30, 3)
-    assert len(err.value.trace) == 2
+    twisted = character_twisted_power(qd, 2, make_character(3, (1,)))
+    for kind, f, d, target, level in ((FERMIONIC, bracket_power(qd, 3), 1, 6, 6),
+                                      (BOSONIC, bracket_power(qd, 3), 1, 4, 5),
+                                      (BOSONIC, twisted, 3, 5, 6)):
+        sizes.clear()
+        result = integrate(MeasureSpec(kind, qd, ProfiniteDomain(5, d)), f, target, 8)
+        assert sizes == [d * 5 ** level] and result.n_used == level
 
 
-@settings(max_examples=300, deadline=None)
-@given(p=st.sampled_from((3, 5, 7)), q_form=st.sampled_from(((1, 1), (1, 2), (2, 1))),
+# the quadratic characters of odd modulus 3 .. 25
+QUADRATIC = [chi for m in range(3, 26, 2) for chi in enumerate_characters(m)
+             if chi.value_order == 2]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(p=st.sampled_from((3, 5, 7)), c=st.sampled_from((1, 2, 4)), e=st.integers(1, 2),
        prec=st.integers(2, 24), kind=st.sampled_from((BOSONIC, FERMIONIC)),
-       n=st.integers(0, 4), x=st.sampled_from((0, 1)), data=st.data())
-def test_integrate_certifies_or_reports_non_convergence(p, q_form, prec, kind, n, x, data):
-    # q = 1 + c p^e.  The walk ends by level A and before any level short of
-    # the target, so the only failure is NonConvergence, never a division by
-    # a normalizer that vanished at q's precision
-    e, c = q_form
+       n=st.integers(0, 7), x=st.integers(0, 2),
+       chi=st.none() | st.sampled_from(QUADRATIC), data=st.data())
+def test_integrate_claims_only_proven_digits(p, c, e, prec, kind, n, x, chi, data):
+    # q = 1 + c p^e.  integrate refuses with ValueError, or every digit it
+    # claims agrees with the limit: the exact value at rational q, or for a
+    # twisted bosonic integrand (no closed form) the sum of a level so deep
+    # that the proven bound covers the claim
     assume(prec > e)   # q must differ from 1 at its precision
     q_value = 1 + c * p ** e
-    target = data.draw(st.integers(1, prec + 2), label="target")
-    n_max = data.draw(st.integers(2, prec + 5), label="n_max")
-    qd = padic_q(q_value, p, prec)
+    target = data.draw(st.integers(0, prec + 2), label="target")
+    n_max = data.draw(st.integers(0, prec + 5), label="n_max")
+    d, n0 = 1 if chi is None else chi.modulus, 0
+    while d % p == 0:
+        d, n0 = d // p, n0 + 1
+    n0 = max(1, n0)
+
+    def measure_and_integrand(qd):
+        f = bracket_power(qd, n, x) if chi is None else character_twisted_power(qd, n, chi)
+        return MeasureSpec(kind, qd, ProfiniteDomain(p, d)), f
+
+    spec, f = measure_and_integrand(padic_q(q_value, p, prec))
     try:
-        result = integrate(MeasureSpec(kind, qd, ProfiniteDomain(p)),
-                           bracket_power(qd, n, x), target, n_max)
-    except NonConvergence:
+        result = integrate(spec, f, target, n_max)
+    except ValueError:
         return
-    assert result.stability >= target and result.n_used <= min(n_max, prec)
-    closed = beta_polynomial if kind == BOSONIC else k_polynomial
-    exact = padic_from_rational(closed(n, x, QDescriptor.rational(q_value)), p, prec + 40)
-    assert result.value.agrees_with(exact, min(result.stability, result.n_used))
+    claimed = result.stability
+    assert claimed >= target and result.n_used <= n_max
+    assert result.value.absolute_precision == claimed
+    rational = QDescriptor.rational(q_value)
+    if chi is None:
+        closed = beta_polynomial if kind == BOSONIC else k_polynomial
+        exact = padic_from_rational(closed(n, x, rational), p, prec + 40)
+    elif kind == FERMIONIC:
+        exact = padic_from_rational(k_chi(n, chi, rational), p, prec + 40)
+    else:
+        level = result.n_used + claimed + n0
+        exact = riemann_sum(*measure_and_integrand(padic_q(q_value, p, prec + 3 * level)),
+                            level)
+        assert exact.absolute_precision >= claimed
+    assert result.value.agrees_with(exact, claimed)
 
 
 def test_convergence_trace_nondecreasing():
