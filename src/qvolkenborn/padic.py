@@ -57,6 +57,14 @@ class PadicNumber:
     :meth:`reciprocal`) are already normalised, 0 < unit < p**prec with p
     not dividing the unit, and are built by the unchecked internal
     constructor :meth:`_normalised`, which stores the fields as given.
+
+    The precision rules, read on residues: a value is an x known mod p**a
+    (a its absolute precision), with v read off x and capped at a (v = a is
+    zero-at-precision).  A sum is known mod p**min(a_x, a_y), a product mod
+    p**min(v_x + a_y, v_y + a_x), and an exact int or Fraction meeting y is
+    lifted by :meth:`_coerce`: 0 as zero-at-precision with bound a_y (so
+    0 * y is zero at precision v_y + a_y), any other with enough digits
+    never to limit the result (so 1 * y is y).
     """
 
     __slots__ = ("p", "v", "unit", "prec")

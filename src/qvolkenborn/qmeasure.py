@@ -13,7 +13,9 @@ exact rational, and truncated p-adic.
 
 Every closed form of the package (the number and polynomial families, the
 twisted sums, the level-N fermionic sums and the ball measures) is built
-from calls of :func:`binomial_fraction_sum`, in all three readings of q.
+from calls of :func:`binomial_fraction_sum`, which runs on plain ints in
+all three readings of q and makes one value of the reading's field at the
+end.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from operator import add, mul
 from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
                       _divisors, _times_binomial, reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
-from .padic import (PadicNumber, ProfiniteDomain, ball_representatives,
-                    q_admissible)
+from .padic import (PadicNumber, ProfiniteDomain, _int_valuation,
+                    ball_representatives, q_admissible)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +116,7 @@ class QDescriptor:
             return RationalFunction.constant(1, self.root_order)
         if self.mode == "rational":
             return Fraction(1)
-        return PadicNumber(self.q_padic.p, 0, 1, self.q_padic.prec)
+        return PadicNumber._normalised(self.q_padic.p, 0, 1, self.q_padic.prec)
 
     def from_rational(self, r: Fraction | int):
         if self.mode == "symbolic":
@@ -200,11 +202,12 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     :class:`_SymbolicReading`, :class:`_RationalReading` and
     :class:`_PadicReading`): the binomial d, "times a binomial" (of total,
     and of den), "add c q^e den" (which is told the binomial just
-    multiplied in) and the final division.  Symbolic and rational q run on
-    plain ints and make one reduced value at the end; p-adic q runs on
-    field elements.  A numeric q raises ZeroDivisionError where a binomial
-    d_k or a prefactor divisor vanishes at q, and at q = 0 with a negative
-    exponent.
+    multiplied in) and the final division.  Every reading runs on plain
+    ints and makes one value at the end: a reduced rational function, a
+    Fraction, or at p-adic q one PadicNumber division of integer residues
+    that carry the field's precision.  A numeric q raises ZeroDivisionError
+    where a binomial d_k or a prefactor divisor vanishes at q (at p-adic q:
+    is zero at precision), and at q = 0 with a negative exponent.
     """
     reading = _READINGS[q.mode](q, numerators)
     total, den = reading.zero, reading.one
@@ -222,35 +225,97 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
 
 
 class _PadicReading:
-    """The kernel's primitives at p-adic q: field elements, and one field
-    division total / (den prod b^m) over the prefactor divisors.  The
-    digits a value claims follow from its chain of operations, so the
-    reading keeps the field's operations."""
+    """The kernel's primitives at p-adic q: integer residues under the
+    precision rules that :class:`PadicNumber`'s docstring reads on residues,
+    and PadicNumbers only for the final division, so every value and every
+    ZeroDivisionError is the one the field's chain of operations gives.
+
+    A value is (x, v, a): the residue x, known mod p^a, and the valuation v
+    read off it (v = a is zero-at-precision).  The loop's exact ints 0 and
+    1 stay ints until they meet such a value, which lifts them as
+    PadicNumber._coerce does.  The coefficients are folded into ints over
+    L = p^s L', the lcm of their denominators, so the x of every element
+    and of total is L times the value, mod p^(a + s); the final division
+    takes L back out.  Each q^e mod p^A is computed once a call.
+    """
 
     zero, one = 0, 1
 
     def __init__(self, q: QDescriptor, numerators: list[dict]):
-        self.q = q
+        self.q, self.p, self.A, self.qpows = q, q.prime, q.q_padic.prec, {}
+        self.scale = math.lcm(*(c.denominator for num in numerators
+                                for c in num.values() if c))
+        self.shift = _int_valuation(self.scale, self.p)
 
-    def element(self, terms: dict):
-        q = self.q
-        return sum(q.from_rational(c) * q.qpow(e) for e, c in terms.items() if c)
+    def _read(self, x: int, a: int, s: int) -> tuple[int, int, int]:
+        """The value known mod p^a whose p^s multiple is x."""
+        x %= self.p ** (a + s)
+        return (x, _int_valuation(x, self.p) - s, a) if x else (0, a, a)
+
+    def _qpow(self, e) -> int:
+        e = self.q.int_exponent(e)
+        if e not in self.qpows:
+            self.qpows[e] = pow(self.q.q_padic.unit, e, self.p ** self.A)
+        return self.qpows[e]
+
+    def _element(self, terms: dict, scale: int, s: int):
+        """sum c q^e over the terms, the int 0 when every c is 0."""
+        x = g = 0
+        for e, c in terms.items():
+            if c:
+                c = c.numerator * (scale // c.denominator)
+                x, g = x + c * self._qpow(e), math.gcd(g, c)
+        return self._read(x, self.A + _int_valuation(g, self.p) - s, s) if g else 0
+
+    def _mul(self, x, y, s: int = 0):
+        """x y; s is the shift of the factor that is scaled by L, if any."""
+        if type(y) is int:
+            x, y = y, x
+        if type(x) is int:   # 1 y is y, and 0 y is zero at precision v + a of y
+            if x == 1 or type(y) is int:
+                return y if x == 1 else 0
+            return 0, y[1] + y[2], y[1] + y[2]
+        v = x[1] + y[1]
+        a = v + min(x[2] - x[1], y[2] - y[1])
+        return (x[0] * y[0] % self.p ** (a + s), v, a) if a > v else (0, v, v)
+
+    den_times = _mul
+
+    def _pow(self, b, m: int):
+        """b^m, the value m products of b give."""
+        if type(b) is int:
+            return b ** m
+        x, v, a = b
+        return pow(x, m, self.p ** (a + (m - 1) * v)), m * v, a + (m - 1) * v
 
     def binomial(self, s: int, e):
-        return self.element({0: 1 + s} if e == 0 else {0: 1, e: s})
+        if e == 0:
+            return self._element({0: 1 + s}, 1, 0)
+        return self._read(1 + s * self._qpow(e), self.A, 0)
 
     def times(self, x, b, power: int = 1):
-        return x * (b if power == 1 else b ** power)
-
-    den_times = times
+        return self._mul(x, b if power == 1 else self._pow(b, power), self.shift)
 
     def add_terms(self, total, num: dict, den, d):
-        return total + self.element(num) * den
+        y = self._mul(self._element(num, self.scale, self.shift), den, self.shift)
+        if type(total) is int or type(y) is int:   # an exact 0 adds nothing
+            return y if type(total) is int else total
+        return self._read(total[0] + y[0], min(total[2], y[2]), self.shift)
+
+    def _padic(self, value, scale: int, s: int):
+        if type(value) is int:
+            return value
+        x, v, a = value
+        if v == a:
+            return PadicNumber.zero_at_precision(self.p, a)
+        mod = self.p ** (a - v)
+        unit = x // self.p ** (v + s) * pow(scale // self.p ** s, -1, mod) % mod
+        return PadicNumber._normalised(self.p, v, unit, a - v)
 
     def divide(self, total, den, divisors):
         for b, m in divisors:
-            den = den * b ** m
-        return total / den
+            den = self._mul(den, self._pow(b, m))
+        return self._padic(total, self.scale, self.shift) / self._padic(den, 1, 0)
 
 
 class _RationalReading:

@@ -59,6 +59,13 @@ def commands() -> list[str]:
             "series --gf Fq --q 2/5 --T 8",
             "integrate --kind bosonic --p 5 --q 6 --d 3 --f char_twisted:2:3:1 --stability 5",
             "integrate --p 3 --q 4 --f one --stability 6"]
+    # the closed forms at p-adic q, zero-at-precision rows and divisor included
+    out += ["numbers --kind K --n 0..16 --q padic:5:6:32",
+            "numbers --kind beta --n 0..16 --q padic:3:4:128",
+            "numbers --kind K --n 0..10 --q padic:3:10:3",
+            "numbers --kind beta --n 0..10 --q padic:3:10:4",
+            "numbers --kind K_chi --n 0..5 --chi 7:3 --q padic:3:22:32",
+            "polynomials --kind K_poly --n 0..8 --x 2 --q padic:7:8:20"]
     return out
 
 

@@ -1,12 +1,13 @@
-"""The integer rational reading against Fraction-arithmetic references.
+"""The integer rational and p-adic readings against field-arithmetic references.
 
 `_FieldReading` and `_fraction_partial` are the field-arithmetic versions of
 the closed-form kernel's primitives and of the alternating partial sums:
-every term a Fraction.  The integer routes must give the same Fraction, and
-raise ZeroDivisionError exactly where these do.
+every term a Fraction, or a PadicNumber at p-adic q.  The integer routes
+must give the same value, and raise ZeroDivisionError exactly where these do.
 """
 
 import cProfile
+import math
 import pstats
 from fractions import Fraction
 
@@ -80,8 +81,8 @@ def _fraction_partial(k, q, n_terms):
 def _outcome(compute):
     try:
         return compute()
-    except ZeroDivisionError:
-        return ZeroDivisionError
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
 
 
 _QS = st.builds(F, st.integers(-12, 12), st.integers(1, 12)).filter(lambda q: q != 1)
@@ -104,6 +105,43 @@ _PREFACTOR = st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(-3, 8),
 @example(q=F(-1), numerators=[{-3: F(5, 2)}], sign=-1, step=1, prefactor=[(1, 2, 2)])
 def test_kernel_matches_the_field_route(q, numerators, sign, step, prefactor):
     qd = QDescriptor.rational(q)
+    want = _outcome(lambda: _field_sum(qd, numerators, sign, step, prefactor))
+    got = _outcome(lambda: binomial_fraction_sum(qd, numerators, sign, step, prefactor))
+    assert got == want
+    assert type(got) is type(want)
+
+
+@st.composite
+def _padic_qs(draw):
+    """(p, q, A): q = 1 + p^e u with u a p-adic unit, e in {1, 2} and A > e."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    e = draw(st.integers(1, 2))
+    u = F(draw(st.integers(-20, 20).filter(lambda n: n % p)),
+          draw(st.integers(1, 12).filter(lambda n: n % p)))
+    return p, 1 + p ** e * u, draw(st.integers(e + 1, 40))
+
+
+_BOSONIC_10 = [{0: F((-1) ** i * math.comb(10, i) * (i + 1))} for i in range(11)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=_padic_qs(), numerators=_NUMERATORS, sign=st.sampled_from((1, -1)),
+       step=st.integers(1, 4), prefactor=_PREFACTOR)
+# an empty numerator: the int 0 times den is zero at precision v + a of den
+@example(q=(5, F(6), 6), numerators=[{0: F(1)}, {}, {2: F(1, 3)}], sign=1, step=1,
+         prefactor=[])
+# the prefactor binomial 1 - q^0 is the int 0
+@example(q=(5, F(6), 6), numerators=[{1: F(2)}], sign=-1, step=1,
+         prefactor=[(-1, 0, 2), (1, 1, -1)])
+# beta_10 at padic:3:10:4: the binomial 1 - q^9 is zero at precision
+@example(q=(3, F(10), 4), numerators=_BOSONIC_10, sign=-1, step=1, prefactor=[(-1, 1, -9)])
+# coefficients with p in the denominator, and a fractional exponent
+@example(q=(5, F(13, 3), 8), numerators=[{0: F(2, 25)}, {3: F(-1, 5)}], sign=-1, step=2,
+         prefactor=[(1, 1, -1)])
+@example(q=(7, F(8), 5), numerators=[{F(1, 2): F(1)}], sign=1, step=1, prefactor=[])
+def test_padic_kernel_matches_the_field_route(q, numerators, sign, step, prefactor):
+    p, q, precision = q
+    qd = QDescriptor.padic(padic_from_rational(q, p, precision))
     want = _outcome(lambda: _field_sum(qd, numerators, sign, step, prefactor))
     got = _outcome(lambda: binomial_fraction_sum(qd, numerators, sign, step, prefactor))
     assert got == want
@@ -146,7 +184,8 @@ def test_fractional_exponent_raises_as_qpow_does(e):
     assert str(from_kernel.value) == str(from_qpow.value)
 
 
-def _fraction_constructions(compute) -> int:
+def _constructions(compute, module="fractions.py",
+                   names=("__new__", "_from_coprime_ints")) -> int:
     # a cold call: a value the closed-form caches hold would make none
     _twisted_sum.cache_clear()
     _bernoulli_sum.cache_clear()
@@ -154,7 +193,7 @@ def _fraction_constructions(compute) -> int:
     profiler.runcall(compute)
     return sum(calls for (path, _, name), (_, calls, *_) in
                pstats.Stats(profiler).stats.items()
-               if path.endswith("fractions.py") and name in ("__new__", "_from_coprime_ints"))
+               if path.endswith(module) and name in names)
 
 
 _SCALED = [{i - 4: F(i, 7)} for i in range(21)]
@@ -168,11 +207,24 @@ _SCALED = [{i - 4: F(i, 7)} for i in range(21)]
 ], ids=["K_20", "distribution", "negative_exponents"])
 def test_a_kernel_call_makes_one_fraction(call, q):
     qd = QDescriptor.rational(q)
-    assert _fraction_constructions(lambda: call(qd)) == 1
+    assert _constructions(lambda: call(qd)) == 1
 
 
 def test_partial_sums_make_no_fraction_per_term():
     # Fractions come from reading q, the value and the tail bound alone
-    counts = {n_terms: _fraction_constructions(
+    counts = {n_terms: _constructions(
         lambda: f_q_coefficient_partial(4, F(-2, 3), n_terms)) for n_terms in (10, 300)}
     assert counts[10] == counts[300]
+
+
+@pytest.mark.parametrize("q, call", [
+    (padic_from_rational(6, 5, 32), lambda n, qd: _twisted_sum(n, 0, 1, qd, (1,))),
+    (padic_from_rational(4, 3, 128), lambda n, qd: _bernoulli_sum(n, 0, qd)),
+], ids=["K", "beta"])
+def test_a_padic_kernel_call_makes_a_fixed_number_of_padic_numbers(q, call):
+    qd = QDescriptor.padic(q)
+    counts = {n: _constructions(lambda: call(n, qd), "padic.py",
+                                ("__init__", "_normalised", "zero_at_precision",
+                                 "from_rational"))
+              for n in (5, 20)}
+    assert counts[5] == counts[20]
