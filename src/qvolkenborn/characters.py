@@ -139,7 +139,7 @@ class DirichletCharacter:
             if not 0 <= e < fac.order:
                 raise ValueError("exponent out of range for its cyclic factor")
 
-    @property
+    @functools.cached_property
     def value_order(self) -> int:
         return math.lcm(*(fac.order // math.gcd(e, fac.order)
                           for e, fac in zip(self.exponents, self.structure.factors)))

@@ -542,7 +542,7 @@ def _check_integrand(spec: MeasureSpec, f) -> None:
 
 def _sum_range(spec: MeasureSpec, f: BracketPower, reps: range):
     """Unnormalized sum of f(j) * (+-q)^j over a subrange of representatives:
-    one geometric sum at p-adic q (:func:`_residue_sum`), term by term at
+    n + 1 geometric series at p-adic q (:func:`_residue_sum`), term by term at
     symbolic or rational q (:func:`_term_sum`)."""
     if spec.q.mode == "padic":
         return _residue_sum(spec, f, reps)
@@ -552,7 +552,7 @@ def _sum_range(spec: MeasureSpec, f: BracketPower, reps: range):
 def _term_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     """The sum of :func:`_sum_range`, calling f once per term.  It is the
     route at symbolic and rational q, and at p-adic q the independent
-    reference the geometric sum is tested against."""
+    reference the geometric series are tested against."""
     q1 = spec.q.qpow(1)
     fermionic = spec.kind == FERMIONIC
     power = spec.q.qpow(reps.start) if reps.start else spec.q.one()
@@ -572,86 +572,67 @@ def _term_sum(spec: MeasureSpec, f: BracketPower, reps: range):
 def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     """The p-adic sum of chi(j) [x+j]^n (+-q)^j in plain ints.
 
-    All terms are p-adic integers.  With Q the unit of q, A its precision
-    and m the digits claimed, every quantity is a residue mod p^m and no
-    division is made.  For n >= 1 the bracket [x+j] = (1 - Q^(x+j)) / (1 -
-    Q) is known to A - v_p(1 - Q) digits, and the sum claims exactly those;
-    for n = 0 it claims A.  f must take its bracket at the spec's q
+    With Q the integer unit of q, A its precision and t = v_p(1 - Q), the
+    result is the exact sum at Q reduced mod p^m, m the digits claimed:
+    A - t for n >= 1, since the bracket [x+j] = (1 - Q^(x+j)) / (1 - Q) is
+    known to A - t digits, and A for n = 0.  The weights chi need only be a
+    periodic table of integers.  f must take its bracket at the spec's q
     (:func:`riemann_sum` and :func:`integrate` check it).
 
-    The sum is geometric.  The state u_j[k] = r^j [x+j]^k (k <= n, r =
-    +-Q) moves by u_{j+m} = T^m u_j, because [x+j+m] = [m] + Q^m [x+j], and
-    T^m has the closed form of :func:`_transfer`.  With l = len(chi) and
-    len(reps) = M l + e, the sum is component n of G_M V + T^(lM) E, where
-    G_M = sum_{i<M} T^(li), V is the signed sum of the states of the first
-    l representatives and E that of the first e.  Binary doubling over the
-    bits of M takes O(n^2 log M) operations.
+    The sum is n + 1 geometric series.  By the binomial theorem [x+j]^n =
+    (1 - Q)^-n sum_{k<=n} C(n,k) (-Q^x)^k Q^(jk), so the sum is (1 - Q)^-n
+    sum_k C(n,k) (-Q^x)^k G_k, where G_k = sum_j chi(j) rho_k^j and rho_k =
+    r Q^k (r = +-Q).  With l = len(chi), reps from s and len(reps) = M l + e,
+    G_k = (V_k (1 - rho_k^(lM)) + rho_k^(lM) E_k (1 - rho_k^l)) / (1 - rho_k^l),
+    V_k and E_k the signed sums of rho_k^j over the first l and the first e
+    representatives.  That is O(n l + log M) modular operations.
+
+    Exactness.  Work mod p^W, W = m + n t + max_k w_k, w_k = v_p(1 -
+    rho_k^l).  G_k is a p-adic integer, so p^(w_k) divides the numerator;
+    stripped of p^(w_k) on both sides the denominator is a unit, and G_k is
+    known mod p^(W - w_k), at least mod p^(m + n t).  The k-sum is (1 - Q)^n
+    times a p-adic integer, so it is divisible by p^(n t); stripped of that
+    and times the inverse of ((1 - Q) / p^t)^n it is the sum mod p^m.  By
+    lifting the exponent (p odd, t >= 1), w_k = t + v_p(l (k+1)) where
+    rho_k^l = Q^(l(k+1)), and w_k = 0 for a fermionic sum with l odd, where
+    1 - rho_k^l = 2 mod p.
     """
     q = spec.q.q_padic
-    p, shift, n = q.p, f.shift, f.n
+    p, big_q, n = q.p, q.unit, f.n
     signs = (1,) if f.chi is None else tuple(int(s) for s in f.chi)
-    size = len(signs)
-    mod_a = p ** q.prec
-    if n == 0:
-        digits, mod, bracket = q.prec, mod_a, 1
-    else:
-        # 1/(1 - Q) = p^-t * unit, the unit known mod p^(A - t)
-        t = -f._inv_1mq.v
-        digits = q.prec - t
-        mod = p ** digits
-        # p^t divides 1 - Q^(x+j) because x + j is an integer
-        bracket = ((1 - pow(q.unit, int(shift) + reps.start, mod_a)) % mod_a
-                   // p ** t * f._inv_1mq.unit % mod)
-    step = q.unit % mod
-    ratio = mod - step if spec.kind == FERMIONIC else step
-    weight = pow(ratio, reps.start, mod)
+    size, offset = len(signs), reps.start % len(signs)
     # a level can hold more than sys.maxsize representatives, past len()
-    length = reps.stop - reps.start
-    count, extra = divmod(length, size)
-    v_all, v_extra = [0] * (n + 1), [0] * (n + 1)
-    for c in range(min(size, length)):
-        s = signs[(reps.start + c) % size]
-        if s:
-            term = weight * s
-            for k in range(n + 1):
-                v_all[k] += term
-                if c < extra:
-                    v_extra[k] += term
-                term = term * bracket % mod
-        bracket = (1 + step * bracket) % mod
-        weight = weight * ratio % mod
-    # at bit b of M: power is T^(l 2^b), v_all is G_(2^b) V, total is G_M' V
-    # and v_extra is T^(l M') E, for M' the bits of M below b
-    power = (pow(ratio, size, mod), pow(step, size, mod),
-             sum(pow(step, i, mod) for i in range(size)) % mod)
-    rows = [[math.comb(k, i) for i in range(k + 1)] for k in range(n + 1)]
-    total = [0] * (n + 1)
-    while count:
-        if count & 1:
-            total = list(map(add, v_all, _transfer(total, power, rows, mod)))
-            v_extra = _transfer(v_extra, power, rows, mod)
-        count >>= 1
-        if count:
-            v_all = list(map(add, v_all, _transfer(v_all, power, rows, mod)))
-            r_m, q_m, bracket_m = power   # [2m] = [m] (1 + Q^m)
-            power = (r_m * r_m % mod, q_m * q_m % mod, bracket_m * (1 + q_m) % mod)
-    return PadicNumber._from_scaled(p, 0, (total[n] + v_extra[n]) % mod, digits)
-
-
-def _transfer(v: list[int], power: tuple[int, int, int], rows: list[list[int]],
-              mod: int) -> list[int]:
-    """T^m v mod ``mod``, from power = (r^m, Q^m, [m]):
-    (T^m v)[k] = r^m sum_{i<=k} C(k,i) [m]^(k-i) Q^(mi) v[i]."""
-    r_m, q_m, bracket_m = power
-    scaled, q_i = [], 1
-    for x in v:
-        scaled.append(x * q_i % mod)
-        q_i = q_i * q_m % mod
-    b_pows = [1]
-    for _ in v[1:]:
-        b_pows.append(b_pows[-1] * bracket_m % mod)
-    return [r_m * sum(c * b_pows[k - i] * scaled[i] for i, c in enumerate(row)) % mod
-            for k, row in enumerate(rows)]
+    count, extra = divmod(reps.stop - reps.start, size)
+    t = _int_valuation(1 - big_q, p)
+    digits = q.prec - t if n else q.prec
+    fermionic = spec.kind == FERMIONIC
+    slack = 0 if fermionic and size % 2 else t + max(
+        _int_valuation(size * k, p) for k in range(1, n + 2))
+    known = p ** (digits + n * t)   # the k-sum is needed mod p^(m + n t)
+    mod = known * p ** slack
+    # rho_k^j for j = 1, s, l and l M; the next k multiplies each by Q^j
+    exponents = (1, reps.start, size, size * count)
+    rho_powers = [pow(-big_q if fermionic else big_q, j, mod) for j in exponents]
+    q_powers = [pow(big_q, j, mod) for j in exponents]
+    table = signs[offset:] + signs[:offset]
+    minus_q_x, factor, total = -pow(big_q, int(f.shift), mod), 1, 0
+    for k in range(n + 1):
+        rho, weight, rho_l, rho_lm = rho_powers
+        v = e = 0
+        for c, s in enumerate(table):
+            if c == extra:
+                e = v
+            v += s * weight
+            weight = weight * rho % mod
+        den = (1 - rho_l) % mod
+        strip = p ** _int_valuation(den, p)
+        num = (v * (1 - rho_lm) + rho_lm * e * (1 - rho_l)) % mod
+        total += math.comb(n, k) * factor * (num // strip) * pow(den // strip, -1, known)
+        factor = factor * minus_q_x % known
+        rho_powers = [x * y % mod for x, y in zip(rho_powers, q_powers)]
+    # total = (1 - Q)^n times the sum, mod p^(m + n t)
+    unit = pow((1 - big_q) // p ** t, -n, p ** digits)
+    return PadicNumber._from_scaled(p, 0, total % known // p ** (n * t) * unit, digits)
 
 
 def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
@@ -791,8 +772,8 @@ class BracketPower:
     Instances are immutable, and a call evaluates its term directly, so
     calls may come in any order.  It is the one integrand type of
     :func:`riemann_sum` and :func:`integrate`: p-adic Riemann sums take it
-    as one geometric sum, and symbolic and rational ones call it once per
-    term.
+    as n + 1 geometric series, and symbolic and rational ones call it once
+    per term.
     """
 
     __slots__ = ("q", "n", "shift", "chi", "_one", "_inv_1mq")
@@ -831,7 +812,7 @@ def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> BracketP
     """j -> [shift + j]^n.
 
     The result is a :class:`BracketPower`: each call evaluates its term
-    directly, and p-adic Riemann sums take it as one geometric sum, in
+    directly, and p-adic Riemann sums take it as n + 1 geometric series, in
     time logarithmic in the number of representatives.
     """
     return BracketPower(q, n, shift)

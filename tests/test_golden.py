@@ -66,6 +66,14 @@ def commands() -> list[str]:
             "numbers --kind beta --n 0..10 --q padic:3:10:4",
             "numbers --kind K_chi --n 0..5 --chi 7:3 --q padic:3:22:32",
             "polynomials --kind K_poly --n 0..8 --x 2 --q padic:7:8:20"]
+    # p-adic level sums: deep precision, table lengths divisible by p,
+    # n >= p, a negative shift and a twist whose table is as long as d
+    out += ["integrate --p 5 --q 6 --f bracket_pow:3 --A 128 --stability 127 --N-max 1000000",
+            "integrate --kind bosonic --p 3 --q 10 --f char_twisted:3:9:3 --stability 5 --N-max 10",
+            "integrate --kind bosonic --p 3 --q 10 --f shifted_bracket_pow:8:-2 --A 40 "
+            "--stability 12 --N-max 20",
+            "integrate --p 7 --q 8 --d 15 --f char_twisted:4:15:1,0 --A 64 --stability 30 "
+            "--N-max 40"]
     return out
 
 

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qvolkenborn import qmeasure
@@ -552,27 +552,63 @@ def _linear_residue_sum(spec, f, reps):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_geometric_residue_sum_matches_the_linear_loop(data):
+@given(p=st.sampled_from([3, 5, 7, 11]), depth=st.integers(1, 2) | st.integers(1, 127),
+       prec=st.integers(2, 128), unit=st.integers(-10 ** 6, 10 ** 6),
+       d=st.sampled_from([1, 3, 5, 7, 15]), kind=st.sampled_from([BOSONIC, FERMIONIC]),
+       n=st.integers(0, 12),
+       chi=st.none() | st.lists(st.sampled_from([0, 1, -1]), min_size=1,
+                                max_size=30).map(tuple),
+       shift=st.integers(-5, 5), start=st.integers(0, 3000),
+       length=st.integers(0, 30) | st.integers(0, 3000))
+# a fermionic sum with an even table length, where 1 - rho^l is not a unit
+@example(p=5, depth=1, prec=20, unit=1, d=1, kind=FERMIONIC, n=5, chi=(1, -1, 0, 1),
+         shift=0, start=2, length=700)
+# a table length divisible by p, and n >= p (v_p(k + 1) > 0)
+@example(p=3, depth=1, prec=16, unit=1, d=1, kind=BOSONIC, n=4,
+         chi=(0, 1, -1, 1, 0, -1, 1, -1, 1), shift=1, start=0, length=2000)
+@example(p=3, depth=2, prec=30, unit=1, d=1, kind=BOSONIC, n=8, chi=None, shift=2,
+         start=5, length=1000)
+# v_p(q - 1) = A - 1: one digit claimed
+@example(p=7, depth=11, prec=12, unit=3, d=1, kind=BOSONIC, n=5, chi=(1, 0, -1), shift=0,
+         start=10, length=500)
+# start > 0 with a range shorter than the table, and an empty range
+@example(p=5, depth=1, prec=10, unit=2, d=7, kind=FERMIONIC, n=2,
+         chi=(1, -1, 1, 0, 1, -1, 1), shift=0, start=4, length=3)
+@example(p=5, depth=1, prec=10, unit=2, d=7, kind=FERMIONIC, n=2,
+         chi=(1, -1, 1, 0, 1, -1, 1), shift=0, start=3, length=0)
+# a negative shift
+@example(p=11, depth=1, prec=40, unit=-3, d=1, kind=BOSONIC, n=6, chi=None, shift=-5,
+         start=0, length=121)
+def test_geometric_residue_sum_matches_the_linear_loop(p, depth, prec, unit, d, kind, n, chi,
+                                                       shift, start, length):
     from qvolkenborn.qmeasure import _residue_sum
 
-    p = data.draw(st.sampled_from([3, 5, 7, 11]), label="p")
-    depth = data.draw(st.sampled_from([1, 2]), label="v_p(q - 1)")
-    prec = data.draw(st.integers(depth + 1, 128), label="A")
-    unit = data.draw(st.integers(-10 ** 6, 10 ** 6).filter(lambda r: r % p), label="r")
+    assume(depth < prec and unit % p and d % p)
     qd = padic_q(1 + p ** depth * unit, p, prec)
-    d = data.draw(st.sampled_from([d for d in (1, 3, 5, 7, 15) if d % p]), label="d")
-    kind = data.draw(st.sampled_from([BOSONIC, FERMIONIC]), label="kind")
-    n = data.draw(st.integers(0, 7), label="n")
-    chi = data.draw(st.none() | st.lists(st.sampled_from([0, 1, -1]), min_size=3,
-                                         max_size=12).map(tuple), label="chi")
-    shift = data.draw(st.integers(-3, 4), label="shift")
-    start = data.draw(st.integers(0, 3000), label="start")
-    length = data.draw(st.integers(0, 15) | st.integers(0, 3000), label="length")
     spec = MeasureSpec(kind, qd, ProfiniteDomain(p, d))
     f = BracketPower(qd, n, shift, chi)
     reps = range(start, start + length)
     assert _as_tuple(_residue_sum(spec, f, reps)) == _as_tuple(_linear_residue_sum(spec, f, reps))
+
+
+def test_residue_sum_makes_no_call_per_bit_of_the_length():
+    # one sum makes the same calls over 10^3 and 10^15 representatives (both
+    # 1 mod the table length 9), so no loop runs over the bits of the count
+    import cProfile
+    import pstats
+
+    from qvolkenborn.qmeasure import _residue_sum
+
+    qd = padic_q(4, 3, 32)
+    spec = MeasureSpec(BOSONIC, qd, ProfiniteDomain(3))
+    f = BracketPower(qd, 7, 1, (1, -1, 0, 1, 1, -1, 0, -1, 1))
+
+    def calls(reps):
+        profile = cProfile.Profile()
+        profile.runcall(_residue_sum, spec, f, reps)
+        return pstats.Stats(profile).total_calls
+
+    assert calls(range(10 ** 3)) == calls(range(10 ** 15))
 
 
 def test_long_ranges_sum_at_once():
