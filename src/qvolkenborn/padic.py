@@ -41,11 +41,21 @@ def _is_odd_prime(p: int) -> bool:
 
 
 def _int_valuation(n: int, p: int) -> int:
+    if not n:
+        raise ValueError("0 has no p-adic valuation")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
     return v
+
+
+def _unit_inverse(x: int, p: int, k: int) -> int:
+    """x**-1 mod p**k, x prime to p: from mod p, Newton steps y(2 - x y) double the digits."""
+    if k <= 1:
+        return pow(x, -1, p)
+    y = _unit_inverse(x, p, (k + 1) // 2)
+    return y * (2 - x * y) % p ** k
 
 
 class PadicNumber:
@@ -56,7 +66,8 @@ class PadicNumber:
     must be prime to p.  Arithmetic results (+, -, *, /, ** and
     :meth:`reciprocal`) are already normalised, 0 < unit < p**prec with p
     not dividing the unit, and are built by the unchecked internal
-    constructor :meth:`_normalised`, which stores the fields as given.
+    constructor :meth:`_normalised`, which stores the fields as given; / and
+    :meth:`reciprocal` invert units by Newton doubling (:func:`_unit_inverse`).
 
     The precision rules, read on residues: a value is an x known mod p**a
     (a its absolute precision), with v read off x and capped at a (v = a is
@@ -215,8 +226,8 @@ class PadicNumber:
     def reciprocal(self) -> PadicNumber:
         if self.is_zero_at_precision:
             raise ZeroDivisionError("division by zero-at-precision")
-        mod = self.p ** self.prec
-        return PadicNumber._normalised(self.p, -self.v, pow(self.unit, -1, mod), self.prec)
+        unit = _unit_inverse(self.unit, self.p, self.prec)
+        return PadicNumber._normalised(self.p, -self.v, unit, self.prec)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -227,8 +238,7 @@ class PadicNumber:
         if self.is_zero_at_precision:
             return PadicNumber.zero_at_precision(self.p, self.v - other.v)
         prec = min(self.prec, other.prec)
-        mod = self.p ** prec
-        unit = self.unit * pow(other.unit, -1, mod) % mod
+        unit = self.unit * _unit_inverse(other.unit, self.p, prec) % self.p ** prec
         return PadicNumber._normalised(self.p, self.v - other.v, unit, prec)
 
     def __rtruediv__(self, other):

@@ -29,7 +29,7 @@ from operator import add, mul
 from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
                       _divisors, _times_binomial, reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
-from .padic import (PadicNumber, ProfiniteDomain, _int_valuation,
+from .padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
                     ball_representatives, q_admissible)
 
 
@@ -411,19 +411,19 @@ class _SymbolicReading:
     numerators shifted by w^r when their exponents go down to -r.  A binomial
     is its (s, j) with j the w-exponent, and "times a binomial" is one
     shift-add.  Every binomial multiplied into den, and every prefactor
-    divisor, is recorded as its Phi_d in one Phi-map (and a sign), and the
+    divisor, is recorded as its Phi_d in one Phi-map (and a scalar), and the
     final division is one :func:`reduce_cyclotomic_fraction` over w^r and it."""
 
     def __init__(self, q: QDescriptor, numerators: list[dict]):
         terms = [(e, c) for num in numerators for e, c in num.items() if c]
-        self.q, self.zero, self.one, self.phis, self.sign = q, [], [1], {}, 1
+        self.q, self.zero, self.one, self.phis, self.scalar = q, [], [1], {}, 1
         self.shift = max([0] + [-e for e, _ in terms])
         self.scale = math.lcm(*(c.denominator for _, c in terms))
 
     def _record(self, b: tuple[int, int], power: int) -> None:
-        # 1 - w^j = -prod_{d | j} Phi_d and 1 + w^j = prod_{d | 2j, d not | j} Phi_d
+        # j > 0: 1 - w^j = -prod_{d|j} Phi_d, 1 + w^j = prod_{d|2j, d not|j} Phi_d; else 1 + s
         s, j = b
-        self.sign *= s ** power
+        self.scalar *= s ** power if j else Fraction(1 + s) ** -power
         for d in _divisors(j if s == -1 else 2 * j):
             if s == -1 or j % d:
                 self.phis[d] = self.phis.get(d, 0) + power
@@ -454,7 +454,7 @@ class _SymbolicReading:
     def divide(self, total: list[int], den, divisors) -> RationalFunction:
         for b, m in divisors:
             self._record(b, m)
-        return reduce_cyclotomic_fraction(Polynomial._make(total, self.scale) * self.sign,
+        return reduce_cyclotomic_fraction(Polynomial._make(total, self.scale) * self.scalar,
                                           self.phis, self.q.root_order,
                                           self.q.w_exponent(self.shift))
 
@@ -524,12 +524,12 @@ def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int):
     ``f`` must be a :class:`BracketPower`, which is what the built-in
     integrand families return, taken at the spec's q (a symbolic q at any
     root order); anything else raises ValueError.  The sum is exact to the
-    digits it claims, so any partition of the index range yields the
-    identical result.
+    digits it claims; at p-adic q it is one integer pass with its normalizer.
     """
     _check_integrand(spec, f)
     reps = ball_representatives(spec.domain, n)
-    return _sum_range(spec, f, reps) / spec.level_norm(n)
+    return (_residue_sum(spec, f, reps, math.inf) if spec.q.mode == "padic"
+            else _term_sum(spec, f, reps) / spec.level_norm(n))
 
 
 def _check_integrand(spec: MeasureSpec, f) -> None:
@@ -540,19 +540,10 @@ def _check_integrand(spec: MeasureSpec, f) -> None:
         raise ValueError(f"the integrand is taken at {a!r}, the measure at {b!r}")
 
 
-def _sum_range(spec: MeasureSpec, f: BracketPower, reps: range):
-    """Unnormalized sum of f(j) * (+-q)^j over a subrange of representatives:
-    n + 1 geometric series at p-adic q (:func:`_residue_sum`), term by term at
-    symbolic or rational q (:func:`_term_sum`)."""
-    if spec.q.mode == "padic":
-        return _residue_sum(spec, f, reps)
-    return _term_sum(spec, f, reps)
-
-
 def _term_sum(spec: MeasureSpec, f: BracketPower, reps: range):
-    """The sum of :func:`_sum_range`, calling f once per term.  It is the
-    route at symbolic and rational q, and at p-adic q the independent
-    reference the geometric series are tested against."""
+    """The unnormalized sum of f(j) * (+-q)^j over reps, one call of f per
+    term: the route at symbolic and rational q, and at p-adic q the
+    independent reference that :func:`_residue_sum` is tested against."""
     q1 = spec.q.qpow(1)
     fermionic = spec.kind == FERMIONIC
     power = spec.q.qpow(reps.start) if reps.start else spec.q.one()
@@ -569,15 +560,19 @@ def _term_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     return total
 
 
-def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
-    """The p-adic sum of chi(j) [x+j]^n (+-q)^j in plain ints.
+def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range, claim=None):
+    """The p-adic sum of chi(j) [x+j]^n r^j (r = +-q) in plain ints.
 
     With Q the integer unit of q, A its precision and t = v_p(1 - Q), the
     result is the exact sum at Q reduced mod p^m, m the digits claimed:
     A - t for n >= 1, since the bracket [x+j] = (1 - Q^(x+j)) / (1 - Q) is
     known to A - t digits, and A for n = 0.  The weights chi need only be a
     periodic table of integers.  f must take its bracket at the spec's q
-    (:func:`riemann_sum` and :func:`integrate` check it).
+    (:func:`riemann_sum` and :func:`integrate` check it).  With a ``claim``,
+    reps is a level range(K), and the sum over (1 - r^K) / (1 - r) is
+    truncated to ``claim`` digits as PadicNumber's / and + zero_at_precision
+    do: it is known mod p^(min(m, h + A - w) + u - w), h, w, u the valuations
+    of the sum (m if 0), 1 - r^K, 1 - r, and w >= A raises ZeroDivisionError.
 
     The sum is n + 1 geometric series.  By the binomial theorem [x+j]^n =
     (1 - Q)^-n sum_{k<=n} C(n,k) (-Q^x)^k Q^(jk), so the sum is (1 - Q)^-n
@@ -590,32 +585,33 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
     Exactness.  Work mod p^W, W = m + n t + max_k w_k, w_k = v_p(1 -
     rho_k^l).  G_k is a p-adic integer, so p^(w_k) divides the numerator;
     stripped of p^(w_k) on both sides the denominator is a unit, and G_k is
-    known mod p^(W - w_k), at least mod p^(m + n t).  The k-sum is (1 - Q)^n
-    times a p-adic integer, so it is divisible by p^(n t); stripped of that
-    and times the inverse of ((1 - Q) / p^t)^n it is the sum mod p^m.  By
-    lifting the exponent (p odd, t >= 1), w_k = t + v_p(l (k+1)) where
-    rho_k^l = Q^(l(k+1)), and w_k = 0 for a fermionic sum with l odd, where
-    1 - rho_k^l = 2 mod p.
+    known mod p^(W - w_k), at least mod p^(m + n t).  The k-sum, added over
+    one unit denominator, is (1 - Q)^n times a p-adic integer; stripped of
+    p^(n t) and over ((1 - Q) / p^t)^n it is the sum mod p^m, at the cost of
+    one inverse.  By lifting the exponent (p odd, t >= 1), w_k = t + v_p(l
+    (k+1)) where rho_k^l = Q^(l(k+1)), and w_k = 0 for a fermionic sum with
+    l odd, where 1 - rho_k^l = 2 mod p.
     """
     q = spec.q.q_padic
-    p, big_q, n = q.p, q.unit, f.n
+    p, big_q, n, a = q.p, q.unit, f.n, q.prec
     signs = (1,) if f.chi is None else tuple(int(s) for s in f.chi)
     size, offset = len(signs), reps.start % len(signs)
     # a level can hold more than sys.maxsize representatives, past len()
     count, extra = divmod(reps.stop - reps.start, size)
     t = _int_valuation(1 - big_q, p)
-    digits = q.prec - t if n else q.prec
+    digits = a - t if n else a
     fermionic = spec.kind == FERMIONIC
     slack = 0 if fermionic and size % 2 else t + max(
         _int_valuation(size * k, p) for k in range(1, n + 2))
     known = p ** (digits + n * t)   # the k-sum is needed mod p^(m + n t)
     mod = known * p ** slack
-    # rho_k^j for j = 1, s, l and l M; the next k multiplies each by Q^j
+    # Q^j and rho_k^j for j = 1, s, l and l M; the next k multiplies by Q^j
     exponents = (1, reps.start, size, size * count)
-    rho_powers = [pow(-big_q if fermionic else big_q, j, mod) for j in exponents]
     q_powers = [pow(big_q, j, mod) for j in exponents]
+    rho_powers = [-x if fermionic and j % 2 else x for x, j in zip(q_powers, exponents)]
+    r_k = rho_powers[3] * pow(rho_powers[0], extra, mod)   # r^K for reps = range(K)
     table = signs[offset:] + signs[:offset]
-    minus_q_x, factor, total = -pow(big_q, int(f.shift), mod), 1, 0
+    minus_q_x, factor, top, bottom = -pow(big_q, int(f.shift), mod), 1, 0, 1
     for k in range(n + 1):
         rho, weight, rho_l, rho_lm = rho_powers
         v = e = 0
@@ -627,12 +623,25 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range):
         den = (1 - rho_l) % mod
         strip = p ** _int_valuation(den, p)
         num = (v * (1 - rho_lm) + rho_lm * e * (1 - rho_l)) % mod
-        total += math.comb(n, k) * factor * (num // strip) * pow(den // strip, -1, known)
+        # top / bottom += C(n,k) (-Q^x)^k G_k, over a unit bottom
+        top = (top * (den // strip) + math.comb(n, k) * factor * (num // strip) * bottom) % known
+        bottom = bottom * (den // strip) % known
         factor = factor * minus_q_x % known
         rho_powers = [x * y % mod for x, y in zip(rho_powers, q_powers)]
-    # total = (1 - Q)^n times the sum, mod p^(m + n t)
-    unit = pow((1 - big_q) // p ** t, -n, p ** digits)
-    return PadicNumber._from_scaled(p, 0, total % known // p ** (n * t) * unit, digits)
+    # top / bottom = (1 - Q)^n times the sum, mod p^(m + n t)
+    bottom = bottom * pow((1 - big_q) // p ** t, n, known) % known
+    if claim is not None:   # times (1 - r) / p^u, over (1 - r^K) / p^w
+        norm, u = (1 - r_k) % p ** a, 0 if fermionic else t
+        if not norm:
+            raise ZeroDivisionError("division by zero-at-precision")
+        w = _int_valuation(norm, p)
+        top *= (1 + big_q if fermionic else 1 - big_q) // p ** u
+        bottom = bottom * (norm // p ** w) % known
+    total = top * _unit_inverse(bottom, p, digits + n * t) % known // p ** (n * t)
+    if claim is None:
+        return PadicNumber._from_scaled(p, 0, total, digits)
+    h = _int_valuation(total, p) if total else digits
+    return PadicNumber._from_scaled(p, u - w, total, min(min(digits, h + a - w) + u - w, claim))
 
 
 def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
@@ -645,7 +654,8 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     digits: N for the fermionic measure, N - N0 for the bosonic one.  A
     target t is met at level N = max(N0, t) (fermionic) or t + N0
     (bosonic), and the result is S_N truncated to its stability,
-    min(bound(N), digits S_N claims).  ValueError when N > n_max, when t
+    min(bound(N), digits S_N claims), in one integer pass that makes one
+    PadicNumber (:func:`_residue_sum`).  ValueError when N > n_max, when t
     exceeds q's precision A (no sum claims more), when a bosonic normalizer
     [d p^N]_q vanishes at A, and when S_N claims fewer than t digits.
 
@@ -690,20 +700,19 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     if n > n_max:
         raise ValueError(f"stability {target_stability} needs level {n}, "
                          f"past n_max = {n_max}")
-    precision, norm = spec.q.q_padic.prec, spec.level_norm(n)
+    precision = spec.q.q_padic.prec
     if target > precision:
         raise ValueError(f"stability {target_stability} needs more digits than "
                          f"q's precision A = {precision}")
-    if norm.is_zero_at_precision:
+    try:   # the level-n riemann_sum, truncated to its bound
+        value = _residue_sum(spec, f, range(spec.domain.level_size(n)), n - n0 if bosonic else n)
+    except ZeroDivisionError:
         raise ValueError(f"stability {target_stability} not reached: the level-{n} "
-                         f"normalizer vanishes at q's precision A = {precision}")
-    # the riemann_sum of level n
-    value = _sum_range(spec, f, ball_representatives(spec.domain, n)) / norm
-    digits = min(n - n0 if bosonic else n, value.absolute_precision)
-    if digits < target:
+                         f"normalizer vanishes at q's precision A = {precision}") from None
+    if value.absolute_precision < target:
         raise ValueError(f"stability {target_stability} not reached: level {n} "
-                         f"claims {digits} digits")
-    return IntegrationResult(value + PadicNumber.zero_at_precision(p, digits), n, digits)
+                         f"claims {value.absolute_precision} digits")
+    return IntegrationResult(value, n, value.absolute_precision)
 
 
 @dataclass(frozen=True)
@@ -771,9 +780,9 @@ class BracketPower:
     mode (higher-order twists go through the closed form of ``k_chi``).
     Instances are immutable, and a call evaluates its term directly, so
     calls may come in any order.  It is the one integrand type of
-    :func:`riemann_sum` and :func:`integrate`: p-adic Riemann sums take it
-    as n + 1 geometric series, and symbolic and rational ones call it once
-    per term.
+    :func:`riemann_sum` and :func:`integrate`: p-adic Riemann sums read its
+    fields as n + 1 geometric series and never call it, so 1 and 1/(1 - q)
+    are built at the first call; symbolic and rational sums call it per term.
     """
 
     __slots__ = ("q", "n", "shift", "chi", "_one", "_inv_1mq")
@@ -787,11 +796,10 @@ class BracketPower:
                 "twisted integrands need character values in {0, +-1}; "
                 "higher-order twists are computed by the closed form of "
                 "k_chi at symbolic or rational q")
-        shift, one, inv_1mq = Fraction(shift), q.one(), None
+        shift = Fraction(shift)
         if n:
             q.qpow(shift)  # raises unless q^shift lives in q's field
-            inv_1mq = one / (one - q.qpow(1))
-        for name, value in zip(self.__slots__, (q, n, shift, chi, one, inv_1mq)):
+        for name, value in zip(self.__slots__, (q, n, shift, chi, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -801,6 +809,10 @@ class BracketPower:
         chi_j = 1 if self.chi is None else self.chi[j % len(self.chi)]
         if chi_j == 0:
             return 0
+        if self._one is None:   # the first call builds 1 and 1/(1 - q)
+            one = self.q.one()
+            object.__setattr__(self, "_one", one)
+            object.__setattr__(self, "_inv_1mq", one / (one - self.q.qpow(1)))
         if self.n:
             value = ((self._one - self.q.qpow(self.shift + j)) * self._inv_1mq) ** self.n
         else:
@@ -811,10 +823,8 @@ class BracketPower:
 def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> BracketPower:
     """j -> [shift + j]^n.
 
-    The result is a :class:`BracketPower`: each call evaluates its term
-    directly, and p-adic Riemann sums take it as n + 1 geometric series, in
-    time logarithmic in the number of representatives.
-    """
+    The result is a :class:`BracketPower`, which p-adic Riemann sums take as
+    n + 1 geometric series, in time logarithmic in the number of terms."""
     return BracketPower(q, n, shift)
 
 

@@ -74,6 +74,14 @@ def commands() -> list[str]:
             "--stability 12 --N-max 20",
             "integrate --p 7 --q 8 --d 15 --f char_twisted:4:15:1,0 --A 64 --stability 30 "
             "--N-max 40"]
+    # the normaliser in the level's integer pass: deep precision, a shift,
+    # a twisted integral, and a bosonic normaliser that vanishes at A
+    out += ["integrate --kind bosonic --p 3 --q 22 --f bracket_pow:3 --A 128 --stability 6 "
+            "--N-max 8",
+            "integrate --p 5 --q 41 --f shifted_bracket_pow:2:1 --A 128 --stability 4",
+            "numbers --kind K_chi --n 0..3 --chi 3:1 --q padic:5:41:128 --method integral",
+            "integrate --kind bosonic --p 3 --q 4 --f bracket_pow:2 --A 6 --stability 5 "
+            "--N-max 8"]
     return out
 
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qvolkenborn.padic import (PadicNumber, ProfiniteDomain, ball_representatives,
-                               padic_from_rational, q_admissible)
+from qvolkenborn.padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
+                               ball_representatives, padic_from_rational, q_admissible)
 
 F = Fraction
 
@@ -16,6 +16,29 @@ F = Fraction
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
+
+def test_int_valuation_of_zero_raises():
+    # 0 is divisible by every power of p, so the loop would never end
+    for p in (3, 5, 7):
+        with pytest.raises(ValueError, match="0 has no p-adic valuation"):
+            _int_valuation(0, p)
+    assert [_int_valuation(n, 3) for n in (1, -2, 9, -54, 3 ** 40)] == [0, 0, 2, 3, 40]
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 11, 101]), k=st.integers(1, 200),
+       x=st.integers(-10 ** 400, 10 ** 400))
+@example(p=3, k=1, x=2)
+@example(p=5, k=2, x=-1)
+@example(p=5, k=128, x=5 ** 128 - 1)
+@example(p=7, k=200, x=-(7 ** 250) - 3)
+def test_unit_inverse_is_the_modular_inverse(p, k, x):
+    # Newton doubling from the inverse mod p: every k, even or odd, and
+    # units given as negative ints or past p**k
+    if x % p == 0:
+        x += 1
+    assert _unit_inverse(x, p, k) == pow(x, -1, p ** k)
+
 
 def test_from_rational_unit():
     x = padic_from_rational(6, 5, 4)

@@ -388,13 +388,14 @@ def test_finite_rhs_converges_to_polynomial_closed_form():
 
 def test_riemann_sum_partition_invariance():
     # summing disjoint index blocks reproduces the full sum exactly
-    from qvolkenborn.qmeasure import _sum_range
+    from qvolkenborn.qmeasure import _residue_sum, _term_sum
 
     for qd in (sym(), padic_q(4, 3)):
         spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
         f = bracket_power(qd, 2, 1)
-        whole = _sum_range(spec, f, range(0, 27))
-        a, b, c = (_sum_range(spec, f, range(lo, lo + 9)) for lo in (0, 9, 18))
+        sum_range = _residue_sum if qd.mode == "padic" else _term_sum
+        whole = sum_range(spec, f, range(0, 27))
+        a, b, c = (sum_range(spec, f, range(lo, lo + 9)) for lo in (0, 9, 18))
         assert whole == a + b + c
 
 
@@ -458,7 +459,7 @@ def test_residue_loop_matches_per_term_loop_on_edge_cases():
     # loop carries more digits than the A - v_p(1 - q) the sum claims, and
     # at n = 0 a shift whose denominator is p, which is never read; an
     # integrand that takes its bracket at another q is refused
-    from qvolkenborn.qmeasure import _sum_range, _term_sum
+    from qvolkenborn.qmeasure import _residue_sum, _term_sum
 
     qd = padic_q(4, 3, 16)   # A = 16, v_3(1 - q) = 1
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
@@ -468,7 +469,7 @@ def test_residue_loop_matches_per_term_loop_on_edge_cases():
         cases.append((bracket_power(qd, 0, F(1, 3 ** (n + 1))), range(0, 9)))
         for f, reps in cases:
             digits = 16 if f.n == 0 else 15
-            fast = _sum_range(spec, f, reps)
+            fast = _residue_sum(spec, f, reps)
             assert fast.absolute_precision == digits
             assert fast.agrees_with(_term_sum(spec, f, reps), digits)
         with pytest.raises(ValueError, match="integrand is taken at"):
@@ -530,11 +531,12 @@ def _linear_residue_sum(spec, f, reps):
         digits, mod = q.prec, mod_a
         bracket, q_x = 1, 0
     else:
-        t = -f._inv_1mq.v
+        inv_1mq = 1 / (1 - q)
+        t = -inv_1mq.v
         digits = q.prec - t
         mod = p ** digits
         q_x = pow(q.unit, int(shift) + reps.start, mod_a)
-        bracket = (1 - q_x) % mod_a // p ** t * f._inv_1mq.unit % mod
+        bracket = (1 - q_x) % mod_a // p ** t * inv_1mq.unit % mod
         q_x %= mod
     step = q.unit % mod
     ratio = mod - step if spec.kind == FERMIONIC else step
@@ -644,6 +646,140 @@ def test_deep_fermionic_sums_are_within_p_to_the_level(p, q_value):
             assert gap >= min(level, claimed), (n, x, level, gap)
 
 
+def _field_riemann_sum(spec, f, n):
+    """Reference: the level's residue sum over its normalizer [d p^n] at
+    +-q, divided as PadicNumbers (q.bracket or q.minus_bracket, then /)."""
+    from qvolkenborn.qmeasure import _residue_sum
+
+    return _residue_sum(spec, f, range(spec.domain.level_size(n))) / spec.level_norm(n)
+
+
+def _field_integrate(spec, f, target_stability, n_max):
+    """Reference: integrate by the field chain, the level's sum over its
+    normalizer as PadicNumbers, then + zero_at_precision to the stability."""
+    p, d = spec.domain.p, spec.domain.d
+    modulus, n0 = 1 if f.chi is None else len(f.chi), 0
+    while modulus % p == 0:
+        modulus, n0 = modulus // p, n0 + 1
+    if d % modulus:
+        raise ValueError(f"a character mod {len(f.chi)} is not a function on the "
+                         f"domain: its {p}-free part {modulus} does not divide d = {d}")
+    n0, target = max(1, n0), max(0, target_stability)
+    bosonic = spec.kind == BOSONIC
+    n = target + n0 if bosonic else max(n0, target)
+    if n > n_max:
+        raise ValueError(f"stability {target_stability} needs level {n}, "
+                         f"past n_max = {n_max}")
+    precision, norm = spec.q.q_padic.prec, spec.level_norm(n)
+    if target > precision:
+        raise ValueError(f"stability {target_stability} needs more digits than "
+                         f"q's precision A = {precision}")
+    if norm.is_zero_at_precision:
+        raise ValueError(f"stability {target_stability} not reached: the level-{n} "
+                         f"normalizer vanishes at q's precision A = {precision}")
+    value = _field_riemann_sum(spec, f, n)
+    digits = min(n - n0 if bosonic else n, value.absolute_precision)
+    if digits < target:
+        raise ValueError(f"stability {target_stability} not reached: level {n} "
+                         f"claims {digits} digits")
+    return value + PadicNumber.zero_at_precision(p, digits), n, digits
+
+
+def _level_outcome(compute):
+    """(p, v, unit, prec) of a value, with n_used and stability for an
+    integral; (type, message) of an error."""
+    try:
+        value = compute()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, tuple):
+        return (_as_tuple(value[0]),) + value[1:]
+    return _as_tuple(value)
+
+
+_QUADRATIC_TABLES = [None] + [tuple(character_value(chi, a) for a in range(chi.modulus))
+                              for m in (3, 5, 7) for chi in enumerate_characters(m)
+                              if chi.value_order == 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]), depth=st.integers(1, 3), prec=st.integers(1, 130),
+       unit=st.integers(-10 ** 4, 10 ** 4), d=st.integers(1, 7),
+       kind=st.sampled_from([BOSONIC, FERMIONIC]), n=st.integers(0, 6),
+       shift=st.integers(-3, 3), chi=st.sampled_from(_QUADRATIC_TABLES),
+       level=st.integers(1, 12), target=st.integers(0, 13))
+# A = v_p(q - 1) + 1: every sum of n >= 1 claims one digit
+@example(p=5, depth=1, prec=2, unit=1, d=1, kind=FERMIONIC, n=3, shift=1, chi=None,
+         level=4, target=1)
+@example(p=3, depth=2, prec=3, unit=-2, d=1, kind=BOSONIC, n=2, shift=0, chi=None,
+         level=2, target=1)
+# a bosonic normalizer that vanishes at A (q = 4, p = 3, A = 6 from level 5 on)
+@example(p=3, depth=1, prec=6, unit=1, d=1, kind=BOSONIC, n=2, shift=0, chi=None,
+         level=6, target=5)
+@example(p=3, depth=1, prec=6, unit=1, d=1, kind=BOSONIC, n=0, shift=0, chi=None,
+         level=5, target=4)
+# the four level sums of the padic benchmark at seed 9001 (q = 6 and q = 22)
+@example(p=5, depth=1, prec=32, unit=1, d=1, kind=FERMIONIC, n=3, shift=0, chi=None,
+         level=6, target=6)
+@example(p=5, depth=1, prec=128, unit=1, d=1, kind=FERMIONIC, n=3, shift=1, chi=None,
+         level=6, target=4)
+@example(p=3, depth=1, prec=32, unit=7, d=1, kind=BOSONIC, n=3, shift=1, chi=None,
+         level=8, target=6)
+@example(p=3, depth=1, prec=128, unit=7, d=1, kind=BOSONIC, n=2, shift=0, chi=None,
+         level=8, target=6)
+def test_level_pass_matches_the_field_chain(p, depth, prec, unit, d, kind, n, shift, chi,
+                                            level, target):
+    # riemann_sum and integrate divide by the normalizer and truncate on
+    # residues: the same (p, v, unit, prec), or the same error and message
+    assume(depth < prec and unit % p and d % p and (kind == BOSONIC or d % 2))
+    qd = padic_q(1 + p ** depth * unit, p, prec)
+    spec = MeasureSpec(kind, qd, ProfiniteDomain(p, d))
+    f = BracketPower(qd, n, shift, chi)
+    assert (_level_outcome(lambda: riemann_sum(spec, f, level))
+            == _level_outcome(lambda: _field_riemann_sum(spec, f, level)))
+
+    def integral():
+        result = integrate(spec, f, target, 12)
+        return result.value, result.n_used, result.stability
+
+    assert (_level_outcome(integral)
+            == _level_outcome(lambda: _field_integrate(spec, f, target, 12)))
+
+
+def _padic_constructions(compute):
+    import cProfile
+    import pstats
+
+    profile = cProfile.Profile()
+    profile.runcall(compute)
+    return {name: calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+            if path.endswith("padic.py") and name in
+            ("__init__", "_normalised", "zero_at_precision", "from_rational", "__truediv__")}
+
+
+@pytest.mark.parametrize("kind", [BOSONIC, FERMIONIC])
+def test_a_level_makes_one_padic_number_at_any_depth(kind):
+    # the sum, its normalizer and the truncation are one integer pass: the
+    # same PadicNumbers at level 12 as at level 2, and none of them divided
+    qd = padic_q(4, 3, 128)
+    spec = MeasureSpec(kind, qd, ProfiniteDomain(3))
+    f = bracket_power(qd, 3, 1)
+    for call in (lambda n: riemann_sum(spec, f, n),
+                 lambda n: integrate(spec, f, n - 1 if kind == BOSONIC else n, 12)):
+        counts = [_padic_constructions(lambda: call(n)) for n in (2, 12)]
+        assert counts[0] == counts[1] and sum(counts[0].values()) == 1, counts
+
+
+def test_bracket_power_at_padic_q_makes_no_padic_division():
+    # the geometric route never reads 1 or 1/(1 - q), so they wait for a call
+    qd = padic_q(6, 5, 128)
+    for shift in (0, 1, -2):
+        counts = _padic_constructions(lambda: bracket_power(qd, 3, shift))
+        assert "__truediv__" not in counts, counts
+    f = bracket_power(qd, 3, 1)
+    assert f(2) == qd.bracket(3) ** 3
+
+
 @pytest.mark.parametrize("level", [28, 30, 45])
 def test_levels_past_sys_maxsize_representatives(level):
     # 5^28 representatives no longer fit len(); the level is still one sum
@@ -733,12 +869,12 @@ def test_integrate_needs_two_levels_to_compare(n_max):
 def test_integrate_sums_exactly_one_level(monkeypatch):
     sizes = []
 
-    def spy(spec, f, reps):
+    def spy(spec, f, reps, claim=None):
         sizes.append(len(reps))
-        return sum_range(spec, f, reps)
+        return residue_sum(spec, f, reps, claim)
 
-    sum_range = qmeasure._sum_range
-    monkeypatch.setattr(qmeasure, "_sum_range", spy)
+    residue_sum = qmeasure._residue_sum
+    monkeypatch.setattr(qmeasure, "_residue_sum", spy)
     qd = padic_q()
     twisted = character_twisted_power(qd, 2, make_character(3, (1,)))
     for kind, f, d, target, level in ((FERMIONIC, bracket_power(qd, 3), 1, 6, 6),

@@ -174,6 +174,41 @@ def test_the_three_readings_agree_at_exponent_zero(prefactor):
     assert padic.agrees_with(want, 9)
 
 
+@pytest.mark.parametrize("sign, step, prefactor", [
+    (1, 1, [(1, 0, -1)]), (1, 1, [(-1, 0, -1)]), (-1, 1, [(1, 0, -2), (1, 1, -1)]),
+    (1, 1, [(1, 0, 1), (1, 0, -3)]), (1, 0, []), (-1, 0, []), (1, 0, [(1, 1, -1)]),
+    (1, 0, [(1, 0, -1), (-1, 0, 1)])])
+@pytest.mark.parametrize("r", [F(1, 2), F(6), F(-3, 7)])
+def test_the_three_readings_agree_at_a_zero_exponent_divisor(sign, step, prefactor, r):
+    # 1 + q^0 = 2 divides and 1 - q^0 = 0 raises in every reading, as a
+    # prefactor divisor or as the binomial of step 0; the symbolic reading
+    # is taken at w = r
+    numerators = [{0: F(1)}, {2: F(1, 3)}, {1: F(-2)}]
+
+    def at(qd):
+        return _outcome(lambda: binomial_fraction_sum(qd, numerators, sign, step, prefactor))
+
+    want, symbolic = at(QDescriptor.rational(r)), at(QDescriptor.symbolic())
+    if want is ZeroDivisionError:
+        assert symbolic is ZeroDivisionError
+    else:
+        assert symbolic.evaluate(r) == want
+    if r == 6:
+        padic = at(QDescriptor.padic(padic_from_rational(6, 5, 10)))
+        if want is ZeroDivisionError:
+            assert padic is ZeroDivisionError
+        else:
+            assert padic.absolute_precision >= 6 and padic.agrees_with(want, padic.absolute_precision)
+
+
+def test_a_zero_exponent_divisor_halves_the_symbolic_value():
+    qd = QDescriptor.symbolic()
+    half = binomial_fraction_sum(qd, [{0: 1}], 1, 1, [(1, 0, -1)])
+    assert half.evaluate(F(1, 2)) == F(1, 3)
+    with pytest.raises(ZeroDivisionError):
+        binomial_fraction_sum(qd, [{0: 1}], 1, 1, [(-1, 0, -1)])
+
+
 @pytest.mark.parametrize("e", [F(1, 2), F(-7, 3)])
 def test_fractional_exponent_raises_as_qpow_does(e):
     qd = QDescriptor.rational(F(2, 5))
