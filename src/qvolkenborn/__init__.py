@@ -18,9 +18,8 @@ from .padic import (PadicNumber, ProfiniteDomain, ball_representatives,
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, IntegrationResult,
                        MeasureSpec, QDescriptor, ball_measure,
                        bosonic_power_moment, bracket_power,
-                       character_twisted_power, fermionic_finite_rhs,
-                       fermionic_power_moment, integrate, parse_integrand,
-                       riemann_sum)
+                       character_twisted_power, fermionic_power_moment,
+                       integrate, parse_integrand, riemann_sum)
 from .qnumbers import (beta_number, beta_polynomial, classical_bernoulli,
                        classical_euler, k_chi, k_distribution_rhs, k_number,
                        k_polynomial)

@@ -201,10 +201,6 @@ class Polynomial:
         return p
 
     @classmethod
-    def constant(cls, c: Fraction | int) -> Polynomial:
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, degree: int, c: Fraction | int = 1) -> Polynomial:
         if degree < 0:
             raise ValueError("monomial degree must be nonnegative")

@@ -12,10 +12,10 @@ supports three readings: symbolic (a rational function of a D-th root of q),
 exact rational, and truncated p-adic.
 
 Every closed form of the package (the number and polynomial families, the
-twisted sums, the level-N fermionic sums and the ball measures) is built
-from calls of :func:`binomial_fraction_sum`, which runs on plain ints in
-all three readings of q and makes one value of the reading's field at the
-end.
+twisted sums, the ball measures and the level-N Riemann sums at symbolic
+and rational q) is built from calls of :func:`binomial_fraction_sum`, which
+runs on plain ints in all three readings of q and makes one value of the
+reading's field at the end.
 """
 
 from __future__ import annotations
@@ -192,8 +192,9 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
 
     ``numerators[k]`` maps q-exponents to rational coefficients, and
     ``prefactor`` lists the (s, e, pw) factors.  Every closed form of the
-    package has this shape, and its denominators are products of cyclotomic
-    polynomials in w.
+    package has this shape, a level-N Riemann sum at symbolic or rational q
+    included (:func:`riemann_sum`), and its denominators are products of
+    cyclotomic polynomials in w.
 
     One Horner loop serves every reading of q: with d_k = 1 + sign
     q^(step (k+1)), total <- total d_k + c_k den and den <- den d_k; then
@@ -519,17 +520,42 @@ def ball_measure_sum(spec: MeasureSpec, reps, n: int):
 
 def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int):
     """The level-n Riemann sum: sum over ball representatives j of
-    f(j) * (+-q)^j, normalized by [d p^n] at +-q.
+    chi(j) [x+j]^n (r q)^j, normalized by [K] at r q (r = -1 fermionic, else
+    1; K = d p^n).
 
     ``f`` must be a :class:`BracketPower`, which is what the built-in
     integrand families return, taken at the spec's q (a symbolic q at any
     root order); anything else raises ValueError.  The sum is exact to the
-    digits it claims; at p-adic q it is one integer pass with its normalizer.
+    digits it claims; at p-adic q it is one integer pass with its normalizer
+    (:func:`_residue_sum`).  At symbolic and rational q it is one
+    :func:`binomial_fraction_sum` call: by :func:`_residue_sum`'s expansion
+    the sum is (1 - r q) / ((1 - q)^n (1 - (r q)^K)) sum_k C(n,k) (-q^x)^k
+    G_k, and with rho = r q^(k+1) and l the length of chi's table, G_k =
+    sum_{j<K} chi(j) rho^j = (sum_{j<l} chi(j) rho^j - sum_{j<l} chi(K+j)
+    rho^(K+j)) / (1 - rho^l).  A symbolic result is at the lcm of the two
+    root orders (the spec's own when chi vanishes on the level); a rational
+    q raises ZeroDivisionError where 1 - rho^l or the normalizer vanishes,
+    which among rationals happens at q = -1 only.
     """
     _check_integrand(spec, f)
     reps = ball_representatives(spec.domain, n)
-    return (_residue_sum(spec, f, reps, math.inf) if spec.q.mode == "padic"
-            else _term_sum(spec, f, reps) / spec.level_norm(n))
+    if spec.q.mode == "padic":
+        return _residue_sum(spec, f, reps, math.inf)
+    table, size = (1,) if f.chi is None else f.chi, reps.stop
+    r, step, q = -1 if spec.kind == FERMIONIC else 1, len(table), spec.q
+    if q.mode == "symbolic" and any(table[:size]):
+        q = QDescriptor.symbolic(math.lcm(q.root_order, f.q.root_order))
+    x = f.shift if f.shift.denominator > 1 else f.shift.numerator   # int exponents add fast
+    numerators = []
+    for k in range(f.n + 1):
+        c, num = (-1) ** k * math.comb(f.n, k), {}
+        for a in range(step):
+            for j, s in ((a, c), (size + a, -c)):
+                e = x * k + j * (k + 1)
+                num[e] = num.get(e, 0) + s * table[j % step] * r ** j
+        numerators.append(num)
+    return binomial_fraction_sum(q, numerators, -r ** step, step,
+                                 [(-1, 1, -f.n), (-r, 1, 1), (-r ** size, size, -1)])
 
 
 def _check_integrand(spec: MeasureSpec, f) -> None:
@@ -538,26 +564,6 @@ def _check_integrand(spec: MeasureSpec, f) -> None:
     a, b = f.q, spec.q
     if a.mode != b.mode or (a.q_rational, a.q_padic) != (b.q_rational, b.q_padic):
         raise ValueError(f"the integrand is taken at {a!r}, the measure at {b!r}")
-
-
-def _term_sum(spec: MeasureSpec, f: BracketPower, reps: range):
-    """The unnormalized sum of f(j) * (+-q)^j over reps, one call of f per
-    term: the route at symbolic and rational q, and at p-adic q the
-    independent reference that :func:`_residue_sum` is tested against."""
-    q1 = spec.q.qpow(1)
-    fermionic = spec.kind == FERMIONIC
-    power = spec.q.qpow(reps.start) if reps.start else spec.q.one()
-    total = 0
-    for j in reps:
-        value = f(j)
-        if not (isinstance(value, int) and value == 0):
-            term = value * power
-            if fermionic and j % 2 == 1:
-                total = total - term
-            else:
-                total = total + term
-        power = power * q1
-    return total
 
 
 def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range, claim=None):
@@ -749,25 +755,6 @@ def fermionic_power_moment(i: int, q: QDescriptor):
     return (one + q.qpow(1)) / (one + q.qpow(i + 1))
 
 
-def fermionic_finite_rhs(n: int, x: Fraction | int, level: int,
-                         q: QDescriptor, p: int):
-    """Closed form of the level-`level` fermionic Riemann sum of [x+y]^n.
-
-    Equals riemann_sum(fermionic over Z_p, [x+y]^n, level) exactly; its
-    p-adic limit (the p^N-dependent factors tending to 1) is the closed form
-    of the shifted q-Euler polynomial.
-    """
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    x = Fraction(x)
-    pn = p ** level
-    numerators = [{x * k: (-1) ** k * math.comb(n, k),
-                   x * k + pn * (k + 1): (-1) ** k * math.comb(n, k)}
-                  for k in range(n + 1)]
-    return binomial_fraction_sum(q, numerators, 1, 1,
-                                 [(1, 1, 1), (-1, 1, -n), (1, pn, -1)])
-
-
 # ---------------------------------------------------------------------------
 # built-in integrand families
 # ---------------------------------------------------------------------------
@@ -778,14 +765,12 @@ class BracketPower:
     ``chi`` is a table of character values indexed by j modulo its length,
     or None for the untwisted power; its values must be 0 or +-1 in every
     mode (higher-order twists go through the closed form of ``k_chi``).
-    Instances are immutable, and a call evaluates its term directly, so
-    calls may come in any order.  It is the one integrand type of
-    :func:`riemann_sum` and :func:`integrate`: p-adic Riemann sums read its
-    fields as n + 1 geometric series and never call it, so 1 and 1/(1 - q)
-    are built at the first call; symbolic and rational sums call it per term.
+    Instances are immutable data, not callables: it is the one integrand
+    type of :func:`riemann_sum` and :func:`integrate`, which read its fields
+    as n + 1 geometric series in every reading of q.
     """
 
-    __slots__ = ("q", "n", "shift", "chi", "_one", "_inv_1mq")
+    __slots__ = ("q", "n", "shift", "chi")
 
     def __init__(self, q: QDescriptor, n: int, shift: Fraction | int = 0,
                  chi: tuple | None = None):
@@ -799,32 +784,18 @@ class BracketPower:
         shift = Fraction(shift)
         if n:
             q.qpow(shift)  # raises unless q^shift lives in q's field
-        for name, value in zip(self.__slots__, (q, n, shift, chi, None, None)):
+        for name, value in zip(self.__slots__, (q, n, shift, chi)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __call__(self, j: int):
-        chi_j = 1 if self.chi is None else self.chi[j % len(self.chi)]
-        if chi_j == 0:
-            return 0
-        if self._one is None:   # the first call builds 1 and 1/(1 - q)
-            one = self.q.one()
-            object.__setattr__(self, "_one", one)
-            object.__setattr__(self, "_inv_1mq", one / (one - self.q.qpow(1)))
-        if self.n:
-            value = ((self._one - self.q.qpow(self.shift + j)) * self._inv_1mq) ** self.n
-        else:
-            value = self._one
-        return value if chi_j == 1 else -value
-
 
 def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> BracketPower:
     """j -> [shift + j]^n.
 
-    The result is a :class:`BracketPower`, which p-adic Riemann sums take as
-    n + 1 geometric series, in time logarithmic in the number of terms."""
+    The result is a :class:`BracketPower`, which Riemann sums take as n + 1
+    geometric series; at p-adic q in time logarithmic in the number of terms."""
     return BracketPower(q, n, shift)
 
 

@@ -1,8 +1,8 @@
 """Identity-verification suites.
 
 Each suite checks one family of identities by computing both sides through
-independent routes (closed form vs expansion, finite sum vs its closed
-right-hand side, p-adic integral vs symbolic evaluation) and comparing
+independent routes (closed form vs expansion, a symbolic finite sum vs the
+same sum at p-adic q, p-adic integral vs symbolic evaluation) and comparing
 exactly, or modulo a stated p-adic precision.  The CLI fronts these suites
 and the acceptance tests call them directly.
 """
@@ -17,7 +17,7 @@ from .characters import make_character
 from .padic import ProfiniteDomain, padic_from_rational
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
                        ball_measure, ball_measure_sum, bracket_power,
-                       fermionic_finite_rhs, integrate, riemann_sum)
+                       character_twisted_power, integrate, riemann_sum)
 from .qnumbers import (beta_number, beta_polynomial, classical_bernoulli,
                        k_chi, k_distribution_rhs, k_number, k_polynomial)
 from .series import (f_q_coefficient_partial, f_q_series,
@@ -128,17 +128,26 @@ def suite_kpoly_forms(n_max: int = 8, **_) -> SuiteResult:
 
 
 def suite_finite_sum(n_max: int = 4, p: int = 3, **_) -> SuiteResult:
-    """Level-N fermionic Riemann sums equal their closed right-hand side
-    exactly in the symbolic field."""
+    """Level-N Riemann sums, bosonic and fermionic: of [1+y]^n over Z_p, and
+    twisted by the quadratic character mod 3 over Z_p x Z/d (d = 3, or 5 at
+    p = 3).  The symbolic sum at w = q0 = p + 1 agrees with the sum at the
+    p-adic q0 (32 digits) to every digit the p-adic sum claims, at least 16:
+    rational functions against integer residues."""
     out = SuiteResult("finite-sum")
-    sym = _sym()
-    spec = MeasureSpec(FERMIONIC, sym, ProfiniteDomain(p))
-    for level in (1, 2):
-        for n in range(n_max + 1):
-            for x in (0, 1):
-                lhs = riemann_sum(spec, bracket_power(sym, n, x), level)
-                rhs = fermionic_finite_rhs(n, x, level, sym, p)
-                out.add({"N": level, "n": n, "x": x, "p": p}, lhs == rhs)
+    chi, q0 = make_character(3, (1,)), p + 1
+    sym, qd = _sym(), _padic_q(q0, p)
+    for kind in (FERMIONIC, BOSONIC):
+        for d in (1, 5 if p == 3 else 3):
+            for level in (1, 2):
+                for n in range(n_max + 1):
+                    f = f"char_twisted:{n}:3:1" if d > 1 else f"shifted_bracket_pow:{n}:1"
+                    exact, value = (riemann_sum(MeasureSpec(kind, q, ProfiniteDomain(p, d)),
+                                                character_twisted_power(q, n, chi) if d > 1
+                                                else bracket_power(q, n, 1), level)
+                                    for q in (sym, qd))
+                    digits = value.absolute_precision
+                    out.add({"kind": kind, "d": d, "f": f, "N": level, "p": p, "digits": digits},
+                            digits >= 16 and value.agrees_with(exact.evaluate(q0), digits))
     return out
 
 

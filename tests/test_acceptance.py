@@ -54,9 +54,11 @@ def test_criterion_02_distribution_relation():
 
 
 def test_criterion_03_finite_level_identity():
-    """Fermionic Riemann sums at p = 3, N in {1, 2} equal their closed
-    right-hand side exactly for n <= 4, x in {0, 1}."""
-    _run(3, "finite-level fermionic sum identity", suite_finite_sum,
+    """Bosonic and fermionic Riemann sums at p = 3, N in {1, 2}, n <= 4, of
+    [1+y]^n over Z_3 and twisted by the quadratic character mod 3 over
+    Z_3 x Z/5: the symbolic sum at w = 4 agrees with the sum at the 3-adic
+    q = 4 to every digit the 3-adic sum claims."""
+    _run(3, "finite-level sums across readings of q", suite_finite_sum,
          n_max=4, p=3)
 
 

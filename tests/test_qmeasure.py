@@ -5,6 +5,7 @@ p-adic expectations come from evaluating the symbolic closed forms at the
 same q.
 """
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qvolkenborn
 from qvolkenborn import qmeasure
 from qvolkenborn.algebra import (CyclotomicElement, Polynomial, RationalFunction,
                                  RootOrderMismatch, cyclotomic_polynomial,
@@ -24,9 +26,8 @@ from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec,
                                   QDescriptor, ball_measure,
                                   ball_measure_sum, binomial_fraction_sum,
                                   bosonic_power_moment, bracket_power,
-                                  character_twisted_power, fermionic_finite_rhs,
-                                  fermionic_power_moment, integrate,
-                                  parse_integrand, riemann_sum)
+                                  character_twisted_power, fermionic_power_moment,
+                                  integrate, parse_integrand, riemann_sum)
 from qvolkenborn.qnumbers import (_twisted_sum, beta_number, beta_polynomial, k_chi,
                                   k_distribution_rhs, k_number, k_polynomial)
 
@@ -263,6 +264,11 @@ def test_twists_of_every_order_match_the_textbook_sum(chi_id):
             assert rational == CyclotomicElement(order, want)
 
 
+def _fermionic_sum(qd, n, x, level, p=3):
+    return riemann_sum(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(p)),
+                       bracket_power(qd, n, x), level)
+
+
 @pytest.mark.parametrize("x", KERNEL_XS)
 def test_kernel_halves_agree_on_finite_rhs(x):
     d = x.denominator
@@ -271,8 +277,8 @@ def test_kernel_halves_agree_on_finite_rhs(x):
             for n in range(11):
                 want = textbook_finite_rhs(n, x, level, t, d, 3)
                 if d == 1:
-                    assert fermionic_finite_rhs(n, x, level, QDescriptor.rational(t), 3) == want
-                assert fermionic_finite_rhs(n, x, level, sym(d), 3).evaluate(t) == want
+                    assert _fermionic_sum(QDescriptor.rational(t), n, x, level) == want
+                assert _fermionic_sum(sym(d), n, x, level).evaluate(t) == want
 
 
 def test_kernel_halves_agree_on_ball_sums():
@@ -364,13 +370,14 @@ def test_riemann_sum_matches_finite_closed_form():
     for level in (1, 2):
         for n in range(5):
             for x in (0, 1):
-                lhs = riemann_sum(spec, bracket_power(qd, n, x), level)
-                assert lhs == fermionic_finite_rhs(n, x, level, qd, 3)
+                f = bracket_power(qd, n, x)
+                slow = _per_term_sum(spec, f, range(3 ** level)) / spec.level_norm(level)
+                assert riemann_sum(spec, f, level) == slow
 
 
 def test_finite_rhs_n_zero_is_one():
-    assert fermionic_finite_rhs(0, 0, 1, sym(), 3) == 1
-    assert fermionic_finite_rhs(0, 0, 2, sym(), 5) == 1
+    assert _fermionic_sum(sym(), 0, 0, 1) == 1
+    assert _fermionic_sum(sym(), 0, 0, 2, 5) == 1
 
 
 def test_finite_rhs_converges_to_polynomial_closed_form():
@@ -379,7 +386,7 @@ def test_finite_rhs_converges_to_polynomial_closed_form():
     target = padic_from_rational(k_polynomial(2, 1, sym()).evaluate(6), 5, 30)
     previous = None
     for level in (1, 2, 3, 4):
-        gap = (fermionic_finite_rhs(2, 1, level, qd, 5) - target).valuation
+        gap = (_fermionic_sum(qd, 2, 1, level, 5) - target).valuation
         if previous is not None:
             assert gap >= previous
         previous = gap
@@ -388,22 +395,134 @@ def test_finite_rhs_converges_to_polynomial_closed_form():
 
 def test_riemann_sum_partition_invariance():
     # summing disjoint index blocks reproduces the full sum exactly
-    from qvolkenborn.qmeasure import _residue_sum, _term_sum
+    from qvolkenborn.qmeasure import _residue_sum
 
     for qd in (sym(), padic_q(4, 3)):
         spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
         f = bracket_power(qd, 2, 1)
-        sum_range = _residue_sum if qd.mode == "padic" else _term_sum
+        sum_range = _residue_sum if qd.mode == "padic" else _per_term_sum
         whole = sum_range(spec, f, range(0, 27))
         a, b, c = (sum_range(spec, f, range(lo, lo + 9)) for lo in (0, 9, 18))
         assert whole == a + b + c
 
 
-@pytest.mark.parametrize("qd", [sym(), padic_q(4, 3)], ids=["symbolic", "padic"])
-def test_bracket_power_is_stateless(qd):
-    f = bracket_power(qd, 2, 1)
-    in_order = [bracket_power(qd, 2, 1)(j) for j in range(6)]
-    assert [f(j) for j in (5, 2, 5, 0)] == [in_order[j] for j in (5, 2, 5, 0)]
+# ---------------------------------------------------------------------------
+# the closed level sum at symbolic and rational q against the per-term loop
+# ---------------------------------------------------------------------------
+
+def _per_term_sum(spec, f, reps):
+    """Reference: the unnormalized sum of chi(j) [x+j]^n (+-q)^j over reps,
+    one term at a time in the reading's field, with [x+j] = (1 - q^(x+j))
+    (1/(1 - q)) taken at the integrand's q; at p-adic q under the field's
+    precision rules."""
+    one = f.q.one()
+    inv_1mq = one / (one - f.q.qpow(1))
+    q1 = spec.q.qpow(1)
+    power = spec.q.qpow(reps.start) if reps.start else spec.q.one()
+    total = 0
+    for j in reps:
+        chi_j = 1 if f.chi is None else f.chi[j % len(f.chi)]
+        if chi_j:
+            value = ((one - f.q.qpow(f.shift + j)) * inv_1mq) ** f.n if f.n else one
+            term = (value if chi_j == 1 else -value) * power
+            total = total - term if spec.kind == FERMIONIC and j % 2 else total + term
+        power = power * q1
+    return total
+
+
+def _sum_outcome(compute):
+    """A value with its root order (as JSON when symbolic), or the error type."""
+    try:
+        value = compute()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return value.to_json() if isinstance(value, RationalFunction) else value
+
+
+_RATIONAL_QS = (F(1, 2), F(-3, 5), F(7, 3), F(-2), F(3), F(0), F(1), F(-1))
+
+
+def _former_finite_sum_suite(test):
+    """@example at each case of the finite-sum suite before it compared
+    readings: fermionic, symbolic q, p = 3, levels 1 and 2, [x+y]^n for
+    n <= 4 and x in {0, 1}."""
+    for level in (1, 2):
+        for n in range(5):
+            for x in (0, 1):
+                test = example(kind=FERMIONIC, p=3, d=1, level=level, n=n, shift=x,
+                               chi=None, reading=("symbolic", 1, 1))(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from([BOSONIC, FERMIONIC]), p=st.sampled_from([3, 5, 7]),
+       d=st.integers(1, 7), level=st.integers(1, 3), n=st.integers(0, 4),
+       shift=st.integers(-4, 4),
+       chi=st.none() | st.lists(st.sampled_from([0, 1, -1]), min_size=1,
+                                max_size=9).map(tuple),
+       reading=st.tuples(st.just("symbolic"), st.integers(1, 3), st.integers(1, 3))
+       | st.tuples(st.just("rational"), st.sampled_from(_RATIONAL_QS)))
+# n = 0 takes no power of q^x, so a fractional shift is allowed at rational q
+@example(kind=BOSONIC, p=3, d=2, level=2, n=0, shift=F(1, 2), chi=(1, 0, -1, -1),
+         reading=("rational", F(-3, 5)))
+# a table longer than the level, nonzero only past it, and one that is all zero
+@example(kind=FERMIONIC, p=3, d=1, level=1, n=2, shift=1, chi=(0, 0, 0, 1, -1),
+         reading=("symbolic", 1, 2))
+@example(kind=BOSONIC, p=5, d=2, level=1, n=3, shift=-1, chi=(0, 0),
+         reading=("symbolic", 2, 3))
+@_former_finite_sum_suite
+def test_level_sum_matches_the_per_term_oracle(kind, p, d, level, n, shift, chi, reading):
+    # riemann_sum at symbolic q (the spec's and the integrand's root orders
+    # may differ; the shift is drawn in 1/D of the integrand's) and at
+    # rational q: the same value at the same root order, or the same error
+    assume(d % p and (kind == BOSONIC or d % 2) and d * p ** level <= 300)
+    if reading[0] == "symbolic":
+        spec_q, f_q = sym(reading[1]), sym(reading[2])
+        shift = F(shift, reading[2])
+    elif reading[1] == 1:
+        with pytest.raises(ValueError):
+            QDescriptor.rational(reading[1])
+        return
+    else:
+        spec_q = f_q = QDescriptor.rational(reading[1])
+    spec = MeasureSpec(kind, spec_q, ProfiniteDomain(p, d))
+    try:
+        f = BracketPower(f_q, n, shift, chi)
+    except ZeroDivisionError:   # q = 0 to a negative shift
+        assume(False)
+    got = _sum_outcome(lambda: riemann_sum(spec, f, level))
+    want = _sum_outcome(lambda: _per_term_sum(spec, f, range(spec.domain.level_size(level)))
+                        / spec.level_norm(level))
+    if got != want:
+        # the one documented difference: the closed sum divides by 1 -
+        # q^(l (k+1)) (l = the table's length), which vanishes at q = -1 when
+        # l (k+1) is even, while the bosonic per-term sum there is finite
+        table_length = 1 if chi is None else len(chi)
+        assert (kind, reading, got) == (BOSONIC, ("rational", -1), ZeroDivisionError)
+        assert want != ZeroDivisionError and (n or table_length % 2 == 0)
+
+
+@pytest.mark.parametrize("qd", [sym(), sym(2), QDescriptor.rational(F(-3, 5))],
+                         ids=["symbolic", "root-order-2", "rational"])
+def test_a_level_sum_is_one_kernel_call(monkeypatch, qd):
+    kernel, calls = qmeasure.binomial_fraction_sum, []
+    monkeypatch.setattr(qmeasure, "binomial_fraction_sum",
+                        lambda *args: calls.append(args) or kernel(*args))
+    riemann_sum(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5)), bracket_power(qd, 3), 4)
+    chi = character_twisted_power(qd, 2, make_character(3, (1,)))
+    riemann_sum(MeasureSpec(BOSONIC, qd, ProfiniteDomain(5, 3)), chi, 2)
+    assert len(calls) == 2
+
+
+def test_no_per_term_route_is_left():
+    gone = ("_term_sum", "fermionic_finite_rhs")
+    modules = [qvolkenborn] + [importlib.import_module(f"qvolkenborn.{name}") for name in
+                               ("algebra", "characters", "cli", "padic", "qmeasure",
+                                "qnumbers", "series", "verify")]
+    assert not [(m.__name__, name) for m in modules for name in gone if hasattr(m, name)]
+    # a BracketPower is immutable data, not a callable
+    f = bracket_power(sym(), 2)
+    assert not callable(f) and BracketPower.__slots__ == ("q", "n", "shift", "chi")
     with pytest.raises(AttributeError):
         f.shift = 0
 
@@ -420,10 +539,10 @@ def _assert_kernel_matches_generic(spec, f, level):
     """The unnormalized residue sum of a full level equals the per-term
     loop digit for digit, which also covers precisions too low to divide by
     the level normalizer; so does riemann_sum, where that division works."""
-    from qvolkenborn.qmeasure import _residue_sum, _term_sum
+    from qvolkenborn.qmeasure import _residue_sum
 
     reps = range(spec.domain.level_size(level))
-    slow = _term_sum(spec, f, reps)
+    slow = _per_term_sum(spec, f, reps)
     assert _as_tuple(_residue_sum(spec, f, reps)) == _as_tuple(slow)
     norm = spec.level_norm(level)
     if not norm.is_zero_at_precision:
@@ -459,7 +578,7 @@ def test_residue_loop_matches_per_term_loop_on_edge_cases():
     # loop carries more digits than the A - v_p(1 - q) the sum claims, and
     # at n = 0 a shift whose denominator is p, which is never read; an
     # integrand that takes its bracket at another q is refused
-    from qvolkenborn.qmeasure import _residue_sum, _term_sum
+    from qvolkenborn.qmeasure import _residue_sum
 
     qd = padic_q(4, 3, 16)   # A = 16, v_3(1 - q) = 1
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
@@ -471,7 +590,7 @@ def test_residue_loop_matches_per_term_loop_on_edge_cases():
             digits = 16 if f.n == 0 else 15
             fast = _residue_sum(spec, f, reps)
             assert fast.absolute_precision == digits
-            assert fast.agrees_with(_term_sum(spec, f, reps), digits)
+            assert fast.agrees_with(_per_term_sum(spec, f, reps), digits)
         with pytest.raises(ValueError, match="integrand is taken at"):
             riemann_sum(spec, bracket_power(padic_q(7, 3, 16), n), 2)
 
@@ -771,22 +890,25 @@ def test_a_level_makes_one_padic_number_at_any_depth(kind):
 
 
 def test_bracket_power_at_padic_q_makes_no_padic_division():
-    # the geometric route never reads 1 or 1/(1 - q), so they wait for a call
+    # the geometric route never reads 1 or 1/(1 - q), so none is built
     qd = padic_q(6, 5, 128)
     for shift in (0, 1, -2):
         counts = _padic_constructions(lambda: bracket_power(qd, 3, shift))
         assert "__truediv__" not in counts, counts
-    f = bracket_power(qd, 3, 1)
-    assert f(2) == qd.bracket(3) ** 3
 
 
 @pytest.mark.parametrize("level", [28, 30, 45])
 def test_levels_past_sys_maxsize_representatives(level):
     # 5^28 representatives no longer fit len(); the level is still one sum
-    qd = padic_q(6, 5, 40)
+    # the closed form is the l = 1 fermionic level sum, here through the
+    # kernel's p-adic reading: (1 + q) / ((1 - q)^3 (1 + q^K)) sum_k C(3,k)
+    # (-q)^k (1 + q^(K(k+1))) / (1 + q^(k+1)), K = 5^level
+    qd, size = padic_q(6, 5, 40), 5 ** level
     s_n = riemann_sum(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5)),
                       bracket_power(qd, 3, 1), level)
-    closed = fermionic_finite_rhs(3, 1, level, qd, 5)
+    numerators = [{k: (-1) ** k * math.comb(3, k), k + size * (k + 1): (-1) ** k * math.comb(3, k)}
+                  for k in range(4)]
+    closed = binomial_fraction_sum(qd, numerators, 1, 1, [(1, 1, 1), (-1, 1, -3), (1, size, -1)])
     claimed = min(s_n.absolute_precision, closed.absolute_precision)
     assert (s_n - closed).valuation >= claimed >= 37
 
@@ -985,14 +1107,16 @@ def test_moments_match_integrals(i):
 # integrand parsing
 # ---------------------------------------------------------------------------
 
+def _fields(f):
+    return f.q, f.n, f.shift, f.chi
+
+
 def test_parse_integrand_families():
     qd = sym()
-    assert parse_integrand("one", qd)(5) == 1
-    assert parse_integrand("bracket_pow:2", qd)(1) == 1
-    f = parse_integrand("shifted_bracket_pow:1:1", qd)
-    assert f(0) == 1
-    g = parse_integrand("char_twisted:0:3:1", qd)
-    assert g(0) == 0 and g(1) == 1 and g(2) == -1
+    assert _fields(parse_integrand("one", qd)) == (qd, 0, 0, None)
+    assert _fields(parse_integrand("bracket_pow:2", qd)) == (qd, 2, 0, None)
+    assert _fields(parse_integrand("shifted_bracket_pow:1:1", qd)) == (qd, 1, 1, None)
+    assert _fields(parse_integrand("char_twisted:0:3:1", qd)) == (qd, 0, 0, (0, 1, -1))
 
 
 def test_parse_integrand_rejects_unknown():
@@ -1005,4 +1129,4 @@ def test_parse_integrand_rejects_unknown():
 def test_twisted_integrands_need_values_in_zero_and_plus_minus_one(qd):
     with pytest.raises(ValueError, match=r"character values in \{0, \+-1\}"):
         parse_integrand("char_twisted:2:5:1", qd)  # order 4
-    assert parse_integrand("char_twisted:0:5:2", qd)(4) == qd.one()  # quadratic
+    assert parse_integrand("char_twisted:0:5:2", qd).chi == (0, 1, -1, -1, 1)  # quadratic
