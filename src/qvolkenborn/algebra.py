@@ -68,15 +68,22 @@ def _mul_int_schoolbook(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _unpack(x: int, width: int, count: int) -> list[int]:
+    """The count digits c_i of x = sum c_i X^i, X = 256^width, |c_i| < X/2:
+    X/2 is added to each, so that one ``to_bytes`` reads them all."""
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    digits = (x + offset).to_bytes(width * count, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(digits[i:i + width], "little") - half
+            for i in range(0, width * count, width)]
+
+
 def _mul_int(a: list[int], b: list[int]) -> list[int]:
     """Product of integer coefficient lists (dense, ascending degree).
 
     Large products are routed through Kronecker substitution: each factor
     becomes one signed big integer in base X = 256^w, the two are multiplied
-    natively, and the product's digits are read back.  Every product
-    coefficient c satisfies |c| <= max|a| max|b| min(len) < 2^(8w-1), so
-    adding 2^(8w-1) to each digit makes them all fit in [0, X) and one
-    ``to_bytes`` reads them out.
+    natively, and :func:`_unpack` reads back every |c| <= max|a| max|b| min(len).
     """
     if not a or not b:
         return []
@@ -84,18 +91,13 @@ def _mul_int(a: list[int], b: list[int]) -> list[int]:
         return _mul_int_schoolbook(a, b)
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1
-    count = len(a) + len(b) - 1
 
     def packed(xs: list[int]) -> int:
         pos = b"".join(max(x, 0).to_bytes(width, "little") for x in xs)
         neg = b"".join(max(-x, 0).to_bytes(width, "little") for x in xs)
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    digits = (packed(a) * packed(b) + offset).to_bytes(width * count, "little")
-    half = 1 << (8 * width - 1)
-    return [int.from_bytes(digits[i:i + width], "little") - half
-            for i in range(0, width * count, width)]
+    return _unpack(packed(a) * packed(b), width, len(a) + len(b) - 1)
 
 
 def _times_binomial(a: list[int], s: int, j: int) -> list[int]:
@@ -105,19 +107,11 @@ def _times_binomial(a: list[int], s: int, j: int) -> list[int]:
     return out
 
 
-def _binomial_quotient(a: list[int], j: int) -> list[int] | None:
-    """a / (1 - w^j) for a nonzero a and j >= 1, or None when the binomial
-    does not divide a.
-
-    The quotient q satisfies q_i = a_i + q_(i-j): a running sum of a along
-    each residue class mod j, taken as one ``accumulate`` per class when
-    j^2 < len(a) and as one block-wise ``map(add)`` per j entries otherwise.
-    The division is exact exactly when the top j entries of that running sum
-    are 0.
-    """
+def _strided_sums(a: list[int], j: int) -> list[int]:
+    """a / (1 - w^j) to len(a) terms, q_i = a_i + q_(i-j): one ``accumulate``
+    per residue class mod j when j^2 < len(a), else one block-wise
+    ``map(add)`` per j entries."""
     n = len(a)
-    if n <= j:
-        return None
     if j * j < n:
         quo = [0] * n
         for r in range(j):
@@ -126,6 +120,17 @@ def _binomial_quotient(a: list[int], j: int) -> list[int] | None:
         quo = a[:j]
         for i in range(j, n, j):
             quo += map(add, a[i:i + j], quo[i - j:i])
+    return quo
+
+
+def _binomial_quotient(a: list[int], j: int) -> list[int] | None:
+    """a / (1 - w^j) for a nonzero a and j >= 1, or None when the binomial
+    does not divide a: the division by :func:`_strided_sums` is exact
+    exactly when the top j entries of its running sum are 0."""
+    n = len(a)
+    if n <= j:
+        return None
+    quo = _strided_sums(a, j)
     if any(quo[n - j:]):
         return None
     del quo[n - j:]
@@ -382,16 +387,8 @@ def _mobius_binomials(order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(plus), tuple(minus)
 
 
-def _cyclotomic_ratio(a: list[int], powers: dict[int, int]) -> list[int] | None:
-    """a * prod Phi_d^e over powers {d: e}, exponents of either sign, for a
-    nonzero a; None when the negative powers do not divide a.
-
-    The product is (-1)^e_1 prod_b (1 - w^b)^n_b, each Mobius binomial taken
-    once at its net exponent n_b.  a is multiplied by the binomials with n_b
-    > 0 (shift-adds), then divided by the rest (strided running sums).  When
-    the result is a polynomial every intermediate quotient is one; when it
-    is not, one of the divisions fails.
-    """
+def _net_binomials(powers: dict[int, int]) -> dict[int, int]:
+    """The n_b of prod Phi_d^e over powers {d: e} = (-1)^e_1 prod (1 - w^b)^n_b."""
     net: dict[int, int] = {}
     for d, e in powers.items():
         plus, minus = _mobius_binomials(d)
@@ -399,6 +396,16 @@ def _cyclotomic_ratio(a: list[int], powers: dict[int, int]) -> list[int] | None:
             net[b] = net.get(b, 0) + e
         for b in minus:
             net[b] = net.get(b, 0) - e
+    return net
+
+
+def _cyclotomic_ratio(a: list[int], powers: dict[int, int]) -> list[int] | None:
+    """a * prod Phi_d^e over powers {d: e}, exponents of either sign, for a
+    nonzero a; None when the negative powers do not divide a.  Shift-adds by
+    the binomials of :func:`_net_binomials` with n_b > 0, then strided
+    running sums by the rest: every intermediate quotient is a polynomial
+    when the result is one, and otherwise one of the divisions fails."""
+    net = _net_binomials(powers)
     for b, m in net.items():
         for _ in range(m):
             a = _times_binomial(a, -1, b)
@@ -410,11 +417,29 @@ def _cyclotomic_ratio(a: list[int], powers: dict[int, int]) -> list[int] | None:
     return [-c for c in a] if powers.get(1, 0) & 1 else a
 
 
+def _cyclotomic_product(powers: dict[int, int]) -> list[int]:
+    """prod Phi_d^e over powers {d: e}, every e >= 0: the power series of its
+    Mobius binomials (:func:`_net_binomials`) to its low h = r//2 + 1 terms,
+    r = sum b n_b the degree, then mirrored, c_(r-i) = (-1)^e_1 c_i, as Phi_d
+    is palindromic for d > 1 and Phi_1 = w - 1 antipalindromic."""
+    net = _net_binomials(powers)
+    r = sum(b * n for b, n in net.items())
+    h, sign = r // 2 + 1, -1 if powers.get(1, 0) & 1 else 1
+    c = [sign] + [0] * (h - 1)
+    for b, n in net.items():
+        if b < h:
+            for _ in range(n):
+                c[b:] = map(sub, c[b:], c[:-b])
+            for _ in range(-n):
+                c = _strided_sums(c, b)
+    return c + [sign * x for x in reversed(c[:r + 1 - h])]
+
+
 @functools.lru_cache(maxsize=None)
 def _cyclotomic_int(order: int) -> tuple[tuple[int, ...], int]:
     """(integer coefficients, value at the screening point) of a cyclotomic,
-    built by :func:`_cyclotomic_ratio`."""
-    coeffs = _cyclotomic_ratio([1], {order: 1})
+    built by :func:`_cyclotomic_product`."""
+    coeffs = _cyclotomic_product({order: 1})
     return tuple(coeffs), _int_value(coeffs, _EVAL_POINT)
 
 
@@ -471,8 +496,7 @@ def _cyclotomic_factors(ints: Sequence[int]) -> tuple[int, int, dict[int, int]] 
         if abs(n) > r:
             return None
         for _ in range(n):
-            for i in range(b):
-                series[i::b] = accumulate(series[i::b])
+            series = _strided_sums(series, b)
         for _ in range(-n):
             series[b:] = map(sub, series[b:], series[:-b])
         net[b] = n
@@ -492,8 +516,9 @@ def _phi_map(powers: dict[int, int]) -> tuple[tuple[int, int], ...]:
 @functools.lru_cache(maxsize=256)
 def _phi_product(phis: tuple[tuple[int, int], ...]) -> Polynomial:
     """prod Phi_d^e over a Phi-map: a denominator without its power of w,
-    built once per map while the map is among the 256 last used."""
-    return Polynomial._make(_cyclotomic_ratio([1], dict(phis)), 1)
+    built by :func:`_cyclotomic_product` once per map while the map is among
+    the 256 last used."""
+    return Polynomial._make(_cyclotomic_product(dict(phis)), 1)
 
 
 def _cancel_cyclotomics(prim: list[int], den_map: dict[int, int],

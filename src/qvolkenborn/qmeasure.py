@@ -23,11 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
 
 from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
-                      _divisors, _times_binomial, reduce_cyclotomic_fraction)
+                      _divisors, _unpack, reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
 from .padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
                     ball_representatives, q_admissible)
@@ -204,14 +202,15 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     :class:`_PadicReading`): the binomial d, "times a binomial" (of total,
     and of den), "add c q^e den" (which is told the binomial just
     multiplied in) and the final division.  Every reading runs on plain
-    ints and makes one value at the end: a reduced rational function, a
-    Fraction, or at p-adic q one PadicNumber division of integer residues
+    ints from total = 0 and den = 1 (one packed int per polynomial at
+    symbolic q) and makes one value at the end: a reduced rational function,
+    a Fraction, or at p-adic q one PadicNumber division of integer residues
     that carry the field's precision.  A numeric q raises ZeroDivisionError
     where a binomial d_k or a prefactor divisor vanishes at q (at p-adic q:
     is zero at precision), and at q = 0 with a negative exponent.
     """
-    reading = _READINGS[q.mode](q, numerators)
-    total, den = reading.zero, reading.one
+    reading = _READINGS[q.mode](q, numerators, prefactor)
+    total, den = 0, 1
     for k, num in enumerate(numerators):
         d = reading.binomial(sign, step * (k + 1))
         total = reading.add_terms(reading.times(total, d), num, den, d)
@@ -240,9 +239,7 @@ class _PadicReading:
     takes L back out.  Each q^e mod p^A is computed once a call.
     """
 
-    zero, one = 0, 1
-
-    def __init__(self, q: QDescriptor, numerators: list[dict]):
+    def __init__(self, q: QDescriptor, numerators: list[dict], prefactor):
         self.q, self.p, self.A, self.qpows = q, q.prime, q.q_padic.prec, {}
         self.scale = math.lcm(*(c.denominator for num in numerators
                                 for c in num.values() if c))
@@ -336,9 +333,7 @@ class _RationalReading:
     into the final Fraction with S.
     """
 
-    zero, one = 0, 1
-
-    def __init__(self, q: QDescriptor, numerators: list[dict]):
+    def __init__(self, q: QDescriptor, numerators: list[dict], prefactor):
         self.q, self.a, self.b = q, q.q_rational.numerator, q.q_rational.denominator
         exponents = [self._exponent(e) for num in numerators for e, c in num.items() if c]
         self.top = max([0] + exponents)
@@ -407,23 +402,35 @@ class _RationalReading:
 
 
 class _SymbolicReading:
-    """The kernel's primitives at symbolic q: integer coefficient lists in w
-    over one common scale (the lcm of the numerators' denominators), the
-    numerators shifted by w^r when their exponents go down to -r.  A binomial
-    is its (s, j) with j the w-exponent, and "times a binomial" is one
-    shift-add.  Every binomial multiplied into den, and every prefactor
-    divisor, is recorded as its Phi_d in one Phi-map (and a scalar), and the
-    final division is one :func:`reduce_cyclotomic_fraction` over w^r and it."""
+    """The kernel's primitives at symbolic q: integer polynomials in w over
+    one common scale (the lcm of the numerators' denominators), shifted by
+    w^r when the exponents go down to -r, each one int sum c_i X^i at X =
+    2^B.  A binomial is (s, j), j the w-exponent: "times a binomial" is x + s
+    (x << jB), "add c q^e den" is c den << iB.  For j < 0 it is 1 + s w^-j,
+    as 1 + s w^j = s w^j (1 + s w^-j): a loop binomial's added terms take s
+    w^-j, a prefactor's s^p w^(jp) joins the scalar and the final w-power.
+    A binomial at most doubles the l1 norm, so B (a multiple of 8) keeps
+    2^(K + P) times that of the scaled numerators below X/2 (K of them, P
+    the positive prefactor powers).  den's binomials and the prefactor
+    divisors make one Phi-map (and a scalar) for the final division."""
 
-    def __init__(self, q: QDescriptor, numerators: list[dict]):
+    def __init__(self, q: QDescriptor, numerators: list[dict], prefactor):
         terms = [(e, c) for num in numerators for e, c in num.items() if c]
-        self.q, self.zero, self.one, self.phis, self.scalar = q, [], [1], {}, 1
+        self.q, self.phis, self.scalar = q, {}, 1
         self.shift = max([0] + [-e for e, _ in terms])
         self.scale = math.lcm(*(c.denominator for _, c in terms))
+        self.w_power = q.w_exponent(self.shift)
+        for s, e, power in prefactor:
+            if q.w_exponent(e) < 0:
+                self.scalar *= s ** abs(power)
+                self.w_power -= q.w_exponent(e) * power
+        l1 = sum(abs(c.numerator) * (self.scale // c.denominator) for _, c in terms)
+        doublings = len(numerators) + sum(power for _, _, power in prefactor if power > 0)
+        self.bits = 8 * ((l1 << doublings).bit_length() // 8 + 1)
 
     def _record(self, b: tuple[int, int], power: int) -> None:
         # j > 0: 1 - w^j = -prod_{d|j} Phi_d, 1 + w^j = prod_{d|2j, d not|j} Phi_d; else 1 + s
-        s, j = b
+        s, j = b[0], abs(b[1])
         self.scalar *= s ** power if j else Fraction(1 + s) ** -power
         for d in _divisors(j if s == -1 else 2 * j):
             if s == -1 or j % d:
@@ -432,32 +439,35 @@ class _SymbolicReading:
     def binomial(self, s: int, e) -> tuple[int, int]:
         return s, self.q.w_exponent(e)
 
-    def times(self, x: list[int], b: tuple[int, int], power: int = 1) -> list[int]:
+    def times(self, x: int, b: tuple[int, int], power: int = 1) -> int:
+        shift = abs(b[1]) * self.bits
         for _ in range(power):
-            x = _times_binomial(x, *b)
+            x = x + (x << shift) if b[0] > 0 else x - (x << shift)
         return x
 
-    def den_times(self, den: list[int], b: tuple[int, int]) -> list[int]:
+    def den_times(self, den: int, b: tuple[int, int]) -> int:
         self._record(b, 1)
-        return _times_binomial(den, *b)
+        return self.times(den, b)
 
-    def add_terms(self, total: list[int], num: dict, den: list[int], d) -> list[int]:
-        # total is the fresh list ``times`` returned, so it is updated in place
+    def add_terms(self, total: int, num: dict, den: int, d: tuple[int, int]) -> int:
+        s, j = d
         for e, c in num.items():
             if c:
                 i = self.q.w_exponent(e + self.shift)
-                end = i + len(den)
-                total += [0] * (end - len(total))
                 c = c.numerator * (self.scale // c.denominator)
-                total[i:end] = map(add, total[i:end], map(mul, den, repeat(c)))
+                if j < 0:
+                    i, c = i - j, s * c
+                total += c * den << i * self.bits
         return total
 
-    def divide(self, total: list[int], den, divisors) -> RationalFunction:
+    def divide(self, total: int, den, divisors) -> RationalFunction:
         for b, m in divisors:
             self._record(b, m)
-        return reduce_cyclotomic_fraction(Polynomial._make(total, self.scale) * self.scalar,
-                                          self.phis, self.q.root_order,
-                                          self.q.w_exponent(self.shift))
+        ints = _unpack(total, self.bits // 8, abs(total).bit_length() // self.bits + 2)
+        # a negative power of w in the denominator multiplies the numerator
+        num = Polynomial._make([0] * -self.w_power + ints, self.scale)
+        return reduce_cyclotomic_fraction(num * self.scalar, self.phis, self.q.root_order,
+                                          max(self.w_power, 0))
 
 
 _READINGS = {"symbolic": _SymbolicReading, "rational": _RationalReading,

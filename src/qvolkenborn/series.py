@@ -23,6 +23,13 @@ def _is_zero(c) -> bool:
     return c == 0
 
 
+def _pairwise_sum(terms: list, zero):
+    """sum(terms, zero) as a balanced tree, so the summands stay small."""
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    return terms[0] if terms else zero
+
+
 class TruncatedSeries:
     """Formal power series truncated at a fixed order."""
 
@@ -58,17 +65,13 @@ class TruncatedSeries:
         return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
+        """The truncated product, each coefficient a :func:`_pairwise_sum`."""
         self._check(other)
-        zero = self.coeffs[0] * 0
-        out = [zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if not _is_zero(b):
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(out)
+        zero, b = self.coeffs[0] * 0, other.coeffs
+        nonzero = [(i, a) for i, a in enumerate(self.coeffs) if not _is_zero(a)]
+        return TruncatedSeries([_pairwise_sum([a * b[n - i] for i, a in nonzero
+                                               if i <= n and not _is_zero(b[n - i])], zero)
+                                for n in range(self.order + 1)])
 
     def scale(self, factor) -> TruncatedSeries:
         return TruncatedSeries([c * factor for c in self.coeffs])

@@ -21,10 +21,10 @@ from qvolkenborn import algebra, verify
 from qvolkenborn.algebra import (_KRONECKER_CUTOFF, CyclotomicElement,
                                  NonCyclotomicDenominator, PoleError, Polynomial,
                                  RationalFunction, RootOrderMismatch,
-                                 _binomial_quotient, _cyclotomic_int, _cyclotomic_ratio,
-                                 _int_value, _mul_int, _mul_int_schoolbook, _times_binomial,
-                                 cyclotomic_polynomial, reduce_cyclotomic_fraction,
-                                 root_of_unity_rows)
+                                 _binomial_quotient, _cyclotomic_int, _cyclotomic_product,
+                                 _cyclotomic_ratio, _int_value, _mul_int, _mul_int_schoolbook,
+                                 _times_binomial, cyclotomic_polynomial,
+                                 reduce_cyclotomic_fraction, root_of_unity_rows)
 from qvolkenborn.qmeasure import QDescriptor
 from qvolkenborn.qnumbers import beta_number, k_number
 
@@ -463,6 +463,25 @@ def test_cyclotomic_quotient_fails_after_early_binomial_divisions():
 _groups = st.dictionaries(_phi_orders, st.integers(0, 3), min_size=1, max_size=4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(powers=st.dictionaries(st.integers(1, 400), st.integers(0, 3), max_size=5))
+@example(powers={})
+@example(powers={1: 1})
+@example(powers={1: 2, 2: 3})
+@example(powers={1: 3, 400: 3, 399: 2, 210: 1})
+def test_phi_products_from_a_half_series_match_the_mobius_construction(powers):
+    # the low half of the power series prod (1 - w^b)^n_b, mirrored, against
+    # shift-adds and exact divisions over the whole product
+    assert _cyclotomic_product(powers) == _cyclotomic_ratio([1], powers)
+
+
+def test_cyclotomic_table_matches_the_mobius_construction():
+    for d in range(1, 1001):
+        coeffs, value = _cyclotomic_int(d)
+        assert list(coeffs) == _cyclotomic_ratio([1], {d: 1})
+        assert value == Polynomial(coeffs).evaluate(algebra._EVAL_POINT)
+
+
 @functools.lru_cache(maxsize=None)
 def _phi_reference(d):
     # w^d - 1 divided by Phi_e for every proper divisor e of d, by long division
@@ -606,14 +625,14 @@ def test_each_denominator_is_built_once_per_phi_map(monkeypatch):
     want = run()
     assert algebra._phi_product.cache_info().maxsize is not None
     algebra._phi_product.cache_clear()
-    built, ratio = [], algebra._cyclotomic_ratio
+    built, build = [], algebra._cyclotomic_product
 
-    def spy(a, powers):
+    def spy(powers):
         if sys._getframe(1).f_code.co_name == "_phi_product":
             built.append(tuple(sorted(powers.items())))
-        return ratio(a, powers)
+        return build(powers)
 
-    monkeypatch.setattr(algebra, "_cyclotomic_ratio", spy)
+    monkeypatch.setattr(algebra, "_cyclotomic_product", spy)
     assert run() == want
     assert built and len(built) == len(set(built))
 

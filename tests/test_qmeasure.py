@@ -8,6 +8,7 @@ same q.
 import importlib
 import math
 import random
+import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qvolkenborn
-from qvolkenborn import qmeasure
+from qvolkenborn import algebra, qmeasure
 from qvolkenborn.algebra import (CyclotomicElement, Polynomial, RationalFunction,
                                  RootOrderMismatch, cyclotomic_polynomial,
-                                 root_of_unity_rows)
+                                 reduce_cyclotomic_fraction, root_of_unity_rows)
 from qvolkenborn.characters import (character_value, enumerate_characters, make_character,
                                     parse_character_id)
 from qvolkenborn.padic import PadicNumber, ProfiniteDomain, padic_from_rational, q_admissible
@@ -339,6 +340,132 @@ def test_kernel_symbolic_at_w_matches_rational_reading(root, sign, r, data):
     if all(e.denominator == 1 for e in exponents):
         assert binomial_fraction_sum(QDescriptor.rational(r ** root), numerators, sign, step,
                                      prefactor) == want
+
+
+def _as_list(x):
+    """A coefficient list, or the kernel's starting int 0 or 1 as one."""
+    return x if isinstance(x, list) else [x] if x else []
+
+
+class _ListReading:
+    """The symbolic reading on integer coefficient lists, one shift-add per
+    binomial, for binomial exponents j >= 0: the reference that the packed
+    reading must equal exactly."""
+
+    def __init__(self, q, numerators, prefactor):
+        terms = [(e, c) for num in numerators for e, c in num.items() if c]
+        self.q, self.phis, self.scalar = q, {}, 1
+        self.shift = max([0] + [-e for e, _ in terms])
+        self.scale = math.lcm(*(c.denominator for _, c in terms))
+
+    def _record(self, b, power):
+        s, j = b
+        self.scalar *= s ** power if j else F(1 + s) ** -power
+        for d in algebra._divisors(j if s == -1 else 2 * j):
+            if s == -1 or j % d:
+                self.phis[d] = self.phis.get(d, 0) + power
+
+    def binomial(self, s, e):
+        return s, self.q.w_exponent(e)
+
+    def times(self, x, b, power=1):
+        x = _as_list(x)
+        for _ in range(power):
+            x = algebra._times_binomial(x, *b)
+        return x
+
+    def den_times(self, den, b):
+        self._record(b, 1)
+        return algebra._times_binomial(_as_list(den), *b)
+
+    def add_terms(self, total, num, den, d):
+        total, den = _as_list(total), _as_list(den)
+        for e, c in num.items():
+            if c:
+                i = self.q.w_exponent(e + self.shift)
+                total += [0] * (i + len(den) - len(total))
+                c = c.numerator * (self.scale // c.denominator)
+                for k, x in enumerate(den):
+                    total[i + k] += c * x
+        return total
+
+    def divide(self, total, den, divisors):
+        for b, m in divisors:
+            self._record(b, m)
+        num = Polynomial._make(_as_list(total), self.scale) * self.scalar
+        return reduce_cyclotomic_fraction(num, self.phis, self.q.root_order,
+                                          self.q.w_exponent(self.shift))
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(root order, numerators, loop sign, step, prefactor) with exponents in
+    (1/D) Z from -3 to 12, steps of either sign, j = 0 prefactors and zero
+    coefficients."""
+    root = draw(st.sampled_from((1, 2, 3)))
+    exponent = st.integers(-3 * root, 12 * root).map(lambda k: F(k, root))
+    coeffs = st.just(F(0)) | st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    numerators = draw(st.lists(st.dictionaries(exponent, coeffs, max_size=3),
+                               min_size=1, max_size=5))
+    step = F(draw(st.integers(1, 4)) * draw(st.sampled_from((1, -1))), root)
+    prefactor = draw(st.lists(st.tuples(st.sampled_from((1, -1)), exponent,
+                                        st.integers(-3, 3)), max_size=3))
+    return root, numerators, draw(st.sampled_from((1, -1))), step, prefactor
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ArithmeticError as error:
+        return type(error)
+
+
+# 40 numerators with coefficients near 2^60 and 1 + w^j binomials, so every
+# coefficient of the sum has one sign; one numerator times a j = 0 prefactor
+# puts the whole l1 norm in one coefficient, which then needs the width's
+# last byte
+_BIG = [{0: F(2 ** 60 - k)} for k in range(40)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_kernel_cases(),
+       r=st.sampled_from((F(2), F(-2), F(3), F(1, 2), F(-1, 3), F(5, 7), F(-4, 3))))
+@example(case=(1, _BIG, 1, F(1), [(1, 0, 3)]), r=F(2))
+@example(case=(1, [{0: F(2 ** 60 - 1)}], 1, F(1), [(1, 0, 2)]), r=F(2))
+@example(case=(1, _BIG, 1, F(1), [(1, 1, 3), (1, 0, 2)]), r=F(-1, 3))
+@example(case=(2, [{F(k, 2): F((-1) ** k * (2 ** 60 - k))} for k in range(40)], -1, F(-3, 2),
+               [(1, F(-1, 2), 3), (-1, 2, -3)]), r=F(5, 7))
+@example(case=(1, [{0: F(1)}], 1, F(1), [(1, -1, 1)]), r=F(2))
+@example(case=(1, [{0: F(1)}], 1, F(1), [(1, -2, -1)]), r=F(2))
+@example(case=(1, [{0: F(1)}, {1: F(1)}], 1, F(-1), []), r=F(2))
+@example(case=(1, [{0: F(1)}, {}], -1, F(2), [(-1, 0, -1)]), r=F(3))
+def test_packed_symbolic_reading_matches_the_rational_and_list_readings(case, r):
+    # the packed symbolic value at w = r is the rational reading at q = r^D
+    # (taken at q = r with every exponent scaled by D), or both raise the
+    # same error; with no negative binomial exponent it is exactly the value
+    # of the list reading
+    root, numerators, sign, step, prefactor = case
+    packed = _outcome(lambda: binomial_fraction_sum(sym(root), numerators, sign, step,
+                                                    prefactor))
+    scaled = [{root * e: c for e, c in num.items()} for num in numerators]
+    scaled_prefactor = [(s, root * e, power) for s, e, power in prefactor]
+    want = _outcome(lambda: binomial_fraction_sum(QDescriptor.rational(r), scaled, sign,
+                                                  root * step, scaled_prefactor))
+    got = _outcome(lambda: packed.evaluate(r)) if isinstance(packed, RationalFunction) else packed
+    assert got == want
+    if step > 0 and all(e >= 0 for _, e, _ in prefactor):
+        with unittest.mock.patch.dict(qmeasure._READINGS, symbolic=_ListReading):
+            listed = _outcome(lambda: binomial_fraction_sum(sym(root), numerators, sign, step,
+                                                            prefactor))
+        assert type(listed) is type(packed)
+        if isinstance(packed, RationalFunction):
+            assert (listed.num, listed.w_exp, listed.phis, listed.root_order) == (
+                packed.num, packed.w_exp, packed.phis, packed.root_order)
+
+
+def test_the_symbolic_reading_takes_no_list_primitive():
+    assert not [name for name in ("_times_binomial", "add", "mul", "repeat")
+                if hasattr(qmeasure, name)]
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,25 @@ def test_the_three_readings_agree_at_exponent_zero(prefactor):
     assert padic.agrees_with(want, 9)
 
 
+@pytest.mark.parametrize("numerators, step, prefactor, at_two", [
+    ([{0: F(1)}], 1, [(1, -1, 1)], F(1, 2)),
+    ([{0: F(1)}], 1, [(1, -2, -1)], F(4, 15)),
+    ([{0: F(1)}, {1: F(1)}], -1, [], F(34, 15)),
+    ([{0: F(1)}, {-2: F(2, 3)}, {}], -2, [(-1, -3, 2), (1, -1, -2), (-1, 2, 1)], None)])
+def test_the_three_readings_agree_at_negative_exponents(numerators, step, prefactor, at_two):
+    # 1 + s q^e for e < 0, as a loop binomial (step < 0) or a prefactor of
+    # either power; the symbolic values at q = 2 are the rational reading's
+    def at(qd):
+        return binomial_fraction_sum(qd, numerators, 1, step, prefactor)
+
+    symbolic = at(QDescriptor.symbolic())
+    if at_two is not None:
+        assert symbolic.evaluate(2) == at(QDescriptor.rational(2)) == at_two
+    want = at(QDescriptor.rational(6))
+    assert symbolic.evaluate(6) == want
+    assert at(QDescriptor.padic(padic_from_rational(6, 5, 12))).agrees_with(want, 10)
+
+
 @pytest.mark.parametrize("sign, step, prefactor", [
     (1, 1, [(1, 0, -1)]), (1, 1, [(-1, 0, -1)]), (-1, 1, [(1, 0, -2), (1, 1, -1)]),
     (1, 1, [(1, 0, 1), (1, 0, -3)]), (1, 0, []), (-1, 0, []), (1, 0, [(1, 1, -1)]),

@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qvolkenborn.algebra import RationalFunction
+from qvolkenborn.algebra import Polynomial, RationalFunction
 from qvolkenborn.qmeasure import QDescriptor
 from qvolkenborn.qnumbers import k_number
 from qvolkenborn.series import (TruncatedSeries, euler_gf,
@@ -30,6 +32,44 @@ def test_product_truncates():
 def test_addition_identity():
     a = S(2, 3, 5)
     assert a + S(0, 0, 0) == a
+
+
+def _left_to_right_product(a, b):
+    """The truncated product with each coefficient summed in one running sum."""
+    zero = a[0] * 0
+    out = [zero] * (a.order + 1)
+    for i in range(a.order + 1):
+        for j in range(a.order + 1 - i):
+            out[i + j] = out[i + j] + a[i] * b[j]
+    return out
+
+
+# denominators c w^a prod Phi_d^e: 1, w, 1 + w, 1 - w, 1 + w^2, 1 + w + w^2, w^2 (1 + w)
+_dens = st.sampled_from(((1,), (0, 1), (1, 1), (1, -1), (1, 0, 1), (1, 1, 1), (0, 0, 1, 1)))
+_polys = st.lists(st.integers(-4, 4), max_size=4)
+
+
+@st.composite
+def _series_pairs(draw):
+    order = draw(st.integers(0, 7))
+    field = draw(st.sampled_from((None, 1, 2)))
+    if field is None:
+        coeff = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    else:
+        coeff = st.builds(lambda num, den: RationalFunction(Polynomial(num), Polynomial(den),
+                                                            field), _polys, _dens)
+    pick = st.lists(coeff, min_size=order + 1, max_size=order + 1)
+    return TruncatedSeries(draw(pick)), TruncatedSeries(draw(pick))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_series_pairs())
+def test_pairwise_products_match_left_to_right_sums(pair):
+    # values are canonical, so the order of the additions cannot show
+    a, b = pair
+    got = a * b
+    assert got.order == a.order
+    assert list(got.coeffs) == _left_to_right_product(a, b)
 
 
 def test_scale_doubles_coefficients():
@@ -117,10 +157,10 @@ def test_f_q_series_first_coefficient_is_k_one():
     assert scaled_coefficient(gf, 1) == k_number(1, sym)
 
 
-def test_f_q_series_matches_numbers_up_to_ten():
+def test_f_q_series_matches_numbers_up_to_thirty():
     sym = QDescriptor.symbolic()
-    gf = f_q_series(sym, 10)
-    for n in range(11):
+    gf = f_q_series(sym, 30)
+    for n in range(31):
         assert scaled_coefficient(gf, n) == k_number(n, sym)
 
 
