@@ -15,7 +15,7 @@ Every closed form of the package (the number and polynomial families, the
 twisted sums, the ball measures and the level-N Riemann sums at symbolic
 and rational q) is built from calls of :func:`binomial_fraction_sum`, which
 runs on plain ints in all three readings of q and makes one value of the
-reading's field at the end.
+reading's field at the end, all but the ball measures through :func:`geometric_sum`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class QDescriptor:
 
     Descriptors compare and hash by value: the mode, the root order, the
     rational q and the p-adic q's (p, v, unit, prec), so equal readings
-    built separately share the closed-form caches of :mod:`qnumbers`.
+    built separately share the closed-value cache of :mod:`qnumbers`.
 
     >>> QDescriptor.rational(Fraction(2, 5)) == QDescriptor.rational(Fraction(4, 10))
     True
@@ -528,44 +528,77 @@ def ball_measure_sum(spec: MeasureSpec, reps, n: int):
     return binomial_fraction_sum(spec.q, [coeffs], sign, size, [(sign, 1, 1)])
 
 
+def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
+                  weights: tuple[int, ...], level: int | None = None):
+    """sum_j weights[j] [x+j]^n against the measure of that kind, the table
+    read periodically: over range(level) with its normalizer, or the p-adic
+    limit of those sums when ``level`` is None.  One
+    :func:`binomial_fraction_sum` call, behind every closed form of
+    :mod:`qnumbers` and every symbolic or rational :func:`riemann_sum`.
+
+    With r = -1 (fermionic) or 1 (bosonic) and K = level, the binomial
+    theorem [x+j]^n = (1 - q)^-n sum_k C(n,k) (-q^x)^k q^(jk) makes the sum
+    (1 - r q) / ((1 - q)^n (1 - (r q)^K)) sum_k C(n,k) (-q^x)^k G_k; with
+    rho = r q^(k+1) and l = len(weights), G_k = sum_{j<K} w_j rho^j =
+    (sum_{j<l} w_j rho^j - sum_{a<l} w_(K+a) rho^(K+a)) / (1 - rho^l).  So
+    the terms are q^(xk + j(k+1)) (-1)^k C(n,k) w_j r^j, the second block
+    negated, with sign -r^l, step l and prefactors (-1, 1, -n), (-r, 1, 1),
+    (-r^K, K, -1).  In the limit K = d p^N (l | K) and q^K -> 1.  Fermionic
+    (K, l odd): (r q)^K and rho^K tend to -1, so G_k / (1 - (r q)^K) tends
+    to the first block over 1 - rho^l, under (1, 1, 1), (-1, 1, -n).
+    Bosonic: (1 - q^(K(k+1))) / (1 - q^K) tends to k + 1, a factor of each
+    term, under (-1, 1, 1 - n).  An integral x is made an int, so the
+    exponents add as ints.
+    """
+    if not isinstance(x, int):
+        x = Fraction(x)
+        x = x.numerator if x.denominator == 1 else x
+    r, l = -1 if kind == FERMIONIC else 1, len(weights)
+    moments = level is None and r == 1   # the bosonic limit's factor k + 1
+    blocks = [(0, 1)] if level is None else [(0, 1), (level, -1)]
+    terms = [(j, s * weights[j % l] * r ** j) for start, s in blocks
+             for j in range(start, start + l) if weights[j % l]]
+    numerators = []
+    for k in range(n + 1):
+        c, num = (-1) ** k * math.comb(n, k) * (k + 1 if moments else 1), {}
+        for j, w in terms:
+            e = x * k + j * (k + 1)
+            num[e] = num.get(e, 0) + c * w
+        numerators.append(num)
+    if level is not None:
+        prefactor = [(-1, 1, -n), (-r, 1, 1), (-r ** level, level, -1)]
+    else:
+        prefactor = [(1, 1, 1), (-1, 1, -n)] if r == -1 else [(-1, 1, 1 - n)]
+    return binomial_fraction_sum(q, numerators, -r ** l, l, prefactor)
+
+
 def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int):
     """The level-n Riemann sum: sum over ball representatives j of
     chi(j) [x+j]^n (r q)^j, normalized by [K] at r q (r = -1 fermionic, else
     1; K = d p^n).
 
-    ``f`` must be a :class:`BracketPower`, which is what the built-in
-    integrand families return, taken at the spec's q (a symbolic q at any
-    root order); anything else raises ValueError.  The sum is exact to the
-    digits it claims; at p-adic q it is one integer pass with its normalizer
-    (:func:`_residue_sum`).  At symbolic and rational q it is one
-    :func:`binomial_fraction_sum` call: by :func:`_residue_sum`'s expansion
-    the sum is (1 - r q) / ((1 - q)^n (1 - (r q)^K)) sum_k C(n,k) (-q^x)^k
-    G_k, and with rho = r q^(k+1) and l the length of chi's table, G_k =
-    sum_{j<K} chi(j) rho^j = (sum_{j<l} chi(j) rho^j - sum_{j<l} chi(K+j)
-    rho^(K+j)) / (1 - rho^l).  A symbolic result is at the lcm of the two
-    root orders (the spec's own when chi vanishes on the level); a rational
-    q raises ZeroDivisionError where 1 - rho^l or the normalizer vanishes,
-    which among rationals happens at q = -1 only.
+    ``f`` must be a :class:`BracketPower` taken at the spec's q (a symbolic
+    q at any root order); anything else raises ValueError.  The sum is exact
+    to the digits it claims: at p-adic q one integer pass with its
+    normalizer (:func:`_residue_sum`), at symbolic and rational q one
+    :func:`geometric_sum` at level K, whose docstring derives the closed
+    form.  A symbolic result is at the lcm of the two root orders (the
+    spec's own when chi vanishes on the level).  Rational q = -1 is the one
+    rational q where a divisor 1 - rho^l can vanish: there a bosonic sum
+    over an odd K (where [K] = 1) is the symbolic sum at w = -1, and the
+    normalizer vanishes (even K) or is 0/0 (fermionic): ZeroDivisionError.
     """
     _check_integrand(spec, f)
     reps = ball_representatives(spec.domain, n)
     if spec.q.mode == "padic":
         return _residue_sum(spec, f, reps, math.inf)
-    table, size = (1,) if f.chi is None else f.chi, reps.stop
-    r, step, q = -1 if spec.kind == FERMIONIC else 1, len(table), spec.q
+    table, size, q = (1,) if f.chi is None else f.chi, reps.stop, spec.q
     if q.mode == "symbolic" and any(table[:size]):
         q = QDescriptor.symbolic(math.lcm(q.root_order, f.q.root_order))
-    x = f.shift if f.shift.denominator > 1 else f.shift.numerator   # int exponents add fast
-    numerators = []
-    for k in range(f.n + 1):
-        c, num = (-1) ** k * math.comb(f.n, k), {}
-        for a in range(step):
-            for j, s in ((a, c), (size + a, -c)):
-                e = x * k + j * (k + 1)
-                num[e] = num.get(e, 0) + s * table[j % step] * r ** j
-        numerators.append(num)
-    return binomial_fraction_sum(q, numerators, -r ** step, step,
-                                 [(-1, 1, -f.n), (-r, 1, 1), (-r ** size, size, -1)])
+    elif q.q_rational == -1 and spec.kind == BOSONIC and size % 2:
+        return geometric_sum(QDescriptor.symbolic(), BOSONIC, f.n, f.shift, table,
+                             size).evaluate(-1)
+    return geometric_sum(q, spec.kind, f.n, f.shift, table, size)
 
 
 def _check_integrand(spec: MeasureSpec, f) -> None:
@@ -590,10 +623,9 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range, claim=None):
     do: it is known mod p^(min(m, h + A - w) + u - w), h, w, u the valuations
     of the sum (m if 0), 1 - r^K, 1 - r, and w >= A raises ZeroDivisionError.
 
-    The sum is n + 1 geometric series.  By the binomial theorem [x+j]^n =
-    (1 - Q)^-n sum_{k<=n} C(n,k) (-Q^x)^k Q^(jk), so the sum is (1 - Q)^-n
-    sum_k C(n,k) (-Q^x)^k G_k, where G_k = sum_j chi(j) rho_k^j and rho_k =
-    r Q^k (r = +-Q).  With l = len(chi), reps from s and len(reps) = M l + e,
+    The sum is n + 1 geometric series (:func:`geometric_sum`): (1 - Q)^-n
+    sum_k C(n,k) (-Q^x)^k G_k, G_k = sum_j chi(j) rho_k^j and rho_k = r Q^k
+    (r = +-Q).  With l = len(chi), reps from s and len(reps) = M l + e,
     G_k = (V_k (1 - rho_k^(lM)) + rho_k^(lM) E_k (1 - rho_k^l)) / (1 - rho_k^l),
     V_k and E_k the signed sums of rho_k^j over the first l and the first e
     representatives.  That is O(n l + log M) modular operations.

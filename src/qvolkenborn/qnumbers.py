@@ -7,17 +7,18 @@ Dirichlet-character twists.  Each family has a closed form and at least one
 independent route (moment expansion or p-adic integral), and the routes are
 cross-checked by the verification suites.
 
-The distribution relation and the twists sum base-q^m polynomials at the
-arguments (a+x)/m; their closed forms merge into the q-exponents a + (a+x)k,
-so each is one closed-form kernel call (phi(L) calls for a character of
-order L > 2) in every reading of q, with integer exponents for integer x.
+Every closed value is one :func:`~qvolkenborn.qmeasure.geometric_sum` in
+the p-adic limit: K_n(x) and beta_n(x) take the table (1,), the odd-m
+distribution relation the table (1,) * m (its base-q^m polynomials at the
+arguments (a+x)/m merge into the q-exponents a + (a+x)k), and a twist one
+table per integer row of its character (phi(L) calls for order L > 2), with
+integer exponents for integer x in every reading of q.
 
-The closed values are memoized per (family, n, x, m, weights, q) in a
-256-entry LRU cache for each of the two closed-form bodies, K's
-:func:`_twisted_sum` and beta's :func:`_bernoulli_sum`: the expansion
-routes read every number K_0 .. K_n, so a loop over n would otherwise
-derive each number O(n) times.  Values are immutable, so sharing them is
-safe; the expansion and integral forms are not cached themselves.
+The closed values are memoized per (q, kind, n, x, weights) in one
+512-entry LRU cache, :func:`_closed`: the expansion routes read every
+number K_0 .. K_n, so a loop over n would otherwise derive each number O(n)
+times.  Values are immutable, so sharing them is safe; the expansion and
+integral forms and the level sums are not cached.
 """
 
 from __future__ import annotations
@@ -30,58 +31,17 @@ from .algebra import CyclotomicElement, root_of_unity_rows
 from .characters import DirichletCharacter
 from .padic import ProfiniteDomain
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec, QDescriptor,
-                       binomial_fraction_sum, bracket_power,
-                       character_twisted_power, integrate)
+                       bracket_power, character_twisted_power, geometric_sum,
+                       integrate)
 
 FORMS = ("closed", "expansion", "integral")
 
 
-def _check_form(form: str) -> None:
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}; expected one of {FORMS}")
-
-
-def _int_if_integral(x: Fraction | int) -> Fraction | int:
-    """x as an int when it is integral, with no Fraction made for an int or
-    a Fraction x."""
-    if isinstance(x, int):
-        return x
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-@functools.lru_cache(maxsize=256)
-def _twisted_sum(n: int, x: Fraction | int, m: int, q: QDescriptor,
-                 weights: tuple[int, ...]):
-    """([m]^n/[m]_-) sum_a weights[a] (-1)^a q^a K(base q^m, (a+x)/m), with the
-    base-change prefactors cancelled analytically against the inner closed
-    forms, leaving (1+q)(1-q)^-n sum_k (...)/(1 + q^(m(k+1))).  The
-    q-exponents are ints when x is an integer."""
-    x = _int_if_integral(x)
-    numerators = [{a + (a + x) * k: weights[a] * (-1) ** (a + k) * math.comb(n, k)
-                   for a in range(m) if weights[a]} for k in range(n + 1)]
-    return binomial_fraction_sum(q, numerators, 1, m, [(1, 1, 1), (-1, 1, -n)])
-
-
-def _expansion(n: int, x: Fraction, q: QDescriptor, number):
-    """sum_i C(n,i) q^(ix) number(i, q) [x]^(n-i): a polynomial family at x
-    from its numbers."""
-    bx = q.bracket(x)
-    acc = 0
-    for i in range(n + 1):
-        acc = acc + (q.from_rational(math.comb(n, i)) * q.qpow(i * x)
-                     * number(i, q) * bx ** (n - i))
-    return acc
-
-
-@functools.lru_cache(maxsize=256)
-def _bernoulli_sum(n: int, x: Fraction | int, q: QDescriptor):
-    """The closed beta_n(x): the alternating sum with q^(x i) weights over
-    the power moments (i+1)/[i+1] = (i+1)(1-q)/(1-q^(i+1)), one power of
-    (1-q) cancelled against the prefactor."""
-    numerators = [{x * i: (-1) ** i * math.comb(n, i) * (i + 1)} for i in range(n + 1)]
-    return binomial_fraction_sum(q, numerators, -1, 1, [(-1, 1, 1 - n)])
+@functools.lru_cache(maxsize=512)
+def _closed(q: QDescriptor, kind: str, n: int, x: Fraction | int,
+            weights: tuple[int, ...]):
+    """The memoized p-adic limit of :func:`geometric_sum`."""
+    return geometric_sum(q, kind, n, x, weights)
 
 
 def _integral(kind: str, q: QDescriptor, f: BracketPower, d: int, stability: int,
@@ -90,6 +50,27 @@ def _integral(kind: str, q: QDescriptor, f: BracketPower, d: int, stability: int
     q, over the inverse limit of Z/(d p^N)."""
     spec = MeasureSpec(kind, q, ProfiniteDomain(q.prime, d))
     return integrate(spec, f, stability, n_max).value
+
+
+def _polynomial(kind: str, n: int, x: Fraction | int, q: QDescriptor, form: str,
+                stability: int, n_max: int):
+    """The polynomial family of the measure of that kind at x, by the
+    selected route (see :func:`k_polynomial` and :func:`beta_polynomial`)."""
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}; expected one of {FORMS}")
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    if form == "closed":
+        return _closed(q, kind, n, x, (1,))
+    x = Fraction(x)
+    if form == "integral":
+        return _integral(kind, q, bracket_power(q, n, x), 1, stability, n_max)
+    # the expansion sum_i C(n,i) q^(ix) number(i, q) [x]^(n-i)
+    number, bx, acc = beta_number if kind == BOSONIC else k_number, q.bracket(x), 0
+    for i in range(n + 1):
+        acc = acc + (q.from_rational(math.comb(n, i)) * q.qpow(i * x)
+                     * number(i, q) * bx ** (n - i))
+    return acc
 
 
 def beta_number(m: int, q: QDescriptor):
@@ -106,19 +87,11 @@ def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "clos
                     stability: int = 5, n_max: int = 8):
     """The q-Bernoulli polynomial at x, by the selected route.
 
-    "closed": :func:`_bernoulli_sum`; "expansion": binomial expansion over
-    beta numbers and [x] powers; "integral": the bosonic p-adic integral of
-    [x+t]^n (padic q only).
+    "closed": the bosonic :func:`geometric_sum` limit; "expansion": binomial
+    expansion over beta numbers and [x] powers; "integral": the bosonic
+    p-adic integral of [x+t]^n (padic q only).
     """
-    _check_form(form)
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if form == "closed":
-        return _bernoulli_sum(n, _int_if_integral(x), q)
-    x = Fraction(x)
-    if form == "expansion":
-        return _expansion(n, x, q, beta_number)
-    return _integral(BOSONIC, q, bracket_power(q, n, x), 1, stability, n_max)
+    return _polynomial(BOSONIC, n, x, q, form, stability, n_max)
 
 
 def k_number(k: int, q: QDescriptor):
@@ -141,22 +114,14 @@ def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"
     "closed" and "expansion" agree identically as reduced elements;
     "integral" is the fermionic p-adic integral of [x+y]^n (padic q only).
     """
-    _check_form(form)
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if form == "closed":
-        return _twisted_sum(n, _int_if_integral(x), 1, q, (1,))
-    x = Fraction(x)
-    if form == "expansion":
-        return _expansion(n, x, q, k_number)
-    return _integral(FERMIONIC, q, bracket_power(q, n, x), 1, stability, n_max)
+    return _polynomial(FERMIONIC, n, x, q, form, stability, n_max)
 
 
 def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
     """Right side of the odd-m distribution relation for the q-Euler
     polynomials: ([m]^n / [m]_-) times the alternating q^a-weighted sum of
     the base-q^m polynomials at the shifted arguments (a+x)/m, computed as
-    one :func:`_twisted_sum` with unit weights.
+    one fermionic :func:`geometric_sum` with the table (1,) * m.
 
     Symbolically this is identical to k_polynomial(n, x, q); verifying that
     identity is the point of computing both sides independently.
@@ -165,7 +130,7 @@ def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
         raise ValueError(f"the distribution relation needs odd m, got {m}")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    return _twisted_sum(n, _int_if_integral(x), m, q, (1,) * m)
+    return _closed(q, FERMIONIC, n, x, (1,) * m)
 
 
 def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed",
@@ -176,8 +141,8 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
     base-q^f polynomial at a/f, prefixed by [f]^n/[f]_-.  With
     chi(a) = zeta^k_a = sum_i r_i(k_a) zeta^i (zeta a primitive L-th root of
     unity, r(k) the integer row of x^k mod Phi_L, i < phi(L)) it is
-    sum_i zeta^i :func:`_twisted_sum` with weights r_i(k_a): a field element
-    for L <= 2, else a :class:`CyclotomicElement`.
+    sum_i zeta^i :func:`geometric_sum` with the table r_i(k_a): a field
+    element for L <= 2, else a :class:`CyclotomicElement`.
     "integral": the fermionic integral of chi(y)[y]^n over the
     conductor-indexed profinite domain (padic q, quadratic or trivial chi only).
     """
@@ -193,8 +158,8 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
             raise ValueError(
                 "p-adic twisted numbers need character values in {0, +-1}")
         rows = root_of_unity_rows(order)
-        sums = [_twisted_sum(n, 0, f, q,
-                             tuple(0 if k is None else rows[k][i] for k in chi.exponent_table))
+        sums = [_closed(q, FERMIONIC, n, 0,
+                        tuple(0 if k is None else rows[k][i] for k in chi.exponent_table))
                 for i in range(len(rows[0]))]
         return sums[0] if order <= 2 else CyclotomicElement(order, sums)
     return _integral(FERMIONIC, q, character_twisted_power(q, n, chi), f,

@@ -82,6 +82,10 @@ def commands() -> list[str]:
             "numbers --kind K_chi --n 0..3 --chi 3:1 --q padic:5:41:128 --method integral",
             "integrate --kind bosonic --p 3 --q 4 --f bracket_pow:2 --A 6 --stability 5 "
             "--N-max 8"]
+    # closed forms with a shift, in both limits of the geometric-sum builder
+    out += ["polynomials --kind beta_poly --n 0..8 --x 2 --q padic:5:6:32",
+            "polynomials --kind K_poly --n 0..8 --x -3 --q padic:3:4:32",
+            "polynomials --kind beta_poly --n 0..6 --x -1 --q 2/5"]
     return out
 
 

@@ -28,8 +28,8 @@ from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec,
                                   ball_measure_sum, binomial_fraction_sum,
                                   bosonic_power_moment, bracket_power,
                                   character_twisted_power, fermionic_power_moment,
-                                  integrate, parse_integrand, riemann_sum)
-from qvolkenborn.qnumbers import (_twisted_sum, beta_number, beta_polynomial, k_chi,
+                                  geometric_sum, integrate, parse_integrand, riemann_sum)
+from qvolkenborn.qnumbers import (beta_number, beta_polynomial, k_chi,
                                   k_distribution_rhs, k_number, k_polynomial)
 
 F = Fraction
@@ -216,10 +216,10 @@ def test_kernel_halves_agree_on_twisted_sums(x):
     for t in KERNEL_TS:
         for n in range(9):
             for m, weights in cases:
-                want = _twisted_sum(n, x, m, sym(d), weights).evaluate(t)
+                want = geometric_sum(sym(d), FERMIONIC, n, x, weights).evaluate(t)
                 if d == 1:
                     rational = QDescriptor.rational(t)
-                    assert _twisted_sum(n, x, m, rational, weights) == want
+                    assert geometric_sum(rational, FERMIONIC, n, x, weights) == want
                     if weights == (1,) * m:
                         assert k_distribution_rhs(n, x, m, rational) == want
 
@@ -597,6 +597,10 @@ def _former_finite_sum_suite(test):
          reading=("symbolic", 1, 2))
 @example(kind=BOSONIC, p=5, d=2, level=1, n=3, shift=-1, chi=(0, 0),
          reading=("symbolic", 2, 3))
+# at q = -1 a closed-form divisor 1 - q^(l (k+1)) vanishes, while the bosonic
+# sum over an odd level is finite
+@example(kind=BOSONIC, p=7, d=1, level=2, n=3, shift=-2, chi=(-1, 0),
+         reading=("rational", F(-1)))
 @_former_finite_sum_suite
 def test_level_sum_matches_the_per_term_oracle(kind, p, d, level, n, shift, chi, reading):
     # riemann_sum at symbolic q (the spec's and the integrand's root orders
@@ -620,25 +624,53 @@ def test_level_sum_matches_the_per_term_oracle(kind, p, d, level, n, shift, chi,
     got = _sum_outcome(lambda: riemann_sum(spec, f, level))
     want = _sum_outcome(lambda: _per_term_sum(spec, f, range(spec.domain.level_size(level)))
                         / spec.level_norm(level))
-    if got != want:
-        # the one documented difference: the closed sum divides by 1 -
-        # q^(l (k+1)) (l = the table's length), which vanishes at q = -1 when
-        # l (k+1) is even, while the bosonic per-term sum there is finite
-        table_length = 1 if chi is None else len(chi)
-        assert (kind, reading, got) == (BOSONIC, ("rational", -1), ZeroDivisionError)
-        assert want != ZeroDivisionError and (n or table_length % 2 == 0)
+    assert got == want
 
 
-@pytest.mark.parametrize("qd", [sym(), sym(2), QDescriptor.rational(F(-3, 5))],
-                         ids=["symbolic", "root-order-2", "rational"])
+@pytest.mark.parametrize("qd", [sym(), sym(2), QDescriptor.rational(F(-3, 5)),
+                                QDescriptor.rational(-1)],
+                         ids=["symbolic", "root-order-2", "rational", "minus-one"])
 def test_a_level_sum_is_one_kernel_call(monkeypatch, qd):
-    kernel, calls = qmeasure.binomial_fraction_sum, []
+    # one geometric_sum call at level K, so one kernel call; at q = -1 the
+    # bosonic sums over odd levels make theirs at symbolic q
+    kernel, builder, calls, built = qmeasure.binomial_fraction_sum, qmeasure.geometric_sum, [], []
     monkeypatch.setattr(qmeasure, "binomial_fraction_sum",
                         lambda *args: calls.append(args) or kernel(*args))
-    riemann_sum(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5)), bracket_power(qd, 3), 4)
+    monkeypatch.setattr(qmeasure, "geometric_sum",
+                        lambda *args: built.append(args) or builder(*args))
+    kind = BOSONIC if qd.q_rational == -1 else FERMIONIC
+    riemann_sum(MeasureSpec(kind, qd, ProfiniteDomain(5)), bracket_power(qd, 3), 4)
     chi = character_twisted_power(qd, 2, make_character(3, (1,)))
     riemann_sum(MeasureSpec(BOSONIC, qd, ProfiniteDomain(5, 3)), chi, 2)
-    assert len(calls) == 2
+    assert len(calls) == len(built) == 2
+    assert [args[0].mode for args in built] == ["symbolic" if kind == BOSONIC else qd.mode] * 2
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from([BOSONIC, FERMIONIC]), p=st.sampled_from([3, 5, 7]),
+       r=st.integers(-3, 3).filter(bool), n=st.integers(0, 5), shift=st.integers(-3, 3),
+       table=st.lists(st.sampled_from([0, 1, -1]), min_size=1, max_size=9).map(tuple),
+       extra=st.integers(0, 2))
+@example(kind=BOSONIC, p=3, r=1, n=2, shift=0, table=(1,), extra=0)
+@example(kind=BOSONIC, p=5, r=-1, n=3, shift=1, table=(0, 1, -1, 1, -1), extra=1)
+def test_the_limit_is_the_p_adic_limit_of_the_levels(kind, p, r, n, shift, table, extra):
+    # at q = 1 + p r the builder's limit agrees with the level-N riemann_sum
+    # to the digits integrate proves: N fermionic, N - N0 bosonic, with N0 =
+    # max(1, v_p(l)) and the domain Z_p x Z/d, d the p-free part of l
+    d, n0 = len(table), 0
+    while d % p == 0:
+        d, n0 = d // p, n0 + 1
+    assume(kind == BOSONIC or d % 2)
+    n0 = max(1, n0)
+    level = n0 + 1 + extra
+    qd = padic_q(1 + p * r, p, 24)
+    limit = geometric_sum(qd, kind, n, shift, table)
+    level_sum = riemann_sum(MeasureSpec(kind, qd, ProfiniteDomain(p, d)),
+                            BracketPower(qd, n, shift, table), level)
+    bound = level if kind == FERMIONIC else level - n0
+    digits = min(bound, limit.absolute_precision, level_sum.absolute_precision)
+    assert digits >= min(bound, 12)
+    assert limit.agrees_with(level_sum, digits)
 
 
 def test_no_per_term_route_is_left():

@@ -5,15 +5,18 @@ were expanded independently with a computer-algebra system before being
 asserted here.
 """
 
+import contextlib
 import math
+import unittest.mock
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvolkenborn import qnumbers
-from qvolkenborn.algebra import CyclotomicElement, Polynomial, RationalFunction
+from qvolkenborn import qmeasure, qnumbers
+from qvolkenborn.algebra import (CyclotomicElement, Polynomial, RationalFunction,
+                                 root_of_unity_rows)
 from qvolkenborn.characters import character_value, make_character, parse_character_id
 from qvolkenborn.padic import padic_from_rational
 from qvolkenborn.qmeasure import QDescriptor, binomial_fraction_sum
@@ -338,7 +341,7 @@ def test_beta_limits_match_bernoulli():
 # the closed-form value caches
 # ---------------------------------------------------------------------------
 
-_CACHES = (qnumbers._twisted_sum, qnumbers._bernoulli_sum)
+_CACHES = (qnumbers._closed,)
 
 
 def _padic(q_value, prec):
@@ -360,7 +363,7 @@ def test_equal_descriptors_share_a_cache_entry(make):
     first = k_polynomial(4, 1, a), beta_polynomial(4, 1, a)
     hits = [cache.cache_info().hits for cache in _CACHES]
     again = k_polynomial(4, 1, b), beta_polynomial(4, 1, b)
-    assert [cache.cache_info().hits for cache in _CACHES] == [h + 1 for h in hits]
+    assert [cache.cache_info().hits for cache in _CACHES] == [h + 2 for h in hits]
     assert all(x is y for x, y in zip(first, again))
 
 
@@ -375,8 +378,8 @@ def test_distinct_descriptors_never_share_a_cache_entry(a, b):
         cache.cache_clear()
     k_polynomial(3, 2, a), beta_polynomial(3, 2, a)
     k_polynomial(3, 2, b), beta_polynomial(3, 2, b)
-    assert [cache.cache_info().hits for cache in _CACHES] == [0, 0]
-    assert [cache.cache_info().currsize for cache in _CACHES] == [2, 2]
+    assert [cache.cache_info().hits for cache in _CACHES] == [0]
+    assert [cache.cache_info().currsize for cache in _CACHES] == [4]
 
 
 # two readings per mode, so a key that confused them would show
@@ -402,3 +405,73 @@ def test_cached_values_equal_cold_values(q, n, thirds, m, chi):
     for cache in _CACHES:
         cache.cache_clear()
     assert [call() for call in calls] == warm
+
+
+# ---------------------------------------------------------------------------
+# one geometric-sum builder: the kernel inputs of the former closed bodies
+# ---------------------------------------------------------------------------
+
+def _int_if_integral(x):
+    x = F(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _former_twisted_inputs(n, x, m, weights):
+    """The kernel call of the former K body: ([m]^n/[m]_-) sum_a weights[a]
+    (-1)^a q^a K(base q^m, (a+x)/m) = (1+q)(1-q)^-n sum_k (...)/(1 + q^(m(k+1)))."""
+    x = _int_if_integral(x)
+    numerators = [{a + (a + x) * k: weights[a] * (-1) ** (a + k) * math.comb(n, k)
+                   for a in range(m) if weights[a]} for k in range(n + 1)]
+    return numerators, 1, m, [(1, 1, 1), (-1, 1, -n)]
+
+
+def _former_bernoulli_inputs(n, x):
+    """The kernel call of the former beta body: the power moments (i+1)/[i+1]
+    under q^(x i) weights, one power of (1-q) cancelled."""
+    x = _int_if_integral(x)
+    numerators = [{x * i: (-1) ** i * math.comb(n, i) * (i + 1)} for i in range(n + 1)]
+    return numerators, -1, 1, [(-1, 1, 1 - n)]
+
+
+_TWISTS = [make_character(3, (1,)), make_character(5, (2,)), make_character(5, (1,)),
+           make_character(7, (1,))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([sym(3), QDescriptor.rational(F(-3, 7)), _padic(6, 32)]),
+       n=st.integers(0, 8), thirds=st.integers(-9, 9), m=st.sampled_from([1, 3, 5]),
+       chi=st.sampled_from(_TWISTS))
+def test_the_builder_passes_the_kernel_the_former_inputs(q, n, thirds, m, chi):
+    # K_n(x), beta_n(x), the distribution right side and each k_chi row is one
+    # geometric_sum call, which makes one binomial_fraction_sum call with the
+    # numerator terms, sign, step and prefactors of the former closed bodies
+    # (the order-4 character mod 5 takes two rows; at p-adic q, where only
+    # orders <= 2 exist, the quadratic one mod 5)
+    x = F(thirds, 3)
+    if q.mode == "padic" and chi.value_order > 2:
+        chi = _TWISTS[1]
+    rows = root_of_unity_rows(chi.value_order)
+    want = [_former_twisted_inputs(n, x, 1, (1,)), _former_bernoulli_inputs(n, x),
+            _former_twisted_inputs(n, x, m, (1,) * m)]
+    want += [_former_twisted_inputs(n, 0, chi.modulus, tuple(
+        0 if k is None else rows[k][i] for k in chi.exponent_table))
+        for i in range(len(rows[0]))]
+    kernel, builder, got, built = (qmeasure.binomial_fraction_sum, qnumbers.geometric_sum,
+                                   [], [])
+
+    def kernel_spy(qd, numerators, sign, step, prefactor=()):
+        got.append(([{e: c for e, c in num.items() if c} for num in numerators],
+                    sign, step, list(prefactor)))
+        return kernel(qd, numerators, sign, step, prefactor)
+
+    with unittest.mock.patch.object(qmeasure, "binomial_fraction_sum", kernel_spy), \
+            unittest.mock.patch.object(qnumbers, "geometric_sum",
+                                       lambda *args: built.append(args) or builder(*args)):
+        for call in (lambda: k_polynomial(n, x, q), lambda: beta_polynomial(n, x, q),
+                     lambda: k_distribution_rhs(n, x, m, q), lambda: k_chi(n, chi, q)):
+            qnumbers._closed.cache_clear()   # m = 1 shares K_n(x)'s entry
+            # a fractional q-power raises in the kernel at rational and p-adic q
+            with contextlib.suppress(ValueError):
+                call()
+    assert got == want
+    assert len(built) == len(want)

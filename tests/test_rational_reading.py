@@ -16,8 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvolkenborn.padic import padic_from_rational
-from qvolkenborn.qmeasure import QDescriptor, binomial_fraction_sum
-from qvolkenborn.qnumbers import _bernoulli_sum, _twisted_sum
+from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, QDescriptor, binomial_fraction_sum,
+                                  geometric_sum)
+from qvolkenborn.qnumbers import _closed
 from qvolkenborn.series import f_q_coefficient_partial
 
 F = Fraction
@@ -241,8 +242,7 @@ def test_fractional_exponent_raises_as_qpow_does(e):
 def _constructions(compute, module="fractions.py",
                    names=("__new__", "_from_coprime_ints")) -> int:
     # a cold call: a value the closed-form caches hold would make none
-    _twisted_sum.cache_clear()
-    _bernoulli_sum.cache_clear()
+    _closed.cache_clear()
     profiler = cProfile.Profile()
     profiler.runcall(compute)
     return sum(calls for (path, _, name), (_, calls, *_) in
@@ -255,8 +255,8 @@ _SCALED = [{i - 4: F(i, 7)} for i in range(21)]
 
 @pytest.mark.parametrize("q", [F(2, 5), F(-3, 7), F(7, 2)])
 @pytest.mark.parametrize("call", [
-    lambda qd: _twisted_sum(20, 0, 1, qd, (1,)),
-    lambda qd: _twisted_sum(12, -2, 5, qd, (1,) * 5),
+    lambda qd: geometric_sum(qd, FERMIONIC, 20, 0, (1,)),
+    lambda qd: geometric_sum(qd, FERMIONIC, 12, -2, (1,) * 5),
     lambda qd: binomial_fraction_sum(qd, _SCALED, -1, 1, [(-1, 1, -20)]),
 ], ids=["K_20", "distribution", "negative_exponents"])
 def test_a_kernel_call_makes_one_fraction(call, q):
@@ -272,8 +272,8 @@ def test_partial_sums_make_no_fraction_per_term():
 
 
 @pytest.mark.parametrize("q, call", [
-    (padic_from_rational(6, 5, 32), lambda n, qd: _twisted_sum(n, 0, 1, qd, (1,))),
-    (padic_from_rational(4, 3, 128), lambda n, qd: _bernoulli_sum(n, 0, qd)),
+    (padic_from_rational(6, 5, 32), lambda n, qd: geometric_sum(qd, FERMIONIC, n, 0, (1,))),
+    (padic_from_rational(4, 3, 128), lambda n, qd: geometric_sum(qd, BOSONIC, n, 0, (1,))),
 ], ids=["K", "beta"])
 def test_a_padic_kernel_call_makes_a_fixed_number_of_padic_numbers(q, call):
     qd = QDescriptor.padic(q)
