@@ -13,9 +13,10 @@ exact rational, and truncated p-adic.
 
 Every closed form of the package (the number and polynomial families, the
 twisted sums, the ball measures and the level-N Riemann sums at symbolic
-and rational q) is built from calls of :func:`binomial_fraction_sum`, which
-runs on plain ints in all three readings of q and makes one value of the
-reading's field at the end, all but the ball measures through :func:`geometric_sum`.
+and rational q) is built from calls of :func:`binomial_fraction_sum`, all
+but the ball measures through :func:`geometric_sum`.  It runs on plain ints
+in all three readings of q, takes int coefficients and binomials 1 + s q^e
+with e > 0 only, and makes one value of the reading's field at the end.
 """
 
 from __future__ import annotations
@@ -188,27 +189,34 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
                           step: int, prefactor=()):
     """prod (1 + s q^e)^pw * sum_k numerators[k] / (1 + sign q^(step (k+1))).
 
-    ``numerators[k]`` maps q-exponents to rational coefficients, and
+    ``numerators[k]`` maps q-exponents to int coefficients, and
     ``prefactor`` lists the (s, e, pw) factors.  Every closed form of the
     package has this shape, a level-N Riemann sum at symbolic or rational q
     included (:func:`riemann_sum`), and its denominators are products of
-    cyclotomic polynomials in w.
+    cyclotomic polynomials in w.  The contract is what :func:`geometric_sum`
+    and :func:`ball_measure_sum` pass: numerators with int coefficients, a
+    step and prefactor exponents > 0 (rational ones at symbolic q); else
+    ValueError.  The numerators' exponents may be negative or fractional.
+
+    >>> binomial_fraction_sum(QDescriptor.rational(2), [{0: 1}], 1, 0)
+    Traceback (most recent call last):
+    ValueError: the kernel needs numerators, int coefficients and binomial exponents > 0
 
     One Horner loop serves every reading of q: with d_k = 1 + sign
     q^(step (k+1)), total <- total d_k + c_k den and den <- den d_k; then
     positive prefactor powers multiply total, and negative ones join the
-    final division.  Only the reading's primitives differ (see
-    :class:`_SymbolicReading`, :class:`_RationalReading` and
-    :class:`_PadicReading`): the binomial d, "times a binomial" (of total,
-    and of den), "add c q^e den" (which is told the binomial just
-    multiplied in) and the final division.  Every reading runs on plain
-    ints from total = 0 and den = 1 (one packed int per polynomial at
-    symbolic q) and makes one value at the end: a reduced rational function,
-    a Fraction, or at p-adic q one PadicNumber division of integer residues
-    that carry the field's precision.  A numeric q raises ZeroDivisionError
-    where a binomial d_k or a prefactor divisor vanishes at q (at p-adic q:
-    is zero at precision), and at q = 0 with a negative exponent.
+    final division.  Each reading (:class:`_SymbolicReading`,
+    :class:`_RationalReading`, :class:`_PadicReading`) gives the binomial
+    d, "times a binomial", "add c q^e den" (told the binomial just
+    multiplied in) and the final division, runs on plain ints from total =
+    0 and den = 1, and makes one value at the end: a reduced rational
+    function, a Fraction or a PadicNumber.  A numeric q raises
+    ZeroDivisionError where a binomial vanishes at q (at p-adic q: is zero
+    at precision), and at q = 0 with a negative exponent.
     """
+    if not numerators or step <= 0 or any(e <= 0 for _, e, _ in prefactor) or not all(
+            isinstance(c, int) for num in numerators for c in num.values()):
+        raise ValueError("the kernel needs numerators, int coefficients and binomial exponents > 0")
     reading = _READINGS[q.mode](q, numerators, prefactor)
     total, den = 0, 1
     for k, num in enumerate(numerators):
@@ -227,28 +235,23 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
 class _PadicReading:
     """The kernel's primitives at p-adic q: integer residues under the
     precision rules that :class:`PadicNumber`'s docstring reads on residues,
-    and PadicNumbers only for the final division, so every value and every
-    ZeroDivisionError is the one the field's chain of operations gives.
+    so every value and every ZeroDivisionError is the one the field's chain
+    of operations gives.
 
     A value is (x, v, a): the residue x, known mod p^a, and the valuation v
     read off it (v = a is zero-at-precision).  The loop's exact ints 0 and
     1 stay ints until they meet such a value, which lifts them as
-    PadicNumber._coerce does.  The coefficients are folded into ints over
-    L = p^s L', the lcm of their denominators, so the x of every element
-    and of total is L times the value, mod p^(a + s); the final division
-    takes L back out.  Each q^e mod p^A is computed once a call.
+    PadicNumber._coerce does.  Each q^e mod p^A is computed once a call; the
+    final division, PadicNumber's / on residues, makes the one PadicNumber.
     """
 
     def __init__(self, q: QDescriptor, numerators: list[dict], prefactor):
         self.q, self.p, self.A, self.qpows = q, q.prime, q.q_padic.prec, {}
-        self.scale = math.lcm(*(c.denominator for num in numerators
-                                for c in num.values() if c))
-        self.shift = _int_valuation(self.scale, self.p)
 
-    def _read(self, x: int, a: int, s: int) -> tuple[int, int, int]:
-        """The value known mod p^a whose p^s multiple is x."""
-        x %= self.p ** (a + s)
-        return (x, _int_valuation(x, self.p) - s, a) if x else (0, a, a)
+    def _read(self, x: int, a: int) -> tuple[int, int, int]:
+        """The value x known mod p^a."""
+        x %= self.p ** a
+        return (x, _int_valuation(x, self.p), a) if x else (0, a, a)
 
     def _qpow(self, e) -> int:
         e = self.q.int_exponent(e)
@@ -256,17 +259,15 @@ class _PadicReading:
             self.qpows[e] = pow(self.q.q_padic.unit, e, self.p ** self.A)
         return self.qpows[e]
 
-    def _element(self, terms: dict, scale: int, s: int):
+    def _element(self, terms: dict):
         """sum c q^e over the terms, the int 0 when every c is 0."""
         x = g = 0
         for e, c in terms.items():
             if c:
-                c = c.numerator * (scale // c.denominator)
                 x, g = x + c * self._qpow(e), math.gcd(g, c)
-        return self._read(x, self.A + _int_valuation(g, self.p) - s, s) if g else 0
+        return self._read(x, self.A + _int_valuation(g, self.p)) if g else 0
 
-    def _mul(self, x, y, s: int = 0):
-        """x y; s is the shift of the factor that is scaled by L, if any."""
+    def _mul(self, x, y):
         if type(y) is int:
             x, y = y, x
         if type(x) is int:   # 1 y is y, and 0 y is zero at precision v + a of y
@@ -275,62 +276,55 @@ class _PadicReading:
             return 0, y[1] + y[2], y[1] + y[2]
         v = x[1] + y[1]
         a = v + min(x[2] - x[1], y[2] - y[1])
-        return (x[0] * y[0] % self.p ** (a + s), v, a) if a > v else (0, v, v)
+        return (x[0] * y[0] % self.p ** a, v, a) if a > v else (0, v, v)
 
     den_times = _mul
 
     def _pow(self, b, m: int):
         """b^m, the value m products of b give."""
-        if type(b) is int:
-            return b ** m
         x, v, a = b
         return pow(x, m, self.p ** (a + (m - 1) * v)), m * v, a + (m - 1) * v
 
     def binomial(self, s: int, e):
-        if e == 0:
-            return self._element({0: 1 + s}, 1, 0)
-        return self._read(1 + s * self._qpow(e), self.A, 0)
+        return self._read(1 + s * self._qpow(e), self.A)
 
     def times(self, x, b, power: int = 1):
-        return self._mul(x, b if power == 1 else self._pow(b, power), self.shift)
+        return self._mul(x, b if power == 1 else self._pow(b, power))
 
     def add_terms(self, total, num: dict, den, d):
-        y = self._mul(self._element(num, self.scale, self.shift), den, self.shift)
+        y = self._mul(self._element(num), den)
         if type(total) is int or type(y) is int:   # an exact 0 adds nothing
             return y if type(total) is int else total
-        return self._read(total[0] + y[0], min(total[2], y[2]), self.shift)
-
-    def _padic(self, value, scale: int, s: int):
-        if type(value) is int:
-            return value
-        x, v, a = value
-        if v == a:
-            return PadicNumber.zero_at_precision(self.p, a)
-        mod = self.p ** (a - v)
-        unit = x // self.p ** (v + s) * pow(scale // self.p ** s, -1, mod) % mod
-        return PadicNumber._normalised(self.p, v, unit, a - v)
+        return self._read(total[0] + y[0], min(total[2], y[2]))
 
     def divide(self, total, den, divisors):
-        for b, m in divisors:
-            den = self._mul(den, self._pow(b, m))
-        return self._padic(total, self.scale, self.shift) / self._padic(den, 1, 0)
+        """total / (den prod b^m), as PadicNumber's / divides."""
+        for d, m in divisors:
+            den = self._mul(den, self._pow(d, m))
+        (x, v, a), (y, w, b) = total, den
+        if w == b:
+            raise ZeroDivisionError("division by zero-at-precision")
+        if v == a:
+            return PadicNumber.zero_at_precision(self.p, v - w)
+        prec = min(a - v, b - w)
+        unit = x // self.p ** v * _unit_inverse(y // self.p ** w, self.p, prec) % self.p ** prec
+        return PadicNumber._normalised(self.p, v - w, unit, prec)
 
 
 class _RationalReading:
     """The kernel's primitives at rational q = a/b (lowest terms, b > 0):
     plain ints, and one Fraction at the end.
 
-    A binomial 1 + s q^e is (b^e + s a^e) / b^e, or (a^-e + s b^-e) / a^-e
-    for e < 0; it is kept as its integer numerator and its exponent, and
-    "times a binomial" multiplies by the numerator alone.  total and den
-    take the same binomials in the loop, so the dropped denominators g
-    cancel in their ratio, provided each added term c q^e den is scaled by
-    the g of the binomial just multiplied in, and by one common S = L
-    a^low b^top (L the lcm of the coefficients' denominators, top the
-    largest exponent and low the largest negated one, both at least 0),
-    which makes c q^e S the integer c L a^(e+low) b^(top-e).  The dropped
-    g of the prefactors are counted as net powers of b (and of a), and go
-    into the final Fraction with S.
+    A binomial 1 + s q^e (e > 0) is (b^e + s a^e) / b^e; it is kept as its
+    integer numerator and its exponent, and "times a binomial" multiplies
+    by the numerator alone.  total and den take the same binomials in the
+    loop, so the dropped denominators b^e cancel in their ratio, provided
+    each added term c q^e den is multiplied by the b^e of the binomial just
+    multiplied in, and by one common S = a^low b^top (top the largest
+    exponent and low the largest negated one, both at least 0), which makes
+    c q^e S the integer c a^(e+low) b^(top-e).  The dropped b^e of the
+    prefactors are counted as a net power of b, and go into the final
+    Fraction with S.
     """
 
     def __init__(self, q: QDescriptor, numerators: list[dict], prefactor):
@@ -338,9 +332,7 @@ class _RationalReading:
         exponents = [self._exponent(e) for num in numerators for e, c in num.items() if c]
         self.top = max([0] + exponents)
         self.low = max([0] + [-e for e in exponents])
-        self.scale = math.lcm(*(c.denominator for num in numerators
-                                for c in num.values() if c))
-        self.net_a = self.net_b = 0   # the dropped g, as powers of a and b
+        self.net_b = 0   # the dropped b^e, as a power of b
 
     def _exponent(self, e) -> int:
         """e as an int, with qpow's ValueError for a fractional e, and
@@ -351,28 +343,21 @@ class _RationalReading:
         return e
 
     def binomial(self, s: int, e) -> tuple[int, int]:
-        e = self._exponent(e)
-        if e >= 0:
-            return self.b ** e + s * self.a ** e, e
-        return self.a ** -e + s * self.b ** -e, e
-
-    def _drop(self, e: int, power: int) -> None:
-        if e >= 0:
-            self.net_b += e * power
-        else:
-            self.net_a -= e * power
+        e = self.q.int_exponent(e)
+        return self.b ** e + s * self.a ** e, e
 
     def times(self, x: int, b: tuple[int, int], power: int = 1) -> int:
-        self._drop(b[1], power)
+        self.net_b += b[1] * power
         return x * b[0] ** power
 
     def den_times(self, den: int, b: tuple[int, int]) -> int:
-        self._drop(b[1], -1)
+        self.net_b -= b[1]
         return den * b[0]
 
     def add_terms(self, total: int, num: dict, den: int, d: tuple[int, int]) -> int:
-        """total + c q^e S g den, the sum over the terms c q^e S in one
-        homogeneous Horner sum from the highest exponent down."""
+        """total + c q^e S b^e' den (e' the exponent of d), the sum over the
+        terms c q^e S in one homogeneous Horner sum from the highest
+        exponent down."""
         terms = sorted(((int(e), c) for e, c in num.items() if c), reverse=True)
         if not terms:
             return total
@@ -382,56 +367,42 @@ class _RationalReading:
         for e, c in terms:
             gap = last - e
             b_pow *= b ** gap
-            acc = acc * a ** gap + c.numerator * (self.scale // c.denominator) * b_pow
+            acc = acc * a ** gap + c * b_pow
             last = e
-        e = d[1]
-        g = b ** e if e >= 0 else a ** -e
-        return total + acc * a ** (last + self.low) * b ** (self.top - first) * g * den
+        return total + acc * a ** (last + self.low) * b ** (self.top - first + d[1]) * den
 
     def divide(self, total: int, den: int, divisors) -> Fraction:
         for (b, e), m in divisors:
-            self._drop(e, -m)
+            self.net_b -= e * m
             den *= b ** m
-        den *= self.scale
-        for base, k in ((self.a, self.low + self.net_a), (self.b, self.top + self.net_b)):
-            if k >= 0:
-                den *= base ** k
-            else:
-                total *= base ** -k
-        return Fraction(total, den)
+        k = self.top + self.net_b   # S and the dropped b^e
+        return Fraction(total * self.b ** max(-k, 0),
+                        den * self.a ** self.low * self.b ** max(k, 0))
 
 
 class _SymbolicReading:
-    """The kernel's primitives at symbolic q: integer polynomials in w over
-    one common scale (the lcm of the numerators' denominators), shifted by
-    w^r when the exponents go down to -r, each one int sum c_i X^i at X =
-    2^B.  A binomial is (s, j), j the w-exponent: "times a binomial" is x + s
-    (x << jB), "add c q^e den" is c den << iB.  For j < 0 it is 1 + s w^-j,
-    as 1 + s w^j = s w^j (1 + s w^-j): a loop binomial's added terms take s
-    w^-j, a prefactor's s^p w^(jp) joins the scalar and the final w-power.
-    A binomial at most doubles the l1 norm, so B (a multiple of 8) keeps
-    2^(K + P) times that of the scaled numerators below X/2 (K of them, P
-    the positive prefactor powers).  den's binomials and the prefactor
-    divisors make one Phi-map (and a scalar) for the final division."""
+    """The kernel's primitives at symbolic q: integer polynomials in w,
+    times w^low when the exponents go down to -low, each one int sum c_i
+    X^i at X = 2^B.  A binomial is (s, j), j > 0 the w-exponent: "times a
+    binomial" is x + s (x << jB), "add c q^e den" is c den << iB.  A
+    binomial at most doubles the l1 norm, so B (a multiple of 8) keeps
+    2^(K + P) times that of the numerators below X/2 (K of them, P the
+    positive prefactor powers).  den's binomials and the prefactor divisors
+    make one Phi-map (and a sign) for the final division."""
 
     def __init__(self, q: QDescriptor, numerators: list[dict], prefactor):
         terms = [(e, c) for num in numerators for e, c in num.items() if c]
-        self.q, self.phis, self.scalar = q, {}, 1
-        self.shift = max([0] + [-e for e, _ in terms])
-        self.scale = math.lcm(*(c.denominator for _, c in terms))
-        self.w_power = q.w_exponent(self.shift)
-        for s, e, power in prefactor:
-            if q.w_exponent(e) < 0:
-                self.scalar *= s ** abs(power)
-                self.w_power -= q.w_exponent(e) * power
-        l1 = sum(abs(c.numerator) * (self.scale // c.denominator) for _, c in terms)
+        self.q, self.phis, self.sign = q, {}, 1
+        self.low = max([0] + [-e for e, _ in terms])
+        self.w_power = q.w_exponent(self.low)
+        l1 = sum(abs(c) for _, c in terms)
         doublings = len(numerators) + sum(power for _, _, power in prefactor if power > 0)
         self.bits = 8 * ((l1 << doublings).bit_length() // 8 + 1)
 
     def _record(self, b: tuple[int, int], power: int) -> None:
-        # j > 0: 1 - w^j = -prod_{d|j} Phi_d, 1 + w^j = prod_{d|2j, d not|j} Phi_d; else 1 + s
-        s, j = b[0], abs(b[1])
-        self.scalar *= s ** power if j else Fraction(1 + s) ** -power
+        # 1 - w^j = -prod_{d|j} Phi_d, 1 + w^j = prod_{d|2j, d not|j} Phi_d
+        s, j = b
+        self.sign *= s ** power
         for d in _divisors(j if s == -1 else 2 * j):
             if s == -1 or j % d:
                 self.phis[d] = self.phis.get(d, 0) + power
@@ -440,9 +411,9 @@ class _SymbolicReading:
         return s, self.q.w_exponent(e)
 
     def times(self, x: int, b: tuple[int, int], power: int = 1) -> int:
-        shift = abs(b[1]) * self.bits
+        jb = b[1] * self.bits
         for _ in range(power):
-            x = x + (x << shift) if b[0] > 0 else x - (x << shift)
+            x = x + (x << jb) if b[0] > 0 else x - (x << jb)
         return x
 
     def den_times(self, den: int, b: tuple[int, int]) -> int:
@@ -450,24 +421,17 @@ class _SymbolicReading:
         return self.times(den, b)
 
     def add_terms(self, total: int, num: dict, den: int, d: tuple[int, int]) -> int:
-        s, j = d
         for e, c in num.items():
             if c:
-                i = self.q.w_exponent(e + self.shift)
-                c = c.numerator * (self.scale // c.denominator)
-                if j < 0:
-                    i, c = i - j, s * c
-                total += c * den << i * self.bits
+                total += c * den << self.q.w_exponent(e + self.low) * self.bits
         return total
 
     def divide(self, total: int, den, divisors) -> RationalFunction:
         for b, m in divisors:
             self._record(b, m)
-        ints = _unpack(total, self.bits // 8, abs(total).bit_length() // self.bits + 2)
-        # a negative power of w in the denominator multiplies the numerator
-        num = Polynomial._make([0] * -self.w_power + ints, self.scale)
-        return reduce_cyclotomic_fraction(num * self.scalar, self.phis, self.q.root_order,
-                                          max(self.w_power, 0))
+        ints = _unpack(self.sign * total, self.bits // 8, abs(total).bit_length() // self.bits + 2)
+        return reduce_cyclotomic_fraction(Polynomial._make(ints, 1), self.phis,
+                                          self.q.root_order, self.w_power)
 
 
 _READINGS = {"symbolic": _SymbolicReading, "rational": _RationalReading,
@@ -642,7 +606,7 @@ def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range, claim=None):
     """
     q = spec.q.q_padic
     p, big_q, n, a = q.p, q.unit, f.n, q.prec
-    signs = (1,) if f.chi is None else tuple(int(s) for s in f.chi)
+    signs = f.chi or (1,)
     size, offset = len(signs), reps.start % len(signs)
     # a level can hold more than sys.maxsize representatives, past len()
     count, extra = divmod(reps.stop - reps.start, size)
@@ -804,9 +768,10 @@ def fermionic_power_moment(i: int, q: QDescriptor):
 class BracketPower:
     """The integrand j -> chi(j) * [shift + j]^n.
 
-    ``chi`` is a table of character values indexed by j modulo its length,
-    or None for the untwisted power; its values must be 0 or +-1 in every
-    mode (higher-order twists go through the closed form of ``k_chi``).
+    ``chi`` is a nonempty table of character values indexed by j modulo
+    its length, or None for the untwisted power; its values must be 0 or
+    +-1 in every mode (higher-order twists go through the closed form of
+    ``k_chi``), and are stored as ints, the kernel's coefficients.
     Instances are immutable data, not callables: it is the one integrand
     type of :func:`riemann_sum` and :func:`integrate`, which read its fields
     as n + 1 geometric series in every reading of q.
@@ -818,11 +783,15 @@ class BracketPower:
                  chi: tuple | None = None):
         if n < 0:
             raise ValueError("exponent must be nonnegative")
-        if chi is not None and any(v not in (0, 1, -1) for v in chi):
-            raise ValueError(
-                "twisted integrands need character values in {0, +-1}; "
-                "higher-order twists are computed by the closed form of "
-                "k_chi at symbolic or rational q")
+        if chi is not None:
+            if not chi:
+                raise ValueError("a character table needs at least one value")
+            if any(v not in (0, 1, -1) for v in chi):
+                raise ValueError(
+                    "twisted integrands need character values in {0, +-1}; "
+                    "higher-order twists are computed by the closed form of "
+                    "k_chi at symbolic or rational q")
+            chi = tuple(int(v) for v in chi)
         shift = Fraction(shift)
         if n:
             q.qpow(shift)  # raises unless q^shift lives in q's field

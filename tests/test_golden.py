@@ -86,6 +86,12 @@ def commands() -> list[str]:
     out += ["polynomials --kind beta_poly --n 0..8 --x 2 --q padic:5:6:32",
             "polynomials --kind K_poly --n 0..8 --x -3 --q padic:3:4:32",
             "polynomials --kind beta_poly --n 0..6 --x -1 --q 2/5"]
+    # low-precision p-adic closed forms, where the kernel's final division
+    # sets the digits claimed
+    out += ["numbers --kind K --n 0..8 --q padic:7:50:3",
+            "polynomials --kind K_poly --n 0..6 --x -3 --q padic:3:4:6",
+            "numbers --kind K_chi --n 0..4 --chi 5:2 --q padic:3:10:5",
+            "polynomials --kind beta_poly --n 0..8 --x -2 --q padic:5:26:6"]
     return out
 
 

@@ -212,7 +212,7 @@ def test_kernel_halves_agree_on_twisted_sums(x):
     d = x.denominator
     chi = make_character(5, (2,))  # the quadratic character mod 5
     cases = [(m, (1,) * m) for m in (1, 3, 5)]
-    cases.append((5, tuple(character_value(chi, a) for a in range(5))))
+    cases.append((5, tuple(int(character_value(chi, a)) for a in range(5))))
     for t in KERNEL_TS:
         for n in range(9):
             for m, weights in cases:
@@ -298,10 +298,11 @@ def test_kernel_halves_agree_on_ball_sums():
 
 
 def test_kernel_halves_agree_on_rational_coefficients():
-    # coefficients with denominators, a squared prefactor and negative
-    # exponents; with w = t the symbolic q^e is t^(2e), so the rational
-    # reading at q = t takes the doubled exponents and step
-    numerators = [{F(1, 2): F(1, 3), F(-3, 2): F(-5, 7)}, {}, {F(2): F(4, 9)}]
+    # both halves refuse a rational coefficient; with int ones, rational and
+    # negative exponents and a squared prefactor they agree: with w = t the
+    # symbolic q^e is t^(2e), so the rational reading at q = t takes the
+    # doubled exponents and step
+    numerators = [{F(1, 2): 3, F(-3, 2): -5}, {}, {F(2): 4}]
     prefactor = [(1, 1, 2), (-1, 3, -1), (1, 2, 0)]
     doubled = [{2 * e: c for e, c in num.items()} for num in numerators]
     doubled_prefactor = [(s, 2 * e, power) for s, e, power in prefactor]
@@ -309,6 +310,9 @@ def test_kernel_halves_agree_on_rational_coefficients():
         want = binomial_fraction_sum(sym(2), numerators, -1, 2, prefactor).evaluate(t)
         got = binomial_fraction_sum(QDescriptor.rational(t), doubled, -1, 4, doubled_prefactor)
         assert got == want
+    for qd, num in ((sym(2), numerators), (QDescriptor.rational(2), doubled)):
+        with pytest.raises(ValueError, match="int coefficients"):
+            binomial_fraction_sum(qd, num + [{0: F(1, 3)}], -1, 4, [])
 
 
 def _exponents(root):
@@ -324,8 +328,8 @@ def test_kernel_symbolic_at_w_matches_rational_reading(root, sign, r, data):
     # (the symbolic reading shifts them by w^r): the symbolic value at w = r
     # equals the rational reading at q = r^D, taken at q = r with every
     # exponent scaled by D, and directly when every exponent is an integer
-    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-    numerators = data.draw(st.lists(st.dictionaries(_exponents(root), coeffs, max_size=3),
+    numerators = data.draw(st.lists(st.dictionaries(_exponents(root), st.integers(-5, 5),
+                                                    max_size=3),
                                     min_size=1, max_size=5))
     step = F(data.draw(st.integers(1, 4)), root)
     prefactor = data.draw(st.lists(st.tuples(st.sampled_from((1, -1)),
@@ -349,18 +353,15 @@ def _as_list(x):
 
 class _ListReading:
     """The symbolic reading on integer coefficient lists, one shift-add per
-    binomial, for binomial exponents j >= 0: the reference that the packed
-    reading must equal exactly."""
+    binomial: the reference that the packed reading must equal exactly."""
 
     def __init__(self, q, numerators, prefactor):
-        terms = [(e, c) for num in numerators for e, c in num.items() if c]
-        self.q, self.phis, self.scalar = q, {}, 1
-        self.shift = max([0] + [-e for e, _ in terms])
-        self.scale = math.lcm(*(c.denominator for _, c in terms))
+        self.q, self.phis, self.sign = q, {}, 1
+        self.shift = max([0] + [-e for num in numerators for e, c in num.items() if c])
 
     def _record(self, b, power):
         s, j = b
-        self.scalar *= s ** power if j else F(1 + s) ** -power
+        self.sign *= s ** power
         for d in algebra._divisors(j if s == -1 else 2 * j):
             if s == -1 or j % d:
                 self.phis[d] = self.phis.get(d, 0) + power
@@ -384,7 +385,6 @@ class _ListReading:
             if c:
                 i = self.q.w_exponent(e + self.shift)
                 total += [0] * (i + len(den) - len(total))
-                c = c.numerator * (self.scale // c.denominator)
                 for k, x in enumerate(den):
                     total[i + k] += c * x
         return total
@@ -392,23 +392,24 @@ class _ListReading:
     def divide(self, total, den, divisors):
         for b, m in divisors:
             self._record(b, m)
-        num = Polynomial._make(_as_list(total), self.scale) * self.scalar
+        num = Polynomial._make(_as_list(total), 1) * self.sign
         return reduce_cyclotomic_fraction(num, self.phis, self.q.root_order,
                                           self.q.w_exponent(self.shift))
 
 
 @st.composite
 def _kernel_cases(draw):
-    """(root order, numerators, loop sign, step, prefactor) with exponents in
-    (1/D) Z from -3 to 12, steps of either sign, j = 0 prefactors and zero
-    coefficients."""
+    """(root order, numerators, loop sign, step, prefactor) with numerator
+    exponents in (1/D) Z from -3 to 12, binomial exponents in (1/D) Z from
+    1/D to 12, and int coefficients, zero ones included."""
     root = draw(st.sampled_from((1, 2, 3)))
     exponent = st.integers(-3 * root, 12 * root).map(lambda k: F(k, root))
-    coeffs = st.just(F(0)) | st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    coeffs = st.just(0) | st.integers(-5, 5)
     numerators = draw(st.lists(st.dictionaries(exponent, coeffs, max_size=3),
                                min_size=1, max_size=5))
-    step = F(draw(st.integers(1, 4)) * draw(st.sampled_from((1, -1))), root)
-    prefactor = draw(st.lists(st.tuples(st.sampled_from((1, -1)), exponent,
+    step = F(draw(st.integers(1, 4)), root)
+    prefactor = draw(st.lists(st.tuples(st.sampled_from((1, -1)),
+                                        st.integers(1, 12 * root).map(lambda k: F(k, root)),
                                         st.integers(-3, 3)), max_size=3))
     return root, numerators, draw(st.sampled_from((1, -1))), step, prefactor
 
@@ -421,29 +422,24 @@ def _outcome(compute):
 
 
 # 40 numerators with coefficients near 2^60 and 1 + w^j binomials, so every
-# coefficient of the sum has one sign; one numerator times a j = 0 prefactor
-# puts the whole l1 norm in one coefficient, which then needs the width's
-# last byte
-_BIG = [{0: F(2 ** 60 - k)} for k in range(40)]
+# coefficient of the sum has one sign
+_BIG = [{0: 2 ** 60 - k} for k in range(40)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_kernel_cases(),
        r=st.sampled_from((F(2), F(-2), F(3), F(1, 2), F(-1, 3), F(5, 7), F(-4, 3))))
-@example(case=(1, _BIG, 1, F(1), [(1, 0, 3)]), r=F(2))
-@example(case=(1, [{0: F(2 ** 60 - 1)}], 1, F(1), [(1, 0, 2)]), r=F(2))
-@example(case=(1, _BIG, 1, F(1), [(1, 1, 3), (1, 0, 2)]), r=F(-1, 3))
-@example(case=(2, [{F(k, 2): F((-1) ** k * (2 ** 60 - k))} for k in range(40)], -1, F(-3, 2),
-               [(1, F(-1, 2), 3), (-1, 2, -3)]), r=F(5, 7))
-@example(case=(1, [{0: F(1)}], 1, F(1), [(1, -1, 1)]), r=F(2))
-@example(case=(1, [{0: F(1)}], 1, F(1), [(1, -2, -1)]), r=F(2))
-@example(case=(1, [{0: F(1)}, {1: F(1)}], 1, F(-1), []), r=F(2))
-@example(case=(1, [{0: F(1)}, {}], -1, F(2), [(-1, 0, -1)]), r=F(3))
+@example(case=(1, _BIG, 1, F(1), [(1, 1, 3)]), r=F(2))
+@example(case=(1, [{0: 2 ** 60 - 1}], 1, F(1), [(1, 1, 2)]), r=F(2))
+@example(case=(1, _BIG, 1, F(1), [(1, 1, 3), (1, 2, 2)]), r=F(-1, 3))
+@example(case=(2, [{F(k, 2): (-1) ** k * (2 ** 60 - k)} for k in range(40)], -1, F(3, 2),
+               [(1, F(1, 2), 3), (-1, 2, -3)]), r=F(5, 7))
+@example(case=(1, [{0: 1}, {}], -1, F(2), [(-1, 1, -1)]), r=F(3))
+@example(case=(1, [{}, {}], 1, F(1), [(1, 1, -1)]), r=F(2))
 def test_packed_symbolic_reading_matches_the_rational_and_list_readings(case, r):
     # the packed symbolic value at w = r is the rational reading at q = r^D
     # (taken at q = r with every exponent scaled by D), or both raise the
-    # same error; with no negative binomial exponent it is exactly the value
-    # of the list reading
+    # same error, and it is exactly the value of the list reading
     root, numerators, sign, step, prefactor = case
     packed = _outcome(lambda: binomial_fraction_sum(sym(root), numerators, sign, step,
                                                     prefactor))
@@ -453,14 +449,13 @@ def test_packed_symbolic_reading_matches_the_rational_and_list_readings(case, r)
                                                   root * step, scaled_prefactor))
     got = _outcome(lambda: packed.evaluate(r)) if isinstance(packed, RationalFunction) else packed
     assert got == want
-    if step > 0 and all(e >= 0 for _, e, _ in prefactor):
-        with unittest.mock.patch.dict(qmeasure._READINGS, symbolic=_ListReading):
-            listed = _outcome(lambda: binomial_fraction_sum(sym(root), numerators, sign, step,
-                                                            prefactor))
-        assert type(listed) is type(packed)
-        if isinstance(packed, RationalFunction):
-            assert (listed.num, listed.w_exp, listed.phis, listed.root_order) == (
-                packed.num, packed.w_exp, packed.phis, packed.root_order)
+    with unittest.mock.patch.dict(qmeasure._READINGS, symbolic=_ListReading):
+        listed = _outcome(lambda: binomial_fraction_sum(sym(root), numerators, sign, step,
+                                                        prefactor))
+    assert type(listed) is type(packed)
+    if isinstance(packed, RationalFunction):
+        assert (listed.num, listed.w_exp, listed.phis, listed.root_order) == (
+            packed.num, packed.w_exp, packed.phis, packed.root_order)
 
 
 def test_the_symbolic_reading_takes_no_list_primitive():
@@ -1288,4 +1283,14 @@ def test_parse_integrand_rejects_unknown():
 def test_twisted_integrands_need_values_in_zero_and_plus_minus_one(qd):
     with pytest.raises(ValueError, match=r"character values in \{0, \+-1\}"):
         parse_integrand("char_twisted:2:5:1", qd)  # order 4
-    assert parse_integrand("char_twisted:0:5:2", qd).chi == (0, 1, -1, -1, 1)  # quadratic
+    table = parse_integrand("char_twisted:0:5:2", qd).chi   # quadratic, stored as ints
+    assert table == (0, 1, -1, -1, 1) and all(type(v) is int for v in table)
+
+
+@pytest.mark.parametrize("qd", [sym(), QDescriptor.rational(F(2, 5)), padic_q()],
+                         ids=["symbolic", "rational", "padic"])
+def test_an_empty_character_table_is_refused(qd):
+    # an empty table has no period: integrate would look for its p-free
+    # part forever, and a level sum would divide by its length 0
+    with pytest.raises(ValueError, match="at least one value"):
+        BracketPower(qd, 2, 0, ())
