@@ -653,7 +653,7 @@ class RationalFunction:
     def w_power(cls, k: int, root_order: int = 1) -> RationalFunction:
         """w**k as an element (negative k gives 1/w**(-k))."""
         if k >= 0:
-            return cls._make(Polynomial.monomial(k), 0, (), root_order)
+            return cls._make(Polynomial._reduced((0,) * k + (1,), 1), 0, (), root_order)
         return cls._make(Polynomial((1,)), -k, (), root_order)
 
     @property
@@ -667,15 +667,15 @@ class RationalFunction:
 
     # -- root-order handling ------------------------------------------------
 
-    def rebase_root_order(self, new_order: int) -> RationalFunction:
-        """Reinterpret the element at a finer root order (a multiple of the
-        current one): substitutes w -> w**(new/old).  Phi_d(w^p) is Phi_pd
-        when the prime p divides d and Phi_pd Phi_d otherwise.  Coprimality
-        survives the substitution, so no re-reduction is needed."""
-        if new_order % self.root_order != 0:
-            raise RootOrderMismatch(
-                f"cannot rebase root order {self.root_order} to {new_order}")
-        k = new_order // self.root_order
+    def substitute(self, k: int) -> RationalFunction:
+        """f(w**k) at the same root order, so q -> q**k (k >= 1).  Phi_d(w^p)
+        is Phi_pd when the prime p divides d and Phi_pd Phi_d otherwise.
+        Coprimality survives the substitution, so no re-reduction is needed.
+
+        >>> print(RationalFunction(Polynomial([1]), Polynomial([1, 1])).substitute(3))
+        (1)/(1 + q^3)
+        """
+        num = self.num.substitute_power(k)   # ValueError for k < 1
         if k == 1:
             return self
         phis = dict(self.phis)
@@ -686,8 +686,16 @@ class RationalFunction:
                 if d % p:
                     rebased[d] = rebased.get(d, 0) + e
             phis = rebased
-        return RationalFunction._make(self.num.substitute_power(k), self.w_exp * k,
-                                      _phi_map(phis), new_order)
+        return RationalFunction._make(num, self.w_exp * k, _phi_map(phis), self.root_order)
+
+    def rebase_root_order(self, new_order: int) -> RationalFunction:
+        """Reinterpret the element at a finer root order (a multiple of the
+        current one): :meth:`substitute` w -> w**(new/old), relabelled."""
+        if new_order % self.root_order != 0:
+            raise RootOrderMismatch(
+                f"cannot rebase root order {self.root_order} to {new_order}")
+        f = self.substitute(new_order // self.root_order)
+        return RationalFunction._make(f.num, f.w_exp, f.phis, new_order)
 
     def _coerce(self, other) -> tuple[RationalFunction, RationalFunction] | None:
         if not isinstance(other, RationalFunction):
@@ -752,10 +760,10 @@ class RationalFunction:
         a, b = pair
         if a.is_zero or b.is_zero:
             return RationalFunction.constant(0, a.root_order)
-        # a Phi_d or w of one side can only cancel against the other's numerator
+        # a Phi_d of one side can only divide the other's numerator, if that is not c w^k
         pa, pb = dict(a.phis), dict(b.phis)
-        screen = {d: e for d, e in a.phis if d not in pb} if b.num.degree > 0 else {}
-        if a.num.degree > 0:
+        screen = {d: e for d, e in a.phis if d not in pb} if any(b.num.ints[:-1]) else {}
+        if any(a.num.ints[:-1]):
             screen.update((d, e) for d, e in b.phis if d not in pa)
         for d, e in b.phis:
             pa[d] = pa.get(d, 0) + e
@@ -787,8 +795,8 @@ class RationalFunction:
         return self.reciprocal() * other
 
     def __pow__(self, n: int) -> RationalFunction:
-        if n == 0:
-            return RationalFunction.constant(1, self.root_order)
+        if n in (0, 1):
+            return self if n else RationalFunction.constant(1, self.root_order)
         base, n = (self, n) if n > 0 else (self.reciprocal(), -n)
         # powers of a reduced fraction stay reduced
         return RationalFunction._make(base.num ** n, base.w_exp * n,

@@ -210,14 +210,17 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     d, "times a binomial", "add c q^e den" (told the binomial just
     multiplied in) and the final division, runs on plain ints from total =
     0 and den = 1, and makes one value at the end: a reduced rational
-    function, a Fraction or a PadicNumber.  A numeric q raises
-    ZeroDivisionError where a binomial vanishes at q (at p-adic q: is zero
-    at precision), and at q = 0 with a negative exponent.
+    function, a Fraction or a PadicNumber.  At symbolic q it runs in the
+    coarsest u = w^g the exponents allow, and applies the prefactors that
+    are no binomials in u, then the offset w^m, after its one reduction
+    (:class:`_SymbolicReading`).  A numeric q raises ZeroDivisionError
+    where a binomial vanishes at q (at p-adic q: is zero at precision),
+    and at q = 0 with a negative exponent.
     """
     if not numerators or step <= 0 or any(e <= 0 for _, e, _ in prefactor) or not all(
             isinstance(c, int) for num in numerators for c in num.values()):
         raise ValueError("the kernel needs numerators, int coefficients and binomial exponents > 0")
-    reading = _READINGS[q.mode](q, numerators, prefactor)
+    reading = _READINGS[q.mode](q, numerators, step, prefactor)
     total, den = 0, 1
     for k, num in enumerate(numerators):
         d = reading.binomial(sign, step * (k + 1))
@@ -245,7 +248,7 @@ class _PadicReading:
     final division, PadicNumber's / on residues, makes the one PadicNumber.
     """
 
-    def __init__(self, q: QDescriptor, numerators: list[dict], prefactor):
+    def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor):
         self.q, self.p, self.A, self.qpows = q, q.prime, q.q_padic.prec, {}
 
     def _read(self, x: int, a: int) -> tuple[int, int, int]:
@@ -327,7 +330,7 @@ class _RationalReading:
     Fraction with S.
     """
 
-    def __init__(self, q: QDescriptor, numerators: list[dict], prefactor):
+    def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor):
         self.q, self.a, self.b = q, q.q_rational.numerator, q.q_rational.denominator
         exponents = [self._exponent(e) for num in numerators for e, c in num.items() if c]
         self.top = max([0] + exponents)
@@ -381,27 +384,35 @@ class _RationalReading:
 
 
 class _SymbolicReading:
-    """The kernel's primitives at symbolic q: integer polynomials in w,
-    times w^low when the exponents go down to -low, each one int sum c_i
-    X^i at X = 2^B.  A binomial is (s, j), j > 0 the w-exponent: "times a
-    binomial" is x + s (x << jB), "add c q^e den" is c den << iB.  A
-    binomial at most doubles the l1 norm, so B (a multiple of 8) keeps
-    2^(K + P) times that of the numerators below X/2 (K of them, P the
-    positive prefactor powers).  den's binomials and the prefactor divisors
-    make one Phi-map (and a sign) for the final division."""
+    """The kernel's primitives at symbolic q, in the coarsest variable u =
+    w^g: m is the least numerator w-exponent, and g the gcd of the step's
+    w-exponent and every numerator w-exponent less m.  The sum is w^r u^-low
+    (r = m mod g, low = max(0, (r - m)/g)) times integer polynomials in u,
+    each one int sum c_i X^i at X = 2^B.  A binomial is (s, j), j > 0 the
+    w-exponent: "times a binomial" is x + s (x << jB/g), "add c q^e den" is
+    c den << iB.  A binomial at most doubles the l1 norm, so B (a multiple
+    of 8) keeps 2^(K + P) times that of the numerators below X/2 (K of
+    them, P the positive prefactor powers).  den's binomials and the
+    prefactor divisors make one Phi-map in u (and a sign) for the one
+    reduction, then substituted u = w^g.  A prefactor binomial with g not
+    dividing j is deferred to the field after that, and w^r comes last: a
+    power of w cancels no Phi_d.  At g = 1 nothing is deferred and r = 0."""
 
-    def __init__(self, q: QDescriptor, numerators: list[dict], prefactor):
+    def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor):
         terms = [(e, c) for num in numerators for e, c in num.items() if c]
-        self.q, self.phis, self.sign = q, {}, 1
-        self.low = max([0] + [-e for e, _ in terms])
-        self.w_power = q.w_exponent(self.low)
+        w = {e: q.w_exponent(e) for e, _ in terms}
+        m = min(w.values(), default=0)
+        self.g = math.gcd(q.w_exponent(step), *(x - m for x in w.values()))
+        self.r, self.low = m % self.g, max(0, -(m // self.g))
+        self.q, self.phis, self.sign, self.deferred = q, {}, 1, []
         l1 = sum(abs(c) for _, c in terms)
         doublings = len(numerators) + sum(power for _, _, power in prefactor if power > 0)
         self.bits = 8 * ((l1 << doublings).bit_length() // 8 + 1)
+        self.shifts = {e: ((x - self.r) // self.g + self.low) * self.bits for e, x in w.items()}
 
     def _record(self, b: tuple[int, int], power: int) -> None:
-        # 1 - w^j = -prod_{d|j} Phi_d, 1 + w^j = prod_{d|2j, d not|j} Phi_d
-        s, j = b
+        # 1 - u^j = -prod_{d|j} Phi_d, 1 + u^j = prod_{d|2j, d not|j} Phi_d
+        s, j = b[0], b[1] // self.g
         self.sign *= s ** power
         for d in _divisors(j if s == -1 else 2 * j):
             if s == -1 or j % d:
@@ -411,7 +422,10 @@ class _SymbolicReading:
         return s, self.q.w_exponent(e)
 
     def times(self, x: int, b: tuple[int, int], power: int = 1) -> int:
-        jb = b[1] * self.bits
+        if b[1] % self.g:
+            self.deferred.append((b, power))
+            return x
+        jb = b[1] // self.g * self.bits
         for _ in range(power):
             x = x + (x << jb) if b[0] > 0 else x - (x << jb)
         return x
@@ -423,15 +437,22 @@ class _SymbolicReading:
     def add_terms(self, total: int, num: dict, den: int, d: tuple[int, int]) -> int:
         for e, c in num.items():
             if c:
-                total += c * den << self.q.w_exponent(e + self.low) * self.bits
+                total += c * den << self.shifts[e]
         return total
 
     def divide(self, total: int, den, divisors) -> RationalFunction:
         for b, m in divisors:
-            self._record(b, m)
+            if b[1] % self.g:
+                self.deferred.append((b, -m))
+            else:
+                self._record(b, m)
         ints = _unpack(self.sign * total, self.bits // 8, abs(total).bit_length() // self.bits + 2)
-        return reduce_cyclotomic_fraction(Polynomial._make(ints, 1), self.phis,
-                                          self.q.root_order, self.w_power)
+        f = reduce_cyclotomic_fraction(Polynomial._make(ints, 1), self.phis, self.q.root_order,
+                                       self.low).substitute(self.g)
+        for (s, j), power in self.deferred:
+            b = Polynomial._make((1,) + (0,) * (j - 1) + (s,), 1)
+            f = f * RationalFunction._make(b, 0, (), self.q.root_order) ** power
+        return f * RationalFunction.w_power(self.r, self.q.root_order) if self.r else f
 
 
 _READINGS = {"symbolic": _SymbolicReading, "rational": _RationalReading,
@@ -477,16 +498,17 @@ def ball_measure(spec: MeasureSpec, a: int, n: int):
 
 
 def ball_measure_sum(spec: MeasureSpec, reps, n: int):
-    """Sum of ball measures over the given level-n representatives: the
+    """Sum of ball measures over the given int level-n representatives: the
     signed power sum over the level normalizer (1 -+ q^(d p^n)) / (1 -+ q),
-    with one division instead of one per ball, which keeps the exact
-    distribution/total-mass checks cheap."""
+    one kernel call.  At symbolic q its cost follows the representatives'
+    spread, not d p^n: the p children of a ball are p terms over 1 -+ u^p
+    in u = q^(d p^(n-1)), and one ball one term over 1 -+ u in u = q^(d p^n)."""
     size = spec.domain.level_size(n)
     fermionic = spec.kind == FERMIONIC
     coeffs: dict[int, int] = {}
     for a in reps:
-        if not 0 <= a < size:
-            raise ValueError(f"representative {a} out of range [0, {size})")
+        if not isinstance(a, int) or not 0 <= a < size:
+            raise ValueError(f"representative {a!r} out of range [0, {size})")
         coeffs[a] = coeffs.get(a, 0) + (-1 if fermionic and a % 2 else 1)
     sign = 1 if fermionic else -1
     return binomial_fraction_sum(spec.q, [coeffs], sign, size, [(sign, 1, 1)])

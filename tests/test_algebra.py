@@ -209,6 +209,33 @@ def test_rebase_commutes_with_evaluate(f, t, k):
     assert lifted.evaluate(t) == want
 
 
+def _value_or_pole(f, point):
+    try:
+        return f.evaluate(point)
+    except PoleError:
+        return PoleError
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_ratfuncs, r=st.fractions(-5, 5, max_denominator=5),
+       k=st.sampled_from((1, 2, 3, 4, 6, 12)))
+@example(f=R((1,), (1, -1)), r=F(-1), k=2)
+def test_substitute_is_evaluation_at_a_power_and_rebase_is_it_relabelled(f, r, k):
+    # f(w^k) at w = r is f at r^k (a pole on both sides agrees), at the same
+    # root order; rebasing to D k is that substitution, relabelled
+    substituted = f.substitute(k)
+    assert substituted.root_order == f.root_order
+    assert _value_or_pole(substituted, r) == _value_or_pole(f, r ** k)
+    rebased = f.rebase_root_order(f.root_order * k)
+    assert (rebased.num, rebased.w_exp, rebased.phis, rebased.root_order) == (
+        substituted.num, substituted.w_exp, substituted.phis, f.root_order * k)
+
+
+def test_substitute_needs_a_positive_power():
+    with pytest.raises(ValueError):
+        R((1,), (1, 1)).substitute(0)
+
+
 # ---------------------------------------------------------------------------
 # field laws on the cyclotomic subring
 # ---------------------------------------------------------------------------

@@ -92,6 +92,14 @@ def commands() -> list[str]:
             "polynomials --kind K_poly --n 0..6 --x -3 --q padic:3:4:6",
             "numbers --kind K_chi --n 0..4 --chi 5:2 --q padic:3:10:5",
             "polynomials --kind beta_poly --n 0..8 --x -2 --q padic:5:26:6"]
+    # symbolic closed forms at root order D > 1 with integral exponents,
+    # which the kernel reduces in u = w^D; x = -1 gives a negative offset
+    out += ["numbers --kind K --n 0..16 --q sym:3",
+            "numbers --kind beta --n 0..16 --q sym:2",
+            "polynomials --kind beta_poly --n 0..10 --x 2 --q sym:2",
+            "polynomials --kind K_poly --n 0..10 --x -1 --q sym:3",
+            "numbers --kind K_chi --n 0..4 --chi 7:1 --q sym:2",
+            "numbers --kind K_chi --n 0..4 --chi 5:1 --q sym:3"]
     return out
 
 

@@ -297,6 +297,40 @@ def test_kernel_halves_agree_on_ball_sums():
                     assert got == want.evaluate(t)
 
 
+@pytest.mark.parametrize("kind", (BOSONIC, FERMIONIC))
+def test_ball_sums_reduce_in_the_coarsest_variable(kind, monkeypatch):
+    # the five children of a level-5 ball over p = 5, d = 3 are five terms
+    # over 1 -+ u^5 in u = q^1875, not five terms among 46875: each packed
+    # value the symbolic reading unpacks has at most p + 1 coefficients
+    p, d, level = 5, 3, 5
+    domain, size = ProfiniteDomain(p, d), d * p ** level
+    spec = MeasureSpec(kind, sym(), domain)
+    counts, unpack = [], qmeasure._unpack
+    monkeypatch.setattr(qmeasure, "_unpack",
+                        lambda x, width, count: counts.append(count) or unpack(x, width, count))
+    for a in (0, 1, 4682, size - 1):
+        fine = ball_measure_sum(spec, [a + j * size for j in range(p)], level + 1)
+        assert counts and max(counts) <= p + 1
+        assert fine == ball_measure(spec, a, level)
+        for t in KERNEL_TS:
+            rational = MeasureSpec(kind, QDescriptor.rational(t), domain)
+            assert fine.evaluate(t) == ball_measure_sum(
+                rational, [a + j * size for j in range(p)], level + 1)
+
+
+@pytest.mark.parametrize("qd", (sym(2), QDescriptor.rational(F(2, 5)), padic_q()),
+                         ids=("symbolic", "rational", "padic"))
+@pytest.mark.parametrize("rep", (F(1, 2), 1.0, F(1)), ids=("half", "float", "fraction-one"))
+def test_ball_sums_refuse_representatives_that_are_not_ints(qd, rep):
+    # a q^(1/2)-shifted "ball" at sym:2, a float read as the ball of 1:
+    # every reading refuses them as it refuses an out-of-range one
+    spec = MeasureSpec(BOSONIC, qd, ProfiniteDomain(5))
+    with pytest.raises(ValueError, match="out of range"):
+        ball_measure_sum(spec, [0, rep], 1)
+    with pytest.raises(ValueError, match="out of range"):
+        ball_measure(spec, rep, 1)
+
+
 def test_kernel_halves_agree_on_rational_coefficients():
     # both halves refuse a rational coefficient; with int ones, rational and
     # negative exponents and a squared prefactor they agree: with w = t the
@@ -355,7 +389,7 @@ class _ListReading:
     """The symbolic reading on integer coefficient lists, one shift-add per
     binomial: the reference that the packed reading must equal exactly."""
 
-    def __init__(self, q, numerators, prefactor):
+    def __init__(self, q, numerators, step, prefactor):
         self.q, self.phis, self.sign = q, {}, 1
         self.shift = max([0] + [-e for num in numerators for e, c in num.items() if c])
 
@@ -414,6 +448,26 @@ def _kernel_cases(draw):
     return root, numerators, draw(st.sampled_from((1, -1))), step, prefactor
 
 
+@st.composite
+def _coarse_kernel_cases(draw):
+    """Cases of :func:`_kernel_cases` that the packed reading runs in u =
+    w^g, g in {2, 3, 4}: numerator w-exponents m + g t with m of either
+    sign, a step that g divides, and one prefactor binomial inside u and
+    one outside, to the powers +-1 or +-2."""
+    root, g = draw(st.sampled_from((1, 2, 3))), draw(st.sampled_from((2, 3, 4)))
+    m = draw(st.integers(-2 * g, 2 * g))
+    exponent = st.integers(0, 5).map(lambda t: F(m + g * t, root))
+    numerators = draw(st.lists(st.dictionaries(exponent, st.integers(-5, 5), max_size=3),
+                               min_size=1, max_size=4))
+    step = F(g * draw(st.integers(1, 3)), root)
+    inside = g * draw(st.integers(1, 3))
+    outside = inside + draw(st.integers(1, g - 1)) - g * draw(st.integers(0, 1))
+    power = st.sampled_from((-2, -1, 1, 2))
+    prefactor = [(draw(st.sampled_from((1, -1))), F(e, root), draw(power))
+                 for e in draw(st.permutations([inside, outside]))]
+    return root, numerators, draw(st.sampled_from((1, -1))), step, prefactor
+
+
 def _outcome(compute):
     try:
         return compute()
@@ -427,7 +481,7 @@ _BIG = [{0: 2 ** 60 - k} for k in range(40)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_kernel_cases(),
+@given(case=_kernel_cases() | _coarse_kernel_cases(),
        r=st.sampled_from((F(2), F(-2), F(3), F(1, 2), F(-1, 3), F(5, 7), F(-4, 3))))
 @example(case=(1, _BIG, 1, F(1), [(1, 1, 3)]), r=F(2))
 @example(case=(1, [{0: 2 ** 60 - 1}], 1, F(1), [(1, 1, 2)]), r=F(2))
@@ -436,6 +490,8 @@ _BIG = [{0: 2 ** 60 - k} for k in range(40)]
                [(1, F(1, 2), 3), (-1, 2, -3)]), r=F(5, 7))
 @example(case=(1, [{0: 1}, {}], -1, F(2), [(-1, 1, -1)]), r=F(3))
 @example(case=(1, [{}, {}], 1, F(1), [(1, 1, -1)]), r=F(2))
+@example(case=(2, [{F(-5, 2): 3, F(1, 2): -1}, {F(7, 2): 2}], -1, F(3),
+               [(-1, 3, 2), (1, F(1, 2), -2)]), r=F(-1, 3))
 def test_packed_symbolic_reading_matches_the_rational_and_list_readings(case, r):
     # the packed symbolic value at w = r is the rational reading at q = r^D
     # (taken at q = r with every exponent scaled by D), or both raise the
