@@ -12,11 +12,13 @@ supports three readings: symbolic (a rational function of a D-th root of q),
 exact rational, and truncated p-adic.
 
 Every closed form of the package (the number and polynomial families, the
-twisted sums, the ball measures and the level-N Riemann sums at symbolic
-and rational q) is built from calls of :func:`binomial_fraction_sum`, all
-but the ball measures through :func:`geometric_sum`.  It runs on plain ints
-in all three readings of q, takes int coefficients and binomials 1 + s q^e
-with e > 0 only, and makes one value of the reading's field at the end.
+twisted sums, the ball measures and the level-N Riemann sums) is one call
+of :func:`geometric_sum` or :func:`ball_measure_sum`.  At symbolic and
+rational q that is one call of the kernel :func:`binomial_fraction_sum`,
+which runs on plain ints, takes int coefficients and binomials 1 + s q^e
+with e > 0 only, and makes one value of the reading's field at the end; at
+p-adic q one integer pass (:func:`_residue_sum`) that claims the digits its
+docstring proves and makes one PadicNumber.
 """
 
 from __future__ import annotations
@@ -191,32 +193,36 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
 
     ``numerators[k]`` maps q-exponents to int coefficients, and
     ``prefactor`` lists the (s, e, pw) factors.  Every closed form of the
-    package has this shape, a level-N Riemann sum at symbolic or rational q
-    included (:func:`riemann_sum`), and its denominators are products of
-    cyclotomic polynomials in w.  The contract is what :func:`geometric_sum`
-    and :func:`ball_measure_sum` pass: numerators with int coefficients, a
-    step and prefactor exponents > 0 (rational ones at symbolic q); else
+    package has this shape, a level-N Riemann sum included
+    (:func:`riemann_sum`), and its denominators are products of cyclotomic
+    polynomials in w.  The contract is what :func:`geometric_sum` and
+    :func:`ball_measure_sum` pass at symbolic and rational q (at p-adic q
+    they run :func:`_residue_sum`): numerators with int coefficients, a step
+    and prefactor exponents > 0 (rational ones at symbolic q); else
     ValueError.  The numerators' exponents may be negative or fractional.
 
     >>> binomial_fraction_sum(QDescriptor.rational(2), [{0: 1}], 1, 0)
     Traceback (most recent call last):
     ValueError: the kernel needs numerators, int coefficients and binomial exponents > 0
+    >>> binomial_fraction_sum(QDescriptor.padic(PadicNumber.from_rational(6, 5, 8)), [{0: 1}], 1, 1)
+    Traceback (most recent call last):
+    ValueError: the kernel reads symbolic and rational q only
 
-    One Horner loop serves every reading of q: with d_k = 1 + sign
-    q^(step (k+1)), total <- total d_k + c_k den and den <- den d_k; then
-    positive prefactor powers multiply total, and negative ones join the
-    final division.  Each reading (:class:`_SymbolicReading`,
-    :class:`_RationalReading`, :class:`_PadicReading`) gives the binomial
-    d, "times a binomial", "add c q^e den" (told the binomial just
-    multiplied in) and the final division, runs on plain ints from total =
-    0 and den = 1, and makes one value at the end: a reduced rational
-    function, a Fraction or a PadicNumber.  At symbolic q it runs in the
-    coarsest u = w^g the exponents allow, and applies the prefactors that
-    are no binomials in u, then the offset w^m, after its one reduction
-    (:class:`_SymbolicReading`).  A numeric q raises ZeroDivisionError
-    where a binomial vanishes at q (at p-adic q: is zero at precision),
-    and at q = 0 with a negative exponent.
+    One Horner loop serves both readings: with d_k = 1 + sign q^(step
+    (k+1)), total <- total d_k + c_k den and den <- den d_k; then positive
+    prefactor powers multiply total, and negative ones join the final
+    division.  Each reading (:class:`_SymbolicReading`,
+    :class:`_RationalReading`) gives the binomial d, "times a binomial",
+    "add c q^e den" (told the binomial just multiplied in) and the final
+    division on plain ints from total = 0 and den = 1, and makes one reduced
+    rational function or Fraction.  At symbolic q it runs in the coarsest u
+    = w^g the exponents allow, and applies the prefactors that are no
+    binomials in u, then the offset w^m, after its one reduction.  A
+    rational q raises ZeroDivisionError where a binomial vanishes at q, and
+    at q = 0 with a negative exponent.
     """
+    if q.mode == "padic":
+        raise ValueError("the kernel reads symbolic and rational q only")
     if not numerators or step <= 0 or any(e <= 0 for _, e, _ in prefactor) or not all(
             isinstance(c, int) for num in numerators for c in num.values()):
         raise ValueError("the kernel needs numerators, int coefficients and binomial exponents > 0")
@@ -233,85 +239,6 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
         elif power < 0:
             divisors.append((reading.binomial(s, e), -power))
     return reading.divide(total, den, divisors)
-
-
-class _PadicReading:
-    """The kernel's primitives at p-adic q: integer residues under the
-    precision rules that :class:`PadicNumber`'s docstring reads on residues,
-    so every value and every ZeroDivisionError is the one the field's chain
-    of operations gives.
-
-    A value is (x, v, a): the residue x, known mod p^a, and the valuation v
-    read off it (v = a is zero-at-precision).  The loop's exact ints 0 and
-    1 stay ints until they meet such a value, which lifts them as
-    PadicNumber._coerce does.  Each q^e mod p^A is computed once a call; the
-    final division, PadicNumber's / on residues, makes the one PadicNumber.
-    """
-
-    def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor):
-        self.q, self.p, self.A, self.qpows = q, q.prime, q.q_padic.prec, {}
-
-    def _read(self, x: int, a: int) -> tuple[int, int, int]:
-        """The value x known mod p^a."""
-        x %= self.p ** a
-        return (x, _int_valuation(x, self.p), a) if x else (0, a, a)
-
-    def _qpow(self, e) -> int:
-        e = self.q.int_exponent(e)
-        if e not in self.qpows:
-            self.qpows[e] = pow(self.q.q_padic.unit, e, self.p ** self.A)
-        return self.qpows[e]
-
-    def _element(self, terms: dict):
-        """sum c q^e over the terms, the int 0 when every c is 0."""
-        x = g = 0
-        for e, c in terms.items():
-            if c:
-                x, g = x + c * self._qpow(e), math.gcd(g, c)
-        return self._read(x, self.A + _int_valuation(g, self.p)) if g else 0
-
-    def _mul(self, x, y):
-        if type(y) is int:
-            x, y = y, x
-        if type(x) is int:   # 1 y is y, and 0 y is zero at precision v + a of y
-            if x == 1 or type(y) is int:
-                return y if x == 1 else 0
-            return 0, y[1] + y[2], y[1] + y[2]
-        v = x[1] + y[1]
-        a = v + min(x[2] - x[1], y[2] - y[1])
-        return (x[0] * y[0] % self.p ** a, v, a) if a > v else (0, v, v)
-
-    den_times = _mul
-
-    def _pow(self, b, m: int):
-        """b^m, the value m products of b give."""
-        x, v, a = b
-        return pow(x, m, self.p ** (a + (m - 1) * v)), m * v, a + (m - 1) * v
-
-    def binomial(self, s: int, e):
-        return self._read(1 + s * self._qpow(e), self.A)
-
-    def times(self, x, b, power: int = 1):
-        return self._mul(x, b if power == 1 else self._pow(b, power))
-
-    def add_terms(self, total, num: dict, den, d):
-        y = self._mul(self._element(num), den)
-        if type(total) is int or type(y) is int:   # an exact 0 adds nothing
-            return y if type(total) is int else total
-        return self._read(total[0] + y[0], min(total[2], y[2]))
-
-    def divide(self, total, den, divisors):
-        """total / (den prod b^m), as PadicNumber's / divides."""
-        for d, m in divisors:
-            den = self._mul(den, self._pow(d, m))
-        (x, v, a), (y, w, b) = total, den
-        if w == b:
-            raise ZeroDivisionError("division by zero-at-precision")
-        if v == a:
-            return PadicNumber.zero_at_precision(self.p, v - w)
-        prec = min(a - v, b - w)
-        unit = x // self.p ** v * _unit_inverse(y // self.p ** w, self.p, prec) % self.p ** prec
-        return PadicNumber._normalised(self.p, v - w, unit, prec)
 
 
 class _RationalReading:
@@ -455,8 +382,7 @@ class _SymbolicReading:
         return f * RationalFunction.w_power(self.r, self.q.root_order) if self.r else f
 
 
-_READINGS = {"symbolic": _SymbolicReading, "rational": _RationalReading,
-             "padic": _PadicReading}
+_READINGS = {"symbolic": _SymbolicReading, "rational": _RationalReading}
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +428,9 @@ def ball_measure_sum(spec: MeasureSpec, reps, n: int):
     signed power sum over the level normalizer (1 -+ q^(d p^n)) / (1 -+ q),
     one kernel call.  At symbolic q its cost follows the representatives'
     spread, not d p^n: the p children of a ball are p terms over 1 -+ u^p
-    in u = q^(d p^(n-1)), and one ball one term over 1 -+ u in u = q^(d p^n)."""
+    in u = q^(d p^(n-1)), and one ball one term over 1 -+ u in u = q^(d p^n).
+    At p-adic q the sum S = sum c_a Q^a, known mod p^(A + v_p(gcd c_a)),
+    takes the level pass's normalizer division (:func:`_over_normaliser`)."""
     size = spec.domain.level_size(n)
     fermionic = spec.kind == FERMIONIC
     coeffs: dict[int, int] = {}
@@ -510,6 +438,13 @@ def ball_measure_sum(spec: MeasureSpec, reps, n: int):
         if not isinstance(a, int) or not 0 <= a < size:
             raise ValueError(f"representative {a!r} out of range [0, {size})")
         coeffs[a] = coeffs.get(a, 0) + (-1 if fermionic and a % 2 else 1)
+    if spec.q.mode == "padic":
+        q, g = spec.q.q_padic, math.gcd(*coeffs.values())
+        digits = q.prec + _int_valuation(g, q.p) if g else math.inf
+        mod = q.p ** (digits if g else 1)
+        total = sum(c * pow(q.unit, a, mod) for a, c in coeffs.items())
+        r_k = pow(-q.unit if fermionic else q.unit, size, q.p ** q.prec)
+        return _over_normaliser(spec.q, fermionic, r_k, total, 1, digits, 0)
     sign = 1 if fermionic else -1
     return binomial_fraction_sum(spec.q, [coeffs], sign, size, [(sign, 1, 1)])
 
@@ -518,9 +453,9 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
                   weights: tuple[int, ...], level: int | None = None):
     """sum_j weights[j] [x+j]^n against the measure of that kind, the table
     read periodically: over range(level) with its normalizer, or the p-adic
-    limit of those sums when ``level`` is None.  One
-    :func:`binomial_fraction_sum` call, behind every closed form of
-    :mod:`qnumbers` and every symbolic or rational :func:`riemann_sum`.
+    limit of those sums when ``level`` is None: one kernel call at symbolic
+    and rational q, one residue pass (:func:`_residue_sum`) at p-adic q,
+    behind every closed form of :mod:`qnumbers` and every :func:`riemann_sum`.
 
     With r = -1 (fermionic) or 1 (bosonic) and K = level, the binomial
     theorem [x+j]^n = (1 - q)^-n sum_k C(n,k) (-q^x)^k q^(jk) makes the sum
@@ -536,6 +471,8 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     term, under (-1, 1, 1 - n).  An integral x is made an int, so the
     exponents add as ints.
     """
+    if q.mode == "padic":
+        return _residue_sum(q, kind, n, x, weights, level)
     if not isinstance(x, int):
         x = Fraction(x)
         x = x.numerator if x.denominator == 1 else x
@@ -564,21 +501,17 @@ def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int):
     1; K = d p^n).
 
     ``f`` must be a :class:`BracketPower` taken at the spec's q (a symbolic
-    q at any root order); anything else raises ValueError.  The sum is exact
-    to the digits it claims: at p-adic q one integer pass with its
-    normalizer (:func:`_residue_sum`), at symbolic and rational q one
-    :func:`geometric_sum` at level K, whose docstring derives the closed
-    form.  A symbolic result is at the lcm of the two root orders (the
-    spec's own when chi vanishes on the level).  Rational q = -1 is the one
-    rational q where a divisor 1 - rho^l can vanish: there a bosonic sum
-    over an odd K (where [K] = 1) is the symbolic sum at w = -1, and the
-    normalizer vanishes (even K) or is 0/0 (fermionic): ZeroDivisionError.
+    q at any root order); anything else raises ValueError.  The sum is one
+    :func:`geometric_sum` at level K in every reading of q, exact to the
+    digits it claims at p-adic q.  A symbolic result is at the lcm of the
+    two root orders (the spec's own when chi vanishes on the level).  At
+    rational q = -1 a divisor 1 - rho^l can vanish: a bosonic sum over an
+    odd K (where [K] = 1) is the symbolic sum at w = -1, and the normalizer
+    vanishes (even K) or is 0/0 (fermionic): ZeroDivisionError.
     """
     _check_integrand(spec, f)
-    reps = ball_representatives(spec.domain, n)
-    if spec.q.mode == "padic":
-        return _residue_sum(spec, f, reps, math.inf)
-    table, size, q = (1,) if f.chi is None else f.chi, reps.stop, spec.q
+    size = ball_representatives(spec.domain, n).stop
+    table, q = (1,) if f.chi is None else f.chi, spec.q
     if q.mode == "symbolic" and any(table[:size]):
         q = QDescriptor.symbolic(math.lcm(q.root_order, f.q.root_order))
     elif q.q_rational == -1 and spec.kind == BOSONIC and size % 2:
@@ -595,85 +528,111 @@ def _check_integrand(spec: MeasureSpec, f) -> None:
         raise ValueError(f"the integrand is taken at {a!r}, the measure at {b!r}")
 
 
-def _residue_sum(spec: MeasureSpec, f: BracketPower, reps: range, claim=None):
-    """The p-adic sum of chi(j) [x+j]^n r^j (r = +-q) in plain ints.
+def _residue_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
+                 weights: tuple[int, ...], level: int | None = None, claim=math.inf):
+    """:func:`geometric_sum` at p-adic q in plain ints: sum_j weights[j]
+    [x+j]^n (r q)^j over j < level (r = -1 fermionic, else 1) times (1 - r
+    q) / (1 - (r q)^level) to ``claim`` digits (without that normalizer if
+    ``claim`` is None), or its p-adic limit when ``level`` is None.
 
-    With Q the integer unit of q, A its precision and t = v_p(1 - Q), the
-    result is the exact sum at Q reduced mod p^m, m the digits claimed:
-    A - t for n >= 1, since the bracket [x+j] = (1 - Q^(x+j)) / (1 - Q) is
-    known to A - t digits, and A for n = 0.  The weights chi need only be a
-    periodic table of integers.  f must take its bracket at the spec's q
-    (:func:`riemann_sum` and :func:`integrate` check it).  With a ``claim``,
-    reps is a level range(K), and the sum over (1 - r^K) / (1 - r) is
-    truncated to ``claim`` digits as PadicNumber's / and + zero_at_precision
-    do: it is known mod p^(min(m, h + A - w) + u - w), h, w, u the valuations
-    of the sum (m if 0), 1 - r^K, 1 - r, and w >= A raises ZeroDivisionError.
+    With Q the integer unit of q, A its precision, t = v_p(1 - Q), l =
+    len(weights), rho_k = r Q^(k+1) and level = M l + e, the sum is (1 -
+    Q)^-n sum_k C(n,k) (-Q^x)^k G_k, G_k = (V_k (1 - rho_k^(lM)) +
+    rho_k^(lM) E_k (1 - rho_k^l)) / (1 - rho_k^l), V_k and E_k the signed
+    sums of rho_k^j over the first l and the first e indices.  The limit
+    takes (1 - r Q) V_k / (1 - rho_k^l) for (1 - r Q) G_k / (1 - (r Q)^level),
+    times k + 1 if bosonic (:func:`geometric_sum`; a fermionic one needs l
+    odd, else ValueError).  That is O(n l + log M) modular operations.
 
-    The sum is n + 1 geometric series (:func:`geometric_sum`): (1 - Q)^-n
-    sum_k C(n,k) (-Q^x)^k G_k, G_k = sum_j chi(j) rho_k^j and rho_k = r Q^k
-    (r = +-Q).  With l = len(chi), reps from s and len(reps) = M l + e,
-    G_k = (V_k (1 - rho_k^(lM)) + rho_k^(lM) E_k (1 - rho_k^l)) / (1 - rho_k^l),
-    V_k and E_k the signed sums of rho_k^j over the first l and the first e
-    representatives.  That is O(n l + log M) modular operations.
+    Exactness.  By lifting the exponent (p odd, t >= 1), w_k = v_p(1 -
+    rho_k^l) is t + v_p(l (k+1)), or 0 for a fermionic sum with l odd.  Each
+    term is p^-s times a multiple of p^(w_k) over 1 - rho_k^l: G_k (1 -
+    rho_k^l) at a level (G_k is a p-adic integer), (1 + Q) V_k in the
+    fermionic limit, with s = 0, and p^s (k+1) (1 - Q) V_k in the bosonic
+    one, s = v_p(l).  Work mod p^(W + max_k w_k), W = m + n t + s, m the
+    digits computed: stripped of p^(w_k) the denominator is a unit and the
+    term known mod p^W.  Over one unit denominator and times ((1 - Q) /
+    p^t)^-n, the k-sum is p^(n t + s) times the value, so known to m digits.
 
-    Exactness.  Work mod p^W, W = m + n t + max_k w_k, w_k = v_p(1 -
-    rho_k^l).  G_k is a p-adic integer, so p^(w_k) divides the numerator;
-    stripped of p^(w_k) on both sides the denominator is a unit, and G_k is
-    known mod p^(W - w_k), at least mod p^(m + n t).  The k-sum, added over
-    one unit denominator, is (1 - Q)^n times a p-adic integer; stripped of
-    p^(n t) and over ((1 - Q) / p^t)^n it is the sum mod p^m, at the cost of
-    one inverse.  By lifting the exponent (p odd, t >= 1), w_k = t + v_p(l
-    (k+1)) where rho_k^l = Q^(l(k+1)), and w_k = 0 for a fermionic sum with
-    l odd, where 1 - rho_k^l = 2 mod p.
+    Claims.  A level sum is known to m = A - t digits for n >= 1, as [x+j]
+    is, and to m = A for n = 0; over its normalizer it is truncated as
+    PadicNumber's / and + zero_at_precision do (:func:`_over_normaliser`).
+    The fermionic limit claims the same m: the level-N sums claim m (their
+    normalizer is a unit) and are within p^N of the limit
+    (:func:`integrate`), so at N >= m the limits at Q and at any q' = Q mod
+    p^A agree to m digits.  The bosonic limit is N(Q) / ((1 - Q)^n D(Q)), N
+    in Z[Q^(+-1)] and D = prod_{k<=n} [l(k+1)]_Q of valuation d = sum_k
+    v_p(l (k+1)).  At Q = e^h, N / D is (1 - e^h) / h times the n-th
+    difference sum_k C(n,k) (-1)^k psi(h k) of psi(s) = e^(x s) phi(s + h),
+    phi(s) = s sum_j w_j e^(j s) / (1 - e^(l s)) analytic at 0, so O(h^n):
+    (1 - Q)^n divides N, over Z as 1 - Q is monic.  The quotient P and D
+    move by p^A when Q does, so P / D moves by p^(A - d + min(0, v)), v its
+    valuation: m = A - d, claimed m + min(0, v).
     """
-    q = spec.q.q_padic
-    p, big_q, n, a = q.p, q.unit, f.n, q.prec
-    signs = f.chi or (1,)
-    size, offset = len(signs), reps.start % len(signs)
-    # a level can hold more than sys.maxsize representatives, past len()
-    count, extra = divmod(reps.stop - reps.start, size)
+    p, big_q, a = q.q_padic.p, q.q_padic.unit, q.q_padic.prec
+    fermionic, size = kind == FERMIONIC, len(weights)
+    if level is None and fermionic and size % 2 == 0:
+        raise ValueError("the fermionic limit needs a table of odd length")
     t = _int_valuation(1 - big_q, p)
-    digits = a - t if n else a
-    fermionic = spec.kind == FERMIONIC
-    slack = 0 if fermionic and size % 2 else t + max(
-        _int_valuation(size * k, p) for k in range(1, n + 2))
-    known = p ** (digits + n * t)   # the k-sum is needed mod p^(m + n t)
-    mod = known * p ** slack
-    # Q^j and rho_k^j for j = 1, s, l and l M; the next k multiplies by Q^j
-    exponents = (1, reps.start, size, size * count)
+    w = ([0] * (n + 1) if fermionic and size % 2 else
+         [t + _int_valuation(size * (k + 1), p) for k in range(n + 1)])
+    moments = level is None and not fermionic   # the bosonic limit's factor k + 1
+    lift = _int_valuation(size, p) if moments else 0
+    digits = a - sum(w) + (n + 1) * t if moments else a - t if n else a
+    width = max(1, digits + n * t + lift)   # the k-sum is needed mod p^width
+    known, mod = p ** width, p ** (width + max(w))
+    # rho_k^j for j = 1, l and l M; the next k multiplies by Q^j
+    count, extra = divmod(level or 0, size)
+    exponents = (1, size, size * count)
     q_powers = [pow(big_q, j, mod) for j in exponents]
-    rho_powers = [-x if fermionic and j % 2 else x for x, j in zip(q_powers, exponents)]
-    r_k = rho_powers[3] * pow(rho_powers[0], extra, mod)   # r^K for reps = range(K)
-    table = signs[offset:] + signs[:offset]
-    minus_q_x, factor, top, bottom = -pow(big_q, int(f.shift), mod), 1, 0, 1
-    for k in range(n + 1):
-        rho, weight, rho_l, rho_lm = rho_powers
-        v = e = 0
-        for c, s in enumerate(table):
+    rho_powers = [-y if fermionic and j % 2 else y for y, j in zip(q_powers, exponents)]
+    r_q = rho_powers[0]
+    r_k = rho_powers[2] * pow(r_q, extra, mod)   # (r Q)^level
+    x = x.numerator if x.denominator == 1 else q.int_exponent(x) if n else 0
+    minus_q_x, factor, top, bottom = -pow(big_q, x, mod), 1, 0, 1
+    for k, strip in enumerate([p ** y for y in w]):
+        rho, rho_l, rho_lm = rho_powers
+        v, e, weight = 0, 0, 1
+        for c, s in enumerate(weights):
             if c == extra:
                 e = v
             v += s * weight
             weight = weight * rho % mod
-        den = (1 - rho_l) % mod
-        strip = p ** _int_valuation(den, p)
-        num = (v * (1 - rho_lm) + rho_lm * e * (1 - rho_l)) % mod
+        num = (v * (1 - rho_lm) + rho_lm * e * (1 - rho_l) if level is not None
+               else v * (1 - r_q) * ((k + 1) * p ** lift if moments else 1))
+        den = (1 - rho_l) % mod // strip
         # top / bottom += C(n,k) (-Q^x)^k G_k, over a unit bottom
-        top = (top * (den // strip) + math.comb(n, k) * factor * (num // strip) * bottom) % known
-        bottom = bottom * (den // strip) % known
+        top = (top * den + math.comb(n, k) * factor * (num % mod // strip) * bottom) % known
+        bottom = bottom * den % known
         factor = factor * minus_q_x % known
-        rho_powers = [x * y % mod for x, y in zip(rho_powers, q_powers)]
-    # top / bottom = (1 - Q)^n times the sum, mod p^(m + n t)
+        rho_powers = [y * z % mod for y, z in zip(rho_powers, q_powers)]
     bottom = bottom * pow((1 - big_q) // p ** t, n, known) % known
-    if claim is not None:   # times (1 - r) / p^u, over (1 - r^K) / p^w
-        norm, u = (1 - r_k) % p ** a, 0 if fermionic else t
-        if not norm:
-            raise ZeroDivisionError("division by zero-at-precision")
-        w = _int_valuation(norm, p)
-        top *= (1 + big_q if fermionic else 1 - big_q) // p ** u
-        bottom = bottom * (norm // p ** w) % known
-    total = top * _unit_inverse(bottom, p, digits + n * t) % known // p ** (n * t)
-    if claim is None:
-        return PadicNumber._from_scaled(p, 0, total, digits)
+    if level is not None and claim is not None:
+        return _over_normaliser(q, fermionic, r_k, top, bottom, digits, n * t, claim)
+    total = top * _unit_inverse(bottom, p, width) % known
+    scale = -n * t - lift
+    v = scale + (_int_valuation(total, p) if total else width)
+    return PadicNumber._from_scaled(p, scale, total, digits + min(0, v))
+
+
+def _over_normaliser(q: QDescriptor, fermionic: bool, r_k: int, top: int, bottom: int,
+                     digits, shift: int, claim=math.inf):
+    """S (1 - r q) / (1 - r_k), r_k = (r q)^K mod p^A, from top / bottom =
+    p^shift S mod p^(digits + shift), truncated as PadicNumber's / and +
+    zero_at_precision do and to ``claim``: to min(m, h + A - w) + u - w
+    digits, h, w, u the valuations of S (m if 0), 1 - r_k and 1 - r q, m =
+    min(digits, A + w) (0 times 1 - r_k is zero at A + w).  ZeroDivisionError
+    if w >= A."""
+    p, big_q, a = q.q_padic.p, q.q_padic.unit, q.q_padic.prec
+    norm = (1 - r_k) % p ** a
+    if not norm:
+        raise ZeroDivisionError("division by zero-at-precision")
+    u, w = 0 if fermionic else _int_valuation(1 - big_q, p), _int_valuation(norm, p)
+    digits = min(digits, a + w)
+    known = p ** (digits + shift)
+    top *= (1 + big_q if fermionic else 1 - big_q) // p ** u
+    total = top * _unit_inverse(bottom * (norm // p ** w) % known, p, digits + shift) % known
+    total //= p ** shift
     h = _int_valuation(total, p) if total else digits
     return PadicNumber._from_scaled(p, u - w, total, min(min(digits, h + a - w) + u - w, claim))
 
@@ -688,10 +647,10 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     digits: N for the fermionic measure, N - N0 for the bosonic one.  A
     target t is met at level N = max(N0, t) (fermionic) or t + N0
     (bosonic), and the result is S_N truncated to its stability,
-    min(bound(N), digits S_N claims), in one integer pass that makes one
-    PadicNumber (:func:`_residue_sum`).  ValueError when N > n_max, when t
-    exceeds q's precision A (no sum claims more), when a bosonic normalizer
-    [d p^N]_q vanishes at A, and when S_N claims fewer than t digits.
+    min(bound(N), digits S_N claims): :func:`_residue_sum` at level N with
+    bound(N) as its claim.  ValueError when N > n_max, when t exceeds q's
+    precision A (no sum claims more), when a bosonic normalizer [d p^N]_q
+    vanishes at A, and when S_N claims fewer than t digits.
 
     Proofs.  p is odd and q = 1 mod p, so v_p([u]_q) = v_p(u).  Take
     N >= N0, M = d p^N and Q = q^M, so chi is periodic mod M.  The balls
@@ -739,7 +698,8 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
         raise ValueError(f"stability {target_stability} needs more digits than "
                          f"q's precision A = {precision}")
     try:   # the level-n riemann_sum, truncated to its bound
-        value = _residue_sum(spec, f, range(spec.domain.level_size(n)), n - n0 if bosonic else n)
+        value = _residue_sum(spec.q, spec.kind, f.n, f.shift, f.chi or (1,),
+                             spec.domain.level_size(n), n - n0 if bosonic else n)
     except ZeroDivisionError:
         raise ValueError(f"stability {target_stability} not reached: the level-{n} "
                          f"normalizer vanishes at q's precision A = {precision}") from None

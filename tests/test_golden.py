@@ -59,7 +59,7 @@ def commands() -> list[str]:
             "series --gf Fq --q 2/5 --T 8",
             "integrate --kind bosonic --p 5 --q 6 --d 3 --f char_twisted:2:3:1 --stability 5",
             "integrate --p 3 --q 4 --f one --stability 6"]
-    # the closed forms at p-adic q, zero-at-precision rows and divisor included
+    # the closed forms at p-adic q, zero-at-precision rows included
     out += ["numbers --kind K --n 0..16 --q padic:5:6:32",
             "numbers --kind beta --n 0..16 --q padic:3:4:128",
             "numbers --kind K --n 0..10 --q padic:3:10:3",
@@ -86,8 +86,9 @@ def commands() -> list[str]:
     out += ["polynomials --kind beta_poly --n 0..8 --x 2 --q padic:5:6:32",
             "polynomials --kind K_poly --n 0..8 --x -3 --q padic:3:4:32",
             "polynomials --kind beta_poly --n 0..6 --x -1 --q 2/5"]
-    # low-precision p-adic closed forms, where the kernel's final division
-    # sets the digits claimed
+    # low-precision p-adic closed forms, where the proven bound of the
+    # residue pass (A - v_p(1 - q), or A - v_p((n+1)!) + min(0, v) for
+    # beta_n(x)) sets the digits claimed
     out += ["numbers --kind K --n 0..8 --q padic:7:50:3",
             "polynomials --kind K_poly --n 0..6 --x -3 --q padic:3:4:6",
             "numbers --kind K_chi --n 0..4 --chi 5:2 --q padic:3:10:5",

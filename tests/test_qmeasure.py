@@ -31,6 +31,7 @@ from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec,
                                   geometric_sum, integrate, parse_integrand, riemann_sum)
 from qvolkenborn.qnumbers import (beta_number, beta_polynomial, k_chi,
                                   k_distribution_rhs, k_number, k_polynomial)
+from test_rational_reading import _field_sum
 
 F = Fraction
 
@@ -573,12 +574,10 @@ def test_finite_rhs_converges_to_polynomial_closed_form():
 
 def test_riemann_sum_partition_invariance():
     # summing disjoint index blocks reproduces the full sum exactly
-    from qvolkenborn.qmeasure import _residue_sum
-
     for qd in (sym(), padic_q(4, 3)):
         spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
         f = bracket_power(qd, 2, 1)
-        sum_range = _residue_sum if qd.mode == "padic" else _per_term_sum
+        sum_range = _range_sum if qd.mode == "padic" else _per_term_sum
         whole = sum_range(spec, f, range(0, 27))
         a, b, c = (sum_range(spec, f, range(lo, lo + 9)) for lo in (0, 9, 18))
         assert whole == a + b + c
@@ -745,15 +744,26 @@ def _as_tuple(x):
     return (x.p, x.v, x.unit, x.prec)
 
 
+def _range_sum(spec, f, reps):
+    """The unnormalized sum of chi(j) [x+j]^n (r q)^j over reps by the
+    residue pass: its sum over range(len(reps)) at the shift x + start with
+    the table turned by start, times (r q)^start as PadicNumbers (a unit,
+    so the digits claimed stay)."""
+    table = (1,) if f.chi is None else f.chi
+    turn = reps.start % len(table)
+    total = qmeasure._residue_sum(spec.q, spec.kind, f.n, f.shift + reps.start,
+                                  table[turn:] + table[:turn], reps.stop - reps.start, None)
+    ratio = -spec.q.q_padic if spec.kind == FERMIONIC else spec.q.q_padic
+    return total * ratio ** reps.start if reps.start else total
+
+
 def _assert_kernel_matches_generic(spec, f, level):
     """The unnormalized residue sum of a full level equals the per-term
     loop digit for digit, which also covers precisions too low to divide by
     the level normalizer; so does riemann_sum, where that division works."""
-    from qvolkenborn.qmeasure import _residue_sum
-
     reps = range(spec.domain.level_size(level))
     slow = _per_term_sum(spec, f, reps)
-    assert _as_tuple(_residue_sum(spec, f, reps)) == _as_tuple(slow)
+    assert _as_tuple(_range_sum(spec, f, reps)) == _as_tuple(slow)
     norm = spec.level_norm(level)
     if not norm.is_zero_at_precision:
         assert _as_tuple(riemann_sum(spec, f, level)) == _as_tuple(slow / norm)
@@ -788,8 +798,6 @@ def test_residue_loop_matches_per_term_loop_on_edge_cases():
     # loop carries more digits than the A - v_p(1 - q) the sum claims, and
     # at n = 0 a shift whose denominator is p, which is never read; an
     # integrand that takes its bracket at another q is refused
-    from qvolkenborn.qmeasure import _residue_sum
-
     qd = padic_q(4, 3, 16)   # A = 16, v_3(1 - q) = 1
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
     for n in range(4):
@@ -798,7 +806,7 @@ def test_residue_loop_matches_per_term_loop_on_edge_cases():
         cases.append((bracket_power(qd, 0, F(1, 3 ** (n + 1))), range(0, 9)))
         for f, reps in cases:
             digits = 16 if f.n == 0 else 15
-            fast = _residue_sum(spec, f, reps)
+            fast = _range_sum(spec, f, reps)
             assert fast.absolute_precision == digits
             assert fast.agrees_with(_per_term_sum(spec, f, reps), digits)
         with pytest.raises(ValueError, match="integrand is taken at"):
@@ -912,14 +920,12 @@ def _linear_residue_sum(spec, f, reps):
          start=0, length=121)
 def test_geometric_residue_sum_matches_the_linear_loop(p, depth, prec, unit, d, kind, n, chi,
                                                        shift, start, length):
-    from qvolkenborn.qmeasure import _residue_sum
-
     assume(depth < prec and unit % p and d % p)
     qd = padic_q(1 + p ** depth * unit, p, prec)
     spec = MeasureSpec(kind, qd, ProfiniteDomain(p, d))
     f = BracketPower(qd, n, shift, chi)
     reps = range(start, start + length)
-    assert _as_tuple(_residue_sum(spec, f, reps)) == _as_tuple(_linear_residue_sum(spec, f, reps))
+    assert _as_tuple(_range_sum(spec, f, reps)) == _as_tuple(_linear_residue_sum(spec, f, reps))
 
 
 def test_residue_sum_makes_no_call_per_bit_of_the_length():
@@ -928,18 +934,15 @@ def test_residue_sum_makes_no_call_per_bit_of_the_length():
     import cProfile
     import pstats
 
-    from qvolkenborn.qmeasure import _residue_sum
-
     qd = padic_q(4, 3, 32)
-    spec = MeasureSpec(BOSONIC, qd, ProfiniteDomain(3))
-    f = BracketPower(qd, 7, 1, (1, -1, 0, 1, 1, -1, 0, -1, 1))
+    table = (1, -1, 0, 1, 1, -1, 0, -1, 1)
 
-    def calls(reps):
+    def calls(length):
         profile = cProfile.Profile()
-        profile.runcall(_residue_sum, spec, f, reps)
+        profile.runcall(qmeasure._residue_sum, qd, BOSONIC, 7, 1, table, length, None)
         return pstats.Stats(profile).total_calls
 
-    assert calls(range(10 ** 3)) == calls(range(10 ** 15))
+    assert calls(10 ** 3) == calls(10 ** 15)
 
 
 def test_long_ranges_sum_at_once():
@@ -947,15 +950,13 @@ def test_long_ranges_sum_at_once():
     # keeps has j divisible by p; the second has one unit term.  Both sum
     # 10^15 representatives at once, claim A - v_p(1 - q) digits, and match
     # the linear reference on a shorter range
-    from qvolkenborn.qmeasure import _residue_sum
-
     qd = padic_q(4, 3, 16)
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(3))
     for n in range(1, 4):
         for chi in ((1, 0, 0, -1, 0, 0), (1, 0, 0, -1, 1, 0)):
             f = BracketPower(qd, n, chi=chi)
-            assert _residue_sum(spec, f, range(10 ** 15)).absolute_precision == 15
-            assert (_as_tuple(_residue_sum(spec, f, range(5, 200)))
+            assert _range_sum(spec, f, range(10 ** 15)).absolute_precision == 15
+            assert (_as_tuple(_range_sum(spec, f, range(5, 200)))
                     == _as_tuple(_linear_residue_sum(spec, f, range(5, 200))))
 
 
@@ -978,9 +979,7 @@ def test_deep_fermionic_sums_are_within_p_to_the_level(p, q_value):
 def _field_riemann_sum(spec, f, n):
     """Reference: the level's residue sum over its normalizer [d p^n] at
     +-q, divided as PadicNumbers (q.bracket or q.minus_bracket, then /)."""
-    from qvolkenborn.qmeasure import _residue_sum
-
-    return _residue_sum(spec, f, range(spec.domain.level_size(n))) / spec.level_norm(n)
+    return _range_sum(spec, f, range(spec.domain.level_size(n))) / spec.level_norm(n)
 
 
 def _field_integrate(spec, f, target_stability, n_max):
@@ -1081,44 +1080,51 @@ def _padic_constructions(compute):
 
     profile = cProfile.Profile()
     profile.runcall(compute)
-    return {name: calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
-            if path.endswith("padic.py") and name in
-            ("__init__", "_normalised", "zero_at_precision", "from_rational", "__truediv__")}
+    stats = pstats.Stats(profile).stats.items()
+    counts = {name: calls for (path, _, name), (_, calls, *_) in stats
+              if path.endswith("padic.py") and name in
+              ("__init__", "_normalised", "zero_at_precision", "from_rational", "__truediv__")}
+    # primitive calls: Newton doubling recurses once per halving
+    inverses = sum(primitive for (path, _, name), (primitive, *_) in stats
+                   if path.endswith("padic.py") and name == "_unit_inverse")
+    return counts, inverses
 
 
 @pytest.mark.parametrize("kind", [BOSONIC, FERMIONIC])
 def test_a_level_makes_one_padic_number_at_any_depth(kind):
     # the sum, its normalizer and the truncation are one integer pass: the
-    # same PadicNumbers at level 12 as at level 2, and none of them divided
+    # same PadicNumbers at level 12 as at level 2, none of them divided, and
+    # one unit inverse
     qd = padic_q(4, 3, 128)
     spec = MeasureSpec(kind, qd, ProfiniteDomain(3))
     f = bracket_power(qd, 3, 1)
     for call in (lambda n: riemann_sum(spec, f, n),
                  lambda n: integrate(spec, f, n - 1 if kind == BOSONIC else n, 12)):
         counts = [_padic_constructions(lambda: call(n)) for n in (2, 12)]
-        assert counts[0] == counts[1] and sum(counts[0].values()) == 1, counts
+        assert counts[0] == counts[1] and sum(counts[0][0].values()) == 1, counts
+        assert counts[0][1] == 1, counts
 
 
 def test_bracket_power_at_padic_q_makes_no_padic_division():
     # the geometric route never reads 1 or 1/(1 - q), so none is built
     qd = padic_q(6, 5, 128)
     for shift in (0, 1, -2):
-        counts = _padic_constructions(lambda: bracket_power(qd, 3, shift))
+        counts, _ = _padic_constructions(lambda: bracket_power(qd, 3, shift))
         assert "__truediv__" not in counts, counts
 
 
 @pytest.mark.parametrize("level", [28, 30, 45])
 def test_levels_past_sys_maxsize_representatives(level):
     # 5^28 representatives no longer fit len(); the level is still one sum
-    # the closed form is the l = 1 fermionic level sum, here through the
-    # kernel's p-adic reading: (1 + q) / ((1 - q)^3 (1 + q^K)) sum_k C(3,k)
-    # (-q)^k (1 + q^(K(k+1))) / (1 + q^(k+1)), K = 5^level
+    # the closed form is the l = 1 fermionic level sum, here by the field
+    # chain: (1 + q) / ((1 - q)^3 (1 + q^K)) sum_k C(3,k) (-q)^k (1 +
+    # q^(K(k+1))) / (1 + q^(k+1)), K = 5^level
     qd, size = padic_q(6, 5, 40), 5 ** level
     s_n = riemann_sum(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5)),
                       bracket_power(qd, 3, 1), level)
     numerators = [{k: (-1) ** k * math.comb(3, k), k + size * (k + 1): (-1) ** k * math.comb(3, k)}
                   for k in range(4)]
-    closed = binomial_fraction_sum(qd, numerators, 1, 1, [(1, 1, 1), (-1, 1, -3), (1, size, -1)])
+    closed = _field_sum(qd, numerators, 1, 1, [(1, 1, 1), (-1, 1, -3), (1, size, -1)])
     claimed = min(s_n.absolute_precision, closed.absolute_precision)
     assert (s_n - closed).valuation >= claimed >= 37
 
@@ -1201,9 +1207,9 @@ def test_integrate_needs_two_levels_to_compare(n_max):
 def test_integrate_sums_exactly_one_level(monkeypatch):
     sizes = []
 
-    def spy(spec, f, reps, claim=None):
-        sizes.append(len(reps))
-        return residue_sum(spec, f, reps, claim)
+    def spy(q, kind, n, x, weights, level=None, claim=math.inf):
+        sizes.append(level)
+        return residue_sum(q, kind, n, x, weights, level, claim)
 
     residue_sum = qmeasure._residue_sum
     monkeypatch.setattr(qmeasure, "_residue_sum", spy)

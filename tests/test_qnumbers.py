@@ -5,24 +5,25 @@ were expanded independently with a computer-algebra system before being
 asserted here.
 """
 
-import contextlib
 import math
 import unittest.mock
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvolkenborn import qmeasure, qnumbers
 from qvolkenborn.algebra import (CyclotomicElement, Polynomial, RationalFunction,
                                  root_of_unity_rows)
-from qvolkenborn.characters import character_value, make_character, parse_character_id
+from qvolkenborn.characters import (character_value, enumerate_characters, make_character,
+                                    parse_character_id)
 from qvolkenborn.padic import padic_from_rational
-from qvolkenborn.qmeasure import QDescriptor, binomial_fraction_sum
+from qvolkenborn.qmeasure import QDescriptor
 from qvolkenborn.qnumbers import (beta_number, beta_polynomial,
                                   classical_bernoulli, classical_euler, k_chi,
                                   k_distribution_rhs, k_number, k_polynomial)
+from test_rational_reading import _field_sum, _padic_qs
 
 F = Fraction
 
@@ -238,13 +239,14 @@ def test_k_chi_higher_order_is_cyclotomic_valued():
 
 def base_change_twist(n, x, m, q, weights):
     """Reference: [m]^n/[m]_- sum_a weights[a] (-1)^a q^a K_n(q^m; (a+x)/m),
-    each term the closed polynomial at q^m, whose exponents (a+x)k/m against
-    q^m are the integer exponents (a+x)k against q."""
+    each term the closed polynomial at q^m by the field chain, whose
+    exponents (a+x)k/m against q^m are the integer exponents (a+x)k against
+    q."""
     acc = 0
     for a in range(m):
         if weights[a]:
             numerators = [{(a + x) * k: (-1) ** k * math.comb(n, k)} for k in range(n + 1)]
-            inner = binomial_fraction_sum(q, numerators, 1, m, [(1, m, 1), (-1, m, -n)])
+            inner = _field_sum(q, numerators, 1, m, [(1, m, 1), (-1, m, -n)])
             term = weights[a] * q.qpow(a) * inner
             acc = acc - term if a % 2 else acc + term
     return q.bracket(m) ** n / q.minus_bracket(m) * acc
@@ -279,6 +281,44 @@ def test_padic_twists_claim_sound_digits_and_no_fewer(q_value, p, digits):
                 assert_sound_and_not_fewer_digits(
                     k_distribution_rhs(n, x, m, qd), base_change_twist(n, x, m, qd, [1] * m),
                     k_distribution_rhs(n, x, m, exact_q))
+
+
+# the trivial character and the quadratic ones of odd modulus up to 21
+_QUADRATIC = [chi for m in range(1, 22, 2) for chi in enumerate_characters(m)
+              if chi.value_order <= 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=_padic_qs(), family=st.sampled_from(("K", "beta", "distribution", "chi")),
+       n=st.integers(0, 10), x=st.integers(-4, 4), m=st.sampled_from([1, 3, 5, 9, 15]),
+       chi=st.sampled_from(_QUADRATIC), delta=st.integers(-30, 30))
+# beta_10 at padic:3:10:4, where 1 - q^9 is zero at precision A = 4
+@example(point=(3, F(10), 4), family="beta", n=10, x=0, m=1, chi=_QUADRATIC[0], delta=1)
+# K_10 at padic:3:10:3: one digit, A - v_3(1 - q)
+@example(point=(3, F(10), 3), family="K", n=10, x=0, m=1, chi=_QUADRATIC[0], delta=-2)
+def test_closed_padic_values_claim_their_proven_digits(point, family, n, x, m, chi, delta):
+    # K_n(x), beta_n(x), the distribution right side and a quadratic k_chi
+    # row at p-adic q agree with the rational reading at the same q, and at
+    # q + p^A delta (the same truncated q), on every digit they claim, and
+    # claim at least the proven bound of qmeasure._residue_sum: A - t for n
+    # >= 1 and A for n = 0 (fermionic; t = v_p(1 - q)), A - v_p((n+1)!) +
+    # min(0, v) for beta_n(x) of valuation v
+    p, q, precision = point
+    calls = {"K": lambda qd: k_polynomial(n, x, qd), "beta": lambda qd: beta_polynomial(n, x, qd),
+             "distribution": lambda qd: k_distribution_rhs(n, x, m, qd),
+             "chi": lambda qd: k_chi(n, chi, qd)}
+    got = calls[family](QDescriptor.padic(padic_from_rational(q, p, precision)))
+    digits = got.absolute_precision
+    if family == "beta":
+        bound = precision - sum(qmeasure._int_valuation(k, p) for k in range(1, n + 2))
+        bound += min(0, got.valuation)
+    else:
+        bound = precision - qmeasure._int_valuation((q - 1).numerator, p) if n else precision
+    assert digits >= bound
+    for exact_q in (q, q + p ** precision * delta):
+        exact = calls[family](QDescriptor.rational(exact_q))
+        assert got.agrees_with(padic_from_rational(exact, p, max(digits, 0) + 60) if exact else 0,
+                               digits)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -446,7 +486,10 @@ def test_the_builder_passes_the_kernel_the_former_inputs(q, n, thirds, m, chi):
     # geometric_sum call, which makes one binomial_fraction_sum call with the
     # numerator terms, sign, step and prefactors of the former closed bodies
     # (the order-4 character mod 5 takes two rows; at p-adic q, where only
-    # orders <= 2 exist, the quadratic one mod 5)
+    # orders <= 2 exist, the quadratic one mod 5).  At p-adic q it makes
+    # none: its residue pass agrees with the field chain over those inputs
+    # on every digit the chain claims, claims no fewer, and raises the
+    # chain's ValueError for a fractional power
     x = F(thirds, 3)
     if q.mode == "padic" and chi.value_order > 2:
         chi = _TWISTS[1]
@@ -464,14 +507,31 @@ def test_the_builder_passes_the_kernel_the_former_inputs(q, n, thirds, m, chi):
                     sign, step, list(prefactor)))
         return kernel(qd, numerators, sign, step, prefactor)
 
+    values = []
     with unittest.mock.patch.object(qmeasure, "binomial_fraction_sum", kernel_spy), \
             unittest.mock.patch.object(qnumbers, "geometric_sum",
                                        lambda *args: built.append(args) or builder(*args)):
         for call in (lambda: k_polynomial(n, x, q), lambda: beta_polynomial(n, x, q),
                      lambda: k_distribution_rhs(n, x, m, q), lambda: k_chi(n, chi, q)):
             qnumbers._closed.cache_clear()   # m = 1 shares K_n(x)'s entry
-            # a fractional q-power raises in the kernel at rational and p-adic q
-            with contextlib.suppress(ValueError):
-                call()
-    assert got == want
+            # a fractional q-power raises at rational and p-adic q
+            values.append(_value_or_error(call))
     assert len(built) == len(want)
+    if q.mode != "padic":
+        assert got == want
+        return
+    assert got == []
+    for value, inputs in zip(values, want):
+        reference = _value_or_error(lambda: _field_sum(q, *inputs))
+        if reference is ValueError or value is ValueError:
+            assert value is reference
+        elif reference is not ZeroDivisionError:
+            assert value.absolute_precision >= reference.absolute_precision
+            assert value.agrees_with(reference, reference.absolute_precision)
+
+
+def _value_or_error(compute):
+    try:
+        return compute()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)

@@ -1,24 +1,27 @@
-"""The integer rational and p-adic readings against field-arithmetic references.
+"""The integer rational and p-adic routes against field-arithmetic references.
 
 `_FieldReading` and `_fraction_partial` are the field-arithmetic versions of
 the closed-form kernel's primitives and of the alternating partial sums:
 every term a Fraction, or a PadicNumber at p-adic q.  The integer routes
-must give the same value, and raise ZeroDivisionError exactly where these do.
+must give the same value, and raise ZeroDivisionError exactly where these do;
+the p-adic residue pass behind geometric_sum, which claims what its proofs
+give, must agree with them on every digit both claim.
 """
 
 import cProfile
-import math
 import pstats
+import unittest.mock
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qvolkenborn import qmeasure
 from qvolkenborn.algebra import PoleError
-from qvolkenborn.padic import padic_from_rational
-from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, QDescriptor, binomial_fraction_sum,
-                                  geometric_sum)
+from qvolkenborn.padic import ProfiniteDomain, padic_from_rational
+from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
+                                  ball_measure_sum, binomial_fraction_sum, geometric_sum)
 from qvolkenborn.qnumbers import _closed
 from qvolkenborn.series import f_q_coefficient_partial
 
@@ -125,29 +128,77 @@ def _padic_qs(draw):
     return p, 1 + p ** e * u, draw(st.integers(e + 1, 40))
 
 
-_BOSONIC_10 = [{0: (-1) ** i * math.comb(10, i) * (i + 1)} for i in range(11)]
+def _builder_inputs(kind, n, x, weights, level):
+    """The kernel inputs of geometric_sum, read from its call at rational q
+    (they do not depend on q)."""
+    got = []
+    with unittest.mock.patch.object(qmeasure, "binomial_fraction_sum",
+                                    lambda *args: got.append(args[1:])):
+        geometric_sum(QDescriptor.rational(2), kind, n, x, weights, level)
+    return got[0]
 
 
-@settings(max_examples=150, deadline=None)
-@given(q=_padic_qs(), numerators=_NUMERATORS, sign=st.sampled_from((1, -1)),
-       step=st.integers(1, 4), prefactor=_PREFACTOR)
-# an empty numerator: the int 0 times den is zero at precision v + a of den
-@example(q=(5, F(6), 6), numerators=[{0: 1}, {}, {2: 3}], sign=1, step=1, prefactor=[])
-@example(q=(5, F(6), 6), numerators=[{0: 25}, {}], sign=-1, step=1, prefactor=[(-1, 1, -3)])
-@example(q=(5, F(6), 6), numerators=[{}, {}], sign=1, step=1, prefactor=[(1, 1, -1)])
-# beta_10 at padic:3:10:4: the binomial 1 - q^9 is zero at precision
-@example(q=(3, F(10), 4), numerators=_BOSONIC_10, sign=-1, step=1, prefactor=[(-1, 1, -9)])
-# coefficients divisible by p, and a fractional exponent
-@example(q=(5, F(13, 3), 8), numerators=[{0: 50}, {3: -5}], sign=-1, step=2,
-         prefactor=[(1, 1, -1)])
-@example(q=(7, F(8), 5), numerators=[{F(1, 2): 1}], sign=1, step=1, prefactor=[])
-def test_padic_kernel_matches_the_field_route(q, numerators, sign, step, prefactor):
+_WEIGHTS = st.lists(st.sampled_from((0, 1, -1)), min_size=1, max_size=9).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=_padic_qs(), kind=st.sampled_from((BOSONIC, FERMIONIC)), n=st.integers(0, 8),
+       x=st.integers(-3, 3), weights=_WEIGHTS, level=st.none() | st.integers(1, 60))
+# beta_10 at padic:3:10:4: the chain's binomial 1 - q^9 is zero at precision
+@example(q=(3, F(10), 4), kind=BOSONIC, n=10, x=0, weights=(1,), level=None)
+# a normalizer 1 - q^243 that is zero at A = 6: both divide by zero
+@example(q=(3, F(4), 6), kind=BOSONIC, n=2, x=0, weights=(1,), level=243)
+# a bosonic limit over a table of length p, and an even fermionic level
+@example(q=(7, F(8), 12), kind=BOSONIC, n=5, x=1, weights=(1, 0, -1, 1, 1, 0, -1), level=None)
+@example(q=(5, F(6), 9), kind=FERMIONIC, n=3, x=-2, weights=(1, -1), level=10)
+def test_padic_kernel_matches_the_field_route(q, kind, n, x, weights, level):
+    # the residue pass behind geometric_sum agrees with the field chain over
+    # the builder's kernel inputs on every digit both claim, and divides by
+    # zero only where the chain does.  It claims no fewer digits than the
+    # chain, but for a bosonic limit over a table whose length p divides
+    # (or that vanishes), where it claims its proven bound
     p, q, precision = q
+    assume(level is not None or kind == BOSONIC or len(weights) % 2)
     qd = QDescriptor.padic(padic_from_rational(q, p, precision))
-    want = _outcome(lambda: _field_sum(qd, numerators, sign, step, prefactor))
-    got = _outcome(lambda: binomial_fraction_sum(qd, numerators, sign, step, prefactor))
-    assert got == want
-    assert type(got) is type(want)
+    want = _outcome(lambda: _field_sum(qd, *_builder_inputs(kind, n, x, weights, level)))
+    got = _outcome(lambda: geometric_sum(qd, kind, n, x, weights, level))
+    if got is ZeroDivisionError or want is ZeroDivisionError:
+        assert want is ZeroDivisionError
+        return
+    digits = min(got.absolute_precision, want.absolute_precision)
+    assert got.agrees_with(want, digits)
+    if level is not None or kind == FERMIONIC or (len(weights) % p and any(weights)):
+        assert digits == want.absolute_precision
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=_padic_qs(), kind=st.sampled_from((BOSONIC, FERMIONIC)), d=st.sampled_from((1, 3, 5)),
+       level=st.integers(0, 6), reps=st.lists(st.integers(0, 10 ** 6), max_size=14))
+# a bosonic normalizer 1 - q^81 that is zero at A = 5, and no representative
+@example(q=(3, F(4), 5), kind=BOSONIC, d=1, level=4, reps=[1, 2])
+@example(q=(5, F(6), 7), kind=FERMIONIC, d=3, level=2, reps=[])
+# a representative twice: coefficients 2, and a sum that vanishes mod p
+@example(q=(5, F(6), 7), kind=BOSONIC, d=1, level=1, reps=[1, 1, 2, 3, 4])
+def test_padic_ball_sums_match_the_field_route(q, kind, d, level, reps):
+    # ball_measure_sum at p-adic q is the field chain over its kernel inputs,
+    # the same (p, v, unit, prec), or both raise ZeroDivisionError
+    p, q, precision = q
+    assume(d % p and (kind == BOSONIC or d % 2))
+    qd = QDescriptor.padic(padic_from_rational(q, p, precision))
+    size = d * p ** level
+    reps = [a % size for a in reps]
+    fermionic = kind == FERMIONIC
+    coeffs = {}
+    for a in reps:
+        coeffs[a] = coeffs.get(a, 0) + (-1 if fermionic and a % 2 else 1)
+    sign = 1 if fermionic else -1
+    want = _outcome(lambda: _field_sum(qd, [coeffs], sign, size, [(sign, 1, 1)]))
+    got = _outcome(lambda: ball_measure_sum(MeasureSpec(kind, qd, ProfiniteDomain(p, d)),
+                                            reps, level))
+    if want is ZeroDivisionError or got is ZeroDivisionError:
+        assert got is want
+    else:
+        assert (got.v, got.unit, got.prec) == (want.v, want.unit, want.prec)
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,8 +225,8 @@ def test_the_three_readings_agree_at_positive_binomial_exponents(numerators, ste
                                                                  at_two, r):
     # sums with a binomial 1 + s q^(-j), written as s q^(-j) (1 + s q^j):
     # the symbolic value at w = r is the rational reading's, the 5-adic
-    # value at q = r agrees with it to the digits it claims (q = 2 is no
-    # admissible p-adic q), and at q = 2 each is the value of the
+    # field chain at q = r agrees with it to the digits it claims (q = 2 is
+    # no admissible p-adic q), and at q = 2 each is the value of the
     # negative-exponent form, worked by hand
     def at(qd):
         return binomial_fraction_sum(qd, numerators, 1, step, prefactor)
@@ -185,7 +236,8 @@ def test_the_three_readings_agree_at_positive_binomial_exponents(numerators, ste
     if r == 2:
         assert want == at_two
         return
-    padic = at(QDescriptor.padic(padic_from_rational(r, 5, 12)))
+    padic = _field_sum(QDescriptor.padic(padic_from_rational(r, 5, 12)), numerators, 1, step,
+                       prefactor)
     assert padic.absolute_precision >= 9 and padic.agrees_with(want, padic.absolute_precision)
 
 
@@ -227,8 +279,11 @@ def test_fractional_exponent_raises_as_qpow_does(e):
     ids=["fraction-coefficient", "step-0", "step-minus-1", "prefactor-exponent-0",
          "prefactor-exponent-minus-1", "no-numerator"])
 def test_the_kernel_refuses_inputs_outside_its_contract(qd, numerators, step, prefactor):
-    # int coefficients and binomial exponents > 0, as its two callers pass
-    with pytest.raises(ValueError, match="int coefficients and binomial exponents > 0"):
+    # int coefficients and binomial exponents > 0, as its two callers pass;
+    # p-adic q, where they run the residue pass, is refused first
+    match = ("symbolic and rational q only" if qd.mode == "padic" else
+             "int coefficients and binomial exponents > 0")
+    with pytest.raises(ValueError, match=match):
         binomial_fraction_sum(qd, numerators, 1, step, prefactor)
 
 
@@ -264,15 +319,30 @@ def test_partial_sums_make_no_fraction_per_term():
     assert counts[10] == counts[300]
 
 
+def _unit_inverses(compute) -> int:
+    # primitive calls: Newton doubling recurses once per halving
+    _closed.cache_clear()
+    profiler = cProfile.Profile()
+    profiler.runcall(compute)
+    return sum(stat[0] for (path, _, name), stat in pstats.Stats(profiler).stats.items()
+               if path.endswith("padic.py") and name == "_unit_inverse")
+
+
 @pytest.mark.parametrize("q, call", [
     (padic_from_rational(6, 5, 32), lambda n, qd: geometric_sum(qd, FERMIONIC, n, 0, (1,))),
     (padic_from_rational(4, 3, 128), lambda n, qd: geometric_sum(qd, BOSONIC, n, 0, (1,))),
-], ids=["K", "beta"])
+    (padic_from_rational(6, 5, 32), lambda n, qd: geometric_sum(qd, BOSONIC, n, 1, (1, -1, 0),
+                                                                5 ** n)),
+    (padic_from_rational(6, 5, 32), lambda n, qd: ball_measure_sum(
+        MeasureSpec(BOSONIC, qd, ProfiniteDomain(5, 3)), range(0, 3 * 5 ** 3, n), 3)),
+], ids=["K", "beta", "level", "balls"])
 def test_a_padic_kernel_call_makes_a_fixed_number_of_padic_numbers(q, call):
-    # one PadicNumber a call, the quotient of two residues: no field division
+    # one PadicNumber a call, from one integer pass with one unit inverse:
+    # no field division
     qd = QDescriptor.padic(q)
     for n in (5, 20):
         assert _constructions(lambda: call(n, qd), "padic.py",
                               ("__init__", "_normalised", "zero_at_precision",
                                "from_rational")) == 1
         assert _constructions(lambda: call(n, qd), "padic.py", ("__truediv__",)) == 0
+        assert _unit_inverses(lambda: call(n, qd)) == 1
