@@ -6,15 +6,15 @@ exact rational-function field, truncated formal power series, and certified
 p-adic Riemann-sum limits — and cross-checks every route against the others.
 """
 
-from .algebra import (CyclotomicElement, NonCyclotomicDenominator, PoleError,
-                      Polynomial, RationalFunction, RootOrderMismatch,
-                      cyclotomic_polynomial)
+from .algebra import (CyclotomicElement, InputError, NonCyclotomicDenominator,
+                      PoleError, Polynomial, QvolkError, RationalFunction,
+                      RootOrderMismatch, ZeroAtPrecisionError, cyclotomic_polynomial)
 from .characters import (DirichletCharacter, UnitGroupStructure,
                          character_value, conductor, enumerate_characters,
                          make_character, parse_character_id,
                          unit_group_structure)
-from .padic import (PadicNumber, ProfiniteDomain, ball_representatives,
-                    padic_from_rational, q_admissible)
+from .padic import (PadicNumber, PrecisionExhausted, ProfiniteDomain,
+                    ball_representatives, padic_from_rational, q_admissible)
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, IntegrationResult,
                        MeasureSpec, QDescriptor, ball_measure,
                        bosonic_power_moment, bracket_power,

@@ -34,15 +34,30 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 
-class PoleError(ArithmeticError):
+class QvolkError(Exception):
+    """An input the engine refuses: an argument outside the hypotheses its
+    values exist under.  The CLI prints one as a single ``error:`` line and
+    exits 2; any other exception is a bug."""
+
+
+class InputError(QvolkError, ValueError):
+    """An argument the computation does not admit: a prime, a q, a
+    conductor, an index range, a level or a precision target."""
+
+
+class ZeroAtPrecisionError(QvolkError, ZeroDivisionError):
+    """Division by a p-adic value that is zero at its precision."""
+
+
+class PoleError(QvolkError, ArithmeticError):
     """Evaluation at a point where the (reduced) denominator vanishes."""
 
 
-class RootOrderMismatch(ValueError):
+class RootOrderMismatch(QvolkError, ValueError):
     """Incompatible root orders that cannot be reconciled by rebasing."""
 
 
-class NonCyclotomicDenominator(ValueError):
+class NonCyclotomicDenominator(QvolkError, ValueError):
     """A denominator that is not c w^a prod Phi_d^e (Phi_d cyclotomic): the
     fraction lies outside the ring that :class:`RationalFunction` holds."""
 
@@ -360,11 +375,13 @@ def _divisors(n: int) -> list[int]:
 def _prime_factors(n: int) -> list[int]:
     """The primes of n >= 1, with multiplicity, in ascending order."""
     out, p = [], 2
-    while n > 1:
+    while p * p <= n:
         while n % p == 0:
             out.append(p)
             n //= p
         p += 1
+    if n > 1:
+        out.append(n)
     return out
 
 

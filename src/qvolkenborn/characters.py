@@ -16,32 +16,17 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import CyclotomicElement
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+from .algebra import CyclotomicElement, InputError, _prime_factors
 
 
 def euler_phi(n: int) -> int:
     out = 1
-    for p, e in _factorize(n):
+    for p, e in Counter(_prime_factors(n)).items():
         out *= (p - 1) * p ** (e - 1)
     return out
 
@@ -105,9 +90,9 @@ class UnitGroupStructure:
 
 def unit_group_structure(modulus: int) -> UnitGroupStructure:
     if modulus < 1:
-        raise ValueError("modulus must be positive")
+        raise InputError("modulus must be positive")
     factors: list[CyclicFactor] = []
-    for p, e in _factorize(modulus):
+    for p, e in Counter(_prime_factors(modulus)).items():
         pe = p ** e
         if p == 2:
             if e == 1:
@@ -137,7 +122,7 @@ class DirichletCharacter:
             raise ValueError("exponent vector does not match the unit group")
         for e, fac in zip(self.exponents, self.structure.factors):
             if not 0 <= e < fac.order:
-                raise ValueError("exponent out of range for its cyclic factor")
+                raise InputError("exponent out of range for its cyclic factor")
 
     @functools.cached_property
     def value_order(self) -> int:
@@ -217,20 +202,20 @@ def parse_character_id(text: str) -> DirichletCharacter:
     >>> parse_character_id("garbage")
     Traceback (most recent call last):
     ...
-    ValueError: bad character id 'garbage': expected "f:e1,e2,..." with integers f, e1, e2, ...
+    qvolkenborn.algebra.InputError: bad character id 'garbage': expected "f:e1,e2,..." with integers f, e1, e2, ...
     """
     head, _, tail = text.partition(":")
     try:
         modulus = int(head)
         exponents = tuple(int(t) for t in tail.split(",") if t != "")
     except ValueError:
-        raise ValueError(f'bad character id {text!r}: expected "f:e1,e2,..." '
+        raise InputError(f'bad character id {text!r}: expected "f:e1,e2,..." '
                          'with integers f, e1, e2, ...') from None
     if modulus < 1:
-        raise ValueError(f"bad character modulus in {text!r}")
+        raise InputError(f"bad character modulus in {text!r}")
     structure = unit_group_structure(modulus)
     if len(exponents) != len(structure.factors):
-        raise ValueError(
+        raise InputError(
             f"character {text!r}: expected {len(structure.factors)} exponents "
             f"for modulus {modulus}, got {len(exponents)}")
     return DirichletCharacter(modulus, exponents, structure)

@@ -8,8 +8,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error (including a pole of the formula at the given q, a p-adic value
 without the digits a check needs, and a p-adic integral whose stability
 target needs a level past --N-max or digits that q's precision cannot
-give).  Past argument parsing, every error is one ``error:`` line on
-stderr.
+give).  Past argument parsing, every refusal is a
+:class:`~qvolkenborn.algebra.QvolkError`, which exits 2 with one
+``error:`` line on stderr; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import CyclotomicElement, PoleError, RationalFunction
+from .algebra import (CyclotomicElement, InputError, PoleError, QvolkError,
+                      RationalFunction)
 from .characters import (character_value, conductor, enumerate_characters,
                          parse_character_id)
-from .padic import (DEFAULT_PRECISION, PadicNumber, PrecisionExhausted,
-                    ProfiniteDomain, padic_from_rational)
+from .padic import DEFAULT_PRECISION, PadicNumber, ProfiniteDomain, padic_from_rational
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
                        integrate, parse_integrand)
 from .qnumbers import beta_polynomial, k_chi, k_polynomial
@@ -39,10 +40,6 @@ CSV_COLUMNS = ["kind", "n", "x", "m", "chi", "q_spec", "value"]
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-
-
-class UsageError(Exception):
-    pass
 
 
 def parse_q_spec(text: str, default_precision: int = DEFAULT_PRECISION) -> QDescriptor:
@@ -62,7 +59,7 @@ def parse_q_spec(text: str, default_precision: int = DEFAULT_PRECISION) -> QDesc
             return QDescriptor.padic(padic_from_rational(q, p, prec))
         return QDescriptor.rational(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad q spec {text!r}: {exc}") from exc
+        raise InputError(f"bad q spec {text!r}: {exc}") from exc
 
 
 def _evaluate_at(q: QDescriptor, label: str, compute):
@@ -101,7 +98,7 @@ def parse_index_range(text: str) -> list[int]:
             raise ValueError("negative index")
         return [value]
     except ValueError as exc:
-        raise UsageError(f"bad index range {text!r}: {exc}") from exc
+        raise InputError(f"bad index range {text!r}: {exc}") from exc
 
 
 def value_to_json(value):
@@ -176,7 +173,7 @@ def cmd_numbers(args) -> int:
                                  lambda: family(n, 0, q, form=args.method))
         else:
             if not args.chi:
-                raise UsageError("--chi is required for kind K_chi")
+                raise InputError("--chi is required for kind K_chi")
             chi = parse_character_id(args.chi)
             value = _evaluate_at(q, f"K_chi_{n}",
                                  lambda: k_chi(n, chi, q, method=args.method))
@@ -191,7 +188,7 @@ def cmd_polynomials(args) -> int:
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad x {args.x!r}: {exc}") from exc
+        raise InputError(f"bad x {args.x!r}: {exc}") from exc
     polynomial = k_polynomial if args.kind == "K_poly" else beta_polynomial
     rows = []
     for n in parse_index_range(args.n):
@@ -208,15 +205,10 @@ def cmd_integrate(args) -> int:
     try:
         q_value = Fraction(args.q)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad q {args.q!r}: {exc}") from exc
-    try:
-        q = QDescriptor.padic(padic_from_rational(q_value, args.p, args.A))
-        domain = ProfiniteDomain(args.p, args.d)
-        spec = MeasureSpec(args.kind, q, domain)
-        integrand = parse_integrand(args.f, q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    result = integrate(spec, integrand, args.stability, args.n_max)
+        raise InputError(f"bad q {args.q!r}: {exc}") from exc
+    q = QDescriptor.padic(padic_from_rational(q_value, args.p, args.A))
+    spec = MeasureSpec(args.kind, q, ProfiniteDomain(args.p, args.d))
+    result = integrate(spec, parse_integrand(args.f, q), args.stability, args.n_max)
     report = {"command": "integrate", "kind": args.kind, "integrand": args.f,
               "p": args.p, "d": args.d, "q": str(q_value), "A": args.A}
     report.update(result.to_json())
@@ -230,13 +222,9 @@ def cmd_verify(args) -> int:
         overrides["ms"] = (args.m,)
     if args.n_max is not None:
         if args.n_max < 0:
-            raise UsageError(f"--n-max must be nonnegative, got {args.n_max}")
+            raise InputError(f"--n-max must be nonnegative, got {args.n_max}")
         overrides["n_max"] = args.n_max
-    names = args.suite or None
-    try:
-        results = run_suites(names, **overrides)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    results = run_suites(args.suite or None, **overrides)
     all_passed = all(r.passed for r in results)
     report = {"command": "verify", "all_passed": all_passed,
               "suites": [r.to_json() for r in results]}
@@ -247,7 +235,7 @@ def cmd_verify(args) -> int:
 def cmd_series(args) -> int:
     for flag, value in (("--T", args.T), ("--k-max", args.k_max), ("--n-terms", args.n_terms)):
         if value < 0:
-            raise UsageError(f"{flag} must be nonnegative, got {value}")
+            raise InputError(f"{flag} must be nonnegative, got {value}")
     rows = []
     if args.gf == "euler":
         gf = euler_gf(args.T)
@@ -257,10 +245,7 @@ def cmd_series(args) -> int:
                          "coefficient": str(gf[n])})
     elif args.gf == "Fq":
         q = parse_q_spec(args.q)
-        try:
-            gf = _evaluate_at(q, "F_q", lambda: f_q_series(q, args.T))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        gf = _evaluate_at(q, "F_q", lambda: f_q_series(q, args.T))
         for n in range(args.T + 1):
             coeff = gf[n]
             rows.append({"kind": "Fq_gf", "n": n, "x": "", "m": "", "chi": "",
@@ -272,7 +257,7 @@ def cmd_series(args) -> int:
             if not 0 < abs(q_value) < 1:
                 raise ValueError("partial sums need 0 < |q| < 1")
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad q {args.q!r}: {exc}") from exc
+            raise InputError(f"bad q {args.q!r}: {exc}") from exc
         for k in range(args.k_max + 1):
             ps = f_q_coefficient_partial(k, q_value, args.n_terms)
             rows.append({"kind": "K_partial", "n": k, "x": "", "m": "",
@@ -397,8 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (UsageError, ValueError, ZeroDivisionError, PrecisionExhausted,
-            PoleError) as exc:
+    except QvolkError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

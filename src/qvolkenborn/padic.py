@@ -22,10 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import InputError, QvolkError, ZeroAtPrecisionError
+
 DEFAULT_PRECISION = 32
 
 
-class PrecisionExhausted(ArithmeticError):
+class PrecisionExhausted(QvolkError, ArithmeticError):
     """An operation would produce a value with no certified digits."""
 
 
@@ -115,9 +117,9 @@ class PadicNumber:
         """Image of an exact rational with prec significant digits; exact zero
         maps to zero-at-precision with valuation bound prec."""
         if not _is_odd_prime(p):
-            raise ValueError(f"{p} is not an odd prime")
+            raise InputError(f"{p} is not an odd prime")
         if prec < 1:
-            raise ValueError("precision must be positive")
+            raise InputError("precision must be positive")
         r = Fraction(r)
         if r == 0:
             return cls.zero_at_precision(p, prec)
@@ -225,7 +227,7 @@ class PadicNumber:
 
     def reciprocal(self) -> PadicNumber:
         if self.is_zero_at_precision:
-            raise ZeroDivisionError("division by zero-at-precision")
+            raise ZeroAtPrecisionError("division by zero-at-precision")
         unit = _unit_inverse(self.unit, self.p, self.prec)
         return PadicNumber._normalised(self.p, -self.v, unit, self.prec)
 
@@ -234,7 +236,7 @@ class PadicNumber:
         if other is None:
             return NotImplemented
         if other.is_zero_at_precision:
-            raise ZeroDivisionError("division by zero-at-precision")
+            raise ZeroAtPrecisionError("division by zero-at-precision")
         if self.is_zero_at_precision:
             return PadicNumber.zero_at_precision(self.p, self.v - other.v)
         prec = min(self.prec, other.prec)
@@ -329,9 +331,9 @@ class ProfiniteDomain:
         if not _is_odd_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime")
         if self.d < 1:
-            raise ValueError("d must be positive")
+            raise InputError("d must be positive")
         if math.gcd(self.d, self.p) != 1:
-            raise ValueError(f"d = {self.d} must be prime to p = {self.p}")
+            raise InputError(f"d = {self.d} must be prime to p = {self.p}")
 
     def level_size(self, n: int) -> int:
         return self.d * self.p ** n

@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Polynomial, RationalFunction, RootOrderMismatch,
-                      _divisors, _unpack, reduce_cyclotomic_fraction)
+from .algebra import (InputError, Polynomial, RationalFunction, RootOrderMismatch,
+                      ZeroAtPrecisionError, _divisors, _unpack, reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
 from .padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
                     ball_representatives, q_admissible)
@@ -64,18 +64,18 @@ class QDescriptor:
         if mode not in ("symbolic", "rational", "padic"):
             raise ValueError(f"unknown q mode {mode!r}")
         if mode == "symbolic" and root_order < 1:
-            raise ValueError("root order must be >= 1")
+            raise InputError("root order must be >= 1")
         if mode == "rational":
             if q_rational is None or q_rational == 1:
-                raise ValueError("rational q must be an exact rational != 1")
+                raise InputError("rational q must be an exact rational != 1")
         if mode == "padic":
             if q_padic is None:
                 raise ValueError("padic mode needs a p-adic q")
             if not q_admissible(q_padic):
-                raise ValueError(
+                raise InputError(
                     f"inadmissible p-adic q: v_{q_padic.p}(q - 1) must be >= 1")
             if (q_padic - 1).is_zero_at_precision:
-                raise ValueError("p-adic q must differ from 1 at its precision, "
+                raise InputError("p-adic q must differ from 1 at its precision, "
                                  f"got q - 1 = {q_padic - 1!r}")
         self.mode = mode
         self.root_order = root_order
@@ -107,7 +107,7 @@ class QDescriptor:
     @property
     def prime(self) -> int:
         if self.mode != "padic":
-            raise ValueError("only padic descriptors carry a prime")
+            raise InputError("only padic descriptors carry a prime")
         return self.q_padic.p
 
     # -- field plumbing -------------------------------------------------------
@@ -144,7 +144,7 @@ class QDescriptor:
             return exponent
         e = Fraction(exponent)
         if e.denominator != 1:
-            raise ValueError(f"fractional power q^{e} is not available in {self.mode} mode")
+            raise InputError(f"fractional power q^{e} is not available in {self.mode} mode")
         return int(e)
 
     def qpow(self, exponent: Fraction | int):
@@ -265,7 +265,7 @@ class _RationalReading:
         self.net_b = 0   # the dropped b^e, as a power of b
 
     def _exponent(self, e) -> int:
-        """e as an int, with qpow's ValueError for a fractional e, and
+        """e as an int, with qpow's InputError for a fractional e, and
         ZeroDivisionError for q = 0 to a negative power."""
         e = self.q.int_exponent(e)
         if e < 0 and not self.a:
@@ -405,7 +405,7 @@ class MeasureSpec:
         if self.kind not in (BOSONIC, FERMIONIC):
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if self.kind == FERMIONIC and self.domain.d % 2 == 0:
-            raise ValueError("the fermionic measure needs an odd d")
+            raise InputError("the fermionic measure needs an odd d")
         if self.q.mode == "padic" and self.q.prime != self.domain.p:
             raise ValueError(f"a {self.q.prime}-adic q cannot measure a "
                              f"domain over p = {self.domain.p}")
@@ -621,12 +621,12 @@ def _over_normaliser(q: QDescriptor, fermionic: bool, r_k: int, top: int, bottom
     p^shift S mod p^(digits + shift), truncated as PadicNumber's / and +
     zero_at_precision do and to ``claim``: to min(m, h + A - w) + u - w
     digits, h, w, u the valuations of S (m if 0), 1 - r_k and 1 - r q, m =
-    min(digits, A + w) (0 times 1 - r_k is zero at A + w).  ZeroDivisionError
-    if w >= A."""
+    min(digits, A + w) (0 times 1 - r_k is zero at A + w).
+    ZeroAtPrecisionError if w >= A."""
     p, big_q, a = q.q_padic.p, q.q_padic.unit, q.q_padic.prec
     norm = (1 - r_k) % p ** a
     if not norm:
-        raise ZeroDivisionError("division by zero-at-precision")
+        raise ZeroAtPrecisionError("division by zero-at-precision")
     u, w = 0 if fermionic else _int_valuation(1 - big_q, p), _int_valuation(norm, p)
     digits = min(digits, a + w)
     known = p ** (digits + shift)
@@ -648,7 +648,7 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     target t is met at level N = max(N0, t) (fermionic) or t + N0
     (bosonic), and the result is S_N truncated to its stability,
     min(bound(N), digits S_N claims): :func:`_residue_sum` at level N with
-    bound(N) as its claim.  ValueError when N > n_max, when t exceeds q's
+    bound(N) as its claim.  InputError when N > n_max, when t exceeds q's
     precision A (no sum claims more), when a bosonic normalizer [d p^N]_q
     vanishes at A, and when S_N claims fewer than t digits.
 
@@ -679,32 +679,32 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     """
     _check_integrand(spec, f)
     if spec.q.mode != "padic":
-        raise ValueError("integration is a p-adic limit; q must be padic")
+        raise InputError("integration is a p-adic limit; q must be padic")
     p, d = spec.domain.p, spec.domain.d
     modulus, n0 = 1 if f.chi is None else len(f.chi), 0
     while modulus % p == 0:
         modulus, n0 = modulus // p, n0 + 1
     if d % modulus:
-        raise ValueError(f"a character mod {len(f.chi)} is not a function on the "
+        raise InputError(f"a character mod {len(f.chi)} is not a function on the "
                          f"domain: its {p}-free part {modulus} does not divide d = {d}")
     n0, target = max(1, n0), max(0, target_stability)
     bosonic = spec.kind == BOSONIC
     n = target + n0 if bosonic else max(n0, target)
     if n > n_max:
-        raise ValueError(f"stability {target_stability} needs level {n}, "
+        raise InputError(f"stability {target_stability} needs level {n}, "
                          f"past n_max = {n_max}")
     precision = spec.q.q_padic.prec
     if target > precision:
-        raise ValueError(f"stability {target_stability} needs more digits than "
+        raise InputError(f"stability {target_stability} needs more digits than "
                          f"q's precision A = {precision}")
     try:   # the level-n riemann_sum, truncated to its bound
         value = _residue_sum(spec.q, spec.kind, f.n, f.shift, f.chi or (1,),
                              spec.domain.level_size(n), n - n0 if bosonic else n)
     except ZeroDivisionError:
-        raise ValueError(f"stability {target_stability} not reached: the level-{n} "
+        raise InputError(f"stability {target_stability} not reached: the level-{n} "
                          f"normalizer vanishes at q's precision A = {precision}") from None
     if value.absolute_precision < target:
-        raise ValueError(f"stability {target_stability} not reached: level {n} "
+        raise InputError(f"stability {target_stability} not reached: level {n} "
                          f"claims {value.absolute_precision} digits")
     return IntegrationResult(value, n, value.absolute_precision)
 
@@ -769,7 +769,7 @@ class BracketPower:
             if not chi:
                 raise ValueError("a character table needs at least one value")
             if any(v not in (0, 1, -1) for v in chi):
-                raise ValueError(
+                raise InputError(
                     "twisted integrands need character values in {0, +-1}; "
                     "higher-order twists are computed by the closed form of "
                     "k_chi at symbolic or rational q")
@@ -814,5 +814,5 @@ def parse_integrand(text: str, q: QDescriptor) -> BracketPower:
             chi = parse_character_id(":".join(parts[2:]))
             return character_twisted_power(q, int(parts[1]), chi)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad integrand spec {text!r}: {exc}") from exc
-    raise ValueError(f"unknown integrand spec {text!r}")
+        raise InputError(f"bad integrand spec {text!r}: {exc}") from exc
+    raise InputError(f"unknown integrand spec {text!r}")

@@ -27,7 +27,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .algebra import CyclotomicElement, root_of_unity_rows
+from .algebra import CyclotomicElement, InputError, root_of_unity_rows
 from .characters import DirichletCharacter
 from .padic import ProfiniteDomain
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec, QDescriptor,
@@ -152,10 +152,10 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
         raise ValueError("index must be nonnegative")
     f, order = chi.modulus, chi.value_order
     if f % 2 == 0:
-        raise ValueError("the twisted numbers need an odd conductor")
+        raise InputError("the twisted numbers need an odd conductor")
     if method == "closed":
         if q.mode == "padic" and order > 2:
-            raise ValueError(
+            raise InputError(
                 "p-adic twisted numbers need character values in {0, +-1}")
         rows = root_of_unity_rows(order)
         sums = [_closed(q, FERMIONIC, n, 0,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import RationalFunction
+from .algebra import InputError, RationalFunction
 from .qmeasure import QDescriptor, fermionic_power_moment
 
 
@@ -152,7 +152,7 @@ def f_q_series(q: QDescriptor, order: int) -> TruncatedSeries:
     coefficients because the j-th term only feeds orders >= j.
     """
     if q.mode == "padic":
-        raise ValueError("the generating function is symbolic/rational only")
+        raise InputError("the generating function is symbolic/rational only")
     one = q.one()
     zero = one * 0
     inv_1mq = one / (one - q.qpow(1))

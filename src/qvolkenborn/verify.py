@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .algebra import InputError
 from .characters import make_character
 from .padic import ProfiniteDomain, padic_from_rational
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
@@ -156,7 +157,7 @@ def suite_distribution(n_max: int = 6, ms: tuple[int, ...] = (1, 3, 5), **_) -> 
     out = SuiteResult("distribution")
     for m in ms:
         if m < 1 or m % 2 == 0:
-            raise ValueError(f"the distribution relation needs odd m, got {m}")
+            raise InputError(f"the distribution relation needs odd m, got {m}")
     for x in (Fraction(0), Fraction(1, 3)):
         sym = _sym(x.denominator)
         for m in ms:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import qvolkenborn
 from qvolkenborn import algebra, qmeasure
-from qvolkenborn.algebra import (CyclotomicElement, Polynomial, RationalFunction,
+from qvolkenborn.algebra import (CyclotomicElement, InputError, Polynomial, RationalFunction,
                                  RootOrderMismatch, cyclotomic_polynomial,
                                  reduce_cyclotomic_fraction, root_of_unity_rows)
 from qvolkenborn.characters import (character_value, enumerate_characters, make_character,
@@ -990,25 +990,25 @@ def _field_integrate(spec, f, target_stability, n_max):
     while modulus % p == 0:
         modulus, n0 = modulus // p, n0 + 1
     if d % modulus:
-        raise ValueError(f"a character mod {len(f.chi)} is not a function on the "
+        raise InputError(f"a character mod {len(f.chi)} is not a function on the "
                          f"domain: its {p}-free part {modulus} does not divide d = {d}")
     n0, target = max(1, n0), max(0, target_stability)
     bosonic = spec.kind == BOSONIC
     n = target + n0 if bosonic else max(n0, target)
     if n > n_max:
-        raise ValueError(f"stability {target_stability} needs level {n}, "
+        raise InputError(f"stability {target_stability} needs level {n}, "
                          f"past n_max = {n_max}")
     precision, norm = spec.q.q_padic.prec, spec.level_norm(n)
     if target > precision:
-        raise ValueError(f"stability {target_stability} needs more digits than "
+        raise InputError(f"stability {target_stability} needs more digits than "
                          f"q's precision A = {precision}")
     if norm.is_zero_at_precision:
-        raise ValueError(f"stability {target_stability} not reached: the level-{n} "
+        raise InputError(f"stability {target_stability} not reached: the level-{n} "
                          f"normalizer vanishes at q's precision A = {precision}")
     value = _field_riemann_sum(spec, f, n)
     digits = min(n - n0 if bosonic else n, value.absolute_precision)
     if digits < target:
-        raise ValueError(f"stability {target_stability} not reached: level {n} "
+        raise InputError(f"stability {target_stability} not reached: level {n} "
                          f"claims {digits} digits")
     return value + PadicNumber.zero_at_precision(p, digits), n, digits
 

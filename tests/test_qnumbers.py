@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvolkenborn import qmeasure, qnumbers
-from qvolkenborn.algebra import (CyclotomicElement, Polynomial, RationalFunction,
-                                 root_of_unity_rows)
+from qvolkenborn.algebra import (CyclotomicElement, InputError, Polynomial, QvolkError,
+                                 RationalFunction, ZeroAtPrecisionError, root_of_unity_rows)
 from qvolkenborn.characters import (character_value, enumerate_characters, make_character,
                                     parse_character_id)
 from qvolkenborn.padic import padic_from_rational
@@ -321,6 +321,38 @@ def test_closed_padic_values_claim_their_proven_digits(point, family, n, x, m, c
                                digits)
 
 
+def _value_or_refusal(compute):
+    try:
+        return compute()
+    except (QvolkError, ZeroDivisionError):
+        return "refused"
+
+
+# r away from 0 and the roots of unity: the rational reading divides by the
+# unreduced binomials 1 +- q^e and takes negative powers of q, so it refuses
+# there even where the reduced symbolic value is finite
+_POINTS = st.builds(F, st.integers(-9, 9), st.integers(1, 9)).filter(lambda r: r and abs(r) != 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=_POINTS, root_order=st.sampled_from((1, 2, 3)),
+       family=st.sampled_from(("K", "beta", "K_poly", "beta_poly", "distribution", "chi")),
+       form=st.sampled_from(("closed", "expansion")), n=st.integers(0, 6),
+       x=st.integers(-3, 3), m=st.sampled_from((1, 3, 5)), chi=st.sampled_from(_QUADRATIC))
+def test_symbolic_values_evaluate_to_the_rational_reading(r, root_order, family, form, n, x,
+                                                          m, chi):
+    # the symbolic value at root order D, evaluated at w = r, is the rational
+    # reading at q = r^D; a refusal in both readings counts as agreement
+    calls = {"K": lambda qd: k_number(n, qd), "beta": lambda qd: beta_number(n, qd),
+             "K_poly": lambda qd: k_polynomial(n, x, qd, form=form),
+             "beta_poly": lambda qd: beta_polynomial(n, x, qd, form=form),
+             "distribution": lambda qd: k_distribution_rhs(n, x, m, qd),
+             "chi": lambda qd: k_chi(n, chi, qd)}
+    symbolic = _value_or_refusal(lambda: calls[family](sym(root_order)).evaluate(r))
+    rational = _value_or_refusal(lambda: calls[family](QDescriptor.rational(r ** root_order)))
+    assert symbolic == rational
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_k_chi_finite_level_factorization(n):
     """The conductor-f Riemann sum at a finite level already factors through
@@ -489,7 +521,7 @@ def test_the_builder_passes_the_kernel_the_former_inputs(q, n, thirds, m, chi):
     # orders <= 2 exist, the quadratic one mod 5).  At p-adic q it makes
     # none: its residue pass agrees with the field chain over those inputs
     # on every digit the chain claims, claims no fewer, and raises the
-    # chain's ValueError for a fractional power
+    # chain's InputError for a fractional power
     x = F(thirds, 3)
     if q.mode == "padic" and chi.value_order > 2:
         chi = _TWISTS[1]
@@ -523,9 +555,9 @@ def test_the_builder_passes_the_kernel_the_former_inputs(q, n, thirds, m, chi):
     assert got == []
     for value, inputs in zip(values, want):
         reference = _value_or_error(lambda: _field_sum(q, *inputs))
-        if reference is ValueError or value is ValueError:
+        if reference is InputError or value is InputError:
             assert value is reference
-        elif reference is not ZeroDivisionError:
+        elif reference is not ZeroAtPrecisionError:
             assert value.absolute_precision >= reference.absolute_precision
             assert value.agrees_with(reference, reference.absolute_precision)
 

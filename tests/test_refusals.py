@@ -1,0 +1,172 @@
+"""The refusal contract: every input the engine refuses is a QvolkError.
+
+`cli.main` catches that one class and turns it into exit code 2 and one
+``error:`` line on stderr.  Any other exception is a bug and propagates,
+so it shows as a traceback.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from qvolkenborn import cli
+from qvolkenborn import verify as verify_mod
+from qvolkenborn.algebra import (InputError, PoleError, QvolkError, RootOrderMismatch,
+                                 ZeroAtPrecisionError)
+from qvolkenborn.cli import build_parser, main
+from qvolkenborn.padic import PadicNumber, PrecisionExhausted
+from qvolkenborn.qmeasure import QDescriptor, binomial_fraction_sum
+from test_golden import DIGESTS, commands
+
+
+def refusal(argv):
+    """The exception that cli.main catches for argv."""
+    args = build_parser().parse_args(cli._attach_negative_values(list(argv)))
+    with pytest.raises(QvolkError) as info:
+        args.func(args)
+    return info.value
+
+
+def assert_exit_2(capsys, argv, exc):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == ("", f"error: {exc}\n")
+
+
+# the exit-2 commands of tests/test_cli.py and the class each one raises
+CLI_REFUSALS = [
+    (("numbers", "--kind", "K_chi", "--n", "0"), InputError),
+    (("numbers", "--kind", "K", "--n", "3", "--q", "-1"), PoleError),
+    (("numbers", "--kind", "K", "--n", "0..2", "--q", "padic:5:1:32"), InputError),
+    (("numbers", "--kind", "K", "--n", "0..2", "--q", "padic:5:3126:5"), InputError),
+    (("numbers", "--kind", "K_chi", "--chi", "garbage", "--n", "1"), InputError),
+    (("numbers", "--kind", "K", "--n", "1..4", "--q", "sym", "--method", "integral"), InputError),
+    (("polynomials", "--kind", "K_poly", "--n", "1", "--x", "1/2", "--q", "sym"),
+     RootOrderMismatch),
+    (("polynomials", "--kind", "K_poly", "--n", "1", "--x", "1", "--q", "padic:3:4:2",
+      "--form", "integral"), InputError),
+    (("integrate", "--p", "5", "--q", "6", "--f", "char_twisted:1:3:1", "--stability", "2"),
+     InputError),
+    (("integrate", "--q", "2", "--p", "5"), InputError),
+    (("integrate", "--p", "5", "--q", "6", "--f", "bracket_pow:3", "--stability", "30",
+      "--N-max", "5"), InputError),
+    (("integrate", "--p", "5", "--q", "6", "--f", "bracket_pow:3", "--stability", "32",
+      "--N-max", "40"), InputError),
+    (("integrate", "--kind", "bosonic", "--p", "5", "--q", "6", "--A", "6", "--f",
+      "bracket_pow:2", "--stability", "5"), InputError),
+    (("integrate", "--p", "5", "--q", "6", "--N-max", "1"), InputError),
+    (("verify", "--suite", "distribution", "--m", "4"), InputError),
+    (("verify", "--suite", "kpoly-forms", "--n-max", "-1"), InputError),
+    (("series", "--gf", "Fq", "--q", "1", "--T", "3"), InputError),
+    (("series", "--gf", "euler", "--T", "-1"), InputError),
+    (("series", "--gf", "Kpartial", "--q", "1/2", "--n-terms", "-1"), InputError),
+]
+# and one command for each other refusal that a CLI argument reaches
+CLI_REFUSALS += [(tuple(command.split()), InputError) for command in (
+    "characters --f 0",
+    "numbers --kind K --n -1",
+    "numbers --kind K --n 0..2 --q sym:0",
+    "numbers --kind K_chi --n 0 --chi 0:1",
+    "numbers --kind K_chi --n 0 --chi 5:9",
+    "numbers --kind K_chi --n 0 --chi 5:1,1",
+    "numbers --kind K_chi --n 0 --chi 4:1",
+    "numbers --kind K_chi --n 0 --chi 5:1 --q padic:3:4:32",
+    "numbers --kind K_chi --n 0 --chi 7:1 --q padic:5:6:32 --method integral",
+    "numbers --kind K_chi --n 0 --chi 5:2 --q padic:5:6:32 --method integral",
+    "polynomials --kind K_poly --n 1 --x 1/0",
+    "polynomials --kind beta_poly --n 1 --x 1/2 --q padic:5:6:32",
+    "integrate --p 4 --q 5",
+    "integrate --p 5 --q 6 --A 0",
+    "integrate --p 5 --q 1",
+    "integrate --p 5 --q 1/0",
+    "integrate --p 5 --q 6 --d 0",
+    "integrate --p 5 --q 6 --d 2",
+    "integrate --p 5 --q 6 --d 5",
+    "integrate --p 5 --q 6 --f garbage",
+    "integrate --p 5 --q 6 --f bracket_pow:-1",
+    "integrate --p 5 --q 6 --stability 40 --N-max 50",
+    "series --gf Fq --q padic:5:6:32",
+    "series --gf Kpartial --q 2",
+)]
+
+
+@pytest.mark.parametrize("argv, error", CLI_REFUSALS, ids=lambda v: " ".join(v)
+                         if isinstance(v, tuple) else v.__name__)
+def test_cli_refusals_are_qvolk_errors(capsys, argv, error):
+    exc = refusal(argv)
+    assert type(exc) is error
+    assert_exit_2(capsys, argv, exc)
+
+
+# the golden commands that exit 2, and the class each one raises
+GOLDEN_REFUSALS = {
+    **{f"numbers --kind K_chi --n 0..5 --chi {chi} --q padic:5:6:32": InputError
+       for chi in ("5:1", "7:1", "7:2", "9:1", "13:1", "15:1,1", "21:1,1")},
+    "numbers --kind K --n 0..3 --q -1": PoleError,
+    "polynomials --kind K_poly --n 0..3 --x -2 --q 0": PoleError,
+    "polynomials --kind K_poly --n 0..6 --x 2/3 --q 2/5 --form expansion": InputError,
+    "integrate --kind bosonic --p 3 --q 4 --f bracket_pow:2 --A 6 --stability 5 --N-max 8":
+        InputError,
+}
+
+
+def test_golden_refusals_are_qvolk_errors():
+    # every golden command that raises raises a QvolkError, and its recorded
+    # digest is that of exit 2 with the error line
+    recorded, caught = json.loads(DIGESTS.read_text()), {}
+    for command in commands():
+        args = build_parser().parse_args(cli._attach_negative_values(command.split()))
+        try:
+            args.func(args)
+        except QvolkError as exc:
+            caught[command] = type(exc)
+            payload = json.dumps([2, "", f"error: {exc}\n"]).encode()
+            assert hashlib.sha256(payload).hexdigest() == recorded[command]
+    assert caught == GOLDEN_REFUSALS
+
+
+@pytest.mark.parametrize("error", [InputError, ZeroAtPrecisionError, PoleError,
+                                   PrecisionExhausted, RootOrderMismatch])
+def test_every_refusal_class_exits_2(capsys, monkeypatch, error):
+    def refusing(**_):
+        raise error("refused here")
+
+    monkeypatch.setitem(verify_mod.SUITES, "limits", refusing)
+    assert_exit_2(capsys, ("verify", "--suite", "limits"), "refused here")
+
+
+@pytest.mark.parametrize("error", [ValueError, ZeroDivisionError, ArithmeticError])
+@pytest.mark.parametrize("argv, engine", [
+    (("numbers", "--kind", "K", "--n", "0..2", "--q", "sym"), "k_polynomial"),
+    (("integrate", "--p", "5", "--q", "6"), "parse_integrand"),
+    (("integrate", "--p", "5", "--q", "6"), "integrate"),
+    (("series", "--gf", "Fq", "--q", "sym", "--T", "2"), "f_q_series"),
+    (("series", "--gf", "Kpartial", "--q", "1/2"), "f_q_coefficient_partial"),
+])
+def test_an_engine_bug_propagates_out_of_main(capsys, monkeypatch, error, argv, engine):
+    def broken(*_, **__):
+        raise error("a bug")
+
+    monkeypatch.setattr(cli, engine, broken)
+    with pytest.raises(error) as info:
+        main(list(argv))
+    assert type(info.value) is error and capsys.readouterr().err == ""
+
+
+def test_a_suite_bug_propagates_out_of_main(monkeypatch):
+    def broken(**_):
+        raise ValueError("a bug")
+
+    monkeypatch.setitem(verify_mod.SUITES, "limits", broken)
+    with pytest.raises(ValueError) as info:
+        main(["verify", "--suite", "limits"])
+    assert type(info.value) is ValueError
+
+
+def test_the_kernel_contract_refusal_stays_a_plain_value_error():
+    # no CLI input reaches the kernel's input contract, so a breach is a bug
+    for q, sign, step in ((QDescriptor.rational(2), 1, 0),
+                          (QDescriptor.padic(PadicNumber.from_rational(6, 5, 8)), 1, 1)):
+        with pytest.raises(ValueError) as info:
+            binomial_fraction_sum(q, [{0: 1}], sign, step)
+        assert type(info.value) is ValueError
