@@ -6,11 +6,11 @@ modulo ``p**(v + prec)``; that exponent is the *absolute precision*.
 Addition and subtraction are exact up to the minimum absolute precision of
 the operands; multiplication and division preserve relative precision.
 
-A result that vanishes to the working precision is kept as a distinguished
-*zero-at-precision* state carrying only a certified lower bound on its
-valuation.  Convergence diagnostics rely on that bound: the difference of
-two successive Riemann sums can sit below the precision floor, and the bound
-is still an honest certificate.
+A result that vanishes to the working precision is *zero-at-precision*:
+unit 0 and prec 0, so its valuation v is a certified lower bound and also
+its absolute precision.  Convergence diagnostics rely on that bound: the
+difference of two successive Riemann sums can sit below the precision
+floor, and the bound is still an honest certificate.
 
 Values are immutable and operations are pure, so they may be shared across
 parallel reductions without synchronization.
@@ -63,29 +63,33 @@ def _unit_inverse(x: int, p: int, k: int) -> int:
 class PadicNumber:
     """A truncated element of Q_p (odd p) with tracked precision.
 
-    The public constructor checks its arguments: p must be an odd prime, a
-    nonzero value needs prec >= 1, and the unit is reduced modulo p**prec and
-    must be prime to p.  Arithmetic results (+, -, *, /, ** and
-    :meth:`reciprocal`) are already normalised, 0 < unit < p**prec with p
-    not dividing the unit, and are built by the unchecked internal
+    The public constructor checks its arguments: p must be an odd prime;
+    unit 0 with prec 0 is zero-at-precision with bound v; any other value
+    needs prec >= 1, and its unit is reduced modulo p**prec and must be
+    prime to p.  Arithmetic results (+, -, *, /, ** and :meth:`reciprocal`)
+    are already normalised, 0 < unit < p**prec with p not dividing the unit
+    or (unit, prec) = (0, 0), and are built by the unchecked internal
     constructor :meth:`_normalised`, which stores the fields as given; / and
     :meth:`reciprocal` invert units by Newton doubling (:func:`_unit_inverse`).
 
     The precision rules, read on residues: a value is an x known mod p**a
     (a its absolute precision), with v read off x and capped at a (v = a is
-    zero-at-precision).  A sum is known mod p**min(a_x, a_y), a product mod
-    p**min(v_x + a_y, v_y + a_x), and an exact int or Fraction meeting y is
-    lifted by :meth:`_coerce`: 0 as zero-at-precision with bound a_y (so
-    0 * y is zero at precision v_y + a_y), any other with enough digits
-    never to limit the result (so 1 * y is y).
+    zero-at-precision, unit 0 known mod p**0).  A sum is known mod
+    p**min(a_x, a_y), a product mod p**min(v_x + a_y, v_y + a_x), and an
+    exact int or Fraction meeting y is lifted by :meth:`_coerce`: 0 as
+    zero-at-precision with bound a_y (so 0 * y is zero at precision
+    v_y + a_y), any other with enough digits never to limit the result (so
+    1 * y is y, and x**0 is that lift of 1).  Every operator applies these
+    rules to zero-at-precision operands too; only / and :meth:`reciprocal`
+    refuse one, as a divisor.
     """
 
     __slots__ = ("p", "v", "unit", "prec")
 
-    def __init__(self, p: int, v: int, unit: int | None, prec: int):
+    def __init__(self, p: int, v: int, unit: int, prec: int):
         if not _is_odd_prime(p):
             raise ValueError(f"{p} is not an odd prime")
-        if unit is not None:
+        if unit or prec:
             if prec < 1:
                 raise ValueError("nonzero value needs at least one digit of precision")
             unit %= p ** prec
@@ -100,17 +104,16 @@ class PadicNumber:
 
     @classmethod
     def _normalised(cls, p: int, v: int, unit: int, prec: int) -> PadicNumber:
-        """p**v * unit without checks: p an odd prime, prec >= 1 and
-        0 < unit < p**prec prime to p are the caller's to guarantee."""
+        """p**v * unit without checks: p an odd prime and either prec >= 1
+        with 0 < unit < p**prec prime to p, or unit = prec = 0, are the
+        caller's to guarantee."""
         x = object.__new__(cls)
         x.p, x.v, x.unit, x.prec = p, v, unit, prec
         return x
 
     @classmethod
     def zero_at_precision(cls, p: int, valuation_bound: int) -> PadicNumber:
-        z = object.__new__(cls)
-        z.p, z.v, z.unit, z.prec = p, valuation_bound, None, 0
-        return z
+        return cls._normalised(p, valuation_bound, 0, 0)
 
     @classmethod
     def from_rational(cls, r: Fraction | int, p: int, prec: int = DEFAULT_PRECISION) -> PadicNumber:
@@ -135,7 +138,7 @@ class PadicNumber:
 
     @property
     def is_zero_at_precision(self) -> bool:
-        return self.unit is None
+        return not self.prec
 
     @property
     def valuation(self) -> int:
@@ -185,13 +188,6 @@ class PadicNumber:
         if other is None:
             return NotImplemented
         a, b = self, other
-        if a.is_zero_at_precision and b.is_zero_at_precision:
-            return PadicNumber.zero_at_precision(a.p, min(a.v, b.v))
-        if a.is_zero_at_precision:
-            a, b = b, a
-        if b.is_zero_at_precision:
-            m = min(a.absolute_precision, b.v)
-            return PadicNumber._from_scaled(a.p, a.v, a.unit, m)
         m = min(a.absolute_precision, b.absolute_precision)
         s = min(a.v, b.v)
         raw = a.unit * a.p ** (a.v - s) + b.unit * b.p ** (b.v - s)
@@ -200,9 +196,7 @@ class PadicNumber:
     __radd__ = __add__
 
     def __neg__(self) -> PadicNumber:
-        if self.is_zero_at_precision:
-            return self
-        return PadicNumber._normalised(self.p, self.v, self.p ** self.prec - self.unit, self.prec)
+        return PadicNumber._normalised(self.p, self.v, -self.unit % self.p ** self.prec, self.prec)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -218,8 +212,6 @@ class PadicNumber:
         if other is None:
             return NotImplemented
         a, b = self, other
-        if a.is_zero_at_precision or b.is_zero_at_precision:
-            return PadicNumber.zero_at_precision(a.p, a.v + b.v)
         prec = min(a.prec, b.prec)
         return PadicNumber._normalised(a.p, a.v + b.v, a.unit * b.unit % a.p ** prec, prec)
 
@@ -237,8 +229,6 @@ class PadicNumber:
             return NotImplemented
         if other.is_zero_at_precision:
             raise ZeroAtPrecisionError("division by zero-at-precision")
-        if self.is_zero_at_precision:
-            return PadicNumber.zero_at_precision(self.p, self.v - other.v)
         prec = min(self.prec, other.prec)
         unit = self.unit * _unit_inverse(other.unit, self.p, prec) % self.p ** prec
         return PadicNumber._normalised(self.p, self.v - other.v, unit, prec)
@@ -248,10 +238,8 @@ class PadicNumber:
 
     def __pow__(self, n: int) -> PadicNumber:
         if n == 0:
-            return PadicNumber._normalised(self.p, 0, 1, max(self.prec, 1))
+            return self._coerce(1)
         base = self if n > 0 else self.reciprocal()
-        if base.is_zero_at_precision:
-            return PadicNumber.zero_at_precision(self.p, base.v * abs(n))
         mod = base.p ** base.prec
         return PadicNumber._normalised(base.p, base.v * abs(n), pow(base.unit, abs(n), mod),
                                        base.prec)
@@ -280,16 +268,11 @@ class PadicNumber:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"p": self.p, "v": self.v,
-                "unit": "0" if self.unit is None else str(self.unit),
-                "A": self.prec}
+        return {"p": self.p, "v": self.v, "unit": str(self.unit), "A": self.prec}
 
     @classmethod
     def from_json(cls, data: dict) -> PadicNumber:
-        unit = int(data["unit"])
-        if unit == 0:
-            return cls.zero_at_precision(int(data["p"]), int(data["v"]))
-        return cls(int(data["p"]), int(data["v"]), unit, int(data["A"]))
+        return cls(int(data["p"]), int(data["v"]), int(data["unit"]), int(data["A"]))
 
     def __repr__(self) -> str:
         if self.is_zero_at_precision:

@@ -106,8 +106,10 @@ class QDescriptor:
 
     @property
     def prime(self) -> int:
+        """The prime of a p-adic q.  Integration over Z_p reads it, so any
+        other reading is refused here as having no p-adic limit."""
         if self.mode != "padic":
-            raise InputError("only padic descriptors carry a prime")
+            raise InputError("integration is a p-adic limit; q must be padic")
         return self.q_padic.p
 
     # -- field plumbing -------------------------------------------------------
@@ -648,7 +650,8 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     target t is met at level N = max(N0, t) (fermionic) or t + N0
     (bosonic), and the result is S_N truncated to its stability,
     min(bound(N), digits S_N claims): :func:`_residue_sum` at level N with
-    bound(N) as its claim.  InputError when N > n_max, when t exceeds q's
+    bound(N) as its claim.  InputError for a non-padic q
+    (:attr:`QDescriptor.prime` refuses it), when N > n_max, when t exceeds q's
     precision A (no sum claims more), when a bosonic normalizer [d p^N]_q
     vanishes at A, and when S_N claims fewer than t digits.
 
@@ -678,9 +681,7 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     modulus divides d).  Otherwise ValueError.
     """
     _check_integrand(spec, f)
-    if spec.q.mode != "padic":
-        raise InputError("integration is a p-adic limit; q must be padic")
-    p, d = spec.domain.p, spec.domain.d
+    p, d = spec.q.prime, spec.domain.d   # the spec checked it is the domain's p
     modulus, n0 = 1 if f.chi is None else len(f.chi), 0
     while modulus % p == 0:
         modulus, n0 = modulus // p, n0 + 1

@@ -8,7 +8,9 @@ The file is rewritten by running this module as a script::
 
     PYTHONPATH=src python tests/test_golden.py
 
-Do that only when an output change is intended, and list the change.
+It prints each command it adds, drops or moves against the file it
+replaces, then the count of each.  Do that only when an output change is
+intended, and list the change.
 """
 
 import contextlib
@@ -86,6 +88,10 @@ def commands() -> list[str]:
     out += ["polynomials --kind beta_poly --n 0..8 --x 2 --q padic:5:6:32",
             "polynomials --kind K_poly --n 0..8 --x -3 --q padic:3:4:32",
             "polynomials --kind beta_poly --n 0..6 --x -1 --q 2/5"]
+    # p-adic expansions at x = 0 and x = p: [x]_q is zero-at-precision or
+    # divisible by p, and its 0-th power is the exact 1
+    out += ["polynomials --kind K_poly --n 0..6 --x 0 --q padic:5:6:32 --form expansion",
+            "polynomials --kind beta_poly --n 0..6 --x 5 --q padic:5:6:32 --form expansion"]
     # low-precision p-adic closed forms, where the proven bound of the
     # residue pass (A - v_p(1 - q), or A - v_p((n+1)!) + min(0, v) for
     # beta_n(x)) sets the digits claimed
@@ -115,6 +121,18 @@ def digest(command: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def digest_changes(old: dict, new: dict) -> dict[str, list[str]]:
+    """The commands that new adds to, drops from and moves against old."""
+    return {"added": [c for c in new if c not in old],
+            "dropped": [c for c in old if c not in new],
+            "moved": [c for c in new if c in old and new[c] != old[c]]}
+
+
+def test_digest_changes_name_each_command():
+    old, new = {"a": "1", "b": "2", "d": "5"}, {"b": "3", "c": "4", "d": "5"}
+    assert digest_changes(old, new) == {"added": ["c"], "dropped": ["a"], "moved": ["b"]}
+
+
 def test_cli_digests_match_the_recording():
     recorded = json.loads(DIGESTS.read_text())
     assert sorted(recorded) == sorted(commands())
@@ -136,6 +154,12 @@ def test_commands_and_suites_meet_only_cyclotomic_denominators(monkeypatch):
 
 
 if __name__ == "__main__":
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    new = {c: digest(c) for c in commands()}
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps({c: digest(c) for c in commands()}, indent=1) + "\n")
-    sys.stdout.write(f"wrote {len(commands())} digests to {DIGESTS}\n")
+    DIGESTS.write_text(json.dumps(new, indent=1) + "\n")
+    changes = digest_changes(old, new)
+    for change, changed in changes.items():
+        sys.stdout.writelines(f"{change}: {c}\n" for c in changed)
+    counts = ", ".join(f"{len(changed)} {change}" for change, changed in changes.items())
+    sys.stdout.write(f"{counts}; wrote {len(new)} digests to {DIGESTS}\n")

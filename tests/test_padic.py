@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qvolkenborn.algebra import ZeroAtPrecisionError
 from qvolkenborn.padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
                                ball_representatives, padic_from_rational, q_admissible)
+from qvolkenborn.qmeasure import QDescriptor
 
 F = Fraction
 
@@ -199,12 +201,109 @@ def test_arithmetic_claims_only_the_digits_it_proves(p, r, s, pr, ps, n):
     for z, exact, justified in results:
         assert z.p == p
         if z.is_zero_at_precision:
-            assert (z.unit, z.prec) == (None, 0)
+            assert (z.unit, z.prec) == (0, 0)
             assert exact == 0 or _valuation(exact, p) >= z.v
         else:
             assert 0 < z.unit < p ** z.prec and z.unit % p
             assert z == padic_from_rational(exact, p, z.prec)
         assert justified is None or z.absolute_precision <= justified
+
+
+def _zero(p, bound):
+    return (p, bound, 0, 0)
+
+
+def _truncated(x, m):
+    """x + O(p^m): x known modulo p**min(a_x, m)."""
+    m = min(x.absolute_precision, m)
+    if x.is_zero_at_precision or x.v >= m:
+        return _zero(x.p, m)
+    return (x.p, x.v, x.unit % x.p ** (m - x.v), m - x.v)
+
+
+def _zero_rule(op, x, y):
+    """The result of x op y, one of them zero-at-precision, by the rules
+    written for zero alone: a ZeroAtPrecisionError for a zero divisor."""
+    if op == "+":
+        return _truncated(y, x.v) if x.is_zero_at_precision else _truncated(x, y.v)
+    if op == "-":
+        return _zero_rule("+", x, PadicNumber(y.p, y.v, -y.unit, y.prec))
+    if op == "*":
+        return _zero(x.p, x.v + y.v)
+    if y.is_zero_at_precision:
+        return ZeroAtPrecisionError
+    return _zero(x.p, x.v - y.v)
+
+
+def _lift(x, other):
+    """x as the PadicNumber it meets other as: an exact 0 is zero at other's
+    absolute precision, any other exact scalar has more digits than needed."""
+    if isinstance(x, PadicNumber):
+        return x
+    if x == 0:
+        return PadicNumber.zero_at_precision(other.p, other.absolute_precision)
+    return padic_from_rational(x, other.p, 100)
+
+
+def _outcome(compute):
+    try:
+        z = compute()
+    except ZeroAtPrecisionError:
+        return ZeroAtPrecisionError
+    return (z.p, z.v, z.unit, z.prec)
+
+
+_operands = st.one_of(
+    st.builds(lambda b: ("zero", b), st.integers(-6, 14)),
+    st.builds(lambda r, prec: ("padic", r, prec),
+              _padic_rationals.filter(bool), st.integers(1, 12)),
+    st.builds(lambda r: ("exact", r), st.sampled_from([0, 0, 1, -3, 25, F(2, 5), F(-7, 25)])))
+
+
+def _operand(p, drawn):
+    if drawn[0] == "zero":
+        return PadicNumber.zero_at_precision(p, drawn[1])
+    if drawn[0] == "padic":
+        return padic_from_rational(drawn[1], p, drawn[2])
+    return drawn[1]
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=_PRIMES, a=_operands, b=_operands, n=st.integers(-3, 5).filter(bool))
+@example(p=5, a=("zero", 4), b=("padic", F(7, 3), 6), n=2)
+@example(p=5, a=("exact", 0), b=("padic", F(50, 3), 6), n=-1)
+@example(p=3, a=("padic", F(1, 9), 4), b=("zero", -2), n=3)
+def test_zero_at_precision_follows_its_own_rules(p, a, b, n):
+    # every operator meets a zero-at-precision operand, or an exact 0, by
+    # the zero rules alone: x + O(p^b) is x truncated to min(a_x, b),
+    # O(p^a) y is O(p^(a + v_y)), O(p^a) / y is O(p^(a - v_y)), O(p^a)^n is
+    # O(p^(n a)), -O(p^a) is O(p^a), and an exact 0 meets y as O(p^(a_y))
+    x, y = _operand(p, a), _operand(p, b)
+    padic = [t for t in (x, y) if isinstance(t, PadicNumber)]
+    assume(padic)
+    lx, ly = _lift(x, padic[0]), _lift(y, padic[0])
+    if lx.is_zero_at_precision or ly.is_zero_at_precision:
+        for op, compute in (("+", lambda: x + y), ("-", lambda: x - y),
+                            ("*", lambda: x * y), ("/", lambda: x / y)):
+            if op == "/" and not isinstance(x, PadicNumber):
+                continue   # y's reciprocal times the scalar: its lift follows 1/y
+            assert _outcome(compute) == _zero_rule(op, lx, ly), op
+    for z in padic:
+        if z.is_zero_at_precision:
+            assert _outcome(lambda: -z) == _zero(p, z.v)
+            assert _outcome(lambda: z ** n) == (_zero(p, n * z.v) if n > 0
+                                                else ZeroAtPrecisionError)
+
+
+def test_a_zeroth_power_is_the_exact_one():
+    # x**0 is 1 lifted like any exact scalar meeting x, so a
+    # zero-at-precision base gives 1 to as many digits as its bound
+    q = QDescriptor.padic(padic_from_rational(6, 5, 32))
+    zero = q.bracket(0)
+    assert zero.is_zero_at_precision and zero.v == 31
+    assert zero ** 0 == padic_from_rational(1, 5, 31)
+    assert padic_from_rational(5, 5, 31) ** 0 == padic_from_rational(1, 5, 32)
+    assert padic_from_rational(F(1, 5), 5, 31) ** 0 == padic_from_rational(1, 5, 31)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,20 @@ def test_k_polynomial_forms_agree():
                     == k_polynomial(n, x, qd, "expansion"))
 
 
+@pytest.mark.parametrize("polynomial", [k_polynomial, beta_polynomial])
+@pytest.mark.parametrize("x", [0, 5])
+def test_padic_expansions_at_x_divisible_by_p_keep_the_closed_digits(polynomial, x):
+    # [x]_q is zero-at-precision (x = 0) or divisible by p (x = p), and its
+    # 0-th power is the exact 1, so the expansion agrees with the closed form
+    # on every digit both claim and claims at most one digit fewer
+    qd = QDescriptor.padic(padic_from_rational(6, 5, 32))
+    for n in range(7):
+        closed, expansion = (polynomial(n, x, qd, form) for form in ("closed", "expansion"))
+        digits = min(closed.absolute_precision, expansion.absolute_precision)
+        assert closed.agrees_with(expansion, digits)
+        assert expansion.absolute_precision >= closed.absolute_precision - 1 >= 28
+
+
 def test_k_polynomial_integral_form_matches_closed():
     qd = QDescriptor.padic(padic_from_rational(6, 5, 32))
     for n in range(5):

@@ -98,6 +98,18 @@ def test_cli_refusals_are_qvolk_errors(capsys, argv, error):
     assert_exit_2(capsys, argv, exc)
 
 
+@pytest.mark.parametrize("command", [
+    "numbers --kind K --n 0..2 --method integral --q sym",
+    "polynomials --kind beta_poly --n 1 --form integral --q 2/5",
+])
+def test_the_integral_route_at_non_padic_q_gives_integrates_refusal(capsys, command):
+    # the integral route reaches integrate's own refusal, not a missing prime
+    exc = refusal(command.split())
+    assert type(exc) is InputError
+    assert str(exc) == "integration is a p-adic limit; q must be padic"
+    assert_exit_2(capsys, command.split(), exc)
+
+
 # the golden commands that exit 2, and the class each one raises
 GOLDEN_REFUSALS = {
     **{f"numbers --kind K_chi --n 0..5 --chi {chi} --q padic:5:6:32": InputError
