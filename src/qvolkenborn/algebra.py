@@ -28,10 +28,10 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
-from typing import Iterable, Sequence
 
 
 class QvolkError(Exception):

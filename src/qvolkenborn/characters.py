@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
 
@@ -66,19 +65,18 @@ def _crt_lift(residue: int, component: int, modulus: int) -> int:
     return lift
 
 
-@dataclass(frozen=True)
-class CyclicFactor:
-    generator: int   # an integer mod f generating this factor
-    order: int
-    component: int   # the prime-power piece of f this factor lives in
+class CyclicFactor(namedtuple("CyclicFactor", "generator order component")):
+    """One cyclic factor of (Z/f)^x: an integer mod f generating it, its
+    order, and the prime-power piece of f it lives in."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UnitGroupStructure:
-    """Decomposition of (Z/f)^x into cyclic factors."""
+class UnitGroupStructure(namedtuple("UnitGroupStructure", "modulus factors")):
+    """Decomposition of (Z/f)^x into cyclic factors (a tuple of
+    :class:`CyclicFactor`)."""
 
-    modulus: int
-    factors: tuple[CyclicFactor, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -109,20 +107,18 @@ def unit_group_structure(modulus: int) -> UnitGroupStructure:
     return UnitGroupStructure(modulus, tuple(factors))
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """A character of (Z/f)^x, identified by its exponent vector."""
+class DirichletCharacter(namedtuple("DirichletCharacter", "modulus exponents structure")):
+    """A character of (Z/f)^x, identified by its exponent vector against a
+    :class:`UnitGroupStructure`.  No ``__slots__``: the cached value order
+    and exponent table live in the instance dict."""
 
-    modulus: int
-    exponents: tuple[int, ...]
-    structure: UnitGroupStructure
-
-    def __post_init__(self):
-        if len(self.exponents) != len(self.structure.factors):
+    def __new__(cls, modulus: int, exponents: tuple[int, ...], structure: UnitGroupStructure):
+        if len(exponents) != len(structure.factors):
             raise ValueError("exponent vector does not match the unit group")
-        for e, fac in zip(self.exponents, self.structure.factors):
+        for e, fac in zip(exponents, structure.factors):
             if not 0 <= e < fac.order:
                 raise InputError("exponent out of range for its cyclic factor")
+        return super().__new__(cls, modulus, exponents, structure)
 
     @functools.cached_property
     def value_order(self) -> int:

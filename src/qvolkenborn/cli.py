@@ -16,7 +16,6 @@ give).  Past argument parsing, every refusal is a
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -141,22 +140,25 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_json(report: dict, output: str | None) -> None:
+    """Write a report as indented JSON, the one JSON output format."""
+    _write(json.dumps(report, indent=2) + "\n", output)
+
+
 def _emit(report: dict, rows: list[dict], args) -> None:
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({col: row.get(col, "") for col in CSV_COLUMNS})
-        text = buf.getvalue()
-    else:
-        payload = dict(report)
-        payload["rows"] = [
+    if args.format == "json":
+        _write_json(dict(report, rows=[
             {k: (value_to_json(v) if k == "value" else v) for k, v in row.items()}
-            for row in rows
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
-    _write(text, args.output)
+            for row in rows]), args.output)
+        return
+    import csv   # only this branch needs it, so other commands start without it
+
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({col: row.get(col, "") for col in CSV_COLUMNS})
+    _write(buf.getvalue(), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +214,7 @@ def cmd_integrate(args) -> int:
     report = {"command": "integrate", "kind": args.kind, "integrand": args.f,
               "p": args.p, "d": args.d, "q": str(q_value), "A": args.A}
     report.update(result.to_json())
-    _write(json.dumps(report, indent=2) + "\n", args.output)
+    _write_json(report, args.output)
     return EXIT_OK
 
 
@@ -228,7 +230,7 @@ def cmd_verify(args) -> int:
     all_passed = all(r.passed for r in results)
     report = {"command": "verify", "all_passed": all_passed,
               "suites": [r.to_json() for r in results]}
-    _write(json.dumps(report, indent=2) + "\n", args.output)
+    _write_json(report, args.output)
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 

@@ -19,7 +19,7 @@ parallel reductions without synchronization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import InputError, QvolkError, ZeroAtPrecisionError
@@ -78,10 +78,10 @@ class PadicNumber:
     p**min(a_x, a_y), a product mod p**min(v_x + a_y, v_y + a_x), and an
     exact int or Fraction meeting y is lifted by :meth:`_coerce`: 0 as
     zero-at-precision with bound a_y (so 0 * y is zero at precision
-    v_y + a_y), any other with enough digits never to limit the result (so
-    1 * y is y, and x**0 is that lift of 1).  Every operator applies these
-    rules to zero-at-precision operands too; only / and :meth:`reciprocal`
-    refuse one, as a divisor.
+    v_y + a_y, and 0 / y at a_y - v_y), any other with enough digits never
+    to limit the result (so 1 * y is y, and x**0 is that lift of 1).  Every
+    operator applies these rules to zero-at-precision operands too; only /
+    and :meth:`reciprocal` refuse one, as a divisor.
     """
 
     __slots__ = ("p", "v", "unit", "prec")
@@ -234,7 +234,10 @@ class PadicNumber:
         return PadicNumber._normalised(self.p, self.v - other.v, unit, prec)
 
     def __rtruediv__(self, other):
-        return self.reciprocal() * other
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int) -> PadicNumber:
         if n == 0:
@@ -303,20 +306,19 @@ def q_admissible(q: PadicNumber) -> bool:
 # profinite domains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfiniteDomain:
+class ProfiniteDomain(namedtuple("ProfiniteDomain", "p d")):
     """Inverse limit of Z/(d p^N): the integration domain.  d = 1 is Z_p."""
 
-    p: int
-    d: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_odd_prime(self.p):
-            raise ValueError(f"{self.p} is not an odd prime")
-        if self.d < 1:
+    def __new__(cls, p: int, d: int = 1):
+        if not _is_odd_prime(p):
+            raise ValueError(f"{p} is not an odd prime")
+        if d < 1:
             raise InputError("d must be positive")
-        if math.gcd(self.d, self.p) != 1:
-            raise InputError(f"d = {self.d} must be prime to p = {self.p}")
+        if math.gcd(d, p) != 1:
+            raise InputError(f"d = {d} must be prime to p = {p}")
+        return super().__new__(cls, p, d)
 
     def level_size(self, n: int) -> int:
         return self.d * self.p ** n

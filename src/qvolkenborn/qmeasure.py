@@ -24,7 +24,7 @@ docstring proves and makes one PadicNumber.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (InputError, Polynomial, RationalFunction, RootOrderMismatch,
@@ -395,22 +395,20 @@ BOSONIC = "bosonic"
 FERMIONIC = "fermionic"
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
+class MeasureSpec(namedtuple("MeasureSpec", "kind q domain")):
     """A q-deformed measure (bosonic or fermionic) over a profinite domain."""
 
-    kind: str
-    q: QDescriptor
-    domain: ProfiniteDomain
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (BOSONIC, FERMIONIC):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == FERMIONIC and self.domain.d % 2 == 0:
+    def __new__(cls, kind: str, q: QDescriptor, domain: ProfiniteDomain):
+        if kind not in (BOSONIC, FERMIONIC):
+            raise ValueError(f"unknown measure kind {kind!r}")
+        if kind == FERMIONIC and domain.d % 2 == 0:
             raise InputError("the fermionic measure needs an odd d")
-        if self.q.mode == "padic" and self.q.prime != self.domain.p:
-            raise ValueError(f"a {self.q.prime}-adic q cannot measure a "
-                             f"domain over p = {self.domain.p}")
+        if q.mode == "padic" and q.prime != domain.p:
+            raise ValueError(f"a {q.prime}-adic q cannot measure a "
+                             f"domain over p = {domain.p}")
+        return super().__new__(cls, kind, q, domain)
 
     def level_norm(self, n: int):
         """[d p^n] at q (bosonic) or -q (fermionic): the normalizer of level n."""
@@ -710,15 +708,12 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     return IntegrationResult(value, n, value.absolute_precision)
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
+class IntegrationResult(namedtuple("IntegrationResult", "value n_used stability")):
     """A certified integral value: the level-n_used Riemann sum truncated to
     the stability, the digits proven to agree with the limit (see
     :func:`integrate`)."""
 
-    value: PadicNumber
-    n_used: int
-    stability: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"value": self.value.to_json(), "N_used": self.n_used,

@@ -9,9 +9,9 @@ ever reads beyond that order, so every computed coefficient is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra import InputError, RationalFunction
 from .qmeasure import QDescriptor, fermionic_power_moment
@@ -166,13 +166,10 @@ def f_q_series(q: QDescriptor, order: int) -> TruncatedSeries:
     return exp_part * TruncatedSeries(terms)
 
 
-@dataclass(frozen=True)
-class PartialSum:
+class PartialSum(namedtuple("PartialSum", "value tail_bound terms")):
     """A truncated alternating series value with its certified tail bound."""
 
-    value: Fraction
-    tail_bound: Fraction
-    terms: int
+    __slots__ = ()
 
 
 def f_q_coefficient_partial(k: int, q: Fraction, n_terms: int) -> PartialSum:

@@ -10,7 +10,7 @@ and the acceptance tests call them directly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import InputError
@@ -25,11 +25,10 @@ from .series import (f_q_coefficient_partial, f_q_series,
                      limit_consistency, scaled_coefficient)
 
 
-@dataclass
-class CaseResult:
-    params: dict
-    passed: bool
-    detail: str = ""
+class CaseResult(namedtuple("CaseResult", "params passed detail", defaults=("",))):
+    """One checked case: its parameters, whether it passed, and a note."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {"params": {k: str(v) for k, v in self.params.items()},
@@ -39,10 +38,14 @@ class CaseResult:
         return out
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    cases: list[CaseResult] = field(default_factory=list)
+class SuiteResult(namedtuple("SuiteResult", "name cases")):
+    """A suite's name and its :class:`CaseResult` list, which :meth:`add`
+    extends; each result gets its own list unless one is given."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, cases: list[CaseResult] | None = None):
+        return super().__new__(cls, name, [] if cases is None else cases)
 
     @property
     def passed(self) -> bool:

@@ -18,8 +18,10 @@ from qvolkenborn.algebra import (CyclotomicElement, InputError, Polynomial, Qvol
                                  RationalFunction, ZeroAtPrecisionError, root_of_unity_rows)
 from qvolkenborn.characters import (character_value, enumerate_characters, make_character,
                                     parse_character_id)
-from qvolkenborn.padic import padic_from_rational
-from qvolkenborn.qmeasure import QDescriptor
+from qvolkenborn.padic import ProfiniteDomain, padic_from_rational
+from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor, ball_measure_sum,
+                                  bosonic_power_moment, bracket_power, character_twisted_power,
+                                  fermionic_power_moment, riemann_sum)
 from qvolkenborn.qnumbers import (beta_number, beta_polynomial,
                                   classical_bernoulli, classical_euler, k_chi,
                                   k_distribution_rhs, k_number, k_polynomial)
@@ -348,20 +350,38 @@ def _value_or_refusal(compute):
 _POINTS = st.builds(F, st.integers(-9, 9), st.integers(1, 9)).filter(lambda r: r and abs(r) != 1)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(r=_POINTS, root_order=st.sampled_from((1, 2, 3)),
-       family=st.sampled_from(("K", "beta", "K_poly", "beta_poly", "distribution", "chi")),
+       family=st.sampled_from(("K", "beta", "K_poly", "beta_poly", "distribution", "chi",
+                               "fermionic_moment", "bosonic_moment", "ball_measure_sum",
+                               "riemann_sum", "riemann_chi")),
        form=st.sampled_from(("closed", "expansion")), n=st.integers(0, 6),
-       x=st.integers(-3, 3), m=st.sampled_from((1, 3, 5)), chi=st.sampled_from(_QUADRATIC))
+       x=st.integers(-3, 3), m=st.sampled_from((1, 3, 5)), chi=st.sampled_from(_QUADRATIC),
+       kind=st.sampled_from((BOSONIC, FERMIONIC)), domain=st.sampled_from(((3, 1), (5, 1), (5, 3))),
+       level=st.integers(1, 2), reps=st.lists(st.integers(0, 74), max_size=6))
 def test_symbolic_values_evaluate_to_the_rational_reading(r, root_order, family, form, n, x,
-                                                          m, chi):
+                                                          m, chi, kind, domain, level, reps):
     # the symbolic value at root order D, evaluated at w = r, is the rational
-    # reading at q = r^D; a refusal in both readings counts as agreement
+    # reading at q = r^D; a refusal in both readings counts as agreement.
+    # The measure families take either kind over ProfiniteDomain(p, d), p in
+    # {3, 5} and d in {1, 3} prime to p, at levels 1 and 2
+    size = domain[1] * domain[0] ** level
+
+    def spec(qd):
+        return MeasureSpec(kind, qd, ProfiniteDomain(*domain))
+
     calls = {"K": lambda qd: k_number(n, qd), "beta": lambda qd: beta_number(n, qd),
              "K_poly": lambda qd: k_polynomial(n, x, qd, form=form),
              "beta_poly": lambda qd: beta_polynomial(n, x, qd, form=form),
              "distribution": lambda qd: k_distribution_rhs(n, x, m, qd),
-             "chi": lambda qd: k_chi(n, chi, qd)}
+             "chi": lambda qd: k_chi(n, chi, qd),
+             "fermionic_moment": lambda qd: fermionic_power_moment(n, qd),
+             "bosonic_moment": lambda qd: bosonic_power_moment(n, qd),
+             "ball_measure_sum": lambda qd: ball_measure_sum(spec(qd), [a % size for a in reps],
+                                                             level),
+             "riemann_sum": lambda qd: riemann_sum(spec(qd), bracket_power(qd, n, x), level),
+             "riemann_chi": lambda qd: riemann_sum(spec(qd), character_twisted_power(qd, n, chi),
+                                                   level)}
     symbolic = _value_or_refusal(lambda: calls[family](sym(root_order)).evaluate(r))
     rational = _value_or_refusal(lambda: calls[family](QDescriptor.rational(r ** root_order)))
     assert symbolic == rational
