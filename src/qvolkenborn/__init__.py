@@ -24,7 +24,7 @@ from .qnumbers import (beta_number, beta_polynomial, classical_bernoulli,
                        classical_euler, k_chi, k_distribution_rhs, k_number,
                        k_polynomial)
 from .series import (PartialSum, TruncatedSeries, euler_gf,
-                     f_q_coefficient_partial, f_q_series, limit_consistency,
-                     scaled_coefficient, series_exp, series_inverse)
+                     f_q_coefficient_partial, f_q_series, scaled_coefficient,
+                     series_exp, series_inverse)
 
 __version__ = "0.1.0"

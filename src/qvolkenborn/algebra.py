@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate
@@ -239,8 +240,6 @@ class Polynomial:
         return not self.ints
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
         if isinstance(other, Polynomial):
             return self.ints == other.ints and self.scale == other.scale
         return NotImplemented
@@ -896,19 +895,20 @@ def root_of_unity_rows(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-class CyclotomicElement:
+class CyclotomicElement(namedtuple("CyclotomicElement", "order coeffs")):
     """An element sum_i c_i zeta^i of the cyclotomic extension, zeta a
     primitive L-th root of unity, given by its RationalFunction coordinates
     c_i in the basis 1, zeta, ..., zeta^(phi(L) - 1).
 
     It holds the Dirichlet-character values of order > 2 and the twisted
     numbers built from their integer rows; it compares and prints them, and
-    does no field arithmetic.
+    does no field arithmetic.  It is an immutable named tuple of the order
+    and the coordinates, without trailing zeros.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, order: int, coeffs: Sequence[RationalFunction | Fraction | int]):
+    def __new__(cls, order: int, coeffs: Sequence[RationalFunction | Fraction | int]):
         if order < 1:
             raise ValueError("root-of-unity order must be >= 1")
         phi_deg = len(_cyclotomic_int(order)[0]) - 1
@@ -919,8 +919,7 @@ class CyclotomicElement:
               for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
-        self.order = order
-        self.coeffs: tuple[RationalFunction, ...] = tuple(cs)
+        return super().__new__(cls, order, tuple(cs))
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> CyclotomicElement:
@@ -929,13 +928,6 @@ class CyclotomicElement:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -146,6 +146,9 @@ def _write_json(report: dict, output: str | None) -> None:
 
 
 def _emit(report: dict, rows: list[dict], args) -> None:
+    """Write a table: each row gets every CSV column it omits as "", in
+    column order and before its own extra keys, which only JSON keeps."""
+    rows = [dict(dict.fromkeys(CSV_COLUMNS, ""), **row) for row in rows]
     if args.format == "json":
         _write_json(dict(report, rows=[
             {k: (value_to_json(v) if k == "value" else v) for k, v in row.items()}
@@ -154,10 +157,9 @@ def _emit(report: dict, rows: list[dict], args) -> None:
     import csv   # only this branch needs it, so other commands start without it
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({col: row.get(col, "") for col in CSV_COLUMNS})
+    writer.writerows(rows)
     _write(buf.getvalue(), args.output)
 
 
@@ -166,21 +168,22 @@ def _emit(report: dict, rows: list[dict], args) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_numbers(args) -> int:
-    q = parse_q_spec(args.q)
+    q, indices = parse_q_spec(args.q), parse_index_range(args.n)
+    if args.kind == "K_chi":
+        if not args.chi:
+            raise InputError("--chi is required for kind K_chi")
+        chi = parse_character_id(args.chi)
     rows = []
-    for n in parse_index_range(args.n):
+    for n in indices:
         if args.kind in ("K", "beta"):
             family = k_polynomial if args.kind == "K" else beta_polynomial
             value = _evaluate_at(q, f"{args.kind}_{n}",
                                  lambda: family(n, 0, q, form=args.method))
         else:
-            if not args.chi:
-                raise InputError("--chi is required for kind K_chi")
-            chi = parse_character_id(args.chi)
             value = _evaluate_at(q, f"K_chi_{n}",
                                  lambda: k_chi(n, chi, q, method=args.method))
-        rows.append({"kind": args.kind, "n": n, "x": "", "m": "",
-                     "chi": args.chi or "", "q_spec": args.q, "value": value})
+        rows.append({"kind": args.kind, "n": n, "chi": args.chi or "", "q_spec": args.q,
+                     "value": value})
     _emit({"command": "numbers", "kind": args.kind, "q_spec": args.q}, rows, args)
     return EXIT_OK
 
@@ -196,8 +199,8 @@ def cmd_polynomials(args) -> int:
     for n in parse_index_range(args.n):
         value = _evaluate_at(q, f"{args.kind}_{n}({x})",
                              lambda: polynomial(n, x, q, form=args.form))
-        rows.append({"kind": args.kind, "n": n, "x": str(x), "m": "",
-                     "chi": "", "q_spec": args.q, "value": value})
+        rows.append({"kind": args.kind, "n": n, "x": str(x), "q_spec": args.q,
+                     "value": value})
     _emit({"command": "polynomials", "kind": args.kind, "x": str(x),
            "form": args.form, "q_spec": args.q}, rows, args)
     return EXIT_OK
@@ -242,17 +245,15 @@ def cmd_series(args) -> int:
     if args.gf == "euler":
         gf = euler_gf(args.T)
         for n in range(args.T + 1):
-            rows.append({"kind": "euler_gf", "n": n, "x": "", "m": "", "chi": "",
-                         "q_spec": "", "value": scaled_coefficient(gf, n),
+            rows.append({"kind": "euler_gf", "n": n, "value": scaled_coefficient(gf, n),
                          "coefficient": str(gf[n])})
     elif args.gf == "Fq":
         q = parse_q_spec(args.q)
         gf = _evaluate_at(q, "F_q", lambda: f_q_series(q, args.T))
         for n in range(args.T + 1):
             coeff = gf[n]
-            rows.append({"kind": "Fq_gf", "n": n, "x": "", "m": "", "chi": "",
-                         "q_spec": args.q, "value": scaled_coefficient(gf, n),
-                         "coefficient": _value_text(coeff)})
+            rows.append({"kind": "Fq_gf", "n": n, "q_spec": args.q,
+                         "value": scaled_coefficient(gf, n), "coefficient": _value_text(coeff)})
     else:  # Kpartial
         try:
             q_value = Fraction(args.q)
@@ -262,8 +263,7 @@ def cmd_series(args) -> int:
             raise InputError(f"bad q {args.q!r}: {exc}") from exc
         for k in range(args.k_max + 1):
             ps = f_q_coefficient_partial(k, q_value, args.n_terms)
-            rows.append({"kind": "K_partial", "n": k, "x": "", "m": "",
-                         "chi": "", "q_spec": args.q, "value": ps.value,
+            rows.append({"kind": "K_partial", "n": k, "q_spec": args.q, "value": ps.value,
                          "tail_bound": str(ps.tail_bound), "terms": ps.terms})
     report = {"command": "series", "gf": args.gf}
     if args.gf != "euler":
@@ -277,11 +277,9 @@ def cmd_characters(args) -> int:
     for chi in enumerate_characters(args.f):
         f0, primitive = conductor(chi)
         values = [_value_text(character_value(chi, a)) for a in range(args.f)]
-        rows.append({"kind": "character", "n": "", "x": "", "m": "",
-                     "chi": chi.id_string, "q_spec": "",
-                     "value": Fraction(chi.value_order),
-                     "conductor": f0, "primitive": primitive,
-                     "values": values})
+        rows.append({"kind": "character", "chi": chi.id_string,
+                     "value": Fraction(chi.value_order), "conductor": f0,
+                     "primitive": primitive, "values": values})
     _emit({"command": "characters", "modulus": args.f}, rows, args)
     return EXIT_OK
 

@@ -266,7 +266,8 @@ class PadicNumber:
             return NotImplemented
         return (self.p, self.v, self.unit, self.prec) == (other.p, other.v, other.unit, other.prec)
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash((self.p, self.v, self.unit, self.prec))
 
     # -- serialization ----------------------------------------------------------
 

@@ -38,7 +38,7 @@ from .padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
 # the three readings of q
 # ---------------------------------------------------------------------------
 
-class QDescriptor:
+class QDescriptor(namedtuple("QDescriptor", "mode root_order q_rational q_padic")):
     """One of the three readings of the deformation parameter.
 
     mode "symbolic": value lives in the rational-function field with root
@@ -46,9 +46,10 @@ class QDescriptor:
     "padic": a truncated p-adic q with v_p(q - 1) >= 1 and q != 1 at its
     precision.
 
-    Descriptors compare and hash by value: the mode, the root order, the
-    rational q and the p-adic q's (p, v, unit, prec), so equal readings
-    built separately share the closed-value cache of :mod:`qnumbers`.
+    A descriptor is an immutable named tuple of its fields, so it compares
+    and hashes by value (a p-adic q by its (p, v, unit, prec)), and equal
+    readings built separately share the closed-value cache of
+    :mod:`qnumbers`.
 
     >>> QDescriptor.rational(Fraction(2, 5)) == QDescriptor.rational(Fraction(4, 10))
     True
@@ -56,11 +57,10 @@ class QDescriptor:
     False
     """
 
-    __slots__ = ("mode", "root_order", "q_rational", "q_padic", "_key")
+    __slots__ = ()
 
-    def __init__(self, mode: str, *, root_order: int = 1,
-                 q_rational: Fraction | None = None,
-                 q_padic: PadicNumber | None = None):
+    def __new__(cls, mode: str, root_order: int = 1, q_rational: Fraction | None = None,
+                q_padic: PadicNumber | None = None):
         if mode not in ("symbolic", "rational", "padic"):
             raise ValueError(f"unknown q mode {mode!r}")
         if mode == "symbolic" and root_order < 1:
@@ -77,20 +77,7 @@ class QDescriptor:
             if (q_padic - 1).is_zero_at_precision:
                 raise InputError("p-adic q must differ from 1 at its precision, "
                                  f"got q - 1 = {q_padic - 1!r}")
-        self.mode = mode
-        self.root_order = root_order
-        self.q_rational = q_rational
-        self.q_padic = q_padic
-        self._key = (mode, root_order, q_rational, None if q_padic is None else
-                     (q_padic.p, q_padic.v, q_padic.unit, q_padic.prec))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QDescriptor):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
+        return super().__new__(cls, mode, root_order, q_rational, q_padic)
 
     @classmethod
     def symbolic(cls, root_order: int = 1) -> QDescriptor:
@@ -743,22 +730,22 @@ def fermionic_power_moment(i: int, q: QDescriptor):
 # built-in integrand families
 # ---------------------------------------------------------------------------
 
-class BracketPower:
+class BracketPower(namedtuple("BracketPower", "q n shift chi")):
     """The integrand j -> chi(j) * [shift + j]^n.
 
     ``chi`` is a nonempty table of character values indexed by j modulo
     its length, or None for the untwisted power; its values must be 0 or
     +-1 in every mode (higher-order twists go through the closed form of
     ``k_chi``), and are stored as ints, the kernel's coefficients.
-    Instances are immutable data, not callables: it is the one integrand
-    type of :func:`riemann_sum` and :func:`integrate`, which read its fields
-    as n + 1 geometric series in every reading of q.
+    Instances are immutable named tuples, not callables: it is the one
+    integrand type of :func:`riemann_sum` and :func:`integrate`, which read
+    its fields as n + 1 geometric series in every reading of q.
     """
 
-    __slots__ = ("q", "n", "shift", "chi")
+    __slots__ = ()
 
-    def __init__(self, q: QDescriptor, n: int, shift: Fraction | int = 0,
-                 chi: tuple | None = None):
+    def __new__(cls, q: QDescriptor, n: int, shift: Fraction | int = 0,
+                chi: tuple | None = None):
         if n < 0:
             raise ValueError("exponent must be nonnegative")
         if chi is not None:
@@ -773,11 +760,7 @@ class BracketPower:
         shift = Fraction(shift)
         if n:
             q.qpow(shift)  # raises unless q^shift lives in q's field
-        for name, value in zip(self.__slots__, (q, n, shift, chi)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        return super().__new__(cls, q, n, shift, chi)
 
 
 def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> BracketPower:

@@ -33,6 +33,7 @@ from .padic import ProfiniteDomain
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec, QDescriptor,
                        bracket_power, character_twisted_power, geometric_sum,
                        integrate)
+from .series import TruncatedSeries, euler_gf, scaled_coefficient, series_inverse
 
 FORMS = ("closed", "expansion", "integral")
 
@@ -168,16 +169,12 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
 
 def classical_euler(n_max: int) -> list[Fraction]:
     """E_0 .. E_n_max by inverting the shifted exponential series."""
-    from .series import euler_gf, scaled_coefficient
-
     gf = euler_gf(n_max)
     return [scaled_coefficient(gf, n) for n in range(n_max + 1)]
 
 
 def classical_bernoulli(n_max: int) -> list[Fraction]:
     """B_0 .. B_n_max from the series of t/(e^t - 1)."""
-    from .series import TruncatedSeries, scaled_coefficient, series_inverse
-
     expm1_over_t = TruncatedSeries(
         [Fraction(1, math.factorial(n + 1)) for n in range(n_max + 1)])
     gf = series_inverse(expm1_over_t)

@@ -60,10 +60,6 @@ class TruncatedSeries:
         self._check(other)
         return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check(other)
-        return TruncatedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         """The truncated product, each coefficient a :func:`_pairwise_sum`."""
         self._check(other)
@@ -207,29 +203,3 @@ def f_q_coefficient_partial(k: int, q: Fraction, n_terms: int) -> PartialSum:
     aq = abs(q)
     tail = abs(1 + q) * (1 / (1 - aq)) ** k * aq ** n_terms / (1 - aq)
     return PartialSum(value, tail, n_terms)
-
-
-def limit_consistency(n_max: int) -> list[dict]:
-    """Compare the q -> 1 limits of the q-Euler numbers (both as closed forms
-    and as generating-function coefficients) with the classical Euler numbers.
-
-    Returns one row per n: {"n", "K_limit", "E_n", "equal"}; "equal" records
-    that closed form, coefficient limit and E_n all coincide.
-    """
-    from .qnumbers import k_number
-
-    sym = QDescriptor.symbolic()
-    gf = euler_gf(n_max)
-    fq = f_q_series(sym, n_max)
-    rows = []
-    for n in range(n_max + 1):
-        e_n = scaled_coefficient(gf, n)
-        k_lim = k_number(n, sym).limit_at_one()
-        gf_lim = scaled_coefficient(fq, n).limit_at_one()
-        rows.append({
-            "n": n,
-            "K_limit": str(k_lim),
-            "E_n": str(e_n),
-            "equal": k_lim == e_n == gf_lim,
-        })
-    return rows

@@ -19,10 +19,9 @@ from .padic import ProfiniteDomain, padic_from_rational
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
                        ball_measure, ball_measure_sum, bracket_power,
                        character_twisted_power, integrate, riemann_sum)
-from .qnumbers import (beta_number, beta_polynomial, classical_bernoulli,
+from .qnumbers import (beta_number, beta_polynomial, classical_bernoulli, classical_euler,
                        k_chi, k_distribution_rhs, k_number, k_polynomial)
-from .series import (f_q_coefficient_partial, f_q_series,
-                     limit_consistency, scaled_coefficient)
+from .series import f_q_coefficient_partial, f_q_series, scaled_coefficient
 
 
 class CaseResult(namedtuple("CaseResult", "params passed detail", defaults=("",))):
@@ -223,14 +222,18 @@ def suite_beta_forms(n_max: int = 6, **_) -> SuiteResult:
 
 def suite_limits(n_max: int = 12, beta_n_max: int = 10, **_) -> SuiteResult:
     """q -> 1 limits: q-Euler numbers against the classical Euler numbers
-    (closed form and generating function), and q-Bernoulli numbers against
+    (a case passes when the closed form's limit, the generating-function
+    coefficient's limit and E_n coincide), and q-Bernoulli numbers against
     the classical Bernoulli numbers (reported comparison)."""
     out = SuiteResult("limits")
-    for row in limit_consistency(n_max):
-        out.add({"check": "euler", "n": row["n"], "K_limit": row["K_limit"],
-                 "E_n": row["E_n"]}, row["equal"])
-    bernoulli = classical_bernoulli(beta_n_max)
     sym = _sym()
+    euler, fq = classical_euler(n_max), f_q_series(sym, n_max)
+    for n in range(n_max + 1):
+        k_lim = k_number(n, sym).limit_at_one()
+        gf_lim = scaled_coefficient(fq, n).limit_at_one()
+        out.add({"check": "euler", "n": n, "K_limit": str(k_lim), "E_n": str(euler[n])},
+                k_lim == euler[n] == gf_lim)
+    bernoulli = classical_bernoulli(beta_n_max)
     for n in range(beta_n_max + 1):
         lim = beta_number(n, sym).limit_at_one()
         out.add({"check": "bernoulli", "n": n, "beta_limit": str(lim),

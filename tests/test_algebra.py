@@ -788,6 +788,14 @@ def test_polynomial_rejects_non_rational_coefficients(bad):
         Polynomial([bad, 1])
 
 
+def test_polynomial_equality_agrees_with_its_hash():
+    # equal polynomials hash alike; a constant polynomial equals no int or
+    # Fraction, since it does not share their hash
+    assert len({P(1, F(1, 2)), P(F(2, 2), F(1, 2)), P(1, F(1, 2), 0)}) == 1
+    assert P(3) != 3 and P(F(1, 2)) != F(1, 2) and P() != 0
+    assert P(3) not in {3} and 3 not in {P(3)}
+
+
 _int_lists = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=_KRONECKER_CUTOFF - 3,
                       max_size=_KRONECKER_CUTOFF + 3)
 

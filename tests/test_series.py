@@ -11,8 +11,7 @@ from qvolkenborn.qmeasure import QDescriptor
 from qvolkenborn.qnumbers import k_number
 from qvolkenborn.series import (TruncatedSeries, euler_gf,
                                 f_q_coefficient_partial, f_q_series,
-                                limit_consistency, scaled_coefficient,
-                                series_exp, series_inverse)
+                                scaled_coefficient, series_exp, series_inverse)
 
 F = Fraction
 
@@ -226,18 +225,6 @@ def test_partial_sums_with_negative_q():
 # ---------------------------------------------------------------------------
 # limit consistency
 # ---------------------------------------------------------------------------
-
-def test_limit_consistency_small():
-    rows = limit_consistency(3)
-    assert [r["E_n"] for r in rows] == ["1", "-1/2", "0", "1/4"]
-    assert all(r["equal"] for r in rows)
-
-
-def test_limit_consistency_full_report():
-    rows = limit_consistency(12)
-    assert len(rows) == 13
-    assert all(r["equal"] for r in rows)
-
 
 def test_gf_coefficient_limit_matches_euler():
     sym = QDescriptor.symbolic()
