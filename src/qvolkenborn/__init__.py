@@ -14,9 +14,9 @@ from .characters import (DirichletCharacter, UnitGroupStructure,
                          make_character, parse_character_id,
                          unit_group_structure)
 from .padic import (PadicNumber, PrecisionExhausted, ProfiniteDomain,
-                    ball_representatives, padic_from_rational, q_admissible)
+                    ball_representatives, padic_from_rational)
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, IntegrationResult,
-                       MeasureSpec, QDescriptor, ball_measure,
+                       MeasureSpec, QDescriptor, ball_measure_sum,
                        bosonic_power_moment, bracket_power,
                        character_twisted_power, fermionic_power_moment,
                        integrate, parse_integrand, riemann_sum)

@@ -20,7 +20,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product
 
-from .algebra import CyclotomicElement, InputError, _prime_factors
+from .algebra import CyclotomicElement, InputError, _divisors, _prime_factors
 
 
 def euler_phi(n: int) -> int:
@@ -150,9 +150,6 @@ class DirichletCharacter(namedtuple("DirichletCharacter", "modulus exponents str
         exponents = dict(walk)
         return tuple(exponents.get(a) for a in range(f))
 
-    def __call__(self, a: int):
-        return character_value(self, a)
-
 
 def make_character(modulus: int, exponents: tuple[int, ...] | list[int]) -> DirichletCharacter:
     return DirichletCharacter(modulus, tuple(exponents), unit_group_structure(modulus))
@@ -184,7 +181,7 @@ def conductor(chi: DirichletCharacter) -> tuple[int, bool]:
     congruent to 1 mod f0, i.e. when k_a is 0 there.
     """
     f, table = chi.modulus, chi.exponent_table
-    for f0 in sorted(d for d in range(1, f + 1) if f % d == 0):
+    for f0 in _divisors(f):
         if all(table[a] in (None, 0) for a in range(1 % f0, f, f0)):
             return f0, f0 == f
     raise AssertionError("a character always factors through its own modulus")

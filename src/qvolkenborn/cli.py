@@ -41,7 +41,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
-def parse_q_spec(text: str, default_precision: int = DEFAULT_PRECISION) -> QDescriptor:
+def parse_q_spec(text: str) -> QDescriptor:
     """Parse "sym", "sym:D", "a/b" or "padic:p:q:A" into a descriptor."""
     try:
         if text == "sym":
@@ -54,7 +54,7 @@ def parse_q_spec(text: str, default_precision: int = DEFAULT_PRECISION) -> QDesc
                 raise ValueError("expected padic:p:q or padic:p:q:A")
             p = int(parts[1])
             q = Fraction(parts[2])
-            prec = int(parts[3]) if len(parts) == 4 else default_precision
+            prec = int(parts[3]) if len(parts) == 4 else DEFAULT_PRECISION
             return QDescriptor.padic(padic_from_rational(q, p, prec))
         return QDescriptor.rational(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suite name (repeatable); default: all")
     p.add_argument("--m", type=int, default=None,
                    help="override the distribution-suite moduli")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
+    p.add_argument("--n-max", dest="n_max", type=int, default=None,
+                   help="override the largest index of every suite but measure and convergence")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import InputError, QvolkError, ZeroAtPrecisionError
+from .algebra import InputError, QvolkError, ZeroAtPrecisionError, _prime_factors
 
 DEFAULT_PRECISION = 32
 
@@ -32,14 +32,7 @@ class PrecisionExhausted(QvolkError, ArithmeticError):
 
 
 def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p > 2 and _prime_factors(p) == [p]
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -115,25 +108,6 @@ class PadicNumber:
     def zero_at_precision(cls, p: int, valuation_bound: int) -> PadicNumber:
         return cls._normalised(p, valuation_bound, 0, 0)
 
-    @classmethod
-    def from_rational(cls, r: Fraction | int, p: int, prec: int = DEFAULT_PRECISION) -> PadicNumber:
-        """Image of an exact rational with prec significant digits; exact zero
-        maps to zero-at-precision with valuation bound prec."""
-        if not _is_odd_prime(p):
-            raise InputError(f"{p} is not an odd prime")
-        if prec < 1:
-            raise InputError("precision must be positive")
-        r = Fraction(r)
-        if r == 0:
-            return cls.zero_at_precision(p, prec)
-        vn = _int_valuation(r.numerator, p)
-        vd = _int_valuation(r.denominator, p)
-        mod = p ** prec
-        num_u = r.numerator // p ** vn
-        den_u = r.denominator // p ** vd
-        unit = num_u * pow(den_u, -1, mod) % mod
-        return cls._normalised(p, vn - vd, unit, prec)
-
     # -- structure ------------------------------------------------------------
 
     @property
@@ -166,7 +140,7 @@ class PadicNumber:
             vr = _int_valuation(r.numerator, self.p) - _int_valuation(r.denominator, self.p)
             # enough digits that the exact scalar never limits the result
             need = max(self.prec, self.absolute_precision - vr, 1)
-            return PadicNumber.from_rational(r, self.p, need)
+            return padic_from_rational(r, self.p, need)
         return None
 
     # -- arithmetic -----------------------------------------------------------
@@ -289,18 +263,26 @@ class PadicNumber:
 
 
 def padic_from_rational(r: Fraction | int, p: int, prec: int = DEFAULT_PRECISION) -> PadicNumber:
-    """:meth:`PadicNumber.from_rational`: r with prec significant digits.
+    """Image of an exact rational with prec significant digits; exact zero
+    maps to zero-at-precision with valuation bound prec.
 
     >>> padic_from_rational(Fraction(1, 3), 5, 6)
     10417 + O(5^6)
     """
-    return PadicNumber.from_rational(r, p, prec)
-
-
-def q_admissible(q: PadicNumber) -> bool:
-    """Whether q - 1 is small enough for q**x to make p-adic sense, i.e.
-    v_p(q - 1) >= 1 (equivalent to the strict fractional bound for odd p)."""
-    return (q - 1).valuation >= 1
+    if not _is_odd_prime(p):
+        raise InputError(f"{p} is not an odd prime")
+    if prec < 1:
+        raise InputError("precision must be positive")
+    r = Fraction(r)
+    if r == 0:
+        return PadicNumber.zero_at_precision(p, prec)
+    vn = _int_valuation(r.numerator, p)
+    vd = _int_valuation(r.denominator, p)
+    mod = p ** prec
+    num_u = r.numerator // p ** vn
+    den_u = r.denominator // p ** vd
+    unit = num_u * pow(den_u, -1, mod) % mod
+    return PadicNumber._normalised(p, vn - vd, unit, prec)
 
 
 # ---------------------------------------------------------------------------

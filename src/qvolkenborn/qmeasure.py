@@ -31,7 +31,7 @@ from .algebra import (InputError, Polynomial, RationalFunction, RootOrderMismatc
                       ZeroAtPrecisionError, _divisors, _unpack, reduce_cyclotomic_fraction)
 from .characters import character_value, parse_character_id
 from .padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
-                    ball_representatives, q_admissible)
+                    ball_representatives, padic_from_rational)
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +71,13 @@ class QDescriptor(namedtuple("QDescriptor", "mode root_order q_rational q_padic"
         if mode == "padic":
             if q_padic is None:
                 raise ValueError("padic mode needs a p-adic q")
-            if not q_admissible(q_padic):
+            q_minus_1 = q_padic - 1
+            if q_minus_1.valuation < 1:
                 raise InputError(
                     f"inadmissible p-adic q: v_{q_padic.p}(q - 1) must be >= 1")
-            if (q_padic - 1).is_zero_at_precision:
+            if q_minus_1.is_zero_at_precision:
                 raise InputError("p-adic q must differ from 1 at its precision, "
-                                 f"got q - 1 = {q_padic - 1!r}")
+                                 f"got q - 1 = {q_minus_1!r}")
         return super().__new__(cls, mode, root_order, q_rational, q_padic)
 
     @classmethod
@@ -113,7 +114,7 @@ class QDescriptor(namedtuple("QDescriptor", "mode root_order q_rational q_padic"
             return RationalFunction.constant(r, self.root_order)
         if self.mode == "rational":
             return Fraction(r)
-        return PadicNumber.from_rational(Fraction(r), self.q_padic.p, self.q_padic.prec)
+        return padic_from_rational(r, self.q_padic.p, self.q_padic.prec)
 
     def w_exponent(self, exponent: Fraction | int) -> int:
         """The power of w realizing q**exponent (symbolic mode)."""
@@ -193,7 +194,7 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     >>> binomial_fraction_sum(QDescriptor.rational(2), [{0: 1}], 1, 0)
     Traceback (most recent call last):
     ValueError: the kernel needs numerators, int coefficients and binomial exponents > 0
-    >>> binomial_fraction_sum(QDescriptor.padic(PadicNumber.from_rational(6, 5, 8)), [{0: 1}], 1, 1)
+    >>> binomial_fraction_sum(QDescriptor.padic(padic_from_rational(6, 5, 8)), [{0: 1}], 1, 1)
     Traceback (most recent call last):
     ValueError: the kernel reads symbolic and rational q only
 
@@ -403,11 +404,6 @@ class MeasureSpec(namedtuple("MeasureSpec", "kind q domain")):
         if self.kind == BOSONIC:
             return self.q.bracket(size)
         return self.q.minus_bracket(size)
-
-
-def ball_measure(spec: MeasureSpec, a: int, n: int):
-    """Measure of the ball a + d p^n Z_p."""
-    return ball_measure_sum(spec, (a,), n)
 
 
 def ball_measure_sum(spec: MeasureSpec, reps, n: int):
@@ -667,9 +663,9 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     """
     _check_integrand(spec, f)
     p, d = spec.q.prime, spec.domain.d   # the spec checked it is the domain's p
-    modulus, n0 = 1 if f.chi is None else len(f.chi), 0
-    while modulus % p == 0:
-        modulus, n0 = modulus // p, n0 + 1
+    modulus = 1 if f.chi is None else len(f.chi)
+    n0 = _int_valuation(modulus, p)
+    modulus //= p ** n0
     if d % modulus:
         raise InputError(f"a character mod {len(f.chi)} is not a function on the "
                          f"domain: its {p}-free part {modulus} does not divide d = {d}")

@@ -16,9 +16,8 @@ from fractions import Fraction
 from .algebra import InputError
 from .characters import make_character
 from .padic import ProfiniteDomain, padic_from_rational
-from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
-                       ball_measure, ball_measure_sum, bracket_power,
-                       character_twisted_power, integrate, riemann_sum)
+from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor, ball_measure_sum,
+                       bracket_power, integrate, parse_integrand, riemann_sum)
 from .qnumbers import (beta_number, beta_polynomial, classical_bernoulli, classical_euler,
                        k_chi, k_distribution_rhs, k_number, k_polynomial)
 from .series import f_q_coefficient_partial, f_q_series, scaled_coefficient
@@ -63,10 +62,6 @@ class SuiteResult(namedtuple("SuiteResult", "name cases")):
                 "cases": [c.to_json() for c in self.cases]}
 
 
-def _sym(denominator: int = 1) -> QDescriptor:
-    return QDescriptor.symbolic(denominator)
-
-
 def _padic_q(q: int | Fraction = 6, p: int = 5, prec: int = 32) -> QDescriptor:
     return QDescriptor.padic(padic_from_rational(Fraction(q), p, prec))
 
@@ -80,7 +75,7 @@ def suite_measure(n_levels: int = 3, seed: int = 20240, **_) -> SuiteResult:
     of the fermionic ball weights."""
     out = SuiteResult("measure")
     rng = random.Random(seed)
-    sym = _sym()
+    sym = QDescriptor.symbolic()
     for kind in (BOSONIC, FERMIONIC):
         for p in (3, 5):
             for d in (1, 3):
@@ -98,7 +93,7 @@ def suite_measure(n_levels: int = 3, seed: int = 20240, **_) -> SuiteResult:
                             spec, (a + i * size for i in range(p)), level + 1)
                         out.add({"check": "additivity", "kind": kind, "p": p,
                                  "d": d, "N": level, "a": a},
-                                ball_measure(spec, a, level) == fine)
+                                ball_measure_sum(spec, (a,), level) == fine)
     # fermionic weights tend to ([2]_q/2)(-1)^a q^a, at the rate q^(p^N) -> 1
     qd = _padic_q()
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
@@ -110,7 +105,7 @@ def suite_measure(n_levels: int = 3, seed: int = 20240, **_) -> SuiteResult:
             limit_value = two * q ** a / 2
             if a % 2 == 1:
                 limit_value = -limit_value
-            gap = (ball_measure(spec, a, level) - limit_value).valuation
+            gap = (ball_measure_sum(spec, (a,), level) - limit_value).valuation
             rate = (q ** (5 ** level) - qd.one()).valuation
             ok = gap >= rate and (previous is None or gap >= previous)
             out.add({"check": "fermionic_limit", "a": a, "N": level,
@@ -123,7 +118,7 @@ def suite_kpoly_forms(n_max: int = 8, **_) -> SuiteResult:
     """Closed form vs binomial expansion of the q-Euler polynomials."""
     out = SuiteResult("kpoly-forms")
     for x in (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1, 3)):
-        sym = _sym(x.denominator)
+        sym = QDescriptor.symbolic(x.denominator)
         for n in range(n_max + 1):
             same = k_polynomial(n, x, sym, "closed") == k_polynomial(n, x, sym, "expansion")
             out.add({"n": n, "x": x}, same)
@@ -137,16 +132,15 @@ def suite_finite_sum(n_max: int = 4, p: int = 3, **_) -> SuiteResult:
     p-adic q0 (32 digits) to every digit the p-adic sum claims, at least 16:
     rational functions against integer residues."""
     out = SuiteResult("finite-sum")
-    chi, q0 = make_character(3, (1,)), p + 1
-    sym, qd = _sym(), _padic_q(q0, p)
+    q0 = p + 1
+    sym, qd = QDescriptor.symbolic(), _padic_q(q0, p)
     for kind in (FERMIONIC, BOSONIC):
         for d in (1, 5 if p == 3 else 3):
             for level in (1, 2):
                 for n in range(n_max + 1):
                     f = f"char_twisted:{n}:3:1" if d > 1 else f"shifted_bracket_pow:{n}:1"
                     exact, value = (riemann_sum(MeasureSpec(kind, q, ProfiniteDomain(p, d)),
-                                                character_twisted_power(q, n, chi) if d > 1
-                                                else bracket_power(q, n, 1), level)
+                                                parse_integrand(f, q), level)
                                     for q in (sym, qd))
                     digits = value.absolute_precision
                     out.add({"kind": kind, "d": d, "f": f, "N": level, "p": p, "digits": digits},
@@ -161,7 +155,7 @@ def suite_distribution(n_max: int = 6, ms: tuple[int, ...] = (1, 3, 5), **_) -> 
         if m < 1 or m % 2 == 0:
             raise InputError(f"the distribution relation needs odd m, got {m}")
     for x in (Fraction(0), Fraction(1, 3)):
-        sym = _sym(x.denominator)
+        sym = QDescriptor.symbolic(x.denominator)
         for m in ms:
             for n in range(n_max + 1):
                 same = k_polynomial(n, x, sym) == k_distribution_rhs(n, x, m, sym)
@@ -175,7 +169,7 @@ def suite_char_twist(n_max: int = 4, digits: int = 5, levels: int = 7, **_) -> S
     out = SuiteResult("char-twist")
     chi = make_character(3, (1,))
     qd = _padic_q()
-    sym = _sym()
+    sym = QDescriptor.symbolic()
     for n in range(n_max + 1):
         via_integral = k_chi(n, chi, qd, method="integral",
                              stability=digits, n_max=levels)
@@ -198,11 +192,11 @@ def suite_beta_forms(n_max: int = 6, **_) -> SuiteResult:
     integral reproduces the polynomials p-adically."""
     out = SuiteResult("beta-forms")
     for x in (Fraction(0), Fraction(1), Fraction(1, 2)):
-        sym = _sym(x.denominator)
+        sym = QDescriptor.symbolic(x.denominator)
         for n in range(n_max + 1):
             same = beta_polynomial(n, x, sym, "closed") == beta_polynomial(n, x, sym, "expansion")
             out.add({"n": n, "x": x}, same)
-    sym = _sym()
+    sym = QDescriptor.symbolic()
     one = sym.one()
     q = sym.qpow(1)
     out.add({"check": "beta_1"}, beta_number(1, sym) == -one / (one + q))
@@ -213,8 +207,7 @@ def suite_beta_forms(n_max: int = 6, **_) -> SuiteResult:
         for x in (0, 1, 2):
             via_integral = beta_polynomial(n, x, qd, form="integral",
                                            stability=4, n_max=8)
-            target = padic_from_rational(
-                beta_polynomial(n, x, _sym()).evaluate(6), 5, 30)
+            target = padic_from_rational(beta_polynomial(n, x, sym).evaluate(6), 5, 30)
             gap = (via_integral - target).valuation
             out.add({"check": "integral", "n": n, "x": x, "gap": gap}, gap >= 4)
     return out
@@ -226,7 +219,7 @@ def suite_limits(n_max: int = 12, beta_n_max: int = 10, **_) -> SuiteResult:
     coefficient's limit and E_n coincide), and q-Bernoulli numbers against
     the classical Bernoulli numbers (reported comparison)."""
     out = SuiteResult("limits")
-    sym = _sym()
+    sym = QDescriptor.symbolic()
     euler, fq = classical_euler(n_max), f_q_series(sym, n_max)
     for n in range(n_max + 1):
         k_lim = k_number(n, sym).limit_at_one()
@@ -243,24 +236,24 @@ def suite_limits(n_max: int = 12, beta_n_max: int = 10, **_) -> SuiteResult:
     return out
 
 
-def suite_genfunc(order: int = 10, **_) -> SuiteResult:
+def suite_genfunc(n_max: int = 10, **_) -> SuiteResult:
     """n! times the generating-function coefficients equal the q-Euler
     numbers as reduced symbolic elements."""
     out = SuiteResult("genfunc")
-    sym = _sym()
-    gf = f_q_series(sym, order)
-    for n in range(order + 1):
+    sym = QDescriptor.symbolic()
+    gf = f_q_series(sym, n_max)
+    for n in range(n_max + 1):
         out.add({"n": n}, scaled_coefficient(gf, n) == k_number(n, sym))
     return out
 
 
-def suite_partial_sums(k_max: int = 6, n_terms: int = 200, **_) -> SuiteResult:
+def suite_partial_sums(n_max: int = 6, n_terms: int = 200, **_) -> SuiteResult:
     """The alternating-series route to the numbers at rational q: partial
     sums land within their own reported tail bound of the closed form."""
     out = SuiteResult("partial-sums")
     for q in (Fraction(1, 2), Fraction(1, 3)):
-        sym = _sym()
-        for k in range(k_max + 1):
+        sym = QDescriptor.symbolic()
+        for k in range(n_max + 1):
             ps = f_q_coefficient_partial(k, q, n_terms)
             target = k_number(k, sym).evaluate(q)
             gap = abs(ps.value - target)
@@ -279,7 +272,7 @@ def suite_convergence(target: int = 6, levels: int = 8, **_) -> SuiteResult:
     qd = _padic_q()
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
     result = integrate(spec, bracket_power(qd, 3), target, levels)
-    sym = _sym()
+    sym = QDescriptor.symbolic()
     target_value = padic_from_rational(k_number(3, sym).evaluate(6), 5, 30)
     gap = (result.value - target_value).valuation
     out.add({"check": "value", "N_used": result.n_used,

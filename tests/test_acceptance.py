@@ -80,7 +80,7 @@ def test_criterion_04_q_to_one_limits():
 def test_criterion_05_generating_function_coefficients():
     """n! times the deformed generating-function coefficients equal the
     q-Euler numbers as reduced symbolic elements for n <= 10."""
-    _run(5, "generating-function coefficients n <= 10", suite_genfunc, order=10)
+    _run(5, "generating-function coefficients n <= 10", suite_genfunc, n_max=10)
 
 
 def test_criterion_06_partial_sums_within_tail_bound():

@@ -40,6 +40,20 @@ def test_structure_mod_three():
     assert brute_order(s.factors[0].generator, 3) == 2
 
 
+def test_primitive_root_is_lifted_when_it_fails_mod_p_squared():
+    # 5 is the least primitive root mod p = 40487, and 5^(p-1) = 1 mod p^2,
+    # so 5 + p generates (Z/p^2)^x: no g^(p(p-1)/r) is 1 for a prime r of
+    # p(p-1) = 2 * 31 * 653 * p
+    from qvolkenborn.characters import _primitive_root_prime_power
+
+    p = 40487
+    assert pow(5, p - 1, p * p) == 1
+    g = _primitive_root_prime_power(p, 2)
+    assert g == 5 + p
+    for r in (2, 31, 653, p):
+        assert pow(g, p * (p - 1) // r, p * p) != 1
+
+
 def test_structure_mod_one_is_trivial():
     assert unit_group_structure(1).factors == ()
 

@@ -95,6 +95,15 @@ def test_numbers_twisted(capsys):
     assert value_from_json(data["rows"][0]["value"]) == expected
 
 
+def test_cyclotomic_value_reads_back_from_json():
+    from qvolkenborn.characters import make_character
+    from qvolkenborn.cli import value_to_json
+    from qvolkenborn.qnumbers import k_chi
+
+    value = k_chi(3, make_character(5, (1,)), QDescriptor.symbolic())
+    assert value_from_json(json.loads(json.dumps(value_to_json(value)))) == value
+
+
 def test_numbers_missing_chi_is_usage_error(capsys):
     code, _, err = run(capsys, "numbers", "--kind", "K_chi", "--n", "0")
     assert code == 2 and "chi" in err
@@ -272,6 +281,14 @@ def test_verify_single_suite(capsys):
     suite = data["suites"][0]
     euler_rows = [c for c in suite["cases"] if c["params"].get("check") == "euler"]
     assert len(euler_rows) == 13
+
+
+@pytest.mark.parametrize("suite, n_max, cases", [("genfunc", "3", 4), ("partial-sums", "2", 6)])
+def test_verify_n_max_bounds_the_series_suites(capsys, suite, n_max, cases):
+    # genfunc checks n = 0..n_max; partial-sums checks k = 0..n_max at two q
+    data = run_json(capsys, "verify", "--suite", suite, "--n-max", n_max)
+    assert data["all_passed"] is True
+    assert len(data["suites"][0]["cases"]) == cases
 
 
 def test_verify_even_m_is_usage_error(capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qvolkenborn.algebra import ZeroAtPrecisionError
 from qvolkenborn.padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
-                               ball_representatives, padic_from_rational, q_admissible)
+                               ball_representatives, padic_from_rational)
 from qvolkenborn.qmeasure import QDescriptor
 
 F = Fraction
@@ -61,6 +61,10 @@ def test_from_rational_zero_is_zero_at_precision():
     x = padic_from_rational(0, 5, 8)
     assert x.is_zero_at_precision
     assert x.valuation >= 8
+
+
+def test_repr_shows_the_power_of_p_of_a_nonunit():
+    assert repr(padic_from_rational(10, 5, 4)) == "2*5^1 + O(5^5)"
 
 
 def test_rejects_even_or_composite_prime():
@@ -303,16 +307,6 @@ def test_a_zeroth_power_is_the_exact_one():
     assert zero ** 0 == padic_from_rational(1, 5, 31)
     assert padic_from_rational(5, 5, 31) ** 0 == padic_from_rational(1, 5, 32)
     assert padic_from_rational(F(1, 5), 5, 31) ** 0 == padic_from_rational(1, 5, 31)
-
-
-# ---------------------------------------------------------------------------
-# admissibility
-# ---------------------------------------------------------------------------
-
-def test_admissibility_cases():
-    assert q_admissible(padic_from_rational(6, 5, 8))
-    assert not q_admissible(padic_from_rational(2, 5, 8))
-    assert q_admissible(padic_from_rational(1, 5, 8))  # v(q-1) unbounded
 
 
 def test_agreement_claims_beyond_precision_are_rejected():

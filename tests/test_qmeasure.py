@@ -22,10 +22,9 @@ from qvolkenborn.algebra import (CyclotomicElement, InputError, Polynomial, Rati
                                  reduce_cyclotomic_fraction, root_of_unity_rows)
 from qvolkenborn.characters import (character_value, enumerate_characters, make_character,
                                     parse_character_id)
-from qvolkenborn.padic import PadicNumber, ProfiniteDomain, padic_from_rational, q_admissible
+from qvolkenborn.padic import PadicNumber, ProfiniteDomain, padic_from_rational
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec,
-                                  QDescriptor, ball_measure,
-                                  ball_measure_sum, binomial_fraction_sum,
+                                  QDescriptor, ball_measure_sum, binomial_fraction_sum,
                                   bosonic_power_moment, bracket_power,
                                   character_twisted_power, fermionic_power_moment,
                                   geometric_sum, integrate, parse_integrand, riemann_sum)
@@ -80,21 +79,21 @@ def test_bracket_fractional_rejected_numerically():
 
 def test_bosonic_ball_weight():
     spec = MeasureSpec(BOSONIC, sym(), ProfiniteDomain(3))
-    assert ball_measure(spec, 0, 1) == 1 / R((1, 1, 1))
+    assert ball_measure_sum(spec, (0,), 1) == 1 / R((1, 1, 1))
 
 
 def test_fermionic_ball_weight():
     spec = MeasureSpec(FERMIONIC, sym(), ProfiniteDomain(3))
     q = sym().qpow(1)
     one = sym().one()
-    assert ball_measure(spec, 1, 1) == -(q * (one + q)) / (one + q ** 3)
+    assert ball_measure_sum(spec, (1,), 1) == -(q * (one + q)) / (one + q ** 3)
 
 
 def test_total_mass_is_one():
     for kind in (BOSONIC, FERMIONIC):
         spec = MeasureSpec(kind, sym(), ProfiniteDomain(3))
         for level in (1, 2):
-            total = sum(ball_measure(spec, a, level) for a in range(3 ** level))
+            total = sum(ball_measure_sum(spec, (a,), level) for a in range(3 ** level))
             assert total == 1
             assert ball_measure_sum(spec, range(3 ** level), level) == 1
 
@@ -107,9 +106,9 @@ def test_ball_measure_additivity_random():
             for level in (1, 2):
                 size = d * p ** level
                 a = rng.randrange(size)
-                fine = sum(ball_measure(spec, a + i * size, level + 1)
+                fine = sum(ball_measure_sum(spec, (a + i * size,), level + 1)
                            for i in range(p))
-                assert ball_measure(spec, a, level) == fine
+                assert ball_measure_sum(spec, (a,), level) == fine
 
 
 def test_fermionic_needs_odd_d():
@@ -120,7 +119,7 @@ def test_fermionic_needs_odd_d():
 @pytest.mark.parametrize("q, p, prec", [(1, 5, 32), (1 + 5 ** 5, 5, 5), (1 + 3 ** 7, 3, 4)])
 def test_padic_q_equal_to_one_at_its_precision_is_rejected(q, p, prec):
     qd = padic_from_rational(q, p, prec)
-    assert q_admissible(qd)
+    assert (qd - 1).valuation >= 1
     with pytest.raises(ValueError, match="must differ from 1 at its precision"):
         QDescriptor.padic(qd)
     QDescriptor.padic(padic_from_rational(q + p ** prec, p, prec + 1))  # one more digit: fine
@@ -135,7 +134,7 @@ def test_padic_q_needs_the_domain_prime():
 def test_ball_measure_range_check():
     spec = MeasureSpec(BOSONIC, sym(), ProfiniteDomain(3))
     with pytest.raises(ValueError):
-        ball_measure(spec, 3, 1)
+        ball_measure_sum(spec, (3,), 1)
     with pytest.raises(ValueError):
         ball_measure_sum(spec, [0, 3], 1)
 
@@ -148,7 +147,7 @@ def test_fermionic_ball_limit_padic():
     previous = None
     for level in range(1, 5):
         target = two * q ** 2 / 2   # a = 2 (even)
-        gap = (ball_measure(spec, 2, level) - target).valuation
+        gap = (ball_measure_sum(spec, (2,), level) - target).valuation
         rate = (q ** (5 ** level) - 1).valuation
         assert gap >= rate
         if previous is not None:
@@ -312,7 +311,7 @@ def test_ball_sums_reduce_in_the_coarsest_variable(kind, monkeypatch):
     for a in (0, 1, 4682, size - 1):
         fine = ball_measure_sum(spec, [a + j * size for j in range(p)], level + 1)
         assert counts and max(counts) <= p + 1
-        assert fine == ball_measure(spec, a, level)
+        assert fine == ball_measure_sum(spec, (a,), level)
         for t in KERNEL_TS:
             rational = MeasureSpec(kind, QDescriptor.rational(t), domain)
             assert fine.evaluate(t) == ball_measure_sum(
@@ -329,7 +328,7 @@ def test_ball_sums_refuse_representatives_that_are_not_ints(qd, rep):
     with pytest.raises(ValueError, match="out of range"):
         ball_measure_sum(spec, [0, rep], 1)
     with pytest.raises(ValueError, match="out of range"):
-        ball_measure(spec, rep, 1)
+        ball_measure_sum(spec, (rep,), 1)
 
 
 def test_kernel_halves_agree_on_rational_coefficients():
@@ -1083,7 +1082,8 @@ def _padic_constructions(compute):
     stats = pstats.Stats(profile).stats.items()
     counts = {name: calls for (path, _, name), (_, calls, *_) in stats
               if path.endswith("padic.py") and name in
-              ("__init__", "_normalised", "zero_at_precision", "from_rational", "__truediv__")}
+              ("__init__", "_normalised", "zero_at_precision", "padic_from_rational",
+               "__truediv__")}
     # primitive calls: Newton doubling recurses once per halving
     inverses = sum(primitive for (path, _, name), (primitive, *_) in stats
                    if path.endswith("padic.py") and name == "_unit_inverse")

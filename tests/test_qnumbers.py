@@ -408,7 +408,7 @@ def test_k_chi_finite_level_factorization(n):
     inner_spec = MeasureSpec(FERMIONIC, base, ProfiniteDomain(5))
     acc = 0
     for a in range(3):
-        chi_a = chi(a)
+        chi_a = character_value(chi, a)
         if chi_a == 0:
             continue
         v = riemann_sum(inner_spec, bracket_power(base, n, F(a, 3)), 1)

@@ -343,6 +343,6 @@ def test_a_padic_kernel_call_makes_a_fixed_number_of_padic_numbers(q, call):
     for n in (5, 20):
         assert _constructions(lambda: call(n, qd), "padic.py",
                               ("__init__", "_normalised", "zero_at_precision",
-                               "from_rational")) == 1
+                               "padic_from_rational")) == 1
         assert _constructions(lambda: call(n, qd), "padic.py", ("__truediv__",)) == 0
         assert _unit_inverses(lambda: call(n, qd)) == 1

@@ -23,7 +23,7 @@ import qvolkenborn
 from qvolkenborn.algebra import CyclotomicElement, InputError, RootOrderMismatch
 from qvolkenborn.characters import (CyclicFactor, DirichletCharacter, UnitGroupStructure,
                                     make_character, unit_group_structure)
-from qvolkenborn.padic import PadicNumber, ProfiniteDomain
+from qvolkenborn.padic import PadicNumber, ProfiniteDomain, padic_from_rational
 from qvolkenborn.qmeasure import (BracketPower, IntegrationResult, MeasureSpec, QDescriptor,
                                   bracket_power)
 from qvolkenborn.series import PartialSum
@@ -94,7 +94,7 @@ def test_records_keep_their_defaults():
 
 
 def _q():
-    return QDescriptor.padic(PadicNumber.from_rational(6, 5, 8))
+    return QDescriptor.padic(padic_from_rational(6, 5, 8))
 
 
 # (constructor, arguments, exception class, message)
@@ -118,9 +118,9 @@ _REFUSALS = [
      "rational q must be an exact rational != 1"),
     (QDescriptor, ("rational",), InputError, "rational q must be an exact rational != 1"),
     (QDescriptor, ("padic",), ValueError, "padic mode needs a p-adic q"),
-    (QDescriptor, ("padic", 1, None, PadicNumber.from_rational(2, 5, 8)), InputError,
+    (QDescriptor, ("padic", 1, None, padic_from_rational(2, 5, 8)), InputError,
      "inadmissible p-adic q: v_5(q - 1) must be >= 1"),
-    (QDescriptor, ("padic", 1, None, PadicNumber.from_rational(1 + 5 ** 8, 5, 8)), InputError,
+    (QDescriptor, ("padic", 1, None, padic_from_rational(1 + 5 ** 8, 5, 8)), InputError,
      "p-adic q must differ from 1 at its precision, got q - 1 = O(5^8)"),
     (BracketPower, (QDescriptor.symbolic(), -1), ValueError, "exponent must be nonnegative"),
     (BracketPower, (QDescriptor.symbolic(), 2, 0, ()), ValueError,
@@ -148,7 +148,7 @@ def test_records_keep_their_validation_errors(cls, args, error, message):
 def _samples():
     """A builder of equal records, per class, with their repr."""
     q = _q()
-    value = PadicNumber.from_rational(37, 5, 3)
+    value = padic_from_rational(37, 5, 3)
     return [
         (lambda: CyclicFactor(7, 2, 8), "CyclicFactor(generator=7, order=2, component=8)"),
         (lambda: unit_group_structure(5),
@@ -208,15 +208,15 @@ def test_a_q_reading_is_a_hashable_record_of_its_fields(reading):
 def test_q_readings_differ_by_every_field():
     readings = [QDescriptor.symbolic(1), QDescriptor.symbolic(2), QDescriptor.rational(2),
                 QDescriptor.rational(Fraction(2, 5)), _q(),
-                QDescriptor.padic(PadicNumber.from_rational(6, 5, 9)),
-                QDescriptor.padic(PadicNumber.from_rational(11, 5, 8)),
-                QDescriptor.padic(PadicNumber.from_rational(4, 3, 8))]
+                QDescriptor.padic(padic_from_rational(6, 5, 9)),
+                QDescriptor.padic(padic_from_rational(11, 5, 8)),
+                QDescriptor.padic(padic_from_rational(4, 3, 8))]
     assert len(set(readings)) == len(readings)
 
 
 def test_a_padic_hash_agrees_with_its_equality():
-    pairs = [(PadicNumber.from_rational(37, 5, 3), PadicNumber(5, 0, 37 + 5 ** 3, 3)),
-             (PadicNumber.from_rational(Fraction(2, 25), 5, 4), PadicNumber(5, -2, 2, 4)),
+    pairs = [(padic_from_rational(37, 5, 3), PadicNumber(5, 0, 37 + 5 ** 3, 3)),
+             (padic_from_rational(Fraction(2, 25), 5, 4), PadicNumber(5, -2, 2, 4)),
              (PadicNumber.zero_at_precision(5, 7), PadicNumber(5, 7, 0, 0))]
     for x, y in pairs:
         assert x == y and hash(x) == hash(y) and len({x, y}) == 1

@@ -15,7 +15,7 @@ from qvolkenborn import verify as verify_mod
 from qvolkenborn.algebra import (InputError, PoleError, QvolkError, RootOrderMismatch,
                                  ZeroAtPrecisionError)
 from qvolkenborn.cli import build_parser, main
-from qvolkenborn.padic import PadicNumber, PrecisionExhausted
+from qvolkenborn.padic import PrecisionExhausted, padic_from_rational
 from qvolkenborn.qmeasure import QDescriptor, binomial_fraction_sum
 from test_golden import DIGESTS, commands
 
@@ -178,7 +178,7 @@ def test_a_suite_bug_propagates_out_of_main(monkeypatch):
 def test_the_kernel_contract_refusal_stays_a_plain_value_error():
     # no CLI input reaches the kernel's input contract, so a breach is a bug
     for q, sign, step in ((QDescriptor.rational(2), 1, 0),
-                          (QDescriptor.padic(PadicNumber.from_rational(6, 5, 8)), 1, 1)):
+                          (QDescriptor.padic(padic_from_rational(6, 5, 8)), 1, 1)):
         with pytest.raises(ValueError) as info:
             binomial_fraction_sum(q, [{0: 1}], sign, step)
         assert type(info.value) is ValueError
