@@ -25,6 +25,6 @@ from .qnumbers import (beta_number, beta_polynomial, classical_bernoulli,
                        k_polynomial)
 from .series import (PartialSum, TruncatedSeries, euler_gf,
                      f_q_coefficient_partial, f_q_series, scaled_coefficient,
-                     series_exp, series_inverse)
+                     series_inverse)
 
 __version__ = "0.1.0"

@@ -114,7 +114,8 @@ class DirichletCharacter(namedtuple("DirichletCharacter", "modulus exponents str
 
     def __new__(cls, modulus: int, exponents: tuple[int, ...], structure: UnitGroupStructure):
         if len(exponents) != len(structure.factors):
-            raise ValueError("exponent vector does not match the unit group")
+            raise InputError(f"expected {len(structure.factors)} exponents for modulus "
+                             f"{modulus}, got {len(exponents)}")
         for e, fac in zip(exponents, structure.factors):
             if not 0 <= e < fac.order:
                 raise InputError("exponent out of range for its cyclic factor")
@@ -204,11 +205,4 @@ def parse_character_id(text: str) -> DirichletCharacter:
     except ValueError:
         raise InputError(f'bad character id {text!r}: expected "f:e1,e2,..." '
                          'with integers f, e1, e2, ...') from None
-    if modulus < 1:
-        raise InputError(f"bad character modulus in {text!r}")
-    structure = unit_group_structure(modulus)
-    if len(exponents) != len(structure.factors):
-        raise InputError(
-            f"character {text!r}: expected {len(structure.factors)} exponents "
-            f"for modulus {modulus}, got {len(exponents)}")
-    return DirichletCharacter(modulus, exponents, structure)
+    return make_character(modulus, exponents)

@@ -65,6 +65,8 @@ class QDescriptor(namedtuple("QDescriptor", "mode root_order q_rational q_padic"
             raise ValueError(f"unknown q mode {mode!r}")
         if mode == "symbolic" and root_order < 1:
             raise InputError("root order must be >= 1")
+        if mode != "symbolic" and root_order != 1:
+            raise ValueError(f"{mode} q has root order 1, got {root_order}")
         if mode == "rational":
             if q_rational is None or q_rational == 1:
                 raise InputError("rational q must be an exact rational != 1")
@@ -117,37 +119,28 @@ class QDescriptor(namedtuple("QDescriptor", "mode root_order q_rational q_padic"
         return padic_from_rational(r, self.q_padic.p, self.q_padic.prec)
 
     def w_exponent(self, exponent: Fraction | int) -> int:
-        """The power of w realizing q**exponent (symbolic mode)."""
+        """The power of w realizing q**exponent, w**D = q with D the root
+        order: 1 at rational and p-adic q, whose fields hold no fractional
+        q-power (InputError there, RootOrderMismatch at symbolic q)."""
         if isinstance(exponent, int):
             return exponent * self.root_order
         den = exponent.denominator
         if self.root_order % den:
+            if self.mode != "symbolic":
+                raise InputError(
+                    f"fractional power q^{exponent} is not available in {self.mode} mode")
             raise RootOrderMismatch(
                 f"power q^{exponent} needs root order divisible by {den}, "
                 f"have {self.root_order}")
         return exponent.numerator * (self.root_order // den)
 
-    def int_exponent(self, exponent: Fraction | int) -> int:
-        """The integer exponent of q**exponent at rational or p-adic q
-        (fractional q-powers do not live in Q or Q_p)."""
-        if isinstance(exponent, int):
-            return exponent
-        e = Fraction(exponent)
-        if e.denominator != 1:
-            raise InputError(f"fractional power q^{e} is not available in {self.mode} mode")
-        return int(e)
-
     def qpow(self, exponent: Fraction | int):
-        """q ** exponent.
-
-        Symbolically this is a power of w and only needs the exponent to
-        clear the root order; numerically the exponent must be an integer.
-        """
+        """q ** exponent: w ** :meth:`w_exponent` in every reading."""
         if self.mode == "symbolic":
             return RationalFunction.w_power(self.w_exponent(exponent), self.root_order)
         if self.mode == "rational":
-            return self.q_rational ** self.int_exponent(exponent)
-        return self.q_padic ** self.int_exponent(exponent)
+            return self.q_rational ** self.w_exponent(exponent)
+        return self.q_padic ** self.w_exponent(exponent)
 
     def bracket(self, x: Fraction | int):
         """The q-analogue [x] = (1 - q^x)/(1 - q).
@@ -257,13 +250,13 @@ class _RationalReading:
     def _exponent(self, e) -> int:
         """e as an int, with qpow's InputError for a fractional e, and
         ZeroDivisionError for q = 0 to a negative power."""
-        e = self.q.int_exponent(e)
+        e = self.q.w_exponent(e)
         if e < 0 and not self.a:
             raise ZeroDivisionError(f"q = 0 to the power {e}")
         return e
 
     def binomial(self, s: int, e) -> tuple[int, int]:
-        e = self.q.int_exponent(e)
+        e = self.q.w_exponent(e)
         return self.b ** e + s * self.a ** e, e
 
     def times(self, x: int, b: tuple[int, int], power: int = 1) -> int:
@@ -454,6 +447,8 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     term, under (-1, 1, 1 - n).  An integral x is made an int, so the
     exponents add as ints.
     """
+    if level is None and kind == FERMIONIC and len(weights) % 2 == 0:
+        raise InputError(f"the fermionic limit needs an odd period, got {len(weights)}")
     if q.mode == "padic":
         return _residue_sum(q, kind, n, x, weights, level)
     if not isinstance(x, int):
@@ -524,8 +519,8 @@ def _residue_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     rho_k^(lM) E_k (1 - rho_k^l)) / (1 - rho_k^l), V_k and E_k the signed
     sums of rho_k^j over the first l and the first e indices.  The limit
     takes (1 - r Q) V_k / (1 - rho_k^l) for (1 - r Q) G_k / (1 - (r Q)^level),
-    times k + 1 if bosonic (:func:`geometric_sum`; a fermionic one needs l
-    odd, else ValueError).  That is O(n l + log M) modular operations.
+    times k + 1 if bosonic (:func:`geometric_sum`, which refuses a fermionic
+    one with l even).  That is O(n l + log M) modular operations.
 
     Exactness.  By lifting the exponent (p odd, t >= 1), w_k = v_p(1 -
     rho_k^l) is t + v_p(l (k+1)), or 0 for a fermionic sum with l odd.  Each
@@ -554,8 +549,6 @@ def _residue_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     """
     p, big_q, a = q.q_padic.p, q.q_padic.unit, q.q_padic.prec
     fermionic, size = kind == FERMIONIC, len(weights)
-    if level is None and fermionic and size % 2 == 0:
-        raise ValueError("the fermionic limit needs a table of odd length")
     t = _int_valuation(1 - big_q, p)
     w = ([0] * (n + 1) if fermionic and size % 2 else
          [t + _int_valuation(size * (k + 1), p) for k in range(n + 1)])
@@ -571,7 +564,7 @@ def _residue_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     rho_powers = [-y if fermionic and j % 2 else y for y, j in zip(q_powers, exponents)]
     r_q = rho_powers[0]
     r_k = rho_powers[2] * pow(r_q, extra, mod)   # (r Q)^level
-    x = x.numerator if x.denominator == 1 else q.int_exponent(x) if n else 0
+    x = q.w_exponent(x) if n else 0
     minus_q_x, factor, top, bottom = -pow(big_q, x, mod), 1, 0, 1
     for k, strip in enumerate([p ** y for y in w]):
         rho, rho_l, rho_lm = rho_powers

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .algebra import CyclotomicElement, InputError, root_of_unity_rows
 from .characters import DirichletCharacter
-from .padic import ProfiniteDomain
+from .padic import ProfiniteDomain, _int_valuation
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec, QDescriptor,
                        bracket_power, character_twisted_power, geometric_sum,
                        integrate)
@@ -45,11 +45,12 @@ def _closed(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     return geometric_sum(q, kind, n, x, weights)
 
 
-def _integral(kind: str, q: QDescriptor, f: BracketPower, d: int, stability: int,
-              n_max: int):
+def _integral(kind: str, q: QDescriptor, f: BracketPower, stability: int, n_max: int):
     """The certified p-adic integral of f under the measure of that kind at
-    q, over the inverse limit of Z/(d p^N)."""
-    spec = MeasureSpec(kind, q, ProfiniteDomain(q.prime, d))
+    q, over the inverse limit of Z/(d p^N): d is the p-free part of the
+    period of f's table, 1 without one."""
+    p, period = q.prime, 1 if f.chi is None else len(f.chi)
+    spec = MeasureSpec(kind, q, ProfiniteDomain(p, period // p ** _int_valuation(period, p)))
     return integrate(spec, f, stability, n_max).value
 
 
@@ -65,7 +66,7 @@ def _polynomial(kind: str, n: int, x: Fraction | int, q: QDescriptor, form: str,
         return _closed(q, kind, n, x, (1,))
     x = Fraction(x)
     if form == "integral":
-        return _integral(kind, q, bracket_power(q, n, x), 1, stability, n_max)
+        return _integral(kind, q, bracket_power(q, n, x), stability, n_max)
     # the expansion sum_i C(n,i) q^(ix) number(i, q) [x]^(n-i)
     number, bx, acc = beta_number if kind == BOSONIC else k_number, q.bracket(x), 0
     for i in range(n + 1):
@@ -127,8 +128,6 @@ def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
     Symbolically this is identical to k_polynomial(n, x, q); verifying that
     identity is the point of computing both sides independently.
     """
-    if m < 1 or m % 2 == 0:
-        raise ValueError(f"the distribution relation needs odd m, got {m}")
     if n < 0:
         raise ValueError("index must be nonnegative")
     return _closed(q, FERMIONIC, n, x, (1,) * m)
@@ -144,16 +143,15 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
     unity, r(k) the integer row of x^k mod Phi_L, i < phi(L)) it is
     sum_i zeta^i :func:`geometric_sum` with the table r_i(k_a): a field
     element for L <= 2, else a :class:`CyclotomicElement`.
-    "integral": the fermionic integral of chi(y)[y]^n over the
-    conductor-indexed profinite domain (padic q, quadratic or trivial chi only).
+    "integral": the fermionic integral of chi(y)[y]^n over Z_p x Z/d, d the
+    p-free part of the modulus (padic q, quadratic or trivial chi only).
+    An even modulus is refused by :func:`geometric_sum` or the measure.
     """
     if method not in ("closed", "integral"):
         raise ValueError(f"unknown method {method!r}")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    f, order = chi.modulus, chi.value_order
-    if f % 2 == 0:
-        raise InputError("the twisted numbers need an odd conductor")
+    order = chi.value_order
     if method == "closed":
         if q.mode == "padic" and order > 2:
             raise InputError(
@@ -163,8 +161,7 @@ def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed
                         tuple(0 if k is None else rows[k][i] for k in chi.exponent_table))
                 for i in range(len(rows[0]))]
         return sums[0] if order <= 2 else CyclotomicElement(order, sums)
-    return _integral(FERMIONIC, q, character_twisted_power(q, n, chi), f,
-                     stability, n_max)
+    return _integral(FERMIONIC, q, character_twisted_power(q, n, chi), stability, n_max)
 
 
 def classical_euler(n_max: int) -> list[Fraction]:

@@ -84,22 +84,6 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with zero constant term, via the first-order
-    recurrence (n+1) e_{n+1} = sum (k+1) s_{k+1} e_{n-k}."""
-    if not _is_zero(s.coeffs[0]):
-        raise ValueError("series_exp needs a zero constant term")
-    one = s.coeffs[0] * 0 + 1
-    out = [one]
-    for n in range(s.order):
-        acc = None
-        for k in range(n + 1):
-            term = s.coeffs[k + 1] * (k + 1) * out[n - k]
-            acc = term if acc is None else acc + term
-        out.append(acc * Fraction(1, n + 1))
-    return TruncatedSeries(out)
-
-
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse of a series with invertible constant term."""
     if _is_zero(s.coeffs[0]):
@@ -150,16 +134,14 @@ def f_q_series(q: QDescriptor, order: int) -> TruncatedSeries:
     if q.mode == "padic":
         raise InputError("the generating function is symbolic/rational only")
     one = q.one()
-    zero = one * 0
     inv_1mq = one / (one - q.qpow(1))
-    exp_part = series_exp(TruncatedSeries([zero, inv_1mq], order))
-    terms = []
-    power = one
+    exp_part, terms, power = [], [], one
     for j in range(order + 1):
-        c = fermionic_power_moment(j, q) * power * Fraction((-1) ** j, math.factorial(j))
-        terms.append(c)
+        c = power * Fraction(1, math.factorial(j))   # the t^j coefficient of e^(t/(1-q))
+        exp_part.append(c)
+        terms.append(fermionic_power_moment(j, q) * (-c if j % 2 else c))
         power = power * inv_1mq
-    return exp_part * TruncatedSeries(terms)
+    return TruncatedSeries(exp_part) * TruncatedSeries(terms)
 
 
 class PartialSum(namedtuple("PartialSum", "value tail_bound terms")):
@@ -184,9 +166,9 @@ def f_q_coefficient_partial(k: int, q: Fraction, n_terms: int) -> PartialSum:
     """
     q = Fraction(q)
     if not 0 < abs(q) < 1:
-        raise ValueError("the series needs 0 < |q| < 1")
+        raise InputError(f"partial sums need 0 < |q| < 1, got q = {q}")
     if k < 0 or n_terms < 0:
-        raise ValueError("k and n_terms must be nonnegative")
+        raise InputError("k and n_terms must be nonnegative")
     a, b = q.numerator, q.denominator
     step = b ** (k + 1)
     total = 0

@@ -722,6 +722,16 @@ def test_the_limit_is_the_p_adic_limit_of_the_levels(kind, p, r, n, shift, table
     assert limit.agrees_with(level_sum, digits)
 
 
+@pytest.mark.parametrize("qd", [sym(), QDescriptor.rational(F(2, 5)), padic_q()], ids=repr)
+@pytest.mark.parametrize("n, x, table", [(2, 0, (1, 1)), (3, 1, (1, -1, 0, 1))])
+def test_an_even_period_fermionic_limit_is_refused_in_every_reading(qd, n, x, table):
+    # the limit takes (r q)^K -> -1 over levels K that the period divides,
+    # so an even period has no fermionic limit in any reading of q
+    with pytest.raises(InputError) as info:
+        geometric_sum(qd, FERMIONIC, n, x, table)
+    assert str(info.value) == f"the fermionic limit needs an odd period, got {len(table)}"
+
+
 def test_no_per_term_route_is_left():
     gone = ("_term_sum", "fermionic_finite_rhs")
     modules = [qvolkenborn] + [importlib.import_module(f"qvolkenborn.{name}") for name in

@@ -238,6 +238,18 @@ def test_k_chi_integral_matches_closed():
         assert (got - want).valuation >= 5
 
 
+@pytest.mark.parametrize("chi_id, p, q_value", [("3:1", 3, 4), ("9:3", 3, 4),
+                                                ("5:2", 5, 6), ("15:1,0", 5, 6)])
+def test_k_chi_integral_where_p_divides_the_modulus(chi_id, p, q_value):
+    # the integral runs over Z_p x Z/d, d the p-free part of the modulus,
+    # and its certified digits agree with the closed form
+    chi = parse_character_id(chi_id)
+    qd = QDescriptor.padic(padic_from_rational(q_value, p, 32))
+    for n in range(4):
+        got = k_chi(n, chi, qd, method="integral")
+        assert got.absolute_precision == 5 and got.agrees_with(k_chi(n, chi, qd), 5)
+
+
 def test_k_chi_rejects_even_conductor():
     chi = make_character(4, (1,))
     with pytest.raises(ValueError):

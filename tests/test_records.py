@@ -74,6 +74,26 @@ def test_no_module_imports_a_package_module_inside_a_function(path):
     assert not list(_package_imports_in_functions(ast.parse(path.read_text())))
 
 
+def _unused_imports(tree):
+    """The names that the module's top-level imports bind (not those of
+    `__future__`) and that no expression of the module reads."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(SRC.glob("*.py"))
+                                  if path.name != "__init__.py"], ids=lambda p: p.name)
+def test_every_module_uses_the_names_it_imports(path):
+    # no linter runs on the package, so an import left behind by a deleted
+    # caller shows here
+    assert not _unused_imports(ast.parse(path.read_text()))
+
+
 def test_the_cli_starts_without_dataclasses_inspect_or_csv():
     # -S keeps site's own imports out of the count
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -108,8 +128,8 @@ _REFUSALS = [
      "the fermionic measure needs an odd d"),
     (MeasureSpec, ("bosonic", _q(), ProfiniteDomain(3)), ValueError,
      "a 5-adic q cannot measure a domain over p = 3"),
-    (DirichletCharacter, (5, (1, 0), unit_group_structure(5)), ValueError,
-     "exponent vector does not match the unit group"),
+    (DirichletCharacter, (5, (1, 0), unit_group_structure(5)), InputError,
+     "expected 1 exponents for modulus 5, got 2"),
     (DirichletCharacter, (5, (4,), unit_group_structure(5)), InputError,
      "exponent out of range for its cyclic factor"),
     (QDescriptor, ("complex",), ValueError, "unknown q mode 'complex'"),
@@ -117,6 +137,7 @@ _REFUSALS = [
     (QDescriptor, ("rational", 1, Fraction(1)), InputError,
      "rational q must be an exact rational != 1"),
     (QDescriptor, ("rational",), InputError, "rational q must be an exact rational != 1"),
+    (QDescriptor, ("rational", 2, Fraction(2)), ValueError, "rational q has root order 1, got 2"),
     (QDescriptor, ("padic",), ValueError, "padic mode needs a p-adic q"),
     (QDescriptor, ("padic", 1, None, padic_from_rational(2, 5, 8)), InputError,
      "inadmissible p-adic q: v_5(q - 1) must be >= 1"),

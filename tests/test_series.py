@@ -1,5 +1,6 @@
 """Truncated-series engine and generating-function tests."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,18 @@ from qvolkenborn.qmeasure import QDescriptor
 from qvolkenborn.qnumbers import k_number
 from qvolkenborn.series import (TruncatedSeries, euler_gf,
                                 f_q_coefficient_partial, f_q_series,
-                                scaled_coefficient, series_exp, series_inverse)
+                                scaled_coefficient, series_inverse)
 
 F = Fraction
 
 
 def S(*coeffs):
     return TruncatedSeries([F(c) for c in coeffs])
+
+
+def exp_series(c, order):
+    """e^(ct) truncated at order, from its coefficients c^n / n!."""
+    return TruncatedSeries([F(c) ** n / math.factorial(n) for n in range(order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +78,7 @@ def test_pairwise_products_match_left_to_right_sums(pair):
 
 
 def test_scale_doubles_coefficients():
-    exp_t = series_exp(S(0, 1, 0, 0))
+    exp_t = exp_series(1, 3)
     doubled = exp_t.scale(2)
     assert all(doubled[n] == 2 * exp_t[n] for n in range(4))
 
@@ -83,29 +89,8 @@ def test_order_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# exp and inverse
+# inverse
 # ---------------------------------------------------------------------------
-
-def test_exp_of_zero():
-    assert series_exp(S(0, 0, 0)) == S(1, 0, 0)
-
-
-def test_exp_of_t():
-    assert series_exp(S(0, 1, 0, 0)) == TruncatedSeries(
-        [F(1), F(1), F(1, 2), F(1, 6)])
-
-
-def test_exp_times_exp_of_negative_is_one():
-    order = 8
-    t = TruncatedSeries([F(0), F(1)], order)
-    product = series_exp(t) * series_exp(t.scale(-1))
-    assert product == TruncatedSeries([F(1)], order)
-
-
-def test_exp_requires_zero_constant_term():
-    with pytest.raises(ValueError):
-        series_exp(S(1, 1))
-
 
 def test_inverse_of_one():
     assert series_inverse(S(1, 0, 0)) == S(1, 0, 0)
@@ -121,9 +106,7 @@ def test_inverse_requires_unit_constant_term():
 
 
 def test_inverse_of_exp_is_exp_of_negative():
-    order = 7
-    t = TruncatedSeries([F(0), F(1)], order)
-    assert series_inverse(series_exp(t)) == series_exp(t.scale(-1))
+    assert series_inverse(exp_series(1, 7)) == exp_series(-1, 7)
 
 
 # ---------------------------------------------------------------------------
