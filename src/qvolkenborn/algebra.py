@@ -616,6 +616,8 @@ def reduce_cyclotomic_fraction(num: Polynomial, phis: dict[int, int], root_order
 # ---------------------------------------------------------------------------
 
 def _fraction_strings(p: Polynomial) -> list[str]:
+    if p.scale == 1:
+        return list(map(str, p.ints))
     return [_fraction_string(c, p.scale) for c in p.ints]
 
 

@@ -2,7 +2,9 @@
 
 Every numeric output is exact (rationals as "num/den" strings, symbolic
 values as coefficient lists, p-adic values as valuation/unit/precision); no
-floating point appears anywhere.
+floating point appears anywhere.  A JSON report has the bytes of
+``json.dumps(report, indent=2)`` and is written as it is encoded, one row or
+suite at a time.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error (including a pole of the formula at the given q, a p-adic value
@@ -16,11 +18,11 @@ give).  Past argument parsing, every refusal is a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
-import io
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (CyclotomicElement, InputError, PoleError, QvolkError,
                       RationalFunction)
@@ -101,9 +103,7 @@ def parse_index_range(text: str) -> list[int]:
 
 
 def value_to_json(value):
-    if isinstance(value, RationalFunction):
-        return value.to_json()
-    if isinstance(value, PadicNumber):
+    if isinstance(value, (RationalFunction, PadicNumber)):
         return value.to_json()
     if isinstance(value, CyclotomicElement):
         return {"L": value.order, "coeffs": [c.to_json() for c in value.coeffs]}
@@ -131,18 +131,45 @@ def _value_text(value) -> str:
     return str(value)
 
 
-def _write(text: str, output: str | None) -> None:
-    """Write text to the --output file, or to stdout without one."""
-    if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+def _output(output: str | None):
+    """The --output file opened for writing, or stdout without one."""
+    return open(output, "w") if output else contextlib.nullcontext(sys.stdout)
+
+
+def _encode(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2) of a str, int, bool, None, dict or list, nested at indent."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{_quote(k)}: {_encode(v, inner)}" for k, v in value.items()], "{}"
+    elif all(isinstance(v, str) for v in value):
+        items, ends = map(_quote, value), "[]"
     else:
-        sys.stdout.write(text)
+        items, ends = [_encode(v, inner) for v in value], "[]"
+    if not value:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
 
 
 def _write_json(report: dict, output: str | None) -> None:
-    """Write a report as indented JSON, the one JSON output format."""
-    _write(json.dumps(report, indent=2) + "\n", output)
+    """Write a report with the bytes of json.dumps(report, indent=2), the one
+    JSON output format, as it is encoded: each top-level value, and each element
+    of a top-level list (a table's rows, a run's suites), before the next."""
+    with _output(output) as handle:
+        for i, (key, value) in enumerate(report.items()):
+            handle.write(f"{',' if i else '{'}\n  {_quote(key)}: ")
+            if isinstance(value, list) and value:
+                for j, element in enumerate(value):
+                    handle.write(f"{',' if j else '['}\n    {_encode(element, '    ')}")
+                handle.write("\n  ]")
+            else:
+                handle.write(_encode(value, "  "))
+        handle.write("\n}\n" if report else "{}\n")
 
 
 def _emit(report: dict, rows: list[dict], args) -> None:
@@ -156,11 +183,10 @@ def _emit(report: dict, rows: list[dict], args) -> None:
         return
     import csv   # only this branch needs it, so other commands start without it
 
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-    writer.writeheader()
-    writer.writerows(rows)
-    _write(buf.getvalue(), args.output)
+    with _output(args.output) as handle:
+        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------

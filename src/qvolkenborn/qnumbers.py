@@ -130,6 +130,8 @@ def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
     """
     if n < 0:
         raise ValueError("index must be nonnegative")
+    if m < 1:
+        raise InputError(f"the distribution relation needs a period m >= 1, got {m}")
     return _closed(q, FERMIONIC, n, x, (1,) * m)
 
 

@@ -1,12 +1,18 @@
 """End-to-end CLI tests: table contents, exit codes, serialization round trips."""
 
+import contextlib
 import csv
 import io
 import json
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qvolkenborn import cli
 from qvolkenborn.algebra import PoleError
 from qvolkenborn.cli import (build_parser, main, parse_index_range, parse_q_spec,
                              value_from_json)
@@ -435,6 +441,56 @@ def test_csv_columns_pinned(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["kind", "n", "x", "m", "chi", "q_spec", "value"]
     assert rows[2][6] == "-2/5"
+
+
+# each command's recorded stdout: the bytes of every CSV output form, values
+# of each reading of q and the character table included
+CSV_TABLES = json.loads((Path(__file__).with_name("golden") / "csv_tables.json").read_text())
+
+
+@pytest.mark.parametrize("command", CSV_TABLES)
+def test_csv_tables_match_the_recording(capsys, tmp_path, command):
+    # stdout and the --output file both get the recorded text, row endings included
+    assert run(capsys, *command.split()) == (0, CSV_TABLES[command], "")
+    out_file = tmp_path / "table.csv"
+    assert main(command.split() + ["--output", str(out_file)]) == 0
+    assert out_file.read_bytes() == CSV_TABLES[command].encode()
+
+
+_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f a\u00e9\u20ac\U0001f600') | st.characters(),
+                max_size=8)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80) | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(_TEXT, max_size=4)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report=st.dictionaries(_TEXT, _JSON, max_size=4))
+def test_the_json_writer_spells_what_json_dumps_spells(report):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_json(report, None)
+    assert out.getvalue() == json.dumps(report, indent=2) + "\n"
+
+
+def test_the_json_writer_holds_less_than_the_text_it_writes(monkeypatch, tmp_path):
+    # one row's text at a time; a token list and the joined text held whole
+    # would take over twice the length of the text
+    write_json, reports = cli._write_json, []
+    monkeypatch.setattr(cli, "_write_json", lambda report, output: reports.append(report))
+    assert main(["numbers", "--kind", "K", "--n", "0..40", "--q", "sym"]) == 0
+    out_file = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        write_json(reports[0], str(out_file))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out_file.read_text()
+    assert text == json.dumps(reports[0], indent=2) + "\n"
+    assert peak < len(text)
 
 
 def test_json_round_trip_equals_recomputation(capsys, tmp_path):

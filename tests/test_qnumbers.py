@@ -69,6 +69,31 @@ def test_beta_rational_mode_matches_symbolic():
         assert beta_number(m, qd) == beta_number(m, sym()).evaluate(q)
 
 
+def _residue_sum(n, d):
+    """T(n, d) = sum_{j>=1} (-1)^(jd-1) C(n, jd-1), the residue of beta_n's
+    closed form at a primitive d-th root of unity, up to a unit."""
+    return sum((-1) ** k * math.comb(n, k) for k in range(d - 1, n + 1, d))
+
+
+def test_reduced_denominators_follow_the_residue_theorems():
+    # K_n reduces to prod_{d=2}^{n+1} Phi_2d, and beta_n holds Phi_d
+    # (2 <= d <= n+1) to the power 1 exactly when T(n, d) != 0; neither keeps
+    # a power of w.  beta_n lacks a Phi_d only at odd n, for the d | n+2.
+    lacking = {}
+    for n in range(61):
+        k, beta = k_number(n, sym()), beta_number(n, sym())
+        assert (k.phis, k.w_exp) == (tuple((2 * d, 1) for d in range(2, n + 2)), 0), n
+        assert beta.phis == tuple((d, 1) for d in range(2, n + 2) if _residue_sum(n, d)), n
+        assert beta.w_exp == 0, n
+        missing = [d for d in range(2, n + 2) if (d, 1) not in beta.phis]
+        if missing:
+            lacking[n] = missing
+    assert len(lacking) == 13
+    assert all(n % 2 and missing == [d for d in range(2, n + 2) if (n + 2) % d == 0]
+               for n, missing in lacking.items())
+    assert lacking[7] == [3] and lacking[43] == [3, 5, 9, 15]
+
+
 # ---------------------------------------------------------------------------
 # q-Bernoulli polynomials
 # ---------------------------------------------------------------------------

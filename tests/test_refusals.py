@@ -86,6 +86,8 @@ CLI_REFUSALS += [(tuple(command.split()), InputError) for command in (
     "integrate --p 5 --q 6 --stability 40 --N-max 50",
     "series --gf Fq --q padic:5:6:32",
     "series --gf Kpartial --q 2",
+    "verify --suite distribution --m -3",
+    "verify --suite distribution --m 0",
 )]
 
 
@@ -99,6 +101,9 @@ def test_cli_refusals_are_qvolk_errors(capsys, argv, error):
 
 @pytest.mark.parametrize("command, message", [
     ("verify --suite distribution --m 4", "the fermionic limit needs an odd period, got 4"),
+    ("verify --suite distribution --m -3",
+     "the distribution relation needs a period m >= 1, got -3"),
+    ("verify --suite distribution --m 0", "the distribution relation needs a period m >= 1, got 0"),
     ("numbers --kind K_chi --n 0 --chi 4:1", "the fermionic limit needs an odd period, got 4"),
     ("numbers --kind K_chi --n 0 --chi 0:1", "modulus must be positive"),
     ("numbers --kind K_chi --n 0 --chi 5:1,1", "expected 1 exponents for modulus 5, got 2"),
