@@ -31,12 +31,16 @@ from .characters import (character_value, conductor, enumerate_characters,
 from .padic import DEFAULT_PRECISION, PadicNumber, ProfiniteDomain, padic_from_rational
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
                        integrate, parse_integrand)
-from .qnumbers import beta_polynomial, k_chi, k_polynomial
+from .qnumbers import FORMS, family_value
 from .series import (euler_gf, f_q_coefficient_partial, f_q_series,
                      scaled_coefficient)
 from .verify import SUITES, run_suites
 
 CSV_COLUMNS = ["kind", "n", "x", "m", "chi", "q_spec", "value"]
+
+# each --kind of numbers and polynomials (the *_poly kinds) and its measure
+KINDS = {"K": FERMIONIC, "beta": BOSONIC, "K_chi": FERMIONIC,
+         "K_poly": FERMIONIC, "beta_poly": BOSONIC}
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -61,6 +65,14 @@ def parse_q_spec(text: str) -> QDescriptor:
         return QDescriptor.rational(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad q spec {text!r}: {exc}") from exc
+
+
+def _fraction(flag: str, text: str) -> Fraction:
+    """The rational value of a flag's text, refused as "bad <flag>"."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad {flag} {text!r}: {exc}") from exc
 
 
 def _evaluate_at(q: QDescriptor, label: str, compute):
@@ -195,19 +207,15 @@ def _emit(report: dict, rows: list[dict], args) -> None:
 
 def cmd_numbers(args) -> int:
     q, indices = parse_q_spec(args.q), parse_index_range(args.n)
-    if args.kind == "K_chi":
-        if not args.chi:
-            raise InputError("--chi is required for kind K_chi")
-        chi = parse_character_id(args.chi)
+    if args.kind == "K_chi" and not args.chi:
+        raise InputError("--chi is required for kind K_chi")
+    if args.kind != "K_chi" and args.chi is not None:
+        raise InputError(f"--chi applies to kind K_chi only, not {args.kind}")
+    chi = parse_character_id(args.chi) if args.chi else None
     rows = []
     for n in indices:
-        if args.kind in ("K", "beta"):
-            family = k_polynomial if args.kind == "K" else beta_polynomial
-            value = _evaluate_at(q, f"{args.kind}_{n}",
-                                 lambda: family(n, 0, q, form=args.method))
-        else:
-            value = _evaluate_at(q, f"K_chi_{n}",
-                                 lambda: k_chi(n, chi, q, method=args.method))
+        value = _evaluate_at(q, f"{args.kind}_{n}",
+                             lambda: family_value(KINDS[args.kind], n, 0, q, chi, args.method))
         rows.append({"kind": args.kind, "n": n, "chi": args.chi or "", "q_spec": args.q,
                      "value": value})
     _emit({"command": "numbers", "kind": args.kind, "q_spec": args.q}, rows, args)
@@ -215,16 +223,11 @@ def cmd_numbers(args) -> int:
 
 
 def cmd_polynomials(args) -> int:
-    q = parse_q_spec(args.q)
-    try:
-        x = Fraction(args.x)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad x {args.x!r}: {exc}") from exc
-    polynomial = k_polynomial if args.kind == "K_poly" else beta_polynomial
+    q, x = parse_q_spec(args.q), _fraction("x", args.x)
     rows = []
     for n in parse_index_range(args.n):
         value = _evaluate_at(q, f"{args.kind}_{n}({x})",
-                             lambda: polynomial(n, x, q, form=args.form))
+                             lambda: family_value(KINDS[args.kind], n, x, q, form=args.form))
         rows.append({"kind": args.kind, "n": n, "x": str(x), "q_spec": args.q,
                      "value": value})
     _emit({"command": "polynomials", "kind": args.kind, "x": str(x),
@@ -233,10 +236,7 @@ def cmd_polynomials(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    try:
-        q_value = Fraction(args.q)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad q {args.q!r}: {exc}") from exc
+    q_value = _fraction("q", args.q)
     q = QDescriptor.padic(padic_from_rational(q_value, args.p, args.A))
     spec = MeasureSpec(args.kind, q, ProfiniteDomain(args.p, args.d))
     result = integrate(spec, parse_integrand(args.f, q), args.stability, args.n_max)
@@ -281,10 +281,7 @@ def cmd_series(args) -> int:
             rows.append({"kind": "Fq_gf", "n": n, "q_spec": args.q,
                          "value": scaled_coefficient(gf, n), "coefficient": _value_text(coeff)})
     else:  # Kpartial
-        try:
-            q_value = Fraction(args.q)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad q {args.q!r}: {exc}") from exc
+        q_value = _fraction("q", args.q)
         for k in range(args.k_max + 1):
             ps = f_q_coefficient_partial(k, q_value, args.n_terms)
             rows.append({"kind": "K_partial", "n": k, "q_spec": args.q, "value": ps.value,
@@ -327,20 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     p = sub.add_parser("numbers", help="q-Bernoulli / q-Euler / twisted number tables")
-    p.add_argument("--kind", choices=["K", "beta", "K_chi"], required=True)
+    p.add_argument("--kind", choices=[k for k in KINDS if not k.endswith("_poly")],
+                   required=True)
     p.add_argument("--n", required=True, help='index or range, e.g. "3" or "0..8"')
     p.add_argument("--q", default="sym", help='"sym", "sym:D", "a/b", "padic:p:q:A"')
-    p.add_argument("--chi", default=None, help='character id "f:e1,e2,..."')
+    p.add_argument("--chi", default=None, help='character id "f:e1,e2,..." (K_chi only)')
     p.add_argument("--method", choices=["closed", "integral"], default="closed")
     add_output_flags(p)
     p.set_defaults(func=cmd_numbers)
 
     p = sub.add_parser("polynomials", help="shifted-argument polynomial tables")
-    p.add_argument("--kind", choices=["K_poly", "beta_poly"], required=True)
+    p.add_argument("--kind", choices=[k for k in KINDS if k.endswith("_poly")], required=True)
     p.add_argument("--n", required=True)
     p.add_argument("--x", default="0", help='rational shift, e.g. "1/2"')
-    p.add_argument("--form", choices=["closed", "expansion", "integral"],
-                   default="closed")
+    p.add_argument("--form", choices=FORMS, default="closed")
     p.add_argument("--q", default="sym")
     add_output_flags(p)
     p.set_defaults(func=cmd_polynomials)

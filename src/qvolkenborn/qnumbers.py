@@ -1,11 +1,15 @@
 """The q-deformed number and polynomial families and their classical limits.
 
-Bosonic moments give the q-Bernoulli numbers beta_m and polynomials
-beta_n(x); fermionic moments give the q-Euler-type numbers K_n and
-polynomials K_n(x), their odd-m distribution relation, and the
-Dirichlet-character twists.  Each family has a closed form and at least one
-independent route (moment expansion or p-adic integral), and the routes are
-cross-checked by the verification suites.
+Every family is one moment of a q-Volkenborn integral, chi(y) [x+y]^n under
+the bosonic or the fermionic measure with chi trivial or a Dirichlet
+character, and one value function, :func:`family_value`, computes each by a
+closed form and by independent routes (moment expansion, p-adic integral)
+that the verification suites cross-check.  Bosonic moments give the
+q-Bernoulli numbers and polynomials beta_n(x), fermionic ones the
+q-Euler-type K_n(x) and the twists K_{n,chi}: :func:`k_number`,
+:func:`beta_number`, :func:`k_polynomial`, :func:`beta_polynomial` and
+:func:`k_chi` are each one call of it.  :func:`k_distribution_rhs` is the
+odd-m distribution relation.
 
 Every closed value is one :func:`~qvolkenborn.qmeasure.geometric_sum` in
 the p-adic limit: K_n(x) and beta_n(x) take the table (1,), the odd-m
@@ -15,10 +19,11 @@ table per integer row of its character (phi(L) calls for order L > 2), with
 integer exponents for integer x in every reading of q.
 
 The closed values are memoized per (q, kind, n, x, weights) in one
-512-entry LRU cache, :func:`_closed`: the expansion routes read every
-number K_0 .. K_n, so a loop over n would otherwise derive each number O(n)
-times.  Values are immutable, so sharing them is safe; the expansion and
-integral forms and the level sums are not cached.
+512-entry LRU cache, :func:`_closed`, under :func:`family_value`: the
+expansion routes read every number K_0 .. K_n, so a loop over n would
+otherwise derive each number O(n) times.  Values are immutable, so sharing
+them is safe; the expansion and integral forms and the level sums are not
+cached.
 """
 
 from __future__ import annotations
@@ -28,11 +33,10 @@ import math
 from fractions import Fraction
 
 from .algebra import CyclotomicElement, InputError, root_of_unity_rows
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, character_value
 from .padic import ProfiniteDomain, _int_valuation
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec, QDescriptor,
-                       bracket_power, character_twisted_power, geometric_sum,
-                       integrate)
+                       geometric_sum, integrate)
 from .series import TruncatedSeries, euler_gf, scaled_coefficient, series_inverse
 
 FORMS = ("closed", "expansion", "integral")
@@ -45,33 +49,50 @@ def _closed(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     return geometric_sum(q, kind, n, x, weights)
 
 
-def _integral(kind: str, q: QDescriptor, f: BracketPower, stability: int, n_max: int):
-    """The certified p-adic integral of f under the measure of that kind at
-    q, over the inverse limit of Z/(d p^N): d is the p-free part of the
-    period of f's table, 1 without one."""
-    p, period = q.prime, 1 if f.chi is None else len(f.chi)
-    spec = MeasureSpec(kind, q, ProfiniteDomain(p, period // p ** _int_valuation(period, p)))
-    return integrate(spec, f, stability, n_max).value
+def family_value(kind: str, n: int, x: Fraction | int, q: QDescriptor,
+                 chi: DirichletCharacter | None = None, form: str = "closed",
+                 stability: int = 5, n_max: int = 8):
+    """The moment of chi(y) [x+y]^n (chi None: untwisted) under the measure
+    of that kind at q, by the selected route.
 
-
-def _polynomial(kind: str, n: int, x: Fraction | int, q: QDescriptor, form: str,
-                stability: int, n_max: int):
-    """The polynomial family of the measure of that kind at x, by the
-    selected route (see :func:`k_polynomial` and :func:`beta_polynomial`)."""
+    "closed": with chi(a) = zeta^k_a = sum_i r_i(k_a) zeta^i (zeta a
+    primitive L-th root of unity, r(k) the integer row of x^k mod Phi_L,
+    i < phi(L); untwisted L = 1, r = (1,)) it is sum_i zeta^i
+    :func:`geometric_sum` with the table r_i(k_a): a field element for
+    L <= 2, else a :class:`CyclotomicElement`.  "expansion" (untwisted):
+    sum_i C(n,i) q^(ix) number_i [x]^(n-i) over the numbers of that kind.
+    "integral": the p-adic integral over Z_p x Z/d, d the p-free part of
+    chi's modulus (padic q, chi quadratic or None).
+    """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {FORMS}")
     if n < 0:
         raise ValueError("index must be nonnegative")
     if form == "closed":
-        return _closed(q, kind, n, x, (1,))
-    x = Fraction(x)
+        if chi is None:   # the one row of the trivial character
+            return _closed(q, kind, n, x, (1,))
+        order = chi.value_order
+        if q.mode == "padic" and order > 2:
+            raise InputError(
+                "p-adic twisted numbers need character values in {0, +-1}")
+        rows = root_of_unity_rows(order)
+        sums = [_closed(q, kind, n, x,
+                        tuple(0 if k is None else rows[k][i] for k in chi.exponent_table))
+                for i in range(len(rows[0]))]
+        return sums[0] if order <= 2 else CyclotomicElement(order, sums)
     if form == "integral":
-        return _integral(kind, q, bracket_power(q, n, x), stability, n_max)
-    # the expansion sum_i C(n,i) q^(ix) number(i, q) [x]^(n-i)
-    number, bx, acc = beta_number if kind == BOSONIC else k_number, q.bracket(x), 0
+        period = 1 if chi is None else chi.modulus
+        table = None if chi is None else tuple(character_value(chi, a) for a in range(period))
+        f, p = BracketPower(q, n, x, table), q.prime
+        spec = MeasureSpec(kind, q, ProfiniteDomain(p, period // p ** _int_valuation(period, p)))
+        return integrate(spec, f, stability, n_max).value
+    if chi is not None:
+        raise ValueError("the expansion route is untwisted; a twist takes closed or integral")
+    x = Fraction(x)
+    bx, acc = q.bracket(x), 0
     for i in range(n + 1):
         acc = acc + (q.from_rational(math.comb(n, i)) * q.qpow(i * x)
-                     * number(i, q) * bx ** (n - i))
+                     * family_value(kind, i, 0, q) * bx ** (n - i))
     return acc
 
 
@@ -82,7 +103,7 @@ def beta_number(m: int, q: QDescriptor):
     >>> print(beta_number(1, QDescriptor.symbolic()))
     (-1)/(1 + q)
     """
-    return beta_polynomial(m, 0, q)
+    return family_value(BOSONIC, m, 0, q)
 
 
 def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed",
@@ -93,7 +114,7 @@ def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "clos
     expansion over beta numbers and [x] powers; "integral": the bosonic
     p-adic integral of [x+t]^n (padic q only).
     """
-    return _polynomial(BOSONIC, n, x, q, form, stability, n_max)
+    return family_value(BOSONIC, n, x, q, None, form, stability, n_max)
 
 
 def k_number(k: int, q: QDescriptor):
@@ -106,7 +127,7 @@ def k_number(k: int, q: QDescriptor):
     >>> k_number(1, QDescriptor.symbolic()).limit_at_one()
     Fraction(-1, 2)
     """
-    return k_polynomial(k, 0, q)
+    return family_value(FERMIONIC, k, 0, q)
 
 
 def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed",
@@ -116,7 +137,7 @@ def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"
     "closed" and "expansion" agree identically as reduced elements;
     "integral" is the fermionic p-adic integral of [x+y]^n (padic q only).
     """
-    return _polynomial(FERMIONIC, n, x, q, form, stability, n_max)
+    return family_value(FERMIONIC, n, x, q, None, form, stability, n_max)
 
 
 def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
@@ -137,33 +158,12 @@ def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
 
 def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed",
           stability: int = 5, n_max: int = 8):
-    """Character-twisted q-Euler number attached to chi.
-
-    "closed": the finite sum over residues a of chi(a) (-1)^a q^a times the
-    base-q^f polynomial at a/f, prefixed by [f]^n/[f]_-.  With
-    chi(a) = zeta^k_a = sum_i r_i(k_a) zeta^i (zeta a primitive L-th root of
-    unity, r(k) the integer row of x^k mod Phi_L, i < phi(L)) it is
-    sum_i zeta^i :func:`geometric_sum` with the table r_i(k_a): a field
-    element for L <= 2, else a :class:`CyclotomicElement`.
-    "integral": the fermionic integral of chi(y)[y]^n over Z_p x Z/d, d the
-    p-free part of the modulus (padic q, quadratic or trivial chi only).
-    An even modulus is refused by :func:`geometric_sum` or the measure.
+    """Character-twisted q-Euler number attached to chi, the fermionic
+    :func:`family_value` of chi at x = 0: "closed" (the sum over residues a
+    of chi(a) (-1)^a q^a times the base-q^f polynomial at a/f, prefixed by
+    [f]^n/[f]_-) or "integral".  An even modulus is refused.
     """
-    if method not in ("closed", "integral"):
-        raise ValueError(f"unknown method {method!r}")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    order = chi.value_order
-    if method == "closed":
-        if q.mode == "padic" and order > 2:
-            raise InputError(
-                "p-adic twisted numbers need character values in {0, +-1}")
-        rows = root_of_unity_rows(order)
-        sums = [_closed(q, FERMIONIC, n, 0,
-                        tuple(0 if k is None else rows[k][i] for k in chi.exponent_table))
-                for i in range(len(rows[0]))]
-        return sums[0] if order <= 2 else CyclotomicElement(order, sums)
-    return _integral(FERMIONIC, q, character_twisted_power(q, n, chi), stability, n_max)
+    return family_value(FERMIONIC, n, 0, q, chi, method, stability, n_max)
 
 
 def classical_euler(n_max: int) -> list[Fraction]:

@@ -22,9 +22,9 @@ from qvolkenborn.padic import ProfiniteDomain, padic_from_rational
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor, ball_measure_sum,
                                   bosonic_power_moment, bracket_power, character_twisted_power,
                                   fermionic_power_moment, riemann_sum)
-from qvolkenborn.qnumbers import (beta_number, beta_polynomial,
-                                  classical_bernoulli, classical_euler, k_chi,
-                                  k_distribution_rhs, k_number, k_polynomial)
+from qvolkenborn.qnumbers import (beta_number, beta_polynomial, classical_bernoulli,
+                                  classical_euler, family_value, k_chi, k_distribution_rhs,
+                                  k_number, k_polynomial)
 from test_rational_reading import _field_sum, _padic_qs
 
 F = Fraction
@@ -247,6 +247,21 @@ def test_k_chi_trivial_character_is_k_number():
         assert k_chi(n, chi, sym()) == k_number(n, sym())
 
 
+@pytest.mark.parametrize("kind", [BOSONIC, FERMIONIC])
+def test_the_trivial_twist_is_the_untwisted_family(kind):
+    # the row loop over the trivial character's one row gives the value
+    # that the untwisted family takes directly, with the table (1,)
+    trivial = make_character(1, ())
+    for n in range(5):
+        for x in (0, 2, -1):
+            assert family_value(kind, n, x, sym(), trivial) == family_value(kind, n, x, sym())
+
+
+def test_a_twist_takes_no_expansion_route():
+    with pytest.raises(ValueError, match="the expansion route is untwisted"):
+        family_value(BOSONIC, 1, 0, sym(), make_character(3, (1,)), "expansion")
+
+
 def test_k_chi_quadratic_frozen():
     chi = make_character(3, (1,))
     # -q(1+q)/(1-q+q^2) and q(q-1)(q+1)(q^2+q+1)/((1-q+q^2)(1-q^2+q^4))
@@ -342,28 +357,33 @@ _QUADRATIC = [chi for m in range(1, 22, 2) for chi in enumerate_characters(m)
 
 
 @settings(max_examples=200, deadline=None)
-@given(point=_padic_qs(), family=st.sampled_from(("K", "beta", "distribution", "chi")),
+@given(point=_padic_qs(), family=st.sampled_from(("family", "distribution")),
+       kind=st.sampled_from((BOSONIC, FERMIONIC)), twist=st.sampled_from([None] + _QUADRATIC),
        n=st.integers(0, 10), x=st.integers(-4, 4), m=st.sampled_from([1, 3, 5, 9, 15]),
-       chi=st.sampled_from(_QUADRATIC), delta=st.integers(-30, 30))
+       delta=st.integers(-30, 30))
 # beta_10 at padic:3:10:4, where 1 - q^9 is zero at precision A = 4
-@example(point=(3, F(10), 4), family="beta", n=10, x=0, m=1, chi=_QUADRATIC[0], delta=1)
+@example(point=(3, F(10), 4), family="family", kind=BOSONIC, twist=None, n=10, x=0, m=1, delta=1)
 # K_10 at padic:3:10:3: one digit, A - v_3(1 - q)
-@example(point=(3, F(10), 3), family="K", n=10, x=0, m=1, chi=_QUADRATIC[0], delta=-2)
-def test_closed_padic_values_claim_their_proven_digits(point, family, n, x, m, chi, delta):
-    # K_n(x), beta_n(x), the distribution right side and a quadratic k_chi
-    # row at p-adic q agree with the rational reading at the same q, and at
-    # q + p^A delta (the same truncated q), on every digit they claim, and
-    # claim at least the proven bound of qmeasure._residue_sum: A - t for n
-    # >= 1 and A for n = 0 (fermionic; t = v_p(1 - q)), A - v_p((n+1)!) +
-    # min(0, v) for beta_n(x) of valuation v
+@example(point=(3, F(10), 3), family="family", kind=FERMIONIC, twist=None, n=10, x=0, m=1,
+         delta=-2)
+def test_closed_padic_values_claim_their_proven_digits(point, family, kind, twist, n, x, m,
+                                                        delta):
+    # a family value (either kind, untwisted or a quadratic twist, at x) and
+    # the distribution right side at p-adic q agree with the rational
+    # reading at the same q, and at q + p^A delta (the same truncated q), on
+    # every digit they claim, and claim at least the proven bound of
+    # qmeasure._residue_sum: A - t for n >= 1 and A for n = 0 (fermionic;
+    # t = v_p(1 - q)), A - sum_{k<=n} v_p(l (k+1)) + min(0, v) for a bosonic
+    # value of valuation v, l the table length (the twist's modulus, 1
+    # untwisted)
     p, q, precision = point
-    calls = {"K": lambda qd: k_polynomial(n, x, qd), "beta": lambda qd: beta_polynomial(n, x, qd),
-             "distribution": lambda qd: k_distribution_rhs(n, x, m, qd),
-             "chi": lambda qd: k_chi(n, chi, qd)}
+    calls = {"family": lambda qd: family_value(kind, n, x, qd, twist),
+             "distribution": lambda qd: k_distribution_rhs(n, x, m, qd)}
     got = calls[family](QDescriptor.padic(padic_from_rational(q, p, precision)))
     digits = got.absolute_precision
-    if family == "beta":
-        bound = precision - sum(qmeasure._int_valuation(k, p) for k in range(1, n + 2))
+    if family == "family" and kind == BOSONIC:
+        length = 1 if twist is None else twist.modulus
+        bound = precision - sum(qmeasure._int_valuation(length * (k + 1), p) for k in range(n + 1))
         bound += min(0, got.valuation)
     else:
         bound = precision - qmeasure._int_valuation((q - 1).numerator, p) if n else precision
@@ -389,29 +409,29 @@ _POINTS = st.builds(F, st.integers(-9, 9), st.integers(1, 9)).filter(lambda r: r
 
 @settings(max_examples=400, deadline=None)
 @given(r=_POINTS, root_order=st.sampled_from((1, 2, 3)),
-       family=st.sampled_from(("K", "beta", "K_poly", "beta_poly", "distribution", "chi",
-                               "fermionic_moment", "bosonic_moment", "ball_measure_sum",
-                               "riemann_sum", "riemann_chi")),
-       form=st.sampled_from(("closed", "expansion")), n=st.integers(0, 6),
-       x=st.integers(-3, 3), m=st.sampled_from((1, 3, 5)), chi=st.sampled_from(_QUADRATIC),
-       kind=st.sampled_from((BOSONIC, FERMIONIC)), domain=st.sampled_from(((3, 1), (5, 1), (5, 3))),
-       level=st.integers(1, 2), reps=st.lists(st.integers(0, 74), max_size=6))
-def test_symbolic_values_evaluate_to_the_rational_reading(r, root_order, family, form, n, x,
-                                                          m, chi, kind, domain, level, reps):
+       family=st.sampled_from(("family", "distribution", "fermionic_moment", "bosonic_moment",
+                               "ball_measure_sum", "riemann_sum", "riemann_chi")),
+       twist=st.sampled_from([None] + _QUADRATIC), form=st.sampled_from(("closed", "expansion")),
+       n=st.integers(0, 6), x=st.integers(-3, 3), m=st.sampled_from((1, 3, 5)),
+       chi=st.sampled_from(_QUADRATIC), kind=st.sampled_from((BOSONIC, FERMIONIC)),
+       domain=st.sampled_from(((3, 1), (5, 1), (5, 3))), level=st.integers(1, 2),
+       reps=st.lists(st.integers(0, 74), max_size=6))
+def test_symbolic_values_evaluate_to_the_rational_reading(r, root_order, family, twist, form, n,
+                                                          x, m, chi, kind, domain, level, reps):
     # the symbolic value at root order D, evaluated at w = r, is the rational
     # reading at q = r^D; a refusal in both readings counts as agreement.
-    # The measure families take either kind over ProfiniteDomain(p, d), p in
-    # {3, 5} and d in {1, 3} prime to p, at levels 1 and 2
+    # A family value takes either kind, untwisted (by either form) or a
+    # quadratic twist (closed); the measure families take either kind over
+    # ProfiniteDomain(p, d), p in {3, 5} and d in {1, 3} prime to p, at
+    # levels 1 and 2
     size = domain[1] * domain[0] ** level
 
     def spec(qd):
         return MeasureSpec(kind, qd, ProfiniteDomain(*domain))
 
-    calls = {"K": lambda qd: k_number(n, qd), "beta": lambda qd: beta_number(n, qd),
-             "K_poly": lambda qd: k_polynomial(n, x, qd, form=form),
-             "beta_poly": lambda qd: beta_polynomial(n, x, qd, form=form),
+    calls = {"family": lambda qd: family_value(kind, n, x, qd, twist,
+                                               form if twist is None else "closed"),
              "distribution": lambda qd: k_distribution_rhs(n, x, m, qd),
-             "chi": lambda qd: k_chi(n, chi, qd),
              "fermionic_moment": lambda qd: fermionic_power_moment(n, qd),
              "bosonic_moment": lambda qd: bosonic_power_moment(n, qd),
              "ball_measure_sum": lambda qd: ball_measure_sum(spec(qd), [a % size for a in reps],

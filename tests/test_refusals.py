@@ -72,6 +72,8 @@ CLI_REFUSALS += [(tuple(command.split()), InputError) for command in (
     "numbers --kind K_chi --n 0 --chi 4:1",
     "numbers --kind K_chi --n 0 --chi 5:1 --q padic:3:4:32",
     "numbers --kind K_chi --n 0 --chi 7:1 --q padic:5:6:32 --method integral",
+    "numbers --kind K --n 1 --q 2/5 --chi 3:1",
+    "numbers --kind beta --n 0 --chi garbage",
     "polynomials --kind K_poly --n 1 --x 1/0",
     "polynomials --kind beta_poly --n 1 --x 1/2 --q padic:5:6:32",
     "integrate --p 4 --q 5",
@@ -107,6 +109,7 @@ def test_cli_refusals_are_qvolk_errors(capsys, argv, error):
     ("numbers --kind K_chi --n 0 --chi 4:1", "the fermionic limit needs an odd period, got 4"),
     ("numbers --kind K_chi --n 0 --chi 0:1", "modulus must be positive"),
     ("numbers --kind K_chi --n 0 --chi 5:1,1", "expected 1 exponents for modulus 5, got 2"),
+    ("numbers --kind K --n 1 --q 2/5 --chi 3:1", "--chi applies to kind K_chi only, not K"),
     ("series --gf Kpartial --q 2", "partial sums need 0 < |q| < 1, got q = 2"),
 ])
 def test_each_input_rule_refuses_with_the_message_of_its_one_check(command, message):
@@ -167,7 +170,7 @@ def test_every_refusal_class_exits_2(capsys, monkeypatch, error):
 
 @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError, ArithmeticError])
 @pytest.mark.parametrize("argv, engine", [
-    (("numbers", "--kind", "K", "--n", "0..2", "--q", "sym"), "k_polynomial"),
+    (("numbers", "--kind", "K", "--n", "0..2", "--q", "sym"), "family_value"),
     (("integrate", "--p", "5", "--q", "6"), "parse_integrand"),
     (("integrate", "--p", "5", "--q", "6"), "integrate"),
     (("series", "--gf", "Fq", "--q", "sym", "--T", "2"), "f_q_series"),
