@@ -903,9 +903,9 @@ class CyclotomicElement(namedtuple("CyclotomicElement", "order coeffs")):
     c_i in the basis 1, zeta, ..., zeta^(phi(L) - 1).
 
     It holds the Dirichlet-character values of order > 2 and the twisted
-    numbers built from their integer rows; it compares and prints them, and
-    does no field arithmetic.  It is an immutable named tuple of the order
-    and the coordinates, without trailing zeros.
+    numbers built from their integer rows; it compares, prints and
+    serialises them, and does no field arithmetic.  It is an immutable named
+    tuple of the order and the coordinates, without trailing zeros.
     """
 
     __slots__ = ()
@@ -931,13 +931,26 @@ class CyclotomicElement(namedtuple("CyclotomicElement", "order coeffs")):
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    # -- serialization ----------------------------------------------------------
+
+    def to_json(self) -> dict:
+        return {"L": self.order, "coeffs": [c.to_json() for c in self.coeffs]}
+
+    @classmethod
+    def from_json(cls, data: dict) -> CyclotomicElement:
+        return cls(int(data["L"]), [RationalFunction.from_json(c) for c in data["coeffs"]])
+
     def __repr__(self) -> str:
         if self.is_zero:
             return "CyclotomicElement(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            zpow = "" if i == 0 else ("z" if i == 1 else f"z^{i}")
-            terms.append(f"({c}){'' if not zpow else '*' + zpow}" if i else f"({c})")
-        return f"CyclotomicElement(L={self.order}, {' + '.join(terms)})"
+        return f"CyclotomicElement(L={self.order}, {self})"
+
+    def __str__(self) -> str:
+        """The exact expression (c_0) + (c_1)*z + ... over the nonzero
+        coordinates, z = zeta_L; "0" for zero.
+
+        >>> str(CyclotomicElement(6, [Fraction(1, 2), 1]))
+        '(1/2) + (1)*z'
+        """
+        return " + ".join(f"({c})" + ("" if i == 0 else "*z" if i == 1 else f"*z^{i}")
+                          for i, c in enumerate(self.coeffs) if not c.is_zero) or "0"

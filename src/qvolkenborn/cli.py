@@ -1,10 +1,12 @@
 """Command-line frontend: number tables, integration runs, identity suites.
 
 Every numeric output is exact (rationals as "num/den" strings, symbolic
-values as coefficient lists, p-adic values as valuation/unit/precision); no
-floating point appears anywhere.  A JSON report has the bytes of
-``json.dumps(report, indent=2)`` and is written as it is encoded, one row or
-suite at a time.
+values as coefficient lists, p-adic values as valuation/unit/precision,
+cyclotomic values as coordinates in the basis 1, z, ..., z = zeta_L); no
+floating point appears anywhere.  Each value class defines its own JSON and
+text forms, which this module only selects by class.  A JSON report has the
+bytes of ``json.dumps(report, indent=2)`` and is written as it is encoded,
+one row or suite at a time.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error (including a pole of the formula at the given q, a p-adic value
@@ -115,10 +117,8 @@ def parse_index_range(text: str) -> list[int]:
 
 
 def value_to_json(value):
-    if isinstance(value, (RationalFunction, PadicNumber)):
+    if isinstance(value, (RationalFunction, PadicNumber, CyclotomicElement)):
         return value.to_json()
-    if isinstance(value, CyclotomicElement):
-        return {"L": value.order, "coeffs": [c.to_json() for c in value.coeffs]}
     if isinstance(value, (int, Fraction)):
         return str(Fraction(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -127,20 +127,10 @@ def value_to_json(value):
 def value_from_json(data):
     if isinstance(data, str):
         return Fraction(data)
-    if isinstance(data, dict) and "D" in data:
-        return RationalFunction.from_json(data)
-    if isinstance(data, dict) and "p" in data:
-        return PadicNumber.from_json(data)
-    if isinstance(data, dict) and "L" in data:
-        return CyclotomicElement(int(data["L"]),
-                                 [RationalFunction.from_json(c) for c in data["coeffs"]])
+    for key, cls in (("D", RationalFunction), ("p", PadicNumber), ("L", CyclotomicElement)):
+        if isinstance(data, dict) and key in data:
+            return cls.from_json(data)
     raise TypeError(f"cannot parse serialized value {data!r}")
-
-
-def _value_text(value) -> str:
-    if isinstance(value, (int, Fraction)):
-        return str(Fraction(value))
-    return str(value)
 
 
 def _output(output: str | None):
@@ -277,9 +267,8 @@ def cmd_series(args) -> int:
         q = parse_q_spec(args.q)
         gf = _evaluate_at(q, "F_q", lambda: f_q_series(q, args.T))
         for n in range(args.T + 1):
-            coeff = gf[n]
             rows.append({"kind": "Fq_gf", "n": n, "q_spec": args.q,
-                         "value": scaled_coefficient(gf, n), "coefficient": _value_text(coeff)})
+                         "value": scaled_coefficient(gf, n), "coefficient": str(gf[n])})
     else:  # Kpartial
         q_value = _fraction("q", args.q)
         for k in range(args.k_max + 1):
@@ -297,7 +286,7 @@ def cmd_characters(args) -> int:
     rows = []
     for chi in enumerate_characters(args.f):
         f0, primitive = conductor(chi)
-        values = [_value_text(character_value(chi, a)) for a in range(args.f)]
+        values = [str(character_value(chi, a)) for a in range(args.f)]
         rows.append({"kind": "character", "chi": chi.id_string,
                      "value": Fraction(chi.value_order), "conductor": f0,
                      "primitive": primitive, "values": values})

@@ -31,23 +31,15 @@ def _pairwise_sum(terms: list, zero):
 
 
 class TruncatedSeries:
-    """Formal power series truncated at a fixed order."""
+    """Formal power series truncated at the order of its last coefficient."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Sequence, order: int | None = None):
-        cs = list(coeffs)
-        if not cs:
+    def __init__(self, coeffs: Sequence):
+        self.coeffs = tuple(coeffs)
+        if not self.coeffs:
             raise ValueError("need at least one coefficient to fix the field")
-        if order is None:
-            order = len(cs) - 1
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        zero = cs[0] * 0
-        while len(cs) < order + 1:
-            cs.append(zero)
-        self.order = order
-        self.coeffs = tuple(cs[:order + 1])
+        self.order = len(self.coeffs) - 1
 
     def __getitem__(self, n: int):
         return self.coeffs[n]
@@ -116,9 +108,8 @@ def euler_gf(order: int) -> TruncatedSeries:
     >>> [str(scaled_coefficient(gf, n)) for n in range(4)]
     ['1', '-1/2', '0', '1/4']
     """
-    half_shifted = TruncatedSeries(
-        [Fraction(1)] + [Fraction(1, 2 * math.factorial(n)) for n in range(1, order + 1)],
-        order)
+    half_shifted = TruncatedSeries(   # (e^t + 1)/2, no coefficient at a negative order
+        [Fraction(1, 2 * math.factorial(n)) + Fraction(n == 0, 2) for n in range(order + 1)])
     return series_inverse(half_shifted)
 
 

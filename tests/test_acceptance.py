@@ -58,8 +58,7 @@ def test_criterion_03_finite_level_identity():
     [1+y]^n over Z_3 and twisted by the quadratic character mod 3 over
     Z_3 x Z/5: the symbolic sum at w = 4 agrees with the sum at the 3-adic
     q = 4 to every digit the 3-adic sum claims."""
-    _run(3, "finite-level sums across readings of q", suite_finite_sum,
-         n_max=4, p=3)
+    _run(3, "finite-level sums across readings of q", suite_finite_sum, n_max=4)
 
 
 def test_criterion_04_q_to_one_limits():
@@ -67,7 +66,7 @@ def test_criterion_04_q_to_one_limits():
     oracle), with the q-Bernoulli limits compared against the Bernoulli
     numbers for n <= 10 and reported."""
     suite = _run(4, "q -> 1 limits (Euler n <= 12, Bernoulli n <= 10)",
-                 suite_limits, n_max=12, beta_n_max=10)
+                 suite_limits, n_max=12)
     beta_rows = [c for c in suite.cases if c.params.get("check") == "bernoulli"]
     assert len(beta_rows) == 11
     bernoulli = classical_bernoulli(10)
@@ -129,15 +128,14 @@ def test_criterion_08_character_twist_agreement():
     the Riemann-sum integral over the conductor domain (N <= 7) agrees with
     the closed form modulo 5^5 for n <= 4, under 60 s."""
     _run(8, "character twist: integral == closed mod 5^5", suite_char_twist,
-         budget=60.0, n_max=4, digits=5, levels=7)
+         budget=60.0, n_max=4)
 
 
 def test_criterion_09_measure_properties():
     """Ball-measure additivity and total mass (exact, both kinds,
     p in {3, 5}, d in {1, 3}, N <= 3) and the p-adic limit of the fermionic
     ball weights at increasing precision."""
-    _run(9, "measure additivity / total mass / fermionic limit",
-         suite_measure, n_levels=3)
+    _run(9, "measure additivity / total mass / fermionic limit", suite_measure)
 
 
 def test_criterion_10_beta_form_consistency():

@@ -9,14 +9,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvolkenborn import cli
-from qvolkenborn.algebra import PoleError
+from qvolkenborn.algebra import (CyclotomicElement, PoleError, RationalFunction,
+                                 root_of_unity_rows)
 from qvolkenborn.cli import (build_parser, main, parse_index_range, parse_q_spec,
-                             value_from_json)
-from qvolkenborn.padic import PrecisionExhausted, ProfiniteDomain
+                             value_from_json, value_to_json)
+from qvolkenborn.padic import (PadicNumber, PrecisionExhausted, ProfiniteDomain,
+                               padic_from_rational)
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
                                   bracket_power, integrate)
 from qvolkenborn.qnumbers import beta_number, k_number, k_polynomial
@@ -103,11 +105,49 @@ def test_numbers_twisted(capsys):
 
 def test_cyclotomic_value_reads_back_from_json():
     from qvolkenborn.characters import make_character
-    from qvolkenborn.cli import value_to_json
     from qvolkenborn.qnumbers import k_chi
 
     value = k_chi(3, make_character(5, (1,)), QDescriptor.symbolic())
     assert value_from_json(json.loads(json.dumps(value_to_json(value)))) == value
+
+
+_FRACTIONS = st.fractions(-50, 50, max_denominator=20)
+
+
+@st.composite
+def _rational_functions(draw, root_order):
+    """(c_0 + c_1 w + c_2 w^2) / (w^a (1 + w^j)) at the given root order."""
+    w = RationalFunction.w_power(1, root_order)
+    num = sum((draw(_FRACTIONS) * w ** i for i in range(3)), w * 0)
+    return num / (w ** draw(st.integers(0, 2)) * (1 + w ** draw(st.integers(1, 4))))
+
+
+@st.composite
+def _cyclotomic_elements(draw):
+    order, root_order = draw(st.sampled_from([3, 4, 5, 8, 12])), draw(st.sampled_from([1, 2]))
+    coords = st.lists(_rational_functions(root_order), max_size=len(root_of_unity_rows(order)[0]))
+    return CyclotomicElement(order, draw(coords))
+
+
+# every kind of value the CLI writes: a rational, a rational function at
+# D = 1 and D = 2, a p-adic number (zero at precision when r = 0) and a
+# cyclotomic element (zero when it has no coordinates)
+_VALUES = (_FRACTIONS | _rational_functions(1) | _rational_functions(2)
+           | st.builds(padic_from_rational, _FRACTIONS, st.sampled_from([3, 5, 7]),
+                       st.integers(1, 12))
+           | _cyclotomic_elements())
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_VALUES)
+@example(value=PadicNumber.zero_at_precision(5, 9))
+@example(value=CyclotomicElement(4, []))
+@example(value=CyclotomicElement(8, [0, F(-1, 3), 0, 2]))
+def test_every_value_round_trips_and_prints_without_a_class_name(value):
+    assert value_from_json(json.loads(json.dumps(value_to_json(value)))) == value
+    assert not any(name in str(value) for name in
+                   ("Fraction", "RationalFunction", "Polynomial", "PadicNumber",
+                    "CyclotomicElement"))
 
 
 def test_numbers_missing_chi_is_usage_error(capsys):
@@ -297,6 +337,17 @@ def test_verify_n_max_bounds_the_series_suites(capsys, suite, n_max, cases):
     assert len(data["suites"][0]["cases"]) == cases
 
 
+@pytest.mark.parametrize("suite, n_max, check, cases", [
+    ("limits", "3", "bernoulli", 4),    # beta_n -> B_n for n = 0..3
+    ("beta-forms", "1", "integral", 6),  # the integrals of n = 0, 1 at x = 0, 1, 2
+])
+def test_verify_n_max_bounds_the_capped_checks(capsys, suite, n_max, check, cases):
+    data = run_json(capsys, "verify", "--suite", suite, "--n-max", n_max)
+    assert data["all_passed"] is True
+    rows = [c for c in data["suites"][0]["cases"] if c["params"].get("check") == check]
+    assert len(rows) == cases
+
+
 def test_verify_even_m_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--suite", "distribution", "--m", "4")
     assert code == 2 and "odd" in err
@@ -420,6 +471,19 @@ def test_negative_rational_value_reads_as_attached(capsys, argv, option):
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_character_tables_print_values_without_a_repr(capsys, output_format):
+    for f in range(1, 31):
+        code, out, _ = run(capsys, "characters", "--f", str(f), "--format", output_format)
+        assert code == 0 and "CyclotomicElement(" not in out
+
+
+def test_character_values_print_as_coordinates_in_powers_of_z(capsys):
+    # chi(2) = z, a primitive 4th root of unity; chi(4) = z^2 = -1
+    rows = run_json(capsys, "characters", "--f", "5")["rows"]
+    assert rows[1]["values"] == ["0", "(1)", "(1)*z", "(-1)*z", "(-1)"]
+
 
 def test_characters_listing(capsys):
     data = run_json(capsys, "characters", "--f", "5")

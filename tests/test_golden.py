@@ -1,16 +1,17 @@
-"""Golden-digest replay of CLI commands.
+"""Golden replay of CLI commands.
 
 `golden/cli_digests.json` maps each command to the sha256 of its exit code,
 stdout and stderr.  Every command is replayed through `cli.main` in process,
-and a command whose digest moved is named.
+and a command whose digest moved is named.  `golden/csv_tables.json` maps
+each CSV command to its whole stdout, which `tests/test_cli.py` replays.
 
-The file is rewritten by running this module as a script::
+Both files are rewritten by running this module as a script::
 
     PYTHONPATH=src python tests/test_golden.py
 
-It prints each command it adds, drops or moves against the file it
-replaces, then the count of each.  Do that only when an output change is
-intended, and list the change.
+For each file it prints each command it adds, drops or moves against the
+file it replaces, then the count of each.  Do that only when an output
+change is intended, and list the change.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ from qvolkenborn import algebra, verify
 from qvolkenborn.cli import main
 
 DIGESTS = Path(__file__).with_name("golden") / "cli_digests.json"
+CSV_TABLES = DIGESTS.with_name("csv_tables.json")
 
 CHARACTER_IDS = ("5:1", "5:2", "7:1", "7:2", "9:1", "13:1", "15:1,1", "21:1,1")
 Q_SPECS = ("sym", "2/5", "padic:5:6:32")
@@ -110,6 +112,26 @@ def commands() -> list[str]:
     return out
 
 
+# every CSV output form: values of each reading of q, twisted values, a
+# polynomial table at D = 2, the euler and Kpartial series and a character table
+CSV_COMMANDS = ("numbers --kind K --n 0..3 --q 2/5 --format csv",
+                "numbers --kind beta --n 0..4 --q sym --format csv",
+                "numbers --kind K --n 0..3 --q padic:5:6:8 --format csv",
+                "numbers --kind K_chi --n 0..2 --chi 5:1 --q 2/5 --format csv",
+                "polynomials --kind K_poly --n 0..3 --x 1/2 --q sym:2 --format csv",
+                "series --gf euler --T 5 --format csv",
+                "series --gf Kpartial --q 1/2 --k-max 3 --n-terms 40 --format csv",
+                "characters --f 15 --format csv")
+
+
+def csv_table(command: str) -> str:
+    """The stdout of a CSV command that succeeds."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(command.split()) == 0, command
+    return stdout.getvalue()
+
+
 def digest(command: str) -> str:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -140,6 +162,10 @@ def test_cli_digests_match_the_recording():
     assert not moved, f"output changed for: {moved}"
 
 
+def test_csv_tables_hold_every_csv_command():
+    assert list(json.loads(CSV_TABLES.read_text())) == list(CSV_COMMANDS)
+
+
 def test_commands_and_suites_meet_only_cyclotomic_denominators(monkeypatch):
     # every denominator (and every numerator taken a reciprocal of) that the
     # recorded commands and the ten verify suites meet is c w^a prod Phi_d^e,
@@ -153,13 +179,18 @@ def test_commands_and_suites_meet_only_cyclotomic_denominators(monkeypatch):
     assert seen and None not in seen
 
 
-if __name__ == "__main__":
-    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    new = {c: digest(c) for c in commands()}
-    DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(new, indent=1) + "\n")
+def record(path: Path, new: dict) -> None:
+    """Write new to path, naming each command it adds, drops or moves."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(new, indent=1) + "\n")
     changes = digest_changes(old, new)
     for change, changed in changes.items():
         sys.stdout.writelines(f"{change}: {c}\n" for c in changed)
     counts = ", ".join(f"{len(changed)} {change}" for change, changed in changes.items())
-    sys.stdout.write(f"{counts}; wrote {len(new)} digests to {DIGESTS}\n")
+    sys.stdout.write(f"{counts}; wrote {len(new)} commands to {path}\n")
+
+
+if __name__ == "__main__":
+    record(DIGESTS, {c: digest(c) for c in commands()})
+    record(CSV_TABLES, {c: csv_table(c) for c in CSV_COMMANDS})
