@@ -1,11 +1,12 @@
 """Dirichlet characters: unit-group structure, enumeration, values, conductor.
 
-A character mod f is stored as an exponent vector against a fixed cyclic
-decomposition of (Z/f)^x, and its values as an integer exponent table:
-chi(a) = zeta^k_a for a primitive L-th root of unity zeta, L the value
-order.  Values of order <= 2 are plain rationals 0, +-1; higher-order values
-are returned as roots of unity in the cyclotomic extension.  Those serve
-symbolic and rational q.  p-adic twists reject order > 2 for now, although
+A character mod f is the record (f, exponent vector), read against the one
+cyclic decomposition of (Z/f)^x that the cached :func:`unit_group_structure`
+gives for f.  Its values are an integer exponent table: chi(a) = zeta^k_a
+for a primitive L-th root of unity zeta, L the value order.  Values of
+order <= 2 are plain rationals 0, +-1; higher-order values are returned as
+roots of unity in the cyclotomic extension.  Those serve symbolic and
+rational q.  p-adic twists reject order > 2 for now, although
 Z_p holds the L-th roots of unity whenever L divides p - 1.
 
 Moduli in scope are tiny, so the table is one walk over the whole unit
@@ -31,8 +32,6 @@ def euler_phi(n: int) -> int:
 
 
 def _multiplicative_order(a: int, modulus: int) -> int:
-    if modulus == 1:
-        return 1
     x = a % modulus
     order = 1
     y = x
@@ -86,6 +85,7 @@ class UnitGroupStructure(namedtuple("UnitGroupStructure", "modulus factors")):
         return out
 
 
+@functools.lru_cache
 def unit_group_structure(modulus: int) -> UnitGroupStructure:
     if modulus < 1:
         raise InputError("modulus must be positive")
@@ -107,24 +107,26 @@ def unit_group_structure(modulus: int) -> UnitGroupStructure:
     return UnitGroupStructure(modulus, tuple(factors))
 
 
-class DirichletCharacter(namedtuple("DirichletCharacter", "modulus exponents structure")):
-    """A character of (Z/f)^x, identified by its exponent vector against a
-    :class:`UnitGroupStructure`.  No ``__slots__``: the cached value order
-    and exponent table live in the instance dict."""
+class DirichletCharacter(namedtuple("DirichletCharacter", "modulus exponents")):
+    """A character of (Z/f)^x, identified by its exponent vector against the
+    modulus's :class:`UnitGroupStructure`.  No ``__slots__``: the cached
+    value order and exponent table live in the instance dict."""
 
-    def __new__(cls, modulus: int, exponents: tuple[int, ...], structure: UnitGroupStructure):
+    def __new__(cls, modulus: int, exponents: tuple[int, ...]):
+        structure = unit_group_structure(modulus)
         if len(exponents) != len(structure.factors):
             raise InputError(f"expected {len(structure.factors)} exponents for modulus "
                              f"{modulus}, got {len(exponents)}")
         for e, fac in zip(exponents, structure.factors):
             if not 0 <= e < fac.order:
                 raise InputError("exponent out of range for its cyclic factor")
-        return super().__new__(cls, modulus, exponents, structure)
+        return super().__new__(cls, modulus, exponents)
 
     @functools.cached_property
     def value_order(self) -> int:
+        factors = unit_group_structure(self.modulus).factors
         return math.lcm(*(fac.order // math.gcd(e, fac.order)
-                          for e, fac in zip(self.exponents, self.structure.factors)))
+                          for e, fac in zip(self.exponents, factors)))
 
     @property
     def is_trivial(self) -> bool:
@@ -144,7 +146,7 @@ class DirichletCharacter(namedtuple("DirichletCharacter", "modulus exponents str
         """
         f, order = self.modulus, self.value_order
         walk = [(1 % f, 0)]
-        for e, fac in zip(self.exponents, self.structure.factors):
+        for e, fac in zip(self.exponents, unit_group_structure(f).factors):
             step = e * order // fac.order
             walk = [(a * pow(fac.generator, t, f) % f, (k + t * step) % order)
                     for a, k in walk for t in range(fac.order)]
@@ -153,15 +155,13 @@ class DirichletCharacter(namedtuple("DirichletCharacter", "modulus exponents str
 
 
 def make_character(modulus: int, exponents: tuple[int, ...] | list[int]) -> DirichletCharacter:
-    return DirichletCharacter(modulus, tuple(exponents), unit_group_structure(modulus))
+    return DirichletCharacter(modulus, tuple(exponents))
 
 
 def enumerate_characters(modulus: int) -> list[DirichletCharacter]:
     """All phi(f) characters mod f, in lexicographic exponent-vector order."""
-    structure = unit_group_structure(modulus)
-    ranges = [range(fac.order) for fac in structure.factors]
-    return [DirichletCharacter(modulus, combo, structure)
-            for combo in product(*ranges)]
+    ranges = [range(fac.order) for fac in unit_group_structure(modulus).factors]
+    return [DirichletCharacter(modulus, combo) for combo in product(*ranges)]
 
 
 def character_value(chi: DirichletCharacter, a: int):

@@ -92,7 +92,7 @@ def _evaluate_at(q: QDescriptor, label: str, compute):
     except ZeroDivisionError as exc:
         if q.mode != "rational":
             raise
-        raise PoleError(f"q = {q.q_rational} is a pole of the formula for {label}") from exc
+        raise PoleError(f"q = {q.value} is a pole of the formula for {label}") from exc
 
 
 def parse_index_range(text: str) -> list[int]:
@@ -176,7 +176,9 @@ def _write_json(report: dict, output: str | None) -> None:
 
 def _emit(report: dict, rows: list[dict], args) -> None:
     """Write a table: each row gets every CSV column it omits as "", in
-    column order and before its own extra keys, which only JSON keeps."""
+    column order and before its own extra keys.  The CSV header is the CSV
+    columns, then every other key of the rows in first-seen order, and a
+    list cell is its items joined by ";"."""
     rows = [dict(dict.fromkeys(CSV_COLUMNS, ""), **row) for row in rows]
     if args.format == "json":
         _write_json(dict(report, rows=[
@@ -186,9 +188,10 @@ def _emit(report: dict, rows: list[dict], args) -> None:
     import csv   # only this branch needs it, so other commands start without it
 
     with _output(args.output) as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+        writer = csv.DictWriter(handle, fieldnames=list(dict.fromkeys(k for r in rows for k in r)))
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows({k: ";".join(v) if isinstance(v, list) else v for k, v in row.items()}
+                         for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,7 @@ def cmd_series(args) -> int:
         for k in range(args.k_max + 1):
             ps = f_q_coefficient_partial(k, q_value, args.n_terms)
             rows.append({"kind": "K_partial", "n": k, "q_spec": args.q, "value": ps.value,
-                         "tail_bound": str(ps.tail_bound), "terms": ps.terms})
+                         "tail_bound": str(ps.tail_bound), "terms": args.n_terms})
     report = {"command": "series", "gf": args.gf}
     if args.gf != "euler":
         report["q_spec"] = args.q

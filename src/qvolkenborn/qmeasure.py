@@ -9,7 +9,8 @@ on the distance to the limit reaches the target, and claims those digits.
 
 The deformation parameter ``q`` is carried by a :class:`QDescriptor`, which
 supports three readings: symbolic (a rational function of a D-th root of q),
-exact rational, and truncated p-adic.
+exact rational, and truncated p-adic.  A measure (:class:`MeasureSpec`)
+holds q, and an integrand (:class:`BracketPower`) is summed at that q.
 
 Every closed form of the package (the number and polynomial families, the
 twisted sums, the ball measures and the level-N Riemann sums) is one call
@@ -38,13 +39,15 @@ from .padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
 # the three readings of q
 # ---------------------------------------------------------------------------
 
-class QDescriptor(namedtuple("QDescriptor", "mode root_order q_rational q_padic")):
-    """One of the three readings of the deformation parameter.
+_MODES = {type(None): "symbolic", Fraction: "rational", PadicNumber: "padic"}
 
-    mode "symbolic": value lives in the rational-function field with root
-    order D (w**D = q).  mode "rational": an exact rational q != 1.  mode
-    "padic": a truncated p-adic q with v_p(q - 1) >= 1 and q != 1 at its
-    precision.
+
+class QDescriptor(namedtuple("QDescriptor", "root_order value")):
+    """One of the three readings of the deformation parameter, named by the
+    type of its value: None for symbolic q, whose values live in the
+    rational-function field with root order D (w**D = q); a Fraction for an
+    exact rational q != 1; a PadicNumber for a truncated p-adic q with
+    v_p(q - 1) >= 1 and q != 1 at its precision (both at root order 1).
 
     A descriptor is an immutable named tuple of its fields, so it compares
     and hashes by value (a p-adic q by its (p, v, unit, prec)), and equal
@@ -59,40 +62,43 @@ class QDescriptor(namedtuple("QDescriptor", "mode root_order q_rational q_padic"
 
     __slots__ = ()
 
-    def __new__(cls, mode: str, root_order: int = 1, q_rational: Fraction | None = None,
-                q_padic: PadicNumber | None = None):
-        if mode not in ("symbolic", "rational", "padic"):
-            raise ValueError(f"unknown q mode {mode!r}")
-        if mode == "symbolic" and root_order < 1:
-            raise InputError("root order must be >= 1")
-        if mode != "symbolic" and root_order != 1:
+    def __new__(cls, root_order: int = 1, value: Fraction | PadicNumber | None = None):
+        mode = _MODES.get(type(value))
+        if mode is None:
+            raise ValueError(f"q is None, a Fraction or a PadicNumber, got {value!r}")
+        if mode == "symbolic":
+            if root_order < 1:
+                raise InputError("root order must be >= 1")
+        elif root_order != 1:
             raise ValueError(f"{mode} q has root order 1, got {root_order}")
-        if mode == "rational":
-            if q_rational is None or q_rational == 1:
-                raise InputError("rational q must be an exact rational != 1")
+        if mode == "rational" and value == 1:
+            raise InputError("rational q must be an exact rational != 1")
         if mode == "padic":
-            if q_padic is None:
-                raise ValueError("padic mode needs a p-adic q")
-            q_minus_1 = q_padic - 1
+            q_minus_1 = value - 1
             if q_minus_1.valuation < 1:
                 raise InputError(
-                    f"inadmissible p-adic q: v_{q_padic.p}(q - 1) must be >= 1")
+                    f"inadmissible p-adic q: v_{value.p}(q - 1) must be >= 1")
             if q_minus_1.is_zero_at_precision:
                 raise InputError("p-adic q must differ from 1 at its precision, "
                                  f"got q - 1 = {q_minus_1!r}")
-        return super().__new__(cls, mode, root_order, q_rational, q_padic)
+        return super().__new__(cls, root_order, value)
 
     @classmethod
     def symbolic(cls, root_order: int = 1) -> QDescriptor:
-        return cls("symbolic", root_order=root_order)
+        return cls(root_order)
 
     @classmethod
     def rational(cls, q: Fraction | int) -> QDescriptor:
-        return cls("rational", q_rational=Fraction(q))
+        return cls(1, Fraction(q))
 
     @classmethod
     def padic(cls, q: PadicNumber) -> QDescriptor:
-        return cls("padic", q_padic=q)
+        return cls(1, q)
+
+    @property
+    def mode(self) -> str:
+        """The reading that the value's type names: symbolic, rational or padic."""
+        return _MODES[type(self.value)]
 
     @property
     def prime(self) -> int:
@@ -100,23 +106,19 @@ class QDescriptor(namedtuple("QDescriptor", "mode root_order q_rational q_padic"
         other reading is refused here as having no p-adic limit."""
         if self.mode != "padic":
             raise InputError("integration is a p-adic limit; q must be padic")
-        return self.q_padic.p
+        return self.value.p
 
     # -- field plumbing -------------------------------------------------------
 
     def one(self):
-        if self.mode == "symbolic":
-            return RationalFunction.constant(1, self.root_order)
-        if self.mode == "rational":
-            return Fraction(1)
-        return PadicNumber._normalised(self.q_padic.p, 0, 1, self.q_padic.prec)
+        return self.from_rational(1)
 
     def from_rational(self, r: Fraction | int):
-        if self.mode == "symbolic":
+        if self.value is None:
             return RationalFunction.constant(r, self.root_order)
         if self.mode == "rational":
             return Fraction(r)
-        return padic_from_rational(r, self.q_padic.p, self.q_padic.prec)
+        return padic_from_rational(r, self.value.p, self.value.prec)
 
     def w_exponent(self, exponent: Fraction | int) -> int:
         """The power of w realizing q**exponent, w**D = q with D the root
@@ -126,7 +128,7 @@ class QDescriptor(namedtuple("QDescriptor", "mode root_order q_rational q_padic"
             return exponent * self.root_order
         den = exponent.denominator
         if self.root_order % den:
-            if self.mode != "symbolic":
+            if self.value is not None:
                 raise InputError(
                     f"fractional power q^{exponent} is not available in {self.mode} mode")
             raise RootOrderMismatch(
@@ -136,11 +138,9 @@ class QDescriptor(namedtuple("QDescriptor", "mode root_order q_rational q_padic"
 
     def qpow(self, exponent: Fraction | int):
         """q ** exponent: w ** :meth:`w_exponent` in every reading."""
-        if self.mode == "symbolic":
+        if self.value is None:
             return RationalFunction.w_power(self.w_exponent(exponent), self.root_order)
-        if self.mode == "rational":
-            return self.q_rational ** self.w_exponent(exponent)
-        return self.q_padic ** self.w_exponent(exponent)
+        return self.value ** self.w_exponent(exponent)
 
     def bracket(self, x: Fraction | int):
         """The q-analogue [x] = (1 - q^x)/(1 - q).
@@ -161,12 +161,12 @@ class QDescriptor(namedtuple("QDescriptor", "mode root_order q_rational q_padic"
         return (one + self.qpow(m)) / (one + self.qpow(1))
 
     def __repr__(self) -> str:
-        if self.mode == "symbolic":
+        if self.value is None:
             core = f"symbolic D={self.root_order}"
         elif self.mode == "rational":
-            core = f"q={self.q_rational}"
+            core = f"q={self.value}"
         else:
-            core = f"padic {self.q_padic!r}"
+            core = f"padic {self.value!r}"
         return f"QDescriptor({core})"
 
 
@@ -241,7 +241,7 @@ class _RationalReading:
     """
 
     def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor):
-        self.q, self.a, self.b = q, q.q_rational.numerator, q.q_rational.denominator
+        self.q, self.a, self.b = q, q.value.numerator, q.value.denominator
         exponents = [self._exponent(e) for num in numerators for e, c in num.items() if c]
         self.top = max([0] + exponents)
         self.low = max([0] + [-e for e in exponents])
@@ -415,7 +415,7 @@ def ball_measure_sum(spec: MeasureSpec, reps, n: int):
             raise ValueError(f"representative {a!r} out of range [0, {size})")
         coeffs[a] = coeffs.get(a, 0) + (-1 if fermionic and a % 2 else 1)
     if spec.q.mode == "padic":
-        q, g = spec.q.q_padic, math.gcd(*coeffs.values())
+        q, g = spec.q.value, math.gcd(*coeffs.values())
         digits = q.prec + _int_valuation(g, q.p) if g else math.inf
         mod = q.p ** (digits if g else 1)
         total = sum(c * pow(q.unit, a, mod) for a, c in coeffs.items())
@@ -476,34 +476,31 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
 def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int):
     """The level-n Riemann sum: sum over ball representatives j of
     chi(j) [x+j]^n (r q)^j, normalized by [K] at r q (r = -1 fermionic, else
-    1; K = d p^n).
+    1; K = d p^n), at the spec's q.
 
-    ``f`` must be a :class:`BracketPower` taken at the spec's q (a symbolic
-    q at any root order); anything else raises ValueError.  The sum is one
-    :func:`geometric_sum` at level K in every reading of q, exact to the
-    digits it claims at p-adic q.  A symbolic result is at the lcm of the
-    two root orders (the spec's own when chi vanishes on the level).  At
-    rational q = -1 a divisor 1 - rho^l can vanish: a bosonic sum over an
-    odd K (where [K] = 1) is the symbolic sum at w = -1, and the normalizer
-    vanishes (even K) or is 0/0 (fermionic): ZeroDivisionError.
+    ``f`` must be a :class:`BracketPower`; anything else raises ValueError.
+    The sum is one :func:`geometric_sum` at level K in every reading of q,
+    exact to the digits it claims at p-adic q; at symbolic q with f.n >= 1
+    at root order lcm(D, b), D the spec's and b the shift's denominator (a
+    fractional shift is refused at rational and p-adic q).  At rational q =
+    -1 a divisor 1 - rho^l can vanish: a bosonic sum over an odd K (where
+    [K] = 1) is the symbolic sum at w = -1, and the normalizer vanishes
+    (even K) or is 0/0 (fermionic): ZeroDivisionError.
     """
-    _check_integrand(spec, f)
+    _check_integrand(f)
     size = ball_representatives(spec.domain, n).stop
     table, q = (1,) if f.chi is None else f.chi, spec.q
-    if q.mode == "symbolic" and any(table[:size]):
-        q = QDescriptor.symbolic(math.lcm(q.root_order, f.q.root_order))
-    elif q.q_rational == -1 and spec.kind == BOSONIC and size % 2:
-        return geometric_sum(QDescriptor.symbolic(), BOSONIC, f.n, f.shift, table,
-                             size).evaluate(-1)
+    if q.value is None and f.n:
+        q = QDescriptor.symbolic(math.lcm(q.root_order, f.shift.denominator))
+    elif q.value == -1 and spec.kind == BOSONIC and size % 2:
+        x = q.w_exponent(f.shift) if f.n else 0   # refuses a fractional shift
+        return geometric_sum(QDescriptor.symbolic(), BOSONIC, f.n, x, table, size).evaluate(-1)
     return geometric_sum(q, spec.kind, f.n, f.shift, table, size)
 
 
-def _check_integrand(spec: MeasureSpec, f) -> None:
+def _check_integrand(f) -> None:
     if not isinstance(f, BracketPower):
         raise ValueError(f"the integrand must be a BracketPower, got {type(f).__name__}")
-    a, b = f.q, spec.q
-    if a.mode != b.mode or (a.q_rational, a.q_padic) != (b.q_rational, b.q_padic):
-        raise ValueError(f"the integrand is taken at {a!r}, the measure at {b!r}")
 
 
 def _residue_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
@@ -547,7 +544,7 @@ def _residue_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     move by p^A when Q does, so P / D moves by p^(A - d + min(0, v)), v its
     valuation: m = A - d, claimed m + min(0, v).
     """
-    p, big_q, a = q.q_padic.p, q.q_padic.unit, q.q_padic.prec
+    p, big_q, a = q.value.p, q.value.unit, q.value.prec
     fermionic, size = kind == FERMIONIC, len(weights)
     t = _int_valuation(1 - big_q, p)
     w = ([0] * (n + 1) if fermionic and size % 2 else
@@ -599,7 +596,7 @@ def _over_normaliser(q: QDescriptor, fermionic: bool, r_k: int, top: int, bottom
     digits, h, w, u the valuations of S (m if 0), 1 - r_k and 1 - r q, m =
     min(digits, A + w) (0 times 1 - r_k is zero at A + w).
     ZeroAtPrecisionError if w >= A."""
-    p, big_q, a = q.q_padic.p, q.q_padic.unit, q.q_padic.prec
+    p, big_q, a = q.value.p, q.value.unit, q.value.prec
     norm = (1 - r_k) % p ** a
     if not norm:
         raise ZeroAtPrecisionError("division by zero-at-precision")
@@ -650,11 +647,11 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     N - N0.  The bound N fails here: the sums of [y]^5 at p = 3, q = 4 are
     exactly N - 1 from their limit.
 
-    ``f`` must be a :class:`BracketPower` taken at the spec's q, and a
-    twisted one a function on the domain (the p-free part of its table's
-    modulus divides d).  Otherwise ValueError.
+    ``f`` must be a :class:`BracketPower` (else ValueError), with q^shift
+    in q's field and a twisted one a function on the domain (the p-free part
+    of its table's modulus divides d; else InputError).
     """
-    _check_integrand(spec, f)
+    _check_integrand(f)
     p, d = spec.q.prime, spec.domain.d   # the spec checked it is the domain's p
     modulus = 1 if f.chi is None else len(f.chi)
     n0 = _int_valuation(modulus, p)
@@ -668,7 +665,7 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     if n > n_max:
         raise InputError(f"stability {target_stability} needs level {n}, "
                          f"past n_max = {n_max}")
-    precision = spec.q.q_padic.prec
+    precision = spec.q.value.prec
     if target > precision:
         raise InputError(f"stability {target_stability} needs more digits than "
                          f"q's precision A = {precision}")
@@ -681,15 +678,19 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     if value.absolute_precision < target:
         raise InputError(f"stability {target_stability} not reached: level {n} "
                          f"claims {value.absolute_precision} digits")
-    return IntegrationResult(value, n, value.absolute_precision)
+    return IntegrationResult(value, n)
 
 
-class IntegrationResult(namedtuple("IntegrationResult", "value n_used stability")):
+class IntegrationResult(namedtuple("IntegrationResult", "value n_used")):
     """A certified integral value: the level-n_used Riemann sum truncated to
-    the stability, the digits proven to agree with the limit (see
+    its stability, the digits proven to agree with the limit (see
     :func:`integrate`)."""
 
     __slots__ = ()
+
+    @property
+    def stability(self) -> int:
+        return self.value.absolute_precision
 
     def to_json(self) -> dict:
         return {"value": self.value.to_json(), "N_used": self.n_used,
@@ -719,8 +720,9 @@ def fermionic_power_moment(i: int, q: QDescriptor):
 # built-in integrand families
 # ---------------------------------------------------------------------------
 
-class BracketPower(namedtuple("BracketPower", "q n shift chi")):
-    """The integrand j -> chi(j) * [shift + j]^n.
+class BracketPower(namedtuple("BracketPower", "n shift chi")):
+    """The integrand j -> chi(j) * [shift + j]^n, at the q of the measure
+    that sums it.
 
     ``chi`` is a nonempty table of character values indexed by j modulo
     its length, or None for the untwisted power; its values must be 0 or
@@ -733,8 +735,7 @@ class BracketPower(namedtuple("BracketPower", "q n shift chi")):
 
     __slots__ = ()
 
-    def __new__(cls, q: QDescriptor, n: int, shift: Fraction | int = 0,
-                chi: tuple | None = None):
+    def __new__(cls, n: int, shift: Fraction | int = 0, chi: tuple | None = None):
         if n < 0:
             raise ValueError("exponent must be nonnegative")
         if chi is not None:
@@ -746,24 +747,24 @@ class BracketPower(namedtuple("BracketPower", "q n shift chi")):
                     "higher-order twists are computed by the closed form of "
                     "k_chi at symbolic or rational q")
             chi = tuple(int(v) for v in chi)
-        shift = Fraction(shift)
-        if n:
-            q.qpow(shift)  # raises unless q^shift lives in q's field
-        return super().__new__(cls, q, n, shift, chi)
+        return super().__new__(cls, n, Fraction(shift), chi)
 
 
 def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> BracketPower:
-    """j -> [shift + j]^n.
+    """j -> [shift + j]^n, refused unless q^shift lives in q's field (n >= 1).
 
     The result is a :class:`BracketPower`, which Riemann sums take as n + 1
     geometric series; at p-adic q in time logarithmic in the number of terms."""
-    return BracketPower(q, n, shift)
+    f = BracketPower(n, shift)
+    if n:
+        q.w_exponent(f.shift)
+    return f
 
 
-def character_twisted_power(q: QDescriptor, n: int, chi) -> BracketPower:
+def character_twisted_power(n: int, chi) -> BracketPower:
     """j -> chi(j) * [j]^n; zero off the units of the character modulus."""
     table = tuple(character_value(chi, a) for a in range(chi.modulus))
-    return BracketPower(q, n, chi=table)
+    return BracketPower(n, chi=table)
 
 
 def parse_integrand(text: str, q: QDescriptor) -> BracketPower:
@@ -780,7 +781,7 @@ def parse_integrand(text: str, q: QDescriptor) -> BracketPower:
             return bracket_power(q, int(parts[1]), Fraction(parts[2]))
         if name == "char_twisted" and len(parts) >= 3:
             chi = parse_character_id(":".join(parts[2:]))
-            return character_twisted_power(q, int(parts[1]), chi)
+            return character_twisted_power(int(parts[1]), chi)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad integrand spec {text!r}: {exc}") from exc
     raise InputError(f"unknown integrand spec {text!r}")

@@ -83,7 +83,10 @@ def family_value(kind: str, n: int, x: Fraction | int, q: QDescriptor,
     if form == "integral":
         period = 1 if chi is None else chi.modulus
         table = None if chi is None else tuple(character_value(chi, a) for a in range(period))
-        f, p = BracketPower(q, n, x, table), q.prime
+        f = BracketPower(n, x, table)
+        if n:   # a shift outside q's field is refused before a missing prime
+            q.w_exponent(f.shift)
+        p = q.prime
         spec = MeasureSpec(kind, q, ProfiniteDomain(p, period // p ** _int_valuation(period, p)))
         return integrate(spec, f, stability, n_max).value
     if chi is not None:

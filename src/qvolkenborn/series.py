@@ -13,21 +13,15 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .algebra import InputError, RationalFunction
+from .algebra import InputError
 from .qmeasure import QDescriptor, fermionic_power_moment
 
 
-def _is_zero(c) -> bool:
-    if isinstance(c, RationalFunction):
-        return c.is_zero
-    return c == 0
-
-
-def _pairwise_sum(terms: list, zero):
-    """sum(terms, zero) as a balanced tree, so the summands stay small."""
+def _pairwise_sum(terms: list):
+    """sum(terms) of a nonempty list as a balanced tree, so the summands stay small."""
     while len(terms) > 1:
         terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
-    return terms[0] if terms else zero
+    return terms[0]
 
 
 class TruncatedSeries:
@@ -55,10 +49,8 @@ class TruncatedSeries:
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         """The truncated product, each coefficient a :func:`_pairwise_sum`."""
         self._check(other)
-        zero, b = self.coeffs[0] * 0, other.coeffs
-        nonzero = [(i, a) for i, a in enumerate(self.coeffs) if not _is_zero(a)]
-        return TruncatedSeries([_pairwise_sum([a * b[n - i] for i, a in nonzero
-                                               if i <= n and not _is_zero(b[n - i])], zero)
+        a, b = self.coeffs, other.coeffs
+        return TruncatedSeries([_pairwise_sum([a[i] * b[n - i] for i in range(n + 1)])
                                 for n in range(self.order + 1)])
 
     def scale(self, factor) -> TruncatedSeries:
@@ -78,7 +70,7 @@ class TruncatedSeries:
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse of a series with invertible constant term."""
-    if _is_zero(s.coeffs[0]):
+    if s.coeffs[0] == 0:
         raise ValueError("series_inverse needs a nonzero constant term")
     lead = 1 / s.coeffs[0]
     out = [lead]
@@ -135,7 +127,7 @@ def f_q_series(q: QDescriptor, order: int) -> TruncatedSeries:
     return TruncatedSeries(exp_part) * TruncatedSeries(terms)
 
 
-class PartialSum(namedtuple("PartialSum", "value tail_bound terms")):
+class PartialSum(namedtuple("PartialSum", "value tail_bound")):
     """A truncated alternating series value with its certified tail bound."""
 
     __slots__ = ()
@@ -175,4 +167,4 @@ def f_q_coefficient_partial(k: int, q: Fraction, n_terms: int) -> PartialSum:
     value = Fraction((a + b) * total, b ** max(0, (k + 1) * (n_terms - 1) - k + 1))
     aq = abs(q)
     tail = abs(1 + q) * (1 / (1 - aq)) ** k * aq ** n_terms / (1 - aq)
-    return PartialSum(value, tail, n_terms)
+    return PartialSum(value, tail)

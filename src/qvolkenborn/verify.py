@@ -96,7 +96,7 @@ def suite_measure(**_) -> SuiteResult:
     # fermionic weights tend to ([2]_q/2)(-1)^a q^a, at the rate q^(p^N) -> 1
     qd = _padic_q()
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
-    q = qd.q_padic
+    q = qd.value
     two = qd.one() + q
     for a in (0, 1, 2):
         previous = None

@@ -135,7 +135,7 @@ def discrete_log_exponent(chi, a):
     """Reference k_a: solve a = prod g_i^t_i by search per prime-power
     component, combine the logs over the group exponent, and rescale to the
     value order."""
-    structure = chi.structure
+    structure = unit_group_structure(chi.modulus)
     by_component = {}
     for idx, fac in enumerate(structure.factors):
         by_component.setdefault(fac.component, []).append(idx)

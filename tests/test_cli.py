@@ -62,9 +62,9 @@ def test_main_calls_share_one_parser_without_interacting(capsys):
 def test_parse_q_specs():
     assert parse_q_spec("sym").mode == "symbolic"
     assert parse_q_spec("sym:3").root_order == 3
-    assert parse_q_spec("2/7").q_rational == F(2, 7)
+    assert parse_q_spec("2/7").value == F(2, 7)
     qd = parse_q_spec("padic:5:6:16")
-    assert qd.mode == "padic" and qd.q_padic.p == 5 and qd.q_padic.prec == 16
+    assert qd.mode == "padic" and qd.value.p == 5 and qd.value.prec == 16
 
 
 def test_parse_index_ranges():
@@ -519,6 +519,19 @@ def test_csv_tables_match_the_recording(capsys, tmp_path, command):
     out_file = tmp_path / "table.csv"
     assert main(command.split() + ["--output", str(out_file)]) == 0
     assert out_file.read_bytes() == CSV_TABLES[command].encode()
+
+
+@pytest.mark.parametrize("command", CSV_TABLES)
+def test_a_csv_table_holds_every_key_of_the_json_rows(capsys, command):
+    # the CSV columns first, then the rows' other keys in first-seen order; a
+    # list cell is its items joined by ";"
+    rows = run_json(capsys, *command.replace(" --format csv", "").split())["rows"]
+    header, *cells = csv.reader(io.StringIO(CSV_TABLES[command]))
+    assert header == list(dict.fromkeys(cli.CSV_COLUMNS + [k for row in rows for k in row]))
+    for row, line in zip(rows, cells, strict=True):
+        for key, cell in zip(header, line, strict=True):
+            if isinstance(row[key], list):
+                assert cell == ";".join(row[key])
 
 
 _TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f a\u00e9\u20ac\U0001f600') | st.characters(),

@@ -109,6 +109,8 @@ def commands() -> list[str]:
             "polynomials --kind K_poly --n 0..10 --x -1 --q sym:3",
             "numbers --kind K_chi --n 0..4 --chi 7:1 --q sym:2",
             "numbers --kind K_chi --n 0..4 --chi 5:1 --q sym:3"]
+    # the verify report: all ten suites, and the suites that --n-max and --m bound
+    out += ["verify", "verify --suite limits --n-max 3", "verify --suite distribution --m 5"]
     return out
 
 

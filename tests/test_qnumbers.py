@@ -437,7 +437,7 @@ def test_symbolic_values_evaluate_to_the_rational_reading(r, root_order, family,
              "ball_measure_sum": lambda qd: ball_measure_sum(spec(qd), [a % size for a in reps],
                                                              level),
              "riemann_sum": lambda qd: riemann_sum(spec(qd), bracket_power(qd, n, x), level),
-             "riemann_chi": lambda qd: riemann_sum(spec(qd), character_twisted_power(qd, n, chi),
+             "riemann_chi": lambda qd: riemann_sum(spec(qd), character_twisted_power(n, chi),
                                                    level)}
     symbolic = _value_or_refusal(lambda: calls[family](sym(root_order)).evaluate(r))
     rational = _value_or_refusal(lambda: calls[family](QDescriptor.rational(r ** root_order)))
@@ -460,7 +460,7 @@ def test_k_chi_finite_level_factorization(n):
     chi = make_character(3, (1,))
     qd = sym()
     lhs = riemann_sum(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5, 3)),
-                      character_twisted_power(qd, n, chi), 1)
+                      character_twisted_power(n, chi), 1)
     base = sym(3)
     inner_spec = MeasureSpec(FERMIONIC, base, ProfiniteDomain(5))
     acc = 0

@@ -5,11 +5,13 @@ Most CLI commands do about a millisecond of work, so import time is most of
 their latency; these tests pin both the lean imports and the record
 behaviour that callers rely on: constructor defaults, validation errors,
 equality and hashing by value, immutability, the repr text, and copies and
-pickles that rebuild an equal record.
+pickles that rebuild an equal record.  Each record holds only facts that no
+other field fixes, so none can be built in a state that contradicts itself.
 """
 
 import ast
 import copy
+import inspect
 import os
 import pathlib
 import pickle
@@ -18,14 +20,17 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qvolkenborn
 from qvolkenborn.algebra import CyclotomicElement, InputError, RootOrderMismatch
 from qvolkenborn.characters import (CyclicFactor, DirichletCharacter, UnitGroupStructure,
-                                    make_character, unit_group_structure)
+                                    enumerate_characters, make_character, unit_group_structure)
 from qvolkenborn.padic import PadicNumber, ProfiniteDomain, padic_from_rational
-from qvolkenborn.qmeasure import (BracketPower, IntegrationResult, MeasureSpec, QDescriptor,
-                                  bracket_power)
+from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, BracketPower, IntegrationResult,
+                                  MeasureSpec, QDescriptor, bracket_power,
+                                  character_twisted_power, integrate)
 from qvolkenborn.series import PartialSum
 from qvolkenborn.verify import CaseResult, SuiteResult
 
@@ -128,31 +133,33 @@ _REFUSALS = [
      "the fermionic measure needs an odd d"),
     (MeasureSpec, ("bosonic", _q(), ProfiniteDomain(3)), ValueError,
      "a 5-adic q cannot measure a domain over p = 3"),
-    (DirichletCharacter, (5, (1, 0), unit_group_structure(5)), InputError,
-     "expected 1 exponents for modulus 5, got 2"),
-    (DirichletCharacter, (5, (4,), unit_group_structure(5)), InputError,
-     "exponent out of range for its cyclic factor"),
-    (QDescriptor, ("complex",), ValueError, "unknown q mode 'complex'"),
-    (QDescriptor, ("symbolic", 0), InputError, "root order must be >= 1"),
-    (QDescriptor, ("rational", 1, Fraction(1)), InputError,
-     "rational q must be an exact rational != 1"),
-    (QDescriptor, ("rational",), InputError, "rational q must be an exact rational != 1"),
-    (QDescriptor, ("rational", 2, Fraction(2)), ValueError, "rational q has root order 1, got 2"),
-    (QDescriptor, ("padic",), ValueError, "padic mode needs a p-adic q"),
-    (QDescriptor, ("padic", 1, None, padic_from_rational(2, 5, 8)), InputError,
+    (DirichletCharacter, (5, (1, 0)), InputError, "expected 1 exponents for modulus 5, got 2"),
+    (DirichletCharacter, (5, (4,)), InputError, "exponent out of range for its cyclic factor"),
+    (DirichletCharacter, (0, ()), InputError, "modulus must be positive"),
+    (QDescriptor, (1, "complex"), ValueError,
+     "q is None, a Fraction or a PadicNumber, got 'complex'"),
+    (QDescriptor, (1, 2), ValueError, "q is None, a Fraction or a PadicNumber, got 2"),
+    (QDescriptor, (0,), InputError, "root order must be >= 1"),
+    (QDescriptor, (1, Fraction(1)), InputError, "rational q must be an exact rational != 1"),
+    (QDescriptor, (2, Fraction(2)), ValueError, "rational q has root order 1, got 2"),
+    (QDescriptor, (3, padic_from_rational(6, 5, 8)), ValueError,
+     "padic q has root order 1, got 3"),
+    (QDescriptor, (1, padic_from_rational(2, 5, 8)), InputError,
      "inadmissible p-adic q: v_5(q - 1) must be >= 1"),
-    (QDescriptor, ("padic", 1, None, padic_from_rational(1 + 5 ** 8, 5, 8)), InputError,
+    (QDescriptor, (1, padic_from_rational(1 + 5 ** 8, 5, 8)), InputError,
      "p-adic q must differ from 1 at its precision, got q - 1 = O(5^8)"),
-    (BracketPower, (QDescriptor.symbolic(), -1), ValueError, "exponent must be nonnegative"),
-    (BracketPower, (QDescriptor.symbolic(), 2, 0, ()), ValueError,
-     "a character table needs at least one value"),
-    (BracketPower, (QDescriptor.symbolic(), 2, 0, (1, 2)), InputError,
+    (BracketPower, (-1,), ValueError, "exponent must be nonnegative"),
+    (BracketPower, (2, 0, ()), ValueError, "a character table needs at least one value"),
+    (BracketPower, (2, 0, (1, 2)), InputError,
      "twisted integrands need character values in {0, +-1}; higher-order twists are "
      "computed by the closed form of k_chi at symbolic or rational q"),
-    (BracketPower, (QDescriptor.symbolic(), 2, Fraction(1, 2)), RootOrderMismatch,
+    (bracket_power, (QDescriptor.symbolic(), -1), ValueError, "exponent must be nonnegative"),
+    (bracket_power, (QDescriptor.symbolic(), 2, Fraction(1, 2)), RootOrderMismatch,
      "power q^1/2 needs root order divisible by 2, have 1"),
-    (BracketPower, (QDescriptor.rational(2), 2, Fraction(1, 2)), InputError,
+    (bracket_power, (QDescriptor.rational(2), 2, Fraction(1, 2)), InputError,
      "fractional power q^1/2 is not available in rational mode"),
+    (bracket_power, (_q(), 1, Fraction(1, 5)), InputError,
+     "fractional power q^1/5 is not available in padic mode"),
     (CyclotomicElement, (0, ()), ValueError, "root-of-unity order must be >= 1"),
     (CyclotomicElement, (4, (0, 0, 1)), ValueError,
      "an element of the order-4 cyclotomic extension has at most 2 coordinates, got 3"),
@@ -172,24 +179,20 @@ def _samples():
     value = padic_from_rational(37, 5, 3)
     return [
         (lambda: CyclicFactor(7, 2, 8), "CyclicFactor(generator=7, order=2, component=8)"),
-        (lambda: unit_group_structure(5),
+        (lambda: UnitGroupStructure(5, (CyclicFactor(2, 4, 5),)),   # the one cached per modulus
          "UnitGroupStructure(modulus=5, factors=(CyclicFactor(generator=2, order=4, "
          "component=5),))"),
-        (lambda: make_character(5, (1,)),
-         "DirichletCharacter(modulus=5, exponents=(1,), structure=UnitGroupStructure("
-         "modulus=5, factors=(CyclicFactor(generator=2, order=4, component=5),)))"),
+        (lambda: make_character(5, (1,)), "DirichletCharacter(modulus=5, exponents=(1,))"),
         (lambda: ProfiniteDomain(5), "ProfiniteDomain(p=5, d=1)"),
         (lambda: MeasureSpec("fermionic", q, ProfiniteDomain(5)),
          "MeasureSpec(kind='fermionic', q=QDescriptor(padic 6 + O(5^8)), "
          "domain=ProfiniteDomain(p=5, d=1))"),
-        (lambda: IntegrationResult(value, 3, 3),
-         "IntegrationResult(value=37 + O(5^3), n_used=3, stability=3)"),
-        (lambda: PartialSum(1, 2, 3), "PartialSum(value=1, tail_bound=2, terms=3)"),
+        (lambda: IntegrationResult(value, 3), "IntegrationResult(value=37 + O(5^3), n_used=3)"),
+        (lambda: PartialSum(1, 2), "PartialSum(value=1, tail_bound=2)"),
         (lambda: CaseResult({"n": 1}, True), "CaseResult(params={'n': 1}, passed=True, detail='')"),
         (lambda: SuiteResult("x"), "SuiteResult(name='x', cases=[])"),
-        (lambda: BracketPower(q, 3, 1, (0, 1, -1)),
-         "BracketPower(q=QDescriptor(padic 6 + O(5^8)), n=3, shift=Fraction(1, 1), "
-         "chi=(0, 1, -1))"),
+        (lambda: BracketPower(3, 1, (0, 1, -1)),
+         "BracketPower(n=3, shift=Fraction(1, 1), chi=(0, 1, -1))"),
         (lambda: CyclotomicElement(3, [1, 2]), "CyclotomicElement(L=3, (1) + (2)*z)"),
     ]
 
@@ -220,7 +223,7 @@ def test_a_q_reading_is_a_hashable_record_of_its_fields(reading):
     a, b = build(), build()
     assert a == b and a is not b and repr(a) == text and a.mode == reading
     assert hash(a) == hash(b) and len({a, b}) == 1
-    assert a._fields == ("mode", "root_order", "q_rational", "q_padic") and a == tuple(a)
+    assert a._fields == ("root_order", "value") and a == tuple(a)
     assert QDescriptor(*a) == QDescriptor(**a._asdict()) == a
     with pytest.raises(AttributeError):
         a.mode = "symbolic"
@@ -251,7 +254,7 @@ def _copyable():
     for build, _ in _READINGS.values():
         q = build()
         values += [q, bracket_power(q, 2, 1), MeasureSpec("bosonic", q, ProfiniteDomain(5, 3))]
-    values += [BracketPower(_q(), 1, chi=(1, -1, 0)),
+    values += [BracketPower(1, chi=(1, -1, 0)),
                CyclotomicElement(4, [0, 1]), CyclotomicElement(4, [])]
     return values
 
@@ -268,3 +271,76 @@ def test_a_character_caches_its_tables():
     chi = make_character(7, (1,))
     assert chi.value_order == 6 and chi.exponent_table is chi.exponent_table
     assert chi == make_character(7, (1,))
+
+
+# every record and the fields it holds: each one a fact no other field fixes
+_FIELDS = {QDescriptor: ("root_order", "value"), BracketPower: ("n", "shift", "chi"),
+           DirichletCharacter: ("modulus", "exponents"), IntegrationResult: ("value", "n_used"),
+           PartialSum: ("value", "tail_bound"), MeasureSpec: ("kind", "q", "domain"),
+           ProfiniteDomain: ("p", "d"), CyclicFactor: ("generator", "order", "component"),
+           UnitGroupStructure: ("modulus", "factors"), CyclotomicElement: ("order", "coeffs"),
+           CaseResult: ("params", "passed", "detail"), SuiteResult: ("name", "cases")}
+
+
+@pytest.mark.parametrize("cls", list(_FIELDS), ids=lambda cls: cls.__name__)
+def test_each_record_holds_the_fields_its_constructor_takes(cls):
+    # copy, deepcopy and pickle rebuild a record from its fields, so the
+    # constructor takes exactly those
+    assert cls._fields == _FIELDS[cls]
+    assert tuple(inspect.signature(cls.__new__).parameters)[1:] == cls._fields
+
+
+_PADIC_QS = st.builds(padic_from_rational, st.integers(-60, 60), st.sampled_from([3, 5]),
+                      st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_order=st.integers(-1, 3),
+       value=st.none() | st.fractions(max_denominator=9) | st.integers(-3, 3) | _PADIC_QS)
+def test_a_descriptor_is_the_one_reading_its_repr_names(root_order, value):
+    # a built descriptor equals the reading its mode builds from its value,
+    # so none prints as QDescriptor(q=2) yet differs from QDescriptor.rational(2)
+    try:
+        q = QDescriptor(root_order, value)
+    except ValueError:
+        return
+    rebuilt = {"symbolic": lambda: QDescriptor.symbolic(q.root_order),
+               "rational": lambda: QDescriptor.rational(q.value),
+               "padic": lambda: QDescriptor.padic(q.value)}[q.mode]()
+    assert rebuilt == q and repr(rebuilt) == repr(q)
+
+
+def test_a_descriptor_holds_one_value():
+    # the reading that printed as QDescriptor(q=2) while holding a 5-adic q
+    # as well cannot be built, and a descriptor holds one q
+    with pytest.raises(TypeError):
+        QDescriptor("rational", 1, Fraction(2), padic_from_rational(6, 5, 8))
+    assert QDescriptor(1, Fraction(2)) == QDescriptor.rational(2)
+    assert repr(QDescriptor(1, Fraction(2))) == "QDescriptor(q=2)"
+
+
+def test_a_characters_exponent_table_depends_on_its_fields_alone():
+    # the structure is no field, so a character mod 5 cannot carry that of 7
+    with pytest.raises(TypeError):
+        DirichletCharacter(5, (1,), unit_group_structure(7))
+    for modulus in range(1, 31):
+        for chi in enumerate_characters(modulus):
+            again = DirichletCharacter(*chi)
+            assert again == chi and again.exponent_table == chi.exponent_table
+            assert again.value_order == chi.value_order
+
+
+def test_a_structure_is_built_once_per_modulus():
+    assert unit_group_structure(21) is unit_group_structure(21)
+
+
+def test_the_stability_of_an_integral_is_its_values_absolute_precision():
+    q = _q()
+    for kind, f, target in ((FERMIONIC, bracket_power(q, 3), 6),
+                            (BOSONIC, bracket_power(q, 2, 1), 2),
+                            (FERMIONIC, character_twisted_power(2, make_character(3, (1,))), 3)):
+        d = 1 if f.chi is None else 3
+        result = integrate(MeasureSpec(kind, q, ProfiniteDomain(5, d)), f, target, 8)
+        assert result.stability == result.value.absolute_precision >= target
+    value = padic_from_rational(37, 5, 3)
+    assert IntegrationResult(value, 3).stability == value.absolute_precision == 3

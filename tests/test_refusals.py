@@ -7,6 +7,7 @@ so it shows as a traceback.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -14,9 +15,12 @@ from qvolkenborn import cli
 from qvolkenborn import verify as verify_mod
 from qvolkenborn.algebra import (InputError, PoleError, QvolkError, RootOrderMismatch,
                                  ZeroAtPrecisionError)
-from qvolkenborn.cli import build_parser, main
+from qvolkenborn.cli import build_parser, main, value_from_json, value_to_json
 from qvolkenborn.padic import PrecisionExhausted, padic_from_rational
-from qvolkenborn.qmeasure import QDescriptor, binomial_fraction_sum
+from qvolkenborn.qmeasure import (FERMIONIC, QDescriptor, binomial_fraction_sum,
+                                  bosonic_power_moment, fermionic_power_moment)
+from qvolkenborn.qnumbers import family_value, k_distribution_rhs
+from qvolkenborn.series import f_q_coefficient_partial
 from test_golden import DIGESTS, commands
 
 
@@ -90,6 +94,8 @@ CLI_REFUSALS += [(tuple(command.split()), InputError) for command in (
     "series --gf Kpartial --q 2",
     "verify --suite distribution --m -3",
     "verify --suite distribution --m 0",
+    "numbers --kind K --n 5..3",
+    "numbers --kind K --n 1 --q padic:5",
 )]
 
 
@@ -111,6 +117,9 @@ def test_cli_refusals_are_qvolk_errors(capsys, argv, error):
     ("numbers --kind K_chi --n 0 --chi 5:1,1", "expected 1 exponents for modulus 5, got 2"),
     ("numbers --kind K --n 1 --q 2/5 --chi 3:1", "--chi applies to kind K_chi only, not K"),
     ("series --gf Kpartial --q 2", "partial sums need 0 < |q| < 1, got q = 2"),
+    ("numbers --kind K --n 5..3", "bad index range '5..3': empty or negative range"),
+    ("numbers --kind K --n 1 --q padic:5",
+     "bad q spec 'padic:5': expected padic:p:q or padic:p:q:A"),
 ])
 def test_each_input_rule_refuses_with_the_message_of_its_one_check(command, message):
     # the engine function that needs a rule checks it, and the CLI adds no
@@ -194,6 +203,42 @@ def test_a_suite_bug_propagates_out_of_main(monkeypatch):
     with pytest.raises(ValueError) as info:
         main(["verify", "--suite", "limits"])
     assert type(info.value) is ValueError
+
+
+SYM = QDescriptor.symbolic()
+
+# the refusals of engine functions that no CLI input reaches: (call, class, message)
+ENGINE_REFUSALS = {
+    "family_value form": (lambda: family_value(FERMIONIC, 2, 0, SYM, form="bogus"), ValueError,
+                          "unknown form 'bogus'; expected one of ('closed', 'expansion', "
+                          "'integral')"),
+    "family_value n": (lambda: family_value(FERMIONIC, -1, 0, SYM), ValueError,
+                       "index must be nonnegative"),
+    "k_distribution_rhs n": (lambda: k_distribution_rhs(-1, 0, 3, SYM), ValueError,
+                             "index must be nonnegative"),
+    "bosonic_power_moment": (lambda: bosonic_power_moment(-1, SYM), ValueError,
+                             "moment index must be nonnegative"),
+    "fermionic_power_moment": (lambda: fermionic_power_moment(-1, SYM), ValueError,
+                               "moment index must be nonnegative"),
+    "minus_bracket": (lambda: SYM.minus_bracket(2), ValueError,
+                      "the negated-base bracket needs odd m, got 2"),
+    "run_suites": (lambda: verify_mod.run_suites(["nope"]), ValueError,
+                   "unknown suite 'nope'; known: measure, kpoly-forms, finite-sum, "
+                   "distribution, char-twist, beta-forms, limits, genfunc, partial-sums, "
+                   "convergence"),
+    "f_q_coefficient_partial": (lambda: f_q_coefficient_partial(-1, Fraction(1, 2), 10),
+                                InputError, "k and n_terms must be nonnegative"),
+    "value_to_json": (lambda: value_to_json(object()), TypeError, "cannot serialize object"),
+    "value_from_json": (lambda: value_from_json(3), TypeError, "cannot parse serialized value 3"),
+}
+
+
+@pytest.mark.parametrize("name", ENGINE_REFUSALS)
+def test_engine_refusals_keep_their_class_and_message(name):
+    call, error, message = ENGINE_REFUSALS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_the_kernel_contract_refusal_stays_a_plain_value_error():
