@@ -201,7 +201,7 @@ def parse_character_id(text: str) -> DirichletCharacter:
     head, _, tail = text.partition(":")
     try:
         modulus = int(head)
-        exponents = tuple(int(t) for t in tail.split(",") if t != "")
+        exponents = tuple(int(t) for t in tail.split(",")) if tail else ()
     except ValueError:
         raise InputError(f'bad character id {text!r}: expected "f:e1,e2,..." '
                          'with integers f, e1, e2, ...') from None

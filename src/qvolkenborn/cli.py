@@ -209,8 +209,8 @@ def cmd_numbers(args) -> int:
     for n in indices:
         value = _evaluate_at(q, f"{args.kind}_{n}",
                              lambda: family_value(KINDS[args.kind], n, 0, q, chi, args.method))
-        rows.append({"kind": args.kind, "n": n, "chi": args.chi or "", "q_spec": args.q,
-                     "value": value})
+        rows.append({"kind": args.kind, "n": n, "chi": chi.id_string if chi else "",
+                     "q_spec": args.q, "value": value})
     _emit({"command": "numbers", "kind": args.kind, "q_spec": args.q}, rows, args)
     return EXIT_OK
 

@@ -204,12 +204,13 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     rational q raises ZeroDivisionError where a binomial vanishes at q, and
     at q = 0 with a negative exponent.
     """
-    if q.mode == "padic":
+    mode = q.mode   # a property: read once
+    if mode == "padic":
         raise ValueError("the kernel reads symbolic and rational q only")
     if not numerators or step <= 0 or any(e <= 0 for _, e, _ in prefactor) or not all(
             isinstance(c, int) for num in numerators for c in num.values()):
         raise ValueError("the kernel needs numerators, int coefficients and binomial exponents > 0")
-    reading = _READINGS[q.mode](q, numerators, step, prefactor)
+    reading = _READINGS[mode](q, numerators, step, prefactor)
     total, den = 0, 1
     for k, num in enumerate(numerators):
         d = reading.binomial(sign, step * (k + 1))
@@ -621,7 +622,7 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     target t is met at level N = max(N0, t) (fermionic) or t + N0
     (bosonic), and the result is S_N truncated to its stability,
     min(bound(N), digits S_N claims): :func:`_residue_sum` at level N with
-    bound(N) as its claim.  InputError for a non-padic q
+    bound(N) as its claim.  InputError for t < 0, for a non-padic q
     (:attr:`QDescriptor.prime` refuses it), when N > n_max, when t exceeds q's
     precision A (no sum claims more), when a bosonic normalizer [d p^N]_q
     vanishes at A, and when S_N claims fewer than t digits.
@@ -652,6 +653,8 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     of its table's modulus divides d; else InputError).
     """
     _check_integrand(f)
+    if target_stability < 0:
+        raise InputError(f"stability must be nonnegative, got {target_stability}")
     p, d = spec.q.prime, spec.domain.d   # the spec checked it is the domain's p
     modulus = 1 if f.chi is None else len(f.chi)
     n0 = _int_valuation(modulus, p)
@@ -659,7 +662,7 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     if d % modulus:
         raise InputError(f"a character mod {len(f.chi)} is not a function on the "
                          f"domain: its {p}-free part {modulus} does not divide d = {d}")
-    n0, target = max(1, n0), max(0, target_stability)
+    n0, target = max(1, n0), target_stability
     bosonic = spec.kind == BOSONIC
     n = target + n0 if bosonic else max(n0, target)
     if n > n_max:

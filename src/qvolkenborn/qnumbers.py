@@ -8,8 +8,9 @@ that the verification suites cross-check.  Bosonic moments give the
 q-Bernoulli numbers and polynomials beta_n(x), fermionic ones the
 q-Euler-type K_n(x) and the twists K_{n,chi}: :func:`k_number`,
 :func:`beta_number`, :func:`k_polynomial`, :func:`beta_polynomial` and
-:func:`k_chi` are each one call of it.  :func:`k_distribution_rhs` is the
-odd-m distribution relation.
+:func:`k_chi` are each one call of it.  ``form`` names the route in each;
+only :func:`k_chi` also passes on the integral route's tuning.
+:func:`k_distribution_rhs` is the odd-m distribution relation.
 
 Every closed value is one :func:`~qvolkenborn.qmeasure.geometric_sum` in
 the p-adic limit: K_n(x) and beta_n(x) take the table (1,), the odd-m
@@ -53,7 +54,7 @@ def family_value(kind: str, n: int, x: Fraction | int, q: QDescriptor,
                  chi: DirichletCharacter | None = None, form: str = "closed",
                  stability: int = 5, n_max: int = 8):
     """The moment of chi(y) [x+y]^n (chi None: untwisted) under the measure
-    of that kind at q, by the selected route.
+    of that kind at q, by the route ``form``.
 
     "closed": with chi(a) = zeta^k_a = sum_i r_i(k_a) zeta^i (zeta a
     primitive L-th root of unity, r(k) the integer row of x^k mod Phi_L,
@@ -61,8 +62,8 @@ def family_value(kind: str, n: int, x: Fraction | int, q: QDescriptor,
     :func:`geometric_sum` with the table r_i(k_a): a field element for
     L <= 2, else a :class:`CyclotomicElement`.  "expansion" (untwisted):
     sum_i C(n,i) q^(ix) number_i [x]^(n-i) over the numbers of that kind.
-    "integral": the p-adic integral over Z_p x Z/d, d the p-free part of
-    chi's modulus (padic q, chi quadratic or None).
+    "integral": :func:`integrate` over Z_p x Z/d (d the p-free part of chi's
+    modulus; padic q, chi quadratic or None) to ``stability`` by level ``n_max``.
     """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {FORMS}")
@@ -109,15 +110,14 @@ def beta_number(m: int, q: QDescriptor):
     return family_value(BOSONIC, m, 0, q)
 
 
-def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed",
-                    stability: int = 5, n_max: int = 8):
-    """The q-Bernoulli polynomial at x, by the selected route.
+def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"):
+    """The q-Bernoulli polynomial at x, by the route ``form``.
 
     "closed": the bosonic :func:`geometric_sum` limit; "expansion": binomial
     expansion over beta numbers and [x] powers; "integral": the bosonic
     p-adic integral of [x+t]^n (padic q only).
     """
-    return family_value(BOSONIC, n, x, q, None, form, stability, n_max)
+    return family_value(BOSONIC, n, x, q, form=form)
 
 
 def k_number(k: int, q: QDescriptor):
@@ -133,14 +133,13 @@ def k_number(k: int, q: QDescriptor):
     return family_value(FERMIONIC, k, 0, q)
 
 
-def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed",
-                 stability: int = 5, n_max: int = 8):
-    """The fermionic q-Euler polynomial at x, by the selected route.
+def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"):
+    """The fermionic q-Euler polynomial at x, by the route ``form``.
 
     "closed" and "expansion" agree identically as reduced elements;
     "integral" is the fermionic p-adic integral of [x+y]^n (padic q only).
     """
-    return family_value(FERMIONIC, n, x, q, None, form, stability, n_max)
+    return family_value(FERMIONIC, n, x, q, form=form)
 
 
 def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
@@ -159,14 +158,15 @@ def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
     return _closed(q, FERMIONIC, n, x, (1,) * m)
 
 
-def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, method: str = "closed",
+def k_chi(n: int, chi: DirichletCharacter, q: QDescriptor, form: str = "closed",
           stability: int = 5, n_max: int = 8):
     """Character-twisted q-Euler number attached to chi, the fermionic
-    :func:`family_value` of chi at x = 0: "closed" (the sum over residues a
-    of chi(a) (-1)^a q^a times the base-q^f polynomial at a/f, prefixed by
-    [f]^n/[f]_-) or "integral".  An even modulus is refused.
+    :func:`family_value` of chi at x = 0 by the route ``form``: "closed"
+    (the sum over residues a of chi(a) (-1)^a q^a times the base-q^f
+    polynomial at a/f, prefixed by [f]^n/[f]_-) or "integral", whose
+    ``stability`` and ``n_max`` it passes on.  An even modulus is refused.
     """
-    return family_value(FERMIONIC, n, 0, q, chi, method, stability, n_max)
+    return family_value(FERMIONIC, n, 0, q, chi, form, stability, n_max)
 
 
 def classical_euler(n_max: int) -> list[Fraction]:

@@ -3,8 +3,9 @@
 Each suite checks one family of identities by computing both sides through
 independent routes (closed form vs expansion, a symbolic finite sum vs the
 same sum at p-adic q, p-adic integral vs symbolic evaluation) and comparing
-exactly, or modulo a stated p-adic precision.  The CLI fronts these suites
-and the acceptance tests call them directly.
+exactly, or modulo a stated p-adic precision.  Each expansion or integral
+route is one :func:`~qvolkenborn.qnumbers.family_value` call.  The CLI
+fronts these suites and the acceptance tests call them directly.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .characters import make_character
 from .padic import ProfiniteDomain, padic_from_rational
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor, ball_measure_sum,
                        bracket_power, integrate, parse_integrand, riemann_sum)
-from .qnumbers import (beta_number, beta_polynomial, classical_bernoulli, classical_euler,
-                       k_chi, k_distribution_rhs, k_number, k_polynomial)
+from .qnumbers import (beta_number, classical_bernoulli, classical_euler, family_value, k_chi,
+                       k_distribution_rhs, k_number, k_polynomial)
 from .series import f_q_coefficient_partial, f_q_series, scaled_coefficient
 
 
@@ -63,6 +64,23 @@ class SuiteResult(namedtuple("SuiteResult", "name cases")):
 
 def _padic_q(q: int | Fraction = 6, p: int = 5, prec: int = 32) -> QDescriptor:
     return QDescriptor.padic(padic_from_rational(Fraction(q), p, prec))
+
+
+def _at_padic_6(kind: str, n: int, x: int = 0, chi=None):
+    """The closed symbolic moment read at the 5-adic q = 6, to 30 digits."""
+    value = family_value(kind, n, x, QDescriptor.symbolic(), chi)
+    return padic_from_rational(value.evaluate(6), 5, 30)
+
+
+def _closed_vs_expansion(name: str, kind: str, xs: tuple, n_max: int) -> SuiteResult:
+    """Closed form vs binomial expansion of the kind's polynomials at xs, n <= n_max."""
+    out = SuiteResult(name)
+    for x in map(Fraction, xs):
+        sym = QDescriptor.symbolic(x.denominator)
+        for n in range(n_max + 1):
+            out.add({"n": n, "x": x}, family_value(kind, n, x, sym)
+                    == family_value(kind, n, x, sym, form="expansion"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +133,7 @@ def suite_measure(**_) -> SuiteResult:
 
 def suite_kpoly_forms(n_max: int = 8, **_) -> SuiteResult:
     """Closed form vs binomial expansion of the q-Euler polynomials."""
-    out = SuiteResult("kpoly-forms")
-    for x in (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1, 3)):
-        sym = QDescriptor.symbolic(x.denominator)
-        for n in range(n_max + 1):
-            same = k_polynomial(n, x, sym, "closed") == k_polynomial(n, x, sym, "expansion")
-            out.add({"n": n, "x": x}, same)
-    return out
+    return _closed_vs_expansion("kpoly-forms", FERMIONIC, (0, 1, 2, "1/2", "1/3"), n_max)
 
 
 def suite_finite_sum(n_max: int = 4, **_) -> SuiteResult:
@@ -166,20 +178,14 @@ def suite_char_twist(n_max: int = 4, **_) -> SuiteResult:
     digits = 5
     chi = make_character(3, (1,))
     qd = _padic_q()
-    sym = QDescriptor.symbolic()
-    for n in range(n_max + 1):
-        via_integral = k_chi(n, chi, qd, method="integral",
-                             stability=digits, n_max=7)
-        closed_sym = k_chi(n, chi, sym, method="closed")
-        closed_value = padic_from_rational(closed_sym.evaluate(6), 5, 30)
-        gap = (via_integral - closed_value).valuation
+    targets = [_at_padic_6(FERMIONIC, n, 0, chi) for n in range(n_max + 1)]
+    for n, target in enumerate(targets):
+        gap = (family_value(FERMIONIC, n, 0, qd, chi, "integral", digits, 7) - target).valuation
         out.add({"n": n, "digits": digits, "gap": gap}, gap >= digits)
     # the closed p-adic route must match the symbolic evaluation too
-    for n in range(n_max + 1):
-        direct = k_chi(n, chi, qd, method="closed")
-        target = padic_from_rational(k_chi(n, chi, sym).evaluate(6), 5, 30)
+    for n, target in enumerate(targets):
         out.add({"check": "closed_padic", "n": n},
-                (direct - target).valuation >= digits)
+                (k_chi(n, chi, qd) - target).valuation >= digits)
     return out
 
 
@@ -187,25 +193,17 @@ def suite_beta_forms(n_max: int = 6, **_) -> SuiteResult:
     """The two displayed routes to the q-Bernoulli polynomials agree, the
     low-order numbers match their frozen reduced forms, and the bosonic
     integral reproduces the polynomials p-adically for n <= min(n_max, 3)."""
-    out = SuiteResult("beta-forms")
-    for x in (Fraction(0), Fraction(1), Fraction(1, 2)):
-        sym = QDescriptor.symbolic(x.denominator)
-        for n in range(n_max + 1):
-            same = beta_polynomial(n, x, sym, "closed") == beta_polynomial(n, x, sym, "expansion")
-            out.add({"n": n, "x": x}, same)
+    out = _closed_vs_expansion("beta-forms", BOSONIC, (0, 1, "1/2"), n_max)
     sym = QDescriptor.symbolic()
-    one = sym.one()
-    q = sym.qpow(1)
+    one, q = sym.one(), sym.qpow(1)
     out.add({"check": "beta_1"}, beta_number(1, sym) == -one / (one + q))
     out.add({"check": "beta_2"},
             beta_number(2, sym) == q / ((one + q) * (one + q + q * q)))
     qd = _padic_q()
     for n in range(min(n_max, 3) + 1):
         for x in (0, 1, 2):
-            via_integral = beta_polynomial(n, x, qd, form="integral",
-                                           stability=4, n_max=8)
-            target = padic_from_rational(beta_polynomial(n, x, sym).evaluate(6), 5, 30)
-            gap = (via_integral - target).valuation
+            via_integral = family_value(BOSONIC, n, x, qd, form="integral", stability=4)
+            gap = (via_integral - _at_padic_6(BOSONIC, n, x)).valuation
             out.add({"check": "integral", "n": n, "x": x, "gap": gap}, gap >= 4)
     return out
 
@@ -273,9 +271,7 @@ def suite_convergence(**_) -> SuiteResult:
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
     target = 6
     result = integrate(spec, bracket_power(qd, 3), target, 8)
-    sym = QDescriptor.symbolic()
-    target_value = padic_from_rational(k_number(3, sym).evaluate(6), 5, 30)
-    gap = (result.value - target_value).valuation
+    gap = (result.value - _at_padic_6(FERMIONIC, 3)).valuation
     out.add({"check": "value", "N_used": result.n_used,
              "stability": result.stability, "gap": gap},
             result.stability >= target and gap >= target)

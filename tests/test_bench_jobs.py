@@ -2,7 +2,7 @@
 
 The jobs call the engine by module attribute, so a public name they use and
 the engine no longer has fails here, inside the tier-1 suite, and not only in
-a benchmark run.
+a benchmark run.  The same holds for the classes the traced pass wraps.
 """
 
 import pathlib
@@ -19,3 +19,25 @@ def test_every_job_of_a_workload_passes_its_check(workload, tmp_path, monkeypatc
 
     for job in bench_jobs.build(workload, 1, str(tmp_path)):
         assert job.check(job.run(), job.ref) is None, job.name
+
+
+def test_the_traced_pass_runs_and_restores_every_original(tmp_path, monkeypatch):
+    # the traced benchmark pass wraps the classes and functions bench_trace
+    # names; a class renamed or removed in the engine fails install() here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench_jobs
+    from bench_trace import Tracer
+
+    jobs = bench_jobs.build("symbolic", 1, str(tmp_path))
+    tracer = Tracer()
+    try:
+        tracer.install()
+        for index, job in enumerate(jobs):
+            tracer.begin_job(index)
+            assert job.check(job.run(), job.ref) is None, job.name
+            tracer.end_job(job.name)
+        metrics = tracer.metrics()
+    finally:
+        tracer.restore()
+    assert tracer.unrestored() == []
+    assert metrics["qnumbers.self_s"] > 0 and metrics["algebra.poly_mul.calls"] > 0

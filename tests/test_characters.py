@@ -246,7 +246,7 @@ def test_parse_rejects_wrong_arity():
         parse_character_id("15:1")
 
 
-@pytest.mark.parametrize("text", ["garbage", "5:x", ":1", "5:1,,y"])
+@pytest.mark.parametrize("text", ["garbage", "5:x", ":1", "5:1,,y", "15:1,,1", "5:1,"])
 def test_parse_names_the_id_and_format(text):
     with pytest.raises(ValueError) as err:
         parse_character_id(text)

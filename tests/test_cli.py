@@ -103,6 +103,12 @@ def test_numbers_twisted(capsys):
     assert value_from_json(data["rows"][0]["value"]) == expected
 
 
+def test_a_twisted_row_names_its_character_by_its_id(capsys):
+    # the chi cell is the character's one spelling, not the text as typed
+    data = run_json(capsys, "numbers", "--kind", "K_chi", "--n", "0", "--chi", "05:+1")
+    assert data["rows"][0]["chi"] == "5:1"
+
+
 def test_cyclotomic_value_reads_back_from_json():
     from qvolkenborn.characters import make_character
     from qvolkenborn.qnumbers import k_chi

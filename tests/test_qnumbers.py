@@ -127,7 +127,7 @@ def test_beta_integral_form_matches_padic():
     qd = QDescriptor.padic(padic_from_rational(6, 5, 32))
     for n in range(4):
         for x in (0, 1, 2):
-            got = beta_polynomial(n, x, qd, "integral", stability=4, n_max=8)
+            got = family_value(BOSONIC, n, x, qd, form="integral", stability=4, n_max=8)
             want = padic_from_rational(
                 beta_polynomial(n, x, sym()).evaluate(6), 5, 28)
             assert (got - want).valuation >= 4
@@ -192,7 +192,7 @@ def test_k_polynomial_integral_form_matches_closed():
     qd = QDescriptor.padic(padic_from_rational(6, 5, 32))
     for n in range(5):
         for x in (0, 1, 2):
-            got = k_polynomial(n, x, qd, "integral", stability=5, n_max=8)
+            got = family_value(FERMIONIC, n, x, qd, form="integral", stability=5, n_max=8)
             want = padic_from_rational(
                 k_polynomial(n, x, sym()).evaluate(6), 5, 28)
             assert (got - want).valuation >= 5
@@ -273,7 +273,7 @@ def test_k_chi_integral_matches_closed():
     chi = make_character(3, (1,))
     qd = QDescriptor.padic(padic_from_rational(6, 5, 32))
     for n in range(5):
-        got = k_chi(n, chi, qd, method="integral", stability=5, n_max=7)
+        got = k_chi(n, chi, qd, form="integral", stability=5, n_max=7)
         want = padic_from_rational(k_chi(n, chi, sym()).evaluate(6), 5, 28)
         assert (got - want).valuation >= 5
 
@@ -286,7 +286,7 @@ def test_k_chi_integral_where_p_divides_the_modulus(chi_id, p, q_value):
     chi = parse_character_id(chi_id)
     qd = QDescriptor.padic(padic_from_rational(q_value, p, 32))
     for n in range(4):
-        got = k_chi(n, chi, qd, method="integral")
+        got = k_chi(n, chi, qd, form="integral")
         assert got.absolute_precision == 5 and got.agrees_with(k_chi(n, chi, qd), 5)
 
 
@@ -302,7 +302,7 @@ def test_k_chi_higher_order_is_cyclotomic_valued():
     assert isinstance(value, CyclotomicElement)
     qd = QDescriptor.padic(padic_from_rational(6, 5, 16))
     with pytest.raises(ValueError):
-        k_chi(0, chi, qd, method="integral")
+        k_chi(0, chi, qd, form="integral")
 
 
 def base_change_twist(n, x, m, q, weights):

@@ -96,6 +96,8 @@ CLI_REFUSALS += [(tuple(command.split()), InputError) for command in (
     "verify --suite distribution --m 0",
     "numbers --kind K --n 5..3",
     "numbers --kind K --n 1 --q padic:5",
+    "numbers --kind K_chi --n 1 --chi 15:1,,1 --q 2/5",
+    "integrate --p 5 --q 6 --stability -3",
 )]
 
 
@@ -120,6 +122,9 @@ def test_cli_refusals_are_qvolk_errors(capsys, argv, error):
     ("numbers --kind K --n 5..3", "bad index range '5..3': empty or negative range"),
     ("numbers --kind K --n 1 --q padic:5",
      "bad q spec 'padic:5': expected padic:p:q or padic:p:q:A"),
+    ("numbers --kind K_chi --n 1 --chi 15:1,,1 --q 2/5",
+     'bad character id \'15:1,,1\': expected "f:e1,e2,..." with integers f, e1, e2, ...'),
+    ("integrate --p 5 --q 6 --stability -3", "stability must be nonnegative, got -3"),
 ])
 def test_each_input_rule_refuses_with_the_message_of_its_one_check(command, message):
     # the engine function that needs a rule checks it, and the CLI adds no
@@ -206,6 +211,7 @@ def test_a_suite_bug_propagates_out_of_main(monkeypatch):
 
 
 SYM = QDescriptor.symbolic()
+Q5 = QDescriptor.padic(padic_from_rational(6, 5, 32))
 
 # the refusals of engine functions that no CLI input reaches: (call, class, message)
 ENGINE_REFUSALS = {
@@ -214,6 +220,9 @@ ENGINE_REFUSALS = {
                           "'integral')"),
     "family_value n": (lambda: family_value(FERMIONIC, -1, 0, SYM), ValueError,
                        "index must be nonnegative"),
+    "family_value stability": (lambda: family_value(FERMIONIC, 2, 0, Q5, form="integral",
+                                                    stability=-3),
+                               InputError, "stability must be nonnegative, got -3"),
     "k_distribution_rhs n": (lambda: k_distribution_rhs(-1, 0, 3, SYM), ValueError,
                              "index must be nonnegative"),
     "bosonic_power_moment": (lambda: bosonic_power_moment(-1, SYM), ValueError,
