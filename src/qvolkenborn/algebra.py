@@ -221,12 +221,6 @@ class Polynomial:
         p.ints, p.scale = ints, scale
         return p
 
-    @classmethod
-    def monomial(cls, degree: int, c: Fraction | int = 1) -> Polynomial:
-        if degree < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * degree + (c,))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.scale) for c in self.ints)

@@ -64,9 +64,9 @@ def _crt_lift(residue: int, component: int, modulus: int) -> int:
     return lift
 
 
-class CyclicFactor(namedtuple("CyclicFactor", "generator order component")):
-    """One cyclic factor of (Z/f)^x: an integer mod f generating it, its
-    order, and the prime-power piece of f it lives in."""
+class CyclicFactor(namedtuple("CyclicFactor", "generator order")):
+    """One cyclic factor of (Z/f)^x: an integer mod f generating it and its
+    order."""
 
     __slots__ = ()
 
@@ -76,13 +76,6 @@ class UnitGroupStructure(namedtuple("UnitGroupStructure", "modulus factors")):
     :class:`CyclicFactor`)."""
 
     __slots__ = ()
-
-    @property
-    def order(self) -> int:
-        out = 1
-        for fac in self.factors:
-            out *= fac.order
-        return out
 
 
 @functools.lru_cache
@@ -96,14 +89,13 @@ def unit_group_structure(modulus: int) -> UnitGroupStructure:
             if e == 1:
                 continue
             if e == 2:
-                factors.append(CyclicFactor(_crt_lift(3, 4, modulus), 2, 4))
+                factors.append(CyclicFactor(_crt_lift(3, 4, modulus), 2))
             else:
-                factors.append(CyclicFactor(_crt_lift(pe - 1, pe, modulus), 2, pe))
-                factors.append(CyclicFactor(_crt_lift(3, pe, modulus), 2 ** (e - 2), pe))
+                factors.append(CyclicFactor(_crt_lift(pe - 1, pe, modulus), 2))
+                factors.append(CyclicFactor(_crt_lift(3, pe, modulus), 2 ** (e - 2)))
         else:
             g = _primitive_root_prime_power(p, e)
-            factors.append(CyclicFactor(_crt_lift(g, pe, modulus),
-                                        (p - 1) * p ** (e - 1), pe))
+            factors.append(CyclicFactor(_crt_lift(g, pe, modulus), (p - 1) * p ** (e - 1)))
     return UnitGroupStructure(modulus, tuple(factors))
 
 
@@ -127,10 +119,6 @@ class DirichletCharacter(namedtuple("DirichletCharacter", "modulus exponents")):
         factors = unit_group_structure(self.modulus).factors
         return math.lcm(*(fac.order // math.gcd(e, fac.order)
                           for e, fac in zip(self.exponents, factors)))
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
 
     @property
     def id_string(self) -> str:

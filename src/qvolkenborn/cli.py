@@ -208,7 +208,7 @@ def cmd_numbers(args) -> int:
     rows = []
     for n in indices:
         value = _evaluate_at(q, f"{args.kind}_{n}",
-                             lambda: family_value(KINDS[args.kind], n, 0, q, chi, args.method))
+                             lambda: family_value(KINDS[args.kind], n, 0, q, chi, args.form))
         rows.append({"kind": args.kind, "n": n, "chi": chi.id_string if chi else "",
                      "q_spec": args.q, "value": value})
     _emit({"command": "numbers", "kind": args.kind, "q_spec": args.q}, rows, args)
@@ -321,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help='index or range, e.g. "3" or "0..8"')
     p.add_argument("--q", default="sym", help='"sym", "sym:D", "a/b", "padic:p:q:A"')
     p.add_argument("--chi", default=None, help='character id "f:e1,e2,..." (K_chi only)')
-    p.add_argument("--method", choices=["closed", "integral"], default="closed")
+    # the expansion route reads K_n back at x = 0, and a twist refuses it
+    p.add_argument("--form", choices=[f for f in FORMS if f != "expansion"],
+                   default="closed")
     add_output_flags(p)
     p.set_defaults(func=cmd_numbers)
 

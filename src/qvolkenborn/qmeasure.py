@@ -508,8 +508,8 @@ def _residue_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
                  weights: tuple[int, ...], level: int | None = None, claim=math.inf):
     """:func:`geometric_sum` at p-adic q in plain ints: sum_j weights[j]
     [x+j]^n (r q)^j over j < level (r = -1 fermionic, else 1) times (1 - r
-    q) / (1 - (r q)^level) to ``claim`` digits (without that normalizer if
-    ``claim`` is None), or its p-adic limit when ``level`` is None.
+    q) / (1 - (r q)^level) to at most ``claim`` digits, or its p-adic limit
+    when ``level`` is None.
 
     With Q the integer unit of q, A its precision, t = v_p(1 - Q), l =
     len(weights), rho_k = r Q^(k+1) and level = M l + e, the sum is (1 -
@@ -581,7 +581,7 @@ def _residue_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
         factor = factor * minus_q_x % known
         rho_powers = [y * z % mod for y, z in zip(rho_powers, q_powers)]
     bottom = bottom * pow((1 - big_q) // p ** t, n, known) % known
-    if level is not None and claim is not None:
+    if level is not None:
         return _over_normaliser(q, fermionic, r_k, top, bottom, digits, n * t, claim)
     total = top * _unit_inverse(bottom, p, width) % known
     scale = -n * t - lift
@@ -611,7 +611,7 @@ def _over_normaliser(q: QDescriptor, fermionic: bool, r_k: int, top: int, bottom
     return PadicNumber._from_scaled(p, u - w, total, min(min(digits, h + a - w) + u - w, claim))
 
 
-def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
+def integrate(spec: MeasureSpec, f: BracketPower, stability: int,
               n_max: int) -> IntegrationResult:
     """p-adic limit of the Riemann sums: one level, and the digits a bound
     proves.
@@ -619,7 +619,7 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     With N0 = max(1, v_p(m)), m the modulus of f's character (1 without
     one), the level-N sum S_N (N >= N0) agrees with the limit to bound(N)
     digits: N for the fermionic measure, N - N0 for the bosonic one.  A
-    target t is met at level N = max(N0, t) (fermionic) or t + N0
+    ``stability`` t is met at level N = max(N0, t) (fermionic) or t + N0
     (bosonic), and the result is S_N truncated to its stability,
     min(bound(N), digits S_N claims): :func:`_residue_sum` at level N with
     bound(N) as its claim.  InputError for t < 0, for a non-padic q
@@ -653,8 +653,8 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     of its table's modulus divides d; else InputError).
     """
     _check_integrand(f)
-    if target_stability < 0:
-        raise InputError(f"stability must be nonnegative, got {target_stability}")
+    if stability < 0:
+        raise InputError(f"stability must be nonnegative, got {stability}")
     p, d = spec.q.prime, spec.domain.d   # the spec checked it is the domain's p
     modulus = 1 if f.chi is None else len(f.chi)
     n0 = _int_valuation(modulus, p)
@@ -662,24 +662,23 @@ def integrate(spec: MeasureSpec, f: BracketPower, target_stability: int,
     if d % modulus:
         raise InputError(f"a character mod {len(f.chi)} is not a function on the "
                          f"domain: its {p}-free part {modulus} does not divide d = {d}")
-    n0, target = max(1, n0), target_stability
+    n0 = max(1, n0)
     bosonic = spec.kind == BOSONIC
-    n = target + n0 if bosonic else max(n0, target)
+    n = stability + n0 if bosonic else max(n0, stability)
     if n > n_max:
-        raise InputError(f"stability {target_stability} needs level {n}, "
-                         f"past n_max = {n_max}")
+        raise InputError(f"stability {stability} needs level {n}, past n_max = {n_max}")
     precision = spec.q.value.prec
-    if target > precision:
-        raise InputError(f"stability {target_stability} needs more digits than "
+    if stability > precision:
+        raise InputError(f"stability {stability} needs more digits than "
                          f"q's precision A = {precision}")
     try:   # the level-n riemann_sum, truncated to its bound
         value = _residue_sum(spec.q, spec.kind, f.n, f.shift, f.chi or (1,),
                              spec.domain.level_size(n), n - n0 if bosonic else n)
     except ZeroDivisionError:
-        raise InputError(f"stability {target_stability} not reached: the level-{n} "
+        raise InputError(f"stability {stability} not reached: the level-{n} "
                          f"normalizer vanishes at q's precision A = {precision}") from None
-    if value.absolute_precision < target:
-        raise InputError(f"stability {target_stability} not reached: level {n} "
+    if value.absolute_precision < stability:
+        raise InputError(f"stability {stability} not reached: level {n} "
                          f"claims {value.absolute_precision} digits")
     return IntegrationResult(value, n)
 

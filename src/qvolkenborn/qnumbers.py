@@ -100,14 +100,14 @@ def family_value(kind: str, n: int, x: Fraction | int, q: QDescriptor,
     return acc
 
 
-def beta_number(m: int, q: QDescriptor):
-    """The m-th q-Bernoulli number: the bosonic moment of [t]^m, the x = 0
+def beta_number(n: int, q: QDescriptor):
+    """The n-th q-Bernoulli number: the bosonic moment of [t]^n, the x = 0
     case of :func:`beta_polynomial`.
 
     >>> print(beta_number(1, QDescriptor.symbolic()))
     (-1)/(1 + q)
     """
-    return family_value(BOSONIC, m, 0, q)
+    return family_value(BOSONIC, n, 0, q)
 
 
 def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"):
@@ -120,8 +120,8 @@ def beta_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "clos
     return family_value(BOSONIC, n, x, q, form=form)
 
 
-def k_number(k: int, q: QDescriptor):
-    """The k-th fermionic q-Euler number: [2] (1/(1-q))^k times the
+def k_number(n: int, q: QDescriptor):
+    """The n-th fermionic q-Euler number: [2] (1/(1-q))^n times the
     alternating binomial sum of 1/(1+q^(l+1)), the x = 0 case of
     :func:`k_polynomial`.
 
@@ -130,7 +130,7 @@ def k_number(k: int, q: QDescriptor):
     >>> k_number(1, QDescriptor.symbolic()).limit_at_one()
     Fraction(-1, 2)
     """
-    return family_value(FERMIONIC, k, 0, q)
+    return family_value(FERMIONIC, n, 0, q)
 
 
 def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"):
@@ -145,11 +145,13 @@ def k_polynomial(n: int, x: Fraction | int, q: QDescriptor, form: str = "closed"
 def k_distribution_rhs(n: int, x: Fraction | int, m: int, q: QDescriptor):
     """Right side of the odd-m distribution relation for the q-Euler
     polynomials: ([m]^n / [m]_-) times the alternating q^a-weighted sum of
-    the base-q^m polynomials at the shifted arguments (a+x)/m, computed as
-    one fermionic :func:`geometric_sum` with the table (1,) * m.
+    the base-q^m polynomials at the shifted arguments (a+x)/m.
 
-    Symbolically this is identical to k_polynomial(n, x, q); verifying that
-    identity is the point of computing both sides independently.
+    It is one fermionic :func:`geometric_sum` at base q with the table
+    (1,) * m, and the left side k_polynomial(n, x, q) is one with the table
+    (1,), so the identity compares two tables of one kernel, not base-q^m
+    values with base-q ones.  Computing this side from base-q^m values
+    (ROADMAP item 5) makes it independent.
     """
     if n < 0:
         raise ValueError("index must be nonnegative")

@@ -160,7 +160,9 @@ def suite_finite_sum(n_max: int = 4, **_) -> SuiteResult:
 
 
 def suite_distribution(n_max: int = 6, ms: tuple[int, ...] = (1, 3, 5), **_) -> SuiteResult:
-    """The odd-m distribution relation as an exact symbolic identity."""
+    """The odd-m distribution relation as an exact symbolic identity: both
+    sides are fermionic geometric_sum calls at base q, with the tables
+    (1,) * m and (1,) (see :func:`k_distribution_rhs`)."""
     out = SuiteResult("distribution")
     for x in (Fraction(0), Fraction(1, 3)):
         sym = QDescriptor.symbolic(x.denominator)

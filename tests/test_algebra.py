@@ -58,7 +58,7 @@ _coeff_lists = st.lists(_rationals, max_size=7).map(_trim)
 def _phi_products(draw, orders=3):
     """w^a prod Phi_d^e with a <= 2, up to that many orders d <= 12 and
     e <= 3, each Phi_d built by long division."""
-    poly = Polynomial.monomial(draw(st.integers(0, 2)))
+    poly = Polynomial((0,) * draw(st.integers(0, 2)) + (1,))
     for d, e in draw(st.dictionaries(st.integers(1, 12), st.integers(1, 3),
                                      max_size=orders)).items():
         poly = poly * Polynomial(_phi_reference(d)) ** e
@@ -382,7 +382,7 @@ def test_factored_reduction_matches_generic_gcd(factors, body, pick, planted, lo
     # their Phi-map and sign (w^j - 1 is prod Phi_d over d | j, and 1 + w^j
     # is (w^2j - 1)/(w^j - 1)); the result is checked by cross-multiplication
     # and by long division of its numerator by w and each Phi_d left.
-    den, phis, sign = Polynomial.monomial(r), {}, 1
+    den, phis, sign = Polynomial((0,) * r + (1,)), {}, 1
     for s, j, m in factors:
         den = den * _binomial(s, j) ** m
         sign *= s ** m
@@ -390,7 +390,7 @@ def test_factored_reduction_matches_generic_gcd(factors, body, pick, planted, lo
             if (2 * j if s == 1 else j) % d == 0 and (s == -1 or j % d):
                 phis[d] = phis.get(d, 0) + m
     s, j, _ = factors[pick % len(factors)]
-    num = Polynomial(body) * _binomial(s, j) ** planted * Polynomial.monomial(low)
+    num = Polynomial(body) * _binomial(s, j) ** planted * Polynomial((0,) * low + (1,))
     if screened:
         num = num * Polynomial((-(1 << 20), 1))
     _assert_lowest_terms(reduce_cyclotomic_fraction(num * sign, phis, 1, r), num, den)
@@ -401,7 +401,7 @@ def _assert_lowest_terms(f, num, den):
     w^a prod Phi_d^e over its Phi-map, and neither w nor a Phi_d of the map
     divides f's numerator (a Phi_d is irreducible, so that is coprimality)."""
     assert f.num * den == num * f.den
-    want = Polynomial.monomial(f.w_exp)
+    want = Polynomial((0,) * f.w_exp + (1,))
     for d, e in f.phis:
         want = want * Polynomial(_phi_reference(d)) ** e
     assert f.den == want

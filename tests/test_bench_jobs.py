@@ -21,14 +21,22 @@ def test_every_job_of_a_workload_passes_its_check(workload, tmp_path, monkeypatc
         assert job.check(job.run(), job.ref) is None, job.name
 
 
-def test_the_traced_pass_runs_and_restores_every_original(tmp_path, monkeypatch):
+# a row of the traced pass that each workload must reach: the hooks on
+# riemann_sum and integrate and the verify suite labels are read here
+REACHED = {"symbolic": ("qnumbers.self_s", "algebra.poly_mul.calls"),
+           "padic": ("qmeasure.riemann_sum.calls", "qmeasure.integrate.levels"),
+           "verify-cli": ("cli.main.self_s", "verify.measure.s")}
+
+
+@pytest.mark.parametrize("workload", list(REACHED))
+def test_the_traced_pass_runs_and_restores_every_original(workload, tmp_path, monkeypatch):
     # the traced benchmark pass wraps the classes and functions bench_trace
     # names; a class renamed or removed in the engine fails install() here
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import bench_jobs
     from bench_trace import Tracer
 
-    jobs = bench_jobs.build("symbolic", 1, str(tmp_path))
+    jobs = bench_jobs.build(workload, 1, str(tmp_path))
     tracer = Tracer()
     try:
         tracer.install()
@@ -40,4 +48,5 @@ def test_the_traced_pass_runs_and_restores_every_original(tmp_path, monkeypatch)
     finally:
         tracer.restore()
     assert tracer.unrestored() == []
-    assert metrics["qnumbers.self_s"] > 0 and metrics["algebra.poly_mul.calls"] > 0
+    assert all(metrics[row] > 0 for row in REACHED[workload]), {
+        row: metrics[row] for row in REACHED[workload]}

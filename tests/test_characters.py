@@ -61,7 +61,7 @@ def test_structure_mod_one_is_trivial():
 def test_structure_mod_fifteen():
     s = unit_group_structure(15)
     assert sorted(f.order for f in s.factors) == [2, 4]
-    assert s.order == euler_phi(15) == 8
+    assert math.prod(f.order for f in s.factors) == euler_phi(15) == 8
     for f in s.factors:
         assert brute_order(f.generator, 15) == f.order
 
@@ -69,7 +69,7 @@ def test_structure_mod_fifteen():
 @pytest.mark.parametrize("modulus", [2, 4, 8, 9, 12, 16, 21, 24, 45])
 def test_structure_orders_multiply_to_phi(modulus):
     s = unit_group_structure(modulus)
-    assert s.order == euler_phi(modulus)
+    assert math.prod(f.order for f in s.factors) == euler_phi(modulus)
     for f in s.factors:
         assert brute_order(f.generator, modulus) == f.order
 
@@ -80,7 +80,7 @@ def test_structure_orders_multiply_to_phi(modulus):
 
 def test_enumerate_mod_one():
     chars = enumerate_characters(1)
-    assert len(chars) == 1 and chars[0].is_trivial
+    assert len(chars) == 1 and chars[0].value_order == 1
 
 
 def test_enumerate_mod_three():
@@ -131,14 +131,29 @@ def test_order_four_character_mod_five():
     assert character_value(chi, 5) == 0
 
 
+def prime_power_pieces(modulus):
+    """The prime powers p^e exactly dividing modulus, by trial division."""
+    pieces, p = [], 2
+    while modulus > 1:
+        pe = 1
+        while modulus % p == 0:
+            modulus, pe = modulus // p, pe * p
+        if pe > 1:
+            pieces.append(pe)
+        p += 1
+    return pieces
+
+
 def discrete_log_exponent(chi, a):
     """Reference k_a: solve a = prod g_i^t_i by search per prime-power
-    component, combine the logs over the group exponent, and rescale to the
+    component (the one piece of the modulus where a factor's generator is
+    not 1), combine the logs over the group exponent, and rescale to the
     value order."""
     structure = unit_group_structure(chi.modulus)
-    by_component = {}
+    pieces, by_component = prime_power_pieces(chi.modulus), {}
     for idx, fac in enumerate(structure.factors):
-        by_component.setdefault(fac.component, []).append(idx)
+        component = next(pe for pe in pieces if fac.generator % pe != 1)
+        by_component.setdefault(component, []).append(idx)
     logs = [0] * len(structure.factors)
     for component, idxs in by_component.items():
         gens = [structure.factors[i].generator % component for i in idxs]
@@ -183,7 +198,7 @@ def test_multiplicativity_exhaustive(modulus):
 @pytest.mark.parametrize("modulus", range(2, 16))
 def test_orthogonality_of_nontrivial_characters(modulus):
     for chi in enumerate_characters(modulus):
-        if chi.is_trivial:
+        if chi.value_order == 1:
             continue
         rows = root_of_unity_rows(chi.value_order)
         units = [rows[k] for k in chi.exponent_table if k is not None]

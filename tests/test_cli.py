@@ -299,10 +299,10 @@ def test_integrate_single_level_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("kind, measure", [("K", FERMIONIC), ("beta", BOSONIC)])
-def test_numbers_integral_method_claims_its_stability(capsys, kind, measure):
+def test_numbers_integral_form_claims_its_stability(capsys, kind, measure):
     argv = ("numbers", "--kind", kind, "--n", "1..4", "--q", "padic:5:6:32")
     closed = run_json(capsys, *argv)["rows"]
-    integral = run_json(capsys, *argv, "--method", "integral")["rows"]
+    integral = run_json(capsys, *argv, "--form", "integral")["rows"]
     qd = parse_q_spec("padic:5:6:32")
     spec = MeasureSpec(measure, qd, ProfiniteDomain(5))
     for c, i in zip(closed, integral):
@@ -310,7 +310,7 @@ def test_numbers_integral_method_claims_its_stability(capsys, kind, measure):
         got, want = value_from_json(i["value"]), value_from_json(c["value"])
         assert got.absolute_precision == stability >= 5
         assert got.agrees_with(want, stability)
-    code, out, err = run(capsys, *argv[:-1], "sym", "--method", "integral")
+    code, out, err = run(capsys, *argv[:-1], "sym", "--form", "integral")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 

@@ -41,7 +41,7 @@ def commands() -> list[str]:
             "series --gf Fq --q sym --T 10",
             "integrate --p 5 --q 6 --f bracket_pow:3 --stability 6",
             "integrate --kind bosonic --p 3 --q 4 --f shifted_bracket_pow:2:1 --stability 4",
-            "numbers --kind K_chi --n 0..3 --chi 3:1 --q padic:5:6:32 --method integral",
+            "numbers --kind K_chi --n 0..3 --chi 3:1 --q padic:5:6:32 --form integral",
             "integrate --p 5 --q 6 --f bracket_pow:3 --stability 9 --N-max 10",
             "integrate --p 5 --q 6 --d 3 --f char_twisted:3:3:1 --stability 8 --N-max 9"]
     out += [f"numbers --kind {kind} --n 0..20 --q {q}"
@@ -53,8 +53,8 @@ def commands() -> list[str]:
             "polynomials --kind K_poly --n 0..3 --x -2 --q 0",
             "series --gf Kpartial --q 1/2 --k-max 6 --n-terms 200",
             "series --gf Kpartial --q -2/3 --k-max 4 --n-terms 120"]
-    out += ["numbers --kind K --n 0..4 --q padic:5:6:32 --method integral",
-            "numbers --kind beta --n 0..3 --q padic:5:6:32 --method integral",
+    out += ["numbers --kind K --n 0..4 --q padic:5:6:32 --form integral",
+            "numbers --kind beta --n 0..3 --q padic:5:6:32 --form integral",
             "polynomials --kind K_poly --n 0..3 --x 1 --q padic:3:4:32 --form integral",
             "polynomials --kind beta_poly --n 0..3 --x 2 --q padic:5:6:32 --form integral",
             "polynomials --kind K_poly --n 0..6 --x 1 --q padic:5:6:32 --form expansion",
@@ -83,7 +83,7 @@ def commands() -> list[str]:
     out += ["integrate --kind bosonic --p 3 --q 22 --f bracket_pow:3 --A 128 --stability 6 "
             "--N-max 8",
             "integrate --p 5 --q 41 --f shifted_bracket_pow:2:1 --A 128 --stability 4",
-            "numbers --kind K_chi --n 0..3 --chi 3:1 --q padic:5:41:128 --method integral",
+            "numbers --kind K_chi --n 0..3 --chi 3:1 --q padic:5:41:128 --form integral",
             "integrate --kind bosonic --p 3 --q 4 --f bracket_pow:2 --A 6 --stability 5 "
             "--N-max 8"]
     # closed forms with a shift, in both limits of the geometric-sum builder

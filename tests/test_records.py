@@ -99,6 +99,26 @@ def test_every_module_uses_the_names_it_imports(path):
     assert not _unused_imports(ast.parse(path.read_text()))
 
 
+def _record_fields(tree):
+    """(record, field) for each field that a namedtuple(...) call of the
+    module names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "namedtuple":
+            record, fields = (ast.literal_eval(arg) for arg in node.args[:2])
+            yield from ((record, field) for field in fields.replace(",", " ").split())
+
+
+def test_every_record_field_is_read_somewhere():
+    # a field that no expression of the package reads as .field is data
+    # that nothing uses; the namedtuple(...) string defines it, not a read
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    fields = [pair for tree in trees for pair in _record_fields(tree)]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert len(fields) > 20
+    assert [f"{record}.{field}" for record, field in fields if field not in read] == []
+
+
 def test_the_cli_starts_without_dataclasses_inspect_or_csv():
     # -S keeps site's own imports out of the count
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -178,10 +198,9 @@ def _samples():
     q = _q()
     value = padic_from_rational(37, 5, 3)
     return [
-        (lambda: CyclicFactor(7, 2, 8), "CyclicFactor(generator=7, order=2, component=8)"),
-        (lambda: UnitGroupStructure(5, (CyclicFactor(2, 4, 5),)),   # the one cached per modulus
-         "UnitGroupStructure(modulus=5, factors=(CyclicFactor(generator=2, order=4, "
-         "component=5),))"),
+        (lambda: CyclicFactor(7, 2), "CyclicFactor(generator=7, order=2)"),
+        (lambda: UnitGroupStructure(5, (CyclicFactor(2, 4),)),   # the one cached per modulus
+         "UnitGroupStructure(modulus=5, factors=(CyclicFactor(generator=2, order=4),))"),
         (lambda: make_character(5, (1,)), "DirichletCharacter(modulus=5, exponents=(1,))"),
         (lambda: ProfiniteDomain(5), "ProfiniteDomain(p=5, d=1)"),
         (lambda: MeasureSpec("fermionic", q, ProfiniteDomain(5)),
@@ -277,7 +296,7 @@ def test_a_character_caches_its_tables():
 _FIELDS = {QDescriptor: ("root_order", "value"), BracketPower: ("n", "shift", "chi"),
            DirichletCharacter: ("modulus", "exponents"), IntegrationResult: ("value", "n_used"),
            PartialSum: ("value", "tail_bound"), MeasureSpec: ("kind", "q", "domain"),
-           ProfiniteDomain: ("p", "d"), CyclicFactor: ("generator", "order", "component"),
+           ProfiniteDomain: ("p", "d"), CyclicFactor: ("generator", "order"),
            UnitGroupStructure: ("modulus", "factors"), CyclotomicElement: ("order", "coeffs"),
            CaseResult: ("params", "passed", "detail"), SuiteResult: ("name", "cases")}
 

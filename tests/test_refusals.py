@@ -44,7 +44,7 @@ CLI_REFUSALS = [
     (("numbers", "--kind", "K", "--n", "0..2", "--q", "padic:5:1:32"), InputError),
     (("numbers", "--kind", "K", "--n", "0..2", "--q", "padic:5:3126:5"), InputError),
     (("numbers", "--kind", "K_chi", "--chi", "garbage", "--n", "1"), InputError),
-    (("numbers", "--kind", "K", "--n", "1..4", "--q", "sym", "--method", "integral"), InputError),
+    (("numbers", "--kind", "K", "--n", "1..4", "--q", "sym", "--form", "integral"), InputError),
     (("polynomials", "--kind", "K_poly", "--n", "1", "--x", "1/2", "--q", "sym"),
      RootOrderMismatch),
     (("polynomials", "--kind", "K_poly", "--n", "1", "--x", "1", "--q", "padic:3:4:2",
@@ -75,7 +75,7 @@ CLI_REFUSALS += [(tuple(command.split()), InputError) for command in (
     "numbers --kind K_chi --n 0 --chi 5:1,1",
     "numbers --kind K_chi --n 0 --chi 4:1",
     "numbers --kind K_chi --n 0 --chi 5:1 --q padic:3:4:32",
-    "numbers --kind K_chi --n 0 --chi 7:1 --q padic:5:6:32 --method integral",
+    "numbers --kind K_chi --n 0 --chi 7:1 --q padic:5:6:32 --form integral",
     "numbers --kind K --n 1 --q 2/5 --chi 3:1",
     "numbers --kind beta --n 0 --chi garbage",
     "polynomials --kind K_poly --n 1 --x 1/0",
@@ -134,7 +134,7 @@ def test_each_input_rule_refuses_with_the_message_of_its_one_check(command, mess
 
 
 @pytest.mark.parametrize("command", [
-    "numbers --kind K --n 0..2 --method integral --q sym",
+    "numbers --kind K --n 0..2 --form integral --q sym",
     "polynomials --kind beta_poly --n 1 --form integral --q 2/5",
 ])
 def test_the_integral_route_at_non_padic_q_gives_integrates_refusal(capsys, command):
@@ -143,6 +143,20 @@ def test_the_integral_route_at_non_padic_q_gives_integrates_refusal(capsys, comm
     assert type(exc) is InputError
     assert str(exc) == "integration is a p-adic limit; q must be padic"
     assert_exit_2(capsys, command.split(), exc)
+
+
+@pytest.mark.parametrize("command", [
+    "numbers --kind K --n 0..2 --method integral --q padic:5:6:32",
+    "numbers --kind K --n 0..2 --form expansion --q sym",
+])
+def test_argument_parsing_refuses_an_unknown_flag_or_route(capsys, command):
+    # numbers names its route --form, like polynomials, and offers no
+    # expansion route: at x = 0 it only reads K_n back
+    with pytest.raises(SystemExit) as info:
+        main(command.split())
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
 
 
 # the golden commands that exit 2, and the class each one raises
