@@ -18,8 +18,8 @@ from .padic import (PadicNumber, PrecisionExhausted, ProfiniteDomain,
 from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, IntegrationResult,
                        MeasureSpec, QDescriptor, ball_measure_sum,
                        bosonic_power_moment, bracket_power,
-                       character_twisted_power, fermionic_power_moment,
-                       integrate, parse_integrand, riemann_sum)
+                       fermionic_power_moment, integrate, parse_integrand,
+                       riemann_sum)
 from .qnumbers import (beta_number, beta_polynomial, classical_bernoulli,
                        classical_euler, k_chi, k_distribution_rhs, k_number,
                        k_polynomial)

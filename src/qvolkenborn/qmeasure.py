@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .algebra import (InputError, Polynomial, RationalFunction, RootOrderMismatch,
                       ZeroAtPrecisionError, _divisors, _unpack, reduce_cyclotomic_fraction)
-from .characters import character_value, parse_character_id
+from .characters import DirichletCharacter, character_value, parse_character_id
 from .padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
                     ball_representatives, padic_from_rational)
 
@@ -477,7 +477,8 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
 def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int):
     """The level-n Riemann sum: sum over ball representatives j of
     chi(j) [x+j]^n (r q)^j, normalized by [K] at r q (r = -1 fermionic, else
-    1; K = d p^n), at the spec's q.
+    1; K = d p^n), at the spec's q, with chi f's table read periodically
+    ((1,) untwisted) and x its shift.
 
     ``f`` must be a :class:`BracketPower`; anything else raises ValueError.
     The sum is one :func:`geometric_sum` at level K in every reading of q,
@@ -490,13 +491,13 @@ def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int):
     """
     _check_integrand(f)
     size = ball_representatives(spec.domain, n).stop
-    table, q = (1,) if f.chi is None else f.chi, spec.q
+    q = spec.q
     if q.value is None and f.n:
         q = QDescriptor.symbolic(math.lcm(q.root_order, f.shift.denominator))
     elif q.value == -1 and spec.kind == BOSONIC and size % 2:
         x = q.w_exponent(f.shift) if f.n else 0   # refuses a fractional shift
-        return geometric_sum(QDescriptor.symbolic(), BOSONIC, f.n, x, table, size).evaluate(-1)
-    return geometric_sum(q, spec.kind, f.n, f.shift, table, size)
+        return geometric_sum(QDescriptor.symbolic(), BOSONIC, f.n, x, f.chi, size).evaluate(-1)
+    return geometric_sum(q, spec.kind, f.n, f.shift, f.chi, size)
 
 
 def _check_integrand(f) -> None:
@@ -616,8 +617,8 @@ def integrate(spec: MeasureSpec, f: BracketPower, stability: int,
     """p-adic limit of the Riemann sums: one level, and the digits a bound
     proves.
 
-    With N0 = max(1, v_p(m)), m the modulus of f's character (1 without
-    one), the level-N sum S_N (N >= N0) agrees with the limit to bound(N)
+    With N0 = max(1, v_p(m)), m the length of f's table (1 untwisted),
+    the level-N sum S_N (N >= N0) agrees with the limit to bound(N)
     digits: N for the fermionic measure, N - N0 for the bosonic one.  A
     ``stability`` t is met at level N = max(N0, t) (fermionic) or t + N0
     (bosonic), and the result is S_N truncated to its stability,
@@ -650,13 +651,13 @@ def integrate(spec: MeasureSpec, f: BracketPower, stability: int,
 
     ``f`` must be a :class:`BracketPower` (else ValueError), with q^shift
     in q's field and a twisted one a function on the domain (the p-free part
-    of its table's modulus divides d; else InputError).
+    of its table's length divides d; else InputError).
     """
     _check_integrand(f)
     if stability < 0:
         raise InputError(f"stability must be nonnegative, got {stability}")
     p, d = spec.q.prime, spec.domain.d   # the spec checked it is the domain's p
-    modulus = 1 if f.chi is None else len(f.chi)
+    modulus = len(f.chi)
     n0 = _int_valuation(modulus, p)
     modulus //= p ** n0
     if d % modulus:
@@ -672,7 +673,7 @@ def integrate(spec: MeasureSpec, f: BracketPower, stability: int,
         raise InputError(f"stability {stability} needs more digits than "
                          f"q's precision A = {precision}")
     try:   # the level-n riemann_sum, truncated to its bound
-        value = _residue_sum(spec.q, spec.kind, f.n, f.shift, f.chi or (1,),
+        value = _residue_sum(spec.q, spec.kind, f.n, f.shift, f.chi,
                              spec.domain.level_size(n), n - n0 if bosonic else n)
     except ZeroDivisionError:
         raise InputError(f"stability {stability} not reached: the level-{n} "
@@ -727,8 +728,8 @@ class BracketPower(namedtuple("BracketPower", "n shift chi")):
     that sums it.
 
     ``chi`` is a nonempty table of character values indexed by j modulo
-    its length, or None for the untwisted power; its values must be 0 or
-    +-1 in every mode (higher-order twists go through the closed form of
+    its length, (1,) for the untwisted power; its values must be 0 or +-1
+    in every mode (higher-order twists go through the closed form of
     ``k_chi``), and are stored as ints, the kernel's coefficients.
     Instances are immutable named tuples, not callables: it is the one
     integrand type of :func:`riemann_sum` and :func:`integrate`, which read
@@ -737,36 +738,32 @@ class BracketPower(namedtuple("BracketPower", "n shift chi")):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, shift: Fraction | int = 0, chi: tuple | None = None):
+    def __new__(cls, n: int, shift: Fraction | int = 0, chi: tuple = (1,)):
         if n < 0:
             raise ValueError("exponent must be nonnegative")
-        if chi is not None:
-            if not chi:
-                raise ValueError("a character table needs at least one value")
-            if any(v not in (0, 1, -1) for v in chi):
-                raise InputError(
-                    "twisted integrands need character values in {0, +-1}; "
-                    "higher-order twists are computed by the closed form of "
-                    "k_chi at symbolic or rational q")
-            chi = tuple(int(v) for v in chi)
-        return super().__new__(cls, n, Fraction(shift), chi)
+        if not chi:
+            raise ValueError("a character table needs at least one value")
+        if not all(map((0, 1, -1).__contains__, chi)):
+            raise InputError(
+                "twisted integrands need character values in {0, +-1}; "
+                "higher-order twists are computed by the closed form of "
+                "k_chi at symbolic or rational q")
+        return super().__new__(cls, n, Fraction(shift), tuple(map(int, chi)))
 
 
-def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0) -> BracketPower:
-    """j -> [shift + j]^n, refused unless q^shift lives in q's field (n >= 1).
+def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0,
+                  chi: DirichletCharacter | None = None) -> BracketPower:
+    """j -> chi(j) [shift + j]^n, the Dirichlet character chi (None:
+    untwisted) read as its table of values mod its modulus; refused unless
+    q^shift lives in q's field (n >= 1).
 
     The result is a :class:`BracketPower`, which Riemann sums take as n + 1
     geometric series; at p-adic q in time logarithmic in the number of terms."""
-    f = BracketPower(n, shift)
+    table = (1,) if chi is None else tuple(character_value(chi, a) for a in range(chi.modulus))
+    f = BracketPower(n, shift, table)
     if n:
         q.w_exponent(f.shift)
     return f
-
-
-def character_twisted_power(n: int, chi) -> BracketPower:
-    """j -> chi(j) * [j]^n; zero off the units of the character modulus."""
-    table = tuple(character_value(chi, a) for a in range(chi.modulus))
-    return BracketPower(n, chi=table)
 
 
 def parse_integrand(text: str, q: QDescriptor) -> BracketPower:
@@ -783,7 +780,7 @@ def parse_integrand(text: str, q: QDescriptor) -> BracketPower:
             return bracket_power(q, int(parts[1]), Fraction(parts[2]))
         if name == "char_twisted" and len(parts) >= 3:
             chi = parse_character_id(":".join(parts[2:]))
-            return character_twisted_power(int(parts[1]), chi)
+            return bracket_power(q, int(parts[1]), 0, chi)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad integrand spec {text!r}: {exc}") from exc
     raise InputError(f"unknown integrand spec {text!r}")

@@ -34,9 +34,9 @@ import math
 from fractions import Fraction
 
 from .algebra import CyclotomicElement, InputError, root_of_unity_rows
-from .characters import DirichletCharacter, character_value
+from .characters import DirichletCharacter
 from .padic import ProfiniteDomain, _int_valuation
-from .qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec, QDescriptor,
+from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor, bracket_power,
                        geometric_sum, integrate)
 from .series import TruncatedSeries, euler_gf, scaled_coefficient, series_inverse
 
@@ -58,40 +58,38 @@ def family_value(kind: str, n: int, x: Fraction | int, q: QDescriptor,
 
     "closed": with chi(a) = zeta^k_a = sum_i r_i(k_a) zeta^i (zeta a
     primitive L-th root of unity, r(k) the integer row of x^k mod Phi_L,
-    i < phi(L); untwisted L = 1, r = (1,)) it is sum_i zeta^i
-    :func:`geometric_sum` with the table r_i(k_a): a field element for
-    L <= 2, else a :class:`CyclotomicElement`.  "expansion" (untwisted):
-    sum_i C(n,i) q^(ix) number_i [x]^(n-i) over the numbers of that kind.
-    "integral": :func:`integrate` over Z_p x Z/d (d the p-free part of chi's
-    modulus; padic q, chi quadratic or None) to ``stability`` by level ``n_max``.
+    i < phi(L)) it is sum_i zeta^i :func:`geometric_sum` with the table
+    r_i(k_a), one table (1,) untwisted: a field element for L <= 2, else a
+    :class:`CyclotomicElement`.  "expansion" (untwisted): sum_i C(n,i)
+    q^(ix) number_i [x]^(n-i) over the numbers of that kind.  "integral":
+    :func:`integrate` of :func:`bracket_power` over Z_p x Z/d (d the p-free
+    part of chi's modulus; padic q, chi quadratic or None) to ``stability``
+    by level ``n_max``.  A twist of order L > 2 is refused at p-adic q on
+    every route, before the route is taken.
     """
     if form not in FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {FORMS}")
     if n < 0:
         raise ValueError("index must be nonnegative")
+    order = 1 if chi is None else chi.value_order
+    if chi is not None and form == "expansion":
+        raise ValueError("the expansion route is untwisted; a twist takes closed or integral")
+    if order > 2 and q.mode == "padic":
+        raise InputError("p-adic twisted numbers need character values in {0, +-1}")
     if form == "closed":
-        if chi is None:   # the one row of the trivial character
-            return _closed(q, kind, n, x, (1,))
-        order = chi.value_order
-        if q.mode == "padic" and order > 2:
-            raise InputError(
-                "p-adic twisted numbers need character values in {0, +-1}")
         rows = root_of_unity_rows(order)
-        sums = [_closed(q, kind, n, x,
-                        tuple(0 if k is None else rows[k][i] for k in chi.exponent_table))
-                for i in range(len(rows[0]))]
-        return sums[0] if order <= 2 else CyclotomicElement(order, sums)
+        tables = ((1,),) if chi is None else [
+            tuple(0 if k is None else rows[k][i] for k in chi.exponent_table)
+            for i in range(len(rows[0]))]
+        if order <= 2:
+            return _closed(q, kind, n, x, tables[0])
+        return CyclotomicElement(order, [_closed(q, kind, n, x, table) for table in tables])
     if form == "integral":
-        period = 1 if chi is None else chi.modulus
-        table = None if chi is None else tuple(character_value(chi, a) for a in range(period))
-        f = BracketPower(n, x, table)
-        if n:   # a shift outside q's field is refused before a missing prime
-            q.w_exponent(f.shift)
-        p = q.prime
+        # a shift outside q's field is refused before a missing prime
+        f = bracket_power(q, n, x, chi)
+        period, p = len(f.chi), q.prime
         spec = MeasureSpec(kind, q, ProfiniteDomain(p, period // p ** _int_valuation(period, p)))
         return integrate(spec, f, stability, n_max).value
-    if chi is not None:
-        raise ValueError("the expansion route is untwisted; a twist takes closed or integral")
     x = Fraction(x)
     bx, acc = q.bracket(x), 0
     for i in range(n + 1):

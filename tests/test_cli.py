@@ -599,3 +599,22 @@ def test_padic_value_round_trip(capsys, tmp_path):
     data = json.loads(out_file.read_text())
     value = value_from_json(data["value"])
     assert value.agrees_with(beta_number(1, QDescriptor.symbolic()).evaluate(6), 4)
+
+
+def _readme_commands():
+    """The argv of each `qvolk ...` line in README's CLI code block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("qvolk ")]
+
+
+def test_the_readme_shows_every_subcommand():
+    assert {argv[0] for argv in _readme_commands()} == {
+        "numbers", "polynomials", "integrate", "verify", "series", "characters"}
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_every_readme_cli_example_exits_0(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_text()

@@ -25,8 +25,7 @@ from qvolkenborn.characters import (character_value, enumerate_characters, make_
 from qvolkenborn.padic import PadicNumber, ProfiniteDomain, _int_valuation, padic_from_rational
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec,
                                   QDescriptor, ball_measure_sum, binomial_fraction_sum,
-                                  bosonic_power_moment, bracket_power,
-                                  character_twisted_power, fermionic_power_moment,
+                                  bosonic_power_moment, bracket_power, fermionic_power_moment,
                                   geometric_sum, integrate, parse_integrand, riemann_sum)
 from qvolkenborn.qnumbers import (beta_number, beta_polynomial, k_chi,
                                   k_distribution_rhs, k_number, k_polynomial)
@@ -597,7 +596,7 @@ def _per_term_sum(spec, f, reps):
     power = spec.q.qpow(reps.start) if reps.start else spec.q.one()
     total = 0
     for j in reps:
-        chi_j = 1 if f.chi is None else f.chi[j % len(f.chi)]
+        chi_j = f.chi[j % len(f.chi)]
         if chi_j:
             value = ((one - spec.q.qpow(f.shift + j)) * inv_1mq) ** f.n if f.n else one
             term = (value if chi_j == 1 else -value) * power
@@ -626,7 +625,7 @@ def _former_finite_sum_suite(test):
         for n in range(5):
             for x in (0, 1):
                 test = example(kind=FERMIONIC, p=3, d=1, level=level, n=n, shift=x,
-                               chi=None, reading=("symbolic", 1, 1))(test)
+                               chi=(1,), reading=("symbolic", 1, 1))(test)
     return test
 
 
@@ -634,8 +633,8 @@ def _former_finite_sum_suite(test):
 @given(kind=st.sampled_from([BOSONIC, FERMIONIC]), p=st.sampled_from([3, 5, 7]),
        d=st.integers(1, 7), level=st.integers(1, 3), n=st.integers(0, 4),
        shift=st.integers(-4, 4),
-       chi=st.none() | st.lists(st.sampled_from([0, 1, -1]), min_size=1,
-                                max_size=9).map(tuple),
+       chi=st.just((1,)) | st.lists(st.sampled_from([0, 1, -1]), min_size=1,
+                                    max_size=9).map(tuple),
        reading=st.tuples(st.just("symbolic"), st.integers(1, 3), st.integers(1, 3))
        | st.tuples(st.just("rational"), st.sampled_from(_RATIONAL_QS)))
 # n = 0 takes no power of q^x, so a fractional shift is allowed at rational q
@@ -688,7 +687,7 @@ def test_a_level_sum_is_one_kernel_call(monkeypatch, qd):
                         lambda *args: built.append(args) or builder(*args))
     kind = BOSONIC if qd.value == -1 else FERMIONIC
     riemann_sum(MeasureSpec(kind, qd, ProfiniteDomain(5)), bracket_power(qd, 3), 4)
-    chi = character_twisted_power(2, make_character(3, (1,)))
+    chi = bracket_power(qd, 2, 0, make_character(3, (1,)))
     riemann_sum(MeasureSpec(BOSONIC, qd, ProfiniteDomain(5, 3)), chi, 2)
     assert len(calls) == len(built) == 2
     assert [args[0].mode for args in built] == ["symbolic" if kind == BOSONIC else qd.mode] * 2
@@ -768,7 +767,7 @@ def _range_sum(spec, f, reps):
     residue pass: its sum over range(len(reps)) at the shift x + start with
     the table turned by start, stopped before the normalizer, times
     (r q)^start as PadicNumbers (a unit, so the digits claimed stay)."""
-    table = (1,) if f.chi is None else f.chi
+    table = f.chi
     turn = reps.start % len(table)
     with unittest.mock.patch.object(qmeasure, "_over_normaliser", _unnormalised):
         total = qmeasure._residue_sum(spec.q, spec.kind, f.n, f.shift + reps.start,
@@ -810,7 +809,7 @@ def test_residue_loop_matches_per_term_loop_with_character(prec):
     spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5, 3))
     for level in (1, 2):
         for n in range(4):
-            _assert_kernel_matches_generic(spec, character_twisted_power(n, chi), level)
+            _assert_kernel_matches_generic(spec, bracket_power(qd, n, 0, chi), level)
 
 
 def test_residue_loop_matches_per_term_loop_on_edge_cases():
@@ -891,7 +890,7 @@ def _linear_residue_sum(spec, f, reps):
     sum of _residue_sum."""
     q = spec.q.value
     p, shift, n = q.p, f.shift, f.n
-    signs = (1,) if f.chi is None else tuple(int(s) for s in f.chi)
+    signs = f.chi
     size = len(signs)
     mod_a = p ** q.prec
     if n == 0:
@@ -925,8 +924,8 @@ def _linear_residue_sum(spec, f, reps):
        prec=st.integers(2, 128), unit=st.integers(-10 ** 6, 10 ** 6),
        d=st.sampled_from([1, 3, 5, 7, 15]), kind=st.sampled_from([BOSONIC, FERMIONIC]),
        n=st.integers(0, 12),
-       chi=st.none() | st.lists(st.sampled_from([0, 1, -1]), min_size=1,
-                                max_size=30).map(tuple),
+       chi=st.just((1,)) | st.lists(st.sampled_from([0, 1, -1]), min_size=1,
+                                    max_size=30).map(tuple),
        shift=st.integers(-5, 5), start=st.integers(0, 3000),
        length=st.integers(0, 30) | st.integers(0, 3000))
 # a fermionic sum with an even table length, where 1 - rho^l is not a unit
@@ -935,7 +934,7 @@ def _linear_residue_sum(spec, f, reps):
 # a table length divisible by p, and n >= p (v_p(k + 1) > 0)
 @example(p=3, depth=1, prec=16, unit=1, d=1, kind=BOSONIC, n=4,
          chi=(0, 1, -1, 1, 0, -1, 1, -1, 1), shift=1, start=0, length=2000)
-@example(p=3, depth=2, prec=30, unit=1, d=1, kind=BOSONIC, n=8, chi=None, shift=2,
+@example(p=3, depth=2, prec=30, unit=1, d=1, kind=BOSONIC, n=8, chi=(1,), shift=2,
          start=5, length=1000)
 # v_p(q - 1) = A - 1: one digit claimed
 @example(p=7, depth=11, prec=12, unit=3, d=1, kind=BOSONIC, n=5, chi=(1, 0, -1), shift=0,
@@ -946,7 +945,7 @@ def _linear_residue_sum(spec, f, reps):
 @example(p=5, depth=1, prec=10, unit=2, d=7, kind=FERMIONIC, n=2,
          chi=(1, -1, 1, 0, 1, -1, 1), shift=0, start=3, length=0)
 # a negative shift
-@example(p=11, depth=1, prec=40, unit=-3, d=1, kind=BOSONIC, n=6, chi=None, shift=-5,
+@example(p=11, depth=1, prec=40, unit=-3, d=1, kind=BOSONIC, n=6, chi=(1,), shift=-5,
          start=0, length=121)
 def test_geometric_residue_sum_matches_the_linear_loop(p, depth, prec, unit, d, kind, n, chi,
                                                        shift, start, length):
@@ -1016,7 +1015,7 @@ def _field_integrate(spec, f, stability, n_max):
     """Reference: integrate by the field chain, the level's sum over its
     normalizer as PadicNumbers, then + zero_at_precision to the stability."""
     p, d = spec.domain.p, spec.domain.d
-    modulus, n0 = 1 if f.chi is None else len(f.chi), 0
+    modulus, n0 = len(f.chi), 0
     while modulus % p == 0:
         modulus, n0 = modulus // p, n0 + 1
     if d % modulus:
@@ -1055,7 +1054,7 @@ def _level_outcome(compute):
     return _as_tuple(value)
 
 
-_QUADRATIC_TABLES = [None] + [tuple(character_value(chi, a) for a in range(chi.modulus))
+_QUADRATIC_TABLES = [(1,)] + [tuple(character_value(chi, a) for a in range(chi.modulus))
                               for m in (3, 5, 7) for chi in enumerate_characters(m)
                               if chi.value_order == 2]
 
@@ -1067,23 +1066,23 @@ _QUADRATIC_TABLES = [None] + [tuple(character_value(chi, a) for a in range(chi.m
        shift=st.integers(-3, 3), chi=st.sampled_from(_QUADRATIC_TABLES),
        level=st.integers(1, 12), target=st.integers(0, 13))
 # A = v_p(q - 1) + 1: every sum of n >= 1 claims one digit
-@example(p=5, depth=1, prec=2, unit=1, d=1, kind=FERMIONIC, n=3, shift=1, chi=None,
+@example(p=5, depth=1, prec=2, unit=1, d=1, kind=FERMIONIC, n=3, shift=1, chi=(1,),
          level=4, target=1)
-@example(p=3, depth=2, prec=3, unit=-2, d=1, kind=BOSONIC, n=2, shift=0, chi=None,
+@example(p=3, depth=2, prec=3, unit=-2, d=1, kind=BOSONIC, n=2, shift=0, chi=(1,),
          level=2, target=1)
 # a bosonic normalizer that vanishes at A (q = 4, p = 3, A = 6 from level 5 on)
-@example(p=3, depth=1, prec=6, unit=1, d=1, kind=BOSONIC, n=2, shift=0, chi=None,
+@example(p=3, depth=1, prec=6, unit=1, d=1, kind=BOSONIC, n=2, shift=0, chi=(1,),
          level=6, target=5)
-@example(p=3, depth=1, prec=6, unit=1, d=1, kind=BOSONIC, n=0, shift=0, chi=None,
+@example(p=3, depth=1, prec=6, unit=1, d=1, kind=BOSONIC, n=0, shift=0, chi=(1,),
          level=5, target=4)
 # the four level sums of the padic benchmark at seed 9001 (q = 6 and q = 22)
-@example(p=5, depth=1, prec=32, unit=1, d=1, kind=FERMIONIC, n=3, shift=0, chi=None,
+@example(p=5, depth=1, prec=32, unit=1, d=1, kind=FERMIONIC, n=3, shift=0, chi=(1,),
          level=6, target=6)
-@example(p=5, depth=1, prec=128, unit=1, d=1, kind=FERMIONIC, n=3, shift=1, chi=None,
+@example(p=5, depth=1, prec=128, unit=1, d=1, kind=FERMIONIC, n=3, shift=1, chi=(1,),
          level=6, target=4)
-@example(p=3, depth=1, prec=32, unit=7, d=1, kind=BOSONIC, n=3, shift=1, chi=None,
+@example(p=3, depth=1, prec=32, unit=7, d=1, kind=BOSONIC, n=3, shift=1, chi=(1,),
          level=8, target=6)
-@example(p=3, depth=1, prec=128, unit=7, d=1, kind=BOSONIC, n=2, shift=0, chi=None,
+@example(p=3, depth=1, prec=128, unit=7, d=1, kind=BOSONIC, n=2, shift=0, chi=(1,),
          level=8, target=6)
 def test_level_pass_matches_the_field_chain(p, depth, prec, unit, d, kind, n, shift, chi,
                                             level, target):
@@ -1207,15 +1206,15 @@ def test_integrate_claims_only_certified_digits(kind, p, q_value):
 
 def test_integrate_rejects_twists_that_are_not_functions_on_the_domain():
     qd = padic_q()
-    mod3 = character_twisted_power(2, make_character(3, (1,)))
+    mod3 = bracket_power(qd, 2, 0, make_character(3, (1,)))
     with pytest.raises(ValueError, match="5-free part 3 does not divide d = 1"):
         integrate(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5)), mod3, 2, 8)
     with pytest.raises(ValueError, match="5-free part 3 does not divide d = 1"):
         integrate(MeasureSpec(BOSONIC, qd, ProfiniteDomain(5)),
-                  character_twisted_power(1, parse_character_id("15:1,2")), 2, 8)
+                  bracket_power(qd, 1, 0, parse_character_id("15:1,2")), 2, 8)
     # the p-free part of the modulus divides d: a function on the domain
     for d, chi_id in ((3, "3:1"), (1, "5:2"), (3, "15:1,2"), (7, "1:")):
-        f = character_twisted_power(1, parse_character_id(chi_id))
+        f = bracket_power(qd, 1, 0, parse_character_id(chi_id))
         assert integrate(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5, d)), f, 2, 8).stability >= 2
 
 
@@ -1245,7 +1244,7 @@ def test_integrate_sums_exactly_one_level(monkeypatch):
     residue_sum = qmeasure._residue_sum
     monkeypatch.setattr(qmeasure, "_residue_sum", spy)
     qd = padic_q()
-    twisted = character_twisted_power(2, make_character(3, (1,)))
+    twisted = bracket_power(qd, 2, 0, make_character(3, (1,)))
     for kind, f, d, target, level in ((FERMIONIC, bracket_power(qd, 3), 1, 6, 6),
                                       (BOSONIC, bracket_power(qd, 3), 1, 4, 5),
                                       (BOSONIC, twisted, 3, 5, 6)):
@@ -1279,7 +1278,7 @@ def test_integrate_claims_only_proven_digits(p, c, e, prec, kind, n, x, chi, dat
     n0 = max(1, n0)
 
     def measure_and_integrand(qd):
-        f = bracket_power(qd, n, x) if chi is None else character_twisted_power(n, chi)
+        f = bracket_power(qd, n, x if chi is None else 0, chi)
         return MeasureSpec(kind, qd, ProfiniteDomain(p, d)), f
 
     spec, f = measure_and_integrand(padic_q(q_value, p, prec))
@@ -1356,9 +1355,9 @@ def test_moments_match_integrals(i):
 
 def test_parse_integrand_families():
     qd = sym()
-    assert parse_integrand("one", qd) == (0, 0, None)
-    assert parse_integrand("bracket_pow:2", qd) == (2, 0, None)
-    assert parse_integrand("shifted_bracket_pow:1:1", qd) == (1, 1, None)
+    assert parse_integrand("one", qd) == (0, 0, (1,))
+    assert parse_integrand("bracket_pow:2", qd) == (2, 0, (1,))
+    assert parse_integrand("shifted_bracket_pow:1:1", qd) == (1, 1, (1,))
     assert parse_integrand("char_twisted:0:3:1", qd) == (0, 0, (0, 1, -1))
 
 
@@ -1374,6 +1373,26 @@ def test_twisted_integrands_need_values_in_zero_and_plus_minus_one(qd):
         parse_integrand("char_twisted:2:5:1", qd)  # order 4
     table = parse_integrand("char_twisted:0:5:2", qd).chi   # quadratic, stored as ints
     assert table == (0, 1, -1, -1, 1) and all(type(v) is int for v in table)
+
+
+@pytest.mark.parametrize("qd", [sym(), QDescriptor.rational(F(2, 5)), padic_q()],
+                         ids=["symbolic", "rational", "padic"])
+def test_bracket_power_reads_a_characters_values_as_its_table(qd):
+    # the one builder of a twisted integrand: a character of value order
+    # <= 2 becomes its int values mod its modulus, a higher order is
+    # refused by BracketPower, and the untwisted table is (1,), never None
+    for m in range(1, 31):
+        for chi in enumerate_characters(m):
+            if chi.value_order > 2:
+                with pytest.raises(InputError, match=r"^twisted integrands need character "
+                                                     r"values in \{0, \+-1\}"):
+                    bracket_power(qd, 2, 0, chi)
+                continue
+            f = bracket_power(qd, 2, 0, chi)
+            assert f.chi == tuple(int(character_value(chi, a)) for a in range(chi.modulus))
+    assert bracket_power(qd, 3).chi == BracketPower(3).chi == (1,)
+    with pytest.raises(ValueError, match="at least one value"):
+        BracketPower(1, 0, None)
 
 
 def test_an_empty_character_table_is_refused():

@@ -20,7 +20,7 @@ from qvolkenborn.characters import (character_value, enumerate_characters, make_
                                     parse_character_id)
 from qvolkenborn.padic import ProfiniteDomain, padic_from_rational
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor, ball_measure_sum,
-                                  bosonic_power_moment, bracket_power, character_twisted_power,
+                                  bosonic_power_moment, bracket_power,
                                   fermionic_power_moment, riemann_sum)
 from qvolkenborn.qnumbers import (beta_number, beta_polynomial, classical_bernoulli,
                                   classical_euler, family_value, k_chi, k_distribution_rhs,
@@ -437,8 +437,7 @@ def test_symbolic_values_evaluate_to_the_rational_reading(r, root_order, family,
              "ball_measure_sum": lambda qd: ball_measure_sum(spec(qd), [a % size for a in reps],
                                                              level),
              "riemann_sum": lambda qd: riemann_sum(spec(qd), bracket_power(qd, n, x), level),
-             "riemann_chi": lambda qd: riemann_sum(spec(qd), character_twisted_power(n, chi),
-                                                   level)}
+             "riemann_chi": lambda qd: riemann_sum(spec(qd), bracket_power(qd, n, 0, chi), level)}
     symbolic = _value_or_refusal(lambda: calls[family](sym(root_order)).evaluate(r))
     rational = _value_or_refusal(lambda: calls[family](QDescriptor.rational(r ** root_order)))
     assert symbolic == rational
@@ -454,13 +453,12 @@ def test_k_chi_finite_level_factorization(n):
 
     f = 3 with p = 5, since the profinite domain needs gcd(f, p) = 1."""
     from qvolkenborn.padic import ProfiniteDomain
-    from qvolkenborn.qmeasure import (FERMIONIC, MeasureSpec, bracket_power,
-                                      character_twisted_power, riemann_sum)
+    from qvolkenborn.qmeasure import FERMIONIC, MeasureSpec, bracket_power, riemann_sum
 
     chi = make_character(3, (1,))
     qd = sym()
     lhs = riemann_sum(MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5, 3)),
-                      character_twisted_power(n, chi), 1)
+                      bracket_power(qd, n, 0, chi), 1)
     base = sym(3)
     inner_spec = MeasureSpec(FERMIONIC, base, ProfiniteDomain(5))
     acc = 0

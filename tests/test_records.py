@@ -29,8 +29,7 @@ from qvolkenborn.characters import (CyclicFactor, DirichletCharacter, UnitGroupS
                                     enumerate_characters, make_character, unit_group_structure)
 from qvolkenborn.padic import PadicNumber, ProfiniteDomain, padic_from_rational
 from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, BracketPower, IntegrationResult,
-                                  MeasureSpec, QDescriptor, bracket_power,
-                                  character_twisted_power, integrate)
+                                  MeasureSpec, QDescriptor, bracket_power, integrate)
 from qvolkenborn.series import PartialSum
 from qvolkenborn.verify import CaseResult, SuiteResult
 
@@ -357,8 +356,8 @@ def test_the_stability_of_an_integral_is_its_values_absolute_precision():
     q = _q()
     for kind, f, target in ((FERMIONIC, bracket_power(q, 3), 6),
                             (BOSONIC, bracket_power(q, 2, 1), 2),
-                            (FERMIONIC, character_twisted_power(2, make_character(3, (1,))), 3)):
-        d = 1 if f.chi is None else 3
+                            (FERMIONIC, bracket_power(q, 2, 0, make_character(3, (1,))), 3)):
+        d = len(f.chi)
         result = integrate(MeasureSpec(kind, q, ProfiniteDomain(5, d)), f, target, 8)
         assert result.stability == result.value.absolute_precision >= target
     value = padic_from_rational(37, 5, 3)

@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from qvolkenborn import cli
+from qvolkenborn import algebra, cli
 from qvolkenborn import verify as verify_mod
-from qvolkenborn.algebra import (InputError, PoleError, QvolkError, RootOrderMismatch,
-                                 ZeroAtPrecisionError)
+from qvolkenborn.algebra import (InputError, PoleError, Polynomial, QvolkError, RationalFunction,
+                                 RootOrderMismatch, ZeroAtPrecisionError)
 from qvolkenborn.cli import build_parser, main, value_from_json, value_to_json
-from qvolkenborn.padic import PrecisionExhausted, padic_from_rational
+from qvolkenborn.padic import (PadicNumber, PrecisionExhausted, ProfiniteDomain,
+                               ball_representatives, padic_from_rational)
 from qvolkenborn.qmeasure import (FERMIONIC, QDescriptor, binomial_fraction_sum,
                                   bosonic_power_moment, fermionic_power_moment)
 from qvolkenborn.qnumbers import family_value, k_distribution_rhs
@@ -76,6 +77,8 @@ CLI_REFUSALS += [(tuple(command.split()), InputError) for command in (
     "numbers --kind K_chi --n 0 --chi 4:1",
     "numbers --kind K_chi --n 0 --chi 5:1 --q padic:3:4:32",
     "numbers --kind K_chi --n 0 --chi 7:1 --q padic:5:6:32 --form integral",
+    "numbers --kind K_chi --n 1 --chi 5:1 --q padic:5:6 --form closed",
+    "numbers --kind K_chi --n 1 --chi 5:1 --q padic:5:6 --form integral",
     "numbers --kind K --n 1 --q 2/5 --chi 3:1",
     "numbers --kind beta --n 0 --chi garbage",
     "polynomials --kind K_poly --n 1 --x 1/0",
@@ -118,6 +121,10 @@ def test_cli_refusals_are_qvolk_errors(capsys, argv, error):
     ("numbers --kind K_chi --n 0 --chi 0:1", "modulus must be positive"),
     ("numbers --kind K_chi --n 0 --chi 5:1,1", "expected 1 exponents for modulus 5, got 2"),
     ("numbers --kind K --n 1 --q 2/5 --chi 3:1", "--chi applies to kind K_chi only, not K"),
+    # one message for an order-4 twist at p-adic q, whichever route is asked
+    *((f"numbers --kind K_chi --n 1 --chi 5:1 --q padic:5:6 --form {form}",
+       "p-adic twisted numbers need character values in {0, +-1}")
+      for form in ("closed", "integral")),
     ("series --gf Kpartial --q 2", "partial sums need 0 < |q| < 1, got q = 2"),
     ("numbers --kind K --n 5..3", "bad index range '5..3': empty or negative range"),
     ("numbers --kind K --n 1 --q padic:5",
@@ -253,6 +260,24 @@ ENGINE_REFUSALS = {
                                 InputError, "k and n_terms must be nonnegative"),
     "value_to_json": (lambda: value_to_json(object()), TypeError, "cannot serialize object"),
     "value_from_json": (lambda: value_from_json(3), TypeError, "cannot parse serialized value 3"),
+    "PadicNumber prime": (lambda: PadicNumber(4, 0, 1, 5), ValueError, "4 is not an odd prime"),
+    "PadicNumber precision": (lambda: PadicNumber(5, 0, 1, 0), ValueError,
+                              "nonzero value needs at least one digit of precision"),
+    "PadicNumber unit": (lambda: PadicNumber(5, 0, 10, 3), ValueError,
+                         "unit part must be prime to p"),
+    "Polynomial power": (lambda: Polynomial((1, 1)) ** -1, ValueError,
+                         "negative polynomial power"),
+    "RationalFunction root order": (
+        lambda: RationalFunction(Polynomial((1,)), Polynomial((1,)), 0), ValueError,
+        "root order must be >= 1"),
+    "RationalFunction reciprocal": (lambda: RationalFunction.constant(0).reciprocal(),
+                                    ZeroDivisionError, "reciprocal of zero"),
+    "ball_representatives": (lambda: ball_representatives(ProfiniteDomain(5), 0), ValueError,
+                             "level must be >= 1"),
+    "_mobius_binomials": (lambda: algebra._mobius_binomials(0), ValueError,
+                          "order must be positive"),
+    "_order_bound": (lambda: algebra._order_bound(10 ** 19), ValueError,
+                     "degree 10000000000000000000 is past the order bound's prime table"),
 }
 
 
