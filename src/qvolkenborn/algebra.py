@@ -414,13 +414,16 @@ def _cyclotomic_ratio(a: list[int], powers: dict[int, int]) -> list[int] | None:
     nonzero a; None when the negative powers do not divide a.  Shift-adds by
     the binomials of :func:`_net_binomials` with n_b > 0, then strided
     running sums by the rest: every intermediate quotient is a polynomial
-    when the result is one, and otherwise one of the divisions fails."""
+    when the result is one, and otherwise one of the divisions fails.  The
+    divisions go by descending b: each division by 1 - w^b shortens the list
+    by b, so the passes at small b, the most numerous ones (32 at b = 1 when
+    K_40 is reduced), run on the shortest list."""
     net = _net_binomials(powers)
     for b, m in net.items():
         for _ in range(m):
             a = _times_binomial(a, -1, b)
-    for b, m in net.items():
-        for _ in range(-m):
+    for b in sorted(net, reverse=True):
+        for _ in range(-net[b]):
             a = _binomial_quotient(a, b)
             if a is None:
                 return None

@@ -29,7 +29,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (InputError, Polynomial, RationalFunction, RootOrderMismatch,
-                      ZeroAtPrecisionError, _divisors, _unpack, reduce_cyclotomic_fraction)
+                      ZeroAtPrecisionError, _cyclotomic_ratio, _divisors, _phi_map, _unpack,
+                      reduce_cyclotomic_fraction)
 from .characters import DirichletCharacter, character_value, parse_character_id
 from .padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
                     ball_representatives, padic_from_rational)
@@ -171,11 +172,14 @@ class QDescriptor(namedtuple("QDescriptor", "root_order value")):
 
 
 def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
-                          step: int, prefactor=()):
+                          step: int, prefactor=(), reduced: dict[int, int] | None = None):
     """prod (1 + s q^e)^pw * sum_k numerators[k] / (1 + sign q^(step (k+1))).
 
     ``numerators[k]`` maps q-exponents to int coefficients, and
-    ``prefactor`` lists the (s, e, pw) factors.  Every closed form of the
+    ``prefactor`` lists the (s, e, pw) factors.  ``reduced``, read at
+    symbolic q only, is the Phi-map {d: e} in q of the reduced value when a
+    theorem predicts it, with no power of w; the sum must then run in u = q
+    (see :class:`_SymbolicReading`).  Every closed form of the
     package has this shape, a level-N Riemann sum included
     (:func:`riemann_sum`), and its denominators are products of cyclotomic
     polynomials in w.  The contract is what :func:`geometric_sum` and
@@ -200,7 +204,10 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     division on plain ints from total = 0 and den = 1, and makes one reduced
     rational function or Fraction.  At symbolic q it runs in the coarsest u
     = w^g the exponents allow, and applies the prefactors that are no
-    binomials in u, then the offset w^m, after its one reduction.  A
+    binomials in u, then the offset w^m, after its one reduction: a screen
+    for the Phi_d that cancel, or, with ``reduced``, one exact division by
+    the Phi_d that the prediction says cancel, which raises ArithmeticError
+    when they do not divide the sum (a wrong prediction is a bug).  A
     rational q raises ZeroDivisionError where a binomial vanishes at q, and
     at q = 0 with a negative exponent.
     """
@@ -210,7 +217,7 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     if not numerators or step <= 0 or any(e <= 0 for _, e, _ in prefactor) or not all(
             isinstance(c, int) for num in numerators for c in num.values()):
         raise ValueError("the kernel needs numerators, int coefficients and binomial exponents > 0")
-    reading = _READINGS[mode](q, numerators, step, prefactor)
+    reading = _READINGS[mode](q, numerators, step, prefactor, reduced)
     total, den = 0, 1
     for k, num in enumerate(numerators):
         d = reading.binomial(sign, step * (k + 1))
@@ -241,7 +248,8 @@ class _RationalReading:
     Fraction with S.
     """
 
-    def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor):
+    def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor, reduced):
+        # a Fraction reduces itself, so the predicted Phi-map is not read
         self.q, self.a, self.b = q, q.value.numerator, q.value.denominator
         exponents = [self._exponent(e) for num in numerators for e, c in num.items() if c]
         self.top = max([0] + exponents)
@@ -307,15 +315,21 @@ class _SymbolicReading:
     prefactor divisors make one Phi-map in u (and a sign) for the one
     reduction, then substituted u = w^g.  A prefactor binomial with g not
     dividing j is deferred to the field after that, and w^r comes last: a
-    power of w cancels no Phi_d.  At g = 1 nothing is deferred and r = 0."""
+    power of w cancels no Phi_d.  At g = 1 nothing is deferred and r = 0.
+    The reduction screens for the Phi_d that cancel, unless the Phi-map of
+    the reduced value is ``reduced``, predicted in u = q (g = D), when it
+    divides once by the rest of den."""
 
-    def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor):
+    def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor, reduced):
         terms = [(e, c) for num in numerators for e, c in num.items() if c]
         w = {e: q.w_exponent(e) for e, _ in terms}
         m = min(w.values(), default=0)
         self.g = math.gcd(q.w_exponent(step), *(x - m for x in w.values()))
+        if reduced is not None and self.g != q.root_order:
+            raise ValueError("a predicted Phi-map needs the sum to run in u = q")
         self.r, self.low = m % self.g, max(0, -(m // self.g))
         self.q, self.phis, self.sign, self.deferred = q, {}, 1, []
+        self.reduced = reduced
         l1 = sum(abs(c) for _, c in terms)
         doublings = len(numerators) + sum(power for _, _, power in prefactor if power > 0)
         self.bits = 8 * ((l1 << doublings).bit_length() // 8 + 1)
@@ -358,12 +372,33 @@ class _SymbolicReading:
             else:
                 self._record(b, m)
         ints = _unpack(self.sign * total, self.bits // 8, abs(total).bit_length() // self.bits + 2)
-        f = reduce_cyclotomic_fraction(Polynomial._make(ints, 1), self.phis, self.q.root_order,
-                                       self.low).substitute(self.g)
+        if self.reduced is None:
+            f = reduce_cyclotomic_fraction(Polynomial._make(ints, 1), self.phis,
+                                           self.q.root_order, self.low)
+        else:
+            f = self._predicted(ints)
+        f = f.substitute(self.g)
         for (s, j), power in self.deferred:
             b = Polynomial._make((1,) + (0,) * (j - 1) + (s,), 1)
             f = f * RationalFunction._make(b, 0, (), self.q.root_order) ** power
         return f * RationalFunction.w_power(self.r, self.q.root_order) if self.r else f
+
+    def _predicted(self, ints: list[int]) -> RationalFunction:
+        """ints / (u^low prod Phi_d^e) over den's Phi-map, reduced to the
+        predicted map: one exact grouped division by the cancelled product,
+        den's map less the predicted one, and by u^low; ArithmeticError when
+        that product does not divide ints."""
+        cancelled = dict(self.phis)
+        for d, e in self.reduced.items():
+            cancelled[d] = cancelled.get(d, 0) - e
+        quo = None
+        if any(ints) and not any(ints[:self.low]) and min(cancelled.values(), default=0) >= 0:
+            quo = _cyclotomic_ratio(ints[self.low:], {d: -e for d, e in cancelled.items() if e})
+        if quo is None:
+            raise ArithmeticError(f"the predicted Phi-map {self.reduced} leaves a product "
+                                  f"that does not divide the sum")
+        return RationalFunction._make(Polynomial._make(quo, 1), 0, _phi_map(self.reduced),
+                                      self.q.root_order)
 
 
 _READINGS = {"symbolic": _SymbolicReading, "rational": _RationalReading}
@@ -447,6 +482,28 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     Bosonic: (1 - q^(K(k+1))) / (1 - q^K) tends to k + 1, a factor of each
     term, under (-1, 1, 1 - n).  An integral x is made an int, so the
     exponents add as ints.
+
+    The untwisted limits at x = 0, K_n and beta_n, reduce without a screen
+    at symbolic q, any root order: two theorems give their reduced Phi-maps
+    in q, which the kernel takes as ``reduced``.  K_n = (1 + q)(1 - q)^-n
+    sum_k C(n,k) (-1)^k / (1 + q^(k+1)) keeps Phi_2d for 2 <= d <= n+1, and
+    beta_n = (1 - q)^(1-n) sum_k C(n,k) (-1)^k (k+1) / (1 - q^(k+1)) keeps
+    Phi_d for 2 <= d <= n+1 with T(n, d) = sum_(k = -1 mod d) (-1)^k C(n,k)
+    != 0; each to the power 1, and neither keeps a power of w.  Proof
+    sketch: every term has simple poles at roots of unity only.  At zeta of
+    order 2d (d >= 1) the K terms with a pole are those with k + 1 an odd
+    multiple of d, each of residue C(n,k) (-1)^k (-zeta)/(k + 1) =
+    (-1)^(d-1) C(n+1, k+1) (-zeta)/(n + 1): all of one sign, so no sum of
+    them vanishes; at d = 1 the factor 1 + q cancels it, and an odd order
+    has no pole.  At zeta of order d >= 2 the beta terms with a pole are
+    those with d | k + 1, each of residue C(n,k) (-1)^k (-zeta), which add
+    to -zeta T(n, d).  At q = 1 neither has a pole: with q = e^t the K
+    sum is sum_k C(n,k) (-1)^k F((k+1)t) and the beta sum t^-1 times that
+    of G((k+1)t), F(s) = 1/(1 + e^s) and G(s) = s/(1 - e^s) analytic at 0,
+    and the n-th difference sum_k C(n,k) (-1)^k (k+1)^i vanishes for i < n,
+    so the sums are O(t^n) and O(t^(n-1)).  Degree: the k = 0 term
+    dominates at q = oo, so both values behave like (-1)^n q^-n there, and
+    the reduced numerator's degree in q is the denominator's less n.
     """
     if level is None and kind == FERMIONIC and len(weights) % 2 == 0:
         raise InputError(f"the fermionic limit needs an odd period, got {len(weights)}")
@@ -460,9 +517,14 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     blocks = [(0, 1)] if level is None else [(0, 1), (level, -1)]
     terms = [(j, s * weights[j % l] * r ** j) for start, s in blocks
              for j in range(start, start + l) if weights[j % l]]
+    row = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+    reduced = None
+    if q.mode == "symbolic" and level is None and x == 0 and weights == (1,):
+        reduced = ({2 * d: 1 for d in range(2, n + 2)} if r == -1 else
+                   {d: 1 for d in range(2, n + 2) if sum(row[d - 1::d])})
     numerators = []
     for k in range(n + 1):
-        c, num = (-1) ** k * math.comb(n, k) * (k + 1 if moments else 1), {}
+        c, num = row[k] * (k + 1 if moments else 1), {}
         for j, w in terms:
             e = x * k + j * (k + 1)
             num[e] = num.get(e, 0) + c * w
@@ -471,7 +533,7 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
         prefactor = [(-1, 1, -n), (-r, 1, 1), (-r ** level, level, -1)]
     else:
         prefactor = [(1, 1, 1), (-1, 1, -n)] if r == -1 else [(-1, 1, 1 - n)]
-    return binomial_fraction_sum(q, numerators, -r ** l, l, prefactor)
+    return binomial_fraction_sum(q, numerators, -r ** l, l, prefactor, reduced)
 
 
 def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int):

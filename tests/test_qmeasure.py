@@ -386,9 +386,10 @@ def _as_list(x):
 
 class _ListReading:
     """The symbolic reading on integer coefficient lists, one shift-add per
-    binomial: the reference that the packed reading must equal exactly."""
+    binomial: the reference that the packed reading must equal exactly.  It
+    takes a predicted Phi-map and ignores it: it always screens."""
 
-    def __init__(self, q, numerators, step, prefactor):
+    def __init__(self, q, numerators, step, prefactor, reduced):
         self.q, self.phis, self.sign = q, {}, 1
         self.shift = max([0] + [-e for num in numerators for e, c in num.items() if c])
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qvolkenborn import qmeasure, qnumbers
+from qvolkenborn import algebra, qmeasure, qnumbers
 from qvolkenborn.algebra import (CyclotomicElement, InputError, Polynomial, QvolkError,
                                  RationalFunction, ZeroAtPrecisionError, root_of_unity_rows)
 from qvolkenborn.characters import (character_value, enumerate_characters, make_character,
@@ -92,6 +92,78 @@ def test_reduced_denominators_follow_the_residue_theorems():
     assert all(n % 2 and missing == [d for d in range(2, n + 2) if (n + 2) % d == 0]
                for n, missing in lacking.items())
     assert lacking[7] == [3] and lacking[43] == [3, 5, 9, 15]
+
+
+def _closed_kernel_call(kind, n, q):
+    """The kernel arguments of the closed K_n (fermionic) or beta_n (bosonic)."""
+    calls = []
+    with unittest.mock.patch.object(qmeasure, "binomial_fraction_sum",
+                                    lambda *args: calls.append(args)):
+        qmeasure.geometric_sum(q, kind, n, 0, (1,))
+    return calls[0]
+
+
+_REFERENCE_CASES = ([(1, n) for n in [*range(61), *range(61, 151, 3)]]
+                    + [(d, n) for d in (2, 3) for n in range(21)])
+
+
+@pytest.mark.parametrize("kind", (FERMIONIC, BOSONIC))
+def test_the_predicted_reduction_is_the_screened_one(kind):
+    # the closed K_n and beta_n divide their unreduced kernel output once by
+    # the product that the residue theorems say cancels; the screen of
+    # reduce_cyclotomic_fraction, run on the same output (the same kernel
+    # call without the predicted map), gives the same fields.  So the
+    # theorems' test above does not check the maps against themselves
+    screen = qmeasure.reduce_cyclotomic_fraction
+    for root, n in _REFERENCE_CASES:
+        q, numerators, sign, step, prefactor, reduced = _closed_kernel_call(kind, n, sym(root))
+        assert reduced is not None
+        screened = []
+        with unittest.mock.patch.object(
+                qmeasure, "reduce_cyclotomic_fraction",
+                lambda *args: screened.append(args) or screen(*args)):
+            direct = qmeasure.binomial_fraction_sum(q, numerators, sign, step, prefactor,
+                                                    reduced)
+            assert screened == []
+            want = qmeasure.binomial_fraction_sum(q, numerators, sign, step, prefactor)
+            assert len(screened) == 1
+        assert (direct.num, direct.w_exp, direct.phis, direct.root_order) == (
+            want.num, want.w_exp, want.phis, want.root_order), (root, n)
+
+
+@pytest.mark.parametrize("kind, n, root", [(FERMIONIC, 9, 1), (BOSONIC, 9, 1),
+                                           (FERMIONIC, 6, 2), (BOSONIC, 12, 3)])
+def test_a_wrong_predicted_map_raises(kind, n, root):
+    # a map with one Phi_d dropped asks for a division by Phi_d that is not
+    # exact; so does one that claims a Phi_d den does not hold
+    q, numerators, sign, step, prefactor, reduced = _closed_kernel_call(kind, n, sym(root))
+    wrong = [{e: k for e, k in reduced.items() if e != d} for d in reduced]
+    wrong.append({**reduced, 3 * (n + 2): 1})
+    for planted in wrong:
+        with pytest.raises(ArithmeticError, match="predicted Phi-map"):
+            qmeasure.binomial_fraction_sum(q, numerators, sign, step, prefactor, planted)
+
+
+def test_a_predicted_map_needs_the_sum_in_q():
+    # at root order 2 a numerator at q^(1/2) makes the reading run in w, where
+    # a map predicted in q does not apply
+    with pytest.raises(ValueError, match="run in u = q"):
+        qmeasure.binomial_fraction_sum(sym(2), [{0: 1, F(1, 2): 1}], 1, 1, [], {})
+
+
+def test_closed_k_and_beta_numbers_run_no_screen(monkeypatch):
+    # K_n and beta_n (n <= 40) reduce with no Phi_d screen; a shifted
+    # polynomial at root order 2 still screens
+    calls, screen = [], algebra._cancel_cyclotomics
+    monkeypatch.setattr(algebra, "_cancel_cyclotomics",
+                        lambda *args: calls.append(args) or screen(*args))
+    qnumbers._closed.cache_clear()
+    for n in range(41):
+        k_number(n, sym())
+        beta_number(n, sym())
+    assert calls == []
+    k_polynomial(6, F(1, 2), sym(2))
+    assert calls
 
 
 # ---------------------------------------------------------------------------
@@ -598,19 +670,34 @@ _TWISTS = [make_character(3, (1,)), make_character(5, (2,)), make_character(5, (
            make_character(7, (1,))]
 
 
+def _predicted_maps(q, n, x, m, rows):
+    """The Phi-maps the builder predicts for the calls of the test below:
+    at symbolic q, K_n(0) and beta_n(0), and the distribution side at m = 1,
+    x = 0, which is K_n(0); None for every other call and at other q."""
+    if q.mode != "symbolic" or x:
+        return [None] * (3 + rows)
+    k_map = {2 * d: 1 for d in range(2, n + 2)}
+    beta_map = {d: 1 for d in range(2, n + 2) if _residue_sum(n, d)}
+    return [k_map, beta_map, k_map if m == 1 else None] + [None] * rows
+
+
 @settings(max_examples=80, deadline=None)
 @given(q=st.sampled_from([sym(3), QDescriptor.rational(F(-3, 7)), _padic(6, 32)]),
        n=st.integers(0, 8), thirds=st.integers(-9, 9), m=st.sampled_from([1, 3, 5]),
        chi=st.sampled_from(_TWISTS))
+@example(q=sym(3), n=7, thirds=0, m=1, chi=_TWISTS[0])
+@example(q=sym(3), n=8, thirds=0, m=3, chi=_TWISTS[2])
+@example(q=QDescriptor.rational(F(-3, 7)), n=5, thirds=0, m=1, chi=_TWISTS[1])
 def test_the_builder_passes_the_kernel_the_former_inputs(q, n, thirds, m, chi):
     # K_n(x), beta_n(x), the distribution right side and each k_chi row is one
     # geometric_sum call, which makes one binomial_fraction_sum call with the
     # numerator terms, sign, step and prefactors of the former closed bodies
     # (the order-4 character mod 5 takes two rows; at p-adic q, where only
-    # orders <= 2 exist, the quadratic one mod 5).  At p-adic q it makes
-    # none: its residue pass agrees with the field chain over those inputs
-    # on every digit the chain claims, claims no fewer, and raises the
-    # chain's InputError for a fractional power
+    # orders <= 2 exist, the quadratic one mod 5), and with the predicted
+    # Phi-map of the x = 0 untwisted limits at symbolic q, None elsewhere.
+    # At p-adic q it makes none: its residue pass agrees with the field
+    # chain over those inputs on every digit the chain claims, claims no
+    # fewer, and raises the chain's InputError for a fractional power
     x = F(thirds, 3)
     if q.mode == "padic" and chi.value_order > 2:
         chi = _TWISTS[1]
@@ -622,11 +709,13 @@ def test_the_builder_passes_the_kernel_the_former_inputs(q, n, thirds, m, chi):
         for i in range(len(rows[0]))]
     kernel, builder, got, built = (qmeasure.binomial_fraction_sum, qnumbers.geometric_sum,
                                    [], [])
+    maps = []
 
-    def kernel_spy(qd, numerators, sign, step, prefactor=()):
+    def kernel_spy(qd, numerators, sign, step, prefactor=(), reduced=None):
         got.append(([{e: c for e, c in num.items() if c} for num in numerators],
                     sign, step, list(prefactor)))
-        return kernel(qd, numerators, sign, step, prefactor)
+        maps.append(reduced)
+        return kernel(qd, numerators, sign, step, prefactor, reduced)
 
     values = []
     with unittest.mock.patch.object(qmeasure, "binomial_fraction_sum", kernel_spy), \
@@ -640,6 +729,7 @@ def test_the_builder_passes_the_kernel_the_former_inputs(q, n, thirds, m, chi):
     assert len(built) == len(want)
     if q.mode != "padic":
         assert got == want
+        assert maps == _predicted_maps(q, n, x, m, len(rows[0]))
         return
     assert got == []
     for value, inputs in zip(values, want):

@@ -55,8 +55,9 @@ class _FieldReading:
         return total / den
 
 
-def _field_sum(q, numerators, sign, step, prefactor=()):
-    """binomial_fraction_sum's Horner loop over :class:`_FieldReading`."""
+def _field_sum(q, numerators, sign, step, prefactor=(), reduced=None):
+    """binomial_fraction_sum's Horner loop over :class:`_FieldReading`.  The
+    predicted Phi-map ``reduced`` is not read: a field value is reduced."""
     reading = _FieldReading(q)
     total, den = reading.zero, reading.one
     for k, num in enumerate(numerators):
