@@ -10,11 +10,12 @@ one row or suite at a time.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
 error (including a pole of the formula at the given q, a p-adic value
-without the digits a check needs, and a p-adic integral whose stability
+without the digits a check needs, a p-adic integral whose stability
 target needs a level past --N-max or digits that q's precision cannot
-give).  Past argument parsing, every refusal is a
-:class:`~qvolkenborn.algebra.QvolkError`, which exits 2 with one
-``error:`` line on stderr; any other exception is a bug and propagates.
+give, and an --output path that cannot be opened).  Past argument
+parsing, every refusal is a :class:`~qvolkenborn.algebra.QvolkError`,
+which exits 2 with one ``error:`` line on stderr; any other exception is
+a bug and propagates.
 """
 
 from __future__ import annotations
@@ -134,8 +135,12 @@ def value_from_json(data):
 
 
 def _output(output: str | None):
-    """The --output file opened for writing, or stdout without one."""
-    return open(output, "w") if output else contextlib.nullcontext(sys.stdout)
+    """The --output file opened for writing, or stdout without one; a path
+    that cannot be opened is an InputError."""
+    try:
+        return open(output, "w") if output else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise InputError(f"cannot write --output {output!r}: {exc.strerror or exc}") from exc
 
 
 def _encode(value, indent: str = "") -> str:

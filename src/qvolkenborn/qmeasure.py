@@ -16,10 +16,10 @@ Every closed form of the package (the number and polynomial families, the
 twisted sums, the ball measures and the level-N Riemann sums) is one call
 of :func:`geometric_sum` or :func:`ball_measure_sum`.  At symbolic and
 rational q that is one call of the kernel :func:`binomial_fraction_sum`,
-which runs on plain ints, takes int coefficients and binomials 1 + s q^e
-with e > 0 only, and makes one value of the reading's field at the end; at
-p-adic q one integer pass (:func:`_residue_sum`) that claims the digits its
-docstring proves and makes one PadicNumber.
+which runs on plain ints, takes int coefficients, int powers of w (w^D =
+q) and binomials 1 + s w^e with e > 0 only, and makes one value of the
+reading's field at the end; at p-adic q one integer pass
+(:func:`_residue_sum`) that claims the digits its docstring proves.
 """
 
 from __future__ import annotations
@@ -173,9 +173,10 @@ class QDescriptor(namedtuple("QDescriptor", "root_order value")):
 
 def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
                           step: int, prefactor=(), reduced: dict[int, int] | None = None):
-    """prod (1 + s q^e)^pw * sum_k numerators[k] / (1 + sign q^(step (k+1))).
+    """prod (1 + s w^e)^pw * sum_k numerators[k] / (1 + sign w^(step (k+1))),
+    with w^D = q, D the root order (w = q at rational q).
 
-    ``numerators[k]`` maps q-exponents to int coefficients, and
+    ``numerators[k]`` maps powers of w to int coefficients, and
     ``prefactor`` lists the (s, e, pw) factors.  ``reduced``, read at
     symbolic q only, is the Phi-map {d: e} in q of the reduced value when a
     theorem predicts it, with no power of w; the sum must then run in u = q
@@ -184,23 +185,26 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     (:func:`riemann_sum`), and its denominators are products of cyclotomic
     polynomials in w.  The contract is what :func:`geometric_sum` and
     :func:`ball_measure_sum` pass at symbolic and rational q (at p-adic q
-    they run :func:`_residue_sum`): numerators with int coefficients, a step
-    and prefactor exponents > 0 (rational ones at symbolic q); else
-    ValueError.  The numerators' exponents may be negative or fractional.
+    they run :func:`_residue_sum`): numerators with int exponents and int
+    coefficients, a step and prefactor exponents that are ints > 0; else
+    ValueError.  The numerators' exponents may be negative.  The builders
+    convert each power of q to its power of w once, so no reading converts.
 
-    >>> binomial_fraction_sum(QDescriptor.rational(2), [{0: 1}], 1, 0)
+    >>> print(binomial_fraction_sum(QDescriptor.symbolic(2), [{1: 1}], -1, 2))
+    (-w)/(-1 + w^2)
+    >>> binomial_fraction_sum(QDescriptor.rational(2), [{Fraction(1, 2): 1}], 1, 1)
     Traceback (most recent call last):
-    ValueError: the kernel needs numerators, int coefficients and binomial exponents > 0
+    ValueError: the kernel needs numerators, int coefficients and exponents, binomial exponents > 0
     >>> binomial_fraction_sum(QDescriptor.padic(padic_from_rational(6, 5, 8)), [{0: 1}], 1, 1)
     Traceback (most recent call last):
     ValueError: the kernel reads symbolic and rational q only
 
-    One Horner loop serves both readings: with d_k = 1 + sign q^(step
+    One Horner loop serves both readings: with d_k = 1 + sign w^(step
     (k+1)), total <- total d_k + c_k den and den <- den d_k; then positive
     prefactor powers multiply total, and negative ones join the final
     division.  Each reading (:class:`_SymbolicReading`,
     :class:`_RationalReading`) gives the binomial d, "times a binomial",
-    "add c q^e den" (told the binomial just multiplied in) and the final
+    "add c w^e den" (told the binomial just multiplied in) and the final
     division on plain ints from total = 0 and den = 1, and makes one reduced
     rational function or Fraction.  At symbolic q it runs in the coarsest u
     = w^g the exponents allow, and applies the prefactors that are no
@@ -214,9 +218,12 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     mode = q.mode   # a property: read once
     if mode == "padic":
         raise ValueError("the kernel reads symbolic and rational q only")
-    if not numerators or step <= 0 or any(e <= 0 for _, e, _ in prefactor) or not all(
-            isinstance(c, int) for num in numerators for c in num.values()):
-        raise ValueError("the kernel needs numerators, int coefficients and binomial exponents > 0")
+    binomials = [step] + [e for _, e, _ in prefactor]
+    if not numerators or not all(isinstance(e, int) and e > 0 for e in binomials) or not all(
+            isinstance(e, int) and isinstance(c, int) for num in numerators
+            for e, c in num.items()):
+        raise ValueError(
+            "the kernel needs numerators, int coefficients and exponents, binomial exponents > 0")
     reading = _READINGS[mode](q, numerators, step, prefactor, reduced)
     total, den = 0, 1
     for k, num in enumerate(numerators):
@@ -233,8 +240,9 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
 
 
 class _RationalReading:
-    """The kernel's primitives at rational q = a/b (lowest terms, b > 0):
-    plain ints, and one Fraction at the end.
+    """The kernel's primitives at rational q = w = a/b (lowest terms, b >
+    0): plain ints, and one Fraction at the end; ZeroDivisionError for q =
+    0 to a negative power.
 
     A binomial 1 + s q^e (e > 0) is (b^e + s a^e) / b^e; it is kept as its
     integer numerator and its exponent, and "times a binomial" multiplies
@@ -250,22 +258,15 @@ class _RationalReading:
 
     def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor, reduced):
         # a Fraction reduces itself, so the predicted Phi-map is not read
-        self.q, self.a, self.b = q, q.value.numerator, q.value.denominator
-        exponents = [self._exponent(e) for num in numerators for e, c in num.items() if c]
+        self.a, self.b = q.value.numerator, q.value.denominator
+        exponents = [e for num in numerators for e, c in num.items() if c]
         self.top = max([0] + exponents)
         self.low = max([0] + [-e for e in exponents])
+        if self.low and not self.a:
+            raise ZeroDivisionError(f"q = 0 to the power {next(e for e in exponents if e < 0)}")
         self.net_b = 0   # the dropped b^e, as a power of b
 
-    def _exponent(self, e) -> int:
-        """e as an int, with qpow's InputError for a fractional e, and
-        ZeroDivisionError for q = 0 to a negative power."""
-        e = self.q.w_exponent(e)
-        if e < 0 and not self.a:
-            raise ZeroDivisionError(f"q = 0 to the power {e}")
-        return e
-
-    def binomial(self, s: int, e) -> tuple[int, int]:
-        e = self.q.w_exponent(e)
+    def binomial(self, s: int, e: int) -> tuple[int, int]:
         return self.b ** e + s * self.a ** e, e
 
     def times(self, x: int, b: tuple[int, int], power: int = 1) -> int:
@@ -280,7 +281,7 @@ class _RationalReading:
         """total + c q^e S b^e' den (e' the exponent of d), the sum over the
         terms c q^e S in one homogeneous Horner sum from the highest
         exponent down."""
-        terms = sorted(((int(e), c) for e, c in num.items() if c), reverse=True)
+        terms = sorted(((e, c) for e, c in num.items() if c), reverse=True)
         if not terms:
             return total
         a, b = self.a, self.b
@@ -304,11 +305,11 @@ class _RationalReading:
 
 class _SymbolicReading:
     """The kernel's primitives at symbolic q, in the coarsest variable u =
-    w^g: m is the least numerator w-exponent, and g the gcd of the step's
-    w-exponent and every numerator w-exponent less m.  The sum is w^r u^-low
+    w^g: m is the least numerator exponent, and g the gcd of the step and
+    every numerator exponent less m, all powers of w.  The sum is w^r u^-low
     (r = m mod g, low = max(0, (r - m)/g)) times integer polynomials in u,
     each one int sum c_i X^i at X = 2^B.  A binomial is (s, j), j > 0 the
-    w-exponent: "times a binomial" is x + s (x << jB/g), "add c q^e den" is
+    w-exponent: "times a binomial" is x + s (x << jB/g), "add c w^e den" is
     c den << iB.  A binomial at most doubles the l1 norm, so B (a multiple
     of 8) keeps 2^(K + P) times that of the numerators below X/2 (K of
     them, P the positive prefactor powers).  den's binomials and the
@@ -322,9 +323,8 @@ class _SymbolicReading:
 
     def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor, reduced):
         terms = [(e, c) for num in numerators for e, c in num.items() if c]
-        w = {e: q.w_exponent(e) for e, _ in terms}
-        m = min(w.values(), default=0)
-        self.g = math.gcd(q.w_exponent(step), *(x - m for x in w.values()))
+        m = min((e for e, _ in terms), default=0)
+        self.g = math.gcd(step, *(e - m for e, _ in terms))
         if reduced is not None and self.g != q.root_order:
             raise ValueError("a predicted Phi-map needs the sum to run in u = q")
         self.r, self.low = m % self.g, max(0, -(m // self.g))
@@ -333,7 +333,7 @@ class _SymbolicReading:
         l1 = sum(abs(c) for _, c in terms)
         doublings = len(numerators) + sum(power for _, _, power in prefactor if power > 0)
         self.bits = 8 * ((l1 << doublings).bit_length() // 8 + 1)
-        self.shifts = {e: ((x - self.r) // self.g + self.low) * self.bits for e, x in w.items()}
+        self.shifts = {e: ((e - self.r) // self.g + self.low) * self.bits for e, _ in terms}
 
     def _record(self, b: tuple[int, int], power: int) -> None:
         # 1 - u^j = -prod_{d|j} Phi_d, 1 + u^j = prod_{d|2j, d not|j} Phi_d
@@ -343,8 +343,8 @@ class _SymbolicReading:
             if s == -1 or j % d:
                 self.phis[d] = self.phis.get(d, 0) + power
 
-    def binomial(self, s: int, e) -> tuple[int, int]:
-        return s, self.q.w_exponent(e)
+    def binomial(self, s: int, e: int) -> tuple[int, int]:
+        return s, e
 
     def times(self, x: int, b: tuple[int, int], power: int = 1) -> int:
         if b[1] % self.g:
@@ -438,18 +438,19 @@ class MeasureSpec(namedtuple("MeasureSpec", "kind q domain")):
 def ball_measure_sum(spec: MeasureSpec, reps, n: int):
     """Sum of ball measures over the given int level-n representatives: the
     signed power sum over the level normalizer (1 -+ q^(d p^n)) / (1 -+ q),
-    one kernel call.  At symbolic q its cost follows the representatives'
-    spread, not d p^n: the p children of a ball are p terms over 1 -+ u^p
-    in u = q^(d p^(n-1)), and one ball one term over 1 -+ u in u = q^(d p^n).
+    one kernel call in powers of w (q^a is w^(a D)).  At symbolic q its
+    cost follows the representatives' spread, not d p^n: the p children of
+    a ball are p terms over 1 -+ u^p in u = q^(d p^(n-1)), and one ball one
+    term over 1 -+ u in u = q^(d p^n).
     At p-adic q the sum S = sum c_a Q^a, known mod p^(A + v_p(gcd c_a)),
     takes the level pass's normalizer division (:func:`_over_normaliser`)."""
-    size = spec.domain.level_size(n)
+    size, root = spec.domain.level_size(n), spec.q.root_order
     fermionic = spec.kind == FERMIONIC
-    coeffs: dict[int, int] = {}
+    coeffs: dict[int, int] = {}   # keyed by a D, the power of w of q^a (D = 1 at p-adic q)
     for a in reps:
         if not isinstance(a, int) or not 0 <= a < size:
             raise ValueError(f"representative {a!r} out of range [0, {size})")
-        coeffs[a] = coeffs.get(a, 0) + (-1 if fermionic and a % 2 else 1)
+        coeffs[a * root] = coeffs.get(a * root, 0) + (-1 if fermionic and a % 2 else 1)
     if spec.q.mode == "padic":
         q, g = spec.q.value, math.gcd(*coeffs.values())
         digits = q.prec + _int_valuation(g, q.p) if g else math.inf
@@ -458,7 +459,7 @@ def ball_measure_sum(spec: MeasureSpec, reps, n: int):
         r_k = pow(-q.unit if fermionic else q.unit, size, q.p ** q.prec)
         return _over_normaliser(spec.q, fermionic, r_k, total, 1, digits, 0)
     sign = 1 if fermionic else -1
-    return binomial_fraction_sum(spec.q, [coeffs], sign, size, [(sign, 1, 1)])
+    return binomial_fraction_sum(spec.q, [coeffs], sign, size * root, [(sign, root, 1)])
 
 
 def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
@@ -480,8 +481,9 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     (K, l odd): (r q)^K and rho^K tend to -1, so G_k / (1 - (r q)^K) tends
     to the first block over 1 - rho^l, under (1, 1, 1), (-1, 1, -n).
     Bosonic: (1 - q^(K(k+1))) / (1 - q^K) tends to k + 1, a factor of each
-    term, under (-1, 1, 1 - n).  An integral x is made an int, so the
-    exponents add as ints.
+    term, under (-1, 1, 1 - n).  The kernel reads powers of w: x, read for
+    n >= 1 only, is one w_exponent call, which refuses a fractional power
+    as qpow does, and every other exponent is scaled by D.
 
     The untwisted limits at x = 0, K_n and beta_n, reduce without a screen
     at symbolic q, any root order: two theorems give their reduced Phi-maps
@@ -509,13 +511,11 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
         raise InputError(f"the fermionic limit needs an odd period, got {len(weights)}")
     if q.mode == "padic":
         return _residue_sum(q, kind, n, x, weights, level)
-    if not isinstance(x, int):
-        x = Fraction(x)
-        x = x.numerator if x.denominator == 1 else x
+    x, root = q.w_exponent(x) if n else 0, q.root_order
     r, l = -1 if kind == FERMIONIC else 1, len(weights)
     moments = level is None and r == 1   # the bosonic limit's factor k + 1
     blocks = [(0, 1)] if level is None else [(0, 1), (level, -1)]
-    terms = [(j, s * weights[j % l] * r ** j) for start, s in blocks
+    terms = [(j * root, s * weights[j % l] * r ** j) for start, s in blocks
              for j in range(start, start + l) if weights[j % l]]
     row = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
     reduced = None
@@ -530,10 +530,10 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
             num[e] = num.get(e, 0) + c * w
         numerators.append(num)
     if level is not None:
-        prefactor = [(-1, 1, -n), (-r, 1, 1), (-r ** level, level, -1)]
+        prefactor = [(-1, root, -n), (-r, root, 1), (-r ** level, level * root, -1)]
     else:
-        prefactor = [(1, 1, 1), (-1, 1, -n)] if r == -1 else [(-1, 1, 1 - n)]
-    return binomial_fraction_sum(q, numerators, -r ** l, l, prefactor, reduced)
+        prefactor = [(1, root, 1), (-1, root, -n)] if r == -1 else [(-1, root, 1 - n)]
+    return binomial_fraction_sum(q, numerators, -r ** l, l * root, prefactor, reduced)
 
 
 def riemann_sum(spec: MeasureSpec, f: BracketPower, n: int):

@@ -42,19 +42,12 @@ class TruncatedSeries:
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        self._check(other)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         """The truncated product, each coefficient a :func:`_pairwise_sum`."""
         self._check(other)
         a, b = self.coeffs, other.coeffs
         return TruncatedSeries([_pairwise_sum([a[i] * b[n - i] for i in range(n + 1)])
                                 for n in range(self.order + 1)])
-
-    def scale(self, factor) -> TruncatedSeries:
-        return TruncatedSeries([c * factor for c in self.coeffs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

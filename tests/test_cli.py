@@ -513,6 +513,30 @@ def test_csv_columns_pinned(capsys):
     assert rows[2][6] == "-2/5"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "genfunc"),
+    ("integrate", "--kind", "fermionic", "--f", "one", "--p", "5", "--q", "6"),
+    ("numbers", "--kind", "K", "--n", "1", "--format", "csv")],
+    ids=["verify-json", "integrate-json", "numbers-csv"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_an_output_path_that_cannot_be_opened_exits_2(capsys, tmp_path, argv, target):
+    # one error: line naming the path, not a traceback with the exit code
+    # of a failed verification, and nothing written
+    path = str(tmp_path / "missing" / "out" if target == "missing-directory" else tmp_path)
+    code, out, err = run(capsys, *argv, "--output", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --output {path!r}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_command_leaves_no_output_file(capsys, tmp_path):
+    # the file is opened after the computation
+    path = tmp_path / "out.json"
+    assert run(capsys, "numbers", "--kind", "K", "--n", "1", "--q", "-1",
+               "--output", str(path))[0] == 2
+    assert not path.exists()
+
+
 # each command's recorded stdout: the bytes of every CSV output form, values
 # of each reading of q and the character table included
 CSV_TABLES = json.loads((Path(__file__).with_name("golden") / "csv_tables.json").read_text())

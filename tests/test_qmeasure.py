@@ -331,25 +331,19 @@ def test_ball_sums_refuse_representatives_that_are_not_ints(qd, rep):
 
 
 def test_kernel_halves_agree_on_rational_coefficients():
-    # both halves refuse a rational coefficient; with int ones, rational and
-    # negative exponents and a squared prefactor they agree: with w = t the
-    # symbolic q^e is t^(2e), so the rational reading at q = t takes the
-    # doubled exponents and step
-    numerators = [{F(1, 2): 3, F(-3, 2): -5}, {}, {F(2): 4}]
-    prefactor = [(1, 1, 2), (-1, 3, -1), (1, 2, 0)]
-    doubled = [{2 * e: c for e, c in num.items()} for num in numerators]
-    doubled_prefactor = [(s, 2 * e, power) for s, e, power in prefactor]
+    # both halves refuse a rational coefficient; with int ones, odd and
+    # negative exponents and a squared prefactor they agree: the exponents
+    # are powers of w, so the symbolic value at w = t is the rational
+    # reading at q = t on the same inputs
+    numerators = [{1: 3, -3: -5}, {}, {4: 4}]
+    prefactor = [(1, 2, 2), (-1, 6, -1), (1, 4, 0)]
     for t in KERNEL_TS:
-        want = binomial_fraction_sum(sym(2), numerators, -1, 2, prefactor).evaluate(t)
-        got = binomial_fraction_sum(QDescriptor.rational(t), doubled, -1, 4, doubled_prefactor)
+        want = binomial_fraction_sum(sym(2), numerators, -1, 4, prefactor).evaluate(t)
+        got = binomial_fraction_sum(QDescriptor.rational(t), numerators, -1, 4, prefactor)
         assert got == want
-    for qd, num in ((sym(2), numerators), (QDescriptor.rational(2), doubled)):
+    for qd in (sym(2), QDescriptor.rational(2)):
         with pytest.raises(ValueError, match="int coefficients"):
-            binomial_fraction_sum(qd, num + [{0: F(1, 3)}], -1, 4, [])
-
-
-def _exponents(root):
-    return st.integers(-6, 9).map(lambda k: F(k, root))
+            binomial_fraction_sum(qd, numerators + [{0: F(1, 3)}], -1, 4, [])
 
 
 @settings(max_examples=120, deadline=None)
@@ -357,26 +351,24 @@ def _exponents(root):
        r=st.sampled_from((F(2), F(-2), F(3), F(1, 2), F(-1, 3), F(5, 7), F(-4, 3))),
        data=st.data())
 def test_kernel_symbolic_at_w_matches_rational_reading(root, sign, r, data):
-    # random numerators with exponents in (1/D) Z, negative ones included
-    # (the symbolic reading shifts them by w^r): the symbolic value at w = r
-    # equals the rational reading at q = r^D, taken at q = r with every
-    # exponent scaled by D, and directly when every exponent is an integer
-    numerators = data.draw(st.lists(st.dictionaries(_exponents(root), st.integers(-5, 5),
+    # random numerators, negative exponents included (the symbolic reading
+    # shifts them by w^r): the symbolic value at w = r equals the rational
+    # reading at q = r on the same powers of w, and the one at q = r^D on
+    # the powers of q when D divides every exponent
+    numerators = data.draw(st.lists(st.dictionaries(st.integers(-6, 9), st.integers(-5, 5),
                                                     max_size=3),
                                     min_size=1, max_size=5))
-    step = F(data.draw(st.integers(1, 4)), root)
-    prefactor = data.draw(st.lists(st.tuples(st.sampled_from((1, -1)),
-                                             st.integers(1, 4).map(lambda e: F(e, root)),
+    step = data.draw(st.integers(1, 4))
+    prefactor = data.draw(st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(1, 4),
                                              st.integers(-2, 2)), max_size=3))
     want = binomial_fraction_sum(sym(root), numerators, sign, step, prefactor).evaluate(r)
-    scaled = [{root * e: c for e, c in num.items()} for num in numerators]
-    scaled_prefactor = [(s, root * e, power) for s, e, power in prefactor]
-    assert binomial_fraction_sum(QDescriptor.rational(r), scaled, sign, root * step,
-                                 scaled_prefactor) == want
+    assert binomial_fraction_sum(QDescriptor.rational(r), numerators, sign, step,
+                                 prefactor) == want
     exponents = [e for num in numerators for e in num] + [step] + [e for _, e, _ in prefactor]
-    if all(e.denominator == 1 for e in exponents):
-        assert binomial_fraction_sum(QDescriptor.rational(r ** root), numerators, sign, step,
-                                     prefactor) == want
+    if all(e % root == 0 for e in exponents):
+        in_q = [{e // root: c for e, c in num.items()} for num in numerators]
+        assert binomial_fraction_sum(QDescriptor.rational(r ** root), in_q, sign, step // root,
+                                     [(s, e // root, power) for s, e, power in prefactor]) == want
 
 
 def _as_list(x):
@@ -401,7 +393,7 @@ class _ListReading:
                 self.phis[d] = self.phis.get(d, 0) + power
 
     def binomial(self, s, e):
-        return s, self.q.w_exponent(e)
+        return s, e
 
     def times(self, x, b, power=1):
         x = _as_list(x)
@@ -417,7 +409,7 @@ class _ListReading:
         total, den = _as_list(total), _as_list(den)
         for e, c in num.items():
             if c:
-                i = self.q.w_exponent(e + self.shift)
+                i = e + self.shift
                 total += [0] * (i + len(den) - len(total))
                 for k, x in enumerate(den):
                     total[i + k] += c * x
@@ -427,23 +419,21 @@ class _ListReading:
         for b, m in divisors:
             self._record(b, m)
         num = Polynomial._make(_as_list(total), 1) * self.sign
-        return reduce_cyclotomic_fraction(num, self.phis, self.q.root_order,
-                                          self.q.w_exponent(self.shift))
+        return reduce_cyclotomic_fraction(num, self.phis, self.q.root_order, self.shift)
 
 
 @st.composite
 def _kernel_cases(draw):
     """(root order, numerators, loop sign, step, prefactor) with numerator
-    exponents in (1/D) Z from -3 to 12, binomial exponents in (1/D) Z from
-    1/D to 12, and int coefficients, zero ones included."""
+    exponents, powers of w, from -3D to 12D, a step from 1 to 4, prefactor
+    exponents from 1 to 12D, and int coefficients, zero ones included."""
     root = draw(st.sampled_from((1, 2, 3)))
-    exponent = st.integers(-3 * root, 12 * root).map(lambda k: F(k, root))
     coeffs = st.just(0) | st.integers(-5, 5)
-    numerators = draw(st.lists(st.dictionaries(exponent, coeffs, max_size=3),
+    numerators = draw(st.lists(st.dictionaries(st.integers(-3 * root, 12 * root), coeffs,
+                                               max_size=3),
                                min_size=1, max_size=5))
-    step = F(draw(st.integers(1, 4)), root)
-    prefactor = draw(st.lists(st.tuples(st.sampled_from((1, -1)),
-                                        st.integers(1, 12 * root).map(lambda k: F(k, root)),
+    step = draw(st.integers(1, 4))
+    prefactor = draw(st.lists(st.tuples(st.sampled_from((1, -1)), st.integers(1, 12 * root),
                                         st.integers(-3, 3)), max_size=3))
     return root, numerators, draw(st.sampled_from((1, -1))), step, prefactor
 
@@ -456,14 +446,14 @@ def _coarse_kernel_cases(draw):
     one outside, to the powers +-1 or +-2."""
     root, g = draw(st.sampled_from((1, 2, 3))), draw(st.sampled_from((2, 3, 4)))
     m = draw(st.integers(-2 * g, 2 * g))
-    exponent = st.integers(0, 5).map(lambda t: F(m + g * t, root))
+    exponent = st.integers(0, 5).map(lambda t: m + g * t)
     numerators = draw(st.lists(st.dictionaries(exponent, st.integers(-5, 5), max_size=3),
                                min_size=1, max_size=4))
-    step = F(g * draw(st.integers(1, 3)), root)
+    step = g * draw(st.integers(1, 3))
     inside = g * draw(st.integers(1, 3))
     outside = inside + draw(st.integers(1, g - 1)) - g * draw(st.integers(0, 1))
     power = st.sampled_from((-2, -1, 1, 2))
-    prefactor = [(draw(st.sampled_from((1, -1))), F(e, root), draw(power))
+    prefactor = [(draw(st.sampled_from((1, -1))), e, draw(power))
                  for e in draw(st.permutations([inside, outside]))]
     return root, numerators, draw(st.sampled_from((1, -1))), step, prefactor
 
@@ -483,26 +473,23 @@ _BIG = [{0: 2 ** 60 - k} for k in range(40)]
 @settings(max_examples=300, deadline=None)
 @given(case=_kernel_cases() | _coarse_kernel_cases(),
        r=st.sampled_from((F(2), F(-2), F(3), F(1, 2), F(-1, 3), F(5, 7), F(-4, 3))))
-@example(case=(1, _BIG, 1, F(1), [(1, 1, 3)]), r=F(2))
-@example(case=(1, [{0: 2 ** 60 - 1}], 1, F(1), [(1, 1, 2)]), r=F(2))
-@example(case=(1, _BIG, 1, F(1), [(1, 1, 3), (1, 2, 2)]), r=F(-1, 3))
-@example(case=(2, [{F(k, 2): (-1) ** k * (2 ** 60 - k)} for k in range(40)], -1, F(3, 2),
-               [(1, F(1, 2), 3), (-1, 2, -3)]), r=F(5, 7))
-@example(case=(1, [{0: 1}, {}], -1, F(2), [(-1, 1, -1)]), r=F(3))
-@example(case=(1, [{}, {}], 1, F(1), [(1, 1, -1)]), r=F(2))
-@example(case=(2, [{F(-5, 2): 3, F(1, 2): -1}, {F(7, 2): 2}], -1, F(3),
-               [(-1, 3, 2), (1, F(1, 2), -2)]), r=F(-1, 3))
+@example(case=(1, _BIG, 1, 1, [(1, 1, 3)]), r=F(2))
+@example(case=(1, [{0: 2 ** 60 - 1}], 1, 1, [(1, 1, 2)]), r=F(2))
+@example(case=(1, _BIG, 1, 1, [(1, 1, 3), (1, 2, 2)]), r=F(-1, 3))
+@example(case=(2, [{k: (-1) ** k * (2 ** 60 - k)} for k in range(40)], -1, 3,
+               [(1, 1, 3), (-1, 4, -3)]), r=F(5, 7))
+@example(case=(1, [{0: 1}, {}], -1, 2, [(-1, 1, -1)]), r=F(3))
+@example(case=(1, [{}, {}], 1, 1, [(1, 1, -1)]), r=F(2))
+@example(case=(2, [{-5: 3, 1: -1}, {7: 2}], -1, 6, [(-1, 6, 2), (1, 1, -2)]), r=F(-1, 3))
 def test_packed_symbolic_reading_matches_the_rational_and_list_readings(case, r):
-    # the packed symbolic value at w = r is the rational reading at q = r^D
-    # (taken at q = r with every exponent scaled by D), or both raise the
-    # same error, and it is exactly the value of the list reading
+    # the packed symbolic value at w = r is the rational reading at q = r on
+    # the same powers of w, or both raise the same error, and it is exactly
+    # the value of the list reading
     root, numerators, sign, step, prefactor = case
     packed = _outcome(lambda: binomial_fraction_sum(sym(root), numerators, sign, step,
                                                     prefactor))
-    scaled = [{root * e: c for e, c in num.items()} for num in numerators]
-    scaled_prefactor = [(s, root * e, power) for s, e, power in prefactor]
-    want = _outcome(lambda: binomial_fraction_sum(QDescriptor.rational(r), scaled, sign,
-                                                  root * step, scaled_prefactor))
+    want = _outcome(lambda: binomial_fraction_sum(QDescriptor.rational(r), numerators, sign,
+                                                  step, prefactor))
     got = _outcome(lambda: packed.evaluate(r)) if isinstance(packed, RationalFunction) else packed
     assert got == want
     with unittest.mock.patch.dict(qmeasure._READINGS, symbolic=_ListReading):

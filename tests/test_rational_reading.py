@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from qvolkenborn import qmeasure
 from qvolkenborn.algebra import PoleError, ZeroAtPrecisionError
 from qvolkenborn.padic import ProfiniteDomain, padic_from_rational
-from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
-                                  ball_measure_sum, binomial_fraction_sum, geometric_sum)
+from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, BracketPower, MeasureSpec, QDescriptor,
+                                  ball_measure_sum, binomial_fraction_sum, geometric_sum,
+                                  riemann_sum)
 from qvolkenborn.qnumbers import _closed
 from qvolkenborn.series import f_q_coefficient_partial
 
@@ -263,12 +264,20 @@ def test_a_divisor_vanishing_at_minus_one_raises_at_rational_and_symbolic_q(nume
 
 @pytest.mark.parametrize("e", [F(1, 2), F(-7, 3)])
 def test_fractional_exponent_raises_as_qpow_does(e):
-    qd = QDescriptor.rational(F(2, 5))
-    with pytest.raises(ValueError) as from_qpow:
-        qd.qpow(e)
-    with pytest.raises(ValueError) as from_kernel:
-        binomial_fraction_sum(qd, [{0: 1}, {e: 3}], 1, 1)
-    assert str(from_kernel.value) == str(from_qpow.value)
+    # the builders convert a shift to a power of w once, as qpow does, so a
+    # fractional one raises qpow's error at rational and p-adic q, a limit,
+    # a level sum and a Riemann sum alike
+    for qd in (QDescriptor.rational(F(2, 5)), QDescriptor.padic(padic_from_rational(6, 5, 10))):
+        with pytest.raises(ValueError) as from_qpow:
+            qd.qpow(e)
+        spec = MeasureSpec(FERMIONIC, qd, ProfiniteDomain(5))
+        for compute in (lambda: geometric_sum(qd, FERMIONIC, 2, e, (1,)),
+                        lambda: geometric_sum(qd, BOSONIC, 1, e, (1, -1), 10),
+                        lambda: riemann_sum(spec, BracketPower(3, e), 2)):
+            with pytest.raises(ValueError) as from_builder:
+                compute()
+            assert type(from_builder.value) is type(from_qpow.value)
+            assert str(from_builder.value) == str(from_qpow.value)
 
 
 @pytest.mark.parametrize("qd", [QDescriptor.symbolic(), QDescriptor.rational(F(2, 5)),
@@ -276,14 +285,17 @@ def test_fractional_exponent_raises_as_qpow_does(e):
                          ids=["symbolic", "rational", "padic"])
 @pytest.mark.parametrize("numerators, step, prefactor", [
     ([{0: 1}, {1: F(1, 3)}], 1, []), ([{0: 1}], 0, []), ([{0: 1}], -1, []),
-    ([{0: 1}], 1, [(1, 0, -1)]), ([{0: 1}], 1, [(1, -1, 2)]), ([], 1, [])],
+    ([{0: 1}], 1, [(1, 0, -1)]), ([{0: 1}], 1, [(1, -1, 2)]), ([], 1, []),
+    ([{0: 1}, {F(1, 2): 1}], 1, []), ([{0: 1}], F(3, 2), []), ([{0: 1}], 1, [(1, F(2), 1)])],
     ids=["fraction-coefficient", "step-0", "step-minus-1", "prefactor-exponent-0",
-         "prefactor-exponent-minus-1", "no-numerator"])
+         "prefactor-exponent-minus-1", "no-numerator", "fraction-exponent", "fraction-step",
+         "fraction-prefactor-exponent"])
 def test_the_kernel_refuses_inputs_outside_its_contract(qd, numerators, step, prefactor):
-    # int coefficients and binomial exponents > 0, as its two callers pass;
+    # int coefficients, int exponents (powers of w) and binomial exponents
+    # > 0, as its two callers pass, a Fraction equal to an int included;
     # p-adic q, where they run the residue pass, is refused first
     match = ("symbolic and rational q only" if qd.mode == "padic" else
-             "int coefficients and binomial exponents > 0")
+             "int coefficients and exponents, binomial exponents > 0")
     with pytest.raises(ValueError, match=match):
         binomial_fraction_sum(qd, numerators, 1, step, prefactor)
 

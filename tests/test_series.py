@@ -34,9 +34,13 @@ def test_product_truncates():
     assert S(1, 1, 0) * S(1, -1, 0) == S(1, 0, -1)
 
 
-def test_addition_identity():
-    a = S(2, 3, 5)
-    assert a + S(0, 0, 0) == a
+def _coefficientwise_sum(a, b):
+    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def test_products_distribute_over_sums():
+    a, b, c = S(2, 3, 5), S(1, -1, 4), S(0, 2, -3)
+    assert a * _coefficientwise_sum(b, c) == _coefficientwise_sum(a * b, a * c)
 
 
 def _left_to_right_product(a, b):
@@ -77,15 +81,15 @@ def test_pairwise_products_match_left_to_right_sums(pair):
     assert list(got.coeffs) == _left_to_right_product(a, b)
 
 
-def test_scale_doubles_coefficients():
+def test_a_constant_factor_scales_every_coefficient():
     exp_t = exp_series(1, 3)
-    doubled = exp_t.scale(2)
+    doubled = exp_t * S(2, 0, 0, 0)
     assert all(doubled[n] == 2 * exp_t[n] for n in range(4))
 
 
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        S(1, 0) + S(1, 0, 0)
+        S(1, 0) * S(1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
