@@ -9,13 +9,13 @@ bytes of ``json.dumps(report, indent=2)`` and is written as it is encoded,
 one row or suite at a time.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition
-error (including a pole of the formula at the given q, a p-adic value
-without the digits a check needs, a p-adic integral whose stability
-target needs a level past --N-max or digits that q's precision cannot
-give, and an --output path that cannot be opened).  Past argument
-parsing, every refusal is a :class:`~qvolkenborn.algebra.QvolkError`,
-which exits 2 with one ``error:`` line on stderr; any other exception is
-a bug and propagates.
+error (a pole of the formula at the given q, a p-adic value without the
+digits a check needs, an integral needing a level past --N-max or digits
+beyond q's precision, an --output path that cannot be opened).  Past
+argument parsing every refusal is an ``algebra.QvolkError``: exit 2, one
+``error:`` line on stderr; any other exception is a bug and propagates.
+Where SIGPIPE exists, a closed stdout kills ``qvolk`` as it kills any
+filter: status 141 in a shell, no stderr (:func:`main` leaves it alone).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import signal
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -409,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
+    if hasattr(signal, "SIGPIPE"):   # a closed stdout ends qvolk as it ends a filter
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -184,11 +184,11 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     package has this shape, a level-N Riemann sum included
     (:func:`riemann_sum`), and its denominators are products of cyclotomic
     polynomials in w.  The contract is what :func:`geometric_sum` and
-    :func:`ball_measure_sum` pass at symbolic and rational q (at p-adic q
-    they run :func:`_residue_sum`): numerators with int exponents and int
-    coefficients, a step and prefactor exponents that are ints > 0; else
-    ValueError.  The numerators' exponents may be negative.  The builders
-    convert each power of q to its power of w once, so no reading converts.
+    :func:`ball_measure_sum` pass at symbolic and rational q, as at p-adic
+    q :func:`_residue_sum` takes its x: int exponents of w, negative ones
+    included, and int coefficients; a step and prefactor exponents that are
+    ints > 0, else ValueError.  The builders convert each power of q to its
+    power of w once, so none of the three readings converts.
 
     >>> print(binomial_fraction_sum(QDescriptor.symbolic(2), [{1: 1}], -1, 2))
     (-w)/(-1 + w^2)
@@ -207,13 +207,13 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     "add c w^e den" (told the binomial just multiplied in) and the final
     division on plain ints from total = 0 and den = 1, and makes one reduced
     rational function or Fraction.  At symbolic q it runs in the coarsest u
-    = w^g the exponents allow, and applies the prefactors that are no
-    binomials in u, then the offset w^m, after its one reduction: a screen
-    for the Phi_d that cancel, or, with ``reduced``, one exact division by
-    the Phi_d that the prediction says cancel, which raises ArithmeticError
-    when they do not divide the sum (a wrong prediction is a bug).  A
-    rational q raises ZeroDivisionError where a binomial vanishes at q, and
-    at q = 0 with a negative exponent.
+    = w^g in which every divisor is a binomial, and multiplies in the
+    positive prefactors outside u, then the offset w^r, after its one
+    reduction: a screen for the Phi_d that cancel, or, with ``reduced``, one
+    exact division by the Phi_d that the prediction says cancel, which
+    raises ArithmeticError when they do not divide the sum (a wrong
+    prediction is a bug).  A rational q raises ZeroDivisionError where a
+    binomial vanishes at q, and at q = 0 with a negative exponent.
     """
     mode = q.mode   # a property: read once
     if mode == "padic":
@@ -305,26 +305,28 @@ class _RationalReading:
 
 class _SymbolicReading:
     """The kernel's primitives at symbolic q, in the coarsest variable u =
-    w^g: m is the least numerator exponent, and g the gcd of the step and
-    every numerator exponent less m, all powers of w.  The sum is w^r u^-low
-    (r = m mod g, low = max(0, (r - m)/g)) times integer polynomials in u,
-    each one int sum c_i X^i at X = 2^B.  A binomial is (s, j), j > 0 the
-    w-exponent: "times a binomial" is x + s (x << jB/g), "add c w^e den" is
-    c den << iB.  A binomial at most doubles the l1 norm, so B (a multiple
-    of 8) keeps 2^(K + P) times that of the numerators below X/2 (K of
-    them, P the positive prefactor powers).  den's binomials and the
-    prefactor divisors make one Phi-map in u (and a sign) for the one
-    reduction, then substituted u = w^g.  A prefactor binomial with g not
-    dividing j is deferred to the field after that, and w^r comes last: a
-    power of w cancels no Phi_d.  At g = 1 nothing is deferred and r = 0.
-    The reduction screens for the Phi_d that cancel, unless the Phi-map of
-    the reduced value is ``reduced``, predicted in u = q (g = D), when it
-    divides once by the rest of den."""
+    w^g in which every divisor is a binomial: g is the gcd of the step, the
+    prefactor divisors' exponents and every numerator exponent less m, the
+    least one, all powers of w.  The sum is w^r u^-low (r = m mod g, low =
+    max(0, (r - m)/g)) times integer polynomials in u, each one int sum c_i
+    X^i at X = 2^B.  A binomial is (s, j), j > 0 the w-exponent: "times a
+    binomial" is x + s (x << jB/g), "add c w^e den" is c den << iB.  A
+    binomial at most doubles the l1 norm, so B (a multiple of 8) keeps
+    2^(K + P) times that of the numerators below X/2 (K of them, P the
+    positive prefactor powers).  den's binomials and the prefactor divisors
+    make one Phi-map in u (and a sign) for the one reduction, then
+    substituted u = w^g.  Only a positive prefactor outside u is deferred,
+    a product after that, and w^r comes last: a power of w cancels no Phi_d
+    (at g = 1 nothing is deferred and r = 0).  The reduction screens for
+    the Phi_d that cancel, unless the Phi-map of the reduced value is
+    ``reduced``, predicted in u = q (g = D): then one division by the rest
+    of den."""
 
     def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor, reduced):
         terms = [(e, c) for num in numerators for e, c in num.items() if c]
         m = min((e for e, _ in terms), default=0)
-        self.g = math.gcd(step, *(e - m for e, _ in terms))
+        self.g = math.gcd(step, *(e - m for e, _ in terms),
+                          *(e for _, e, power in prefactor if power < 0))
         if reduced is not None and self.g != q.root_order:
             raise ValueError("a predicted Phi-map needs the sum to run in u = q")
         self.r, self.low = m % self.g, max(0, -(m // self.g))
@@ -367,10 +369,7 @@ class _SymbolicReading:
 
     def divide(self, total: int, den, divisors) -> RationalFunction:
         for b, m in divisors:
-            if b[1] % self.g:
-                self.deferred.append((b, -m))
-            else:
-                self._record(b, m)
+            self._record(b, m)
         ints = _unpack(self.sign * total, self.bits // 8, abs(total).bit_length() // self.bits + 2)
         if self.reduced is None:
             f = reduce_cyclotomic_fraction(Polynomial._make(ints, 1), self.phis,
@@ -481,9 +480,9 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     (K, l odd): (r q)^K and rho^K tend to -1, so G_k / (1 - (r q)^K) tends
     to the first block over 1 - rho^l, under (1, 1, 1), (-1, 1, -n).
     Bosonic: (1 - q^(K(k+1))) / (1 - q^K) tends to k + 1, a factor of each
-    term, under (-1, 1, 1 - n).  The kernel reads powers of w: x, read for
-    n >= 1 only, is one w_exponent call, which refuses a fractional power
-    as qpow does, and every other exponent is scaled by D.
+    term, under (-1, 1, 1 - n).  All three readings take powers of w: x,
+    read for n >= 1 only, is one w_exponent call (refusing a fractional
+    power as qpow does) before the reading is chosen; the rest scale by D.
 
     The untwisted limits at x = 0, K_n and beta_n, reduce without a screen
     at symbolic q, any root order: two theorems give their reduced Phi-maps
@@ -509,9 +508,9 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     """
     if level is None and kind == FERMIONIC and len(weights) % 2 == 0:
         raise InputError(f"the fermionic limit needs an odd period, got {len(weights)}")
+    x, root = q.w_exponent(x) if n else 0, q.root_order
     if q.mode == "padic":
         return _residue_sum(q, kind, n, x, weights, level)
-    x, root = q.w_exponent(x) if n else 0, q.root_order
     r, l = -1 if kind == FERMIONIC else 1, len(weights)
     moments = level is None and r == 1   # the bosonic limit's factor k + 1
     blocks = [(0, 1)] if level is None else [(0, 1), (level, -1)]
@@ -567,12 +566,12 @@ def _check_integrand(f) -> None:
         raise ValueError(f"the integrand must be a BracketPower, got {type(f).__name__}")
 
 
-def _residue_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
+def _residue_sum(q: QDescriptor, kind: str, n: int, x: int,
                  weights: tuple[int, ...], level: int | None = None, claim=math.inf):
     """:func:`geometric_sum` at p-adic q in plain ints: sum_j weights[j]
     [x+j]^n (r q)^j over j < level (r = -1 fermionic, else 1) times (1 - r
     q) / (1 - (r q)^level) to at most ``claim`` digits, or its p-adic limit
-    when ``level`` is None.
+    when ``level`` is None; x is the shift as an int power of w = q.
 
     With Q the integer unit of q, A its precision, t = v_p(1 - Q), l =
     len(weights), rho_k = r Q^(k+1) and level = M l + e, the sum is (1 -
@@ -625,7 +624,6 @@ def _residue_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     rho_powers = [-y if fermionic and j % 2 else y for y, j in zip(q_powers, exponents)]
     r_q = rho_powers[0]
     r_k = rho_powers[2] * pow(r_q, extra, mod)   # (r Q)^level
-    x = q.w_exponent(x) if n else 0
     minus_q_x, factor, top, bottom = -pow(big_q, x, mod), 1, 0, 1
     for k, strip in enumerate([p ** y for y in w]):
         rho, rho_l, rho_lm = rho_powers
@@ -684,11 +682,11 @@ def integrate(spec: MeasureSpec, f: BracketPower, stability: int,
     digits: N for the fermionic measure, N - N0 for the bosonic one.  A
     ``stability`` t is met at level N = max(N0, t) (fermionic) or t + N0
     (bosonic), and the result is S_N truncated to its stability,
-    min(bound(N), digits S_N claims): :func:`_residue_sum` at level N with
-    bound(N) as its claim.  InputError for t < 0, for a non-padic q
-    (:attr:`QDescriptor.prime` refuses it), when N > n_max, when t exceeds q's
-    precision A (no sum claims more), when a bosonic normalizer [d p^N]_q
-    vanishes at A, and when S_N claims fewer than t digits.
+    min(bound(N), digits S_N claims): :func:`_residue_sum` at level N, with
+    claim bound(N) and q^shift as one power of w.  InputError for t < 0, a
+    non-padic q (:attr:`QDescriptor.prime` refuses it), N > n_max, t past
+    q's precision A (no sum claims more), a bosonic normalizer [d p^N]_q
+    vanishing at A, and S_N claiming fewer than t digits.
 
     Proofs.  p is odd and q = 1 mod p, so v_p([u]_q) = v_p(u).  Take
     N >= N0, M = d p^N and Q = q^M, so chi is periodic mod M.  The balls
@@ -734,8 +732,9 @@ def integrate(spec: MeasureSpec, f: BracketPower, stability: int,
     if stability > precision:
         raise InputError(f"stability {stability} needs more digits than "
                          f"q's precision A = {precision}")
+    x = spec.q.w_exponent(f.shift) if f.n else 0
     try:   # the level-n riemann_sum, truncated to its bound
-        value = _residue_sum(spec.q, spec.kind, f.n, f.shift, f.chi,
+        value = _residue_sum(spec.q, spec.kind, f.n, x, f.chi,
                              spec.domain.level_size(n), n - n0 if bosonic else n)
     except ZeroDivisionError:
         raise InputError(f"stability {stability} not reached: the level-{n} "

@@ -4,6 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -623,6 +627,26 @@ def test_padic_value_round_trip(capsys, tmp_path):
     data = json.loads(out_file.read_text())
     value = value_from_json(data["value"])
     assert value.agrees_with(beta_number(1, QDescriptor.symbolic()).evaluate(6), 4)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_ends_qvolk_by_sigpipe():
+    # qvolk piped into a reader that has gone (`qvolk ... | head -c 10`)
+    # dies by SIGPIPE, as a filter does, with nothing on stderr; the read
+    # end is closed before the command starts, so its first write hits it
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "from qvolkenborn.cli import entry_point; entry_point()",
+             "numbers", "--kind", "K", "--n", "0..40", "--q", "sym"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (-signal.SIGPIPE, b"")
 
 
 def _readme_commands():

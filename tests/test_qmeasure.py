@@ -6,6 +6,7 @@ same q.
 """
 
 import importlib
+import itertools
 import math
 import random
 import unittest.mock
@@ -501,6 +502,48 @@ def test_packed_symbolic_reading_matches_the_rational_and_list_readings(case, r)
             packed.num, packed.w_exp, packed.phis, packed.root_order)
 
 
+def _no_inverse(*args):
+    raise AssertionError("the kernel inverted a value")
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_kernel_cases() | _coarse_kernel_cases())
+@example(case=(2, [{-5: 3, 1: -1}, {7: 2}], -1, 6, [(-1, 6, 2), (1, 1, -2)]))
+def test_the_symbolic_kernel_inverts_no_value(case):
+    # every divisor joins the one reduction in u, so the finish multiplies
+    # and never inverts a binomial: with RationalFunction.reciprocal and
+    # the cyclotomic factoring that it runs raising, the kernel still gives
+    # the value of the field route (on the same powers of w, as powers of q)
+    root, numerators, sign, step, prefactor = case
+    in_q = [{F(e, root): c for e, c in num.items()} for num in numerators]
+    want = _field_sum(sym(root), in_q, sign, F(step, root),
+                      [(s, F(e, root), power) for s, e, power in prefactor])
+    with unittest.mock.patch.object(RationalFunction, "reciprocal", _no_inverse), \
+            unittest.mock.patch.object(algebra, "_cyclotomic_factors", _no_inverse):
+        got = binomial_fraction_sum(sym(root), numerators, sign, step, prefactor)
+    assert got == want
+
+
+@pytest.mark.parametrize("qd", (sym(2), QDescriptor.rational(F(2, 5)), padic_q()),
+                         ids=("symbolic", "rational", "padic"))
+def test_geometric_sum_converts_its_shift_once(qd, monkeypatch):
+    # the builder converts q^x to its power of w once, for n >= 1 only, and
+    # hands it on: no reading (kernel or residue pass) converts again
+    calls, w_exponent = [], QDescriptor.w_exponent
+    monkeypatch.setattr(QDescriptor, "w_exponent",
+                        lambda self, e: calls.append(e) or w_exponent(self, e))
+    shifts = (0, 1, -2, F(1, 2)) if qd.mode == "symbolic" else (0, 1, -2)
+    for kind, n, x, weights, level in itertools.product(
+            (BOSONIC, FERMIONIC), range(4), shifts, ((1,), (1, 0, -1)), (None, 15)):
+        calls.clear()
+        geometric_sum(qd, kind, n, x, weights, level)
+        assert calls == ([x] if n else []), (kind, n, x, weights, level)
+    if qd.mode == "padic":
+        calls.clear()
+        qmeasure._residue_sum(qd, BOSONIC, 3, 1, (1,), 15)
+        assert not calls
+
+
 def test_the_symbolic_reading_takes_no_list_primitive():
     assert not [name for name in ("_times_binomial", "add", "mul", "repeat")
                 if hasattr(qmeasure, name)]
@@ -757,9 +800,10 @@ def _range_sum(spec, f, reps):
     (r q)^start as PadicNumbers (a unit, so the digits claimed stay)."""
     table = f.chi
     turn = reps.start % len(table)
+    x = spec.q.w_exponent(f.shift + reps.start) if f.n else 0
     with unittest.mock.patch.object(qmeasure, "_over_normaliser", _unnormalised):
-        total = qmeasure._residue_sum(spec.q, spec.kind, f.n, f.shift + reps.start,
-                                      table[turn:] + table[:turn], reps.stop - reps.start)
+        total = qmeasure._residue_sum(spec.q, spec.kind, f.n, x, table[turn:] + table[:turn],
+                                      reps.stop - reps.start)
     ratio = -spec.q.value if spec.kind == FERMIONIC else spec.q.value
     return total * ratio ** reps.start if reps.start else total
 
