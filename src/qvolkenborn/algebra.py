@@ -568,14 +568,16 @@ def _cancel_cyclotomics(prim: list[int], den_map: dict[int, int],
 
 
 def _cancel(num: Polynomial, w_exp: int, phis: dict[int, int], screen: dict[int, int],
-            w_screen: int) -> tuple[Polynomial, int, tuple[tuple[int, int], ...]]:
+            w_screen: int, reduced: dict[int, int] | None = None
+            ) -> tuple[Polynomial, int, tuple[tuple[int, int], ...]]:
     """(num, w_exp, Phi-map) of num / (w^w_exp prod Phi_d^e over phis) with
     w cancelled up to w^w_screen and each Phi_d of screen up to its power
     there: the numerator is made primitive, its low zeros cancel w, and one
-    grouped :func:`_cancel_cyclotomics` cancels the Phi_d.  A Phi_d left in
+    grouped :func:`_cancel_cyclotomics` cancels the Phi_d, or, unscreened,
+    those of screen less a predicted Phi-map ``reduced``.  A Phi_d left in
     the screen was ruled out on a value that the quotient's value divides.
-    When the grouped division fails, the screen passed a non-divisor, and
-    the cancellation is redone one Phi_d at a time.
+    When the grouped division fails (a screen's non-divisor, or a wrong
+    prediction), the cancellation is redone one Phi_d at a time.
     """
     if num.is_zero:
         return num, 0, ()
@@ -587,7 +589,11 @@ def _cancel(num: Polynomial, w_exp: int, phis: dict[int, int], screen: dict[int,
             low += 1
         prim, w_exp = prim[low:], w_exp - low
         if screen:
-            quo, powers = _cancel_cyclotomics(prim, screen, False)
+            if reduced is None:
+                quo, powers = _cancel_cyclotomics(prim, screen, False)
+            else:
+                powers = {d: max(e - reduced.get(d, 0), 0) for d, e in screen.items()}
+                quo = _cyclotomic_ratio(prim, {d: -k for d, k in powers.items() if k})
             if quo is None:
                 quo, powers = _cancel_cyclotomics(prim, screen, True)
             prim = quo
@@ -600,12 +606,26 @@ def _cancel(num: Polynomial, w_exp: int, phis: dict[int, int], screen: dict[int,
 
 
 def reduce_cyclotomic_fraction(num: Polynomial, phis: dict[int, int], root_order: int = 1,
-                               w_power: int = 0) -> RationalFunction:
+                               w_power: int = 0, reduced: dict | None = None) -> RationalFunction:
     """The reduced fraction num / (w^w_power prod Phi_d^e) over the Phi-map
-    phis = {d: e}, every Phi_d and power of w screened (:func:`_cancel`)."""
+    phis = {d: e}, w and every Phi_d screened (:func:`_cancel`), or given
+    the Phi-map ``reduced`` that a theorem predicts, one exact division by
+    phis less reduced, with no screen: ArithmeticError unless it leaves
+    reduced (a map that keeps a Phi_d which cancels goes unseen).
+
+    >>> print(reduce_cyclotomic_fraction(Polynomial((1, 1)), {1: 1, 2: 1}, reduced={1: 1}))
+    (1)/(-1 + q)
+    >>> reduce_cyclotomic_fraction(Polynomial((1, 1)), {1: 1, 2: 1}, reduced={2: 1})
+    Traceback (most recent call last):
+    ArithmeticError: the predicted Phi-map {2: 1} leaves a product that does not divide the sum
+    """
     if any(d < 1 or e < 0 for d, e in phis.items()):
         raise ValueError(f"a Phi-map needs orders d >= 1 and powers e >= 0, got {phis}")
-    return RationalFunction._make(*_cancel(num, w_power, phis, phis, w_power), root_order)
+    num, w_exp, got = _cancel(num, w_power, phis, phis, w_power, reduced)
+    if reduced is not None and got != _phi_map(reduced):
+        raise ArithmeticError(f"the predicted Phi-map {reduced} leaves a product "
+                              f"that does not divide the sum")
+    return RationalFunction._make(num, w_exp, got, root_order)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (InputError, Polynomial, RationalFunction, RootOrderMismatch,
-                      ZeroAtPrecisionError, _cyclotomic_ratio, _divisors, _phi_map, _unpack,
-                      reduce_cyclotomic_fraction)
+                      ZeroAtPrecisionError, _divisors, _unpack, reduce_cyclotomic_fraction)
 from .characters import DirichletCharacter, character_value, parse_character_id
 from .padic import (PadicNumber, ProfiniteDomain, _int_valuation, _unit_inverse,
                     ball_representatives, padic_from_rational)
@@ -209,11 +208,11 @@ def binomial_fraction_sum(q: QDescriptor, numerators: list[dict], sign: int,
     rational function or Fraction.  At symbolic q it runs in the coarsest u
     = w^g in which every divisor is a binomial, and multiplies in the
     positive prefactors outside u, then the offset w^r, after its one
-    reduction: a screen for the Phi_d that cancel, or, with ``reduced``, one
-    exact division by the Phi_d that the prediction says cancel, which
-    raises ArithmeticError when they do not divide the sum (a wrong
-    prediction is a bug).  A rational q raises ZeroDivisionError where a
-    binomial vanishes at q, and at q = 0 with a negative exponent.
+    reduction by :func:`reduce_cyclotomic_fraction`: a screen for the Phi_d
+    that cancel, or, passed ``reduced``, one exact division by those the
+    prediction says cancel, ArithmeticError if they do not divide the sum
+    (a wrong prediction is a bug).  A rational q raises ZeroDivisionError
+    where a binomial vanishes at q, and at q = 0 with a negative exponent.
     """
     mode = q.mode   # a property: read once
     if mode == "padic":
@@ -317,10 +316,9 @@ class _SymbolicReading:
     make one Phi-map in u (and a sign) for the one reduction, then
     substituted u = w^g.  Only a positive prefactor outside u is deferred,
     a product after that, and w^r comes last: a power of w cancels no Phi_d
-    (at g = 1 nothing is deferred and r = 0).  The reduction screens for
-    the Phi_d that cancel, unless the Phi-map of the reduced value is
-    ``reduced``, predicted in u = q (g = D): then one division by the rest
-    of den."""
+    (at g = 1 nothing is deferred and r = 0).  The reduction is one
+    :func:`reduce_cyclotomic_fraction` call, handed ``reduced`` (predicted
+    in u = q, so g = D) to divide once in place of its screen."""
 
     def __init__(self, q: QDescriptor, numerators: list[dict], step, prefactor, reduced):
         terms = [(e, c) for num in numerators for e, c in num.items() if c]
@@ -330,8 +328,7 @@ class _SymbolicReading:
         if reduced is not None and self.g != q.root_order:
             raise ValueError("a predicted Phi-map needs the sum to run in u = q")
         self.r, self.low = m % self.g, max(0, -(m // self.g))
-        self.q, self.phis, self.sign, self.deferred = q, {}, 1, []
-        self.reduced = reduced
+        self.q, self.phis, self.sign, self.deferred, self.reduced = q, {}, 1, [], reduced
         l1 = sum(abs(c) for _, c in terms)
         doublings = len(numerators) + sum(power for _, _, power in prefactor if power > 0)
         self.bits = 8 * ((l1 << doublings).bit_length() // 8 + 1)
@@ -371,33 +368,12 @@ class _SymbolicReading:
         for b, m in divisors:
             self._record(b, m)
         ints = _unpack(self.sign * total, self.bits // 8, abs(total).bit_length() // self.bits + 2)
-        if self.reduced is None:
-            f = reduce_cyclotomic_fraction(Polynomial._make(ints, 1), self.phis,
-                                           self.q.root_order, self.low)
-        else:
-            f = self._predicted(ints)
-        f = f.substitute(self.g)
+        f = reduce_cyclotomic_fraction(Polynomial._make(ints, 1), self.phis, self.q.root_order,
+                                       self.low, self.reduced).substitute(self.g)
         for (s, j), power in self.deferred:
             b = Polynomial._make((1,) + (0,) * (j - 1) + (s,), 1)
             f = f * RationalFunction._make(b, 0, (), self.q.root_order) ** power
         return f * RationalFunction.w_power(self.r, self.q.root_order) if self.r else f
-
-    def _predicted(self, ints: list[int]) -> RationalFunction:
-        """ints / (u^low prod Phi_d^e) over den's Phi-map, reduced to the
-        predicted map: one exact grouped division by the cancelled product,
-        den's map less the predicted one, and by u^low; ArithmeticError when
-        that product does not divide ints."""
-        cancelled = dict(self.phis)
-        for d, e in self.reduced.items():
-            cancelled[d] = cancelled.get(d, 0) - e
-        quo = None
-        if any(ints) and not any(ints[:self.low]) and min(cancelled.values(), default=0) >= 0:
-            quo = _cyclotomic_ratio(ints[self.low:], {d: -e for d, e in cancelled.items() if e})
-        if quo is None:
-            raise ArithmeticError(f"the predicted Phi-map {self.reduced} leaves a product "
-                                  f"that does not divide the sum")
-        return RationalFunction._make(Polynomial._make(quo, 1), 0, _phi_map(self.reduced),
-                                      self.q.root_order)
 
 
 _READINGS = {"symbolic": _SymbolicReading, "rational": _RationalReading}
@@ -468,6 +444,7 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     limit of those sums when ``level`` is None: one kernel call at symbolic
     and rational q, one residue pass (:func:`_residue_sum`) at p-adic q,
     behind every closed form of :mod:`qnumbers` and every :func:`riemann_sum`.
+    An empty table raises one ValueError before any reading is chosen.
 
     With r = -1 (fermionic) or 1 (bosonic) and K = level, the binomial
     theorem [x+j]^n = (1 - q)^-n sum_k C(n,k) (-q^x)^k q^(jk) makes the sum
@@ -486,7 +463,7 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
 
     The untwisted limits at x = 0, K_n and beta_n, reduce without a screen
     at symbolic q, any root order: two theorems give their reduced Phi-maps
-    in q, which the kernel takes as ``reduced``.  K_n = (1 + q)(1 - q)^-n
+    in q, which the kernel passes on as ``reduced``.  K_n = (1 + q)(1 - q)^-n
     sum_k C(n,k) (-1)^k / (1 + q^(k+1)) keeps Phi_2d for 2 <= d <= n+1, and
     beta_n = (1 - q)^(1-n) sum_k C(n,k) (-1)^k (k+1) / (1 - q^(k+1)) keeps
     Phi_d for 2 <= d <= n+1 with T(n, d) = sum_(k = -1 mod d) (-1)^k C(n,k)
@@ -506,6 +483,8 @@ def geometric_sum(q: QDescriptor, kind: str, n: int, x: Fraction | int,
     dominates at q = oo, so both values behave like (-1)^n q^-n there, and
     the reduced numerator's degree in q is the denominator's less n.
     """
+    if not weights:
+        raise ValueError("a weight table needs at least one value")
     if level is None and kind == FERMIONIC and len(weights) % 2 == 0:
         raise InputError(f"the fermionic limit needs an odd period, got {len(weights)}")
     x, root = q.w_exponent(x) if n else 0, q.root_order

@@ -10,6 +10,7 @@ import math
 import operator
 import random
 import sys
+import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qvolkenborn
-from qvolkenborn import algebra, verify
+from qvolkenborn import algebra, qmeasure, verify
 from qvolkenborn.algebra import (_KRONECKER_CUTOFF, CyclotomicElement,
                                  NonCyclotomicDenominator, PoleError, Polynomial,
                                  RationalFunction, RootOrderMismatch,
@@ -382,6 +383,13 @@ def test_factored_reduction_matches_generic_gcd(factors, body, pick, planted, lo
     # their Phi-map and sign (w^j - 1 is prod Phi_d over d | j, and 1 + w^j
     # is (w^2j - 1)/(w^j - 1)); the result is checked by cross-multiplication
     # and by long division of its numerator by w and each Phi_d left.
+    num, den, phis, sign = _planted_fraction(factors, body, pick, planted, low, r, screened)
+    _assert_lowest_terms(reduce_cyclotomic_fraction(num * sign, phis, 1, r), num, den)
+
+
+def _planted_fraction(factors, body, pick, planted, low, r, screened):
+    """(num, den, Phi-map of den, sign) for the cases above: num / den as
+    num * sign / (w^r prod Phi_d^e)."""
     den, phis, sign = Polynomial((0,) * r + (1,)), {}, 1
     for s, j, m in factors:
         den = den * _binomial(s, j) ** m
@@ -393,7 +401,39 @@ def test_factored_reduction_matches_generic_gcd(factors, body, pick, planted, lo
     num = Polynomial(body) * _binomial(s, j) ** planted * Polynomial((0,) * low + (1,))
     if screened:
         num = num * Polynomial((-(1 << 20), 1))
-    _assert_lowest_terms(reduce_cyclotomic_fraction(num * sign, phis, 1, r), num, den)
+    return num, den, phis, sign
+
+
+def _no_screen(*args):
+    raise AssertionError("the predicted reduction screened")
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors=_binomial_factors, body=st.lists(st.integers(-6, 6), min_size=1, max_size=10),
+       pick=st.integers(0, 3), planted=st.integers(1, 2), low=st.integers(0, 3),
+       r=st.integers(0, 3), screened=st.booleans())
+@example(factors=[(1, 45, 2), (-1, 42, 1)], body=[1, -2, 3], pick=0, planted=2, low=1,
+         r=3, screened=True)
+@example(factors=[(1, 3, 0)], body=[0], pick=0, planted=1, low=0, r=0, screened=False)
+def test_the_predicted_reduction_matches_the_screen(factors, body, pick, planted, low, r,
+                                                    screened):
+    # on the cases above, the screened result's own Phi-map as ``reduced``
+    # gives the screened fields with no screen.  A map with one Phi_d's power
+    # lowered asks for a division that is not exact, and one with a power
+    # past den's or a Phi_d that den lacks leaves another map: each raises
+    num, _, phis, sign = _planted_fraction(factors, body, pick, planted, low, r, screened)
+    num = num * sign
+    want = reduce_cyclotomic_fraction(num, phis, 1, r)
+    own = dict(want.phis)
+    with unittest.mock.patch.object(algebra, "_cancel_cyclotomics", _no_screen):
+        got = reduce_cyclotomic_fraction(num, phis, 1, r, own)
+    assert (got.num, got.w_exp, got.phis) == (want.num, want.w_exp, want.phis)
+    wrong = [{**own, d: e - 1} for d, e in own.items()]
+    wrong += [{**own, d: e + 1} for d, e in phis.items()]
+    wrong.append({**own, max(phis) + 1: 1})
+    for planted_map in wrong:
+        with pytest.raises(ArithmeticError, match="predicted Phi-map"):
+            reduce_cyclotomic_fraction(num, phis, 1, r, planted_map)
 
 
 def _assert_lowest_terms(f, num, den):
@@ -672,6 +712,14 @@ def test_no_polynomial_gcd_is_left():
                                 "qnumbers", "series", "verify")]
     assert not [(m.__name__, name) for m in modules for name in gone if hasattr(m, name)]
     assert not hasattr(Polynomial, "exact_div") and not hasattr(Polynomial, "monic")
+
+
+def test_every_reduction_is_algebras():
+    # the symbolic reading divides through reduce_cyclotomic_fraction alone:
+    # it keeps no division of its own and binds no private divider of algebra
+    assert not hasattr(qmeasure._SymbolicReading, "_predicted")
+    assert not [name for name in ("_cyclotomic_ratio", "_phi_map", "_cancel",
+                                  "_cancel_cyclotomics") if hasattr(qmeasure, name)]
 
 
 @pytest.mark.parametrize("factor", [{0: 1}, {-2: 1}, {2: -1}])

@@ -502,6 +502,30 @@ def test_packed_symbolic_reading_matches_the_rational_and_list_readings(case, r)
             packed.num, packed.w_exp, packed.phis, packed.root_order)
 
 
+def test_every_symbolic_kernel_call_reduces_once():
+    # the one reduction of a symbolic kernel call is one call of algebra's
+    # reducer: on the screened path, for drawn kernel cases, and on the
+    # predicted one, for the closed K_n and beta_n, which pass their map
+    calls, reduce = [], qmeasure.reduce_cyclotomic_fraction
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_kernel_cases() | _coarse_kernel_cases())
+    @example(case=(2, [{-5: 3, 1: -1}, {7: 2}], -1, 6, [(-1, 6, 2), (1, 1, -2)]))
+    def drawn(case):
+        root, numerators, sign, step, prefactor = case
+        calls.clear()
+        binomial_fraction_sum(sym(root), numerators, sign, step, prefactor)
+        assert len(calls) == 1 and calls[0][4] is None
+
+    with unittest.mock.patch.object(qmeasure, "reduce_cyclotomic_fraction",
+                                    lambda *args: calls.append(args) or reduce(*args)):
+        drawn()
+        for n, kind in itertools.product(range(41), (BOSONIC, FERMIONIC)):
+            calls.clear()
+            geometric_sum(sym(), kind, n, 0, (1,))
+            assert len(calls) == 1 and calls[0][4] is not None, (kind, n)
+
+
 def _no_inverse(*args):
     raise AssertionError("the kernel inverted a value")
 

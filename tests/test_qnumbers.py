@@ -107,35 +107,48 @@ _REFERENCE_CASES = ([(1, n) for n in [*range(61), *range(61, 151, 3)]]
                     + [(d, n) for d in (2, 3) for n in range(21)])
 
 
+def _fields(f):
+    return f.num, f.w_exp, f.phis, f.root_order
+
+
+def _no_screen(*args):
+    raise AssertionError("the predicted reduction screened")
+
+
 @pytest.mark.parametrize("kind", (FERMIONIC, BOSONIC))
 def test_the_predicted_reduction_is_the_screened_one(kind):
-    # the closed K_n and beta_n divide their unreduced kernel output once by
-    # the product that the residue theorems say cancels; the screen of
-    # reduce_cyclotomic_fraction, run on the same output (the same kernel
-    # call without the predicted map), gives the same fields.  So the
-    # theorems' test above does not check the maps against themselves
-    screen = qmeasure.reduce_cyclotomic_fraction
+    # the closed K_n and beta_n make one reduce_cyclotomic_fraction call with
+    # the predicted map, which divides their unreduced kernel output once,
+    # with no screen, by the product that the residue theorems say cancels;
+    # the same call without the map screens, and gives the same fields, and
+    # the kernel's value is that screened one in u = q.  So the theorems'
+    # test above does not check the maps against themselves
+    reduce = algebra.reduce_cyclotomic_fraction
     for root, n in _REFERENCE_CASES:
         q, numerators, sign, step, prefactor, reduced = _closed_kernel_call(kind, n, sym(root))
         assert reduced is not None
-        screened = []
-        with unittest.mock.patch.object(
-                qmeasure, "reduce_cyclotomic_fraction",
-                lambda *args: screened.append(args) or screen(*args)):
+        calls = []
+
+        def spy(*args):
+            calls.append((args, reduce(*args)))
+            return calls[-1][1]
+
+        with unittest.mock.patch.object(qmeasure, "reduce_cyclotomic_fraction", spy), \
+                unittest.mock.patch.object(algebra, "_cancel_cyclotomics", _no_screen):
             direct = qmeasure.binomial_fraction_sum(q, numerators, sign, step, prefactor,
                                                     reduced)
-            assert screened == []
-            want = qmeasure.binomial_fraction_sum(q, numerators, sign, step, prefactor)
-            assert len(screened) == 1
-        assert (direct.num, direct.w_exp, direct.phis, direct.root_order) == (
-            want.num, want.w_exp, want.phis, want.root_order), (root, n)
+        [((num, phis, root_order, low, predicted), got)] = calls
+        assert predicted is reduced and root_order == root
+        want = reduce(num, phis, root_order, low)
+        assert _fields(got) == _fields(want), (root, n)
+        assert _fields(direct) == _fields(want.substitute(root)), (root, n)
 
 
 @pytest.mark.parametrize("kind, n, root", [(FERMIONIC, 9, 1), (BOSONIC, 9, 1),
                                            (FERMIONIC, 6, 2), (BOSONIC, 12, 3)])
 def test_a_wrong_predicted_map_raises(kind, n, root):
     # a map with one Phi_d dropped asks for a division by Phi_d that is not
-    # exact; so does one that claims a Phi_d den does not hold
+    # exact; one that claims a Phi_d den does not hold leaves a map without it
     q, numerators, sign, step, prefactor, reduced = _closed_kernel_call(kind, n, sym(root))
     wrong = [{e: k for e, k in reduced.items() if e != d} for d in reduced]
     wrong.append({**reduced, 3 * (n + 2): 1})

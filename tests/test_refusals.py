@@ -5,6 +5,7 @@
 so it shows as a traceback.
 """
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -18,8 +19,8 @@ from qvolkenborn.algebra import (InputError, PoleError, Polynomial, QvolkError, 
 from qvolkenborn.cli import build_parser, main, value_from_json, value_to_json
 from qvolkenborn.padic import (PadicNumber, PrecisionExhausted, ProfiniteDomain,
                                ball_representatives, padic_from_rational)
-from qvolkenborn.qmeasure import (FERMIONIC, QDescriptor, binomial_fraction_sum,
-                                  bosonic_power_moment, fermionic_power_moment)
+from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, QDescriptor, binomial_fraction_sum,
+                                  bosonic_power_moment, fermionic_power_moment, geometric_sum)
 from qvolkenborn.qnumbers import family_value, k_distribution_rhs
 from qvolkenborn.series import f_q_coefficient_partial
 from test_golden import DIGESTS, commands
@@ -279,6 +280,14 @@ ENGINE_REFUSALS = {
     "_order_bound": (lambda: algebra._order_bound(10 ** 19), ValueError,
                      "degree 10000000000000000000 is past the order bound's prime table"),
 }
+# an empty weight table: one refusal in every reading, in the limit and at a level
+ENGINE_REFUSALS.update({
+    f"geometric_sum empty table {name} {kind} level={level}": (
+        functools.partial(geometric_sum, q, kind, 1, 0, (), level), ValueError,
+        "a weight table needs at least one value")
+    for name, q in (("sym", SYM), ("2/5", QDescriptor.rational(Fraction(2, 5))),
+                    ("padic:5:6:8", QDescriptor.padic(padic_from_rational(6, 5, 8))))
+    for kind in (BOSONIC, FERMIONIC) for level in (None, 5)})
 
 
 @pytest.mark.parametrize("name", ENGINE_REFUSALS)
