@@ -11,7 +11,7 @@ Every denominator the package builds is w^a times a product of cyclotomic
 polynomials Phi_d, since the closed forms divide by binomials 1 +- w^j, so
 the elements live in the ring of fractions with such denominators.  A
 :class:`RationalFunction` stores its denominator in that factored form, and
-sums, products, powers, rebasing and reciprocals act on the factorization;
+sums, products, powers, substitutions and reciprocals act on the factorization;
 cancelling is a screen of the numerator against the Phi_d that can divide
 it, so no polynomial gcd is needed.  The Phi-maps {d: e} of the
 factorization are stored as sorted (d, e) pairs and merged as plain dicts:
@@ -55,7 +55,7 @@ class PoleError(QvolkError, ArithmeticError):
 
 
 class RootOrderMismatch(QvolkError, ValueError):
-    """Incompatible root orders that cannot be reconciled by rebasing."""
+    """Operands at two root orders, or q^(a/b) at a root order that b does not divide."""
 
 
 class NonCyclotomicDenominator(QvolkError, ValueError):
@@ -238,12 +238,6 @@ class Polynomial:
             return self.ints == other.ints and self.scale == other.scale
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.ints, self.scale))
-
-    def __bool__(self) -> bool:
-        return bool(self.ints)
-
     def __add__(self, other: Polynomial) -> Polynomial:
         a, b, scale = self.ints, other.ints, self.scale
         if scale != other.scale:
@@ -257,9 +251,6 @@ class Polynomial:
         for i, y in enumerate(b):
             out[i] += y
         return Polynomial._make(out, scale)
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
 
     def __neg__(self) -> Polynomial:
         return Polynomial._reduced(tuple(-c for c in self.ints), self.scale)
@@ -646,11 +637,11 @@ class RationalFunction:
     when read, once per map while a bounded cache holds it.  Canonical
     form: neither w nor a Phi_d of the map divides num.  A sum takes the
     lcm of the maps and screens only the Phi_d with equal powers on both
-    sides, a product adds them, a power scales them, and rebasing maps
-    Phi_d to Phi_d(w^p) one prime p at a time.  Binary operations on
-    elements with different root orders rebase both to the least common
-    multiple.  A denominator, or a reciprocal's numerator, that is not c
-    w^a prod Phi_d^e raises :class:`NonCyclotomicDenominator`.
+    sides, a product adds them, a power scales them, and :meth:`substitute`
+    maps Phi_d to Phi_d(w^p) one prime p at a time; operands at two root
+    orders raise :class:`RootOrderMismatch`.  A denominator, or a
+    reciprocal's numerator, that is not c w^a prod Phi_d^e raises
+    :class:`NonCyclotomicDenominator`.
 
     >>> f = RationalFunction(Polynomial([1]), Polynomial([1, 0, -1]))
     >>> f.phis
@@ -666,7 +657,7 @@ class RationalFunction:
             raise ValueError("root order must be >= 1")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in rational function")
-        factored = _cyclotomic_factors(den.ints) if num else (1, 0, {})
+        factored = _cyclotomic_factors(den.ints) if num.ints else (1, 0, {})
         if factored is None:
             raise NonCyclotomicDenominator(den)
         c, a, phis = factored
@@ -723,24 +714,15 @@ class RationalFunction:
             phis = rebased
         return RationalFunction._make(num, self.w_exp * k, _phi_map(phis), self.root_order)
 
-    def rebase_root_order(self, new_order: int) -> RationalFunction:
-        """Reinterpret the element at a finer root order (a multiple of the
-        current one): :meth:`substitute` w -> w**(new/old), relabelled."""
-        if new_order % self.root_order != 0:
-            raise RootOrderMismatch(
-                f"cannot rebase root order {self.root_order} to {new_order}")
-        f = self.substitute(new_order // self.root_order)
-        return RationalFunction._make(f.num, f.w_exp, f.phis, new_order)
-
     def _coerce(self, other) -> tuple[RationalFunction, RationalFunction] | None:
         if not isinstance(other, RationalFunction):
             if not isinstance(other, (int, Fraction)):
                 return None
             other = RationalFunction.constant(other, self.root_order)
-        if self.root_order == other.root_order:
-            return self, other
-        lcm = self.root_order * other.root_order // math.gcd(self.root_order, other.root_order)
-        return self.rebase_root_order(lcm), other.rebase_root_order(lcm)
+        if self.root_order != other.root_order:
+            raise RootOrderMismatch(
+                f"root orders {self.root_order} and {other.root_order} differ")
+        return self, other
 
     # -- field operations ---------------------------------------------------
 
@@ -785,9 +767,6 @@ class RationalFunction:
         a, b = pair
         return a + (-b)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         pair = self._coerce(other)
         if pair is None:
@@ -825,9 +804,6 @@ class RationalFunction:
             return NotImplemented
         a, b = pair
         return a * b.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
 
     def __pow__(self, n: int) -> RationalFunction:
         if n in (0, 1):
@@ -944,10 +920,6 @@ class CyclotomicElement(namedtuple("CyclotomicElement", "order coeffs")):
     def root_of_unity(cls, order: int, power: int = 1) -> CyclotomicElement:
         return cls(order, root_of_unity_rows(order)[power % order])
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -958,7 +930,7 @@ class CyclotomicElement(namedtuple("CyclotomicElement", "order coeffs")):
         return cls(int(data["L"]), [RationalFunction.from_json(c) for c in data["coeffs"]])
 
     def __repr__(self) -> str:
-        if self.is_zero:
+        if not self.coeffs:
             return "CyclotomicElement(0)"
         return f"CyclotomicElement(L={self.order}, {self})"
 

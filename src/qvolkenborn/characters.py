@@ -24,13 +24,6 @@ from itertools import product
 from .algebra import CyclotomicElement, InputError, _divisors, _prime_factors
 
 
-def euler_phi(n: int) -> int:
-    out = 1
-    for p, e in Counter(_prime_factors(n)).items():
-        out *= (p - 1) * p ** (e - 1)
-    return out
-
-
 def _multiplicative_order(a: int, modulus: int) -> int:
     x = a % modulus
     order = 1

@@ -34,7 +34,7 @@ from .characters import (character_value, conductor, enumerate_characters,
                          parse_character_id)
 from .padic import DEFAULT_PRECISION, PadicNumber, ProfiniteDomain, padic_from_rational
 from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor,
-                       integrate, parse_integrand)
+                       integrate, parse_fraction, parse_integrand)
 from .qnumbers import FORMS, family_value
 from .series import (euler_gf, f_q_coefficient_partial, f_q_series,
                      scaled_coefficient)
@@ -63,19 +63,19 @@ def parse_q_spec(text: str) -> QDescriptor:
             if len(parts) not in (3, 4):
                 raise ValueError("expected padic:p:q or padic:p:q:A")
             p = int(parts[1])
-            q = Fraction(parts[2])
+            q = parse_fraction(parts[2])
             prec = int(parts[3]) if len(parts) == 4 else DEFAULT_PRECISION
             return QDescriptor.padic(padic_from_rational(q, p, prec))
-        return QDescriptor.rational(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        return QDescriptor.rational(parse_fraction(text))
+    except ValueError as exc:
         raise InputError(f"bad q spec {text!r}: {exc}") from exc
 
 
 def _fraction(flag: str, text: str) -> Fraction:
     """The rational value of a flag's text, refused as "bad <flag>"."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_fraction(text)
+    except ValueError as exc:
         raise InputError(f"bad {flag} {text!r}: {exc}") from exc
 
 

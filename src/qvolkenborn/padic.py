@@ -178,9 +178,6 @@ class PadicNumber:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -206,12 +203,6 @@ class PadicNumber:
         prec = min(self.prec, other.prec)
         unit = self.unit * _unit_inverse(other.unit, self.p, prec) % self.p ** prec
         return PadicNumber._normalised(self.p, self.v - other.v, unit, prec)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, n: int) -> PadicNumber:
         if n == 0:

@@ -153,13 +153,6 @@ class QDescriptor(namedtuple("QDescriptor", "root_order value")):
         one = self.one()
         return (one - self.qpow(x)) / (one - self.qpow(1))
 
-    def minus_bracket(self, m: int):
-        """[m] at -q, for odd m: (1 + q^m)/(1 + q)."""
-        if m < 1 or m % 2 == 0:
-            raise ValueError(f"the negated-base bracket needs odd m, got {m}")
-        one = self.one()
-        return (one + self.qpow(m)) / (one + self.qpow(1))
-
     def __repr__(self) -> str:
         if self.value is None:
             core = f"symbolic D={self.root_order}"
@@ -401,13 +394,6 @@ class MeasureSpec(namedtuple("MeasureSpec", "kind q domain")):
             raise ValueError(f"a {q.prime}-adic q cannot measure a "
                              f"domain over p = {domain.p}")
         return super().__new__(cls, kind, q, domain)
-
-    def level_norm(self, n: int):
-        """[d p^n] at q (bosonic) or -q (fermionic): the normalizer of level n."""
-        size = self.domain.level_size(n)
-        if self.kind == BOSONIC:
-            return self.q.bracket(size)
-        return self.q.minus_bracket(size)
 
 
 def ball_measure_sum(spec: MeasureSpec, reps, n: int):
@@ -806,6 +792,14 @@ def bracket_power(q: QDescriptor, n: int, shift: Fraction | int = 0,
     return f
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), refusing "a/0" with the ValueError "zero denominator"."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+
+
 def parse_integrand(text: str, q: QDescriptor) -> BracketPower:
     """Integrand selection by name: "one", "bracket_pow:n",
     "shifted_bracket_pow:n:x", "char_twisted:n:chi_id"."""
@@ -817,10 +811,10 @@ def parse_integrand(text: str, q: QDescriptor) -> BracketPower:
         if name == "bracket_pow" and len(parts) == 2:
             return bracket_power(q, int(parts[1]))
         if name == "shifted_bracket_pow" and len(parts) == 3:
-            return bracket_power(q, int(parts[1]), Fraction(parts[2]))
+            return bracket_power(q, int(parts[1]), parse_fraction(parts[2]))
         if name == "char_twisted" and len(parts) >= 3:
             chi = parse_character_id(":".join(parts[2:]))
             return bracket_power(q, int(parts[1]), 0, chi)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad integrand spec {text!r}: {exc}") from exc
     raise InputError(f"unknown integrand spec {text!r}")

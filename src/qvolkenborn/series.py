@@ -49,14 +49,6 @@ class TruncatedSeries:
         return TruncatedSeries([_pairwise_sum([a[i] * b[n - i] for i in range(n + 1)])
                                 for n in range(self.order + 1)])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 

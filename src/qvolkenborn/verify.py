@@ -20,7 +20,9 @@ from .qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor, ball_measur
                        bracket_power, integrate, parse_integrand, riemann_sum)
 from .qnumbers import (beta_number, classical_bernoulli, classical_euler, family_value, k_chi,
                        k_distribution_rhs, k_number, k_polynomial)
-from .series import f_q_coefficient_partial, f_q_series, scaled_coefficient
+from .series import TruncatedSeries, f_q_coefficient_partial, f_q_series, scaled_coefficient
+
+_FQ_SERIES: list[TruncatedSeries] = []   # the symbolic f_q series of the running run_suites
 
 
 class CaseResult(namedtuple("CaseResult", "params passed detail", defaults=("",))):
@@ -210,6 +212,14 @@ def suite_beta_forms(n_max: int = 6, **_) -> SuiteResult:
     return out
 
 
+def _symbolic_f_q_series(order: int) -> TruncatedSeries:
+    """f_q_series at symbolic q to at least `order`: coefficient n does not
+    depend on the order, so genfunc (T = 10) reads the one limits (T = 12) built."""
+    if not _FQ_SERIES or _FQ_SERIES[0].order < order:
+        _FQ_SERIES[:] = [f_q_series(QDescriptor.symbolic(), order)]
+    return _FQ_SERIES[0]
+
+
 def suite_limits(n_max: int = 12, **_) -> SuiteResult:
     """q -> 1 limits: q-Euler numbers against the classical Euler numbers
     (a case passes when the closed form's limit, the generating-function
@@ -218,7 +228,7 @@ def suite_limits(n_max: int = 12, **_) -> SuiteResult:
     comparison)."""
     out = SuiteResult("limits")
     sym = QDescriptor.symbolic()
-    euler, fq = classical_euler(n_max), f_q_series(sym, n_max)
+    euler, fq = classical_euler(n_max), _symbolic_f_q_series(n_max)
     for n in range(n_max + 1):
         k_lim = k_number(n, sym).limit_at_one()
         gf_lim = scaled_coefficient(fq, n).limit_at_one()
@@ -240,7 +250,7 @@ def suite_genfunc(n_max: int = 10, **_) -> SuiteResult:
     numbers as reduced symbolic elements."""
     out = SuiteResult("genfunc")
     sym = QDescriptor.symbolic()
-    gf = f_q_series(sym, n_max)
+    gf = _symbolic_f_q_series(n_max)
     for n in range(n_max + 1):
         out.add({"n": n}, scaled_coefficient(gf, n) == k_number(n, sym))
     return out
@@ -315,6 +325,7 @@ def run_suites(names: list[str] | None = None, **overrides) -> list[SuiteResult]
     """Run the selected suites (all by default) with optional parameter
     overrides; unknown names raise ValueError."""
     selected = list(SUITES) if not names else names
+    _FQ_SERIES.clear()   # each run builds its own series
     results = []
     for name in selected:
         if name not in SUITES:

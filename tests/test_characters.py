@@ -14,11 +14,16 @@ import pytest
 
 from qvolkenborn.algebra import CyclotomicElement, root_of_unity_rows
 from qvolkenborn.characters import (character_value, conductor,
-                                    enumerate_characters, euler_phi,
+                                    enumerate_characters,
                                     make_character, parse_character_id,
                                     unit_group_structure)
 
 F = Fraction
+
+
+def euler_phi(modulus):
+    """The number of units mod modulus, counted."""
+    return sum(math.gcd(a, modulus) == 1 for a in range(modulus))
 
 
 def brute_order(a, modulus):

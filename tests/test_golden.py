@@ -94,6 +94,10 @@ def commands() -> list[str]:
     # divisible by p, and its 0-th power is the exact 1
     out += ["polynomials --kind K_poly --n 0..6 --x 0 --q padic:5:6:32 --form expansion",
             "polynomials --kind beta_poly --n 0..6 --x 5 --q padic:5:6:32 --form expansion"]
+    # a p-adic expansion at x < 0, whose q^(kx) is a negative power of q, and
+    # a symbolic expansion whose products pass the Kronecker cutoff
+    out += ["polynomials --kind K_poly --n 0..3 --x -2 --q padic:5:6:32 --form expansion",
+            "polynomials --kind K_poly --n 0..12 --x 7 --q sym --form expansion"]
     # low-precision p-adic closed forms, where the proven bound of the
     # residue pass (A - v_p(1 - q), or A - v_p((n+1)!) + min(0, v) for
     # beta_n(x)) sets the digits claimed

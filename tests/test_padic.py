@@ -163,8 +163,8 @@ def test_valuation_ultrametric():
 def test_precision_soundness_across_working_precision():
     # the same pipeline at higher precision agrees modulo the lower guarantee
     def pipeline(prec):
-        q = padic_from_rational(6, 5, prec)
-        return (1 - q ** 7) / (1 - q) + q ** -2
+        q, one = padic_from_rational(6, 5, prec), padic_from_rational(1, 5, prec)
+        return (one - q ** 7) / (one - q) + q ** -2
 
     low, high = pipeline(8), pipeline(20)
     assert low.agrees_with(high, low.absolute_precision)
@@ -282,7 +282,8 @@ def test_zero_at_precision_follows_its_own_rules(p, a, b, n):
     # every operator meets a zero-at-precision operand, or an exact 0, by
     # the zero rules alone: x + O(p^b) is x truncated to min(a_x, b),
     # O(p^a) y is O(p^(a + v_y)), O(p^a) / y is O(p^(a - v_y)), O(p^a)^n is
-    # O(p^(n a)), -O(p^a) is O(p^a), and an exact 0 meets y as O(p^(a_y))
+    # O(p^(n a)), -O(p^a) is O(p^a), and an exact 0 meets y as O(p^(a_y));
+    # an exact scalar left of - or / is refused, as no reflected - or / exists
     x, y = _operand(p, a), _operand(p, b)
     padic = [t for t in (x, y) if isinstance(t, PadicNumber)]
     assume(padic)
@@ -290,7 +291,11 @@ def test_zero_at_precision_follows_its_own_rules(p, a, b, n):
     if lx.is_zero_at_precision or ly.is_zero_at_precision:
         for op, compute in (("+", lambda: x + y), ("-", lambda: x - y),
                             ("*", lambda: x * y), ("/", lambda: x / y)):
-            assert _outcome(compute) == _zero_rule(op, lx, ly), op
+            if op in "-/" and not isinstance(x, PadicNumber):
+                with pytest.raises(TypeError):
+                    compute()
+            else:
+                assert _outcome(compute) == _zero_rule(op, lx, ly), op
     for z in padic:
         if z.is_zero_at_precision:
             assert _outcome(lambda: -z) == _zero(p, z.v)

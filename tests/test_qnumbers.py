@@ -25,7 +25,7 @@ from qvolkenborn.qmeasure import (BOSONIC, FERMIONIC, MeasureSpec, QDescriptor, 
 from qvolkenborn.qnumbers import (beta_number, beta_polynomial, classical_bernoulli,
                                   classical_euler, family_value, k_chi, k_distribution_rhs,
                                   k_number, k_polynomial)
-from test_rational_reading import _field_sum, _padic_qs
+from test_rational_reading import _field_sum, _padic_qs, minus_bracket
 
 F = Fraction
 
@@ -260,12 +260,14 @@ def test_k_polynomial_forms_agree():
 
 
 @pytest.mark.parametrize("polynomial", [k_polynomial, beta_polynomial])
-@pytest.mark.parametrize("x", [0, 5])
-def test_padic_expansions_at_x_divisible_by_p_keep_the_closed_digits(polynomial, x):
+@pytest.mark.parametrize("p, q, x", [(p, q, x) for p, q in ((5, 6), (3, 4))
+                                     for x in (0, p, -1, -2, -4)])
+def test_padic_expansions_keep_the_closed_digits(polynomial, p, q, x):
     # [x]_q is zero-at-precision (x = 0) or divisible by p (x = p), and its
-    # 0-th power is the exact 1, so the expansion agrees with the closed form
-    # on every digit both claim and claims at most one digit fewer
-    qd = QDescriptor.padic(padic_from_rational(6, 5, 32))
+    # 0-th power is the exact 1; at x < 0 the expansion's q^(kx) is a
+    # negative power, one reciprocal.  The expansion agrees with the closed
+    # form on every digit both claim and claims at most one digit fewer
+    qd = QDescriptor.padic(padic_from_rational(q, p, 32))
     for n in range(7):
         closed, expansion = (polynomial(n, x, qd, form) for form in ("closed", "expansion"))
         digits = min(closed.absolute_precision, expansion.absolute_precision)
@@ -401,8 +403,8 @@ def base_change_twist(n, x, m, q, weights):
             numerators = [{(a + x) * k: (-1) ** k * math.comb(n, k)} for k in range(n + 1)]
             inner = _field_sum(q, numerators, 1, m, [(1, m, 1), (-1, m, -n)])
             term = weights[a] * q.qpow(a) * inner
-            acc = acc - term if a % 2 else acc + term
-    return q.bracket(m) ** n / q.minus_bracket(m) * acc
+            acc = acc + (-term if a % 2 else term)
+    return q.bracket(m) ** n / minus_bracket(q, m) * acc
 
 
 def assert_sound_and_not_fewer_digits(got, reference, exact):
@@ -554,8 +556,8 @@ def test_k_chi_finite_level_factorization(n):
         v = riemann_sum(inner_spec, bracket_power(base, n, F(a, 3)), 1)
         inner = RationalFunction(v.num, v.den, 1)
         term = chi_a * qd.qpow(a) * inner
-        acc = acc - term if a % 2 else acc + term
-    assert lhs == qd.bracket(3) ** n / qd.minus_bracket(3) * acc
+        acc = acc + (-term if a % 2 else term)
+    assert lhs == qd.bracket(3) ** n / minus_bracket(qd, 3) * acc
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,18 @@ def _field_sum(q, numerators, sign, step, prefactor=(), reduced=None):
     return reading.divide(total, den, divisors)
 
 
+def minus_bracket(q, m):
+    """[m] at -q for odd m, (1 + q^m)/(1 + q), by field operations."""
+    one = q.one()
+    return (one + q.qpow(m)) / (one + q.qpow(1))
+
+
+def level_norm(spec, n):
+    """[d p^n] at q (bosonic) or -q (fermionic): the normalizer of level n."""
+    size = spec.domain.level_size(n)
+    return spec.q.bracket(size) if spec.kind == BOSONIC else minus_bracket(spec.q, size)
+
+
 def _fraction_partial(k, q, n_terms):
     """[2]_q sum_{n < n_terms} (-1)^n q^n [n]_q^k, three Fraction operations a term."""
     total, bracket, power = F(0), F(0), F(1)

@@ -1,5 +1,6 @@
-"""The engine's records are immutable named tuples, and its modules load
-without `dataclasses`, `typing` or `csv`.
+"""The engine's records are immutable named tuples, its modules load
+without `dataclasses`, `typing` or `csv`, and every function they define is
+reached by a product run or listed, with its reason, as kept.
 
 Most CLI commands do about a millisecond of work, so import time is most of
 their latency; these tests pin both the lean imports and the record
@@ -116,6 +117,81 @@ def test_every_record_field_is_read_somewhere():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert len(fields) > 20
     assert [f"{record}.{field}" for record, field in fields if field not in read] == []
+
+
+# the functions of the package that no product run reaches, each kept for
+# the reason given; a name here that a run reaches fails the test below
+KEPT_UNREACHED = {
+    "algebra.RationalFunction.from_json": "reads back to_json, the JSON output's round trip",
+    "algebra.CyclotomicElement.from_json": "reads back to_json, the JSON output's round trip",
+    "padic.PadicNumber.from_json": "reads back to_json, the JSON output's round trip",
+    "cli.value_from_json": "reads back value_to_json, the JSON output's round trip",
+    "algebra.Polynomial.__repr__": "the repr a debugger or a failing test shows",
+    "algebra.RationalFunction.__repr__": "the repr a debugger or a failing test shows",
+    "algebra.CyclotomicElement.__repr__": "the repr a debugger or a failing test shows",
+    "padic.PadicNumber.__repr__": "the repr a debugger or a failing test shows",
+    "qmeasure.QDescriptor.__repr__": "the repr a debugger or a failing test shows",
+    "series.TruncatedSeries.__repr__": "the repr a debugger or a failing test shows",
+    "cli.entry_point": "the console script, which runs cli.main in a process of its own",
+    "algebra.NonCyclotomicDenominator.__init__": "the error of a denominator no run meets",
+    "algebra.RationalFunction.__init__": "the public constructor; the engine builds by _make",
+    "padic.PadicNumber.__init__": "the public constructor; the engine builds by _normalised",
+    "qmeasure.bosonic_power_moment": "a package export, for ROADMAP items 6 and 14",
+    "algebra.cyclotomic_polynomial": "a package export; the engine reads _cyclotomic_int",
+}
+
+
+def _defined_functions():
+    """(file name, qualified name, first line) of every function and method
+    that a module of the package defines, nested ones included, mapped to
+    "module.qualname"; class bodies, lambdas and comprehensions are left out."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            for const in code.co_consts:
+                if isinstance(const, type(code)):
+                    stack.append(const)
+                    if const.co_flags & inspect.CO_NEWLOCALS and not const.co_name.startswith("<"):
+                        key = (path.name, const.co_qualname, const.co_firstlineno)
+                        out[key] = f"{path.stem}.{const.co_qualname}"
+    return out
+
+
+def test_every_function_is_reached_by_a_product_run_or_kept(monkeypatch, tmp_path):
+    # the product runs: every golden command through cli.main, the ten verify
+    # suites, and the seed-1 job lists of the three benchmark workloads, each
+    # job run and checked (the checks read fields that no command reads)
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    import bench_jobs
+    from test_golden import commands, digest
+
+    from qvolkenborn import verify
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("qvolkenborn.")]:
+        for cached in [f for f in vars(module).values() if hasattr(f, "cache_clear")]:
+            cached.cache_clear()   # a cache hit runs no body
+    ran, previous = set(), sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: ran.add(frame.f_code) if event == "call" else None)
+    try:
+        for command in commands():
+            digest(command)
+        assert all(result.passed for result in verify.run_suites())
+        for workload in ("symbolic", "padic", "verify-cli"):
+            for job in bench_jobs.build(workload, 1, str(tmp_path)):
+                assert job.check(job.run(), job.ref) is None, job.name
+    finally:
+        sys.setprofile(previous)
+    defined = _defined_functions()
+    reached = {defined.get((pathlib.Path(code.co_filename).name, code.co_qualname,
+                            code.co_firstlineno)) for code in ran
+               if pathlib.Path(code.co_filename).parent.resolve() == SRC.resolve()}
+    names, kept = set(defined.values()), set(KEPT_UNREACHED)
+    assert len(names) > 200
+    assert sorted(names - reached - kept) == [], "no product run reaches these: delete them"
+    assert sorted(kept & reached) == [], "a product run reaches these: unlist them"
+    assert sorted(kept - names) == [], "no longer defined: unlist them"
 
 
 def test_the_cli_starts_without_dataclasses_inspect_or_csv():

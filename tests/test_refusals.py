@@ -133,6 +133,13 @@ def test_cli_refusals_are_qvolk_errors(capsys, argv, error):
     ("numbers --kind K_chi --n 1 --chi 15:1,,1 --q 2/5",
      'bad character id \'15:1,,1\': expected "f:e1,e2,..." with integers f, e1, e2, ...'),
     ("integrate --p 5 --q 6 --stability -3", "stability must be nonnegative, got -3"),
+    # a zero denominator is named, not shown as the repr of the Fraction
+    ("numbers --kind K --n 1 --q 1/0", "bad q spec '1/0': zero denominator"),
+    ("numbers --kind K --n 1 --q padic:5:1/0:8", "bad q spec 'padic:5:1/0:8': zero denominator"),
+    ("polynomials --kind K_poly --n 1 --x 1/0", "bad x '1/0': zero denominator"),
+    ("integrate --p 5 --q 1/0", "bad q '1/0': zero denominator"),
+    ("integrate --p 5 --q 6 --f shifted_bracket_pow:2:1/0",
+     "bad integrand spec 'shifted_bracket_pow:2:1/0': zero denominator"),
 ])
 def test_each_input_rule_refuses_with_the_message_of_its_one_check(command, message):
     # the engine function that needs a rule checks it, and the CLI adds no
@@ -251,8 +258,6 @@ ENGINE_REFUSALS = {
                              "moment index must be nonnegative"),
     "fermionic_power_moment": (lambda: fermionic_power_moment(-1, SYM), ValueError,
                                "moment index must be nonnegative"),
-    "minus_bracket": (lambda: SYM.minus_bracket(2), ValueError,
-                      "the negated-base bracket needs odd m, got 2"),
     "run_suites": (lambda: verify_mod.run_suites(["nope"]), ValueError,
                    "unknown suite 'nope'; known: measure, kpoly-forms, finite-sum, "
                    "distribution, char-twist, beta-forms, limits, genfunc, partial-sums, "
